@@ -4,11 +4,12 @@ from .conflicts import Conflict, ConflictSite, detect_conflicts
 from .evaluate import EvalSummary, MissingGolden, evaluate_corpus
 from .graph_diff import FourWayGraph, GraphDelta, build_fourway, diff_graphs
 from .matching import MatchSet, NoAnchor, Resolution, resolve_by_example
-from .merge3 import MergeScenario, TextualConflict, merge_scenario
+from .merge3 import (MergeScenario, TextualConflict, UnreadableSource,
+                     merge_scenario)
 from .mining import EditExample, mine_examples
 from .inference import (NoRelevantEdit, TransformationPattern, infer_pattern)
 from .parser import ParseError, parse_unit
-from .peg import Entity, EntityGraph, Relation, build_peg
+from .peg import DuplicateEntity, Entity, EntityGraph, Relation, build_peg
 from .pipeline import Report, ScenarioRun, run_scenario
 from .printer import pretty_print, token_stream
 from .rules import NotCovered, TargetMissing, resolve_by_rule
@@ -21,11 +22,11 @@ __all__ = [
     "EvalSummary", "MissingGolden", "evaluate_corpus",
     "FourWayGraph", "GraphDelta", "build_fourway", "diff_graphs",
     "MatchSet", "NoAnchor", "Resolution", "resolve_by_example",
-    "MergeScenario", "TextualConflict", "merge_scenario",
+    "MergeScenario", "TextualConflict", "UnreadableSource", "merge_scenario",
     "EditExample", "mine_examples",
     "NoRelevantEdit", "TransformationPattern", "infer_pattern",
     "ParseError", "parse_unit",
-    "Entity", "EntityGraph", "Relation", "build_peg",
+    "DuplicateEntity", "Entity", "EntityGraph", "Relation", "build_peg",
     "Report", "ScenarioRun", "run_scenario",
     "pretty_print", "token_stream",
     "NotCovered", "TargetMissing", "resolve_by_rule",

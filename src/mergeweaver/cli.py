@@ -1,8 +1,14 @@
 """Command line interface.
 
-Exit codes: 0 on success (detected-but-unresolved conflicts are still
-success), 2 when a source file fails to parse, 3 when the textual merge
-itself conflicts.
+Exit codes, each failure with a one-line message on stderr:
+
+* 0 on success (detected-but-unresolved conflicts are still success);
+* 1 when an evaluation corpus has no golden key or lacks an entry;
+* 2 when a source file fails to parse or is not valid UTF-8, and for
+  bad command line arguments (argparse also prints the usage);
+* 3 when the textual merge itself conflicts;
+* 4 when one version declares the same entity twice, for example when
+  both branches add a class of the same name.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ from typing import Optional
 
 from .evaluate import MissingGolden, evaluate_corpus, summary_to_dict
 from .inference import NoRelevantEdit, infer_pattern
-from .merge3 import TextualConflict, _read_tree, merge_texts
+from .merge3 import (TextualConflict, UnreadableSource, _read_tree,
+                     merge_texts)
 from .mining import mine_examples
 from .parser import ParseError
+from .peg import DuplicateEntity
 from .pipeline import ScenarioRun, report_to_dict, run_scenario
 from .printer import pretty_print
 
@@ -229,12 +237,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except UnreadableSource as exc:
+        print(f"read error: {exc}", file=sys.stderr)
+        return 2
     except TextualConflict as exc:
         print(f"textual conflict: {exc}", file=sys.stderr)
         return 3
     except MissingGolden as exc:
         print(f"eval error: {exc}", file=sys.stderr)
         return 1
+    except DuplicateEntity as exc:
+        print(f"duplicate declaration: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

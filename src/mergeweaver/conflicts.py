@@ -15,7 +15,8 @@ from typing import Optional, Union
 
 from .graph_diff import (EntityEdit, FourWayGraph, RelationEdit,
                          merged_entity_for)
-from .peg import Entity, Relation, arity_of, type_base_name
+from .peg import (MEMBER_ENTITY_KINDS, Entity, Relation, arity_of,
+                  type_base_name)
 from .peg import heritage as decl_heritage
 from .syntax import Span, SyntaxNode
 
@@ -26,8 +27,7 @@ Edit = Union[EntityEdit, RelationEdit]
 # same so the rule table stays total
 CONFLICT_CODES = tuple(f"C{i}" for i in range(1, 24))
 
-_MEMBER_ENTITY_KINDS = ("field", "method", "constructor", "enum-constant")
-_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
 @dataclass
@@ -118,7 +118,8 @@ def mentions_name(decl: SyntaxNode, name: str) -> bool:
     return False
 
 
-def _arg_count(call: SyntaxNode) -> int:
+def arg_count(call: SyntaxNode) -> int:
+    """Number of arguments of an invocation or object creation."""
     for child in call.children:
         if child.kind == "ArgumentList":
             return len(child.children)
@@ -370,7 +371,7 @@ def classify(def_change: Edit, use_intro: Edit,
 
 
 def _apply_renames(text: str, renames: dict[str, str]) -> str:
-    return _IDENT.sub(lambda m: renames.get(m.group(0), m.group(0)), text)
+    return IDENT_RE.sub(lambda m: renames.get(m.group(0), m.group(0)), text)
 
 
 def _def_candidates(delta) -> list[Edit]:
@@ -387,7 +388,7 @@ def _def_candidates(delta) -> list[Edit]:
 
     out: list[Edit] = []
     for e in delta.entity_edits:
-        if e.op == "delete" and e.kind in _MEMBER_ENTITY_KINDS \
+        if e.op == "delete" and e.kind in MEMBER_ENTITY_KINDS \
                 and owner_fqn(e.old_fqn or "") in deleted_types:
             continue            # the type-level delete carries the conflict
         if e.op == "update" and e.detail == "rename" \
@@ -455,7 +456,7 @@ def _call_nodes(decl: SyntaxNode, name: str,
                 arity: Optional[int]) -> list[SyntaxNode]:
     return [n for n in decl.walk()
             if n.kind == "MethodInvocation" and n.value == name
-            and (arity is None or _arg_count(n) == arity)]
+            and (arity is None or arg_count(n) == arity)]
 
 
 def _creation_nodes(decl: SyntaxNode, simple: str,
@@ -467,7 +468,7 @@ def _creation_nodes(decl: SyntaxNode, simple: str,
         tref = next((c for c in n.children if c.kind == "TypeRef"), None)
         if tref is None or type_base_name(tref.value) != simple:
             continue
-        if arity is None or _arg_count(n) == arity:
+        if arity is None or arg_count(n) == arity:
             out.append(n)
     return out
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .merge3 import MergeScenario
-from .peg import Entity, EntityGraph, build_peg
-from .similarity import trigram_similarity
+from .peg import Entity, EntityGraph, Relation, build_peg
+from .similarity import Profile, profile, profile_similarity
 
 MATCH_THRESHOLD = 0.618
 
@@ -93,6 +93,17 @@ def match_graphs(ga: EntityGraph, gb: EntityGraph) -> dict[str, str]:
             matches[eid] = eid
             taken.add(eid)
 
+    # the printed body and the context of each entity scored, profiled once
+    memo: dict[tuple[int, str], tuple[Profile, Profile]] = {}
+
+    def profiles(graph: EntityGraph, ent: Entity) -> tuple[Profile, Profile]:
+        key = (id(graph), ent.id)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (profile(graph.body_text(ent)),
+                               profile(graph.context_string(ent)))
+        return got
+
     # similarity phase, repeated until stable so a matched parent can unlock
     # the pairing of its renamed children
     while True:
@@ -109,10 +120,10 @@ def match_graphs(ga: EntityGraph, gb: EntityGraph) -> dict[str, str]:
                     continue
                 if _parent_id(gb, other) != want_parent:
                     continue
-                sim = 0.5 * trigram_similarity(ga.body_text(ent),
-                                               gb.body_text(other)) \
-                    + 0.5 * trigram_similarity(ga.context_string(ent),
-                                               gb.context_string(other))
+                body_a, context_a = profiles(ga, ent)
+                body_b, context_b = profiles(gb, other)
+                sim = 0.5 * profile_similarity(body_a, body_b) \
+                    + 0.5 * profile_similarity(context_a, context_b)
                 if sim >= MATCH_THRESHOLD:
                     candidates.append((sim, ent, other))
         if not candidates:
@@ -138,6 +149,8 @@ def _update_detail(old: Entity, new: Entity, base: EntityGraph,
         if old.param_sig != new.param_sig:
             return "signature-change"
         return "rename"
+    if old.decl is not None and old.decl is new.decl:
+        return None             # one shared parse of identical text
     if base.body_text(old) != target.body_text(new):
         return "body-change"
     return None
@@ -172,18 +185,16 @@ def diff_graphs(base: EntityGraph, target: EntityGraph,
             continue
         src, dst = base.by_id(rel.src), base.by_id(rel.dst)
         if rel.dst in matches:
-            mapped = (matches[rel.src], matches[rel.dst])
-            if any(r.src == mapped[0] and r.dst == mapped[1]
-                   and r.kind == rel.kind for r in target.relations):
+            mapped = Relation(matches[rel.src], matches[rel.dst], rel.kind)
+            if mapped in target.relations:
                 continue
         delta.relation_edits.append(RelationEdit(
             "delete", branch, rel.kind, src.fqn, dst.fqn, src=src, dst=dst))
     for rel in sorted(target.relations, key=lambda r: (r.src, r.kind, r.dst)):
         src, dst = target.by_id(rel.src), target.by_id(rel.dst)
         if rel.src in inverse and rel.dst in inverse:
-            mapped = (inverse[rel.src], inverse[rel.dst])
-            if any(r.src == mapped[0] and r.dst == mapped[1]
-                   and r.kind == rel.kind for r in base.relations):
+            mapped = Relation(inverse[rel.src], inverse[rel.dst], rel.kind)
+            if mapped in base.relations:
                 continue
         delta.relation_edits.append(RelationEdit(
             "add", branch, rel.kind, src.fqn, dst.fqn, src=src, dst=dst))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conflicts import Conflict
+from .conflicts import Conflict, arg_count
 from .graph_diff import EntityEdit, RelationEdit
 from .peg import arity_of, type_base_name
 from .syntax import (STATEMENT_KINDS, SyntaxNode, SyntaxTree, clone_node,
@@ -41,13 +41,6 @@ class TransformationPattern:
 
 # ---------------------------------------------------------------------------
 # identifying uses of the changed definition in the before tree
-
-
-def _arg_count(node: SyntaxNode) -> int:
-    for c in node.children:
-        if c.kind == "ArgumentList":
-            return len(c.children)
-    return 0
 
 
 def _subject_facts(conflict: Conflict) -> Optional[tuple[str, str, Optional[int]]]:
@@ -86,7 +79,7 @@ def use_node_ids(before: SyntaxTree, conflict: Conflict) -> set[int]:
     if kind == "method":
         for n in before.nodes():
             if n.kind == "MethodInvocation" and n.value == name \
-                    and (arity is None or _arg_count(n) == arity):
+                    and (arity is None or arg_count(n) == arity):
                 ids.add(n.id)
                 ids.update(c.id for c in n.children
                            if c.kind == "ArgumentList")
@@ -99,7 +92,7 @@ def use_node_ids(before: SyntaxTree, conflict: Conflict) -> set[int]:
             tref = next((c for c in n.children if c.kind == "TypeRef"), None)
             if tref is None or type_base_name(tref.value) != name:
                 continue
-            if arity is not None and _arg_count(n) != arity:
+            if arity is not None and arg_count(n) != arity:
                 continue
             ids.add(n.id)
             ids.update(c.id for c in n.children

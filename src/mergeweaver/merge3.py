@@ -6,6 +6,9 @@ identically on both sides are taken once; overlapping differing regions raise
 TextualConflict -- this merger never emits conflict markers, callers are
 expected to stop instead (exit code 3 at the CLI).
 
+Files are read as UTF-8; one that is not raises UnreadableSource (exit
+code 2 at the CLI).
+
 File-level rules: a file absent from the base is taken verbatim from the
 branch that adds it; a file deleted by one branch and untouched by the other
 is deleted; deletion against modification is a textual conflict too.
@@ -19,6 +22,16 @@ from pathlib import Path
 
 from .parser import parse_unit
 from .syntax import SourceFile
+
+
+class UnreadableSource(Exception):
+    """A source file is not valid UTF-8."""
+
+    def __init__(self, path: Path, exc: UnicodeDecodeError):
+        super().__init__(f"{path}: not valid UTF-8 "
+                         f"(byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start})")
+        self.path = path
 
 
 class TextualConflict(Exception):
@@ -105,7 +118,10 @@ def _read_tree(root: Path) -> dict[str, str]:
     files = {}
     if root.is_dir():
         for p in sorted(root.rglob("*.java")):
-            files[str(p.relative_to(root))] = p.read_text()
+            try:
+                files[str(p.relative_to(root))] = p.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise UnreadableSource(p, exc) from None
     return files
 
 
@@ -139,8 +155,16 @@ def merge_scenario(base_dir: str | Path, left_dir: str | Path,
     right = _read_tree(Path(right_dir))
     am = merge_texts(base, left, right)
     scenario = MergeScenario()
+    # a file with the same text in several versions is parsed once and its
+    # SourceFile shared; resolvers edit clones, never these trees
+    parsed: dict[tuple[str, str], SourceFile] = {}
     for bucket, files in (("base", base), ("left", left),
                           ("right", right), ("am", am)):
-        parsed = {p: parse_unit(p, text) for p, text in sorted(files.items())}
-        setattr(scenario, bucket, parsed)
+        out = {}
+        for path, text in sorted(files.items()):
+            sf = parsed.get((path, text))
+            if sf is None:
+                sf = parsed[path, text] = parse_unit(path, text)
+            out[path] = sf
+        setattr(scenario, bucket, out)
     return scenario

@@ -16,6 +16,7 @@ printer enough to reproduce the clause.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import SourceFile, SyntaxNode, SyntaxTree
@@ -34,11 +35,25 @@ _BINARY_TIERS = [
     ["*", "/", "%"],
 ]
 
-_PUNCT = [
-    "||", "&&", "==", "!=", "<=", ">=",
-    "{", "}", "(", ")", "[", "]", ";", ",", ".", "@", ":",
-    "=", "<", ">", "+", "-", "*", "/", "%", "!", "?",
-]
+# One alternative per token class, tried in this order at each position.
+# "skip" takes a run of whitespace and comments; "open" catches a "/*" with
+# no closing "*/".  \w and str.isalnum agree on every character, so the
+# classes below follow the isalpha/isdigit/isalnum rules of the language
+# subset except for characters that are \w but neither letters nor decimal
+# digits (such as "\u00b2"), which tokenize() sorts out by hand.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<open>/\*)"
+    r"|(?P<ident>(?:[^\W\d]|\$)[\w$]*)"
+    r"|(?P<number>\d(?:[^\W_]|\.)*)"
+    r'|(?P<string>"(?:[^"\\]|\\.)*")'
+    r"|(?P<char>'(?:[^'\\]|\\.)*')"
+    r"|(?P<punct>\|\||&&|==|!=|<=|>=|[{}()\[\];,.@:=<>+\-*/%!?])",
+    re.DOTALL)
+_NUMBER_TAIL = re.compile(r"(?:[^\W_]|\.)*")
+_UNTERMINATED = {'"': "unterminated string literal",
+                 "'": "unterminated char literal"}
+_MULTILINE = frozenset({"skip", "string", "char"})
 
 
 class ParseError(Exception):
@@ -59,78 +74,47 @@ class Token:
 
 
 def tokenize(path: str, text: str) -> list[Token]:
+    """Tokens of ``text``, ending with an eof token.
+
+    Lines and columns are 1-based; every character, tabs and carriage
+    returns included, advances the column by one.
+    """
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos = 0
     n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            advance((j if j != -1 else n) - i)
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j == -1:
+    line = 1
+    line_start = 0              # index of the first character of ``line``
+    while pos < n:
+        m = match(text, pos)
+        kind = m.lastgroup if m is not None else None
+        if kind is None or kind == "open":
+            col = pos - line_start + 1
+            ch = text[pos]
+            if ch in _UNTERMINATED:
+                raise ParseError(path, line, col, _UNTERMINATED[ch])
+            if kind == "open":
                 raise ParseError(path, line, col, "unterminated block comment")
-            advance(j + 2 - i)
-            continue
-        if ch.isalpha() or ch in "_$":
-            start, sl, sc = i, line, col
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                advance(1)
-            tokens.append(Token("ident", text[start:i], sl, sc))
-            continue
-        if ch.isdigit():
-            start, sl, sc = i, line, col
-            while i < n and (text[i].isalnum() or text[i] == "."):
-                # consumes 1.5, 10L, 0x1F; precision is not needed here
-                advance(1)
-            tokens.append(Token("number", text[start:i], sl, sc))
-            continue
-        if ch == '"':
-            start, sl, sc = i, line, col
-            advance(1)
-            while i < n and text[i] != '"':
-                advance(2 if text[i] == "\\" else 1)
-            if i >= n:
-                raise ParseError(path, sl, sc, "unterminated string literal")
-            advance(1)
-            tokens.append(Token("string", text[start:i], sl, sc))
-            continue
-        if ch == "'":
-            start, sl, sc = i, line, col
-            advance(1)
-            while i < n and text[i] != "'":
-                advance(2 if text[i] == "\\" else 1)
-            if i >= n:
-                raise ParseError(path, sl, sc, "unterminated char literal")
-            advance(1)
-            tokens.append(Token("char", text[start:i], sl, sc))
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                advance(len(p))
-                break
-        else:
             raise ParseError(path, line, col, f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, col))
+        end = m.end()
+        if kind == "ident" and text[pos] >= "\x80" and not text[pos].isalpha():
+            # a \w character that is no letter: a digit such as "\u00b2"
+            # starts a number, anything else is not a token
+            if not text[pos].isdigit():
+                raise ParseError(path, line, pos - line_start + 1,
+                                 f"unexpected character {text[pos]!r}")
+            kind = "number"
+            end = _NUMBER_TAIL.match(text, pos + 1).end()
+        if kind != "skip":
+            append(Token(kind, text[pos:end], line, pos - line_start + 1))
+        if kind in _MULTILINE:
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        pos = end
+    append(Token("eof", "", line, n - line_start + 1))
     return tokens
 
 
@@ -139,14 +123,18 @@ class _Parser:
         self.path = path
         self.toks = tokens
         self.pos = 0
+        self.ntoks = len(tokens)
+        self.eof = tokens[-1]       # returned for every look past the end
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, off: int = 0) -> Token:
-        return self.toks[min(self.pos + off, len(self.toks) - 1)]
+        i = self.pos + off
+        return self.toks[i] if i < self.ntoks else self.eof
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "ident")
+        tok = self.peek()
+        return tok.text == text and tok.kind in ("punct", "ident")
 
     def at_ident(self) -> bool:
         return self.peek().kind == "ident"

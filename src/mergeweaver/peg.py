@@ -36,16 +36,22 @@ RELATION_KINDS = frozenset({
 })
 
 _TYPE_ENTITY_KINDS = frozenset({"class", "interface", "enum"})
-_MEMBER_ENTITY_KINDS = frozenset({"field", "method", "constructor", "enum-constant"})
+MEMBER_ENTITY_KINDS = frozenset({"field", "method", "constructor", "enum-constant"})
 
 # legal (src kind, relation, dst kind) families
-_CALL_SRC = _MEMBER_ENTITY_KINDS - {"enum-constant"}
+_CALL_SRC = MEMBER_ENTITY_KINDS - {"enum-constant"}
+
+
+_VERSION_NAMES = {"b": "base", "l": "left", "r": "right", "am": "merged"}
 
 
 class DuplicateEntity(Exception):
-    def __init__(self, fqn: str):
-        super().__init__(f"duplicate entity {fqn}")
+    def __init__(self, fqn: str, version: Optional[str] = None):
+        where = f" in the {_VERSION_NAMES.get(version, version)} version" \
+            if version else ""
+        super().__init__(f"duplicate entity {fqn}{where}")
         self.fqn = fqn
+        self.version = version
 
 
 class UnknownEntity(KeyError):
@@ -101,7 +107,7 @@ class EntityGraph:
     def add_entity(self, entity: Entity, parent: Optional[Entity] = None,
                    link: Optional[str] = None) -> Entity:
         if entity.id in self.entities:
-            raise DuplicateEntity(entity.fqn)
+            raise DuplicateEntity(entity.fqn, self.version)
         self.entities[entity.id] = entity
         if parent is not None:
             self.add_relation(parent, entity, link or "contains")
@@ -175,15 +181,6 @@ class EntityGraph:
             seen.add(cur.id)
             yield cur
 
-    def interfaces_of(self, type_entity: Entity) -> list[Entity]:
-        out = []
-        for rel in sorted(self.relations, key=lambda r: r.dst):
-            if rel.kind == "implements" and rel.src == type_entity.id:
-                ent = self.entities.get(rel.dst)
-                if ent is not None:
-                    out.append(ent)
-        return out
-
     def body_text(self, entity: Entity) -> str:
         if entity.kind == "package":
             names = sorted(self.entities[c].simple_name
@@ -233,7 +230,7 @@ def _check_endpoints(src: Entity, dst: Entity, kind: str) -> None:
     elif kind == "declares":
         ok = (src.kind == "compilation-unit" and dst.kind in _TYPE_ENTITY_KINDS) \
             or (src.kind in _TYPE_ENTITY_KINDS
-                and dst.kind in _MEMBER_ENTITY_KINDS | _TYPE_ENTITY_KINDS)
+                and dst.kind in MEMBER_ENTITY_KINDS | _TYPE_ENTITY_KINDS)
     elif kind == "imports":
         ok = src.kind == "compilation-unit" and \
             dst.kind in _TYPE_ENTITY_KINDS | {"package"}

@@ -8,18 +8,16 @@ only automated option for those.
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Optional
 
-from .conflicts import (Conflict, declared_type_node, declared_type_text,
-                        find_decl_method, _interface_return_for)
+from .conflicts import (IDENT_RE, Conflict, declared_type_node,
+                        declared_type_text, find_decl_method,
+                        _interface_return_for)
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
 from .matching import Resolution
 from .merge3 import MergeScenario
 from .printer import pretty_print
 from .syntax import SourceFile, SyntaxNode, SyntaxTree, clone_node
-
-_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
 class NotCovered(Exception):
@@ -31,8 +29,8 @@ class TargetMissing(Exception):
 
 
 def _subst_word(text: str, old: str, new: str) -> str:
-    return _IDENT.sub(lambda m: new if m.group(0) == old else m.group(0),
-                      text)
+    return IDENT_RE.sub(lambda m: new if m.group(0) == old else m.group(0),
+                        text)
 
 
 def _site_nodes(work: SyntaxTree,

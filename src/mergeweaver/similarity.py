@@ -16,13 +16,27 @@ def trigrams(text: str) -> Counter:
     return Counter(text[i:i + 3] for i in range(len(text) - 2))
 
 
+# (text, its trigram multiset, the multiset's size)
+Profile = tuple[str, Counter, int]
+
+
+def profile(text: str) -> Profile:
+    grams = trigrams(text)
+    return text, grams, sum(grams.values())
+
+
+def profile_similarity(a: Profile, b: Profile) -> float:
+    """trigram_similarity of two profiled texts."""
+    if a[0] == b[0]:
+        return 1.0
+    total = a[2] + b[2]
+    if total == 0:
+        return 1.0
+    overlap = sum((a[1] & b[1]).values())
+    return 2.0 * overlap / total
+
+
 def trigram_similarity(a: str, b: str) -> float:
     if a == b:
         return 1.0
-    ga = trigrams(a)
-    gb = trigrams(b)
-    total = sum(ga.values()) + sum(gb.values())
-    if total == 0:
-        return 1.0
-    overlap = sum((ga & gb).values())
-    return 2.0 * overlap / total
+    return profile_similarity(profile(a), profile(b))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Iterator, Optional
 
-from .syntax import SyntaxNode, SyntaxTree, structurally_equal
+from .syntax import SyntaxNode, SyntaxTree, postorder, structurally_equal
 
 
 class DanglingOp(Exception):
@@ -140,7 +140,7 @@ def _match_containers(m: _Matching) -> None:
             desc_memo[node.id if tree is m.after else -node.id - 1] = got
         return got
 
-    for b in _postorder(m.before.root):
+    for b in postorder(m.before.root):
         if m.matched_b(b) or not b.children:
             continue
         partners = [m.b2a[d.id] for d in descendants(b, m.before)
@@ -214,12 +214,6 @@ def _recover_children(m: _Matching) -> None:
         for blk in sm.get_matching_blocks():
             for k in range(blk.size):
                 m.pair(free_b[blk.a + k], free_a[blk.b + k])
-
-
-def _postorder(node: SyntaxNode) -> Iterator[SyntaxNode]:
-    for child in node.children:
-        yield from _postorder(child)
-    yield node
 
 
 # ---------------------------------------------------------------------------

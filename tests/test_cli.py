@@ -1,10 +1,13 @@
 """Command line behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 from mergeweaver.cli import main
 
 MOT = CORPUS / "serializer-rename"
@@ -116,3 +119,56 @@ def test_missing_tree_dir_is_rejected(tmp_path, capsys):
 def test_unknown_command_is_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def _write_legs(root, files_per_leg):
+    for leg, files in files_per_leg.items():
+        d = root / leg
+        d.mkdir()
+        for name, body in files.items():
+            (d / name).write_bytes(body)
+
+
+def test_non_utf8_source_exits_2_naming_the_file(tmp_path, capsys):
+    good = b"package p;\n\npublic class A {\n}\n"
+    bad = b"package p;\n\npublic class B {\n    // caf\xe9\n}\n"
+    _write_legs(tmp_path, {"base": {"A.java": good},
+                           "left": {"A.java": good, "B.java": bad},
+                           "right": {"A.java": good}})
+    assert main(args_for("detect", scenario=tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(tmp_path / "left" / "B.java") in err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
+def test_duplicate_class_from_both_branches_exits_4(tmp_path, capsys):
+    base = b"package p;\n\npublic class A {\n}\n"
+    dup = b"package p;\n\npublic class Dup {\n}\n"
+    inner = b"package p;\n\npublic class Other {\n    class Dup {\n    }\n}\n"
+    _write_legs(tmp_path, {"base": {"A.java": base},
+                           "left": {"A.java": base, "Dup.java": dup},
+                           "right": {"A.java": base, "Other.java": inner}})
+    # Other.Dup is p.Other.Dup, no clash; a second top-level p.Dup is one
+    assert main(args_for("detect", scenario=tmp_path, no_timing=True)) == 0
+    capsys.readouterr()
+    (tmp_path / "right" / "Other.java").write_bytes(
+        b"package p;\n\nclass Dup {\n}\n")
+    assert main(args_for("detect", scenario=tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert err == "duplicate declaration: duplicate entity p.Dup " \
+                  "in the merged version\n"
+
+
+def test_python_dash_m_runs_from_a_checkout(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    report = tmp_path / "summary.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mergeweaver", "eval", "corpus",
+         "--report", str(report)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(report.read_text())
+    assert doc["coverage"] == 1.0

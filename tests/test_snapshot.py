@@ -1,0 +1,35 @@
+"""Byte-stability guard: corpus reports match the committed snapshot.
+
+tests/data/corpus_reports.json was generated by tools/snapshot_reports.py
+before the front end was optimised.  A mismatch means a change altered
+observable output; it is fixed in the program, never by regenerating the
+file (see the tool's docstring for deliberate behaviour changes).
+"""
+
+import importlib.util
+import json
+
+from conftest import ROOT
+
+_spec = importlib.util.spec_from_file_location(
+    "snapshot_reports", ROOT / "tools" / "snapshot_reports.py")
+snapshot_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(snapshot_reports)
+
+SNAPSHOT = ROOT / "tests" / "data" / "corpus_reports.json"
+
+
+def test_corpus_reports_match_snapshot():
+    want = json.loads(SNAPSHOT.read_text())
+    got = json.loads(snapshot_reports.dumps(snapshot_reports.collect()))
+    assert set(got["scenarios"]) == set(want["scenarios"])
+    assert set(got["controls"]) == set(want["controls"])
+    for group in ("scenarios", "controls"):
+        for name in want[group]:
+            assert got[group][name] == want[group][name], name
+    assert got["eval"] == want["eval"]
+
+
+def test_snapshot_file_is_canonical():
+    text = SNAPSHOT.read_text()
+    assert snapshot_reports.dumps(json.loads(text)) == text

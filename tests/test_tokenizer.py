@@ -1,0 +1,174 @@
+"""Differential test: the regex tokenizer against a per-character reference.
+
+``reference_tokenize`` is the original character-at-a-time lexer, kept
+here as an oracle.  Both must agree on every token (kind, text, line,
+column) or raise the same ParseError message, on every corpus file and on
+seeded mutations that add CRLF line ends, tabs, escapes, unterminated
+comments, strings and chars, and non-ASCII text.
+"""
+
+import random
+
+import pytest
+
+from conftest import corpus_java_files, random_program
+from mergeweaver.parser import ParseError, Token, tokenize
+
+_REFERENCE_PUNCT = [
+    "||", "&&", "==", "!=", "<=", ">=",
+    "{", "}", "(", ")", "[", "]", ";", ",", ".", "@", ":",
+    "=", "<", ">", "+", "-", "*", "/", "%", "!", "?",
+]
+
+
+def reference_tokenize(path: str, text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            advance((j if j != -1 else n) - i)
+            continue
+        if text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            if j == -1:
+                raise ParseError(path, line, col, "unterminated block comment")
+            advance(j + 2 - i)
+            continue
+        if ch.isalpha() or ch in "_$":
+            start, sl, sc = i, line, col
+            while i < n and (text[i].isalnum() or text[i] in "_$"):
+                advance(1)
+            tokens.append(Token("ident", text[start:i], sl, sc))
+            continue
+        if ch.isdigit():
+            start, sl, sc = i, line, col
+            while i < n and (text[i].isalnum() or text[i] == "."):
+                advance(1)
+            tokens.append(Token("number", text[start:i], sl, sc))
+            continue
+        if ch == '"':
+            start, sl, sc = i, line, col
+            advance(1)
+            while i < n and text[i] != '"':
+                advance(2 if text[i] == "\\" else 1)
+            if i >= n:
+                raise ParseError(path, sl, sc, "unterminated string literal")
+            advance(1)
+            tokens.append(Token("string", text[start:i], sl, sc))
+            continue
+        if ch == "'":
+            start, sl, sc = i, line, col
+            advance(1)
+            while i < n and text[i] != "'":
+                advance(2 if text[i] == "\\" else 1)
+            if i >= n:
+                raise ParseError(path, sl, sc, "unterminated char literal")
+            advance(1)
+            tokens.append(Token("char", text[start:i], sl, sc))
+            continue
+        for p in _REFERENCE_PUNCT:
+            if text.startswith(p, i):
+                tokens.append(Token("punct", p, line, col))
+                advance(len(p))
+                break
+        else:
+            raise ParseError(path, line, col, f"unexpected character {ch!r}")
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def outcome(fn, text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in fn("T.java", text)]
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def assert_same(text: str) -> None:
+    assert outcome(tokenize, text) == outcome(reference_tokenize, text), \
+        repr(text)
+
+
+# Fragments a mutation splices in: line ends, tabs, escapes, openers with
+# no closer, stray characters, and non-ASCII letters, digits and numerals.
+_FRAGMENTS = [
+    "\r\n", "\r", "\n", "\t", "\t\t", " ", "\n\n",
+    "/*", "*/", "/* c */", "/*\r\n*/", "//", "// x\n", "/**/", "/*/",
+    '"', "'", '"a\\"b"', "'\\''", '"\\\\"', "'\\n'", '"\n"', "\\",
+    '"abc', "'x", "\\u0041", "@", "#", "`", "~", "^", "&", "|", "\x00",
+    "a_b$1", "$x", "_", "_1", "1_000", "0x1F", "1.5e3", "10L", "3.",
+    "é", "Ärger", "名前", "x²", "²", "½", "Ⅻ", "٣", "१२", "ǅ", "ʰ",
+    " ", " ", "​", "﻿", "ß", "ﬁ", "𝑥", "🙂",
+    "||", "&&", "==", "!=", "<=", ">=", "<<", ">>=", "->", "::", "...",
+]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randrange(1, 5)):
+        roll = rng.random()
+        pos = rng.randrange(len(text) + 1)
+        if roll < 0.55:
+            text = text[:pos] + rng.choice(_FRAGMENTS) + text[pos:]
+        elif roll < 0.7:
+            text = text[:pos] + text[pos + rng.randrange(1, 20):]
+        elif roll < 0.8:
+            text = text.replace("\n", "\r\n")
+        elif roll < 0.9:
+            text = text.replace("    ", "\t")
+        else:
+            text = text[:pos]               # truncate mid-token
+    return text
+
+
+def test_reference_agrees_on_every_corpus_file():
+    for path in corpus_java_files():
+        assert_same(path.read_text())
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "\n", "a", "1", "@", "/*", "/* x", "//", '"', "'", '"\\',
+    "'\\", "a\r\nb", "\tx", "x\n/*\n\n", '"a\nb"', "²", "½", "x²", "é1",
+    "a /* b */ c // d\ne", "1_000", "..", "a.b.c",
+])
+def test_edge_cases(text):
+    assert_same(text)
+
+
+def test_seeded_mutations_of_corpus_files():
+    rng = random.Random(20251018)
+    sources = [p.read_text() for p in corpus_java_files()]
+    for _ in range(3000):
+        assert_same(mutate(rng, rng.choice(sources)))
+
+
+def test_seeded_mutations_of_generated_programs():
+    rng = random.Random(4242)
+    for _ in range(500):
+        assert_same(mutate(rng, random_program(rng)))
+
+
+def test_random_character_soup():
+    rng = random.Random(7)
+    alphabet = "".join(_FRAGMENTS) + "abcXYZ019 .;(){}"
+    for _ in range(2000):
+        assert_same("".join(rng.choice(alphabet)
+                            for _ in range(rng.randrange(1, 40))))

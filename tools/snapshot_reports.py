@@ -1,0 +1,63 @@
+"""Snapshot the timing-free output of every corpus scenario and control.
+
+For each scenario under corpus/ and each control under corpus/controls/,
+the snapshot holds ``report_to_dict(report, include_timing=False)`` and
+the text of every resolution, plus the ``eval`` summary of the corpus.
+``tests/test_snapshot.py`` compares a fresh run with the committed file,
+so a change that alters any report byte fails there.
+
+The committed file is the reference: regenerate it only for a deliberate
+behaviour change, and argue that change in CHANGES.md.
+
+    PYTHONPATH=src python3 tools/snapshot_reports.py [OUT.json]
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from mergeweaver.evaluate import evaluate_corpus, summary_to_dict
+from mergeweaver.pipeline import report_to_dict, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+DEFAULT_OUT = ROOT / "tests" / "data" / "corpus_reports.json"
+
+
+def scenario_snapshot(scenario_dir: Path, name: str) -> dict:
+    run = run_scenario(scenario_dir / "base", scenario_dir / "left",
+                       scenario_dir / "right", scenario_id=name)
+    return {
+        "report": report_to_dict(run.report, include_timing=False),
+        "texts": [res.text for res in run.report.resolutions],
+    }
+
+
+def collect(corpus_dir: Path = CORPUS) -> dict:
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    scenarios = {name: scenario_snapshot(corpus_dir / name, name)
+                 for name in manifest["scenarios"]}
+    controls = {name: scenario_snapshot(corpus_dir / "controls" / name, name)
+                for name in manifest["controls"]}
+    return {
+        "eval": summary_to_dict(evaluate_corpus(corpus_dir)),
+        "scenarios": scenarios,
+        "controls": controls,
+    }
+
+
+def dumps(snapshot: dict) -> str:
+    return json.dumps(snapshot, indent=1, sort_keys=True) + "\n"
+
+
+def main(argv: list[str]) -> int:
+    out = Path(argv[1]) if len(argv) > 1 else DEFAULT_OUT
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(dumps(collect()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
