@@ -211,6 +211,9 @@ class FourWayGraph:
     delta_right: GraphDelta
     cap_left: dict[str, str]    # merged entity id -> left entity id
     cap_right: dict[str, str]
+    # mining.mine_examples' memo: (branch, base host id, branch host id)
+    # -> (before, after, script); see the mining module docstring
+    mined: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_fourway(scenario: MergeScenario) -> FourWayGraph:

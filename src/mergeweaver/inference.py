@@ -16,8 +16,7 @@ from typing import Optional
 from .conflicts import Conflict, arg_count
 from .graph_diff import EntityEdit, RelationEdit
 from .peg import arity_of, type_base_name
-from .syntax import (STATEMENT_KINDS, SyntaxNode, SyntaxTree, clone_node,
-                     preorder)
+from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree, clone_node
 from .tree_diff import EditOp, EditScript
 
 _LOOP_OR_BRANCH = ("IfStmt", "ForStmt", "ForEachStmt", "WhileStmt")
@@ -145,7 +144,7 @@ def _governing_stmt(before: SyntaxTree, target_id: Optional[int]
 
 def _defined_vars(stmt: SyntaxNode) -> set[str]:
     out: set[str] = set()
-    for n in preorder(stmt):
+    for n in stmt.walk():
         if n.kind == "LocalVarDecl":
             out.add(n.value)
         elif n.kind == "Assignment" and n.children \
@@ -156,7 +155,7 @@ def _defined_vars(stmt: SyntaxNode) -> set[str]:
 
 def _used_vars(stmt: SyntaxNode) -> set[str]:
     out: set[str] = set()
-    for n in preorder(stmt):
+    for n in stmt.walk():
         if n.kind == "Name":
             out.add(n.value)
         elif n.kind == "FieldAccess":
@@ -231,7 +230,7 @@ def refine_edits(example: "EditExample", conflict: Conflict
 
 
 def _subtree_ids(node: SyntaxNode) -> set[int]:
-    return {n.id for n in preorder(node)}
+    return {n.id for n in node.walk()}
 
 
 def refine_context(example: "EditExample", kept: list[EditOp],

@@ -6,6 +6,7 @@ preceding and following sibling statements extend the pairing order-
 preservingly, and finally enclosing statements pair up by header.  A pair
 scores one point for equal kinds plus the trigram similarity of the
 statement texts when it clears 0.618; 1.618 is the bar a pair must clear.
+One search prints and profiles each statement header at most once.
 
 Application rewrites a clone of the whole merged file: ops whose governing
 pattern statement was matched are remapped into the paired statement by a
@@ -25,7 +26,7 @@ from .merge3 import MergeScenario
 from .mining import mine_examples
 from .graph_diff import FourWayGraph
 from .printer import pretty_print, statement_header_text
-from .similarity import trigram_similarity
+from .similarity import Profile, profile, profile_similarity
 from .syntax import (STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree,
                      clone_node)
 from .tree_diff import EditOp
@@ -67,13 +68,21 @@ class Resolution:
     rule: Optional[str] = None
 
 
-def score_statement_match(p: SyntaxNode, m: SyntaxNode) -> float:
+def _header_profile(node: SyntaxNode) -> Profile:
+    return profile(statement_header_text(node))
+
+
+def _profiled_score(p: SyntaxNode, m: SyntaxNode,
+                    p_prof: Profile, m_prof: Profile) -> float:
     score = 1.0 if p.kind == m.kind else 0.0
-    sim = trigram_similarity(statement_header_text(p),
-                             statement_header_text(m))
+    sim = profile_similarity(p_prof, m_prof)
     if sim > SIM_THRESHOLD:
         score += sim
     return score
+
+
+def score_statement_match(p: SyntaxNode, m: SyntaxNode) -> float:
+    return _profiled_score(p, m, _header_profile(p), _header_profile(m))
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +108,16 @@ def _parent_statement(tree: SyntaxTree,
 def match_context(pattern: TransformationPattern,
                   m_tree: SyntaxTree) -> MatchSet:
     ctx = pattern.context
+    # header profiles of this search only: a memo that outlived the call
+    # would keep every pattern context alive
+    profiles: dict[SyntaxNode, Profile] = {}
+
+    def score(p: SyntaxNode, m: SyntaxNode) -> float:
+        for node in (p, m):
+            if node not in profiles:
+                profiles[node] = _header_profile(node)
+        return _profiled_score(p, m, profiles[p], profiles[m])
+
     crit = [ctx.node(i) for i in sorted(pattern.critical_ids)
             if ctx.has_node(i)]
     if not crit:
@@ -111,8 +130,7 @@ def match_context(pattern: TransformationPattern,
     m_stmts = [n for n in m_tree.nodes() if n.kind in STATEMENT_KINDS]
     if not m_stmts:
         raise NoAnchor("merged member has no statements")
-    scored = sorted(((score_statement_match(s_p, m), pos)
-                     for pos, m in enumerate(m_stmts)),
+    scored = sorted(((score(s_p, m), pos) for pos, m in enumerate(m_stmts)),
                     key=lambda t: (-t[0], t[1]))
     best_score, best_pos = scored[0]
     if best_score <= ANCHOR_THRESHOLD:
@@ -127,8 +145,7 @@ def match_context(pattern: TransformationPattern,
 
     bound = m_idx
     for p_sib in reversed(p_sibs[:p_idx]):
-        cands = sorted(((score_statement_match(p_sib, m_sibs[j]), j)
-                        for j in range(bound)),
+        cands = sorted(((score(p_sib, m_sibs[j]), j) for j in range(bound)),
                        key=lambda t: (-t[0], -t[1]))
         if not cands or cands[0][0] <= ANCHOR_THRESHOLD:
             break
@@ -138,7 +155,7 @@ def match_context(pattern: TransformationPattern,
 
     bound = m_idx
     for p_sib in p_sibs[p_idx + 1:]:
-        cands = sorted(((score_statement_match(p_sib, m_sibs[j]), j)
+        cands = sorted(((score(p_sib, m_sibs[j]), j)
                         for j in range(bound + 1, len(m_sibs))),
                        key=lambda t: (-t[0], t[1]))
         if not cands or cands[0][0] <= ANCHOR_THRESHOLD:
@@ -153,7 +170,7 @@ def match_context(pattern: TransformationPattern,
         mm = _parent_statement(m_tree, m_cur)
         if pp is None or mm is None:
             break
-        sc = score_statement_match(pp, mm)
+        sc = score(pp, mm)
         if sc <= ANCHOR_THRESHOLD:
             break
         pairs.append((pp, mm, sc))

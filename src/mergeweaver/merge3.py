@@ -7,7 +7,9 @@ TextualConflict -- this merger never emits conflict markers, callers are
 expected to stop instead (exit code 3 at the CLI).
 
 Files are read as UTF-8; one that is not raises UnreadableSource (exit
-code 2 at the CLI).
+code 2 at the CLI).  A text that does not parse raises ParseError naming
+the first version that holds it, as in ``left/A.java:4:6: ...`` (merged
+text is ``merged/``); exit code 2 as well.
 
 File-level rules: a file absent from the base is taken verbatim from the
 branch that adds it; a file deleted by one branch and untouched by the other
@@ -20,7 +22,7 @@ import difflib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .parser import parse_unit
+from .parser import ParseError, parse_unit
 from .syntax import SourceFile
 
 
@@ -160,11 +162,16 @@ def merge_scenario(base_dir: str | Path, left_dir: str | Path,
     parsed: dict[tuple[str, str], SourceFile] = {}
     for bucket, files in (("base", base), ("left", left),
                           ("right", right), ("am", am)):
+        version = "merged" if bucket == "am" else bucket
         out = {}
         for path, text in sorted(files.items()):
             sf = parsed.get((path, text))
             if sf is None:
-                sf = parsed[path, text] = parse_unit(path, text)
+                try:
+                    sf = parsed[path, text] = parse_unit(path, text)
+                except ParseError as exc:
+                    raise ParseError(f"{version}/{path}", exc.line, exc.col,
+                                     exc.message) from None
             out[path] = sf
         setattr(scenario, bucket, out)
     return scenario

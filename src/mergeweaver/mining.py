@@ -4,6 +4,15 @@ When one branch changes a definition, the same branch usually adapts the
 existing call sites in the same commit.  Each adapted member body is an
 example: its base version, its branch version, and the edit script between
 them show how a use of the changed definition gets fixed up.
+
+Many conflicts share a definition-side branch and so the same adapted
+hosts.  The (before, after, script) triple of each (branch, base host,
+branch host) is therefore computed once and kept in ``FourWayGraph.mined``
+for as long as that graph lives; each conflict still gets its own
+EditExample and its own adaptation check.  The memo is sound because
+nothing downstream edits a mined tree or script: ``refine_context`` prunes
+a clone of the before tree and ``apply_pattern`` rewrites a clone of the
+merged file.
 """
 
 from __future__ import annotations
@@ -87,9 +96,14 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
                                          subject_branch.simple_name)
             if not adapted:
                 continue
-        before = SyntaxTree(clone_node(host_base.decl), assign_ids=True)
-        after = SyntaxTree(clone_node(host_branch.decl), assign_ids=True)
-        script = diff_trees(before, after)
+        key = (branch, host_base.id, target_id)
+        mined = fw.mined.get(key)
+        if mined is None:
+            before = SyntaxTree(clone_node(host_base.decl), assign_ids=True)
+            after = SyntaxTree(clone_node(host_branch.decl), assign_ids=True)
+            mined = fw.mined[key] = (before, after,
+                                     diff_trees(before, after))
+        before, after, script = mined
         if not script:
             continue
         examples.append(EditExample(

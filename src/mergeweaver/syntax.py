@@ -106,7 +106,7 @@ class SyntaxTree:
 
     def assign_preorder_ids(self) -> None:
         counter = 0
-        for node in preorder(self.root):
+        for node in self.root.walk():
             node.id = counter
             counter += 1
 
@@ -143,7 +143,7 @@ class SyntaxTree:
         return self._max_id
 
     def nodes(self) -> Iterator[SyntaxNode]:
-        return preorder(self.root)
+        return self.root.walk()
 
     def clone(self) -> "SyntaxTree":
         return SyntaxTree(clone_node(self.root))
@@ -162,14 +162,6 @@ class SyntaxTree:
         while cur is not None:
             yield cur
             cur = self.parent(cur)
-
-
-def preorder(node: SyntaxNode) -> Iterator[SyntaxNode]:
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(n.children))
 
 
 def postorder(node: SyntaxNode) -> Iterator[SyntaxNode]:

@@ -142,6 +142,24 @@ def test_non_utf8_source_exits_2_naming_the_file(tmp_path, capsys):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+def test_parse_error_names_the_first_version_that_fails(tmp_path, capsys):
+    good = b"package p;\n\npublic class A {\n    int x;\n}\n"
+    bad = b"package p;\n\npublic class A {\n    int[] x;\n}\n"
+    _write_legs(tmp_path, {"base": {"A.java": good}, "left": {"A.java": bad},
+                           "right": {"A.java": good}})
+    assert main(args_for("detect", scenario=tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: left/A.java:4:") and "'['" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # a failing text shared by several versions is named by the first
+    (tmp_path / "right" / "A.java").write_bytes(bad)
+    assert main(args_for("detect", scenario=tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("parse error: left/A.java:4:")
+    (tmp_path / "base" / "A.java").write_bytes(bad)
+    assert main(args_for("detect", scenario=tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("parse error: base/A.java:4:")
+
+
 def test_duplicate_class_from_both_branches_exits_4(tmp_path, capsys):
     base = b"package p;\n\npublic class A {\n}\n"
     dup = b"package p;\n\npublic class Dup {\n}\n"

@@ -68,6 +68,8 @@ def test_motivating_match_set():
         == "addTypeSerializer(serializerConfig);"
     scores = sorted(sc for _, _, sc in ms.pairs)
     assert scores[-4:] == [2.0, 2.0, 2.0, 2.0]
+    # the search's once-per-header profiles score as the plain function does
+    assert all(sc == score_statement_match(p, m) for p, m, sc in ms.pairs)
 
 
 def test_no_anchor_when_nothing_clears_threshold():

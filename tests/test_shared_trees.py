@@ -5,16 +5,25 @@ once and hands every version the same SourceFile.  Both resolution
 strategies must therefore edit clones only: after running them on every
 corpus scenario, every tree of all four versions prints, and is laid out,
 exactly as before.
+
+mine_examples keeps each adapted host's (before, after, script) for the
+lifetime of the four-way graph.  After whole pipeline runs, every memoized
+triple must still equal a fresh mining of its host, and conflicts that
+share a host must share its script.
 """
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 from mergeweaver.conflicts import detect_conflicts
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.matching import resolve_by_example
 from mergeweaver.merge3 import merge_scenario
+from mergeweaver.mining import mine_examples
+from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print
 from mergeweaver.rules import NotCovered, TargetMissing, resolve_by_rule
+from mergeweaver.syntax import SyntaxTree, clone_node, structurally_equal
+from mergeweaver.tree_diff import diff_trees
 
 VERSIONS = ("base", "left", "right", "am")
 
@@ -27,6 +36,9 @@ def _fingerprint(scenario) -> dict:
                       for n in sf.tree.root.walk()]
             out[version, path] = (pretty_print(sf.tree), layout)
     return out
+
+
+FANOUT = ROOT / "tests" / "data" / "synthetic" / "rename-fanout"
 
 
 def _all_scenarios():
@@ -64,3 +76,50 @@ def test_untouched_file_is_one_shared_object():
         ids = {id(getattr(scenario, v)[path]) for v in VERSIONS
                if path in getattr(scenario, v)}
         assert len(ids) == len(texts), path    # one object per distinct text
+
+
+def _ops(script) -> list[tuple]:
+    return [(op.op, op.node_id, op.parent_id, op.index, op.node_kind,
+             op.value) for op in script]
+
+
+def _layout(tree: SyntaxTree) -> list[tuple]:
+    return [(n.id, n.kind, n.value) for n in tree.nodes()]
+
+
+def test_memoized_examples_stay_equal_to_a_fresh_mining():
+    checked = 0
+    for sdir in _all_scenarios() + [FANOUT]:
+        fw = run_scenario(sdir / "base", sdir / "left",
+                          sdir / "right").fourway
+        for (branch, base_id, target_id), (before, after, script) \
+                in fw.mined.items():
+            delta = fw.delta_left if branch == "l" else fw.delta_right
+            fresh_before = SyntaxTree(clone_node(fw.base.by_id(base_id).decl),
+                                      assign_ids=True)
+            fresh_after = SyntaxTree(
+                clone_node(delta.target.by_id(target_id).decl),
+                assign_ids=True)
+            assert structurally_equal(before.root, fresh_before.root)
+            assert structurally_equal(after.root, fresh_after.root)
+            assert _layout(before) == _layout(fresh_before), sdir.name
+            assert _layout(after) == _layout(fresh_after), sdir.name
+            assert _ops(script) == _ops(diff_trees(fresh_before,
+                                                   fresh_after)), sdir.name
+            checked += 1
+    assert checked >= 16            # 12 corpus hosts, 4 fanout hosts
+
+
+def test_conflicts_sharing_a_host_share_its_script():
+    fw = build_fourway(merge_scenario(FANOUT / "base", FANOUT / "left",
+                                      FANOUT / "right"))
+    first, second = detect_conflicts(fw)[:2]
+    ex1 = mine_examples(fw, first)
+    assert len(ex1) == len(fw.mined) == 4
+    ex2 = mine_examples(fw, second)
+    assert len(fw.mined) == 4
+    assert [e.host for e in ex1] == [e.host for e in ex2]
+    for a, b in zip(ex1, ex2):
+        assert a is not b and a.subject != b.subject
+        assert a.script is b.script
+        assert a.before is b.before and a.after is b.after

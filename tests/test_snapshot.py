@@ -1,9 +1,11 @@
-"""Byte-stability guard: corpus reports match the committed snapshot.
+"""Byte-stability guard: reports match the committed snapshots.
 
 tests/data/corpus_reports.json was generated by tools/snapshot_reports.py
-before the front end was optimised.  A mismatch means a change altered
-observable output; it is fixed in the program, never by regenerating the
-file (see the tool's docstring for deliberate behaviour changes).
+before the front end was optimised, tests/data/synthetic_reports.json
+before example mining and anchoring were memoized.  A mismatch means a
+change altered observable output; it is fixed in the program, never by
+regenerating the files (see the tool's docstring for deliberate behaviour
+changes).
 """
 
 import importlib.util
@@ -17,6 +19,7 @@ snapshot_reports = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(snapshot_reports)
 
 SNAPSHOT = ROOT / "tests" / "data" / "corpus_reports.json"
+SYNTHETIC_SNAPSHOT = ROOT / "tests" / "data" / "synthetic_reports.json"
 
 
 def test_corpus_reports_match_snapshot():
@@ -30,6 +33,17 @@ def test_corpus_reports_match_snapshot():
     assert got["eval"] == want["eval"]
 
 
+def test_synthetic_reports_match_snapshot():
+    want = json.loads(SYNTHETIC_SNAPSHOT.read_text())
+    got = json.loads(snapshot_reports.dumps(
+        snapshot_reports.collect_synthetic()))
+    assert set(got) == set(want) == {"rename-fanout"}
+    for name in want:
+        assert got[name] == want[name], name
+    assert len(want["rename-fanout"]["texts"]) == 32   # 16 per strategy
+
+
 def test_snapshot_file_is_canonical():
-    text = SNAPSHOT.read_text()
-    assert snapshot_reports.dumps(json.loads(text)) == text
+    for path in (SNAPSHOT, SYNTHETIC_SNAPSHOT):
+        text = path.read_text()
+        assert snapshot_reports.dumps(json.loads(text)) == text, path.name

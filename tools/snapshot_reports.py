@@ -1,15 +1,19 @@
-"""Snapshot the timing-free output of every corpus scenario and control.
+"""Snapshot the timing-free output of the corpus and the synthetic fixtures.
 
 For each scenario under corpus/ and each control under corpus/controls/,
-the snapshot holds ``report_to_dict(report, include_timing=False)`` and
-the text of every resolution, plus the ``eval`` summary of the corpus.
-``tests/test_snapshot.py`` compares a fresh run with the committed file,
+the corpus snapshot holds ``report_to_dict(report, include_timing=False)``
+and the text of every resolution, plus the ``eval`` summary of the corpus.
+The synthetic snapshot holds the same per-scenario record for each
+generated workload under tests/data/synthetic/ (three source trees each,
+written once by ``bench/gen.py``); they exercise the many-conflicts,
+many-examples path that the corpus hardly reaches.
+``tests/test_snapshot.py`` compares a fresh run with the committed files,
 so a change that alters any report byte fails there.
 
-The committed file is the reference: regenerate it only for a deliberate
-behaviour change, and argue that change in CHANGES.md.
+The committed files are the reference: regenerate them only for a
+deliberate behaviour change, and argue that change in CHANGES.md.
 
-    PYTHONPATH=src python3 tools/snapshot_reports.py [OUT.json]
+    PYTHONPATH=src python3 tools/snapshot_reports.py [CORPUS.json [SYNTH.json]]
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from mergeweaver.pipeline import report_to_dict, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+SYNTHETIC = ROOT / "tests" / "data" / "synthetic"
 DEFAULT_OUT = ROOT / "tests" / "data" / "corpus_reports.json"
+DEFAULT_SYNTHETIC_OUT = ROOT / "tests" / "data" / "synthetic_reports.json"
 
 
 def scenario_snapshot(scenario_dir: Path, name: str) -> dict:
@@ -48,14 +54,22 @@ def collect(corpus_dir: Path = CORPUS) -> dict:
     }
 
 
+def collect_synthetic(synthetic_dir: Path = SYNTHETIC) -> dict:
+    return {d.name: scenario_snapshot(d, d.name)
+            for d in sorted(synthetic_dir.iterdir()) if d.is_dir()}
+
+
 def dumps(snapshot: dict) -> str:
     return json.dumps(snapshot, indent=1, sort_keys=True) + "\n"
 
 
 def main(argv: list[str]) -> int:
     out = Path(argv[1]) if len(argv) > 1 else DEFAULT_OUT
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(dumps(collect()))
+    synthetic_out = Path(argv[2]) if len(argv) > 2 else DEFAULT_SYNTHETIC_OUT
+    for path, snapshot in ((out, collect()),
+                           (synthetic_out, collect_synthetic())):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(dumps(snapshot))
     return 0
 
 
