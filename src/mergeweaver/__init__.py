@@ -13,7 +13,8 @@ from .peg import DuplicateEntity, Entity, EntityGraph, Relation, build_peg
 from .pipeline import Report, ScenarioRun, run_scenario
 from .printer import pretty_print, token_stream
 from .rules import NotCovered, TargetMissing, resolve_by_rule
-from .tree_diff import EditOp, EditScript, apply_script, diff_trees
+from .tree_diff import (DanglingOp, EditOp, EditScript, apply_op,
+                        apply_script, diff_trees)
 
 __version__ = "0.1.0"
 
@@ -30,6 +31,7 @@ __all__ = [
     "Report", "ScenarioRun", "run_scenario",
     "pretty_print", "token_stream",
     "NotCovered", "TargetMissing", "resolve_by_rule",
-    "EditOp", "EditScript", "apply_script", "diff_trees",
+    "DanglingOp", "EditOp", "EditScript", "apply_op", "apply_script",
+    "diff_trees",
     "__version__",
 ]

@@ -8,7 +8,10 @@ Exit codes, each failure with a one-line message on stderr:
   bad command line arguments (argparse also prints the usage);
 * 3 when the textual merge itself conflicts;
 * 4 when one version declares the same entity twice, for example when
-  both branches add a class of the same name.
+  both branches add a class of the same name;
+* 5 when an output file (a report, resolved or merged files) cannot be
+  written, for example because a regular file sits where its directory
+  would go.
 """
 
 from __future__ import annotations
@@ -31,11 +34,22 @@ from .pipeline import ScenarioRun, report_to_dict, run_scenario
 from .printer import pretty_print
 
 
+class WriteFailure(Exception):
+    """An output file or one of its directories could not be written."""
+
+
+def _write_text(target: Path, text: str) -> None:
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+    except OSError as exc:
+        raise WriteFailure(f"{target}: {exc}") from exc
+
+
 def _emit_json(obj: dict, report_path: Optional[str]) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if report_path:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(text)
+        _write_text(Path(report_path), text)
     else:
         sys.stdout.write(text)
 
@@ -94,22 +108,19 @@ def _write_resolutions(run: ScenarioRun, out_dir: str) -> None:
     reprints = {path: pretty_print(sf.tree)
                 for path, sf in run.scenario.am.items()}
     for path, text in reprints.items():
-        target = out / "am" / path
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text)
+        _write_text(out / "am" / path, text)
     index = {id(c): i for i, c in enumerate(run.report.conflicts)}
     for res in run.report.resolutions:
         i = index.get(id(res.conflict), 0)
         target = out / res.strategy / f"conflict-{i}" / res.path
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(res.text)
+        _write_text(target, res.text)
         before = reprints.get(res.path, "")
         diff = "".join(difflib.unified_diff(
             before.splitlines(keepends=True),
             res.text.splitlines(keepends=True),
             fromfile=f"am/{res.path}",
             tofile=f"{res.strategy}/conflict-{i}/{res.path}"))
-        target.with_name(target.name + ".diff").write_text(diff)
+        _write_text(target.with_name(target.name + ".diff"), diff)
 
 
 def _run(args: argparse.Namespace) -> ScenarioRun:
@@ -127,9 +138,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
                          _read_tree(Path(args.right)))
     if args.out:
         for path, text in sorted(merged.items()):
-            target = Path(args.out) / path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text)
+            _write_text(Path(args.out) / path, text)
     else:
         for path in sorted(merged):
             print(path)
@@ -249,6 +258,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DuplicateEntity as exc:
         print(f"duplicate declaration: {exc}", file=sys.stderr)
         return 4
+    except WriteFailure as exc:
+        print(f"write error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

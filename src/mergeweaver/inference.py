@@ -17,7 +17,7 @@ from .conflicts import Conflict, arg_count
 from .graph_diff import EntityEdit, RelationEdit
 from .peg import arity_of, type_base_name
 from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree, clone_node
-from .tree_diff import EditOp, EditScript
+from .tree_diff import EditOp
 
 _LOOP_OR_BRANCH = ("IfStmt", "ForStmt", "ForEachStmt", "WhileStmt")
 

@@ -8,9 +8,11 @@ scores one point for equal kinds plus the trigram similarity of the
 statement texts when it clears 0.618; 1.618 is the bar a pair must clear.
 One search prints and profiles each statement header at most once.
 
-Application rewrites a clone of the whole merged file: ops whose governing
-pattern statement was matched are remapped into the paired statement by a
-kind-aligned walk and replayed there.
+Application rewrites a clone of the whole merged file: a kind-aligned walk
+maps each matched pattern statement onto its merged partner, and the ops
+whose governing pattern statement was matched are replayed through
+tree_diff.apply_op with that mapping (fresh ids for adds, clamped indices).
+An op the mapping cannot place is skipped and makes the result partial.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .printer import pretty_print, statement_header_text
 from .similarity import Profile, profile, profile_similarity
 from .syntax import (STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree,
                      clone_node)
-from .tree_diff import EditOp
+from .tree_diff import DanglingOp, apply_op
 
 SIM_THRESHOLD = 0.618
 ANCHOR_THRESHOLD = 1.618
@@ -37,10 +39,6 @@ ANCHOR_THRESHOLD = 1.618
 
 class NoAnchor(Exception):
     """No statement of the merged member scores above the anchor bar."""
-
-
-class RemapFailure(Exception):
-    """An op's nodes could not be mapped into the merged statement."""
 
 
 @dataclass
@@ -208,58 +206,6 @@ def _map_pair(p: SyntaxNode, w: SyntaxNode,
                       mapping)
 
 
-def _apply_op(work: SyntaxTree, op: EditOp,
-              mapping: dict[int, SyntaxNode]) -> None:
-    if op.op == "update":
-        node = mapping.get(op.node_id)
-        if node is None:
-            raise RemapFailure(f"update target {op.node_id}")
-        node.value = op.value or ""
-        return
-    if op.op == "delete":
-        node = mapping.get(op.node_id)
-        parent = work.parent(node) if node is not None else None
-        if node is None or parent is None:
-            raise RemapFailure(f"delete target {op.node_id}")
-        parent.children.remove(node)
-        work.reindex()
-        return
-    if op.op == "add":
-        parent = mapping.get(op.parent_id) if op.parent_id is not None \
-            else None
-        if parent is None or op.node_kind is None:
-            raise RemapFailure(f"add under {op.parent_id}")
-        new = SyntaxNode(kind=op.node_kind, value=op.value or "",
-                         children=[], span=None, id=work.fresh_id())
-        idx = op.index if op.index is not None else len(parent.children)
-        idx = max(0, min(idx, len(parent.children)))
-        parent.children.insert(idx, new)
-        mapping[op.node_id] = new
-        work.reindex()
-        return
-    if op.op == "move":
-        node = mapping.get(op.node_id)
-        parent = mapping.get(op.parent_id) if op.parent_id is not None \
-            else None
-        if node is None or parent is None:
-            raise RemapFailure(f"move target {op.node_id}")
-        probe: Optional[SyntaxNode] = parent
-        while probe is not None:
-            if probe is node:
-                raise RemapFailure("move would create a cycle")
-            probe = work.parent(probe)
-        old_parent = work.parent(node)
-        if old_parent is None:
-            raise RemapFailure("move of the root")
-        old_parent.children.remove(node)
-        idx = op.index if op.index is not None else len(parent.children)
-        idx = max(0, min(idx, len(parent.children)))
-        parent.children.insert(idx, node)
-        work.reindex()
-        return
-    raise RemapFailure(f"unknown op {op.op}")
-
-
 def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
                   conflict: Conflict,
                   am_file: SourceFile) -> Optional[Resolution]:
@@ -286,9 +232,9 @@ def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
             skipped += 1
             continue
         try:
-            _apply_op(work, op, mapping)
+            apply_op(work, op, mapping)
             applied += 1
-        except RemapFailure:
+        except DanglingOp:
             skipped += 1
     if applied == 0:
         return None

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .conflicts import Conflict, mentions_name
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
-from .peg import Entity, lookup_uses
+from .peg import RELATION_KINDS, Entity, Relation, lookup_uses
 from .syntax import SyntaxTree, clone_node
 from .tree_diff import EditScript, diff_trees
 
@@ -58,7 +58,8 @@ def _subject_entities(d) -> tuple[Optional[Entity], Optional[Entity]]:
 
 
 def _references(graph, src: Entity, dst: Entity) -> bool:
-    return any(r.src == src.id and r.dst == dst.id for r in graph.relations)
+    return any(Relation(src.id, dst.id, kind) in graph.relations
+               for kind in RELATION_KINDS)
 
 
 def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:

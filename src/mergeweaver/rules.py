@@ -44,11 +44,9 @@ def _site_nodes(work: SyntaxTree,
 
 
 def _remove_node(work: SyntaxTree, node: SyntaxNode) -> None:
-    parent = work.parent(node)
-    if parent is None:
+    if work.parent(node) is None:
         raise TargetMissing("cannot remove the file root")
-    parent.children.remove(node)
-    work.reindex()
+    work.remove(node)
 
 
 def _fresh_clone(work: SyntaxTree, node: SyntaxNode) -> SyntaxNode:
@@ -147,10 +145,9 @@ def _match_super_params(work: SyntaxTree, conflict: Conflict,
             insert_at = node.children.index(ret) + 1 if ret is not None \
                 else len(node.children)
         for i in reversed(old_idx):
-            del node.children[i]
+            work.remove(node.children[i])
         for off, param in enumerate(new_params):
-            node.children.insert(insert_at + off, _fresh_clone(work, param))
-    work.reindex()
+            work.insert(node, insert_at + off, _fresh_clone(work, param))
 
 
 def _readd_import(work: SyntaxTree, conflict: Conflict,
@@ -166,8 +163,7 @@ def _readd_import(work: SyntaxTree, conflict: Conflict,
             insert_at = i + 1
     imp = SyntaxNode(kind="ImportDecl", value=d.dst_fqn, children=[],
                      span=None, id=work.fresh_id())
-    root.children.insert(insert_at, imp)
-    work.reindex()
+    work.insert(root, insert_at, imp)
 
 
 _STUB_RETURNS = {
@@ -205,8 +201,7 @@ def _override_new_super_method(work: SyntaxTree, conflict: Conflict,
                                   id=work.fresh_id())
                 body.children.append(stmt)
             method.children.append(body)
-        node.children.append(method)
-    work.reindex()
+        work.insert(node, len(node.children), method)
 
 
 def _remove_clashing_method(work: SyntaxTree, conflict: Conflict,

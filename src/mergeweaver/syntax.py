@@ -94,15 +94,20 @@ def clone_node(node: SyntaxNode) -> SyntaxNode:
 class SyntaxTree:
     """A rooted tree plus the id and parent indexes over it.
 
-    Mutation happens through the tree-edit machinery; after any direct
-    surgery callers must invoke reindex().  Ids stay stable across clones.
+    Structural edits go through insert() and remove(), which update both
+    indexes for the affected subtree only; editing a value in place needs
+    no index work.  max_id only grows, so fresh_id() never hands out the
+    id of a removed node.  Ids stay stable across clones.
     """
 
     def __init__(self, root: SyntaxNode, assign_ids: bool = False):
         self.root = root
         if assign_ids:
             self.assign_preorder_ids()
-        self.reindex()
+        self._by_id: dict[int, SyntaxNode] = {}
+        self._parents: dict[int, Optional[SyntaxNode]] = {}
+        self._max_id = -1
+        self._index(root, None)
 
     def assign_preorder_ids(self) -> None:
         counter = 0
@@ -110,11 +115,8 @@ class SyntaxTree:
             node.id = counter
             counter += 1
 
-    def reindex(self) -> None:
-        self._by_id: dict[int, SyntaxNode] = {}
-        self._parents: dict[int, Optional[SyntaxNode]] = {}
-        self._max_id = -1
-        stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(self.root, None)]
+    def _index(self, top: SyntaxNode, parent: Optional[SyntaxNode]) -> None:
+        stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(top, parent)]
         while stack:
             node, parent = stack.pop()
             if node.id in self._by_id:
@@ -124,6 +126,22 @@ class SyntaxTree:
             self._max_id = max(self._max_id, node.id)
             for child in node.children:
                 stack.append((child, node))
+
+    def insert(self, parent: SyntaxNode, index: int,
+               subtree: SyntaxNode) -> None:
+        """Attach a detached subtree as parent's index-th child."""
+        self._index(subtree, parent)
+        parent.children.insert(index, subtree)
+
+    def remove(self, node: SyntaxNode) -> None:
+        """Detach node and its subtree; their ids leave the index."""
+        parent = self._parents[node.id]
+        if parent is None:
+            raise ValueError("cannot remove the root")
+        parent.children.remove(node)
+        for gone in node.walk():
+            del self._by_id[gone.id]
+            del self._parents[gone.id]
 
     def node(self, node_id: int) -> SyntaxNode:
         return self._by_id[node_id]

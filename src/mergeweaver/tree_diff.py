@@ -1,4 +1,5 @@
-"""Tree differencing with update/add/delete/move scripts.
+"""Tree differencing with update/add/delete/move scripts, and the one
+interpreter that replays such ops.
 
 Matching runs three passes: isomorphic subtree matching by structural hash,
 a bottom-up pass that pairs same-kind containers when the dice overlap of
@@ -7,18 +8,26 @@ aligns leftover children of matched parents by kind.  Pairs whose before-side
 sits under an unmatched ancestor are dropped, so every delete removes a whole
 unmatched subtree.
 
-The script is produced by simulating it on a working copy: deletes first,
-then a pre-order placement walk over the after tree emitting move, add and
-update ops with indices valid at application time.  The simulation asserts
-the working copy ends up structurally identical to the after tree, which is
-what apply_script reproduces.
+The script is produced by running it on a working copy: deletes first, then
+a pre-order placement walk over the after tree emitting move, add and update
+ops with indices valid at application time.  Each op is applied through
+apply_op as soon as it is emitted, and the working copy must end up
+structurally identical to the after tree, so the differ checks the same
+interpreter that apply_script and the example strategy use.
+
+apply_op has two policies.  Without a mapping, op ids are ids of the edited
+tree, an add keeps its op id and an index past the end is an error; this
+replays a script on (a copy of) the tree it was computed from.  With a
+mapping from op ids to nodes of the edited tree, an add takes a fresh id and
+is recorded in the mapping under its op id, and indices clamp to the
+children present; this replays a pattern's ops inside matched merged code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Iterator, Optional
+from typing import Optional
 
 from .syntax import SyntaxNode, SyntaxTree, postorder, structurally_equal
 
@@ -47,18 +56,7 @@ class EditOp:
         return f"<move {self.node_id} under {self.parent_id}@{self.index}>"
 
 
-@dataclass
-class EditScript:
-    ops: list[EditOp]
-
-    def __iter__(self) -> Iterator[EditOp]:
-        return iter(self.ops)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __bool__(self) -> bool:
-        return bool(self.ops)
+EditScript = list[EditOp]
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +170,6 @@ def _match_containers(m: _Matching) -> None:
 
 
 def _sanitize(m: _Matching) -> None:
-    # a matched node under an unmatched before-ancestor would be destroyed
-    # by the subtree delete, so the pair degrades to delete plus add
-    def drop_subtree(node: SyntaxNode) -> None:
-        for d in node.walk():
-            if m.matched_b(d):
-                m.unpair(d)
-
-    def walk(node: SyntaxNode) -> None:
-        for child in node.children:
-            if m.matched_b(child):
-                walk(child)
-            else:
-                drop_subtree(child)
-
     if m.before.root.kind != m.after.root.kind:
         raise ValueError("cannot diff trees with different root kinds")
     if not m.matched_b(m.before.root) \
@@ -195,7 +179,17 @@ def _sanitize(m: _Matching) -> None:
         if m.matched_a(m.after.root):
             m.unpair(m.a2b[m.after.root.id])
         m.pair(m.before.root, m.after.root)
-    walk(m.before.root)
+    # a matched node under an unmatched before-ancestor would be destroyed
+    # by the subtree delete, so the pair degrades to delete plus add
+    stack = [m.before.root]
+    while stack:
+        for child in stack.pop().children:
+            if m.matched_b(child):
+                stack.append(child)
+            else:
+                for d in child.walk():
+                    if m.matched_b(d):
+                        m.unpair(d)
 
 
 def _recover_children(m: _Matching) -> None:
@@ -230,114 +224,122 @@ def diff_trees(before: SyntaxTree, after: SyntaxTree) -> EditScript:
     _recover_children(m)
 
     work = before.clone()
-    ops: list[EditOp] = []
+    ops: EditScript = []
 
-    # deletes: maximal unmatched subtrees, left to right
-    def collect_deletes(node: SyntaxNode, out: list[SyntaxNode]) -> None:
-        for child in node.children:
-            if m.matched_b(child):
-                collect_deletes(child, out)
-            else:
-                out.append(child)
-
-    doomed: list[SyntaxNode] = []
-    collect_deletes(work.root, doomed)
+    # deletes: maximal unmatched subtrees, left to right (after _sanitize
+    # the parent of a matched node is matched, and the root is matched)
+    doomed = [n for n in work.nodes()
+              if not m.matched_b(n) and m.matched_b(work.parent(n))]
     for node in doomed:
-        ops.append(EditOp("delete", node.id))
-        parent = work.parent(node)
-        assert parent is not None
-        parent.children.remove(node)
-        work.reindex()
-
-    next_id = max(before.max_id, after.max_id) + 1
-
-    def place(a_node: SyntaxNode, w_node: SyntaxNode) -> None:
-        nonlocal next_id
-        for i, a_child in enumerate(a_node.children):
-            if m.matched_a(a_child):
-                b_child = m.a2b[a_child.id]
-                w_child = work.node(b_child.id)
-                cur_parent = work.parent(w_child)
-                in_place = cur_parent is w_node and \
-                    w_node.children.index(w_child) == i
-                if not in_place:
-                    ops.append(EditOp("move", w_child.id,
-                                      parent_id=w_node.id, index=i))
-                    assert cur_parent is not None
-                    cur_parent.children.remove(w_child)
-                    w_node.children.insert(i, w_child)
-                    work.reindex()
-                if w_child.value != a_child.value:
-                    ops.append(EditOp("update", w_child.id,
-                                      value=a_child.value))
-                    w_child.value = a_child.value
-                place(a_child, w_child)
-            else:
-                new = SyntaxNode(a_child.kind, a_child.value, [], None, next_id)
-                next_id += 1
-                ops.append(EditOp("add", new.id, parent_id=w_node.id, index=i,
-                                  node_kind=new.kind, value=new.value))
-                w_node.children.insert(i, new)
-                work.reindex()
-                place(a_child, new)
+        _emit(work, ops, EditOp("delete", node.id))
 
     if work.root.value != after.root.value:
-        ops.append(EditOp("update", work.root.id, value=after.root.value))
-        work.root.value = after.root.value
-    place(after.root, work.root)
+        _emit(work, ops, EditOp("update", work.root.id,
+                                value=after.root.value))
+    _place(m, work, ops, after.root, work.root,
+           max(before.max_id, after.max_id) + 1)
 
     assert structurally_equal(work.root, after.root), \
-        "edit script simulation diverged"
-    return EditScript(ops)
+        "edit script replay diverged"
+    return ops
+
+
+def _emit(work: SyntaxTree, ops: EditScript, op: EditOp) -> SyntaxNode:
+    ops.append(op)
+    return apply_op(work, op)
+
+
+def _place(m: _Matching, work: SyntaxTree, ops: EditScript,
+           a_node: SyntaxNode, w_node: SyntaxNode, next_id: int) -> int:
+    """Makes w_node's subtree equal a_node's, emitting and applying ops
+    in pre-order; returns the next add id.  Not a closure: a recursive
+    closure is a cycle that keeps work alive until the cyclic collector."""
+    for i, a_child in enumerate(a_node.children):
+        if m.matched_a(a_child):
+            w_child = work.node(m.a2b[a_child.id].id)
+            in_place = work.parent(w_child) is w_node and \
+                w_node.children.index(w_child) == i
+            if not in_place:
+                _emit(work, ops, EditOp("move", w_child.id,
+                                        parent_id=w_node.id, index=i))
+            if w_child.value != a_child.value:
+                _emit(work, ops, EditOp("update", w_child.id,
+                                        value=a_child.value))
+        else:
+            w_child = _emit(work, ops, EditOp(
+                "add", next_id, parent_id=w_node.id, index=i,
+                node_kind=a_child.kind, value=a_child.value))
+            next_id += 1
+        next_id = _place(m, work, ops, a_child, w_child, next_id)
+    return next_id
+
+
+def apply_op(tree: SyntaxTree, op: EditOp,
+             mapping: Optional[dict[int, SyntaxNode]] = None) -> SyntaxNode:
+    """Applies one op in place under the policy the mapping selects (see
+    the module docstring) and returns the node it touched.  Raises
+    DanglingOp, leaving the tree unchanged, for a missing or detached
+    node, a move under itself or of the root, a delete of the root, or an
+    unmapped index outside the children."""
+    def lookup(node_id: Optional[int]) -> SyntaxNode:
+        if mapping is not None:
+            node = mapping.get(node_id)  # type: ignore[arg-type]
+        else:
+            node = tree.node(node_id) if tree.has_node(node_id) else None
+        # a mapped node is detached once an earlier op removed its subtree
+        if node is None or not tree.has_node(node.id) \
+                or tree.node(node.id) is not node:
+            raise DanglingOp(f"{op.op}: no node {node_id}")
+        return node
+
+    def position(size: int) -> int:
+        if mapping is not None:
+            index = size if op.index is None else op.index
+            return max(0, min(index, size))
+        if op.index is None or not 0 <= op.index <= size:
+            raise DanglingOp(f"{op.op}: bad index {op.index} "
+                             f"under {op.parent_id}")
+        return op.index
+
+    if op.op == "update":
+        node = lookup(op.node_id)
+        node.value = op.value or ""
+        return node
+    if op.op == "delete":
+        node = lookup(op.node_id)
+        if tree.parent(node) is None:
+            raise DanglingOp(f"delete: {op.node_id} is the root")
+        tree.remove(node)
+        return node
+    if op.op == "add":
+        parent = lookup(op.parent_id)
+        if op.node_kind is None:
+            raise DanglingOp(f"add: {op.node_id} has no kind")
+        if mapping is None and tree.has_node(op.node_id):
+            raise DanglingOp(f"add: reuses id {op.node_id}")
+        index = position(len(parent.children))
+        node_id = op.node_id if mapping is None else tree.fresh_id()
+        node = SyntaxNode(op.node_kind, op.value or "", [], None, node_id)
+        tree.insert(parent, index, node)
+        if mapping is not None:
+            mapping[op.node_id] = node
+        return node
+    if op.op == "move":
+        node = lookup(op.node_id)
+        parent = lookup(op.parent_id)
+        # the root is an ancestor of every target, so it never moves
+        if node is parent or node in tree.ancestors(parent):
+            raise DanglingOp(f"move: {op.node_id} under its own subtree")
+        index = position(len(parent.children)
+                         - (tree.parent(node) is parent))
+        tree.remove(node)
+        tree.insert(parent, index, node)
+        return node
+    raise DanglingOp(f"unknown op {op.op}")
 
 
 def apply_script(tree: SyntaxTree, script: EditScript) -> SyntaxTree:
     """Applies ops in order, editing the tree in place."""
     for op in script:
-        if op.op == "delete":
-            node = _require(tree, op.node_id)
-            parent = tree.parent(node)
-            if parent is None:
-                raise DanglingOp(f"cannot delete root {op.node_id}")
-            parent.children.remove(node)
-            tree.reindex()
-        elif op.op == "update":
-            node = _require(tree, op.node_id)
-            node.value = op.value or ""
-        elif op.op == "add":
-            if tree.has_node(op.node_id):
-                raise DanglingOp(f"add reuses id {op.node_id}")
-            parent = _require(tree, op.parent_id)
-            if op.index is None or op.index > len(parent.children):
-                raise DanglingOp(f"bad index for add at {op.parent_id}")
-            assert op.node_kind is not None
-            parent.children.insert(
-                op.index, SyntaxNode(op.node_kind, op.value or "", [],
-                                     None, op.node_id))
-            tree.reindex()
-        elif op.op == "move":
-            node = _require(tree, op.node_id)
-            target = _require(tree, op.parent_id)
-            probe: Optional[SyntaxNode] = target
-            while probe is not None:
-                if probe is node:
-                    raise DanglingOp(f"move of {op.node_id} creates a cycle")
-                probe = tree.parent(probe)
-            parent = tree.parent(node)
-            if parent is None:
-                raise DanglingOp(f"cannot move root {op.node_id}")
-            parent.children.remove(node)
-            tree.reindex()
-            if op.index is None or op.index > len(target.children):
-                raise DanglingOp(f"bad index for move at {op.parent_id}")
-            target.children.insert(op.index, node)
-            tree.reindex()
-        else:
-            raise DanglingOp(f"unknown op {op.op}")
+        apply_op(tree, op)
     return tree
-
-
-def _require(tree: SyntaxTree, node_id: Optional[int]) -> SyntaxNode:
-    if node_id is None or not tree.has_node(node_id):
-        raise DanglingOp(f"no node {node_id}")
-    return tree.node(node_id)  # type: ignore[arg-type]

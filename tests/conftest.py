@@ -16,6 +16,7 @@ from mergeweaver.syntax import SyntaxNode, SyntaxTree
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+FANOUT = ROOT / "tests" / "data" / "synthetic" / "rename-fanout"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -305,14 +306,13 @@ def mutate_tree(tree: SyntaxTree, rng: random.Random,
         stmts = [n for b in blocks for n in b.children
                  if n.kind in STATEMENT_KINDS]
         if op < 0.3 and stmts:
-            victim = rng.choice(stmts)
-            out.parent(victim).children.remove(victim)
+            out.remove(rng.choice(stmts))
         elif op < 0.55 and blocks:
             fresh = _fresh_stmt(rng)
             _stamp_fresh(out, fresh)
             target = rng.choice(blocks)
-            target.children.insert(rng.randrange(len(target.children) + 1),
-                                   fresh)
+            out.insert(target, rng.randrange(len(target.children) + 1),
+                       fresh)
         elif op < 0.7 and stmts and len(blocks) > 1:
             victim = rng.choice(stmts)
             homes = [b for b in blocks
@@ -320,10 +320,9 @@ def mutate_tree(tree: SyntaxTree, rng: random.Random,
                      and victim not in out.ancestors(b)]
             if not homes:
                 continue
-            out.parent(victim).children.remove(victim)
+            out.remove(victim)
             home = rng.choice(homes)
-            home.children.insert(rng.randrange(len(home.children) + 1),
-                                 victim)
+            out.insert(home, rng.randrange(len(home.children) + 1), victim)
         else:
             leaves = [n for n in out.nodes()
                       if n.kind in ("Name", "Literal", "TypeRef",
@@ -331,7 +330,4 @@ def mutate_tree(tree: SyntaxTree, rng: random.Random,
             if not leaves:
                 continue
             rng.choice(leaves).value = f"mut{rng.randrange(10000)}"
-        out.reindex()
-    out.assign_preorder_ids()
-    out.reindex()
-    return out
+    return SyntaxTree(out.root, assign_ids=True)

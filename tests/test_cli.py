@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, FANOUT, ROOT
 from mergeweaver.cli import main
 
 MOT = CORPUS / "serializer-rename"
@@ -178,15 +178,41 @@ def test_duplicate_class_from_both_branches_exits_4(tmp_path, capsys):
                   "in the merged version\n"
 
 
-def test_python_dash_m_runs_from_a_checkout(tmp_path):
-    env = dict(os.environ)
+@pytest.mark.parametrize("cmd,flag", [
+    ("detect", "report"), ("resolve", "out"), ("merge", "out")])
+def test_write_failure_exits_5_naming_the_path(tmp_path, capsys, cmd, flag):
+    blocker = tmp_path / "f"
+    blocker.write_text("a regular file where a directory is needed\n")
+    target = blocker / "x"
+    assert main(args_for(cmd, **{flag: target})) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"write error: {target}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _run_checkout(argv: list, **env_extra) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    report = tmp_path / "summary.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "mergeweaver", "eval", "corpus",
-         "--report", str(report)],
+    return subprocess.run(
+        [sys.executable, "-m", "mergeweaver", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_python_dash_m_runs_from_a_checkout(tmp_path):
+    report = tmp_path / "summary.json"
+    proc = _run_checkout(["eval", "corpus", "--report", str(report)])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(report.read_text())
     assert doc["coverage"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "corpus"],
+    args_for("resolve", scenario=FANOUT, no_timing=True),
+], ids=["eval-corpus", "resolve-fanout"])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    runs = [_run_checkout(argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout

@@ -12,7 +12,7 @@ triple must still equal a fresh mining of its host, and conflicts that
 share a host must share its script.
 """
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, FANOUT, ROOT
 from mergeweaver.conflicts import detect_conflicts
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.graph_diff import build_fourway
@@ -36,9 +36,6 @@ def _fingerprint(scenario) -> dict:
                       for n in sf.tree.root.walk()]
             out[version, path] = (pretty_print(sf.tree), layout)
     return out
-
-
-FANOUT = ROOT / "tests" / "data" / "synthetic" / "rename-fanout"
 
 
 def _all_scenarios():

@@ -1,4 +1,5 @@
-"""Tree differ: the apply-equals-target oracle and script hygiene."""
+"""Tree differ and op interpreter: the apply-equals-target oracle, script
+hygiene, both apply_op policies and the SyntaxTree index under edits."""
 
 import random
 
@@ -6,8 +7,11 @@ import pytest
 
 from conftest import corpus_java_files, mutate_tree, parse_snippet
 from mergeweaver.parser import parse_unit
-from mergeweaver.syntax import SyntaxNode, structurally_equal
-from mergeweaver.tree_diff import (DanglingOp, apply_script, diff_trees)
+from mergeweaver.printer import pretty_print
+from mergeweaver.syntax import (SyntaxNode, SyntaxTree, clone_node,
+                                structurally_equal)
+from mergeweaver.tree_diff import (DanglingOp, EditOp, apply_op,
+                                   apply_script, diff_trees)
 
 
 def oracle(before, after) -> None:
@@ -177,3 +181,202 @@ class A {
 }
 """).tree
     oracle(before, after)
+
+
+# ---------------------------------------------------------------------------
+# apply_op: the two policies and the failures that leave the tree unchanged
+
+TWO_CALLS = "class A { void m() { a(); b(); } }"
+
+
+def _block(tree: SyntaxTree) -> SyntaxNode:
+    return next(n for n in tree.nodes() if n.kind == "Block")
+
+
+def _identity(tree: SyntaxTree) -> dict[int, SyntaxNode]:
+    return {n.id: n for n in tree.nodes()}
+
+
+def test_mapped_add_takes_a_fresh_id_recorded_under_the_op_id():
+    tree = parse_snippet(TWO_CALLS).tree
+    block = _block(tree)
+    mapping = _identity(tree)
+    top = tree.max_id
+    op = EditOp("add", 7, parent_id=block.id, index=1,
+                node_kind="ExprStmt", value="")
+    new = apply_op(tree, op, mapping)
+    assert new.id == top + 1 and new.id != op.node_id
+    assert mapping[7] is new and tree.node(new.id) is new
+    assert tree.parent(new) is block and block.children[1] is new
+    # a child added under the op id lands under the mapped node
+    apply_op(tree, EditOp("add", 99, parent_id=7, index=0,
+                          node_kind="Name", value="x"), mapping)
+    assert [c.value for c in new.children] == ["x"]
+
+
+def test_mapped_index_past_the_end_clamps():
+    tree = parse_snippet(TWO_CALLS).tree
+    block = _block(tree)
+    first = block.children[0]
+    mapping = _identity(tree)
+    added = apply_op(tree, EditOp("add", 1000, parent_id=block.id, index=50,
+                                  node_kind="ExprStmt"), mapping)
+    assert block.children[-1] is added
+    apply_op(tree, EditOp("move", first.id, parent_id=block.id, index=50),
+             mapping)
+    assert block.children[-1] is first and tree.parent(first) is block
+    # clamping also holds below zero and for a missing index
+    low = apply_op(tree, EditOp("add", 1001, parent_id=block.id, index=-1,
+                                node_kind="ExprStmt"), mapping)
+    assert block.children[0] is low
+    apply_op(tree, EditOp("move", 1001, parent_id=block.id), mapping)
+    assert block.children[-1] is low
+
+
+def test_unmapped_index_past_the_end_raises_and_leaves_the_tree():
+    tree = parse_snippet(TWO_CALLS).tree
+    block = _block(tree)
+    before = pretty_print(tree.root)
+    n = len(block.children)
+    for op in (EditOp("add", tree.max_id + 1, parent_id=block.id,
+                      index=n + 1, node_kind="ExprStmt"),
+               EditOp("move", block.children[0].id, parent_id=block.id,
+                      index=n)):
+        with pytest.raises(DanglingOp):
+            apply_op(tree, op)
+    assert pretty_print(tree.root) == before
+    assert not tree.has_node(tree.max_id + 1)
+    # the last valid move index counts the moved node out of its parent
+    apply_op(tree, EditOp("move", block.children[0].id, parent_id=block.id,
+                          index=n - 1))
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+def test_move_into_own_subtree_raises_and_leaves_the_tree(mapped):
+    tree = parse_snippet(TWO_CALLS).tree
+    method = next(n for n in tree.nodes() if n.kind == "MethodDecl")
+    block = _block(tree)
+    before = pretty_print(tree.root)
+    ids = sorted(n.id for n in tree.nodes())
+    mapping = _identity(tree) if mapped else None
+    for node, target in ((method, block), (method, method),
+                         (tree.root, block)):
+        with pytest.raises(DanglingOp):
+            apply_op(tree, EditOp("move", node.id, parent_id=target.id,
+                                  index=0), mapping)
+    assert pretty_print(tree.root) == before
+    assert sorted(n.id for n in tree.nodes()) == ids
+    assert tree.parent(method) is not None and tree.parent(block) is method
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+def test_unknown_ids_raise(mapped):
+    tree = parse_snippet(TWO_CALLS).tree
+    block = _block(tree)
+    ghost = tree.max_id + 5
+    mapping = {block.id: block} if mapped else None
+    call = block.children[0].id
+    before = pretty_print(tree.root)
+    for op in (EditOp("update", ghost, value="z"),
+               EditOp("delete", ghost),
+               EditOp("add", ghost, parent_id=ghost + 1, index=0,
+                      node_kind="Name", value="z"),
+               EditOp("move", call if not mapped else ghost,
+                      parent_id=ghost, index=0),
+               EditOp("frobnicate", block.id)):
+        with pytest.raises(DanglingOp):
+            apply_op(tree, op, mapping)
+    assert pretty_print(tree.root) == before
+
+
+def test_mapped_node_detached_by_an_earlier_delete_raises():
+    tree = parse_snippet(TWO_CALLS).tree
+    stmt = _block(tree).children[0]
+    inner = stmt.children[0]
+    mapping = _identity(tree)
+    apply_op(tree, EditOp("delete", stmt.id), mapping)
+    with pytest.raises(DanglingOp):
+        apply_op(tree, EditOp("update", inner.id, value="z"), mapping)
+    assert inner.value != "z"
+
+
+def test_unmapped_add_keeps_its_id_and_rejects_a_taken_one():
+    tree = parse_snippet(TWO_CALLS).tree
+    block = _block(tree)
+    new_id = tree.max_id + 10
+    added = apply_op(tree, EditOp("add", new_id, parent_id=block.id,
+                                  index=0, node_kind="ExprStmt"))
+    assert added.id == new_id and tree.max_id == new_id
+    assert tree.fresh_id() == new_id + 1
+    with pytest.raises(DanglingOp):
+        apply_op(tree, EditOp("add", block.id, parent_id=block.id, index=0,
+                              node_kind="ExprStmt"))
+
+
+# ---------------------------------------------------------------------------
+# the SyntaxTree index stays equal to a fresh index under insert/remove
+
+
+def _assert_index_matches_fresh(tree: SyntaxTree) -> None:
+    fresh = SyntaxTree(clone_node(tree.root))
+    ids = [n.id for n in fresh.nodes()]
+    assert ids == [n.id for n in tree.nodes()]
+    for i in ids:
+        assert tree.has_node(i)
+        node = tree.node(i)
+        assert node.id == i and node.kind == fresh.node(i).kind
+        mine, theirs = tree.parent(node), fresh.parent(fresh.node(i))
+        assert (mine.id if mine else None) == (theirs.id if theirs else None)
+        if mine is not None:
+            assert any(c is node for c in mine.children)
+
+
+def test_index_agrees_with_a_fresh_tree_after_random_edits():
+    files = [p for p in corpus_java_files() if p.parent.name == "left"]
+    removals = 0
+    for case in range(30):
+        rng = random.Random(7100 + case)
+        src = files[case % len(files)]
+        tree = parse_unit(src.name, src.read_text()).tree
+        gone: set[int] = set()
+        top = tree.max_id
+        for _ in range(rng.randrange(1, 25)):
+            nodes = list(tree.nodes())
+            roll = rng.random()
+            if roll < 0.35 and len(nodes) > 1:
+                victim = rng.choice(nodes[1:])
+                removed = {n.id for n in victim.walk()}
+                tree.remove(victim)
+                gone |= removed
+                removals += 1
+            elif roll < 0.7:
+                parent = rng.choice(nodes)
+                fresh = SyntaxNode("ExprStmt", "",
+                                   [SyntaxNode("Name", f"g{case}")])
+                for n in fresh.walk():
+                    n.id = tree.fresh_id()
+                    assert n.id > top
+                    top = n.id
+                tree.insert(parent, rng.randrange(len(parent.children) + 1),
+                            fresh)
+            else:
+                node = rng.choice(nodes[1:]) if len(nodes) > 1 else None
+                if node is None:
+                    continue
+                inside = set(map(id, node.walk()))
+                homes = [n for n in nodes if id(n) not in inside]
+                home = rng.choice(homes)
+                tree.remove(node)
+                tree.insert(home, rng.randrange(len(home.children) + 1),
+                            node)
+            _assert_index_matches_fresh(tree)
+            assert top <= tree.max_id
+            assert not any(tree.has_node(i) for i in gone)
+    assert removals > 10
+
+
+def test_remove_of_the_root_is_refused():
+    tree = parse_snippet(TWO_CALLS).tree
+    with pytest.raises(ValueError):
+        tree.remove(tree.root)
+    _assert_index_matches_fresh(tree)
