@@ -3,7 +3,9 @@
 Exit codes, each failure with a one-line message on stderr:
 
 * 0 on success (detected-but-unresolved conflicts are still success);
-* 1 when an evaluation corpus has no golden key or lacks an entry;
+* 1 when an evaluation corpus has no golden key, when the key is not
+  UTF-8 JSON of the documented shape (an object of scenario entries, each
+  with a "conflicts" list), or when it lacks an entry;
 * 2 when a source file fails to parse or is not valid UTF-8, and for
   bad command line arguments (argparse also prints the usage);
 * 3 when the textual merge itself conflicts;

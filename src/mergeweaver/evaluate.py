@@ -13,6 +13,7 @@ token-identical to the counterpart under expected/.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -23,8 +24,12 @@ from .printer import token_stream
 STRATEGIES = ("example", "rule")
 
 
+_CONFLICT_TYPE = re.compile(r"C[0-9]+")
+
+
 class MissingGolden(Exception):
-    """The corpus has no golden entry for a scenario (or no key at all)."""
+    """The corpus has no usable golden entry for a scenario: no key at all,
+    a key that is not UTF-8 JSON of the documented shape, or no entry."""
 
 
 @dataclass
@@ -87,19 +92,52 @@ def evaluate_scenario(scenario_dir: Path,
                           verdicts=verdicts)
 
 
+def _load_key(key_path: Path) -> dict:
+    try:
+        key = json.loads(key_path.read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise MissingGolden(f"{key_path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MissingGolden(f"{key_path}: not valid UTF-8 ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise MissingGolden(f"{key_path}: not valid JSON ({exc})") from exc
+    if not isinstance(key, dict):
+        raise MissingGolden(f"{key_path}: expected an object mapping "
+                            f"scenario names to entries, found "
+                            f"{type(key).__name__}")
+    return key
+
+
+def _is_golden_conflict(item) -> bool:
+    return (isinstance(item, dict) and isinstance(item.get("subject"), str)
+            and isinstance(item.get("type"), str)
+            and _CONFLICT_TYPE.fullmatch(item["type"]) is not None)
+
+
+def _golden_entry(key: dict, key_path: Path, name: str) -> dict:
+    golden = key.get(name)
+    if golden is None:
+        raise MissingGolden(f"no golden entry for {name}")
+    conflicts = golden.get("conflicts") if isinstance(golden, dict) else None
+    if not isinstance(conflicts, list) \
+            or not all(_is_golden_conflict(c) for c in conflicts):
+        raise MissingGolden(
+            f"{key_path}: entry {name!r} needs a \"conflicts\" list of "
+            f"{{\"type\": \"C<n>\", \"subject\": <string>}} objects")
+    return golden
+
+
 def evaluate_corpus(corpus_dir: Union[str, Path]) -> EvalSummary:
     root = Path(corpus_dir)
     key_path = root / "golden_key.json"
     if not key_path.is_file():
         raise MissingGolden(f"no golden_key.json under {root}")
-    key = json.loads(key_path.read_text())
+    key = _load_key(key_path)
+    # check every entry in use before running any scenario
+    entries = [(sdir, _golden_entry(key, key_path, sdir.name))
+               for sdir in scenario_dirs(root)]
 
-    results: list[ScenarioResult] = []
-    for sdir in scenario_dirs(root):
-        golden = key.get(sdir.name)
-        if golden is None:
-            raise MissingGolden(f"no golden entry for {sdir.name}")
-        results.append(evaluate_scenario(sdir, golden))
+    results = [evaluate_scenario(sdir, golden) for sdir, golden in entries]
 
     total_expected = sum(len(r.expected) for r in results)
     total_covered = sum(r.covered for r in results)

@@ -214,6 +214,10 @@ class FourWayGraph:
     # mining.mine_examples' memo: (branch, base host id, branch host id)
     # -> (before, after, script); see the mining module docstring
     mined: dict = field(default_factory=dict, compare=False, repr=False)
+    # matching.resolve_by_example's memo: merged entity id -> the member's
+    # tree, statements and lazily filled header profiles (MergedMember);
+    # see the matching module docstring
+    members: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_fourway(scenario: MergeScenario) -> FourWayGraph:

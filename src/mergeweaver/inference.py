@@ -6,6 +6,11 @@ touch a use of the changed definition, widens over ops sharing a statement
 with those, then closes over control and data dependences between edited
 statements.  The pattern is the pruned before-side context around the kept
 ops plus the ops themselves, with the use sites marked critical.
+
+The context is built in one pass: the kept nodes and their ancestors are
+marked once, then only the marked nodes and what may not be dropped are
+cloned.  Every statement and the else branch of an IfStmt without a marked
+node are left out; the mined before tree itself is never edited.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 from .conflicts import Conflict, arg_count
 from .graph_diff import EntityEdit, RelationEdit
 from .peg import arity_of, type_base_name
-from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree, clone_node
+from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree
 from .tree_diff import EditOp
 
 _LOOP_OR_BRANCH = ("IfStmt", "ForStmt", "ForEachStmt", "WhileStmt")
@@ -175,6 +180,10 @@ def refine_edits(example: "EditExample", conflict: Conflict
                  ) -> tuple[list[EditOp], set[int], set[int]]:
     """(kept ops, closure statement ids, critical node ids).
 
+    A mined before tree carries fresh pre-order ids (see EditExample), so
+    comparing two ids compares the positions of their nodes: a definition
+    in statement oid reaches a use in statement sid only if oid < sid.
+
     Raises NoRelevantEdit when no op touches a use of the definition.
     """
     before = example.before
@@ -199,22 +208,28 @@ def refine_edits(example: "EditExample", conflict: Conflict
 
     closure: set[int] = {stmt_of[id(op)].id for op in core
                          if stmt_of[id(op)] is not None}
-    order = {n.id: i for i, n in enumerate(before.nodes())}
+    # variables of each edited statement, computed on first need; every
+    # closure statement is an edited one
+    used: dict[int, set[str]] = {}
+    defined: dict[int, set[str]] = {}
     changed = True
     while changed:
         changed = False
         for sid in sorted(closure):
-            stmt = before.node(sid)
+            stmt = edited[sid]
             owner = _control_owner(before, stmt)
             if owner is not None and owner.id in edited \
                     and owner.id not in closure:
                 closure.add(owner.id)
                 changed = True
-            used = _used_vars(stmt)
+            if sid not in used:
+                used[sid] = _used_vars(stmt)
             for oid, other in edited.items():
-                if oid in closure or order[oid] >= order[sid]:
+                if oid in closure or oid >= sid:
                     continue
-                if _defined_vars(other) & used:
+                if oid not in defined:
+                    defined[oid] = _defined_vars(other)
+                if defined[oid] & used[sid]:
                     closure.add(oid)
                     changed = True
 
@@ -227,10 +242,6 @@ def refine_edits(example: "EditExample", conflict: Conflict
 
 # ---------------------------------------------------------------------------
 # context pruning
-
-
-def _subtree_ids(node: SyntaxNode) -> set[int]:
-    return {n.id for n in node.walk()}
 
 
 def refine_context(example: "EditExample", kept: list[EditOp],
@@ -251,17 +262,20 @@ def refine_context(example: "EditExample", kept: list[EditOp],
     if stmt is not None:
         root = stmt
 
-    pruned = clone_node(root)
-    _prune(pruned, keep_ids)
-    context = SyntaxTree(pruned)
+    live: set[int] = set()      # kept nodes and their ancestors
+    for node in anchors:
+        cur: Optional[SyntaxNode] = node
+        while cur is not None and cur.id not in live:
+            live.add(cur.id)
+            cur = before.parent(cur)
+    context = SyntaxTree(_clone_live(root, live))
 
-    ctx_ids = {n.id for n in context.nodes()}
     ops = [op for op in kept
-           if op.op == "add" or op.node_id in ctx_ids]
+           if op.op == "add" or context.has_node(op.node_id)]
     return TransformationPattern(
         context=context,
         ops=ops,
-        critical_ids=critical & ctx_ids,
+        critical_ids={i for i in critical if context.has_node(i)},
         example=example,
     )
 
@@ -285,17 +299,17 @@ def _lca(tree: SyntaxTree, nodes: list[SyntaxNode]) -> SyntaxNode:
     return lca
 
 
-def _prune(node: SyntaxNode, keep_ids: set[int]) -> None:
-    kept_children = []
+def _clone_live(node: SyntaxNode, live: set[int]) -> SyntaxNode:
+    """Clone node, leaving out each statement and else branch below it
+    that holds no live node."""
+    children = []
     for i, child in enumerate(node.children):
         droppable = child.kind in STATEMENT_KINDS \
             or (node.kind == "IfStmt" and i == 2)
-        if droppable and not (_subtree_ids(child) & keep_ids):
-            continue
-        kept_children.append(child)
-    node.children = kept_children
-    for child in node.children:
-        _prune(child, keep_ids)
+        if child.id in live or not droppable:
+            children.append(_clone_live(child, live))
+    return SyntaxNode(kind=node.kind, value=node.value, children=children,
+                      span=node.span, id=node.id)
 
 
 def infer_pattern(example: "EditExample",

@@ -6,7 +6,15 @@ preceding and following sibling statements extend the pairing order-
 preservingly, and finally enclosing statements pair up by header.  A pair
 scores one point for equal kinds plus the trigram similarity of the
 statement texts when it clears 0.618; 1.618 is the bar a pair must clear.
-One search prints and profiles each statement header at most once.
+
+Every search of one conflict, and of every other conflict anchored in the
+same merged member, scans the same statements.  So each merged member is
+indexed once per merge: its tree, its statements and their header profiles
+(a MergedMember) are kept in ``FourWayGraph.members``, and a merged header
+is printed and profiled once per merged member per merge.  Pattern-side
+profiles live for one search only, so no pattern context outlives it.  The
+memo is sound because nothing edits a merged tree: application below and
+the rules rewrite clones.
 
 Application rewrites a clone of the whole merged file: a kind-aligned walk
 maps each matched pattern statement onto its merged partner, and the ops
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Optional
+from typing import Optional, Union
 
 from .conflicts import Conflict
 from .inference import (NoRelevantEdit, TransformationPattern, infer_pattern,
@@ -27,6 +35,7 @@ from .inference import (NoRelevantEdit, TransformationPattern, infer_pattern,
 from .merge3 import MergeScenario
 from .mining import mine_examples
 from .graph_diff import FourWayGraph
+from .peg import Entity
 from .printer import pretty_print, statement_header_text
 from .similarity import Profile, profile, profile_similarity
 from .syntax import (STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree,
@@ -83,6 +92,24 @@ def score_statement_match(p: SyntaxNode, m: SyntaxNode) -> float:
     return _profiled_score(p, m, _header_profile(p), _header_profile(m))
 
 
+class MergedMember:
+    """A merged member indexed for anchor searches: its tree, its
+    statements in pre-order, and their header profiles, each made on first
+    use."""
+
+    def __init__(self, tree: SyntaxTree):
+        self.tree = tree
+        self.statements = [n for n in tree.nodes()
+                           if n.kind in STATEMENT_KINDS]
+        self.profiles: dict[SyntaxNode, Profile] = {}
+
+    def profile(self, node: SyntaxNode) -> Profile:
+        prof = self.profiles.get(node)
+        if prof is None:
+            prof = self.profiles[node] = _header_profile(node)
+        return prof
+
+
 # ---------------------------------------------------------------------------
 # anchoring
 
@@ -104,17 +131,21 @@ def _parent_statement(tree: SyntaxTree,
 
 
 def match_context(pattern: TransformationPattern,
-                  m_tree: SyntaxTree) -> MatchSet:
+                  merged: Union[SyntaxTree, MergedMember]) -> MatchSet:
+    """Anchor pattern in a merged member; a bare tree is indexed for this
+    search only."""
+    member = merged if isinstance(merged, MergedMember) \
+        else MergedMember(merged)
     ctx = pattern.context
-    # header profiles of this search only: a memo that outlived the call
-    # would keep every pattern context alive
-    profiles: dict[SyntaxNode, Profile] = {}
+    # pattern-side profiles of this search only: a memo that outlived the
+    # call would keep every pattern context alive
+    p_profiles: dict[SyntaxNode, Profile] = {}
 
     def score(p: SyntaxNode, m: SyntaxNode) -> float:
-        for node in (p, m):
-            if node not in profiles:
-                profiles[node] = _header_profile(node)
-        return _profiled_score(p, m, profiles[p], profiles[m])
+        p_prof = p_profiles.get(p)
+        if p_prof is None:
+            p_prof = p_profiles[p] = _header_profile(p)
+        return _profiled_score(p, m, p_prof, member.profile(m))
 
     crit = [ctx.node(i) for i in sorted(pattern.critical_ids)
             if ctx.has_node(i)]
@@ -125,7 +156,7 @@ def match_context(pattern: TransformationPattern,
     if s_p is None:
         raise NoAnchor("last critical use sits outside any statement")
 
-    m_stmts = [n for n in m_tree.nodes() if n.kind in STATEMENT_KINDS]
+    m_stmts = member.statements
     if not m_stmts:
         raise NoAnchor("merged member has no statements")
     scored = sorted(((score(s_p, m), pos) for pos, m in enumerate(m_stmts)),
@@ -137,7 +168,7 @@ def match_context(pattern: TransformationPattern,
     pairs = [(s_p, s_m, best_score)]
 
     p_sibs = _statement_siblings(ctx, s_p)
-    m_sibs = _statement_siblings(m_tree, s_m)
+    m_sibs = _statement_siblings(member.tree, s_m)
     p_idx = p_sibs.index(s_p)
     m_idx = m_sibs.index(s_m)
 
@@ -165,7 +196,7 @@ def match_context(pattern: TransformationPattern,
     p_cur, m_cur = s_p, s_m
     while True:
         pp = _parent_statement(ctx, p_cur)
-        mm = _parent_statement(m_tree, m_cur)
+        mm = _parent_statement(member.tree, m_cur)
         if pp is None or mm is None:
             break
         sc = score(pp, mm)
@@ -264,6 +295,15 @@ def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
     )
 
 
+def _merged_member(fw: FourWayGraph, entity: Entity) -> MergedMember:
+    """The merge's one MergedMember for a merged entity, built on first
+    use."""
+    member = fw.members.get(entity.id)
+    if member is None:
+        member = fw.members[entity.id] = MergedMember(SyntaxTree(entity.decl))
+    return member
+
+
 def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
                        scenario: MergeScenario) -> Optional[Resolution]:
     if conflict.using_am is None or conflict.using_am.decl is None:
@@ -272,7 +312,6 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
     am_file = scenario.am.get(path)
     if am_file is None:
         return None
-    m_tree = SyntaxTree(conflict.using_am.decl)
 
     cands: list[tuple[TransformationPattern, MatchSet]] = []
     for example in mine_examples(fw, conflict):
@@ -281,7 +320,8 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
         except NoRelevantEdit:
             continue
         try:
-            match_set = match_context(pattern, m_tree)
+            match_set = match_context(
+                pattern, _merged_member(fw, conflict.using_am))
         except NoAnchor:
             continue
         cands.append((pattern, match_set))

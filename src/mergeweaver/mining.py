@@ -10,9 +10,9 @@ hosts.  The (before, after, script) triple of each (branch, base host,
 branch host) is therefore computed once and kept in ``FourWayGraph.mined``
 for as long as that graph lives; each conflict still gets its own
 EditExample and its own adaptation check.  The memo is sound because
-nothing downstream edits a mined tree or script: ``refine_context`` prunes
-a clone of the before tree and ``apply_pattern`` rewrites a clone of the
-merged file.
+nothing downstream edits a mined tree or script: ``refine_context`` clones
+the part of the before tree it keeps and ``apply_pattern`` rewrites a
+clone of the merged file.
 """
 
 from __future__ import annotations

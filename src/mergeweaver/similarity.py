@@ -26,13 +26,26 @@ def profile(text: str) -> Profile:
 
 
 def profile_similarity(a: Profile, b: Profile) -> float:
-    """trigram_similarity of two profiled texts."""
+    """trigram_similarity of two profiled texts.
+
+    The multiset overlap walks the smaller Counter and looks each gram up
+    in the larger one instead of building ``a & b``: the same integer, so
+    the same float.
+    """
     if a[0] == b[0]:
         return 1.0
     total = a[2] + b[2]
     if total == 0:
         return 1.0
-    overlap = sum((a[1] & b[1]).values())
+    small, large = a[1], b[1]
+    if len(small) > len(large):
+        small, large = large, small
+    get = large.get
+    overlap = 0
+    for gram, n in small.items():
+        m = get(gram)
+        if m:
+            overlap += n if n < m else m
     return 2.0 * overlap / total
 
 

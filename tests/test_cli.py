@@ -98,6 +98,26 @@ def test_eval_without_key_exits_1(tmp_path):
     assert main(["eval", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("key, cause", [
+    (b"{not json", "not valid JSON"),
+    (b'{"s": {"conflicts": [], "note": "\xff"}}', "not valid UTF-8"),
+    (b'[{"conflicts": []}]', "expected an object"),
+    (b'{"s": {"example": null, "rule": null}}',
+     "entry 's' needs a \"conflicts\" list"),
+    (b'{"s": {"conflicts": [{"subject": "p.A.run()"}]}}',
+     "entry 's' needs a \"conflicts\" list"),
+], ids=["not-json", "not-utf8", "not-an-object", "entry-without-conflicts",
+        "conflict-without-type"])
+def test_malformed_golden_key_exits_1(tmp_path, capsys, key, cause):
+    (tmp_path / "s" / "base").mkdir(parents=True)     # one scenario
+    key_path = tmp_path / "golden_key.json"
+    key_path.write_bytes(key)
+    assert main(["eval", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"eval error: {key_path}: {cause}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_dump_flags_go_to_stderr(capsys):
     assert main(args_for("detect", dump_peg=True, dump_delta=True,
                          no_timing=True)) == 0

@@ -1,12 +1,19 @@
 """Pattern inference: use discovery, dependence closure, pruning."""
 
+import random
+
 import pytest
 
-from conftest import brute_force_closure, run_corpus
-from mergeweaver.inference import (NoRelevantEdit, infer_pattern,
+from conftest import (CORPUS, FANOUT, brute_force_closure, parse_snippet,
+                      random_program, run_corpus)
+from mergeweaver.evaluate import scenario_dirs
+from mergeweaver.inference import (NoRelevantEdit, _lca, infer_pattern,
+                                   op_target_id, refine_context,
                                    refine_edits, use_node_ids)
-from mergeweaver.mining import mine_examples
+from mergeweaver.mining import EditExample, mine_examples
+from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
+from mergeweaver.syntax import STATEMENT_KINDS, SyntaxTree, clone_node
 
 
 def mined(name: str, host_suffix: str = ""):
@@ -141,3 +148,110 @@ def test_unrelated_script_raises_no_relevant_edit():
     other_conflict = run_corpus("tax-c15").report.conflicts[0]
     with pytest.raises(NoRelevantEdit):
         refine_edits(ex, other_conflict)
+
+
+# ---------------------------------------------------------------------------
+# one-pass pruning against the clone-then-prune reference
+
+
+def _reference_prune(node, keep_ids: set[int]) -> None:
+    kept_children = []
+    for i, child in enumerate(node.children):
+        droppable = child.kind in STATEMENT_KINDS \
+            or (node.kind == "IfStmt" and i == 2)
+        if droppable and not ({n.id for n in child.walk()} & keep_ids):
+            continue
+        kept_children.append(child)
+    node.children = kept_children
+    for child in node.children:
+        _reference_prune(child, keep_ids)
+
+
+def reference_context(example, kept, closure, critical) -> SyntaxTree:
+    """The context as refine_context built it before pruning went one-pass:
+    clone the root, then re-walk each child's subtree at every level."""
+    before = example.before
+    adds_by_id = {op.node_id: op for op in kept if op.op == "add"}
+    keep_ids = set(closure) | set(critical)
+    for op in kept:
+        tid = op_target_id(op, adds_by_id)
+        if tid is not None:
+            keep_ids.add(tid)
+    anchors = [before.node(i) for i in sorted(keep_ids)
+               if before.has_node(i)]
+    root = _lca(before, anchors)
+    stmt = before.enclosing_statement(root)
+    if stmt is not None:
+        root = stmt
+    pruned = clone_node(root)
+    _reference_prune(pruned, keep_ids)
+    return SyntaxTree(pruned)
+
+
+def _layout(tree: SyntaxTree) -> list[tuple]:
+    return [(n.kind, n.value, n.id, n.span, len(n.children))
+            for n in tree.nodes()]
+
+
+def test_one_pass_pruning_matches_clone_then_prune():
+    checked = 0
+    for sdir in (scenario_dirs(CORPUS) + scenario_dirs(CORPUS / "controls")
+                 + [FANOUT]):
+        run = run_scenario(sdir / "base", sdir / "left", sdir / "right")
+        for conflict in run.report.conflicts:
+            for ex in mine_examples(run.fourway, conflict):
+                try:
+                    kept, closure, critical = refine_edits(ex, conflict)
+                except NoRelevantEdit:
+                    continue
+                before_layout = _layout(ex.before)
+                pattern = refine_context(ex, kept, closure, critical)
+                want = reference_context(ex, kept, closure, critical)
+                assert _layout(pattern.context) == _layout(want), \
+                    (sdir.name, ex.host)
+                ctx_ids = {n.id for n in want.nodes()}
+                assert pattern.ops == [op for op in kept if op.op == "add"
+                                       or op.node_id in ctx_ids]
+                assert pattern.critical_ids == critical & ctx_ids
+                assert _layout(ex.before) == before_layout  # left unedited
+                # the id-order closure equals the position-order one
+                assert closure == brute_force_closure(
+                    ex.before, list(ex.script),
+                    use_node_ids(ex.before, conflict)), (sdir.name, ex.host)
+                checked += 1
+    assert checked >= 76            # 12 corpus examples, 64 fanout ones
+
+
+def test_one_pass_pruning_matches_on_random_keep_sets():
+    # random programs nest statements under if/else and while, which the
+    # mined examples do not, and random keep sets reach below them
+    rng = random.Random(11)
+    checked = dropped_else = 0
+    for seed in range(200):
+        unit = parse_snippet(random_program(random.Random(seed))).tree
+        for decl in unit.nodes():
+            if decl.kind != "MethodDecl":
+                continue
+            before = SyntaxTree(clone_node(decl), assign_ids=True)
+            stmts = [n.id for n in before.nodes()
+                     if n.kind in STATEMENT_KINDS]
+            if not stmts:
+                continue
+            example = EditExample(subject="", host="", host_kind="method",
+                                  branch="l", before=before, after=before,
+                                  script=[])
+            ids = [n.id for n in before.nodes()]
+            for _ in range(4):
+                critical = set(rng.sample(ids, rng.randint(1, 3)))
+                closure = set(rng.sample(stmts,
+                                         rng.randint(0, min(2, len(stmts)))))
+                pattern = refine_context(example, [], closure, critical)
+                want = reference_context(example, [], closure, critical)
+                assert _layout(pattern.context) == _layout(want), seed
+                dropped_else += sum(
+                    1 for n in before.nodes()
+                    if n.kind == "IfStmt" and len(n.children) == 3
+                    and pattern.context.has_node(n.id)
+                    and len(pattern.context.node(n.id).children) == 2)
+                checked += 1
+    assert checked > 300 and dropped_else > 10

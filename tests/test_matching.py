@@ -1,17 +1,22 @@
 """Context matching, candidate ranking, pattern application."""
 
 import dataclasses
+import functools
 import random
 
 import pytest
 
-from conftest import parse_snippet, run_corpus
-from mergeweaver.inference import infer_pattern
+from conftest import CORPUS, FANOUT, parse_snippet, run_corpus
+from mergeweaver.evaluate import scenario_dirs
+from mergeweaver.inference import NoRelevantEdit, infer_pattern
 from mergeweaver.matching import (ANCHOR_THRESHOLD, SIM_THRESHOLD, MatchSet,
-                                  NoAnchor, match_context, rank_candidates,
-                                  resolve_by_example, score_statement_match)
+                                  MergedMember, NoAnchor, match_context,
+                                  rank_candidates, resolve_by_example,
+                                  score_statement_match)
 from mergeweaver.mining import mine_examples
+from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import statement_header_text
+from mergeweaver.syntax import SyntaxTree
 
 
 def motivating_pattern():
@@ -159,3 +164,86 @@ def test_no_candidates_returns_none():
     run = run_corpus("callback-ref-rename")
     (conflict,) = run.report.conflicts
     assert resolve_by_example(run.fourway, conflict, run.scenario) is None
+
+
+# ---------------------------------------------------------------------------
+# the merged-member memo
+
+
+@functools.lru_cache(maxsize=None)
+def _runs_with_examples() -> list:
+    """(name, run) of every scenario whose example strategy anchored."""
+    runs = []
+    for sdir in (scenario_dirs(CORPUS) + scenario_dirs(CORPUS / "controls")
+                 + [FANOUT]):
+        run = run_scenario(sdir / "base", sdir / "left", sdir / "right")
+        if run.fourway.members:
+            runs.append((sdir.name, run))
+    return runs
+
+
+def test_memo_holds_merged_members_only():
+    members = 0
+    for name, run in _runs_with_examples():
+        fw = run.fourway
+        for key, member in fw.members.items():
+            # keyed by a merged entity, whose decl the member indexes
+            assert key in fw.merged.entities, name
+            assert member.tree.root is fw.merged.by_id(key).decl, name
+            # every statement and profile belongs to that merged tree, so
+            # no pattern context outlives its search
+            for node in member.statements + list(member.profiles):
+                assert member.tree.node(node.id) is node, name
+            assert set(member.profiles) <= set(member.statements), name
+            members += 1
+    assert members >= 12             # 11 corpus hosts, 1 fanout host
+
+
+def test_shared_member_anchors_as_a_bare_tree_does():
+    searched = 0
+    for name, run in _runs_with_examples():
+        fw = run.fourway
+        for conflict in run.report.conflicts:
+            if conflict.using_am is None \
+                    or conflict.using_am.id not in fw.members:
+                continue
+            member = fw.members[conflict.using_am.id]
+            for ex in mine_examples(fw, conflict):
+                try:
+                    pattern = infer_pattern(ex, conflict)
+                except NoRelevantEdit:
+                    continue
+                try:
+                    want = match_context(pattern,
+                                         SyntaxTree(conflict.using_am.decl))
+                except NoAnchor as exc:
+                    with pytest.raises(NoAnchor, match=str(exc)):
+                        match_context(pattern, member)
+                    continue
+                assert match_context(pattern, member) == want, name
+                searched += 1
+    assert searched >= 70           # 64 of them on the fanout fixture
+
+
+def test_second_resolution_on_one_graph_is_identical():
+    resolved = 0
+    for name, run in _runs_with_examples():
+        fw = run.fourway
+        for conflict in run.report.conflicts:
+            first = resolve_by_example(fw, conflict, run.scenario)
+            memo = dict(fw.members)
+            second = resolve_by_example(fw, conflict, run.scenario)
+            assert second == first, name
+            assert fw.members == memo, name     # nothing rebuilt
+            resolved += first is not None
+    assert resolved >= 20           # 16 of them on the fanout fixture
+
+
+def test_merged_member_profiles_lazily():
+    run, _, _ = motivating_pattern()
+    member = MergedMember(run.scenario.am["XmlClientConfigBuilder.java"].tree)
+    assert member.statements and not member.profiles
+    stmt = member.statements[0]
+    prof = member.profile(stmt)
+    assert prof[0] == statement_header_text(stmt)
+    assert member.profile(stmt) is prof and list(member.profiles) == [stmt]

@@ -10,6 +10,12 @@ mine_examples keeps each adapted host's (before, after, script) for the
 lifetime of the four-way graph.  After whole pipeline runs, every memoized
 triple must still equal a fresh mining of its host, and conflicts that
 share a host must share its script.
+
+resolve_by_example keeps each merged member it anchors in (its tree,
+statements and header profiles) for the lifetime of the four-way graph
+too.  Those trees are the merged decls themselves, so after resolution
+they must still print and lay out as a fresh parse does, and their
+profiles must equal fresh ones.
 """
 
 from conftest import CORPUS, FANOUT, ROOT
@@ -20,9 +26,11 @@ from mergeweaver.matching import resolve_by_example
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.mining import mine_examples
 from mergeweaver.pipeline import run_scenario
-from mergeweaver.printer import pretty_print
+from mergeweaver.printer import pretty_print, statement_header_text
 from mergeweaver.rules import NotCovered, TargetMissing, resolve_by_rule
-from mergeweaver.syntax import SyntaxTree, clone_node, structurally_equal
+from mergeweaver.similarity import profile
+from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxTree, clone_node,
+                                structurally_equal)
 from mergeweaver.tree_diff import diff_trees
 
 VERSIONS = ("base", "left", "right", "am")
@@ -44,7 +52,8 @@ def _all_scenarios():
 
 def test_resolution_leaves_every_parsed_tree_unchanged():
     resolved = 0
-    for sdir in _all_scenarios():
+    members = 0
+    for sdir in _all_scenarios() + [FANOUT]:
         scenario = merge_scenario(sdir / "base", sdir / "left",
                                   sdir / "right")
         before = _fingerprint(scenario)
@@ -58,7 +67,35 @@ def test_resolution_leaves_every_parsed_tree_unchanged():
             except (NotCovered, TargetMissing):
                 pass
         assert _fingerprint(scenario) == before, sdir.name
-    assert resolved > 40            # the strategies really ran
+        members += len(fw.members)
+    assert resolved > 70            # the strategies really ran
+    assert members >= 12            # with the merged-member memo in place
+
+
+def test_memoized_merged_members_stay_equal_to_a_fresh_parse():
+    checked = 0
+    for sdir in _all_scenarios() + [FANOUT]:
+        fw = run_scenario(sdir / "base", sdir / "left",
+                          sdir / "right").fourway
+        fresh = build_fourway(merge_scenario(sdir / "base", sdir / "left",
+                                             sdir / "right"))
+        for key, member in fw.members.items():
+            decl = fw.merged.by_id(key).decl
+            fresh_decl = fresh.merged.by_id(key).decl
+            fresh_tree = SyntaxTree(fresh_decl)
+            assert member.tree.root is decl and decl is not fresh_decl
+            assert pretty_print(decl) == pretty_print(fresh_decl), key
+            assert _layout(member.tree) == _layout(fresh_tree), key
+            assert [n.span for n in decl.walk()] \
+                == [n.span for n in fresh_decl.walk()], key
+            assert [n.id for n in member.statements] == [
+                n.id for n in fresh_decl.walk()
+                if n.kind in STATEMENT_KINDS], key
+            for node, prof in member.profiles.items():
+                assert prof == profile(statement_header_text(
+                    fresh_tree.node(node.id))), key
+            checked += 1
+    assert checked >= 12            # 11 corpus members, 1 fanout member
 
 
 def test_untouched_file_is_one_shared_object():
