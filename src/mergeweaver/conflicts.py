@@ -5,27 +5,44 @@ use-introducing edit from the other branch and localizes the clash in the
 merged sources.  Detection is manifestation-based: a candidate pair only
 becomes a conflict while the merged tree still exhibits the problem, so
 running detection again after a resolution shows whether the fix took.
+
+The taxonomy is one table, ``TAXONOMY``, with one row per code C1-C23 (the
+paper's evaluation uses 21 of them).  A row names the def edit it starts
+from (op, update detail, entity or relation kinds), a gate on that edit
+alone, a predicate on the other branch's edit and a finder for the sites in
+the merged tree.  Most use predicates come from two combinators: an added
+relation of some kinds aimed at the old fqn, and an added class extending
+or implementing the owner of the changed member, tested on its method of
+the member's name and parameter types.
+
+``classify`` answers with the first of the def edit's rows whose gate and
+use predicate hold, yet row order carries no meaning: within one (op,
+detail, kind) the use predicates are disjoint.  They test different edits
+(an added relation, class or member), or an added class's link to one
+owner fqn that Java cannot make both ways: extends needs a class there,
+implements an interface.
+
+A site finder returns (entity fqn, file, node) triples that
+``detect_conflicts`` turns into sorted ``ConflictSite``s; finding none
+means the clash does not survive in the merge, and the pair is dropped.
+
+graph_diff sets ``old`` on every delete and update, ``new`` on every add
+and update, and both ends of every relation edit; the rows rely on that.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .graph_diff import (EntityEdit, FourWayGraph, RelationEdit,
                          merged_entity_for)
 from .peg import (MEMBER_ENTITY_KINDS, Entity, Relation, arity_of,
                   type_base_name)
-from .peg import heritage as decl_heritage
 from .syntax import Span, SyntaxNode
 
 Edit = Union[EntityEdit, RelationEdit]
-
-# codes the classifier recognizes; the two rename flavors that never occur
-# in the evaluation corpus (interface and field renames) classify all the
-# same so the rule table stays total
-CONFLICT_CODES = tuple(f"C{i}" for i in range(1, 24))
 
 IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
@@ -126,244 +143,396 @@ def arg_count(call: SyntaxNode) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# classification
-
-
-def _is_added_rel(u: Edit, kinds: tuple[str, ...]) -> bool:
-    return isinstance(u, RelationEdit) and u.op == "add" and u.kind in kinds
-
-
-def _is_added_rel_to(u: Edit, fqn: str) -> bool:
-    # any use edge aimed at the type itself: construction, import, heritage
-    return isinstance(u, RelationEdit) and u.op == "add" \
-        and u.kind in ("initializes", "imports", "extends", "implements") \
-        and u.dst_fqn == fqn
-
-
-def _added_type_with_parent(u: Edit, d: Edit, fw: Optional[FourWayGraph],
-                            relation: str) -> Optional[SyntaxNode]:
-    """Decl of a class added by u whose heritage points at d's owner."""
-    if not isinstance(u, EntityEdit) or u.op != "add" or u.kind != "class":
-        return None
-    if u.new is None or u.new.decl is None:
-        return None
-    owner = owner_fqn(d.subject)
-    if not owner:
-        return None
-    if fw is not None:
-        graph = fw.left if u.branch == "l" else fw.right
-        wanted = "class" if relation == "extends" else "interface"
-        target = graph.find(wanted, owner)
-        if target is None:
-            return None
-        if Relation(u.new.id, target.id, relation) not in graph.relations:
-            return None
-        return u.new.decl
-    ext, impl = decl_heritage(u.new.decl)
-    texts = ext if relation == "extends" else impl
-    simple = owner.rsplit(".", 1)[-1]
-    if any(type_base_name(t) == simple for t in texts):
-        return u.new.decl
-    return None
-
-
-def _interface_return_for(iface: Optional[Entity],
-                          method: Optional[Entity]) -> Optional[str]:
+def interface_return_for(iface: Optional[Entity],
+                         method: Optional[Entity]) -> Optional[str]:
+    """Return type the interface declares for a method of that signature."""
     if iface is None or iface.decl is None or method is None:
         return None
     m = find_decl_method(iface.decl, method.simple_name, method.param_sig)
     return declared_type_text(m) if m is not None else None
 
 
-def _classify_rel_def(d: RelationEdit, u: Edit,
-                      fw: Optional[FourWayGraph]) -> Optional[str]:
-    if d.op == "delete" and d.kind == "imports":
-        # removed import vs new code in the same file needing the name
-        if d.dst is None or d.src is None:
-            return None
-        if _is_added_rel(u, ("imports", "initializes", "extends",
-                             "implements", "calls", "reads", "writes")) \
-                and u.dst_fqn == d.dst_fqn:
-            return "C5"
-        if not isinstance(u, EntityEdit) or u.new is None \
-                or u.new.decl is None or u.new.path != d.src.path \
-                or u.new.kind not in ("field", "method", "constructor"):
-            return None
-        name = d.dst.simple_name
-        if u.op == "add" and mentions_name(u.new.decl, name):
-            return "C5"
-        if u.op == "update" and u.detail == "body-change" \
-                and mentions_name(u.new.decl, name) \
-                and not (u.old is not None and u.old.decl is not None
-                         and mentions_name(u.old.decl, name)):
-            return "C5"
-        return None
-    if d.op == "add" and d.kind == "implements":
-        # class begins implementing an interface while the other branch
-        # changes a return type in that class away from the contract
-        if not isinstance(u, EntityEdit) or u.op != "update" \
-                or u.detail != "body-change" or u.kind != "method":
-            return None
-        if u.old is None or u.new is None \
-                or owner_fqn(u.new.fqn) != d.src_fqn:
-            return None
-        old_ret = declared_type_text(u.old.decl)
-        new_ret = declared_type_text(u.new.decl)
-        if not old_ret or not new_ret or old_ret == new_ret:
-            return None
-        iface_ret = _interface_return_for(d.dst, u.new)
-        if iface_ret is None or new_ret == iface_ret:
-            return None
-        return "C12"
-    return None
+def _type_use_nodes(decl: SyntaxNode, simple: str) -> list[SyntaxNode]:
+    out = []
+    for n in decl.walk():
+        if n.kind == "TypeRef" and type_base_name(n.value) == simple:
+            out.append(n)
+        elif n.kind == "Name" and n.value == simple:
+            out.append(n)
+    return out
 
 
-def _classify_update(d: EntityEdit, u: Edit,
-                     fw: Optional[FourWayGraph]) -> Optional[str]:
-    if d.detail == "rename":
-        if d.kind == "package":
-            if _is_added_rel(u, ("imports",)) and d.old_fqn is not None \
-                    and (u.dst_fqn == d.old_fqn
-                         or u.dst_fqn.startswith(d.old_fqn + ".")):
-                return "C6"
-            return None
-        if d.kind == "constructor" or d.old is None or d.new is None:
-            return None
-        if d.old.simple_name == d.new.simple_name:
-            return None         # path changed by an enclosing rename
-        if d.kind == "class":
-            return "C1" if _is_added_rel_to(u, d.old.fqn) else None
-        if d.kind == "interface":
-            return "C7" if _is_added_rel_to(u, d.old.fqn) else None
-        if d.kind == "field":
-            if _is_added_rel(u, ("reads", "writes")) \
-                    and u.dst_fqn == d.old.fqn:
-                return "C13"
-            return None
-        if d.kind == "method":
-            if _is_added_rel(u, ("calls",)) and u.dst_fqn == d.old.fqn:
-                return "C15"
-            sub = _added_type_with_parent(u, d, fw, "implements")
-            if sub is not None and find_decl_method(
-                    sub, d.old.simple_name, d.old.param_sig) is not None:
-                return "C11"
-            return None
-        return None
-    if d.detail == "signature-change":
-        if d.old is None or d.new is None:
-            return None
-        if d.kind == "constructor":
-            if _is_added_rel(u, ("calls",)) and u.dst_fqn == d.old.fqn:
-                return "C18"
-            return None
-        if d.kind == "method":
-            if _is_added_rel(u, ("calls",)) and u.dst_fqn == d.old.fqn:
-                return "C21"
-            sub = _added_type_with_parent(u, d, fw, "extends")
-            if sub is not None and find_decl_method(
-                    sub, d.old.simple_name, d.old.param_sig) is not None:
-                return "C3"
-            sub = _added_type_with_parent(u, d, fw, "implements")
-            if sub is not None and find_decl_method(
-                    sub, d.old.simple_name, d.old.param_sig) is not None:
-                return "C9"
-            return None
-        return None
-    if d.detail == "body-change":
-        if d.old is None or d.new is None \
-                or d.old.decl is None or d.new.decl is None:
-            return None
-        old_t = declared_type_text(d.old.decl)
-        new_t = declared_type_text(d.new.decl)
-        if not old_t or not new_t or old_t == new_t:
-            return None
-        if d.kind == "method":
-            if _is_added_rel(u, ("calls",)) and u.dst_fqn == d.old.fqn:
-                return "C22"
-            sub = _added_type_with_parent(u, d, fw, "extends")
-            if sub is not None:
-                m = find_decl_method(sub, d.old.simple_name, d.old.param_sig)
-                if m is not None and declared_type_text(m) != new_t:
-                    return "C4"
-            return None
-        if d.kind == "field":
-            if _is_added_rel(u, ("reads", "writes")) \
-                    and u.dst_fqn == d.old.fqn:
-                return "C19"
-            return None
-        return None
-    return None
+def field_use_nodes(decl: SyntaxNode, name: str) -> list[SyntaxNode]:
+    """Names and field accesses of ``name`` under decl."""
+    return [n for n in decl.walk()
+            if n.kind in ("Name", "FieldAccess") and n.value == name]
 
 
-def _classify_delete(d: EntityEdit, u: Edit,
-                     fw: Optional[FourWayGraph]) -> Optional[str]:
-    if d.old_fqn is None:
-        return None
-    if d.kind in ("class", "enum"):
-        if isinstance(u, RelationEdit) and u.op == "add" \
-                and (u.dst_fqn == d.old_fqn
-                     or u.dst_fqn.startswith(d.old_fqn + ".")):
-            return "C17"
-        return None
-    if d.kind == "method":
-        if _is_added_rel(u, ("calls",)) and u.dst_fqn == d.old_fqn:
-            return "C23"
-        if d.old is not None:
-            sub = _added_type_with_parent(u, d, fw, "implements")
-            if sub is not None and find_decl_method(
-                    sub, d.old.simple_name, d.old.param_sig) is not None:
-                return "C10"
-        return None
-    if d.kind == "field":
-        if _is_added_rel(u, ("reads", "writes")) and u.dst_fqn == d.old_fqn:
-            return "C20"
-        return None
-    return None
+def call_nodes(decl: SyntaxNode, name: str,
+               arity: Optional[int]) -> list[SyntaxNode]:
+    """Invocations of ``name`` under decl, with ``arity`` arguments if set."""
+    return [n for n in decl.walk()
+            if n.kind == "MethodInvocation" and n.value == name
+            and (arity is None or arg_count(n) == arity)]
 
 
-def _classify_add(d: EntityEdit, u: Edit,
-                  fw: Optional[FourWayGraph]) -> Optional[str]:
-    if isinstance(u, EntityEdit) and u.op == "add" and u.kind == d.kind \
-            and u.new_fqn == d.new_fqn and d.new_fqn is not None:
-        if d.kind == "field":
-            return "C14"
-        if d.kind in ("method", "constructor"):
-            return "C16"
-        return None
-    if d.kind != "method" or d.new is None or d.new.decl is None:
-        return None
-    sub = _added_type_with_parent(u, d, fw, "extends")
-    if sub is not None:
-        m = find_decl_method(sub, d.new.simple_name, d.new.param_sig)
-        if m is not None:
-            mine = declared_type_text(d.new.decl)
-            theirs = declared_type_text(m)
-            if mine and theirs and mine != theirs:
-                return "C2"
-        return None
-    sub = _added_type_with_parent(u, d, fw, "implements")
-    if sub is not None and find_decl_method(
-            sub, d.new.simple_name, d.new.param_sig) is None:
-        return "C8"
+def creation_nodes(decl: SyntaxNode, simple: str,
+                   arity: Optional[int]) -> list[SyntaxNode]:
+    """``new simple(...)`` under decl, with ``arity`` arguments if set."""
+    out = []
+    for n in decl.walk():
+        if n.kind != "ObjectCreation":
+            continue
+        tref = next((c for c in n.children if c.kind == "TypeRef"), None)
+        if tref is None or type_base_name(tref.value) != simple:
+            continue
+        if arity is None or arg_count(n) == arity:
+            out.append(n)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# def-side gates
+
+
+def _renamed(d: EntityEdit) -> bool:
+    # an unchanged simple name means an enclosing rename moved the path
+    return d.old.simple_name != d.new.simple_name
+
+
+def _type_change(d: EntityEdit) -> Optional[tuple[str, str]]:
+    """(old, new) declared type of an updated member whose type changed."""
+    old_t = declared_type_text(d.old.decl)
+    new_t = declared_type_text(d.new.decl)
+    return (old_t, new_t) if old_t and new_t and old_t != new_t else None
+
+
+# ---------------------------------------------------------------------------
+# use predicates: does the other branch's edit u clash with def edit d?
+
+_Use = Callable[[Edit, Edit, FourWayGraph], bool]
+
+
+def _added_rel(kinds: Optional[tuple[str, ...]] = None,
+               within: bool = False) -> _Use:
+    """u adds a relation of one of ``kinds`` (any kind if None) aimed at
+    the fqn d takes away, or with ``within`` also at anything inside it."""
+    def use(d: Edit, u: Edit, fw: FourWayGraph) -> bool:
+        if not isinstance(u, RelationEdit) or u.op != "add" \
+                or (kinds is not None and u.kind not in kinds):
+            return False
+        old = d.dst_fqn if isinstance(d, RelationEdit) else d.old_fqn
+        return u.dst_fqn == old \
+            or (within and u.dst_fqn.startswith(old + "."))
+    return use
+
+
+def _added_subclass(relation: str,
+                    test: Callable[[Edit, Optional[SyntaxNode]], bool]
+                    ) -> _Use:
+    """u adds a class that ``relation`` (extends or implements) links to the
+    owner of d's member; ``test`` gets d and the class's method with that
+    member's name and parameter types, or None."""
+    owner_kind = "class" if relation == "extends" else "interface"
+
+    def use(d: Edit, u: Edit, fw: FourWayGraph) -> bool:
+        if not isinstance(u, EntityEdit) or u.op != "add" \
+                or u.kind != "class" or u.new.decl is None:
+            return False
+        graph = fw.left if u.branch == "l" else fw.right
+        owner = graph.find(owner_kind, owner_fqn(d.subject))
+        if owner is None or Relation(u.new.id, owner.id, relation) \
+                not in graph.relations:
+            return False
+        member = d.old or d.new
+        return test(d, find_decl_method(u.new.decl, member.simple_name,
+                                        member.param_sig))
+    return use
+
+
+def _has(d: Edit, m: Optional[SyntaxNode]) -> bool:
+    return m is not None
+
+
+def _lacks(d: Edit, m: Optional[SyntaxNode]) -> bool:
+    return m is None
+
+
+def _returns_other(d: Edit, m: Optional[SyntaxNode]) -> bool:
+    return m is not None \
+        and declared_type_text(m) != declared_type_text(d.new.decl)
+
+
+def _declares_other(d: Edit, m: Optional[SyntaxNode]) -> bool:
+    # unlike _returns_other, a method without a declared type never clashes
+    mine, theirs = declared_type_text(d.new.decl), declared_type_text(m)
+    return bool(mine and theirs) and mine != theirs
+
+
+_TYPE_USE = ("initializes", "imports", "extends", "implements")
+_FIELD_USE = ("reads", "writes")
+_uses_type = _added_rel(_TYPE_USE + ("calls",) + _FIELD_USE)
+
+
+def _needs_dropped_import(d: RelationEdit, u: Edit, fw: FourWayGraph) -> bool:
+    """u uses the type whose import d removed: by a relation to it, or by
+    new code in the same file that mentions its simple name."""
+    if _uses_type(d, u, fw):
+        return True
+    if not isinstance(u, EntityEdit) or u.new is None \
+            or u.new.decl is None or u.new.path != d.src.path \
+            or u.new.kind not in ("field", "method", "constructor"):
+        return False
+    name = d.dst.simple_name
+    if u.op == "add":
+        return mentions_name(u.new.decl, name)
+    return u.op == "update" and u.detail == "body-change" \
+        and mentions_name(u.new.decl, name) \
+        and not (u.old.decl is not None and mentions_name(u.old.decl, name))
+
+
+def _breaks_contract(d: RelationEdit, u: Edit, fw: FourWayGraph) -> bool:
+    """u changes a return type in the class that d makes implement an
+    interface, to one other than the interface declares."""
+    if not isinstance(u, EntityEdit) or u.op != "update" \
+            or u.detail != "body-change" or u.kind != "method" \
+            or owner_fqn(u.new.fqn) != d.src_fqn:
+        return False
+    change = _type_change(u)
+    return change is not None \
+        and interface_return_for(d.dst, u.new) not in (None, change[1])
+
+
+def _same_add(d: Edit, u: Edit, fw: FourWayGraph) -> bool:
+    return isinstance(u, EntityEdit) and u.op == "add" \
+        and u.kind == d.kind and u.new_fqn == d.new_fqn
+
+
+# ---------------------------------------------------------------------------
+# site finders: where the clash shows in the merged tree
+
+# (fqn of the entity the site sits in, file, node)
+_Found = list[tuple[str, Optional[str], SyntaxNode]]
+_Finder = Callable[[Edit, Edit, Optional[Entity], FourWayGraph], _Found]
+
+
+def _merged_member_fqn(fw: FourWayGraph, cls: Entity,
+                       decl: SyntaxNode) -> str:
+    fqn = f"{cls.fqn}.{decl.value}{param_sig_of_decl(decl)}"
+    for suffix in ("", "#2", "#3"):
+        found = fw.merged.find("method", fqn + suffix) \
+            or fw.merged.find("constructor", fqn + suffix)
+        if found is not None:
+            return found.fqn
+    return fqn
+
+
+def _in_user(find: Callable[[Edit, Edit, Entity, FourWayGraph],
+                            list[SyntaxNode]]) -> _Finder:
+    """Finder over the declaration of the merged entity holding the use.
+
+    A method or constructor declaration among the nodes (the clashing
+    member of an added subclass) is labelled with its own merged fqn, any
+    other node with the user's.
+    """
+    def sites(d: Edit, u: Edit, user: Optional[Entity],
+              fw: FourWayGraph) -> _Found:
+        if user is None or user.decl is None:
+            return []
+        return [(_merged_member_fqn(fw, user, n)
+                 if n.kind in ("MethodDecl", "ConstructorDecl") else user.fqn,
+                 user.path, n) for n in find(d, u, user, fw)]
+    return sites
+
+
+@_in_user
+def _type_uses(d: Edit, u: Edit, user: Entity,
+               fw: FourWayGraph) -> list[SyntaxNode]:
+    simple = simple_of(d.subject)
+    if user.kind == "compilation-unit":
+        return [n for n in user.decl.walk() if n.kind == "ImportDecl"
+                and (n.value == d.subject or n.value.endswith("." + simple))]
+    # creations are covered too: the type child of `new X()` is a TypeRef
+    # like any declared type
+    return _type_use_nodes(user.decl, simple)
+
+
+@_in_user
+def _package_imports(d: Edit, u: Edit, user: Entity,
+                     fw: FourWayGraph) -> list[SyntaxNode]:
+    return [n for n in user.decl.walk() if n.kind == "ImportDecl"
+            and n.value.startswith(d.old_fqn + ".")]
+
+
+@_in_user
+def _dangling_type_uses(d: Edit, u: Edit, user: Entity,
+                        fw: FourWayGraph) -> list[SyntaxNode]:
+    cu = next((e for e in fw.merged.entities.values()
+               if e.kind == "compilation-unit" and e.path == user.path), None)
+    if cu is not None and cu.decl is not None:
+        pkg = owner_fqn(d.dst_fqn)
+        if any(n.kind == "ImportDecl" and (
+                n.value == d.dst_fqn or (pkg and n.value == pkg + ".*"))
+               for n in cu.decl.children):
+            return []           # the import is present, nothing dangles
+    return _type_use_nodes(user.decl, simple_of(d.dst_fqn))
+
+
+@_in_user
+def _field_uses(d: Edit, u: Edit, user: Entity,
+                fw: FourWayGraph) -> list[SyntaxNode]:
+    return field_use_nodes(user.decl, simple_of(d.subject))
+
+
+@_in_user
+def _calls(d: Edit, u: Edit, user: Entity,
+           fw: FourWayGraph) -> list[SyntaxNode]:
+    return call_nodes(user.decl, d.old.simple_name, arity_of(d.old))
+
+
+@_in_user
+def _creations(d: Edit, u: Edit, user: Entity,
+               fw: FourWayGraph) -> list[SyntaxNode]:
+    arity = arity_of(d.old)
+    return creation_nodes(user.decl, d.old.simple_name, arity) \
+        + call_nodes(user.decl, "this", arity)
+
+
+@_in_user
+def _retyped_override(d: Edit, u: Edit, user: Entity,
+                      fw: FourWayGraph) -> list[SyntaxNode]:
+    m = find_decl_method(user.decl, d.new.simple_name, d.new.param_sig)
+    if m is None or declared_type_text(m) == declared_type_text(d.new.decl):
+        return []
+    return [m]
+
+
+@_in_user
+def _old_method(d: Edit, u: Edit, user: Entity,
+                fw: FourWayGraph) -> list[SyntaxNode]:
+    # the clash clears once no method with the old name and old signature
+    # is left in the merged class
+    m = find_decl_method(user.decl, d.old.simple_name, d.old.param_sig)
+    return [m] if m is not None else []
+
+
+@_in_user
+def _missing_override(d: Edit, u: Edit, user: Entity,
+                      fw: FourWayGraph) -> list[SyntaxNode]:
+    if find_decl_method(user.decl, d.new.simple_name,
+                        d.new.param_sig) is not None:
+        return []               # the override exists, contract satisfied
+    return [user.decl]
+
+
+@_in_user
+def _contract_return(d: Edit, u: Edit, user: Entity,
+                     fw: FourWayGraph) -> list[SyntaxNode]:
+    am_ret = declared_type_text(user.decl)
+    iface_ret = interface_return_for(d.dst, u.new)
+    if not am_ret or not iface_ret or am_ret == iface_ret:
+        return []
+    return [declared_type_node(user.decl)]
+
+
+def _duplicates(d: Edit, u: Edit, user: Optional[Entity],
+                fw: FourWayGraph) -> _Found:
+    dups = [e for e in fw.merged.entities.values()
+            if e.kind == d.kind and e.decl is not None
+            and (e.fqn == d.new_fqn or e.fqn.startswith(d.new_fqn + "#"))]
+    return [(e.fqn, e.path, e.decl) for e in dups] if len(dups) > 1 else []
+
+
+# ---------------------------------------------------------------------------
+# the taxonomy
+
+
+class Row(NamedTuple):
+    code: str
+    op: str                     # of the def edit: add | delete | update
+    detail: Optional[str]       # of an updated entity; else None
+    kinds: tuple[str, ...]      # entity kinds, or the relation kind
+    gate: Optional[Callable[[Edit], object]]    # holds if truthy
+    use: _Use
+    sites: _Finder
+
+
+TAXONOMY: tuple[Row, ...] = (
+    Row("C1", "update", "rename", ("class",), _renamed,
+        _added_rel(_TYPE_USE), _type_uses),
+    Row("C2", "add", None, ("method",), None,
+        _added_subclass("extends", _declares_other), _retyped_override),
+    Row("C3", "update", "signature-change", ("method",), None,
+        _added_subclass("extends", _has), _old_method),
+    Row("C4", "update", "body-change", ("method",), _type_change,
+        _added_subclass("extends", _returns_other), _retyped_override),
+    Row("C5", "delete", None, ("imports",), None,
+        _needs_dropped_import, _dangling_type_uses),
+    Row("C6", "update", "rename", ("package",), None,
+        _added_rel(("imports",), within=True), _package_imports),
+    Row("C7", "update", "rename", ("interface",), _renamed,
+        _added_rel(_TYPE_USE), _type_uses),
+    Row("C8", "add", None, ("method",), None,
+        _added_subclass("implements", _lacks), _missing_override),
+    Row("C9", "update", "signature-change", ("method",), None,
+        _added_subclass("implements", _has), _old_method),
+    Row("C10", "delete", None, ("method",), None,
+        _added_subclass("implements", _has), _old_method),
+    Row("C11", "update", "rename", ("method",), _renamed,
+        _added_subclass("implements", _has), _old_method),
+    Row("C12", "add", None, ("implements",), None,
+        _breaks_contract, _contract_return),
+    Row("C13", "update", "rename", ("field",), _renamed,
+        _added_rel(_FIELD_USE), _field_uses),
+    Row("C14", "add", None, ("field",), None, _same_add, _duplicates),
+    Row("C15", "update", "rename", ("method",), _renamed,
+        _added_rel(("calls",)), _calls),
+    Row("C16", "add", None, ("method", "constructor"), None,
+        _same_add, _duplicates),
+    Row("C17", "delete", None, ("class", "enum"), None,
+        _added_rel(within=True), _type_uses),
+    Row("C18", "update", "signature-change", ("constructor",), None,
+        _added_rel(("calls",)), _creations),
+    Row("C19", "update", "body-change", ("field",), _type_change,
+        _added_rel(_FIELD_USE), _field_uses),
+    Row("C20", "delete", None, ("field",), None,
+        _added_rel(_FIELD_USE), _field_uses),
+    Row("C21", "update", "signature-change", ("method",), None,
+        _added_rel(("calls",)), _calls),
+    Row("C22", "update", "body-change", ("method",), _type_change,
+        _added_rel(("calls",)), _calls),
+    Row("C23", "delete", None, ("method",), None,
+        _added_rel(("calls",)), _calls),
+)
+
+_ROWS: dict[tuple[str, Optional[str], str], list[Row]] = {}
+for _row in TAXONOMY:
+    for _kind in _row.kinds:
+        _ROWS.setdefault((_row.op, _row.detail, _kind), []).append(_row)
+
+
+def _rows_of(d: Edit) -> list[Row]:
+    """The rows whose def edit d is: same op, detail and kind, gate holds."""
+    detail = d.detail if isinstance(d, EntityEdit) else None
+    return [r for r in _ROWS.get((d.op, detail, d.kind), ())
+            if r.gate is None or r.gate(d)]
+
+
+def _first_row(rows: list[Row], d: Edit, u: Edit,
+               fw: FourWayGraph) -> Optional[Row]:
+    for row in rows:
+        if row.use(d, u, fw):
+            return row
     return None
 
 
 def classify(def_change: Edit, use_intro: Edit,
-             fw: Optional[FourWayGraph] = None) -> Optional[str]:
+             fw: FourWayGraph) -> Optional[str]:
     """Taxonomy code for a def-side/use-side edit pair, or None."""
-    d, u = def_change, use_intro
-    if d.branch == u.branch:
+    if def_change.branch == use_intro.branch:
         return None
-    if isinstance(d, RelationEdit):
-        return _classify_rel_def(d, u, fw)
-    if d.op == "update":
-        return _classify_update(d, u, fw)
-    if d.op == "delete":
-        return _classify_delete(d, u, fw)
-    if d.op == "add":
-        return _classify_add(d, u, fw)
-    return None
+    row = _first_row(_rows_of(def_change), def_change, use_intro, fw)
+    return row.code if row is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -375,42 +544,35 @@ def _apply_renames(text: str, renames: dict[str, str]) -> str:
 
 
 def _def_candidates(delta) -> list[Edit]:
+    """Def edits of one branch, less those another def edit of it explains."""
     deleted_types = {e.old_fqn for e in delta.entity_edits
                      if e.op == "delete"
                      and e.kind in ("class", "interface", "enum")}
-    renames: dict[str, str] = {}
-    for e in delta.entity_edits:
-        if e.op == "update" and e.detail == "rename" \
-                and e.kind in ("class", "interface", "enum") \
-                and e.old is not None and e.new is not None \
-                and e.old.simple_name != e.new.simple_name:
-            renames[e.old.simple_name] = e.new.simple_name
+    renames = {e.old.simple_name: e.new.simple_name
+               for e in delta.entity_edits
+               if e.op == "update" and e.detail == "rename"
+               and e.kind in ("class", "interface", "enum") and _renamed(e)}
 
     out: list[Edit] = []
     for e in delta.entity_edits:
         if e.op == "delete" and e.kind in MEMBER_ENTITY_KINDS \
-                and owner_fqn(e.old_fqn or "") in deleted_types:
+                and owner_fqn(e.old_fqn) in deleted_types:
             continue            # the type-level delete carries the conflict
-        if e.op == "update" and e.detail == "rename" \
-                and e.kind == "constructor":
-            continue            # companion of the class rename
-        if e.op == "update" and e.old is not None and e.new is not None:
-            if e.detail == "signature-change" and renames \
-                    and _apply_renames(e.old.param_sig or "", renames) \
-                    == (e.new.param_sig or ""):
-                continue        # signature only respells a renamed type
-            if e.detail == "body-change" and renames:
-                old_t = declared_type_text(e.old.decl) if e.old.decl else None
-                new_t = declared_type_text(e.new.decl) if e.new.decl else None
-                if old_t and new_t and old_t != new_t \
-                        and _apply_renames(old_t, renames) == new_t:
-                    continue    # declared type only respells a renamed type
+        if renames and e.detail == "signature-change" \
+                and _apply_renames(e.old.param_sig or "", renames) \
+                == (e.new.param_sig or ""):
+            continue            # signature only respells a renamed type
+        change = _type_change(e) if renames and e.detail == "body-change" \
+            else None
+        if change is not None and _apply_renames(change[0], renames) \
+                == change[1]:
+            continue            # declared type only respells a renamed type
         out.append(e)
-    for r in delta.relation_edits:
-        if (r.op == "delete" and r.kind == "imports") \
-                or (r.op == "add" and r.kind == "implements"):
-            out.append(r)
-    return out
+    return out + delta.relation_edits
+
+
+# ---------------------------------------------------------------------------
+# detection
 
 
 def _edit_key(e: Edit) -> tuple:
@@ -427,199 +589,9 @@ def _use_entity(u: Edit) -> tuple[str, Optional[Entity]]:
     return u.subject, ent
 
 
-# ---------------------------------------------------------------------------
-# manifestation: locating sites in the merged tree
-
-
-def _mk_sites(nodes: list[SyntaxNode], entity: str,
-              path: Optional[str]) -> list[ConflictSite]:
-    return [ConflictSite(entity, path or "", n.span or (0, 0, 0, 0), n.id)
-            for n in nodes]
-
-
-def _type_use_nodes(decl: SyntaxNode, simple: str) -> list[SyntaxNode]:
-    out = []
-    for n in decl.walk():
-        if n.kind == "TypeRef" and type_base_name(n.value) == simple:
-            out.append(n)
-        elif n.kind == "Name" and n.value == simple:
-            out.append(n)
-    return out
-
-
-def _field_use_nodes(decl: SyntaxNode, name: str) -> list[SyntaxNode]:
-    return [n for n in decl.walk()
-            if n.kind in ("Name", "FieldAccess") and n.value == name]
-
-
-def _call_nodes(decl: SyntaxNode, name: str,
-                arity: Optional[int]) -> list[SyntaxNode]:
-    return [n for n in decl.walk()
-            if n.kind == "MethodInvocation" and n.value == name
-            and (arity is None or arg_count(n) == arity)]
-
-
-def _creation_nodes(decl: SyntaxNode, simple: str,
-                    arity: Optional[int]) -> list[SyntaxNode]:
-    out = []
-    for n in decl.walk():
-        if n.kind != "ObjectCreation":
-            continue
-        tref = next((c for c in n.children if c.kind == "TypeRef"), None)
-        if tref is None or type_base_name(tref.value) != simple:
-            continue
-        if arity is None or arg_count(n) == arity:
-            out.append(n)
-    return out
-
-
-def _merged_cu_for_path(fw: FourWayGraph,
-                        path: Optional[str]) -> Optional[Entity]:
-    if path is None:
-        return None
-    for ent in fw.merged.entities.values():
-        if ent.kind == "compilation-unit" and ent.path == path:
-            return ent
-    return None
-
-
-def _merged_member_fqn(fw: FourWayGraph, cls: Entity,
-                       decl: SyntaxNode) -> str:
-    sig = param_sig_of_decl(decl)
-    fqn = f"{cls.fqn}.{decl.value}{sig}"
-    for suffix in ("", "#2", "#3"):
-        found = fw.merged.find("method", fqn + suffix) \
-            or fw.merged.find("constructor", fqn + suffix)
-        if found is not None:
-            return found.fqn
-    return fqn
-
-
-def _hierarchy_site(fw: FourWayGraph, am_user: Entity, decl: SyntaxNode,
-                    node: SyntaxNode) -> list[ConflictSite]:
-    if node.kind in ("MethodDecl", "ConstructorDecl"):
-        label = _merged_member_fqn(fw, am_user, node)
-    else:
-        label = am_user.fqn
-    return _mk_sites([node], label, am_user.path)
-
-
-def _sites_for(code: str, d: Edit, u: Edit, am_user: Optional[Entity],
-               fw: FourWayGraph) -> list[ConflictSite]:
-    if code in ("C14", "C16"):
-        subject = d.new_fqn or ""
-        dups = sorted((e for e in fw.merged.entities.values()
-                       if e.kind == d.kind and e.decl is not None
-                       and (e.fqn == subject
-                            or e.fqn.startswith(subject + "#"))),
-                      key=lambda e: e.decl.span or (0, 0, 0, 0))
-        if len(dups) < 2:
-            return []
-        sites: list[ConflictSite] = []
-        for ent in dups:
-            sites.extend(_mk_sites([ent.decl], ent.fqn, ent.path))
-        return sites
-
-    if am_user is None or am_user.decl is None:
-        return []
-    decl = am_user.decl
-
-    if code in ("C1", "C7", "C17"):
-        simple = simple_of(d.subject)
-        if am_user.kind == "compilation-unit":
-            nodes = [n for n in decl.walk() if n.kind == "ImportDecl"
-                     and (n.value == d.subject
-                          or n.value.endswith("." + simple))]
-        else:
-            # creations are covered too: the type child of `new X()` is a
-            # TypeRef like any declared type
-            nodes = _type_use_nodes(decl, simple)
-        return _mk_sites(nodes, am_user.fqn, am_user.path)
-
-    if code == "C6":
-        old_pkg = d.old_fqn or ""
-        nodes = [n for n in decl.walk() if n.kind == "ImportDecl"
-                 and (n.value == old_pkg + ".*"
-                      or n.value.startswith(old_pkg + "."))]
-        return _mk_sites(nodes, am_user.fqn, am_user.path)
-
-    if code == "C5":
-        assert isinstance(d, RelationEdit)
-        cu = _merged_cu_for_path(fw, am_user.path)
-        if cu is not None and cu.decl is not None:
-            pkg = d.dst_fqn.rsplit(".", 1)[0] if "." in d.dst_fqn else ""
-            for n in cu.decl.children:
-                if n.kind == "ImportDecl" and (
-                        n.value == d.dst_fqn
-                        or (pkg and n.value == pkg + ".*")):
-                    return []   # the import is present, nothing dangles
-        simple = simple_of(d.dst_fqn)
-        nodes = _type_use_nodes(decl, simple)
-        return _mk_sites(nodes, am_user.fqn, am_user.path)
-
-    if code in ("C13", "C19", "C20"):
-        name = simple_of(d.subject)
-        nodes = _field_use_nodes(decl, name)
-        return _mk_sites(nodes, am_user.fqn, am_user.path)
-
-    if code in ("C15", "C21", "C22", "C23"):
-        assert isinstance(d, EntityEdit) and d.old is not None
-        nodes = _call_nodes(decl, d.old.simple_name, arity_of(d.old))
-        return _mk_sites(nodes, am_user.fqn, am_user.path)
-
-    if code == "C18":
-        assert isinstance(d, EntityEdit) and d.old is not None
-        simple = d.old.simple_name
-        old_ar = arity_of(d.old)
-        nodes = _creation_nodes(decl, simple, old_ar)
-        nodes += _call_nodes(decl, "this", old_ar)
-        return _mk_sites(nodes, am_user.fqn, am_user.path)
-
-    if code in ("C2", "C4"):
-        assert isinstance(d, EntityEdit) and d.new is not None
-        m = find_decl_method(decl, d.new.simple_name, d.new.param_sig)
-        if m is None:
-            return []
-        if declared_type_text(m) == declared_type_text(d.new.decl):
-            return []
-        return _hierarchy_site(fw, am_user, decl, m)
-
-    if code in ("C3", "C9", "C10", "C11"):
-        # the clash clears once no method with the old name and old
-        # signature is left in the merged class
-        assert isinstance(d, EntityEdit) and d.old is not None
-        m = find_decl_method(decl, d.old.simple_name, d.old.param_sig)
-        if m is None:
-            return []
-        return _hierarchy_site(fw, am_user, decl, m)
-
-    if code == "C8":
-        assert isinstance(d, EntityEdit) and d.new is not None
-        m = find_decl_method(decl, d.new.simple_name, d.new.param_sig)
-        if m is not None:
-            return []           # the override exists, contract satisfied
-        return _mk_sites([decl], am_user.fqn, am_user.path)
-
-    if code == "C12":
-        assert isinstance(d, RelationEdit)
-        am_ret = declared_type_text(decl)
-        iface_ret = _interface_return_for(
-            d.dst, u.new if isinstance(u, EntityEdit) else None)
-        if not am_ret or not iface_ret or am_ret == iface_ret:
-            return []
-        node = declared_type_node(decl) or decl
-        return _mk_sites([node], am_user.fqn, am_user.path)
-
-    return []
-
-
-# ---------------------------------------------------------------------------
-# detection
-
-
 @dataclass
 class _Candidate:
-    code: str
+    row: Row
     d: Edit
     u: Edit
     using_fqn: str
@@ -639,20 +611,20 @@ def detect_conflicts(fw: FourWayGraph) -> list[Conflict]:
     found: dict[tuple, _Candidate] = {}
     for dx, dy in ((fw.delta_left, fw.delta_right),
                    (fw.delta_right, fw.delta_left)):
-        defs = _def_candidates(dx)
         uses: list[Edit] = list(dy.entity_edits) + list(dy.relation_edits)
-        for d in defs:
-            for u in uses:
-                code = classify(d, u, fw)
-                if code is None:
+        for d in _def_candidates(dx):
+            rows = _rows_of(d)
+            for u in uses if rows else ():
+                row = _first_row(rows, d, u, fw)
+                if row is None:
                     continue
-                if code in ("C14", "C16") and d.branch != "l":
-                    continue    # symmetric pair, keep one orientation
                 using_fqn, using_entity = _use_entity(u)
-                key = (code, _edit_key(d), using_fqn)
+                # both orientations of a duplicate add (C14, C16) share this
+                # key, so the left branch's def, found first, is kept
+                key = (row.code, _edit_key(d), using_fqn)
                 prev = found.get(key)
                 if prev is None or _edit_key(u) < _edit_key(prev.u):
-                    found[key] = _Candidate(code, d, u, using_fqn,
+                    found[key] = _Candidate(row, d, u, using_fqn,
                                             using_entity)
 
     conflicts: list[Conflict] = []
@@ -660,13 +632,16 @@ def detect_conflicts(fw: FourWayGraph) -> list[Conflict]:
         am_user = None
         if cand.using_entity is not None:
             am_user = merged_entity_for(fw, cand.u.branch, cand.using_entity)
-        sites = _sites_for(cand.code, cand.d, cand.u, am_user, fw)
+        sites = sorted(
+            (ConflictSite(fqn, path or "", n.span or (0, 0, 0, 0), n.id)
+             for fqn, path, n in cand.row.sites(cand.d, cand.u, am_user, fw)),
+            key=lambda s: (s.file, s.span, s.entity))
         if not sites:
             continue            # the clash does not survive in the merge
-        sites.sort(key=lambda s: (s.file, s.span, s.entity))
-        subject, subject_kind = _subject_of(cand.code, cand.d)
+        code = cand.row.code
+        subject, subject_kind = _subject_of(code, cand.d)
         conflicts.append(Conflict(
-            type=cand.code,
+            type=code,
             branch_of_def=cand.d.branch,
             subject=subject,
             subject_kind=subject_kind,

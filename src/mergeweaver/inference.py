@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conflicts import Conflict, arg_count
+from .conflicts import (Conflict, call_nodes, creation_nodes,
+                        field_use_nodes)
 from .graph_diff import EntityEdit, RelationEdit
 from .peg import arity_of, type_base_name
 from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree
@@ -75,29 +76,16 @@ def use_node_ids(before: SyntaxTree, conflict: Conflict) -> set[int]:
     ids: set[int] = set()
 
     if kind == "field":
-        for n in before.nodes():
-            if n.kind in ("Name", "FieldAccess") and n.value == name:
-                ids.add(n.id)
-        return ids
+        return {n.id for n in field_use_nodes(before.root, name)}
 
     if kind == "method":
-        for n in before.nodes():
-            if n.kind == "MethodInvocation" and n.value == name \
-                    and (arity is None or arg_count(n) == arity):
-                ids.add(n.id)
-                ids.update(c.id for c in n.children
-                           if c.kind == "ArgumentList")
+        for n in call_nodes(before.root, name, arity):
+            ids.add(n.id)
+            ids.update(c.id for c in n.children if c.kind == "ArgumentList")
         return ids
 
     if kind == "constructor":
-        for n in before.nodes():
-            if n.kind != "ObjectCreation":
-                continue
-            tref = next((c for c in n.children if c.kind == "TypeRef"), None)
-            if tref is None or type_base_name(tref.value) != name:
-                continue
-            if arity is not None and arg_count(n) != arity:
-                continue
+        for n in creation_nodes(before.root, name, arity):
             ids.add(n.id)
             ids.update(c.id for c in n.children
                        if c.kind in ("TypeRef", "ArgumentList"))

@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .conflicts import (IDENT_RE, Conflict, declared_type_node,
-                        declared_type_text, find_decl_method,
-                        _interface_return_for)
+                        declared_type_text, interface_return_for)
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
 from .matching import Resolution
 from .merge3 import MergeScenario
@@ -227,7 +226,7 @@ def _match_interface_return(work: SyntaxTree, conflict: Conflict,
     d = conflict.def_change
     u = conflict.use_intro
     assert isinstance(d, RelationEdit)
-    want = _interface_return_for(
+    want = interface_return_for(
         d.dst, u.new if isinstance(u, EntityEdit) else None)
     if not want:
         raise TargetMissing("interface method return type unknown")

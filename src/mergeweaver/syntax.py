@@ -38,9 +38,6 @@ STATEMENT_KINDS = frozenset({
 })
 
 TYPE_DECL_KINDS = frozenset({"ClassDecl", "InterfaceDecl", "EnumDecl"})
-MEMBER_KINDS = frozenset({
-    "FieldDecl", "MethodDecl", "ConstructorDecl", "EnumConstant",
-}) | TYPE_DECL_KINDS
 
 # (start_line, start_col, end_line, end_col); lines and cols are 1-based.
 Span = tuple[int, int, int, int]

@@ -61,6 +61,14 @@ def corpus_java_files() -> list[Path]:
     return sorted(CORPUS.rglob("*.java"))
 
 
+def merge_inputs() -> list[Path]:
+    """Every corpus scenario and control, then the committed fanout trees."""
+    manifest = json.loads((CORPUS / "manifest.json").read_text())
+    return ([CORPUS / n for n in manifest["scenarios"]]
+            + [CORPUS / "controls" / n for n in manifest["controls"]]
+            + [FANOUT])
+
+
 # ---------------------------------------------------------------------------
 # Random program generation.  Deliberately restricted to constructs the
 # corpus itself exercises; identifiers come from fixed pools so repeated

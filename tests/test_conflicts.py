@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from conftest import CORPUS, run_corpus
+from conftest import CORPUS, merge_inputs, run_corpus
 from mergeweaver.conflicts import classify, detect_conflicts
 from mergeweaver.graph_diff import build_fourway
+from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.rules import resolve_by_rule
@@ -123,3 +124,12 @@ def test_duplicate_definition_sites_distinguish_copies():
     entities = sorted(s.entity for s in c.sites)
     assert len(entities) == 2
     assert entities[1].endswith("#2")
+
+
+@pytest.mark.parametrize("path", merge_inputs(), ids=lambda p: p.name)
+def test_swapping_branches_keeps_the_conflict_set(path):
+    def conflict_set(left, right):
+        scenario = merge_scenario(path / "base", path / left, path / right)
+        return sorted((c.type, c.subject)
+                      for c in detect_conflicts(build_fourway(scenario)))
+    assert conflict_set("left", "right") == conflict_set("right", "left")
