@@ -8,7 +8,9 @@ of the sorted neighbor fqns; pairs below 0.618 stay unmatched.
 
 A delta lists entity edits (add, delete, update with a rename,
 signature-change or body-change detail) and relation edits computed modulo
-the entity match.
+the entity match.  The entities of a unit both graphs share (see ``peg``)
+and the relations both graphs hold cannot make an edit, so a delta looks
+only at the rest.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .merge3 import MergeScenario
-from .peg import Entity, EntityGraph, Relation, build_peg
+from . import peg
+from .peg import Entity, EntityGraph, Relation
 from .similarity import Profile, profile, profile_similarity
 
 MATCH_THRESHOLD = 0.618
@@ -156,14 +159,21 @@ def _update_detail(old: Entity, new: Entity, base: EntityGraph,
     return None
 
 
+def _relation_order(rel: Relation) -> tuple[str, str, str]:
+    return rel.src, rel.kind, rel.dst
+
+
 def diff_graphs(base: EntityGraph, target: EntityGraph,
                 branch: str) -> GraphDelta:
     matches = match_graphs(base, target)
     inverse = {v: k for k, v in matches.items()}
     delta = GraphDelta(branch=branch, base=base, target=target, matches=matches)
 
-    for eid in sorted(base.entities, key=lambda i: base.entities[i].fqn):
-        ent = base.entities[eid]
+    # a unit both graphs share holds the same entities in each, matched to
+    # themselves with one shared declaration, so it makes no entity edit
+    shared = set(base.units).intersection(target.units)
+    for ent in sorted(base.entities_outside(shared), key=lambda e: e.fqn):
+        eid = ent.id
         if eid not in matches:
             delta.entity_edits.append(EntityEdit(
                 "delete", branch, ent.kind, ent.fqn, None, old=ent))
@@ -174,13 +184,14 @@ def diff_graphs(base: EntityGraph, target: EntityGraph,
             delta.entity_edits.append(EntityEdit(
                 "update", branch, ent.kind, ent.fqn, other.fqn,
                 detail=detail, old=ent, new=other))
-    for oid in sorted(target.entities, key=lambda i: target.entities[i].fqn):
-        if oid not in inverse:
-            other = target.entities[oid]
+    for other in sorted(target.entities_outside(shared), key=lambda e: e.fqn):
+        if other.id not in inverse:
             delta.entity_edits.append(EntityEdit(
                 "add", branch, other.kind, None, other.fqn, new=other))
 
-    for rel in sorted(base.relations, key=lambda r: (r.src, r.kind, r.dst)):
+    # a relation both graphs hold joins ids the exact phase matched to
+    # themselves, so only the two set differences can hold edits
+    for rel in sorted(base.relations - target.relations, key=_relation_order):
         if rel.src not in matches:
             continue
         src, dst = base.by_id(rel.src), base.by_id(rel.dst)
@@ -190,7 +201,7 @@ def diff_graphs(base: EntityGraph, target: EntityGraph,
                 continue
         delta.relation_edits.append(RelationEdit(
             "delete", branch, rel.kind, src.fqn, dst.fqn, src=src, dst=dst))
-    for rel in sorted(target.relations, key=lambda r: (r.src, r.kind, r.dst)):
+    for rel in sorted(target.relations - base.relations, key=_relation_order):
         src, dst = target.by_id(rel.src), target.by_id(rel.dst)
         if rel.src in inverse and rel.dst in inverse:
             mapped = Relation(inverse[rel.src], inverse[rel.dst], rel.kind)
@@ -221,10 +232,11 @@ class FourWayGraph:
 
 
 def build_fourway(scenario: MergeScenario) -> FourWayGraph:
-    gb = build_peg(scenario.base, "b")
-    gl = build_peg(scenario.left, "l")
-    gr = build_peg(scenario.right, "r")
-    gam = build_peg(scenario.am, "am")
+    memo: dict = {}     # unit facts shared by the four builds
+    gb = peg.build_peg(scenario.base, "b", memo)
+    gl = peg.build_peg(scenario.left, "l", memo)
+    gr = peg.build_peg(scenario.right, "r", memo)
+    gam = peg.build_peg(scenario.am, "am", memo)
     return FourWayGraph(
         base=gb, left=gl, right=gr, merged=gam,
         delta_left=diff_graphs(gb, gl, "l"),

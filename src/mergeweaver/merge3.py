@@ -146,7 +146,14 @@ def merge_texts(base: dict[str, str], left: dict[str, str],
             if survivor == b:
                 continue  # deleted on one side, untouched on the other
             raise TextualConflict(path)
-        am[path] = merge_file(b, l, r, path)
+        # one side unchanged, or both changed alike: merge_file would take
+        # the other side's edits alone, which rebuild its text exactly
+        if l == b:
+            am[path] = r
+        elif r == b or l == r:
+            am[path] = l
+        else:
+            am[path] = merge_file(b, l, r, path)
     return am
 
 
@@ -155,7 +162,12 @@ def merge_scenario(base_dir: str | Path, left_dir: str | Path,
     base = _read_tree(Path(base_dir))
     left = _read_tree(Path(left_dir))
     right = _read_tree(Path(right_dir))
-    am = merge_texts(base, left, right)
+    return parse_versions(base, left, right, merge_texts(base, left, right))
+
+
+def parse_versions(base: dict[str, str], left: dict[str, str],
+                   right: dict[str, str], am: dict[str, str]) -> MergeScenario:
+    """Parse four path->text maps into a scenario; raises ParseError."""
     scenario = MergeScenario()
     # a file with the same text in several versions is parsed once and its
     # SourceFile shared; resolvers edit clones, never these trees

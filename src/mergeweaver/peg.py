@@ -14,12 +14,36 @@ graph deltas.
 Edges are attributed to the innermost declared member: field initializers
 count as the field, anonymous-body code counts as the member that creates
 the instance.
+
+Unit facts.  The four versions of a merge mostly hold the same files, and
+``merge3`` shares one SourceFile per (path, text) among them, so
+``build_fourway`` passes one memo to its four ``build_peg`` calls.  Per
+SourceFile the memo keeps a ``_Unit``: the entities the file declares
+(immutable, so the graphs share them), its contains and declares relations
+and its diagnostics, all of which depend on the text alone.  A unit is
+resolved in two steps, its head (imports, extends, implements) and then its
+bodies (reads, writes, calls, initializes), because bodies follow the
+superclasses that every unit's head links.  A resolution records each
+symbol-table read it made with the answer, in ids and texts: a type fqn
+looked up (hit or miss, stubs included), a package looked up, a type's
+member list, a type's superclass, a field's declared type.  A later version
+reuses a resolution only if it holds the same SourceFile and every recorded
+read gives the same answer there; otherwise the unit is resolved afresh and
+the new resolution kept beside the old ones.
+
+The reuse is exact: a resolution sees the version only through those reads,
+and the relations it emits hold ids, so equal answers give equal relations.
+This is the verifying-trace rule of Mokhov, Mitchell and Peyton Jones,
+"Build Systems a la Carte" (ICFP 2018).  Packages, the project and stubs are
+assembled per version, entities keep the insertion order of a build from
+scratch, and an empty memo is that build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional
 
 from .printer import pretty_print
 from .syntax import SourceFile, SyntaxNode, TYPE_DECL_KINDS
@@ -58,7 +82,7 @@ class UnknownEntity(KeyError):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Entity:
     kind: str
     fqn: str
@@ -66,11 +90,12 @@ class Entity:
     path: Optional[str] = None
     stub: bool = False
 
-    @property
+    # computed once per entity; frozen fields keep them right
+    @cached_property
     def id(self) -> str:
         return f"{self.kind}:{self.fqn}"
 
-    @property
+    @cached_property
     def simple_name(self) -> str:
         head = self.fqn.split("(", 1)[0]
         name = head.rsplit(".", 1)[-1]
@@ -86,21 +111,64 @@ class Entity:
         return f"<{self.id}>"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     src: str  # entity id
     dst: str
     kind: str
 
 
-class EntityGraph:
+class _Lookups:
+    """Member and supertype queries over ``members_of`` and
+    ``superclass_of``, shared by a graph and by the recorded view that
+    resolution reads a graph through."""
+
+    def members_of(self, entity: Entity) -> list[Entity]:
+        raise NotImplementedError
+
+    def superclass_of(self, type_entity: Entity) -> Optional[Entity]:
+        raise NotImplementedError
+
+    def methods_named(self, type_entity: Entity, name: str,
+                      arity: Optional[int] = None) -> list[Entity]:
+        out = []
+        for member in self.members_of(type_entity):
+            if member.kind not in ("method", "constructor"):
+                continue
+            if member.simple_name != name:
+                continue
+            if arity is not None and arity_of(member) != arity:
+                continue
+            out.append(member)
+        return out
+
+    def field_named(self, type_entity: Entity, name: str) -> Optional[Entity]:
+        for member in self.members_of(type_entity):
+            if member.kind in ("field", "enum-constant") and member.simple_name == name:
+                return member
+        return None
+
+    def supertype_chain(self, type_entity: Entity) -> Iterable[Entity]:
+        seen = {type_entity.id}
+        cur = type_entity
+        while True:
+            cur = self.superclass_of(cur)  # type: ignore[assignment]
+            if cur is None or cur.id in seen:
+                return
+            seen.add(cur.id)
+            yield cur
+
+
+class EntityGraph(_Lookups):
     def __init__(self, version: str):
         self.version = version
         self.entities: dict[str, Entity] = {}
         self.relations: set[Relation] = set()
         self._children: dict[str, list[str]] = {}
         self._parent: dict[str, str] = {}
+        self._super: dict[str, str] = {}    # type id -> superclass id
         self.diagnostics: list[str] = []
+        # the units whose facts this graph holds, in path order
+        self.units: list[_Unit] = []
 
     # -- construction --------------------------------------------------------
 
@@ -112,16 +180,43 @@ class EntityGraph:
         if parent is not None:
             self.add_relation(parent, entity, link or "contains")
             self._parent[entity.id] = parent.id
-            self._children.setdefault(parent.id, []).append(entity.id)
+            # a new list: a unit's child lists are shared with other graphs
+            self._children[parent.id] = \
+                self._children.get(parent.id, []) + [entity.id]
         return entity
 
     def add_relation(self, src: Entity, dst: Entity, kind: str) -> None:
         if kind not in RELATION_KINDS:
             raise ValueError(f"unknown relation kind {kind}")
-        _check_endpoints(src, dst, kind)
-        self.relations.add(Relation(src.id, dst.id, kind))
+        self.relations.add(_relation(src, dst, kind))
+        if kind == "extends":
+            self._super[src.id] = dst.id
+
+    def _add_unit(self, unit: _Unit, package: Entity) -> None:
+        """Adds a unit's declarations under its package; the first entity
+        whose id is taken, in declaration order, raises DuplicateEntity."""
+        entities = self.entities
+        if len(unit.by_id) < len(unit.entities) \
+                or not entities.keys().isdisjoint(unit.by_id):
+            seen: set[str] = set()
+            for ent in unit.entities:
+                if ent.id in entities or ent.id in seen:
+                    raise DuplicateEntity(ent.fqn, self.version)
+                seen.add(ent.id)
+        entities.update(unit.by_id)
+        self.relations.update(unit.relations)
+        self._parent.update(unit.parent)
+        self._children.update(unit.children)
+        self._children.setdefault(package.id, []).append(unit.cu.id)
+        self.diagnostics.extend(unit.diagnostics)
+        self.units.append(unit)
 
     # -- lookup ----------------------------------------------------------------
+
+    def entities_outside(self, units: set[_Unit]) -> list[Entity]:
+        """The entities in insertion order, less those ``units`` declare."""
+        skip = set().union(*(unit.by_id for unit in units))
+        return [ent for eid, ent in self.entities.items() if eid not in skip]
 
     def by_id(self, entity_id: str) -> Entity:
         try:
@@ -146,40 +241,9 @@ class EntityGraph:
     def members_of(self, entity: Entity) -> list[Entity]:
         return [self.entities[cid] for cid in self._children.get(entity.id, [])]
 
-    def methods_named(self, type_entity: Entity, name: str,
-                      arity: Optional[int] = None) -> list[Entity]:
-        out = []
-        for member in self.members_of(type_entity):
-            if member.kind not in ("method", "constructor"):
-                continue
-            if member.simple_name != name:
-                continue
-            if arity is not None and arity_of(member) != arity:
-                continue
-            out.append(member)
-        return out
-
-    def field_named(self, type_entity: Entity, name: str) -> Optional[Entity]:
-        for member in self.members_of(type_entity):
-            if member.kind in ("field", "enum-constant") and member.simple_name == name:
-                return member
-        return None
-
     def superclass_of(self, type_entity: Entity) -> Optional[Entity]:
-        for rel in self.relations:
-            if rel.kind == "extends" and rel.src == type_entity.id:
-                return self.entities.get(rel.dst)
-        return None
-
-    def supertype_chain(self, type_entity: Entity) -> Iterable[Entity]:
-        seen = {type_entity.id}
-        cur = type_entity
-        while True:
-            cur = self.superclass_of(cur)  # type: ignore[assignment]
-            if cur is None or cur.id in seen:
-                return
-            seen.add(cur.id)
-            yield cur
+        sid = self._super.get(type_entity.id)
+        return None if sid is None else self.entities.get(sid)
 
     def body_text(self, entity: Entity) -> str:
         if entity.kind == "package":
@@ -272,117 +336,261 @@ def type_base_name(type_text: str) -> str:
     return base.rsplit(".", 1)[-1]
 
 
+def _relation(src: Entity, dst: Entity, kind: str) -> Relation:
+    _check_endpoints(src, dst, kind)
+    return Relation(src.id, dst.id, kind)
+
+
 # ---------------------------------------------------------------------------
 # builder
 
 
-def build_peg(files: dict[str, SourceFile], version: str) -> EntityGraph:
+def build_peg(files: dict[str, SourceFile], version: str,
+              memo: Optional[dict] = None) -> EntityGraph:
+    """The entity graph of one version.
+
+    ``memo`` maps (path, id of the SourceFile) to that file's unit facts;
+    the builds of one merge may share it (see the module docstring).
+    """
+    memo = {} if memo is None else memo
     graph = EntityGraph(version)
     project = graph.add_entity(Entity("project", "<project>"))
 
-    packages: dict[str, Entity] = {}
-    cu_infos: list[_CuInfo] = []
-
+    units: list[_Unit] = []
     for path in sorted(files):
         src = files[path]
-        root = src.tree.root
-        pkg_name = "(default)"
-        for child in root.children:
-            if child.kind == "PackageDecl":
-                pkg_name = child.value
-        pkg = packages.get(pkg_name)
-        if pkg is None:
-            pkg = graph.add_entity(Entity("package", pkg_name), project)
-            packages[pkg_name] = pkg
-        stem = path.rsplit("/", 1)[-1].removesuffix(".java")
-        prefix = "" if pkg_name == "(default)" else pkg_name + "."
-        cu = graph.add_entity(
-            Entity("compilation-unit", prefix + stem, decl=root, path=path), pkg)
-        info = _CuInfo(path=path, cu=cu, package=pkg_name, prefix=prefix, root=root)
-        cu_infos.append(info)
-        for child in root.children:
-            if child.kind in TYPE_DECL_KINDS:
-                _declare_type(graph, info, cu, prefix, child)
+        unit = memo.get((path, id(src)))
+        if unit is None:    # the unit keeps src alive, so its id stays unique
+            unit = memo[path, id(src)] = _Unit(path, src)
+        pkg = graph.find("package", unit.package) or \
+            graph.add_entity(Entity("package", unit.package), project)
+        graph._add_unit(unit, pkg)
+        units.append(unit)
 
-    _link_imports(graph, cu_infos, packages)
-    _link_heritage(graph, cu_infos)
-    for info in cu_infos:
-        _Resolver(graph, info).run()
+    for unit in units:
+        for name in unit.imports:
+            if not name.endswith(".*") and graph.find_type(name) is None:
+                graph.add_entity(Entity("class", name, stub=True))
+
+    heads = [unit.head(graph) for unit in units]
+    for head in heads:
+        graph.relations.update(head.relations)
+        graph._super.update(head.extends)
+    for unit, head in zip(units, heads):
+        graph.relations.update(unit.body(head, graph).relations)
     return graph
-
-
-@dataclass
-class _CuInfo:
-    path: str
-    cu: Entity
-    package: str
-    prefix: str
-    root: SyntaxNode
-    types: list[tuple[Entity, SyntaxNode]] = field(default_factory=list)
-    imports: list[str] = field(default_factory=list)
 
 
 _KIND_FOR_DECL = {"ClassDecl": "class", "InterfaceDecl": "interface",
                   "EnumDecl": "enum"}
 
 
-def _declare_type(graph: EntityGraph, info: _CuInfo, parent: Entity,
-                  prefix: str, node: SyntaxNode) -> None:
-    fqn = prefix + node.value
-    ent = graph.add_entity(
-        Entity(_KIND_FOR_DECL[node.kind], fqn, decl=node, path=info.path),
-        parent, link="declares")
-    info.types.append((ent, node))
-    occupied: dict[str, int] = {}
-
-    def member_fqn(base: str) -> str:
-        n = occupied.get(base, 0)
-        occupied[base] = n + 1
-        if n == 0:
-            return base
-        graph.diagnostics.append(f"duplicate member {base}")
-        return f"{base}#{n + 1}"
-
-    for child in node.children:
-        if child.kind in TYPE_DECL_KINDS:
-            _declare_type(graph, info, ent, fqn + ".", child)
-        elif child.kind == "FieldDecl":
-            graph.add_entity(
-                Entity("field", member_fqn(f"{fqn}.{child.value}"),
-                       decl=child, path=info.path), ent, link="declares")
-        elif child.kind == "EnumConstant":
-            graph.add_entity(
-                Entity("enum-constant", member_fqn(f"{fqn}.{child.value}"),
-                       decl=child, path=info.path), ent, link="declares")
-        elif child.kind in ("MethodDecl", "ConstructorDecl"):
-            kind = "method" if child.kind == "MethodDecl" else "constructor"
-            sig = ",".join(p_type.value
-                           for param in child.children if param.kind == "Parameter"
-                           for p_type in param.children if p_type.kind == "TypeRef")
-            graph.add_entity(
-                Entity(kind, member_fqn(f"{fqn}.{child.value}({sig})"),
-                       decl=child, path=info.path), ent, link="declares")
+@dataclass(eq=False)
+class _Resolution:
+    """A unit's head or bodies as resolved in some version: the reads made,
+    each with its answer, and the relations emitted."""
+    reads: dict
+    relations: set[Relation]
+    extends: dict[str, str] = field(default_factory=dict)   # head only
+    bodies: list[_Resolution] = field(default_factory=list)  # head only
 
 
-def _link_imports(graph: EntityGraph, cu_infos: list[_CuInfo],
-                  packages: dict[str, Entity]) -> None:
-    for info in cu_infos:
-        for child in info.root.children:
-            if child.kind != "ImportDecl":
-                continue
-            name = child.value
-            info.imports.append(name)
+class _Unit:
+    """What one parsed file contributes to a graph.
+
+    The declarations depend on the file alone; ``heads`` keeps every
+    resolution of the head made so far, each with its body resolutions.
+    """
+
+    def __init__(self, path: str, source: SourceFile):
+        self.source = source
+        self.path = path
+        root = source.tree.root
+        self.package = "(default)"
+        self.imports: list[str] = []
+        for child in root.children:
+            if child.kind == "PackageDecl":
+                self.package = child.value
+            elif child.kind == "ImportDecl":
+                self.imports.append(child.value)
+        self.prefix = "" if self.package == "(default)" else self.package + "."
+        self.entities: list[Entity] = []    # declaration order
+        self.by_id: dict[str, Entity] = {}
+        self.parent: dict[str, str] = {}
+        self.children: dict[str, list[str]] = {}
+        self.relations: list[Relation] = []  # contains and declares
+        self.diagnostics: list[str] = []
+        self.types: list[tuple[Entity, SyntaxNode]] = []
+        self.heads: list[_Resolution] = []
+
+        stem = path.rsplit("/", 1)[-1].removesuffix(".java")
+        self.cu = Entity("compilation-unit", self.prefix + stem, decl=root,
+                         path=path)
+        package_id = f"package:{self.package}"
+        self.entities.append(self.cu)
+        self.by_id[self.cu.id] = self.cu
+        self.parent[self.cu.id] = package_id
+        self.relations.append(Relation(package_id, self.cu.id, "contains"))
+        for child in root.children:
+            if child.kind in TYPE_DECL_KINDS:
+                self._declare_type(self.cu, self.prefix, child)
+
+    def _add(self, entity: Entity, parent: Entity) -> None:
+        self.entities.append(entity)
+        self.by_id.setdefault(entity.id, entity)
+        self.relations.append(_relation(parent, entity, "declares"))
+        self.parent[entity.id] = parent.id
+        self.children.setdefault(parent.id, []).append(entity.id)
+
+    def _declare_type(self, parent: Entity, prefix: str,
+                      node: SyntaxNode) -> None:
+        fqn = prefix + node.value
+        ent = Entity(_KIND_FOR_DECL[node.kind], fqn, decl=node, path=self.path)
+        self._add(ent, parent)
+        self.types.append((ent, node))
+        occupied: dict[str, int] = {}
+
+        def member_fqn(base: str) -> str:
+            n = occupied.get(base, 0)
+            occupied[base] = n + 1
+            if n == 0:
+                return base
+            self.diagnostics.append(f"duplicate member {base}")
+            return f"{base}#{n + 1}"
+
+        for child in node.children:
+            if child.kind in TYPE_DECL_KINDS:
+                self._declare_type(ent, fqn + ".", child)
+            elif child.kind == "FieldDecl":
+                self._add(Entity("field", member_fqn(f"{fqn}.{child.value}"),
+                                 decl=child, path=self.path), ent)
+            elif child.kind == "EnumConstant":
+                self._add(Entity("enum-constant",
+                                 member_fqn(f"{fqn}.{child.value}"),
+                                 decl=child, path=self.path), ent)
+            elif child.kind in ("MethodDecl", "ConstructorDecl"):
+                kind = "method" if child.kind == "MethodDecl" else "constructor"
+                sig = ",".join(p_type.value
+                               for param in child.children if param.kind == "Parameter"
+                               for p_type in param.children if p_type.kind == "TypeRef")
+                self._add(Entity(kind, member_fqn(f"{fqn}.{child.value}({sig})"),
+                                 decl=child, path=self.path), ent)
+
+    def members_of(self, entity: Entity) -> list[Entity]:
+        return [self.by_id[cid] for cid in self.children.get(entity.id, [])]
+
+    def parent_of(self, entity: Entity) -> Optional[Entity]:
+        """The parent within this unit; None for the compilation unit."""
+        pid = self.parent.get(entity.id)
+        return self.by_id.get(pid) if pid else None
+
+    # -- resolution ----------------------------------------------------------
+
+    def head(self, graph: EntityGraph) -> _Resolution:
+        """Imports and heritage; needs the version's types and stubs."""
+        found = _reusable(self.heads, graph)
+        if found is None:
+            found = self._resolve_head(_Reads(graph))
+            self.heads.append(found)
+        return found
+
+    def body(self, head: _Resolution, graph: EntityGraph) -> _Resolution:
+        """Member bodies; needs every unit's head in the version."""
+        found = _reusable(head.bodies, graph)
+        if found is None:
+            reads = _Reads(graph)
+            found = _Resolution(reads.log, _Resolver(self, reads).run())
+            head.bodies.append(found)
+        return found
+
+    def _resolve_head(self, reads: _Reads) -> _Resolution:
+        relations: set[Relation] = set()
+        extends: dict[str, str] = {}
+        for name in self.imports:
             if name.endswith(".*"):
-                pkg = packages.get(name[:-2])
-                if pkg is not None:
-                    graph.add_relation(info.cu, pkg, "imports")
+                if reads.has_package(name[:-2]):
+                    relations.add(Relation(self.cu.id, f"package:{name[:-2]}",
+                                           "imports"))
                 continue
-            target = graph.find_type(name)
-            if target is None:
-                target = graph.entities.get(f"class:{name}")
-                if target is None:
-                    target = graph.add_entity(Entity("class", name, stub=True))
-            graph.add_relation(info.cu, target, "imports")
+            target = reads.find_type(name)   # a stub when nothing declares it
+            assert target is not None
+            relations.add(_relation(self.cu, target, "imports"))
+        scope = _TypeScope(reads, self)
+        for ent, node in self.types:
+            extends_texts, implements_texts = heritage(node)
+            for text in extends_texts:
+                target = scope.resolve_type(text)
+                if target is not None and \
+                        (ent.kind, target.kind) in (("class", "class"),
+                                                    ("interface", "interface")):
+                    relations.add(_relation(ent, target, "extends"))
+                    extends[ent.id] = target.id
+            for text in implements_texts:
+                target = scope.resolve_type(text)
+                if target is not None and ent.kind == "class" \
+                        and target.kind == "interface":
+                    relations.add(_relation(ent, target, "implements"))
+        return _Resolution(reads.log, relations, extends)
+
+
+def _answer(graph: EntityGraph, kind: str, arg: str):
+    """The answer of one symbol-table read, in ids and texts."""
+    if kind == "type":
+        hit = graph.find_type(arg)
+        return None if hit is None else hit.id
+    if kind == "members":
+        return graph._children.get(arg)
+    if kind == "super":
+        return graph._super.get(arg)
+    if kind == "package":
+        return f"package:{arg}" in graph.entities
+    # "field-type": the declared type of a field, None once it is gone
+    fld = graph.entities.get(arg)
+    if fld is None or fld.decl is None:
+        return None
+    return next((c.value for c in fld.decl.children if c.kind == "TypeRef"),
+                None)
+
+
+def _reusable(resolutions: list[_Resolution],
+              graph: EntityGraph) -> Optional[_Resolution]:
+    """The first resolution whose every read answers the same in graph."""
+    for res in resolutions:
+        if all(_answer(graph, kind, arg) == got
+               for (kind, arg), got in res.reads.items()):
+            return res
+    return None
+
+
+class _Reads(_Lookups):
+    """A version's symbol table as one resolution reads it; every answer
+    given is logged as (read kind, argument) -> answer."""
+
+    def __init__(self, graph: EntityGraph):
+        self.graph = graph
+        self.log: dict[tuple[str, str], object] = {}
+
+    def _ask(self, kind: str, arg: str):
+        got = self.log[kind, arg] = _answer(self.graph, kind, arg)
+        return got
+
+    def find_type(self, fqn: str) -> Optional[Entity]:
+        tid = self._ask("type", fqn)
+        return None if tid is None else self.graph.entities[tid]
+
+    def has_package(self, name: str) -> bool:
+        return self._ask("package", name)
+
+    def members_of(self, entity: Entity) -> list[Entity]:
+        entities = self.graph.entities
+        return [entities[cid] for cid in self._ask("members", entity.id) or ()]
+
+    def superclass_of(self, type_entity: Entity) -> Optional[Entity]:
+        sid = self._ask("super", type_entity.id)
+        return None if sid is None else self.graph.entities.get(sid)
+
+    def field_type(self, fld: Entity) -> Optional[str]:
+        return self._ask("field-type", fld.id)
 
 
 def heritage(node: SyntaxNode) -> tuple[list[str], list[str]]:
@@ -400,56 +608,38 @@ def heritage(node: SyntaxNode) -> tuple[list[str], list[str]]:
     return extends, implements
 
 
-def _link_heritage(graph: EntityGraph, cu_infos: list[_CuInfo]) -> None:
-    for info in cu_infos:
-        scope = _TypeScope(graph, info)
-        for ent, node in info.types:
-            extends, implements = heritage(node)
-            for text in extends:
-                target = scope.resolve_type(text)
-                if target is not None and \
-                        (ent.kind, target.kind) in (("class", "class"),
-                                                    ("interface", "interface")):
-                    graph.add_relation(ent, target, "extends")
-            for text in implements:
-                target = scope.resolve_type(text)
-                if target is not None and ent.kind == "class" \
-                        and target.kind == "interface":
-                    graph.add_relation(ent, target, "implements")
-
-
 class _TypeScope:
     """Simple-name type resolution for one compilation unit."""
 
-    def __init__(self, graph: EntityGraph, info: _CuInfo):
-        self.graph = graph
-        self.info = info
+    def __init__(self, reads: _Reads, unit: _Unit):
+        self.reads = reads
+        self.prefix = unit.prefix
         self._local: dict[str, Entity] = {}
-        for ent, _node in info.types:
+        for ent, _node in unit.types:
             self._local.setdefault(ent.simple_name, ent)
         self._imported: dict[str, Entity] = {}
         self._wildcards: list[str] = []
-        for name in info.imports:
+        for name in unit.imports:
             if name.endswith(".*"):
                 self._wildcards.append(name[:-2])
                 continue
-            target = graph.find_type(name) or graph.entities.get(f"class:{name}")
+            target = reads.find_type(name)
             if target is not None:
                 self._imported[name.rsplit(".", 1)[-1]] = target
 
     def resolve_type(self, type_text: str) -> Optional[Entity]:
         base = type_text.split("<", 1)[0]
         if "." in base:
-            return self.graph.find_type(base)
+            return self.reads.find_type(base)
         if base in self._local:
             return self._local[base]
         if base in self._imported:
             return self._imported[base]
-        same_pkg = self.graph.find_type(self.info.prefix + base)
+        same_pkg = self.reads.find_type(self.prefix + base)
         if same_pkg is not None:
             return same_pkg
         for pkg in self._wildcards:
-            hit = self.graph.find_type(f"{pkg}.{base}")
+            hit = self.reads.find_type(f"{pkg}.{base}")
             if hit is not None:
                 return hit
         return None
@@ -458,14 +648,15 @@ class _TypeScope:
 class _Resolver:
     """Walks member bodies of one unit emitting reads/writes/calls/initializes."""
 
-    def __init__(self, graph: EntityGraph, info: _CuInfo):
-        self.graph = graph
-        self.info = info
-        self.scope = _TypeScope(graph, info)
+    def __init__(self, unit: _Unit, reads: _Reads):
+        self.unit = unit
+        self.reads = reads
+        self.scope = _TypeScope(reads, unit)
+        self.relations: set[Relation] = set()
 
-    def run(self) -> None:
-        for type_ent, node in self.info.types:
-            for member in self.graph.members_of(type_ent):
+    def run(self) -> set[Relation]:
+        for type_ent, node in self.unit.types:
+            for member in self.unit.members_of(type_ent):
                 if member.decl is None:
                     continue
                 if member.kind == "field":
@@ -475,6 +666,7 @@ class _Resolver:
                         self._walk_expr(init[0], member, type_ent, [{}])
                 elif member.kind in ("method", "constructor"):
                     self._member_body(member, type_ent)
+        return self.relations
 
     def _member_body(self, member: Entity, type_ent: Entity) -> None:
         decl = member.decl
@@ -555,11 +747,11 @@ class _Resolver:
         return False, None
 
     def _field_in_chain(self, type_ent: Entity, name: str) -> Optional[Entity]:
-        hit = self.graph.field_named(type_ent, name)
+        hit = self.reads.field_named(type_ent, name)
         if hit is not None:
             return hit
-        for sup in self.graph.supertype_chain(type_ent):
-            hit = self.graph.field_named(sup, name)
+        for sup in self.reads.supertype_chain(type_ent):
+            hit = self.reads.field_named(sup, name)
             if hit is not None:
                 return hit
         return None
@@ -570,18 +762,18 @@ class _Resolver:
             hit = self._field_in_chain(cur, name)
             if hit is not None:
                 return hit
-            parent = self.graph.parent_of(cur)
+            parent = self.unit.parent_of(cur)
             cur = parent if parent is not None and \
                 parent.kind in _TYPE_ENTITY_KINDS else None
         return None
 
     def _methods_in_chain(self, type_ent: Entity, name: str,
                           arity: int) -> list[Entity]:
-        hits = self.graph.methods_named(type_ent, name, arity)
+        hits = self.reads.methods_named(type_ent, name, arity)
         if hits:
             return hits
-        for sup in self.graph.supertype_chain(type_ent):
-            hits = self.graph.methods_named(sup, name, arity)
+        for sup in self.reads.supertype_chain(type_ent):
+            hits = self.reads.methods_named(sup, name, arity)
             if hits:
                 return hits
         return []
@@ -593,7 +785,7 @@ class _Resolver:
             hits = self._methods_in_chain(cur, name, arity)
             if hits:
                 return hits
-            parent = self.graph.parent_of(cur)
+            parent = self.unit.parent_of(cur)
             cur = parent if parent is not None and \
                 parent.kind in _TYPE_ENTITY_KINDS else None
         return []
@@ -608,11 +800,10 @@ class _Resolver:
             if is_local:
                 return declared, False
             fld = self._enclosing_field(receiver.value, type_ent)
-            if fld is not None and fld.decl is not None:
-                tref = next((c for c in fld.decl.children
-                             if c.kind == "TypeRef"), None)
-                if tref is not None:
-                    return self.scope.resolve_type(tref.value), False
+            if fld is not None:
+                text = self.reads.field_type(fld)
+                if text is not None:
+                    return self.scope.resolve_type(text), False
                 return None, False
             as_type = self.scope.resolve_type(receiver.value)
             if as_type is not None:
@@ -622,9 +813,8 @@ class _Resolver:
             return self.scope.resolve_type(receiver.children[0].value), False
         return None, False
 
-    def _emit_read_or_write(self, target: Entity, member: Entity,
-                            write: bool) -> None:
-        self.graph.add_relation(member, target, "writes" if write else "reads")
+    def _emit(self, src: Entity, dst: Entity, kind: str) -> None:
+        self.relations.add(_relation(src, dst, kind))
 
     def _walk_expr(self, expr: SyntaxNode, member: Entity, type_ent: Entity,
                    scopes: list[dict], as_target: bool = False) -> None:
@@ -637,7 +827,7 @@ class _Resolver:
                 return
             fld = self._enclosing_field(expr.value, type_ent)
             if fld is not None:
-                self._emit_read_or_write(fld, member, as_target)
+                self._emit(member, fld, "writes" if as_target else "reads")
             return
         if k == "Literal" or k == "TypeRef":
             return
@@ -647,7 +837,7 @@ class _Resolver:
             if recv_type is not None:
                 fld = self._field_in_chain(recv_type, expr.value)
                 if fld is not None:
-                    self._emit_read_or_write(fld, member, as_target)
+                    self._emit(member, fld, "writes" if as_target else "reads")
             self._walk_expr(receiver, member, type_ent, scopes)
             return
         if k == "MethodInvocation":
@@ -659,7 +849,7 @@ class _Resolver:
                 if expr.value == "this":
                     owner = self._owner_class(member)
                     if owner is not None:
-                        targets = self.graph.methods_named(owner, owner.simple_name,
+                        targets = self.reads.methods_named(owner, owner.simple_name,
                                                            arity)
                 else:
                     targets = self._enclosing_methods(expr.value, type_ent, arity)
@@ -669,7 +859,7 @@ class _Resolver:
                     targets = self._methods_in_chain(recv_type, expr.value, arity)
                 self._walk_expr(receiver, member, type_ent, scopes)
             for target in targets:
-                self.graph.add_relation(member, target, "calls")
+                self._emit(member, target, "calls")
             for arg in args.children:
                 self._walk_expr(arg, member, type_ent, scopes)
             return
@@ -677,11 +867,11 @@ class _Resolver:
             tref, args = expr.children[0], expr.children[1]
             created = self.scope.resolve_type(tref.value)
             if created is not None and created.kind == "class":
-                self.graph.add_relation(member, created, "initializes")
-                for ctor in self.graph.methods_named(created, created.simple_name,
+                self._emit(member, created, "initializes")
+                for ctor in self.reads.methods_named(created, created.simple_name,
                                                      len(args.children)):
                     if ctor.kind == "constructor":
-                        self.graph.add_relation(member, ctor, "calls")
+                        self._emit(member, ctor, "calls")
             for arg in args.children:
                 self._walk_expr(arg, member, type_ent, scopes)
             if len(expr.children) > 2 and expr.children[2].kind == "AnonymousBody":
@@ -705,7 +895,7 @@ class _Resolver:
             return
 
     def _owner_class(self, member: Entity) -> Optional[Entity]:
-        parent = self.graph.parent_of(member)
+        parent = self.unit.parent_of(member)
         return parent if parent is not None and parent.kind == "class" else None
 
     def _anonymous_body(self, body: SyntaxNode, member: Entity,

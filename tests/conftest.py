@@ -4,8 +4,10 @@ tree generators used by the round-trip and differ oracles."""
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,12 @@ from mergeweaver.syntax import SyntaxNode, SyntaxTree
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 FANOUT = ROOT / "tests" / "data" / "synthetic" / "rename-fanout"
+
+# bench/gen.py, the seeded workload generator, imported as ``bench_gen``
+_spec = importlib.util.spec_from_file_location("bench_gen",
+                                               ROOT / "bench" / "gen.py")
+bench_gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_gen)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -236,3 +236,14 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize("scenario", [FANOUT, MOT], ids=["fanout", "corpus"])
+def test_graph_dumps_do_not_depend_on_the_hash_seed(scenario):
+    argv = args_for("detect", scenario=scenario, no_timing=True,
+                    dump_peg=True, dump_delta=True)
+    runs = [_run_checkout(argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert "[peg:merged]" in runs[0].stderr and "[delta:right]" in runs[0].stderr
+    assert runs[0].stderr == runs[1].stderr

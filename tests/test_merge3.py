@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import CORPUS, random_disjoint_triple
 from mergeweaver.merge3 import (TextualConflict, merge_file, merge_scenario,
@@ -56,6 +57,20 @@ def test_laws_on_random_disjoint_triples():
         for line in merged.splitlines():
             assert (line in b.splitlines() or line in l.splitlines()
                     or line in r.splitlines())
+
+
+_texts = st.lists(st.sampled_from(["a\n", "b\n", "c\n", "\n", "a", "b\r\n"]),
+                  max_size=8).map("".join)
+
+
+@given(base=_texts, other=_texts, changed=st.sampled_from(["l", "r", "lr"]))
+def test_unchanged_side_shortcut_equals_merge_file(base, other, changed):
+    # merge_texts skips difflib when one side equals base or both sides
+    # agree; merge_file must give the same text on those triples
+    left = other if "l" in changed else base
+    right = other if "r" in changed else base
+    assert merge_texts({"F": base}, {"F": left}, {"F": right}) \
+        == {"F": merge_file(base, left, right)}
 
 
 def test_merge_texts_file_add_and_delete():

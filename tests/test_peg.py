@@ -1,7 +1,12 @@
 """Program entity graph extraction on hand-built source trees."""
 
+import pytest
+
+from conftest import merge_inputs
+from mergeweaver.graph_diff import build_fourway
+from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
-from mergeweaver.peg import (arity_of, build_peg, lookup_uses,
+from mergeweaver.peg import (DuplicateEntity, arity_of, build_peg, lookup_uses,
                              type_base_name)
 
 
@@ -180,3 +185,34 @@ def test_var_typed_receiver_resolves_calls():
 def test_graph_validates_cleanly():
     g = graph_of(**FIXTURE)
     g.validate()
+
+
+@pytest.mark.parametrize("text,fqn", [
+    ("package p;\n\nclass A {\n}\n\nclass A {\n}\n", "p.A"),
+    ("package p;\n\nclass A {\n    class B {\n    }\n\n    class B {\n    }\n}\n",
+     "p.A.B"),
+])
+def test_type_declared_twice_in_one_file_raises(text, fqn):
+    with pytest.raises(DuplicateEntity) as exc:
+        graph_of(**{"A.java": text})
+    assert exc.value.fqn == fqn
+
+
+def test_superclass_index_matches_relation_scan():
+    def scanned(graph, type_entity):
+        for rel in graph.relations:
+            if rel.kind == "extends" and rel.src == type_entity.id:
+                return graph.entities.get(rel.dst)
+        return None
+
+    checked = with_super = 0
+    for d in merge_inputs():
+        fw = build_fourway(merge_scenario(d / "base", d / "left", d / "right"))
+        for graph in (fw.base, fw.left, fw.right, fw.merged):
+            for ent in graph.entities.values():
+                if ent.kind in ("class", "interface", "enum"):
+                    sup = graph.superclass_of(ent)
+                    assert sup is scanned(graph, ent)
+                    checked += 1
+                    with_super += sup is not None
+    assert checked > 300 and with_super > 10

@@ -7,22 +7,14 @@ give the same code for every (def, use) edit pair of both orientations and
 the same conflicts, down to each site's node id.
 """
 
-import importlib.util
-import sys
-
 import pytest
 
 import reference_conflicts as ref
-from conftest import ROOT, merge_inputs
+from conftest import bench_gen, merge_inputs
 from mergeweaver.conflicts import TAXONOMY, classify, detect_conflicts
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.rules import RULES
-
-_spec = importlib.util.spec_from_file_location("bench_gen",
-                                               ROOT / "bench" / "gen.py")
-bench_gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_gen)
 
 GENERATED = [(w, s) for w in ("method-rename", "package-rename",
                               "rename-fanout") for s in (1, 4242)]

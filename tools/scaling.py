@@ -1,0 +1,72 @@
+"""Per-stage wall time of the synthetic workloads as they grow.
+
+    python3 tools/scaling.py [--repeat N] [--seed S] [--workload NAME]
+
+Each workload is generated by bench/gen.py (imported, not modified) at a
+range of sizes, written to a temporary directory and run through
+``run_scenario`` N times.  The output is a Markdown table with the best of
+the N runs of every stage in ``Report.timings_ms``, in milliseconds:
+
+* method-rename at 120, 240, 480 and 960 files;
+* package-rename at 24, 48, 96 and 192 files;
+* rename-fanout at 16, 32 and 64 hub methods.
+
+The largest sizes take tens of seconds each; ``--workload`` runs one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import gen  # noqa: E402
+from mergeweaver.pipeline import run_scenario  # noqa: E402
+
+SIZES = (
+    ("method-rename", "files", (120, 240, 480, 960)),
+    ("package-rename", "files", (24, 48, 96, 192)),
+    ("rename-fanout", "methods", (16, 32, 64)),
+)
+STAGES = ("merge", "graphs", "detect", "resolve", "total")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeat", type=int, default=2,
+                        help="runs per size; the best is reported")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", choices=[w for w, _p, _s in SIZES],
+                        help="run only this workload")
+    args = parser.parse_args(argv)
+
+    print("| workload | size | " + " | ".join(STAGES) + " |")
+    print("| --- | --- |" + " --- |" * len(STAGES))
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, param, sizes in SIZES:
+            if args.workload and workload != args.workload:
+                continue
+            for size in sizes:
+                out = Path(tmp) / f"{workload}-{size}"
+                gen.write_workload(
+                    gen.generate(workload, args.seed, **{param: size}), out)
+                best: dict[str, float] = {}
+                for _ in range(args.repeat):
+                    timings = run_scenario(out / "base", out / "left",
+                                           out / "right").report.timings_ms
+                    for stage in STAGES:
+                        best[stage] = min(best.get(stage, timings[stage]),
+                                          timings[stage])
+                cells = " | ".join(f"{best[stage]:.0f}" for stage in STAGES)
+                print(f"| {workload} | {size} {param} | {cells} |",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
