@@ -1,17 +1,50 @@
 """Lexer and recursive-descent parser for the supported Java subset.
 
-The subset covers package/import declarations, (nested) class/interface/enum
-declarations with extends/implements, fields with initializers, methods and
-constructors with modifiers, name-only annotations, parameters and throws
-clauses, enum constants, the usual statement forms, and an expression grammar
-of names, literals, invocation chains, field accesses, object creation with
-anonymous bodies, binary operators, assignments and casts.  Generic type
-arguments are kept as opaque text on TypeRef values.  Comments are discarded.
+What parses:
+
+* package and single-type or on-demand (``.*``) imports;
+* class, interface and enum declarations, nested too, with extends and
+  implements clauses, name-only annotations and the modifiers public,
+  private, protected, static, final and abstract;
+* fields with an optional initializer, methods (abstract ones end in
+  ``;``) and constructors, with parameters, ``final`` parameters and a
+  throws clause; enum constants as bare names separated by commas, closed
+  by ``;`` or ``}``;
+* statements: blocks, local variable declarations, expression statements,
+  if/else, for, for-each, while, return and throw (``break;`` and
+  ``continue;`` parse as expression statements of a bare name);
+* expressions: names, number, string, char, boolean and null literals, a
+  minus sign directly before a number literal, invocation chains, field
+  accesses, object creation with an optional anonymous body, casts
+  ``(T) e``, the binary operators ``|| && == != < > <= >= + - * / %``
+  (left-associative, in the usual precedence), and ``=`` assignments to a
+  name or field access.
+
+Generic type arguments are kept as opaque text on TypeRef values.
+Comments are discarded.  Among what does not parse, a ParseError names
+the first offending token:
+
+* parenthesised expressions: ``(a + b) * c`` fails, because ``(`` in an
+  expression always starts a cast;
+* unary minus on anything other than a number literal (``-x``), and the
+  other unary operators (``!``, ``++``, ``--``);
+* a trailing comma after enum constants (``enum E { A, B, }``), and a
+  missing or trailing comma between parameters or arguments;
+* the empty statement ``;``;
+* arrays, compound assignment, ``?:``, ``instanceof``, lambdas, method
+  references, switch, try/catch, do/while, ``synchronized``, static
+  imports, annotation arguments, varargs, records, default methods and
+  generic methods.
 
 Heritage and throws clauses are encoded with keyword marker leaves: a Name
 node valued "extends", "implements" or "throws" precedes the TypeRef children
 it introduces.  That keeps the node vocabulary closed while leaving the
 printer enough to reproduce the clause.
+
+The scanner writes each file's tokens into four parallel lists (kinds,
+texts, lines, cols) that end in ``_EOF_PAD`` eof entries, so the parser
+reads one token ahead by index without a bound check, and a node's span
+start is just a token index.
 """
 
 from __future__ import annotations
@@ -24,36 +57,51 @@ from .syntax import SourceFile, SyntaxNode, SyntaxTree
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
 STMT_KEYWORDS = {"if", "for", "while", "return", "throw"}
 TYPE_KEYWORDS = {"class", "interface", "enum"}
+_NOT_A_LOCAL_TYPE = STMT_KEYWORDS | {"new", "else"}
+_NOT_A_CONSTANT = MODIFIERS | TYPE_KEYWORDS
+_LITERAL_KINDS = frozenset({"number", "string", "char"})
 
-# Binary operators by increasing precedence tier.
-_BINARY_TIERS = [
+# The precedence tier of every binary operator, lowest first; all are
+# left-associative.
+_TIER = {op: tier for tier, ops in enumerate([
     ["||"],
     ["&&"],
     ["==", "!="],
     ["<", ">", "<=", ">="],
     ["+", "-"],
     ["*", "/", "%"],
-]
+]) for op in ops}
 
-# One alternative per token class, tried in this order at each position.
-# "skip" takes a run of whitespace and comments; "open" catches a "/*" with
-# no closing "*/".  \w and str.isalnum agree on every character, so the
-# classes below follow the isalpha/isdigit/isalnum rules of the language
-# subset except for characters that are \w but neither letters nor decimal
-# digits (such as "\u00b2"), which tokenize() sorts out by hand.
+# One match per token: an atomic run of whitespace and comments, then one
+# alternative per token class.  The run is atomic so that a token that
+# fails to match never makes the engine re-read "/* a */ # /* b */" as one
+# longer comment.  A lookahead never backtracks, so the run is read in a
+# lookahead and then consumed by a backreference (``(?>...)`` would do the
+# same, but needs Python 3.11).  The token group closes after the "skip"
+# group, so a match's ``lastgroup`` names the token.  "open" catches a
+# "/*" with no closing "*/" and must come before "punct", which would take
+# its "/".  \w and str.isalnum agree on every character, so the classes
+# below follow the isalpha/isdigit/isalnum rules of the language subset
+# except for characters that are \w but neither letters nor decimal digits
+# (such as "²"), which scan() sorts out by hand.
+_SKIP = r"(?=(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*))(?P=skip)"
 _TOKEN_RE = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
-    r"|(?P<open>/\*)"
-    r"|(?P<ident>(?:[^\W\d]|\$)[\w$]*)"
+    _SKIP +
+    r"(?:(?P<ident>(?:[^\W\d]|\$)[\w$]*)"
     r"|(?P<number>\d(?:[^\W_]|\.)*)"
     r'|(?P<string>"(?:[^"\\]|\\.)*")'
     r"|(?P<char>'(?:[^'\\]|\\.)*')"
-    r"|(?P<punct>\|\||&&|==|!=|<=|>=|[{}()\[\];,.@:=<>+\-*/%!?])",
+    r"|(?P<open>/\*)"
+    r"|(?P<punct>\|\||&&|==|!=|<=|>=|[{}()\[\];,.@:=<>+\-*/%!?]))",
     re.DOTALL)
+_SKIP_RE = re.compile(_SKIP, re.DOTALL)
 _NUMBER_TAIL = re.compile(r"(?:[^\W_]|\.)*")
 _UNTERMINATED = {'"': "unterminated string literal",
                  "'": "unterminated char literal"}
-_MULTILINE = frozenset({"skip", "string", "char"})
+
+# eof entries at the end of the scanned lists: the real eof token plus
+# one more, so that a one-token lookahead from eof stays in range
+_EOF_PAD = 2
 
 
 class ParseError(Exception):
@@ -73,380 +121,414 @@ class Token:
     col: int
 
 
+Scan = tuple[list[str], list[str], list[int], list[int]]
+
+
+def scan(path: str, text: str) -> Scan:
+    """Kinds, texts, lines and cols of the tokens of ``text``.
+
+    Each list ends in ``_EOF_PAD`` copies of an eof token.  Lines and
+    columns are 1-based; every character, tabs and carriage returns
+    included, advances the column by one.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    match = _TOKEN_RE.match
+    rfind = text.rfind
+    pos = 0
+    line = 1
+    line_start = 0      # index of the first character of ``line``
+    last = 0            # start of the previous token; no newline before it
+    while True:
+        m = match(text, pos)
+        if m is None:
+            start = _SKIP_RE.match(text, pos).end()
+            kind = "eof"
+        else:
+            kind = m.lastgroup
+            start = m.start(kind)
+            pos = m.end()
+        # only skipped text and string or char tokens hold newlines
+        nl = rfind("\n", last, start)
+        if nl != -1:
+            line += text.count("\n", last, nl + 1)
+            line_start = nl + 1
+        last = start
+        if kind == "ident":
+            if text[start] >= "\x80" and not text[start].isalpha():
+                # a \w character that is no letter: a digit such as
+                # "²" starts a number, anything else is not a token
+                if not text[start].isdigit():
+                    raise ParseError(path, line, start - line_start + 1,
+                                     f"unexpected character {text[start]!r}")
+                kind = "number"
+                pos = _NUMBER_TAIL.match(text, start + 1).end()
+        elif kind == "eof":
+            if start < len(text):
+                ch = text[start]
+                raise ParseError(path, line, start - line_start + 1,
+                                 _UNTERMINATED.get(
+                                     ch, f"unexpected character {ch!r}"))
+            for _ in range(_EOF_PAD):
+                kinds.append("eof")
+                texts.append("")
+                lines.append(line)
+                cols.append(start - line_start + 1)
+            return kinds, texts, lines, cols
+        elif kind == "open":
+            raise ParseError(path, line, start - line_start + 1,
+                             "unterminated block comment")
+        kinds.append(kind)
+        texts.append(text[start:pos])
+        lines.append(line)
+        cols.append(start - line_start + 1)
+
+
+def token_texts(text: str) -> list[str]:
+    """Texts of the tokens of ``text``, without the eof token."""
+    texts = scan("<tokens>", text)[1]
+    del texts[-_EOF_PAD:]
+    return texts
+
+
 def tokenize(path: str, text: str) -> list[Token]:
     """Tokens of ``text``, ending with an eof token.
 
     Lines and columns are 1-based; every character, tabs and carriage
     returns included, advances the column by one.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
-    pos = 0
-    n = len(text)
-    line = 1
-    line_start = 0              # index of the first character of ``line``
-    while pos < n:
-        m = match(text, pos)
-        kind = m.lastgroup if m is not None else None
-        if kind is None or kind == "open":
-            col = pos - line_start + 1
-            ch = text[pos]
-            if ch in _UNTERMINATED:
-                raise ParseError(path, line, col, _UNTERMINATED[ch])
-            if kind == "open":
-                raise ParseError(path, line, col, "unterminated block comment")
-            raise ParseError(path, line, col, f"unexpected character {ch!r}")
-        end = m.end()
-        if kind == "ident" and text[pos] >= "\x80" and not text[pos].isalpha():
-            # a \w character that is no letter: a digit such as "\u00b2"
-            # starts a number, anything else is not a token
-            if not text[pos].isdigit():
-                raise ParseError(path, line, pos - line_start + 1,
-                                 f"unexpected character {text[pos]!r}")
-            kind = "number"
-            end = _NUMBER_TAIL.match(text, pos + 1).end()
-        if kind != "skip":
-            append(Token(kind, text[pos:end], line, pos - line_start + 1))
-        if kind in _MULTILINE:
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, end) + 1
-        pos = end
-    append(Token("eof", "", line, n - line_start + 1))
-    return tokens
+    kinds, texts, lines, cols = scan(path, text)
+    n = len(kinds) - _EOF_PAD + 1
+    return list(map(Token, kinds[:n], texts[:n], lines[:n], cols[:n]))
 
 
 class _Parser:
-    def __init__(self, path: str, tokens: list[Token]):
+    def __init__(self, path: str, tokens: Scan):
         self.path = path
-        self.toks = tokens
+        self.kinds, self.texts, self.lines, self.cols = tokens
         self.pos = 0
-        self.ntoks = len(tokens)
-        self.eof = tokens[-1]       # returned for every look past the end
+        self.eof = len(self.kinds) - _EOF_PAD   # index of the real eof
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, off: int = 0) -> Token:
-        i = self.pos + off
-        return self.toks[i] if i < self.ntoks else self.eof
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind in ("punct", "ident")
-
-    def at_ident(self) -> bool:
-        return self.peek().kind == "ident"
-
-    def take(self) -> Token:
-        tok = self.toks[self.pos]
+    def expect(self, text: str) -> None:
+        found = self.texts[self.pos]
+        if found != text:
+            self.fail(f"expected {text!r} but found {found!r}")
         self.pos += 1
-        return tok
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.fail(f"expected {text!r} but found {tok.text!r}")
-        return self.take()
-
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected identifier but found {tok.text!r}")
-        return self.take()
+    def expect_ident(self) -> str:
+        if self.kinds[self.pos] != "ident":
+            self.fail("expected identifier but found "
+                      f"{self.texts[self.pos]!r}")
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(self.path, tok.line, tok.col, message)
+        p = self.pos
+        raise ParseError(self.path, self.lines[p], self.cols[p], message)
 
-    # -- span helpers ------------------------------------------------------
-
-    def _start(self) -> tuple[int, int]:
-        tok = self.peek()
-        return (tok.line, tok.col)
-
-    def _end(self) -> tuple[int, int]:
-        tok = self.toks[self.pos - 1]
-        return (tok.line, tok.col + max(len(tok.text) - 1, 0))
+    # -- nodes -------------------------------------------------------------
 
     def _node(self, kind: str, value: str, children: list[SyntaxNode],
-              start: tuple[int, int]) -> SyntaxNode:
-        el, ec = self._end()
-        return SyntaxNode(kind, value, children, span=(start[0], start[1], el, ec))
+              start: int) -> SyntaxNode:
+        """A node spanning the tokens from index ``start`` to the last one
+        taken.  With none taken that is index -1, an eof entry, so an empty
+        file's unit spans its eof position."""
+        end = self.pos - 1
+        lines, cols = self.lines, self.cols
+        last = self.texts[end]
+        return SyntaxNode(kind, value, children, (
+            lines[start], cols[start], lines[end],
+            cols[end] + len(last) - 1 if last else cols[end]))
+
+    def _leaf(self, kind: str) -> SyntaxNode:
+        """A childless node of the next token, valued by its text."""
+        self.pos += 1
+        return self._node(kind, self.texts[self.pos - 1], [], self.pos - 1)
 
     # -- top level ---------------------------------------------------------
 
     def parse_unit(self) -> SyntaxNode:
-        start = self._start()
+        texts = self.texts
         children: list[SyntaxNode] = []
-        if self.at("package"):
-            pstart = self._start()
-            self.take()
+        if texts[0] == "package":
+            self.pos = 1
             name = self._qualified_name()
             self.expect(";")
-            children.append(self._node("PackageDecl", name, [], pstart))
-        while self.at("import"):
-            istart = self._start()
-            self.take()
+            children.append(self._node("PackageDecl", name, [], 0))
+        while texts[self.pos] == "import":
+            istart = self.pos
+            self.pos += 1
             name = self._qualified_name()
-            if self.at("."):
-                self.take()
+            if texts[self.pos] == ".":
+                self.pos += 1
                 self.expect("*")
                 name += ".*"
             self.expect(";")
             children.append(self._node("ImportDecl", name, [], istart))
-        while self.peek().kind != "eof":
+        while self.pos < self.eof:
             children.append(self.parse_type_decl())
-        return self._node("CompilationUnit", "", children, start)
+        return self._node("CompilationUnit", "", children, 0)
 
     def _qualified_name(self) -> str:
-        parts = [self.expect_ident().text]
-        while self.at(".") and self.peek(1).kind == "ident":
-            self.take()
-            parts.append(self.expect_ident().text)
+        kinds, texts = self.kinds, self.texts
+        parts = [self.expect_ident()]
+        while texts[self.pos] == "." and kinds[self.pos + 1] == "ident":
+            parts.append(texts[self.pos + 1])
+            self.pos += 2
         return ".".join(parts)
 
     def _annotations_and_modifiers(self) -> list[SyntaxNode]:
+        kinds, texts = self.kinds, self.texts
         out: list[SyntaxNode] = []
         while True:
-            if self.at("@"):
-                astart = self._start()
-                self.take()
-                name = self.expect_ident().text
+            text = texts[self.pos]
+            if text == "@":
+                astart = self.pos
+                self.pos += 1
+                name = self.expect_ident()
                 out.append(self._node("Annotation", name, [], astart))
-            elif self.at_ident() and self.peek().text in MODIFIERS:
-                mstart = self._start()
-                out.append(self._node("Modifier", self.take().text, [], mstart))
+            elif text in MODIFIERS and kinds[self.pos] == "ident":
+                out.append(self._leaf("Modifier"))
             else:
                 return out
 
     def parse_type_decl(self) -> SyntaxNode:
-        start = self._start()
-        prefix = self._annotations_and_modifiers()
-        kw = self.peek().text
+        texts = self.texts
+        start = self.pos
+        children = self._annotations_and_modifiers()
+        kw = texts[self.pos]
         if kw not in TYPE_KEYWORDS:
             self.fail(f"expected type declaration but found {kw!r}")
-        self.take()
-        name = self.expect_ident().text
-        children = list(prefix)
-        if kw in ("class", "interface") and self.at("extends"):
-            mstart = self._start()
-            self.take()
-            children.append(self._node("Name", "extends", [], mstart))
+        self.pos += 1
+        name = self.expect_ident()
+        if kw != "enum" and texts[self.pos] == "extends":
+            children.append(self._leaf("Name"))
             children.append(self._type_ref())
-        if kw == "class" and self.at("implements"):
-            mstart = self._start()
-            self.take()
-            children.append(self._node("Name", "implements", [], mstart))
+        if kw == "class" and texts[self.pos] == "implements":
+            children.append(self._leaf("Name"))
             children.append(self._type_ref())
-            while self.at(","):
-                self.take()
+            while texts[self.pos] == ",":
+                self.pos += 1
                 children.append(self._type_ref())
         self.expect("{")
         kind = {"class": "ClassDecl", "interface": "InterfaceDecl",
                 "enum": "EnumDecl"}[kw]
         if kw == "enum":
             children.extend(self._enum_constants())
-        while not self.at("}"):
+        while texts[self.pos] != "}":
             children.append(self._member(name))
-        self.expect("}")
+        self.pos += 1
         return self._node(kind, name, children, start)
 
     def _enum_constants(self) -> list[SyntaxNode]:
+        kinds, texts = self.kinds, self.texts
         out: list[SyntaxNode] = []
-        if not self.at_ident() or self.peek().text in MODIFIERS | TYPE_KEYWORDS:
+        if kinds[self.pos] != "ident" or texts[self.pos] in _NOT_A_CONSTANT:
             return out
         # constants are IDENTs separated by commas, closed by ';' or '}'
-        if not (self.peek(1).text in (",", ";", "}")):
+        if texts[self.pos + 1] not in (",", ";", "}"):
             return out
         while True:
-            cstart = self._start()
-            name = self.expect_ident().text
+            cstart = self.pos
+            name = self.expect_ident()
             out.append(self._node("EnumConstant", name, [], cstart))
-            if self.at(","):
-                self.take()
-                continue
-            break
-        if self.at(";"):
-            self.take()
+            if texts[self.pos] != ",":
+                break
+            self.pos += 1
+        if texts[self.pos] == ";":
+            self.pos += 1
         return out
 
     def _member(self, owner: str) -> SyntaxNode:
-        start = self._start()
-        saved = self.pos
-        prefix = self._annotations_and_modifiers()
-        if self.peek().text in TYPE_KEYWORDS:
-            self.pos = saved
+        texts = self.texts
+        start = self.pos
+        children = self._annotations_and_modifiers()
+        if texts[self.pos] in TYPE_KEYWORDS:
+            self.pos = start
             return self.parse_type_decl()
         # constructor: Owner ( ...
-        if self.at_ident() and self.peek().text == owner and self.peek(1).text == "(":
-            name = self.take().text
-            children = list(prefix)
-            children.extend(self._parameters())
+        if texts[self.pos] == owner and texts[self.pos + 1] == "(" \
+                and self.kinds[self.pos] == "ident":
+            self.pos += 1
+            children.extend(self._comma_list(self._parameter, "parameter"))
             children.extend(self._throws())
             children.append(self._block())
-            return self._node("ConstructorDecl", name, children, start)
-        type_ref = self._type_ref()
-        name = self.expect_ident().text
-        children = list(prefix) + [type_ref]
-        if self.at("("):
-            children.extend(self._parameters())
+            return self._node("ConstructorDecl", owner, children, start)
+        children.append(self._type_ref())
+        name = self.expect_ident()
+        if texts[self.pos] == "(":
+            children.extend(self._comma_list(self._parameter, "parameter"))
             children.extend(self._throws())
-            if self.at(";"):
-                self.take()
+            if texts[self.pos] == ";":
+                self.pos += 1
             else:
                 children.append(self._block())
             return self._node("MethodDecl", name, children, start)
-        if self.at("="):
-            self.take()
+        if texts[self.pos] == "=":
+            self.pos += 1
             children.append(self.parse_expression())
         self.expect(";")
         return self._node("FieldDecl", name, children, start)
 
-    def _parameters(self) -> list[SyntaxNode]:
+    def _comma_list(self, item, what: str) -> list[SyntaxNode]:
+        """``'(' [item (',' item)*] ')'``: a comma between items, none after
+        the last."""
+        texts = self.texts
         self.expect("(")
         out: list[SyntaxNode] = []
-        while not self.at(")"):
-            pstart = self._start()
-            mods: list[SyntaxNode] = []
-            while self.at("final"):
-                mstart = self._start()
-                mods.append(self._node("Modifier", self.take().text, [], mstart))
-            tref = self._type_ref()
-            pname = self.expect_ident().text
-            out.append(self._node("Parameter", pname, mods + [tref], pstart))
-            if self.at(","):
-                self.take()
-        self.expect(")")
+        if texts[self.pos] != ")":
+            out.append(item())
+            while texts[self.pos] == ",":
+                self.pos += 1
+                if texts[self.pos] == ")":
+                    self.fail(f"trailing comma in {what} list")
+                out.append(item())
+            if texts[self.pos] != ")":
+                self.fail(f"expected ',' or ')' but found {texts[self.pos]!r}")
+        self.pos += 1
         return out
 
+    def _parameter(self) -> SyntaxNode:
+        pstart = self.pos
+        children = self._finals()
+        children.append(self._type_ref())
+        pname = self.expect_ident()
+        return self._node("Parameter", pname, children, pstart)
+
+    def _finals(self) -> list[SyntaxNode]:
+        mods: list[SyntaxNode] = []
+        while self.texts[self.pos] == "final":
+            mods.append(self._leaf("Modifier"))
+        return mods
+
     def _throws(self) -> list[SyntaxNode]:
-        if not self.at("throws"):
+        if self.texts[self.pos] != "throws":
             return []
-        out: list[SyntaxNode] = []
-        mstart = self._start()
-        self.take()
-        out.append(self._node("Name", "throws", [], mstart))
-        out.append(self._type_ref())
-        while self.at(","):
-            self.take()
+        out = [self._leaf("Name"), self._type_ref()]
+        while self.texts[self.pos] == ",":
+            self.pos += 1
             out.append(self._type_ref())
         return out
 
     # -- types -------------------------------------------------------------
 
     def _type_ref(self) -> SyntaxNode:
-        start = self._start()
+        start = self.pos
         text = self._type_text()
         return self._node("TypeRef", text, [], start)
 
     def _type_text(self) -> str:
-        parts = [self.expect_ident().text]
-        while self.at(".") and self.peek(1).kind == "ident":
-            self.take()
-            parts.append("." + self.expect_ident().text)
-        text = "".join(parts)
-        if self.at("<"):
+        text = self._qualified_name()
+        if self.texts[self.pos] == "<":
             text += self._generic_args()
         return text
 
     def _generic_args(self) -> str:
         # balanced angle-bracket scan kept as canonical opaque text
+        kinds, texts = self.kinds, self.texts
         depth = 0
         out: list[str] = []
         prev = ""
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            kind = kinds[self.pos]
+            if kind == "eof":
                 self.fail("unterminated type arguments")
-            t = tok.text
+            t = texts[self.pos]
             if t == "<":
                 depth += 1
             elif t == ">":
                 depth -= 1
-            wordish = tok.kind in ("ident", "number") or t == "?"
+            wordish = kind in ("ident", "number") or t == "?"
             prev_wordish = prev and (prev[-1].isalnum() or prev[-1] in "_$?")
             if out and wordish and prev_wordish:
                 out.append(" ")
             out.append(t)
             prev = t
-            self.take()
+            self.pos += 1
             if depth == 0:
                 return "".join(out)
 
     # -- statements ----------------------------------------------------------
 
     def _block(self) -> SyntaxNode:
-        start = self._start()
+        texts = self.texts
+        start = self.pos
         self.expect("{")
         stmts: list[SyntaxNode] = []
-        while not self.at("}"):
+        while texts[self.pos] != "}":
             stmts.append(self.parse_statement())
-        self.expect("}")
+        self.pos += 1
         return self._node("Block", "", stmts, start)
 
     def parse_statement(self) -> SyntaxNode:
-        tok = self.peek()
-        if tok.text == "if":
+        text = self.texts[self.pos]
+        start = self.pos
+        if text == "if":
             return self._if_stmt()
-        if tok.text == "for":
+        if text == "for":
             return self._for_stmt()
-        if tok.text == "while":
-            start = self._start()
-            self.take()
-            self.expect("(")
-            cond = self.parse_expression()
-            self.expect(")")
+        if text == "while":
+            self.pos += 1
+            cond = self._condition()
             body = self._block()
             return self._node("WhileStmt", "", [cond, body], start)
-        if tok.text == "return":
-            start = self._start()
-            self.take()
-            children = [] if self.at(";") else [self.parse_expression()]
+        if text == "return":
+            self.pos += 1
+            children = [] if self.texts[self.pos] == ";" \
+                else [self.parse_expression()]
             self.expect(";")
             return self._node("ReturnStmt", "", children, start)
-        if tok.text == "throw":
-            start = self._start()
-            self.take()
+        if text == "throw":
+            self.pos += 1
             expr = self.parse_expression()
             self.expect(";")
             return self._node("ThrowStmt", "", [expr], start)
-        if tok.text == "{":
+        if text == "{":
             return self._block()
         decl = self._try_local_var_decl()
         if decl is not None:
             return decl
-        start = self._start()
+        return self._expr_stmt()
+
+    def _expr_stmt(self) -> SyntaxNode:
+        start = self.pos
         expr = self.parse_expression()
         self.expect(";")
         return self._node("ExprStmt", "", [expr], start)
 
-    def _if_stmt(self) -> SyntaxNode:
-        start = self._start()
-        self.expect("if")
+    def _condition(self) -> SyntaxNode:
         self.expect("(")
         cond = self.parse_expression()
         self.expect(")")
-        then = self._block()
-        children = [cond, then]
-        if self.at("else"):
-            self.take()
-            if self.at("if"):
+        return cond
+
+    def _if_stmt(self) -> SyntaxNode:
+        start = self.pos
+        self.expect("if")
+        cond = self._condition()
+        children = [cond, self._block()]
+        if self.texts[self.pos] == "else":
+            self.pos += 1
+            if self.texts[self.pos] == "if":
                 children.append(self._if_stmt())
             else:
                 children.append(self._block())
         return self._node("IfStmt", "", children, start)
 
     def _for_stmt(self) -> SyntaxNode:
-        start = self._start()
+        texts = self.texts
+        start = self.pos
         self.expect("for")
         self.expect("(")
         # for-each has a ':' at depth zero before any ';'
         depth = 0
         is_foreach = False
-        for off in range(0, len(self.toks) - self.pos):
-            t = self.peek(off).text
+        for i in range(self.pos, self.eof):
+            t = texts[i]
             if t in ("(", "["):
                 depth += 1
             elif t in (")", "]"):
@@ -459,25 +541,16 @@ class _Parser:
                 is_foreach = True
                 break
         if is_foreach:
-            pstart = self._start()
-            mods: list[SyntaxNode] = []
-            while self.at("final"):
-                mstart = self._start()
-                mods.append(self._node("Modifier", self.take().text, [], mstart))
-            tref = self._type_ref()
-            pname = self.expect_ident().text
-            param = self._node("Parameter", pname, mods + [tref], pstart)
+            param = self._parameter()
             self.expect(":")
             iterable = self.parse_expression()
             self.expect(")")
             body = self._block()
-            return self._node("ForEachStmt", "", [param, iterable, body], start)
-        init = self._try_local_var_decl(terminator=";")
+            return self._node("ForEachStmt", "", [param, iterable, body],
+                              start)
+        init = self._try_local_var_decl()
         if init is None:
-            istart = self._start()
-            expr = self.parse_expression()
-            self.expect(";")
-            init = self._node("ExprStmt", "", [expr], istart)
+            init = self._expr_stmt()
         cond = self.parse_expression()
         self.expect(";")
         update = self.parse_expression()
@@ -485,133 +558,134 @@ class _Parser:
         body = self._block()
         return self._node("ForStmt", "", [init, cond, update, body], start)
 
-    def _try_local_var_decl(self, terminator: str = ";") -> SyntaxNode | None:
-        start = self._start()
-        saved = self.pos
-        mods: list[SyntaxNode] = []
-        while self.at("final"):
-            mstart = self._start()
-            mods.append(self._node("Modifier", self.take().text, [], mstart))
-        if not self.at_ident() or self.peek().text in STMT_KEYWORDS | {"new", "else"}:
-            self.pos = saved
+    def _try_local_var_decl(self) -> SyntaxNode | None:
+        kinds, texts = self.kinds, self.texts
+        start = self.pos
+        children = self._finals()
+        if kinds[self.pos] != "ident" or texts[self.pos] in _NOT_A_LOCAL_TYPE:
+            self.pos = start
             return None
+        tstart = self.pos
         try:
-            tref = self._type_ref()
+            ttext = self._type_text()
         except ParseError:
-            self.pos = saved
+            self.pos = start
             return None
-        if not self.at_ident():
-            self.pos = saved
+        if kinds[self.pos] != "ident" or texts[self.pos + 1] not in ("=", ";"):
+            self.pos = start
             return None
-        if self.peek(1).text not in ("=", terminator):
-            self.pos = saved
-            return None
-        name = self.take().text
-        children = mods + [tref]
-        if self.at("="):
-            self.take()
+        children.append(self._node("TypeRef", ttext, [], tstart))
+        name = texts[self.pos]
+        self.pos += 1
+        if texts[self.pos] == "=":
+            self.pos += 1
             children.append(self.parse_expression())
-        self.expect(terminator)
+        self.expect(";")
         return self._node("LocalVarDecl", name, children, start)
 
     # -- expressions ---------------------------------------------------------
 
     def parse_expression(self) -> SyntaxNode:
-        return self._assignment()
-
-    def _assignment(self) -> SyntaxNode:
-        start = self._start()
-        left = self._binary(0)
-        if self.at("="):
-            self.take()
-            right = self._assignment()
+        start = self.pos
+        left = self._binary()
+        if self.texts[self.pos] == "=":
+            self.pos += 1
+            right = self.parse_expression()
             if left.kind not in ("Name", "FieldAccess"):
                 self.fail("assignment target must be a name or field access")
             return self._node("Assignment", "=", [left, right], start)
         return left
 
-    def _binary(self, tier: int) -> SyntaxNode:
-        if tier >= len(_BINARY_TIERS):
-            return self._postfix()
-        start = self._start()
-        left = self._binary(tier + 1)
-        while self.peek().kind == "punct" and self.peek().text in _BINARY_TIERS[tier]:
-            op = self.take().text
-            right = self._binary(tier + 1)
-            left = self._node("BinaryExpr", op, [left, right], start)
-        return left
+    def _binary(self) -> SyntaxNode:
+        """Operands joined by binary operators, by precedence climbing over
+        an explicit stack: an operator first reduces every pending one of
+        the same or a higher tier, which makes all of them left-associative.
+        A BinaryExpr spans from its first operand's first token."""
+        texts = self.texts
+        start = self.pos
+        operand = self._postfix()
+        pending: list[tuple[int, SyntaxNode, str, int]] = []
+        while True:
+            op = texts[self.pos]
+            tier = _TIER.get(op, -1)
+            while pending and pending[-1][3] >= tier:
+                start, left, left_op, _ = pending.pop()
+                operand = self._node("BinaryExpr", left_op, [left, operand],
+                                     start)
+            if tier < 0:
+                return operand
+            pending.append((start, operand, op, tier))
+            self.pos += 1
+            start = self.pos
+            operand = self._postfix()
 
     def _postfix(self) -> SyntaxNode:
-        start = self._start()
+        kinds, texts = self.kinds, self.texts
+        start = self.pos
         expr = self._primary()
-        while self.at(".") and self.peek(1).kind == "ident":
-            self.take()
-            name = self.expect_ident().text
-            if self.at("("):
+        while texts[self.pos] == "." and kinds[self.pos + 1] == "ident":
+            name = texts[self.pos + 1]
+            self.pos += 2
+            if texts[self.pos] == "(":
                 args = self._argument_list()
-                expr = self._node("MethodInvocation", name, [expr, args], start)
+                expr = self._node("MethodInvocation", name, [expr, args],
+                                  start)
             else:
                 expr = self._node("FieldAccess", name, [expr], start)
         return expr
 
     def _argument_list(self) -> SyntaxNode:
-        start = self._start()
-        self.expect("(")
-        args: list[SyntaxNode] = []
-        while not self.at(")"):
-            args.append(self.parse_expression())
-            if self.at(","):
-                self.take()
-        self.expect(")")
+        start = self.pos
+        args = self._comma_list(self.parse_expression, "argument")
         return self._node("ArgumentList", "", args, start)
 
     def _primary(self) -> SyntaxNode:
-        tok = self.peek()
-        start = self._start()
-        if tok.kind in ("number", "string", "char"):
-            self.take()
-            return self._node("Literal", tok.text, [], start)
-        if tok.text == "-" and self.peek(1).kind == "number":
-            self.take()
-            num = self.take()
-            return self._node("Literal", "-" + num.text, [], start)
-        if tok.text in ("true", "false", "null"):
-            self.take()
-            return self._node("Literal", tok.text, [], start)
-        if tok.text == "new":
-            self.take()
-            tref = self._type_ref()
-            args = self._argument_list()
-            children = [tref, args]
-            if self.at("{"):
-                bstart = self._start()
-                self.expect("{")
-                members: list[SyntaxNode] = []
-                while not self.at("}"):
-                    members.append(self._member(""))
-                self.expect("}")
-                children.append(self._node("AnonymousBody", "", members, bstart))
-            return self._node("ObjectCreation", "", children, start)
-        if tok.text == "(":
-            self.take()
+        start = self.pos
+        kind = self.kinds[start]
+        text = self.texts[start]
+        if kind == "ident":
+            if text in ("true", "false", "null"):
+                return self._leaf("Literal")
+            if text == "new":
+                return self._object_creation()
+            self.pos += 1
+            if self.texts[self.pos] == "(":
+                args = self._argument_list()
+                return self._node("MethodInvocation", text, [args], start)
+            return self._node("Name", text, [], start)
+        if kind in _LITERAL_KINDS:
+            return self._leaf("Literal")
+        if text == "-" and self.kinds[start + 1] == "number":
+            self.pos += 2
+            return self._node("Literal", "-" + self.texts[start + 1], [],
+                              start)
+        if text == "(":
+            self.pos += 1
             tref = self._type_ref()
             self.expect(")")
             expr = self._postfix()
             return self._node("CastExpr", "", [tref, expr], start)
-        if tok.kind == "ident":
-            name = self.take().text
-            if self.at("("):
-                args = self._argument_list()
-                return self._node("MethodInvocation", name, [args], start)
-            return self._node("Name", name, [], start)
-        self.fail(f"unexpected token {tok.text!r} in expression")
+        self.fail(f"unexpected token {text!r} in expression")
         raise AssertionError  # unreachable
+
+    def _object_creation(self) -> SyntaxNode:
+        texts = self.texts
+        start = self.pos
+        self.pos += 1
+        children = [self._type_ref(), self._argument_list()]
+        if texts[self.pos] == "{":
+            bstart = self.pos
+            self.pos += 1
+            members: list[SyntaxNode] = []
+            while texts[self.pos] != "}":
+                members.append(self._member(""))
+            self.pos += 1
+            children.append(self._node("AnonymousBody", "", members, bstart))
+        return self._node("ObjectCreation", "", children, start)
 
 
 def parse_unit(path: str, text: str) -> SourceFile:
     """Parse one file; raises ParseError with position info on bad input."""
-    tokens = tokenize(path, text)
-    parser = _Parser(path, tokens)
-    root = parser.parse_unit()
-    tree = SyntaxTree(root, assign_ids=True)
-    return SourceFile(path=path, text=text, tree=tree)
+    root = _Parser(path, scan(path, text)).parse_unit()
+    return SourceFile(path=path, text=text,
+                      tree=SyntaxTree(root, assign_ids=True))

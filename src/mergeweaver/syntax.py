@@ -43,7 +43,7 @@ TYPE_DECL_KINDS = frozenset({"ClassDecl", "InterfaceDecl", "EnumDecl"})
 Span = tuple[int, int, int, int]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SyntaxNode:
     kind: str
     value: str = ""
@@ -98,19 +98,30 @@ class SyntaxTree:
     """
 
     def __init__(self, root: SyntaxNode, assign_ids: bool = False):
+        """Index the tree under ``root``.  With ``assign_ids``, the same
+        walk numbers its nodes 0, 1, ... in pre-order."""
         self.root = root
-        if assign_ids:
-            self.assign_preorder_ids()
         self._by_id: dict[int, SyntaxNode] = {}
         self._parents: dict[int, Optional[SyntaxNode]] = {}
         self._max_id = -1
-        self._index(root, None)
+        if assign_ids:
+            self._number(root)
+        else:
+            self._index(root, None)
 
-    def assign_preorder_ids(self) -> None:
+    def _number(self, root: SyntaxNode) -> None:
+        by_id, parents = self._by_id, self._parents
         counter = 0
-        for node in self.root.walk():
+        stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(root, None)]
+        while stack:
+            node, parent = stack.pop()
             node.id = counter
+            by_id[counter] = node
+            parents[counter] = parent
             counter += 1
+            for child in reversed(node.children):
+                stack.append((child, node))
+        self._max_id = counter - 1
 
     def _index(self, top: SyntaxNode, parent: Optional[SyntaxNode]) -> None:
         stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(top, parent)]

@@ -180,6 +180,22 @@ def test_parse_error_names_the_first_version_that_fails(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: base/A.java:4:")
 
 
+@pytest.mark.parametrize("member, message", [
+    ("void f(int a int b) { }", "4:18: expected ',' or ')' but found 'int'"),
+    ("void f() { g(a b); }", "4:20: expected ',' or ')' but found 'b'"),
+    ("void f() { g(a,); }", "4:20: trailing comma in argument list"),
+    ("void f(int a,) { }", "4:18: trailing comma in parameter list"),
+])
+def test_missing_or_trailing_comma_exits_2(tmp_path, capsys, member,
+                                           message):
+    good = b"package p;\n\npublic class A {\n    int x;\n}\n"
+    bad = f"package p;\n\npublic class A {{\n    {member}\n}}\n".encode()
+    _write_legs(tmp_path, {"base": {"A.java": good}, "left": {"A.java": bad},
+                           "right": {"A.java": good}})
+    assert main(args_for("detect", scenario=tmp_path)) == 2
+    assert capsys.readouterr().err == f"parse error: left/A.java:{message}\n"
+
+
 def test_duplicate_class_from_both_branches_exits_4(tmp_path, capsys):
     base = b"package p;\n\npublic class A {\n}\n"
     dup = b"package p;\n\npublic class Dup {\n}\n"

@@ -5,7 +5,10 @@
 Each workload is generated by bench/gen.py (imported, not modified) at a
 range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best of
-the N runs of every stage in ``Report.timings_ms``, in milliseconds:
+the N runs of every stage in ``Report.timings_ms``, in milliseconds, then
+the best of N times to call ``parse_unit`` on each distinct (path, text)
+pair of the three input versions, with the tokens and nodes of those
+parses:
 
 * method-rename at 120, 240, 480 and 960 files;
 * package-rename at 24, 48, 96 and 192 files;
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402
+from mergeweaver.parser import parse_unit, tokenize  # noqa: E402
 from mergeweaver.pipeline import run_scenario  # noqa: E402
 
 SIZES = (
@@ -34,6 +39,22 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
+COLUMNS = STAGES + ("parse", "tokens", "nodes")
+
+
+def parse_columns(wl: "gen.Workload", repeat: int) -> dict[str, float]:
+    """Best-of-``repeat`` ms to parse every distinct (path, text) pair of
+    ``wl``'s three versions, and the tokens and nodes of those parses."""
+    pairs = sorted({pair for version in (wl.base, wl.left, wl.right)
+                    for pair in version.items()})
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        files = [parse_unit(path, text) for path, text in pairs]
+        best = min(best, time.perf_counter() - start)
+    return {"parse": best * 1000,
+            "tokens": sum(len(tokenize(p, t)) - 1 for p, t in pairs),
+            "nodes": sum(f.tree.max_id + 1 for f in files)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,16 +66,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only this workload")
     args = parser.parse_args(argv)
 
-    print("| workload | size | " + " | ".join(STAGES) + " |")
-    print("| --- | --- |" + " --- |" * len(STAGES))
+    print("| workload | size | " + " | ".join(COLUMNS) + " |")
+    print("| --- | --- |" + " --- |" * len(COLUMNS))
     with tempfile.TemporaryDirectory() as tmp:
         for workload, param, sizes in SIZES:
             if args.workload and workload != args.workload:
                 continue
             for size in sizes:
                 out = Path(tmp) / f"{workload}-{size}"
-                gen.write_workload(
-                    gen.generate(workload, args.seed, **{param: size}), out)
+                wl = gen.generate(workload, args.seed, **{param: size})
+                gen.write_workload(wl, out)
                 best: dict[str, float] = {}
                 for _ in range(args.repeat):
                     timings = run_scenario(out / "base", out / "left",
@@ -62,7 +83,8 @@ def main(argv: list[str] | None = None) -> int:
                     for stage in STAGES:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
-                cells = " | ".join(f"{best[stage]:.0f}" for stage in STAGES)
+                best.update(parse_columns(wl, args.repeat))
+                cells = " | ".join(f"{best[col]:.0f}" for col in COLUMNS)
                 print(f"| {workload} | {size} {param} | {cells} |",
                       flush=True)
     return 0
