@@ -40,7 +40,7 @@ from .graph_diff import (EntityEdit, FourWayGraph, RelationEdit,
                          merged_entity_for)
 from .peg import (MEMBER_ENTITY_KINDS, Entity, Relation, arity_of,
                   type_base_name)
-from .syntax import Span, SyntaxNode
+from .syntax import Span, SyntaxNode, declared_type, param_types
 
 Edit = Union[EntityEdit, RelationEdit]
 
@@ -89,30 +89,9 @@ def simple_of(fqn: str) -> str:
     return head.rsplit(".", 1)[-1].split("#", 1)[0]
 
 
-def declared_type_node(decl: SyntaxNode) -> Optional[SyntaxNode]:
-    """Return-type TypeRef of a method, or the type of a field."""
-    if decl.kind not in ("MethodDecl", "FieldDecl"):
-        return None
-    for child in decl.children:
-        if child.kind == "TypeRef":
-            return child
-        if child.kind == "Parameter":
-            break
-    return None
-
-
 def declared_type_text(decl: Optional[SyntaxNode]) -> Optional[str]:
-    if decl is None:
-        return None
-    node = declared_type_node(decl)
+    node = declared_type(decl) if decl is not None else None
     return node.value if node is not None else None
-
-
-def param_sig_of_decl(decl: SyntaxNode) -> str:
-    texts = [t.value
-             for p in decl.children if p.kind == "Parameter"
-             for t in p.children if t.kind == "TypeRef"]
-    return "(" + ",".join(texts) + ")"
 
 
 def find_decl_method(type_decl: SyntaxNode, name: str,
@@ -120,7 +99,7 @@ def find_decl_method(type_decl: SyntaxNode, name: str,
     for child in type_decl.children:
         if child.kind in ("MethodDecl", "ConstructorDecl") \
                 and child.value == name \
-                and (sig is None or param_sig_of_decl(child) == sig):
+                and (sig is None or f"({param_types(child)})" == sig):
             return child
     return None
 
@@ -318,7 +297,7 @@ _Finder = Callable[[Edit, Edit, Optional[Entity], FourWayGraph], _Found]
 
 def _merged_member_fqn(fw: FourWayGraph, cls: Entity,
                        decl: SyntaxNode) -> str:
-    fqn = f"{cls.fqn}.{decl.value}{param_sig_of_decl(decl)}"
+    fqn = f"{cls.fqn}.{decl.value}({param_types(decl)})"
     for suffix in ("", "#2", "#3"):
         found = fw.merged.find("method", fqn + suffix) \
             or fw.merged.find("constructor", fqn + suffix)
@@ -432,7 +411,7 @@ def _contract_return(d: Edit, u: Edit, user: Entity,
     iface_ret = interface_return_for(d.dst, u.new)
     if not am_ret or not iface_ret or am_ret == iface_ret:
         return []
-    return [declared_type_node(user.decl)]
+    return [declared_type(user.decl)]
 
 
 def _duplicates(d: Edit, u: Edit, user: Optional[Entity],

@@ -22,7 +22,7 @@ from .conflicts import (Conflict, call_nodes, creation_nodes,
                         field_use_nodes)
 from .graph_diff import EntityEdit, RelationEdit
 from .peg import arity_of, type_base_name
-from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree
+from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree, declared_type
 from .tree_diff import EditOp
 
 _LOOP_OR_BRANCH = ("IfStmt", "ForStmt", "ForEachStmt", "WhileStmt")
@@ -96,7 +96,7 @@ def use_node_ids(before: SyntaxTree, conflict: Conflict) -> set[int]:
     typed_vars: set[str] = set()
     for n in before.nodes():
         if n.kind in ("LocalVarDecl", "Parameter"):
-            tref = next((c for c in n.children if c.kind == "TypeRef"), None)
+            tref = declared_type(n)
             if tref is not None and type_base_name(tref.value) == name:
                 typed_vars.add(n.value)
                 ids.add(n.id)

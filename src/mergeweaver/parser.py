@@ -39,7 +39,13 @@ the first offending token:
 Heritage and throws clauses are encoded with keyword marker leaves: a Name
 node valued "extends", "implements" or "throws" precedes the TypeRef children
 it introduces.  That keeps the node vocabulary closed while leaving the
-printer enough to reproduce the clause.
+printer enough to reproduce the clause.  ``syntax.clauses`` is the one
+decoder of these leaves; the other ``syntax`` readers decode the rest of a
+declaration's layout.
+
+Nesting deeper than the interpreter's recursion limit allows (an
+expression of a few hundred nested calls, say) raises a ParseError at the
+token reached, not a RecursionError.
 
 The scanner writes each file's tokens into four parallel lists (kinds,
 texts, lines, cols) that end in ``_EOF_PAD`` eof entries, so the parser
@@ -52,13 +58,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .syntax import SourceFile, SyntaxNode, SyntaxTree
+from .syntax import TYPE_KEYWORDS, SourceFile, SyntaxNode, SyntaxTree
 
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
 STMT_KEYWORDS = {"if", "for", "while", "return", "throw"}
-TYPE_KEYWORDS = {"class", "interface", "enum"}
+# type declaration keyword -> node kind
+_TYPE_DECL_OF = {kw: kind for kind, kw in TYPE_KEYWORDS.items()}
 _NOT_A_LOCAL_TYPE = STMT_KEYWORDS | {"new", "else"}
-_NOT_A_CONSTANT = MODIFIERS | TYPE_KEYWORDS
+_NOT_A_CONSTANT = MODIFIERS | set(_TYPE_DECL_OF)
 _LITERAL_KINDS = frozenset({"number", "string", "char"})
 
 # The precedence tier of every binary operator, lowest first; all are
@@ -301,7 +308,7 @@ class _Parser:
         start = self.pos
         children = self._annotations_and_modifiers()
         kw = texts[self.pos]
-        if kw not in TYPE_KEYWORDS:
+        if kw not in _TYPE_DECL_OF:
             self.fail(f"expected type declaration but found {kw!r}")
         self.pos += 1
         name = self.expect_ident()
@@ -315,8 +322,7 @@ class _Parser:
                 self.pos += 1
                 children.append(self._type_ref())
         self.expect("{")
-        kind = {"class": "ClassDecl", "interface": "InterfaceDecl",
-                "enum": "EnumDecl"}[kw]
+        kind = _TYPE_DECL_OF[kw]
         if kw == "enum":
             children.extend(self._enum_constants())
         while texts[self.pos] != "}":
@@ -347,7 +353,7 @@ class _Parser:
         texts = self.texts
         start = self.pos
         children = self._annotations_and_modifiers()
-        if texts[self.pos] in TYPE_KEYWORDS:
+        if texts[self.pos] in _TYPE_DECL_OF:
             self.pos = start
             return self.parse_type_decl()
         # constructor: Owner ( ...
@@ -686,6 +692,12 @@ class _Parser:
 
 def parse_unit(path: str, text: str) -> SourceFile:
     """Parse one file; raises ParseError with position info on bad input."""
-    root = _Parser(path, scan(path, text)).parse_unit()
+    parser = _Parser(path, scan(path, text))
+    try:
+        root = parser.parse_unit()
+    except RecursionError:
+        p = parser.pos
+        raise ParseError(path, parser.lines[p], parser.cols[p],
+                         "nested too deeply") from None
     return SourceFile(path=path, text=text,
                       tree=SyntaxTree(root, assign_ids=True))

@@ -43,10 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .printer import pretty_print
-from .syntax import SourceFile, SyntaxNode, TYPE_DECL_KINDS
+from .syntax import (TYPE_DECL_KINDS, TYPE_KEYWORDS, SourceFile, SyntaxNode,
+                     body_of, clauses, declared_type, initializer, param_types,
+                     parameters)
 
 ENTITY_KINDS = frozenset({
     "project", "package", "compilation-unit",
@@ -381,10 +384,6 @@ def build_peg(files: dict[str, SourceFile], version: str,
     return graph
 
 
-_KIND_FOR_DECL = {"ClassDecl": "class", "InterfaceDecl": "interface",
-                  "EnumDecl": "enum"}
-
-
 @dataclass(eq=False)
 class _Resolution:
     """A unit's head or bodies as resolved in some version: the reads made,
@@ -445,7 +444,7 @@ class _Unit:
     def _declare_type(self, parent: Entity, prefix: str,
                       node: SyntaxNode) -> None:
         fqn = prefix + node.value
-        ent = Entity(_KIND_FOR_DECL[node.kind], fqn, decl=node, path=self.path)
+        ent = Entity(TYPE_KEYWORDS[node.kind], fqn, decl=node, path=self.path)
         self._add(ent, parent)
         self.types.append((ent, node))
         occupied: dict[str, int] = {}
@@ -470,9 +469,7 @@ class _Unit:
                                  decl=child, path=self.path), ent)
             elif child.kind in ("MethodDecl", "ConstructorDecl"):
                 kind = "method" if child.kind == "MethodDecl" else "constructor"
-                sig = ",".join(p_type.value
-                               for param in child.children if param.kind == "Parameter"
-                               for p_type in param.children if p_type.kind == "TypeRef")
+                sig = param_types(child)
                 self._add(Entity(kind, member_fqn(f"{fqn}.{child.value}({sig})"),
                                  decl=child, path=self.path), ent)
 
@@ -517,16 +514,16 @@ class _Unit:
             relations.add(_relation(self.cu, target, "imports"))
         scope = _TypeScope(reads, self)
         for ent, node in self.types:
-            extends_texts, implements_texts = heritage(node)
-            for text in extends_texts:
-                target = scope.resolve_type(text)
+            heritage = clauses(node)
+            for tref in heritage["extends"]:
+                target = scope.resolve_type(tref.value)
                 if target is not None and \
                         (ent.kind, target.kind) in (("class", "class"),
                                                     ("interface", "interface")):
                     relations.add(_relation(ent, target, "extends"))
                     extends[ent.id] = target.id
-            for text in implements_texts:
-                target = scope.resolve_type(text)
+            for tref in heritage["implements"]:
+                target = scope.resolve_type(tref.value)
                 if target is not None and ent.kind == "class" \
                         and target.kind == "interface":
                     relations.add(_relation(ent, target, "implements"))
@@ -546,10 +543,8 @@ def _answer(graph: EntityGraph, kind: str, arg: str):
         return f"package:{arg}" in graph.entities
     # "field-type": the declared type of a field, None once it is gone
     fld = graph.entities.get(arg)
-    if fld is None or fld.decl is None:
-        return None
-    return next((c.value for c in fld.decl.children if c.kind == "TypeRef"),
-                None)
+    tref = None if fld is None or fld.decl is None else declared_type(fld.decl)
+    return None if tref is None else tref.value
 
 
 def _reusable(resolutions: list[_Resolution],
@@ -591,21 +586,6 @@ class _Reads(_Lookups):
 
     def field_type(self, fld: Entity) -> Optional[str]:
         return self._ask("field-type", fld.id)
-
-
-def heritage(node: SyntaxNode) -> tuple[list[str], list[str]]:
-    """(extends type texts, implements type texts) of a type declaration."""
-    extends: list[str] = []
-    implements: list[str] = []
-    mode = ""
-    for child in node.children:
-        if child.kind == "Name" and child.value in ("extends", "implements"):
-            mode = child.value
-        elif child.kind == "TypeRef" and mode:
-            (extends if mode == "extends" else implements).append(child.value)
-        elif child.kind not in ("Modifier", "Annotation", "TypeRef"):
-            mode = ""
-    return extends, implements
 
 
 class _TypeScope:
@@ -655,32 +635,29 @@ class _Resolver:
         self.relations: set[Relation] = set()
 
     def run(self) -> set[Relation]:
-        for type_ent, node in self.unit.types:
+        for type_ent, _node in self.unit.types:
             for member in self.unit.members_of(type_ent):
-                if member.decl is None:
-                    continue
-                if member.kind == "field":
-                    init = [c for c in member.decl.children
-                            if c.kind not in ("Modifier", "Annotation", "TypeRef")]
-                    if init:
-                        self._walk_expr(init[0], member, type_ent, [{}])
-                elif member.kind in ("method", "constructor"):
-                    self._member_body(member, type_ent)
+                if member.decl is not None:
+                    self._walk_member(member.decl, member, type_ent, [])
         return self.relations
 
-    def _member_body(self, member: Entity, type_ent: Entity) -> None:
-        decl = member.decl
-        assert decl is not None
-        locals_: dict[str, Optional[Entity]] = {}
-        for child in decl.children:
-            if child.kind == "Parameter":
-                locals_[child.value] = self._param_type(child)
-        body = next((c for c in decl.children if c.kind == "Block"), None)
-        if body is not None:
-            self._walk_block(body, member, type_ent, [locals_])
+    def _walk_member(self, decl: SyntaxNode, member: Entity,
+                     type_ent: Entity, scopes: list[dict]) -> None:
+        """A field's initializer, or a method's or constructor's body with
+        its parameters in scope; the code counts as ``member``."""
+        if decl.kind == "FieldDecl":
+            init = initializer(decl)
+            if init is not None:
+                self._walk_expr(init, member, type_ent, scopes)
+        elif decl.kind in ("MethodDecl", "ConstructorDecl"):
+            frame = {p.value: self._type_of(p) for p in parameters(decl)}
+            body = body_of(decl)
+            if body is not None:
+                self._walk_block(body, member, type_ent, scopes + [frame])
 
-    def _param_type(self, param: SyntaxNode) -> Optional[Entity]:
-        tref = next((c for c in param.children if c.kind == "TypeRef"), None)
+    def _type_of(self, decl: SyntaxNode) -> Optional[Entity]:
+        """The type a parameter or local variable declares, if resolvable."""
+        tref = declared_type(decl)
         return self.scope.resolve_type(tref.value) if tref is not None else None
 
     # scope shape: list of dicts, innermost last; value is the declared type
@@ -697,13 +674,10 @@ class _Resolver:
                    type_ent: Entity, scopes: list[dict]) -> None:
         k = stmt.kind
         if k == "LocalVarDecl":
-            tref = next((c for c in stmt.children if c.kind == "TypeRef"), None)
-            init = [c for c in stmt.children
-                    if c.kind not in ("Modifier", "TypeRef")]
-            for expr in init:
-                self._walk_expr(expr, member, type_ent, scopes)
-            scopes[-1][stmt.value] = \
-                self.scope.resolve_type(tref.value) if tref is not None else None
+            init = initializer(stmt)
+            if init is not None:
+                self._walk_expr(init, member, type_ent, scopes)
+            scopes[-1][stmt.value] = self._type_of(stmt)
         elif k == "ExprStmt" or k == "ReturnStmt" or k == "ThrowStmt":
             for expr in stmt.children:
                 self._walk_expr(expr, member, type_ent, scopes)
@@ -731,7 +705,7 @@ class _Resolver:
         elif k == "ForEachStmt":
             param, iterable, body = stmt.children
             self._walk_expr(iterable, member, type_ent, scopes)
-            scopes.append({param.value: self._param_type(param)})
+            scopes.append({param.value: self._type_of(param)})
             for inner in body.children:
                 self._walk_stmt(inner, member, type_ent, scopes)
             scopes.pop()
@@ -746,49 +720,35 @@ class _Resolver:
                 return True, frame[name]
         return False, None
 
-    def _field_in_chain(self, type_ent: Entity, name: str) -> Optional[Entity]:
-        hit = self.reads.field_named(type_ent, name)
-        if hit is not None:
-            return hit
-        for sup in self.reads.supertype_chain(type_ent):
-            hit = self.reads.field_named(sup, name)
-            if hit is not None:
+    # ``find`` is a member query on one type: a field or a list of methods,
+    # falsy when there is none
+
+    def _in_chain(self, type_ent: Entity, find: Callable):
+        """The first hit of ``find`` on type_ent, then its supertypes."""
+        for cur in chain((type_ent,), self.reads.supertype_chain(type_ent)):
+            hit = find(cur)
+            if hit:
                 return hit
         return None
 
-    def _enclosing_field(self, name: str, type_ent: Entity) -> Optional[Entity]:
+    def _enclosing(self, type_ent: Entity, find: Callable):
+        """The first hit of ``find`` in the supertype chain of type_ent,
+        then of each lexically enclosing type."""
         cur: Optional[Entity] = type_ent
         while cur is not None:
-            hit = self._field_in_chain(cur, name)
-            if hit is not None:
+            hit = self._in_chain(cur, find)
+            if hit:
                 return hit
             parent = self.unit.parent_of(cur)
             cur = parent if parent is not None and \
                 parent.kind in _TYPE_ENTITY_KINDS else None
         return None
 
-    def _methods_in_chain(self, type_ent: Entity, name: str,
-                          arity: int) -> list[Entity]:
-        hits = self.reads.methods_named(type_ent, name, arity)
-        if hits:
-            return hits
-        for sup in self.reads.supertype_chain(type_ent):
-            hits = self.reads.methods_named(sup, name, arity)
-            if hits:
-                return hits
-        return []
+    def _fields(self, name: str) -> Callable:
+        return lambda t: self.reads.field_named(t, name)
 
-    def _enclosing_methods(self, name: str, type_ent: Entity,
-                           arity: int) -> list[Entity]:
-        cur: Optional[Entity] = type_ent
-        while cur is not None:
-            hits = self._methods_in_chain(cur, name, arity)
-            if hits:
-                return hits
-            parent = self.unit.parent_of(cur)
-            cur = parent if parent is not None and \
-                parent.kind in _TYPE_ENTITY_KINDS else None
-        return []
+    def _methods(self, name: str, arity: int) -> Callable:
+        return lambda t: self.reads.methods_named(t, name, arity)
 
     def _receiver_type(self, receiver: SyntaxNode, type_ent: Entity,
                        scopes: list[dict]) -> tuple[Optional[Entity], bool]:
@@ -799,7 +759,7 @@ class _Resolver:
             is_local, declared = self._lookup_local(receiver.value, scopes)
             if is_local:
                 return declared, False
-            fld = self._enclosing_field(receiver.value, type_ent)
+            fld = self._enclosing(type_ent, self._fields(receiver.value))
             if fld is not None:
                 text = self.reads.field_type(fld)
                 if text is not None:
@@ -825,7 +785,7 @@ class _Resolver:
             is_local, _ = self._lookup_local(expr.value, scopes)
             if is_local:
                 return
-            fld = self._enclosing_field(expr.value, type_ent)
+            fld = self._enclosing(type_ent, self._fields(expr.value))
             if fld is not None:
                 self._emit(member, fld, "writes" if as_target else "reads")
             return
@@ -835,7 +795,7 @@ class _Resolver:
             receiver = expr.children[0]
             recv_type, _static = self._receiver_type(receiver, type_ent, scopes)
             if recv_type is not None:
-                fld = self._field_in_chain(recv_type, expr.value)
+                fld = self._in_chain(recv_type, self._fields(expr.value))
                 if fld is not None:
                     self._emit(member, fld, "writes" if as_target else "reads")
             self._walk_expr(receiver, member, type_ent, scopes)
@@ -844,7 +804,7 @@ class _Resolver:
             args = expr.children[-1]
             receiver = expr.children[0] if len(expr.children) == 2 else None
             arity = len(args.children)
-            targets: list[Entity] = []
+            targets: Optional[list[Entity]] = None
             if receiver is None:
                 if expr.value == "this":
                     owner = self._owner_class(member)
@@ -852,13 +812,15 @@ class _Resolver:
                         targets = self.reads.methods_named(owner, owner.simple_name,
                                                            arity)
                 else:
-                    targets = self._enclosing_methods(expr.value, type_ent, arity)
+                    targets = self._enclosing(
+                        type_ent, self._methods(expr.value, arity))
             else:
                 recv_type, _static = self._receiver_type(receiver, type_ent, scopes)
                 if recv_type is not None:
-                    targets = self._methods_in_chain(recv_type, expr.value, arity)
+                    targets = self._in_chain(
+                        recv_type, self._methods(expr.value, arity))
                 self._walk_expr(receiver, member, type_ent, scopes)
-            for target in targets:
+            for target in targets or ():
                 self._emit(member, target, "calls")
             for arg in args.children:
                 self._walk_expr(arg, member, type_ent, scopes)
@@ -875,7 +837,10 @@ class _Resolver:
             for arg in args.children:
                 self._walk_expr(arg, member, type_ent, scopes)
             if len(expr.children) > 2 and expr.children[2].kind == "AnonymousBody":
-                self._anonymous_body(expr.children[2], member, type_ent, scopes)
+                # anonymous members have no entities of their own; their
+                # code counts as the enclosing declared member
+                for m in expr.children[2].children:
+                    self._walk_member(m, member, type_ent, scopes)
             return
         if k == "Assignment":
             target, value = expr.children
@@ -897,22 +862,3 @@ class _Resolver:
     def _owner_class(self, member: Entity) -> Optional[Entity]:
         parent = self.unit.parent_of(member)
         return parent if parent is not None and parent.kind == "class" else None
-
-    def _anonymous_body(self, body: SyntaxNode, member: Entity,
-                        type_ent: Entity, scopes: list[dict]) -> None:
-        # anonymous members have no entities of their own; their code is
-        # attributed to the enclosing declared member
-        for m in body.children:
-            if m.kind in ("MethodDecl", "ConstructorDecl"):
-                frame: dict[str, Optional[Entity]] = {}
-                for child in m.children:
-                    if child.kind == "Parameter":
-                        frame[child.value] = self._param_type(child)
-                block = next((c for c in m.children if c.kind == "Block"), None)
-                if block is not None:
-                    self._walk_block(block, member, type_ent, scopes + [frame])
-            elif m.kind == "FieldDecl":
-                init = [c for c in m.children
-                        if c.kind not in ("Modifier", "Annotation", "TypeRef")]
-                if init:
-                    self._walk_expr(init[0], member, type_ent, scopes)

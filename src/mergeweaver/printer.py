@@ -9,9 +9,16 @@ bytes; printing then re-parsing yields a structurally identical tree.
 
 from __future__ import annotations
 
-from .syntax import SyntaxNode, SyntaxTree
+from .syntax import (TYPE_DECL_KINDS, TYPE_KEYWORDS, SyntaxNode, SyntaxTree,
+                     body_of, clauses, declared_type, initializer, parameters)
 
 INDENT = "    "
+
+_MEMBER_KINDS = TYPE_DECL_KINDS | {"FieldDecl", "MethodDecl",
+                                   "ConstructorDecl"}
+# the keyword of each statement printed as ``keyword (header) { ... }``
+_HEADED = {"IfStmt": "if", "WhileStmt": "while", "ForStmt": "for",
+           "ForEachStmt": "for"}
 
 
 class MalformedTree(Exception):
@@ -27,103 +34,59 @@ def pretty_print(tree: SyntaxTree | SyntaxNode) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _partition(node: SyntaxNode):
-    """Split a declaration's children into the clause groups."""
-    annotations, modifiers, extends, implements, throws = [], [], [], [], []
-    type_refs, params, body, members, constants = [], [], None, [], []
-    mode = ""
-    for child in node.children:
-        if child.kind == "Annotation":
-            annotations.append(child)
-        elif child.kind == "Modifier":
-            modifiers.append(child)
-        elif child.kind == "Name" and child.value in ("extends", "implements", "throws"):
-            mode = child.value
-        elif child.kind == "TypeRef":
-            if mode == "extends":
-                extends.append(child)
-            elif mode == "implements":
-                implements.append(child)
-            elif mode == "throws":
-                throws.append(child)
-            else:
-                type_refs.append(child)
-        elif child.kind == "Parameter":
-            params.append(child)
-        elif child.kind == "Block":
-            body = child
-        elif child.kind == "EnumConstant":
-            constants.append(child)
-        else:
-            members.append(child)
-    return annotations, modifiers, extends, implements, throws, \
-        type_refs, params, body, members, constants
-
-
 def _print_node(node: SyntaxNode, depth: int, lines: list[str]) -> None:
     pad = INDENT * depth
     k = node.kind
     if k == "CompilationUnit":
-        for child in node.children:
-            _print_node(child, depth, lines)
+        _print_stmts(node, depth, lines)
     elif k == "PackageDecl":
         lines.append(f"{pad}package {node.value};")
     elif k == "ImportDecl":
         lines.append(f"{pad}import {node.value};")
-    elif k in ("ClassDecl", "InterfaceDecl", "EnumDecl"):
-        ann, mods, ext, impl, _, _, _, _, members, constants = _partition(node)
-        for a in ann:
-            lines.append(f"{pad}@{a.value}")
-        kw = {"ClassDecl": "class", "InterfaceDecl": "interface",
-              "EnumDecl": "enum"}[k]
-        head = "".join(m.value + " " for m in mods) + f"{kw} {node.value}"
-        if ext:
-            head += " extends " + ", ".join(t.value for t in ext)
-        if impl:
-            head += " implements " + ", ".join(t.value for t in impl)
+    elif k in TYPE_DECL_KINDS:
+        _annotations(node, pad, lines)
+        head = _modifiers(node) + f"{TYPE_KEYWORDS[k]} {node.value}"
+        groups = clauses(node)
+        for marker in ("extends", "implements"):
+            if groups[marker]:
+                head += f" {marker} " + ", ".join(t.value for t in groups[marker])
         lines.append(f"{pad}{head} {{")
+        constants = [c.value for c in node.children if c.kind == "EnumConstant"]
         if constants:
-            lines.append(f"{pad}{INDENT}" + ", ".join(c.value for c in constants) + ";")
-        for m in members:
-            _print_node(m, depth + 1, lines)
+            lines.append(f"{pad}{INDENT}" + ", ".join(constants) + ";")
+        for m in node.children:
+            if m.kind in _MEMBER_KINDS:
+                _print_node(m, depth + 1, lines)
         lines.append(f"{pad}}}")
     elif k == "FieldDecl":
-        ann, mods, _, _, _, type_refs, _, _, members, _ = _partition(node)
-        if not type_refs:
-            raise MalformedTree(node, "field without a type")
-        for a in ann:
-            lines.append(f"{pad}@{a.value}")
-        text = "".join(m.value + " " for m in mods) + f"{type_refs[0].value} {node.value}"
-        init = [c for c in members if c not in type_refs]
-        if init:
-            text += " = " + _expr(init[0], depth)
-        lines.append(f"{pad}{text};")
+        _annotations(node, pad, lines)
+        lines.append(f"{pad}{_variable(node, depth)};")
     elif k in ("MethodDecl", "ConstructorDecl"):
-        ann, mods, _, _, throws, type_refs, params, body, _, _ = _partition(node)
-        for a in ann:
-            lines.append(f"{pad}@{a.value}")
-        head = "".join(m.value + " " for m in mods)
+        _annotations(node, pad, lines)
+        head = _modifiers(node)
         if k == "MethodDecl":
-            if not type_refs:
+            ret = declared_type(node)
+            if ret is None:
                 raise MalformedTree(node, "method without a return type")
-            head += f"{type_refs[0].value} "
-        head += node.value + "(" + ", ".join(_param(p) for p in params) + ")"
+            head += f"{ret.value} "
+        head += node.value + "(" + ", ".join(
+            _variable(p, depth) for p in parameters(node)) + ")"
+        throws = clauses(node)["throws"]
         if throws:
             head += " throws " + ", ".join(t.value for t in throws)
+        body = body_of(node)
         if body is None:
             lines.append(f"{pad}{head};")
         else:
             lines.append(f"{pad}{head} {{")
-            for stmt in body.children:
-                _print_node(stmt, depth + 1, lines)
+            _print_stmts(body, depth + 1, lines)
             lines.append(f"{pad}}}")
     elif k == "Block":
         lines.append(f"{pad}{{")
-        for stmt in node.children:
-            _print_node(stmt, depth + 1, lines)
+        _print_stmts(node, depth + 1, lines)
         lines.append(f"{pad}}}")
     elif k == "LocalVarDecl":
-        lines.append(f"{pad}{_local_var(node, depth)};")
+        lines.append(f"{pad}{_variable(node, depth)};")
     elif k == "ExprStmt":
         lines.append(f"{pad}{_expr(node.children[0], depth)};")
     elif k == "ReturnStmt":
@@ -133,81 +96,69 @@ def _print_node(node: SyntaxNode, depth: int, lines: list[str]) -> None:
             lines.append(f"{pad}return;")
     elif k == "ThrowStmt":
         lines.append(f"{pad}throw {_expr(node.children[0], depth)};")
-    elif k == "IfStmt":
-        _print_if(node, depth, lines, pad)
-    elif k == "WhileStmt":
-        cond, body = node.children[0], node.children[1]
-        lines.append(f"{pad}while ({_expr(cond, depth)}) {{")
-        for stmt in body.children:
-            _print_node(stmt, depth + 1, lines)
-        lines.append(f"{pad}}}")
-    elif k == "ForStmt":
-        init, cond, update, body = node.children
-        if init.kind == "LocalVarDecl":
-            init_text = _local_var(init, depth)
-        else:
-            init_text = _expr(init.children[0], depth)
-        lines.append(f"{pad}for ({init_text}; {_expr(cond, depth)}; "
-                     f"{_expr(update, depth)}) {{")
-        for stmt in body.children:
-            _print_node(stmt, depth + 1, lines)
-        lines.append(f"{pad}}}")
-    elif k == "ForEachStmt":
-        param, iterable, body = node.children
-        lines.append(f"{pad}for ({_param(param)} : {_expr(iterable, depth)}) {{")
-        for stmt in body.children:
-            _print_node(stmt, depth + 1, lines)
+    elif k in _HEADED:
+        lines.append(f"{pad}{_HEADED[k]} ({_header(node, depth)}) {{")
+        body = node.children[1 if k == "IfStmt" or k == "WhileStmt" else -1]
+        _print_stmts(body, depth + 1, lines)
+        # an if's else branch: an else-if chain, then an optional else block
+        tail = node.children[2] if k == "IfStmt" and len(node.children) > 2 \
+            else None
+        while tail is not None and tail.kind == "IfStmt":
+            lines.append(f"{pad}}} else if ({_header(tail, depth)}) {{")
+            _print_stmts(tail.children[1], depth + 1, lines)
+            tail = tail.children[2] if len(tail.children) > 2 else None
+        if tail is not None:
+            lines.append(f"{pad}}} else {{")
+            _print_stmts(tail, depth + 1, lines)
         lines.append(f"{pad}}}")
     else:
         raise MalformedTree(node, f"{k} cannot appear at statement level")
 
 
-def _print_if(node: SyntaxNode, depth: int, lines: list[str], pad: str) -> None:
-    cond = node.children[0]
-    then = node.children[1]
-    lines.append(f"{pad}if ({_expr(cond, depth)}) {{")
-    for stmt in then.children:
-        _print_node(stmt, depth + 1, lines)
-    cur = node.children[2] if len(node.children) > 2 else None
-    while cur is not None:
-        if cur.kind == "IfStmt":
-            lines.append(f"{pad}}} else if ({_expr(cur.children[0], depth)}) {{")
-            for stmt in cur.children[1].children:
-                _print_node(stmt, depth + 1, lines)
-            cur = cur.children[2] if len(cur.children) > 2 else None
-        else:
-            lines.append(f"{pad}}} else {{")
-            for stmt in cur.children:
-                _print_node(stmt, depth + 1, lines)
-            cur = None
-    lines.append(f"{pad}}}")
+def _print_stmts(block: SyntaxNode, depth: int, lines: list[str]) -> None:
+    for stmt in block.children:
+        _print_node(stmt, depth, lines)
 
 
-def _param(node: SyntaxNode) -> str:
-    mods = [c.value for c in node.children if c.kind == "Modifier"]
-    trefs = [c for c in node.children if c.kind == "TypeRef"]
-    if not trefs:
-        raise MalformedTree(node, "parameter without a type")
-    return "".join(m + " " for m in mods) + f"{trefs[0].value} {node.value}"
+def _header(node: SyntaxNode, depth: int) -> str:
+    """What the parentheses of an if, while, for or for-each hold."""
+    k = node.kind
+    if k == "ForStmt":
+        init, cond, update = node.children[:3]
+        init_text = _variable(init, depth) if init.kind == "LocalVarDecl" \
+            else _expr(init.children[0], depth)
+        return f"{init_text}; {_expr(cond, depth)}; {_expr(update, depth)}"
+    if k == "ForEachStmt":
+        return f"{_variable(node.children[0], depth)} : " \
+               f"{_expr(node.children[1], depth)}"
+    return _expr(node.children[0], depth)
 
 
-def _local_var(node: SyntaxNode, depth: int) -> str:
-    mods = [c.value for c in node.children if c.kind == "Modifier"]
-    trefs = [c for c in node.children if c.kind == "TypeRef"]
-    inits = [c for c in node.children if c.kind not in ("Modifier", "TypeRef")]
-    if not trefs:
-        raise MalformedTree(node, "local variable without a type")
-    text = "".join(m + " " for m in mods) + f"{trefs[0].value} {node.value}"
-    if inits:
-        text += " = " + _expr(inits[0], depth)
+def _annotations(node: SyntaxNode, pad: str, lines: list[str]) -> None:
+    lines.extend(f"{pad}@{c.value}" for c in node.children
+                 if c.kind == "Annotation")
+
+
+def _modifiers(node: SyntaxNode) -> str:
+    return "".join(c.value + " " for c in node.children if c.kind == "Modifier")
+
+
+def _variable(node: SyntaxNode, depth: int) -> str:
+    """A field, parameter or local variable without its annotations:
+    ``modifiers Type name`` and `` = initializer`` if it has one."""
+    tref = declared_type(node)
+    if tref is None:
+        raise MalformedTree(node, "declaration without a type")
+    text = _modifiers(node) + f"{tref.value} {node.value}"
+    init = initializer(node)
+    if init is not None:
+        text += " = " + _expr(init, depth)
     return text
 
 
 def _expr(node: SyntaxNode, depth: int) -> str:
     k = node.kind
-    if k == "Name" or k == "Literal":
-        return node.value
-    if k == "TypeRef":
+    if k == "Name" or k == "Literal" or k == "TypeRef":
         return node.value
     if k == "MethodInvocation":
         args = node.children[-1]
@@ -226,8 +177,7 @@ def _expr(node: SyntaxNode, depth: int) -> str:
             ", ".join(_expr(a, depth) for a in args.children) + ")"
         if len(node.children) > 2 and node.children[2].kind == "AnonymousBody":
             body_lines: list[str] = []
-            for m in node.children[2].children:
-                _print_node(m, depth + 1, body_lines)
+            _print_stmts(node.children[2], depth + 1, body_lines)
             inner = "\n".join(body_lines)
             text += " {\n" + inner + "\n" + INDENT * depth + "}"
         return text
@@ -248,16 +198,8 @@ def statement_header_text(node: SyntaxNode) -> str:
     compare on the whole statement.  Whitespace is collapsed so layout never
     influences the score.
     """
-    k = node.kind
-    if k == "IfStmt" or k == "WhileStmt":
-        text = _expr(node.children[0], 0)
-    elif k == "ForStmt":
-        init, cond, update = node.children[0], node.children[1], node.children[2]
-        init_text = _local_var(init, 0) if init.kind == "LocalVarDecl" \
-            else _expr(init.children[0], 0)
-        text = f"{init_text}; {_expr(cond, 0)}; {_expr(update, 0)}"
-    elif k == "ForEachStmt":
-        text = f"{_param(node.children[0])} : {_expr(node.children[1], 0)}"
+    if node.kind in _HEADED:
+        text = _header(node, 0)
     else:
         lines: list[str] = []
         _print_node(node, 0, lines)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .conflicts import (IDENT_RE, Conflict, declared_type_node,
-                        declared_type_text, interface_return_for)
+from .conflicts import (IDENT_RE, Conflict, declared_type_text,
+                        interface_return_for)
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
 from .matching import Resolution
 from .merge3 import MergeScenario
 from .printer import pretty_print
-from .syntax import SourceFile, SyntaxNode, SyntaxTree, clone_node
+from .syntax import (SourceFile, SyntaxNode, SyntaxTree, body_of, clone_node,
+                     declared_type, parameters)
 
 
 class NotCovered(Exception):
@@ -120,7 +121,7 @@ def _match_super_return(work: SyntaxTree, conflict: Conflict,
     if not want:
         raise TargetMissing("superclass method has no return type")
     for _site, node in _site_nodes(work, conflict):
-        ret = declared_type_node(node)
+        ret = declared_type(node)
         if ret is None:
             raise TargetMissing("site method has no return type")
         ret.value = want
@@ -131,20 +132,19 @@ def _match_super_params(work: SyntaxTree, conflict: Conflict,
     d = conflict.def_change
     assert isinstance(d, EntityEdit) and d.new is not None \
         and d.new.decl is not None
-    new_params = [c for c in d.new.decl.children if c.kind == "Parameter"]
+    new_params = parameters(d.new.decl)
     for _site, node in _site_nodes(work, conflict):
         if node.kind not in ("MethodDecl", "ConstructorDecl"):
             raise TargetMissing(f"unexpected site kind {node.kind}")
-        old_idx = [i for i, c in enumerate(node.children)
-                   if c.kind == "Parameter"]
-        if old_idx:
-            insert_at = old_idx[0]
+        old_params = parameters(node)
+        if old_params:
+            insert_at = node.children.index(old_params[0])
         else:
-            ret = declared_type_node(node)
+            ret = declared_type(node)
             insert_at = node.children.index(ret) + 1 if ret is not None \
                 else len(node.children)
-        for i in reversed(old_idx):
-            work.remove(node.children[i])
+        for param in old_params:
+            work.remove(param)
         for off, param in enumerate(new_params):
             work.insert(node, insert_at + off, _fresh_clone(work, param))
 
@@ -186,7 +186,7 @@ def _override_new_super_method(work: SyntaxTree, conflict: Conflict,
             method.children.insert(0, SyntaxNode(
                 kind="Modifier", value="public", children=[], span=None,
                 id=work.fresh_id()))
-        if not any(c.kind == "Block" for c in method.children):
+        if body_of(method) is None:
             body = SyntaxNode(kind="Block", value="", children=[],
                               span=None, id=work.fresh_id())
             ret = declared_type_text(method)
@@ -234,7 +234,7 @@ def _match_interface_return(work: SyntaxTree, conflict: Conflict,
         if node.kind == "TypeRef":
             node.value = want
         else:
-            ret = declared_type_node(node)
+            ret = declared_type(node)
             if ret is None:
                 raise TargetMissing("site method has no return type")
             ret.value = want

@@ -37,7 +37,74 @@ STATEMENT_KINDS = frozenset({
     "ReturnStmt", "ThrowStmt", "ExprStmt", "LocalVarDecl",
 })
 
-TYPE_DECL_KINDS = frozenset({"ClassDecl", "InterfaceDecl", "EnumDecl"})
+# -- declaration layout -----------------------------------------------------
+# The parser lays out a declaration's children in this order: annotations
+# and modifiers; the declared type (of a field, parameter or local
+# variable, or a method's return type); parameters; clause marker leaves,
+# each a Name valued "extends", "implements" or "throws" that precedes the
+# TypeRefs it introduces; then the Block body, a field's or local
+# variable's initializer, or a type's members.  The readers below are the
+# one decoder of that layout.
+
+# the keyword of each type declaration kind, which is also its entity kind
+TYPE_KEYWORDS = {"ClassDecl": "class", "InterfaceDecl": "interface",
+                 "EnumDecl": "enum"}
+TYPE_DECL_KINDS = frozenset(TYPE_KEYWORDS)
+
+_TYPED_KINDS = frozenset({"FieldDecl", "MethodDecl", "Parameter",
+                          "LocalVarDecl"})
+
+
+def declared_type(decl: SyntaxNode) -> Optional[SyntaxNode]:
+    """The TypeRef of a field, parameter or local variable, or a method's
+    return type; None for any other kind of node."""
+    if decl.kind not in _TYPED_KINDS:
+        return None
+    for child in decl.children:
+        if child.kind == "TypeRef":
+            return child
+        if child.kind == "Parameter":
+            break
+    return None
+
+
+def initializer(decl: SyntaxNode) -> Optional[SyntaxNode]:
+    """The initializer of a field or local variable: its first child that
+    is not a modifier, annotation or type."""
+    for child in decl.children:
+        if child.kind not in ("Modifier", "Annotation", "TypeRef"):
+            return child
+    return None
+
+
+def parameters(decl: SyntaxNode) -> list[SyntaxNode]:
+    return [c for c in decl.children if c.kind == "Parameter"]
+
+
+def param_types(decl: SyntaxNode) -> str:
+    """The parameter types of a method or constructor, comma-joined."""
+    return ",".join(t.value for t in map(declared_type, parameters(decl))
+                    if t is not None)
+
+
+def body_of(decl: SyntaxNode) -> Optional[SyntaxNode]:
+    return next((c for c in decl.children if c.kind == "Block"), None)
+
+
+def clauses(decl: SyntaxNode) -> dict[str, list[SyntaxNode]]:
+    """A declaration's TypeRef children grouped by the marker leaf before
+    them: "" (none yet), "extends", "implements" and "throws"."""
+    groups: dict[str, list[SyntaxNode]] = {"": [], "extends": [],
+                                           "implements": [], "throws": []}
+    mode = ""
+    for child in decl.children:
+        if child.kind == "Name" and child.value in ("extends", "implements",
+                                                     "throws"):
+            mode = child.value
+        elif child.kind == "TypeRef":
+            groups[mode].append(child)
+    return groups
+
 
 # (start_line, start_col, end_line, end_col); lines and cols are 1-based.
 Span = tuple[int, int, int, int]

@@ -4,6 +4,10 @@ chain.  ``tests/test_taxonomy.py`` requires the table-driven
 ``mergeweaver.conflicts`` to classify every edit pair and report every
 conflict exactly as this module does.  Only the ``fw=None`` fallback of
 ``_added_type_with_parent``, which no caller used, is left out.
+
+The declaration helpers it reads declarations through are verbatim copies
+of the ones ``mergeweaver.conflicts`` had before the ``syntax`` readers
+replaced them, so the oracle never reads through the code it checks.
 """
 
 from __future__ import annotations
@@ -12,10 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from mergeweaver.conflicts import (IDENT_RE, Conflict, ConflictSite,
-                                   arg_count, declared_type_node,
-                                   declared_type_text, find_decl_method,
-                                   mentions_name, owner_fqn,
-                                   param_sig_of_decl, simple_of)
+                                   arg_count, mentions_name, owner_fqn,
+                                   simple_of)
 from mergeweaver.graph_diff import (EntityEdit, FourWayGraph, RelationEdit,
                                     merged_entity_for)
 from mergeweaver.peg import (MEMBER_ENTITY_KINDS, Entity, Relation, arity_of,
@@ -23,6 +25,46 @@ from mergeweaver.peg import (MEMBER_ENTITY_KINDS, Entity, Relation, arity_of,
 from mergeweaver.syntax import SyntaxNode
 
 Edit = Union[EntityEdit, RelationEdit]
+
+# ---------------------------------------------------------------------------
+# declaration helpers
+
+
+def declared_type_node(decl: SyntaxNode) -> Optional[SyntaxNode]:
+    """Return-type TypeRef of a method, or the type of a field."""
+    if decl.kind not in ("MethodDecl", "FieldDecl"):
+        return None
+    for child in decl.children:
+        if child.kind == "TypeRef":
+            return child
+        if child.kind == "Parameter":
+            break
+    return None
+
+
+def declared_type_text(decl: Optional[SyntaxNode]) -> Optional[str]:
+    if decl is None:
+        return None
+    node = declared_type_node(decl)
+    return node.value if node is not None else None
+
+
+def param_sig_of_decl(decl: SyntaxNode) -> str:
+    texts = [t.value
+             for p in decl.children if p.kind == "Parameter"
+             for t in p.children if t.kind == "TypeRef"]
+    return "(" + ",".join(texts) + ")"
+
+
+def find_decl_method(type_decl: SyntaxNode, name: str,
+                     sig: Optional[str] = None) -> Optional[SyntaxNode]:
+    for child in type_decl.children:
+        if child.kind in ("MethodDecl", "ConstructorDecl") \
+                and child.value == name \
+                and (sig is None or param_sig_of_decl(child) == sig):
+            return child
+    return None
+
 
 # ---------------------------------------------------------------------------
 # classification

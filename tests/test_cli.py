@@ -180,6 +180,17 @@ def test_parse_error_names_the_first_version_that_fails(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: base/A.java:4:")
 
 
+def test_deep_nesting_exits_2_without_a_traceback(tmp_path, capsys):
+    # deeper than the recursion limit lets the parser descend
+    text = "class A { int x = " + "g(" * 300 + "1" + ")" * 300 + "; }\n"
+    _write_legs(tmp_path, {v: {"A.java": text.encode()}
+                           for v in ("base", "left", "right")})
+    assert main(args_for("detect", scenario=tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: base/A.java:1:")
+    assert err.endswith(": nested too deeply\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("member, message", [
     ("void f(int a int b) { }", "4:18: expected ',' or ')' but found 'int'"),
     ("void f() { g(a b); }", "4:20: expected ',' or ')' but found 'b'"),

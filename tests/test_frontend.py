@@ -19,11 +19,20 @@ def roundtrip(text: str, path: str = "T.java") -> None:
     assert token_stream(printed) == token_stream(pretty_print(again))
 
 
+# initializers the corpus lacks: clause marker words, as a field and a local
+MARKER_WORD_INITIALIZERS = [
+    "class A { int x = throws; }",
+    "class A { void m() { int y = extends; } }",
+]
+
+
 def test_corpus_files_roundtrip():
     files = corpus_java_files()
     assert len(files) > 100
     for path in files:
         roundtrip(path.read_text(), path.name)
+    for text in MARKER_WORD_INITIALIZERS:
+        roundtrip(text)
 
 
 def test_random_programs_roundtrip():
