@@ -7,6 +7,18 @@ with those, then closes over control and data dependences between edited
 statements.  The pattern is the pruned before-side context around the kept
 ops plus the ops themselves, with the use sites marked critical.
 
+The data dependence is edit-scoped.  A statement defines the variables it
+declares or assigns anywhere in it, but it uses only what its own ops
+touch: the Name and FieldAccess values in the before-side subtree of each
+op target it governs, plus the name each of its add and update ops
+writes.  An edited statement joins the closure when it comes earlier and
+defines a name that a closure statement uses, and the nearest loop or
+branch around a closure statement joins when it is edited too.  So
+renaming the call in ``s = s + h.m(k);`` reads ``h`` and ``k`` but not
+``s``, and a pattern does not pull in every other edited statement that
+assigns ``s``; a rewritten argument ``h.m2(t)`` does read ``t`` and pulls
+in the edited statement that defines it.
+
 The context is built in one pass: the kept nodes and their ancestors are
 marked once, then only the marked nodes and what may not be dropped are
 cloned.  Every statement and the else branch of an IfStmt without a marked
@@ -26,6 +38,7 @@ from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree, declared_type
 from .tree_diff import EditOp
 
 _LOOP_OR_BRANCH = ("IfStmt", "ForStmt", "ForEachStmt", "WhileStmt")
+_NAME_KINDS = ("Name", "FieldAccess")
 
 
 class NoRelevantEdit(Exception):
@@ -146,13 +159,15 @@ def _defined_vars(stmt: SyntaxNode) -> set[str]:
     return out
 
 
-def _used_vars(stmt: SyntaxNode) -> set[str]:
-    out: set[str] = set()
-    for n in stmt.walk():
-        if n.kind == "Name":
-            out.add(n.value)
-        elif n.kind == "FieldAccess":
-            out.add(n.value)
+def _op_names(before: SyntaxTree, op: EditOp, target_id: int) -> set[str]:
+    """Names an op reads or writes: the Name and FieldAccess values in
+    its target's before-side subtree, plus the name an add or update
+    writes."""
+    target = before.node(target_id)
+    out = {n.value for n in target.walk() if n.kind in _NAME_KINDS}
+    if (op.op == "add" and op.node_kind in _NAME_KINDS) \
+            or (op.op == "update" and target.kind in _NAME_KINDS):
+        out.add(op.value or "")
     return out
 
 
@@ -196,9 +211,14 @@ def refine_edits(example: "EditExample", conflict: Conflict
 
     closure: set[int] = {stmt_of[id(op)].id for op in core
                          if stmt_of[id(op)] is not None}
-    # variables of each edited statement, computed on first need; every
-    # closure statement is an edited one
+    # names each edited statement's ops read or write; every closure
+    # statement is an edited one
     used: dict[int, set[str]] = {}
+    for op in script:
+        stmt = stmt_of[id(op)]
+        if stmt is not None:
+            used.setdefault(stmt.id, set()).update(
+                _op_names(before, op, targets[id(op)]))
     defined: dict[int, set[str]] = {}
     changed = True
     while changed:
@@ -210,8 +230,6 @@ def refine_edits(example: "EditExample", conflict: Conflict
                     and owner.id not in closure:
                 closure.add(owner.id)
                 changed = True
-            if sid not in used:
-                used[sid] = _used_vars(stmt)
             for oid, other in edited.items():
                 if oid in closure or oid >= sid:
                     continue

@@ -178,7 +178,9 @@ def random_program(rng: random.Random) -> str:
 # ---------------------------------------------------------------------------
 # Independent re-computation of the dependence closure used when refining
 # a mined edit script.  Same contract, separately written primitives, so
-# the two implementations check each other.
+# the two implementations check each other.  The closure is edit-scoped: a
+# statement uses only the names its own ops read or write, not every name
+# it mentions, while the names it defines are read off the whole statement.
 
 _OWNER_KINDS = ("IfStmt", "ForStmt", "ForEachStmt", "WhileStmt")
 
@@ -222,8 +224,25 @@ def brute_force_closure(before: SyntaxTree, script, use_ids: set[int]
         return out
 
     def used(stmt):
-        return {n.value for n in stmt.walk()
-                if n.kind in ("Name", "FieldAccess")}
+        # only what the statement's own ops touch: the names under each
+        # op target's before-side node, and a name an add or update writes
+        out = set()
+        for op in script:
+            tid = target(op)
+            if tid is None or stmt_of(tid) is not stmt:
+                continue
+            top = before.node(tid)
+            stack = [top]
+            while stack:
+                n = stack.pop()
+                if n.kind in ("Name", "FieldAccess"):
+                    out.add(n.value)
+                stack.extend(n.children)
+            written = top.kind if op.op == "update" else op.node_kind
+            if op.op in ("add", "update") \
+                    and written in ("Name", "FieldAccess"):
+                out.add(op.value)
+        return out
 
     order = {n.id: i for i, n in enumerate(before.nodes())}
     while True:

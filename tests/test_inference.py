@@ -125,9 +125,11 @@ def test_closure_matches_brute_force_on_all_mined_examples():
                  "client-ctor-params", "serialization-service-moved",
                  "tax-c19", "tax-c20", "tax-c21", "tax-c22", "tax-c23",
                  "tax-c15", "tax-c17")
+    runs = [(name, run_corpus(name)) for name in scenarios]
+    runs.append(("rename-fanout", run_scenario(
+        FANOUT / "base", FANOUT / "left", FANOUT / "right")))
     checked = 0
-    for name in scenarios:
-        run = run_corpus(name)
+    for name, run in runs:
         for conflict in run.report.conflicts:
             for ex in mine_examples(run.fourway, conflict):
                 uses = use_node_ids(ex.before, conflict)
@@ -138,7 +140,78 @@ def test_closure_matches_brute_force_on_all_mined_examples():
                 assert closure == brute_force_closure(
                     ex.before, list(ex.script), uses), (name, ex.host)
                 checked += 1
-    assert checked >= 8
+    assert checked >= 76            # 12 corpus examples, 64 fanout ones
+
+
+def _write(root, files: dict[str, str]) -> None:
+    for version, text_by_path in files.items():
+        for path, text in text_by_path.items():
+            (root / version).mkdir(parents=True, exist_ok=True)
+            (root / version / path).write_text(text)
+
+
+_HUB = "package p;\npublic class H {\n    public int %s(int k) { return k; }\n}\n"
+_HOST = """\
+package p;
+public class C {
+    public int f(H h, int k) {
+        int s = 0;
+        int t = %s;
+        s = s + h.%s;
+        return s;
+    }
+}
+"""
+_CALLER = """\
+package p;
+public class D {
+    public int g(H h) { return h.m(1); }
+}
+"""
+
+
+def test_real_dependence_pulls_its_statement_in(tmp_path):
+    # the adapted call now reads t, and the edited statement before it
+    # defines t: the m pattern must keep that statement, although the
+    # call's before-side target (h.m(k)) never mentions t
+    _write(tmp_path, {
+        "base": {"H.java": _HUB % "m", "C.java": _HOST % ("0", "m(k)")},
+        "left": {"H.java": _HUB % "m2",
+                 "C.java": _HOST % ("k * 2", "m2(t)")},
+        "right": {"H.java": _HUB % "m", "C.java": _HOST % ("0", "m(k)"),
+                  "D.java": _CALLER},
+    })
+    run = run_scenario(tmp_path / "base", tmp_path / "left",
+                       tmp_path / "right")
+    (conflict,) = run.report.conflicts
+    (ex,) = mine_examples(run.fourway, conflict)
+    _, closure, _ = refine_edits(ex, conflict)
+    assert sorted(statement_header_text(ex.before.node(s))
+                  for s in closure) == ["int t = 0;", "s = s + h.m(k);"]
+    assert closure == brute_force_closure(
+        ex.before, list(ex.script), use_node_ids(ex.before, conflict))
+    context = pretty_print(infer_pattern(ex, conflict).context)
+    assert "int t = 0;" in context and "s = s + h.m(k);" in context
+
+
+def test_each_fanout_pattern_keeps_only_its_own_call():
+    # every s = s + h.x(..) both defines and uses s, but renaming h.x
+    # reads only h, which no edited statement defines
+    run = run_scenario(FANOUT / "base", FANOUT / "left", FANOUT / "right")
+    assert len(run.report.conflicts) == 16
+    checked = 0
+    for conflict in run.report.conflicts:
+        method = conflict.def_change.old.simple_name
+        for ex in mine_examples(run.fourway, conflict):
+            pattern = infer_pattern(ex, conflict)
+            stmts = [n for n in pattern.context.nodes()
+                     if n.kind in STATEMENT_KINDS]
+            assert len(stmts) == 1, (method, ex.host)
+            calls = [n.value for n in stmts[0].walk()
+                     if n.kind == "MethodInvocation"]
+            assert calls == [method], (method, ex.host)
+            checked += 1
+    assert checked == 64
 
 
 def test_unrelated_script_raises_no_relevant_edit():

@@ -2,7 +2,8 @@
 
 tests/data/corpus_reports.json was generated by tools/snapshot_reports.py
 before the front end was optimised, tests/data/synthetic_reports.json
-before example mining and anchoring were memoized.  A mismatch means a
+when the dependence closure became edit-scoped (a deliberate change of
+the fanout example resolutions, argued in CHANGES.md).  A mismatch means a
 change altered observable output; it is fixed in the program, never by
 regenerating the files (see the tool's docstring for deliberate behaviour
 changes).
