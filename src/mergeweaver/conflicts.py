@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .graph_diff import (EntityEdit, FourWayGraph, RelationEdit,
                          merged_entity_for)
@@ -141,25 +141,31 @@ def _type_use_nodes(decl: SyntaxNode, simple: str) -> list[SyntaxNode]:
     return out
 
 
-def field_use_nodes(decl: SyntaxNode, name: str) -> list[SyntaxNode]:
-    """Names and field accesses of ``name`` under decl."""
-    return [n for n in decl.walk()
+# The use finders filter the nodes they are given: every node of a
+# declaration (decl.walk()), or the nodes an index holds under the name.
+
+
+def field_use_nodes(nodes: Iterable[SyntaxNode],
+                    name: str) -> list[SyntaxNode]:
+    """Names and field accesses of ``name`` among nodes."""
+    return [n for n in nodes
             if n.kind in ("Name", "FieldAccess") and n.value == name]
 
 
-def call_nodes(decl: SyntaxNode, name: str,
+def call_nodes(nodes: Iterable[SyntaxNode], name: str,
                arity: Optional[int]) -> list[SyntaxNode]:
-    """Invocations of ``name`` under decl, with ``arity`` arguments if set."""
-    return [n for n in decl.walk()
+    """Invocations of ``name`` among nodes, with ``arity`` arguments if
+    set."""
+    return [n for n in nodes
             if n.kind == "MethodInvocation" and n.value == name
             and (arity is None or arg_count(n) == arity)]
 
 
-def creation_nodes(decl: SyntaxNode, simple: str,
+def creation_nodes(nodes: Iterable[SyntaxNode], simple: str,
                    arity: Optional[int]) -> list[SyntaxNode]:
-    """``new simple(...)`` under decl, with ``arity`` arguments if set."""
+    """``new simple(...)`` among nodes, with ``arity`` arguments if set."""
     out = []
-    for n in decl.walk():
+    for n in nodes:
         if n.kind != "ObjectCreation":
             continue
         tref = next((c for c in n.children if c.kind == "TypeRef"), None)
@@ -360,21 +366,22 @@ def _dangling_type_uses(d: Edit, u: Edit, user: Entity,
 @_in_user
 def _field_uses(d: Edit, u: Edit, user: Entity,
                 fw: FourWayGraph) -> list[SyntaxNode]:
-    return field_use_nodes(user.decl, simple_of(d.subject))
+    return field_use_nodes(user.decl.walk(), simple_of(d.subject))
 
 
 @_in_user
 def _calls(d: Edit, u: Edit, user: Entity,
            fw: FourWayGraph) -> list[SyntaxNode]:
-    return call_nodes(user.decl, d.old.simple_name, arity_of(d.old))
+    return call_nodes(user.decl.walk(), d.old.simple_name,
+                      arity_of(d.old))
 
 
 @_in_user
 def _creations(d: Edit, u: Edit, user: Entity,
                fw: FourWayGraph) -> list[SyntaxNode]:
     arity = arity_of(d.old)
-    return creation_nodes(user.decl, d.old.simple_name, arity) \
-        + call_nodes(user.decl, "this", arity)
+    return creation_nodes(user.decl.walk(), d.old.simple_name, arity) \
+        + call_nodes(user.decl.walk(), "this", arity)
 
 
 @_in_user

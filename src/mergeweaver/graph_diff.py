@@ -223,7 +223,8 @@ class FourWayGraph:
     cap_left: dict[str, str]    # merged entity id -> left entity id
     cap_right: dict[str, str]
     # mining.mine_examples' memo: (branch, base host id, branch host id)
-    # -> (before, after, script); see the mining module docstring
+    # -> MinedHost (trees, script and refinement facts); see the mining
+    # module docstring
     mined: dict = field(default_factory=dict, compare=False, repr=False)
     # matching.resolve_by_example's memo: merged entity id -> the member's
     # tree, statements and lazily filled header profiles (MergedMember);

@@ -19,6 +19,14 @@ renaming the call in ``s = s + h.m(k);`` reads ``h`` and ``k`` but not
 assigns ``s``; a rewritten argument ``h.m2(t)`` does read ``t`` and pulls
 in the edited statement that defines it.
 
+What refinement reads of a mined host whatever the conflict (each op's
+target and governing statement, the edited statements with their used and
+defined names and control owners, and a by-name index of the before tree
+that use_node_ids answers from) is a ScriptFacts, made once per mined host
+and shared by every conflict refined against it (see mining).  So a
+refinement costs work in proportion to the conflict's own edits, not to
+the host.
+
 The context is built in one pass: the kept nodes and their ancestors are
 marked once, then only the marked nodes and what may not be dropped are
 cloned.  Every statement and the else branch of an IfStmt without a marked
@@ -28,7 +36,7 @@ node are left out; the mined before tree itself is never edited.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .conflicts import (Conflict, call_nodes, creation_nodes,
                         field_use_nodes)
@@ -80,25 +88,33 @@ def _subject_facts(conflict: Conflict) -> Optional[tuple[str, str, Optional[int]
     return None
 
 
-def use_node_ids(before: SyntaxTree, conflict: Conflict) -> set[int]:
-    """Ids of nodes in the before tree that use the changed definition."""
-    facts = _subject_facts(conflict)
-    if facts is None:
+def use_node_ids(before: SyntaxTree, conflict: Conflict,
+                 named: Optional[dict[str, list[SyntaxNode]]] = None
+                 ) -> set[int]:
+    """Ids of nodes in the before tree that use the changed definition.
+
+    ``named`` is the tree's ``name_index``; without one, the index is
+    built for this call."""
+    subject = _subject_facts(conflict)
+    if subject is None:
         return set()
-    kind, name, arity = facts
-    ids: set[int] = set()
+    kind, name, arity = subject
+    if named is None:
+        named = name_index(before)
+    candidates = named.get(name, ())
 
     if kind == "field":
-        return {n.id for n in field_use_nodes(before.root, name)}
+        return {n.id for n in field_use_nodes(candidates, name)}
 
+    ids: set[int] = set()
     if kind == "method":
-        for n in call_nodes(before.root, name, arity):
+        for n in call_nodes(candidates, name, arity):
             ids.add(n.id)
             ids.update(c.id for c in n.children if c.kind == "ArgumentList")
         return ids
 
     if kind == "constructor":
-        for n in creation_nodes(before.root, name, arity):
+        for n in creation_nodes(candidates, name, arity):
             ids.add(n.id)
             ids.update(c.id for c in n.children
                        if c.kind in ("TypeRef", "ArgumentList"))
@@ -107,20 +123,46 @@ def use_node_ids(before: SyntaxTree, conflict: Conflict) -> set[int]:
     # class subject: type references, plus every mention of a variable
     # declared with that type
     typed_vars: set[str] = set()
-    for n in before.nodes():
+    for n in candidates:
         if n.kind in ("LocalVarDecl", "Parameter"):
-            tref = declared_type(n)
-            if tref is not None and type_base_name(tref.value) == name:
-                typed_vars.add(n.value)
-                ids.add(n.id)
-    for n in before.nodes():
-        if n.kind == "TypeRef" and type_base_name(n.value) == name:
+            typed_vars.add(n.value)
             ids.add(n.id)
-        elif n.kind == "Name" and (n.value == name or n.value in typed_vars):
+        elif n.kind in ("TypeRef", "Name"):
             ids.add(n.id)
-        elif n.kind == "FieldAccess" and n.value in typed_vars:
-            ids.add(n.id)
+    for var in typed_vars:
+        ids.update(n.id for n in named.get(var, ())
+                   if n.kind in _NAME_KINDS)
     return ids
+
+
+def _mentioned_name(node: SyntaxNode) -> Optional[str]:
+    """The name a node can use a definition by: the value of a name,
+    field access or call, the base name of a type reference, and the base
+    name of the type a creation makes or a variable is declared with."""
+    kind = node.kind
+    if kind in ("Name", "FieldAccess", "MethodInvocation"):
+        return node.value
+    if kind == "TypeRef":
+        return type_base_name(node.value)
+    if kind == "ObjectCreation":
+        tref = next((c for c in node.children if c.kind == "TypeRef"), None)
+    elif kind in ("LocalVarDecl", "Parameter"):
+        tref = declared_type(node)
+    else:
+        return None
+    return None if tref is None else type_base_name(tref.value)
+
+
+def name_index(before: SyntaxTree) -> dict[str, list[SyntaxNode]]:
+    """The before tree's nodes by the name they mention, each list in
+    pre-order; use_node_ids reads only the lists of the subject's name and
+    of the variables declared with its type."""
+    out: dict[str, list[SyntaxNode]] = {}
+    for node in before.nodes():
+        name = _mentioned_name(node)
+        if name is not None:
+            out.setdefault(name, []).append(node)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +221,62 @@ def _control_owner(before: SyntaxTree,
     return None
 
 
+class ScriptEdits(NamedTuple):
+    """What the closure reads of a mined script, whatever the conflict."""
+    targets: list[Optional[int]]            # each op's before-tree target
+    statements: list[Optional[SyntaxNode]]  # the statement governing it
+    edited: dict[int, SyntaxNode]           # by id, in script order
+    used: dict[int, set[str]]               # names its own ops read or write
+    defined: dict[int, set[str]]            # variables it declares or assigns
+    owner: dict[int, Optional[int]]         # id of its nearest loop or branch
+
+
+def _script_edits(before: SyntaxTree, script: list[EditOp]) -> ScriptEdits:
+    adds_by_id = {op.node_id: op for op in script if op.op == "add"}
+    targets = [op_target_id(op, adds_by_id) for op in script]
+    stmts = [_governing_stmt(before, t) for t in targets]
+    edited: dict[int, SyntaxNode] = {}
+    used: dict[int, set[str]] = {}
+    for op, target, stmt in zip(script, targets, stmts):
+        if stmt is not None:
+            edited[stmt.id] = stmt
+            used.setdefault(stmt.id, set()).update(
+                _op_names(before, op, target))
+    defined = {sid: _defined_vars(stmt) for sid, stmt in edited.items()}
+    owner = {}
+    for sid, stmt in edited.items():
+        anc = _control_owner(before, stmt)
+        owner[sid] = None if anc is None else anc.id
+    return ScriptEdits(targets, stmts, edited, used, defined, owner)
+
+
+class ScriptFacts:
+    """What refinement reads of a mined before tree and its script,
+    whatever the conflict: the ScriptEdits, made on the first refinement,
+    and the tree's name_index, made on the first use lookup.  Both are
+    kept, so every conflict refined against one mined host reads them."""
+
+    __slots__ = ("before", "script", "_edits", "_named")
+
+    def __init__(self, before: SyntaxTree, script: list[EditOp]):
+        self.before = before
+        self.script = script
+        self._edits: Optional[ScriptEdits] = None
+        self._named: Optional[dict[str, list[SyntaxNode]]] = None
+
+    @property
+    def edits(self) -> ScriptEdits:
+        if self._edits is None:
+            self._edits = _script_edits(self.before, self.script)
+        return self._edits
+
+    @property
+    def named(self) -> dict[str, list[SyntaxNode]]:
+        if self._named is None:
+            self._named = name_index(self.before)
+        return self._named
+
+
 def refine_edits(example: "EditExample", conflict: Conflict
                  ) -> tuple[list[EditOp], set[int], set[int]]:
     """(kept ops, closure statement ids, critical node ids).
@@ -189,60 +287,36 @@ def refine_edits(example: "EditExample", conflict: Conflict
 
     Raises NoRelevantEdit when no op touches a use of the definition.
     """
-    before = example.before
-    script = example.script
-    adds_by_id = {op.node_id: op for op in script if op.op == "add"}
-    use_ids = use_node_ids(before, conflict)
-
-    targets = {id(op): op_target_id(op, adds_by_id) for op in script}
-    core = [op for op in script
-            if targets[id(op)] is not None and targets[id(op)] in use_ids]
+    use_ids = use_node_ids(example.before, conflict, example.facts.named)
+    edits = example.facts.edits
+    targets, stmts = edits.targets, edits.statements
+    core = [i for i, target in enumerate(targets)
+            if target is not None and target in use_ids]
     if not core:
         raise NoRelevantEdit(example.host)
-    critical = {targets[id(op)] for op in core}
+    critical = {targets[i] for i in core}
 
-    stmt_of: dict[int, Optional[SyntaxNode]] = {
-        id(op): _governing_stmt(before, targets[id(op)]) for op in script}
-    edited: dict[int, SyntaxNode] = {}
-    for op in script:
-        stmt = stmt_of[id(op)]
-        if stmt is not None:
-            edited[stmt.id] = stmt
-
-    closure: set[int] = {stmt_of[id(op)].id for op in core
-                         if stmt_of[id(op)] is not None}
-    # names each edited statement's ops read or write; every closure
-    # statement is an edited one
-    used: dict[int, set[str]] = {}
-    for op in script:
-        stmt = stmt_of[id(op)]
-        if stmt is not None:
-            used.setdefault(stmt.id, set()).update(
-                _op_names(before, op, targets[id(op)]))
-    defined: dict[int, set[str]] = {}
+    closure: set[int] = {stmts[i].id for i in core if stmts[i] is not None}
     changed = True
     while changed:
         changed = False
         for sid in sorted(closure):
-            stmt = edited[sid]
-            owner = _control_owner(before, stmt)
-            if owner is not None and owner.id in edited \
-                    and owner.id not in closure:
-                closure.add(owner.id)
+            owner = edits.owner[sid]
+            if owner is not None and owner in edits.edited \
+                    and owner not in closure:
+                closure.add(owner)
                 changed = True
-            for oid, other in edited.items():
+            used = edits.used[sid]
+            for oid in edits.edited:
                 if oid in closure or oid >= sid:
                     continue
-                if oid not in defined:
-                    defined[oid] = _defined_vars(other)
-                if defined[oid] & used[sid]:
+                if edits.defined[oid] & used:
                     closure.add(oid)
                     changed = True
 
-    kept = [op for op in script
-            if (stmt_of[id(op)] is not None
-                and stmt_of[id(op)].id in closure)
-            or (stmt_of[id(op)] is None and op in core)]
+    core_ops = set(core)
+    kept = [op for i, (op, stmt) in enumerate(zip(example.script, stmts))
+            if (stmt.id in closure if stmt is not None else i in core_ops)]
     return kept, closure, critical
 
 

@@ -6,27 +6,52 @@ example: its base version, its branch version, and the edit script between
 them show how a use of the changed definition gets fixed up.
 
 Many conflicts share a definition-side branch and so the same adapted
-hosts.  The (before, after, script) triple of each (branch, base host,
-branch host) is therefore computed once and kept in ``FourWayGraph.mined``
-for as long as that graph lives; each conflict still gets its own
-EditExample and its own adaptation check.  The memo is sound because
-nothing downstream edits a mined tree or script: ``refine_context`` clones
-the part of the before tree it keeps and ``apply_pattern`` rewrites a
-clone of the merged file.
+hosts.  Each (branch, base host, branch host) is therefore diffed once and
+kept in ``FourWayGraph.mined`` for as long as that graph lives, as a
+MinedHost: the before and after trees, the script between them, and the
+ScriptFacts that refinement reads of the before tree and the script (op
+targets, governing and edited statements, each edited statement's used
+and defined names and control owner, and a by-name index of the before
+tree), which fill themselves on the first refinement against the host.
+Each conflict still gets its own EditExample and its own adaptation
+check, and no record holds a conflict or a pattern.
+
+Sharing is sound because everything in the record is a function of the
+before tree and the script alone, and nothing downstream edits either:
+``refine_context`` clones the part of the before tree it keeps and
+``apply_pattern`` rewrites a clone of the merged file.  What depends on
+the conflict (its use nodes, the closure, the pattern) is computed per
+refinement and never stored in the record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .conflicts import Conflict, mentions_name
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
+from .inference import ScriptFacts
 from .peg import RELATION_KINDS, Entity, Relation, lookup_uses
 from .syntax import SyntaxTree, clone_node
 from .tree_diff import EditScript, diff_trees
 
 _HOST_KINDS = ("method", "constructor", "field")
+
+
+class MinedHost:
+    """One adapted host's diff, kept in ``FourWayGraph.mined``: the base
+    and branch bodies with fresh pre-order ids, the script between them,
+    and what refinement reads of the base body and the script."""
+
+    __slots__ = ("before", "after", "script", "facts")
+
+    def __init__(self, before: SyntaxTree, after: SyntaxTree,
+                 script: EditScript):
+        self.before = before
+        self.after = after
+        self.script = script
+        self.facts = ScriptFacts(before, script)
 
 
 @dataclass
@@ -38,6 +63,12 @@ class EditExample:
     before: SyntaxTree          # base body, fresh pre-order ids
     after: SyntaxTree           # branch body, fresh pre-order ids
     script: EditScript
+    # the mined host's facts, or facts of this example's own
+    facts: Optional[ScriptFacts] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.facts is None:
+            self.facts = ScriptFacts(self.before, self.script)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<example {self.host} ({len(self.script)} ops)>"
@@ -102,18 +133,18 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
         if mined is None:
             before = SyntaxTree(clone_node(host_base.decl), assign_ids=True)
             after = SyntaxTree(clone_node(host_branch.decl), assign_ids=True)
-            mined = fw.mined[key] = (before, after,
-                                     diff_trees(before, after))
-        before, after, script = mined
-        if not script:
+            mined = fw.mined[key] = MinedHost(before, after,
+                                              diff_trees(before, after))
+        if not mined.script:
             continue
         examples.append(EditExample(
             subject=subject_base.fqn,
             host=host_base.fqn,
             host_kind=host_base.kind,
             branch=branch,
-            before=before,
-            after=after,
-            script=script,
+            before=mined.before,
+            after=mined.after,
+            script=mined.script,
+            facts=mined.facts,
         ))
     return examples

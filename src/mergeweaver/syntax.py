@@ -257,10 +257,17 @@ class SyntaxTree:
             cur = self.parent(cur)
 
 
-def postorder(node: SyntaxNode) -> Iterator[SyntaxNode]:
-    for child in node.children:
-        yield from postorder(child)
-    yield node
+def postorder(node: SyntaxNode) -> list[SyntaxNode]:
+    """Post-order list of node's subtree: the reverse of a pre-order walk
+    that takes the children last to first."""
+    out = []
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        out.append(cur)
+        stack.extend(cur.children)
+    out.reverse()
+    return out
 
 
 @dataclass

@@ -8,6 +8,17 @@ aligns leftover children of matched parents by kind.  Pairs whose before-side
 sits under an unmatched ancestor are dropped, so every delete removes a whole
 unmatched subtree.
 
+The container pass is counted.  One post-order walk of the before tree
+carries up, for each node, the after-side partners of its matched
+descendants in pre-order, and the subtree sizes of both trees are computed
+once.  For an unmatched container, one upward walk from each partner counts,
+for every after ancestor, the partners below it, and collects the unmatched
+ancestors of the container's kind in order of first reach.  A candidate's
+Dice score, 2 * common / (descendants of the container + descendants of the
+candidate), is then O(1).  The first candidate whose score beats the best so
+far by more than 1e-12 wins, and it is paired when its score exceeds one
+half.
+
 The script is produced by running it on a working copy: deletes first, then
 a pre-order placement walk over the after tree emitting move, add and update
 ops with indices valid at application time.  Each op is applied through
@@ -128,41 +139,53 @@ def _pair_subtrees(m: _Matching, b: SyntaxNode, a: SyntaxNode) -> None:
         _pair_subtrees(m, bc, ac)
 
 
+def _subtree_sizes(root: SyntaxNode) -> dict[int, int]:
+    """Node id -> number of nodes in its subtree, itself included."""
+    sizes: dict[int, int] = {}
+    for node in postorder(root):
+        sizes[node.id] = 1 + sum(sizes[c.id] for c in node.children)
+    return sizes
+
+
 def _match_containers(m: _Matching) -> None:
-    desc_memo: dict[int, list[SyntaxNode]] = {}
-
-    def descendants(node: SyntaxNode, tree: SyntaxTree) -> list[SyntaxNode]:
-        got = desc_memo.get(node.id if tree is m.after else -node.id - 1)
-        if got is None:
-            got = [n for n in node.walk() if n is not node]
-            desc_memo[node.id if tree is m.after else -node.id - 1] = got
-        return got
-
+    b_sizes = _subtree_sizes(m.before.root)
+    a_sizes = _subtree_sizes(m.after.root)
+    a_parent = m.after.parent
+    # per visited node not yet consumed by its parent: the partners of its
+    # matched descendants, in pre-order
+    carried: dict[int, list[SyntaxNode]] = {}
     for b in postorder(m.before.root):
-        if m.matched_b(b) or not b.children:
+        partners: list[SyntaxNode] = []
+        for child in b.children:
+            partner = m.b2a.get(child.id)
+            if partner is not None:
+                partners.append(partner)
+            partners.extend(carried.pop(child.id))
+        carried[b.id] = partners
+        if m.matched_b(b) or not b.children or not partners:
             continue
-        partners = [m.b2a[d.id] for d in descendants(b, m.before)
-                    if d.id in m.b2a]
-        if not partners:
-            continue
+        # every after-ancestor of a partner counts the partners below it;
+        # its unmatched ones of b's kind are the candidates, in order of
+        # first reach
+        common: dict[int, int] = {}
         candidates: list[SyntaxNode] = []
-        seen: set[int] = set()
         for p in partners:
-            cur = m.after.parent(p)
+            cur = a_parent(p)
             while cur is not None:
-                if cur.id not in seen:
-                    seen.add(cur.id)
+                count = common.get(cur.id)
+                if count is None:
+                    common[cur.id] = 1
                     if not m.matched_a(cur) and cur.kind == b.kind:
                         candidates.append(cur)
-                cur = m.after.parent(cur)
+                else:
+                    common[cur.id] = count + 1
+                cur = a_parent(cur)
         best: Optional[SyntaxNode] = None
         best_dice = 0.0
-        nb = len(descendants(b, m.before))
-        partner_ids = {p.id for p in partners}
+        nb = b_sizes[b.id] - 1
         for c in candidates:
-            cdesc = descendants(c, m.after)
-            common = sum(1 for d in cdesc if d.id in partner_ids)
-            dice = 2.0 * common / (nb + len(cdesc)) if (nb + len(cdesc)) else 0.0
+            total = nb + a_sizes[c.id] - 1
+            dice = 2.0 * common[c.id] / total if total else 0.0
             if dice > best_dice + 1e-12:
                 best, best_dice = c, dice
         if best is not None and best_dice > 0.5:

@@ -1,8 +1,11 @@
 """End-to-end driver shapes and report serialization."""
 
 import json
+import shutil
 
-from conftest import CORPUS
+import pytest
+
+from conftest import CORPUS, merge_inputs
 from mergeweaver.pipeline import report_to_dict, run_scenario
 
 
@@ -58,3 +61,37 @@ def test_undetected_strategies_produce_no_resolutions():
     run = run_scenario(d / "base", d / "left", d / "right")
     assert [c.type for c in run.report.conflicts] == ["C18"]
     assert run.report.resolutions == []
+
+
+_UNTOUCHED = """\
+package untouched.extra;
+
+public class UntouchedLedger {
+    private int count;
+
+    public int record(int step) {
+        int next = count + step;
+        count = next;
+        return helper(next);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("path", merge_inputs(), ids=lambda p: p.name)
+def test_adding_an_untouched_file_changes_nothing(path, tmp_path):
+    # a metamorphic relation: a file that is the same in base, left and
+    # right adds no conflict and changes no resolution
+    def outcome(root):
+        run = run_scenario(root / "base", root / "left", root / "right")
+        return (sorted((c.type, c.subject) for c in run.report.conflicts),
+                [(r.strategy, r.path, r.text)
+                 for r in run.report.resolutions])
+
+    copy = tmp_path / path.name
+    for version in ("base", "left", "right"):
+        shutil.copytree(path / version, copy / version)
+        extra = copy / version / "untouched" / "extra"
+        extra.mkdir(parents=True)
+        (extra / "UntouchedLedger.java").write_text(_UNTOUCHED)
+    assert outcome(copy) == outcome(path)

@@ -6,10 +6,14 @@ strategies must therefore edit clones only: after running them on every
 corpus scenario, every tree of all four versions prints, and is laid out,
 exactly as before.
 
-mine_examples keeps each adapted host's (before, after, script) for the
-lifetime of the four-way graph.  After whole pipeline runs, every memoized
-triple must still equal a fresh mining of its host, and conflicts that
-share a host must share its script.
+mine_examples keeps each adapted host's before and after trees, script
+and refinement facts (a MinedHost) for the lifetime of the four-way graph.
+After whole pipeline runs, every memoized record must still equal a fresh
+mining of its host, its facts must equal facts recomputed from a fresh
+before tree and its script, its indexed use lookup must equal the old
+whole-tree walk for every conflict refined against it, it must hold no
+pattern or conflict, and conflicts that share a host must share its
+script and facts.
 
 resolve_by_example keeps each merged member it anchors in (its tree,
 statements and header profiles) for the lifetime of the four-way graph
@@ -18,13 +22,22 @@ they must still print and lay out as a fresh parse does, and their
 profiles must equal fresh ones.
 """
 
-from conftest import CORPUS, FANOUT, ROOT
+import gc
+import types
+
+import pytest
+
+import reference_inference as ref
+from conftest import CORPUS, FANOUT, ROOT, bench_gen, merge_inputs
+from mergeweaver.conflicts import Conflict
+from mergeweaver.inference import (ScriptFacts, TransformationPattern,
+                                   use_node_ids)
 from mergeweaver.conflicts import detect_conflicts
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.matching import resolve_by_example
 from mergeweaver.merge3 import merge_scenario
-from mergeweaver.mining import mine_examples
+from mergeweaver.mining import EditExample, mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
 from mergeweaver.rules import NotCovered, TargetMissing, resolve_by_rule
@@ -126,8 +139,8 @@ def test_memoized_examples_stay_equal_to_a_fresh_mining():
     for sdir in _all_scenarios() + [FANOUT]:
         fw = run_scenario(sdir / "base", sdir / "left",
                           sdir / "right").fourway
-        for (branch, base_id, target_id), (before, after, script) \
-                in fw.mined.items():
+        for (branch, base_id, target_id), mined in fw.mined.items():
+            before, after, script = mined.before, mined.after, mined.script
             delta = fw.delta_left if branch == "l" else fw.delta_right
             fresh_before = SyntaxTree(clone_node(fw.base.by_id(base_id).decl),
                                       assign_ids=True)
@@ -157,3 +170,91 @@ def test_conflicts_sharing_a_host_share_its_script():
         assert a is not b and a.subject != b.subject
         assert a.script is b.script
         assert a.before is b.before and a.after is b.after
+        assert a.facts is b.facts
+
+
+GENERATED = [(w, s) for w in ("method-rename", "package-rename",
+                              "rename-fanout") for s in (1, 4242)]
+
+
+@pytest.fixture(scope="module")
+def resolved(tmp_path_factory):
+    """(four-way graph, conflicts) of a whole pipeline run on every corpus
+    scenario and control, the fanout fixture and the generated
+    workloads."""
+    dirs = merge_inputs()
+    for workload, seed in GENERATED:
+        out = tmp_path_factory.mktemp(f"{workload}-{seed}")
+        bench_gen.write_workload(bench_gen.generate(workload, seed), out)
+        dirs.append(out)
+    out = []
+    for d in dirs:
+        run = run_scenario(d / "base", d / "left", d / "right")
+        out.append((run.fourway, run.report.conflicts))
+    return out
+
+
+def _facts_view(facts: ScriptFacts) -> tuple:
+    edits = facts.edits
+    return (edits.targets,
+            [None if s is None else s.id for s in edits.statements],
+            [(sid, stmt.id) for sid, stmt in edits.edited.items()],
+            edits.used, edits.defined, edits.owner,
+            {name: [n.id for n in nodes]
+             for name, nodes in facts.named.items()})
+
+
+def test_mined_facts_equal_a_fresh_recomputation(resolved):
+    checked = computed = 0
+    for fw, _conflicts in resolved:
+        for (_branch, base_id, _target_id), mined in fw.mined.items():
+            assert mined.facts.before is mined.before
+            assert mined.facts.script is mined.script
+            # filled by the pipeline run, not by this test
+            computed += mined.facts._edits is not None
+            fresh_before = SyntaxTree(
+                clone_node(fw.base.by_id(base_id).decl), assign_ids=True)
+            fresh = ScriptFacts(fresh_before, list(mined.script))
+            assert _facts_view(mined.facts) == _facts_view(fresh)
+            checked += 1
+    assert checked >= 26 and computed >= 26
+
+
+def test_indexed_use_lookup_equals_the_whole_tree_walk(resolved):
+    pairs = 0
+    for fw, conflicts in resolved:
+        for conflict in conflicts:
+            for ex in mine_examples(fw, conflict):
+                want = ref.use_node_ids(ex.before, conflict)
+                assert use_node_ids(ex.before, conflict,
+                                    ex.facts.named) == want
+                assert use_node_ids(ex.before, conflict) == want
+                pairs += 1
+    assert pairs >= 206         # 12 corpus, 64 fanout, 130 generated
+
+
+def _reachable_types(root) -> set[type]:
+    """Types of every object reachable from root, not following classes,
+    modules and functions."""
+    seen: set[int] = set()
+    kinds: set[type] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        kinds.add(type(obj))
+        stack.extend(gc.get_referents(obj))
+    return kinds
+
+
+def test_mined_records_hold_no_pattern_or_conflict(resolved):
+    records = 0
+    for fw, _conflicts in resolved:
+        for mined in fw.mined.values():
+            held = _reachable_types(mined)
+            assert not held & {TransformationPattern, Conflict, EditExample}
+            records += 1
+    assert records >= 26
