@@ -22,6 +22,13 @@ detail, kind) the use predicates are disjoint.  They test different edits
 owner fqn that Java cannot make both ways: extends needs a class there,
 implements an interface.
 
+C3 (a superclass method's signature changes under an added subclass that
+overrides it) and C10 (an interface method is deleted under an added
+class that implements it) break the build only when the stranded method
+carries ``@Override``: without the annotation it is just a new method and
+javac accepts the merge, as it does for the corpus scenarios rule-c03,
+tax-c03, rule-c10 and tax-c10.  The rows report the clash either way.
+
 A site finder returns (entity fqn, file, node) triples that
 ``detect_conflicts`` turns into sorted ``ConflictSite``s; finding none
 means the clash does not survive in the merge, and the pair is dropped.

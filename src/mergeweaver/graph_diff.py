@@ -71,9 +71,6 @@ class GraphDelta:
     entity_edits: list[EntityEdit] = field(default_factory=list)
     relation_edits: list[RelationEdit] = field(default_factory=list)
 
-    def inverse_matches(self) -> dict[str, str]:
-        return {v: k for k, v in self.matches.items()}
-
 
 def _parent_id(graph: EntityGraph, entity: Entity) -> Optional[str]:
     parent = graph.parent_of(entity)
@@ -223,12 +220,12 @@ class FourWayGraph:
     cap_left: dict[str, str]    # merged entity id -> left entity id
     cap_right: dict[str, str]
     # mining.mine_examples' memo: (branch, base host id, branch host id)
-    # -> MinedHost (trees, script and refinement facts); see the mining
-    # module docstring
+    # -> the host's EditExample, or None when its script is empty; see the
+    # mining module docstring
     mined: dict = field(default_factory=dict, compare=False, repr=False)
     # matching.resolve_by_example's memo: merged entity id -> the member's
-    # tree, statements and lazily filled header profiles (MergedMember);
-    # see the matching module docstring
+    # tree, statements and header profiles (MergedMember); see the
+    # matching module docstring
     members: dict = field(default_factory=dict, compare=False, repr=False)
 
 

@@ -22,10 +22,10 @@ in the edited statement that defines it.
 What refinement reads of a mined host whatever the conflict (each op's
 target and governing statement, the edited statements with their used and
 defined names and control owners, and a by-name index of the before tree
-that use_node_ids answers from) is a ScriptFacts, made once per mined host
-and shared by every conflict refined against it (see mining).  So a
-refinement costs work in proportion to the conflict's own edits, not to
-the host.
+that use_node_ids answers from) is made once, when the host is mined, and
+kept on its EditExample (see mining), which every conflict refined against
+the host shares.  So a refinement costs work in proportion to the
+conflict's own edits, not to the host.
 
 The context is built in one pass: the kept nodes and their ancestors are
 marked once, then only the marked nodes and what may not be dropped are
@@ -88,19 +88,14 @@ def _subject_facts(conflict: Conflict) -> Optional[tuple[str, str, Optional[int]
     return None
 
 
-def use_node_ids(before: SyntaxTree, conflict: Conflict,
-                 named: Optional[dict[str, list[SyntaxNode]]] = None
-                 ) -> set[int]:
-    """Ids of nodes in the before tree that use the changed definition.
-
-    ``named`` is the tree's ``name_index``; without one, the index is
-    built for this call."""
+def use_node_ids(named: dict[str, list[SyntaxNode]],
+                 conflict: Conflict) -> set[int]:
+    """Ids of the before-tree nodes that use the changed definition,
+    answered from the tree's ``name_index``."""
     subject = _subject_facts(conflict)
     if subject is None:
         return set()
     kind, name, arity = subject
-    if named is None:
-        named = name_index(before)
     candidates = named.get(name, ())
 
     if kind == "field":
@@ -231,7 +226,7 @@ class ScriptEdits(NamedTuple):
     owner: dict[int, Optional[int]]         # id of its nearest loop or branch
 
 
-def _script_edits(before: SyntaxTree, script: list[EditOp]) -> ScriptEdits:
+def script_edits(before: SyntaxTree, script: list[EditOp]) -> ScriptEdits:
     adds_by_id = {op.node_id: op for op in script if op.op == "add"}
     targets = [op_target_id(op, adds_by_id) for op in script]
     stmts = [_governing_stmt(before, t) for t in targets]
@@ -250,33 +245,6 @@ def _script_edits(before: SyntaxTree, script: list[EditOp]) -> ScriptEdits:
     return ScriptEdits(targets, stmts, edited, used, defined, owner)
 
 
-class ScriptFacts:
-    """What refinement reads of a mined before tree and its script,
-    whatever the conflict: the ScriptEdits, made on the first refinement,
-    and the tree's name_index, made on the first use lookup.  Both are
-    kept, so every conflict refined against one mined host reads them."""
-
-    __slots__ = ("before", "script", "_edits", "_named")
-
-    def __init__(self, before: SyntaxTree, script: list[EditOp]):
-        self.before = before
-        self.script = script
-        self._edits: Optional[ScriptEdits] = None
-        self._named: Optional[dict[str, list[SyntaxNode]]] = None
-
-    @property
-    def edits(self) -> ScriptEdits:
-        if self._edits is None:
-            self._edits = _script_edits(self.before, self.script)
-        return self._edits
-
-    @property
-    def named(self) -> dict[str, list[SyntaxNode]]:
-        if self._named is None:
-            self._named = name_index(self.before)
-        return self._named
-
-
 def refine_edits(example: "EditExample", conflict: Conflict
                  ) -> tuple[list[EditOp], set[int], set[int]]:
     """(kept ops, closure statement ids, critical node ids).
@@ -287,8 +255,8 @@ def refine_edits(example: "EditExample", conflict: Conflict
 
     Raises NoRelevantEdit when no op touches a use of the definition.
     """
-    use_ids = use_node_ids(example.before, conflict, example.facts.named)
-    edits = example.facts.edits
+    use_ids = use_node_ids(example.named, conflict)
+    edits = example.edits
     targets, stmts = edits.targets, edits.statements
     core = [i for i, target in enumerate(targets)
             if target is not None and target in use_ids]

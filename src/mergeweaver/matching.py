@@ -10,8 +10,9 @@ statement texts when it clears 0.618; 1.618 is the bar a pair must clear.
 Every search of one conflict, and of every other conflict anchored in the
 same merged member, scans the same statements.  So each merged member is
 indexed once per merge: its tree, its statements and their header profiles
-(a MergedMember) are kept in ``FourWayGraph.members``, and a merged header
-is printed and profiled once per merged member per merge.  Pattern-side
+(a MergedMember) are kept in ``FourWayGraph.members``.  A member profiles
+all its statements when it is made, because the first search that gets
+past the pattern-side checks scores every one of them.  Pattern-side
 profiles live for one search only, so no pattern context outlives it.  The
 memo is sound because nothing edits a merged tree: application below and
 the rules rewrite clones.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Optional, Union
+from typing import Optional
 
 from .conflicts import Conflict
 from .inference import (NoRelevantEdit, TransformationPattern, infer_pattern,
@@ -38,8 +39,7 @@ from .graph_diff import FourWayGraph
 from .peg import Entity
 from .printer import pretty_print, statement_header_text
 from .similarity import Profile, profile, profile_similarity
-from .syntax import (STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree,
-                     clone_node)
+from .syntax import STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree
 from .tree_diff import DanglingOp, apply_op
 
 SIM_THRESHOLD = 0.618
@@ -75,12 +75,10 @@ class Resolution:
     rule: Optional[str] = None
 
 
-def _header_profile(node: SyntaxNode) -> Profile:
-    return profile(statement_header_text(node))
-
-
-def _profiled_score(p: SyntaxNode, m: SyntaxNode,
-                    p_prof: Profile, m_prof: Profile) -> float:
+def _score(p: SyntaxNode, m: SyntaxNode, p_prof: Profile,
+           m_prof: Profile) -> float:
+    """One point for equal kinds, plus the header similarity of the two
+    profiled statements when it clears SIM_THRESHOLD."""
     score = 1.0 if p.kind == m.kind else 0.0
     sim = profile_similarity(p_prof, m_prof)
     if sim > SIM_THRESHOLD:
@@ -88,26 +86,16 @@ def _profiled_score(p: SyntaxNode, m: SyntaxNode,
     return score
 
 
-def score_statement_match(p: SyntaxNode, m: SyntaxNode) -> float:
-    return _profiled_score(p, m, _header_profile(p), _header_profile(m))
-
-
 class MergedMember:
     """A merged member indexed for anchor searches: its tree, its
-    statements in pre-order, and their header profiles, each made on first
-    use."""
+    statements in pre-order, and their header profiles."""
 
     def __init__(self, tree: SyntaxTree):
         self.tree = tree
         self.statements = [n for n in tree.nodes()
                            if n.kind in STATEMENT_KINDS]
-        self.profiles: dict[SyntaxNode, Profile] = {}
-
-    def profile(self, node: SyntaxNode) -> Profile:
-        prof = self.profiles.get(node)
-        if prof is None:
-            prof = self.profiles[node] = _header_profile(node)
-        return prof
+        self.profiles = {n: profile(statement_header_text(n))
+                         for n in self.statements}
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +119,8 @@ def _parent_statement(tree: SyntaxTree,
 
 
 def match_context(pattern: TransformationPattern,
-                  merged: Union[SyntaxTree, MergedMember]) -> MatchSet:
-    """Anchor pattern in a merged member; a bare tree is indexed for this
-    search only."""
-    member = merged if isinstance(merged, MergedMember) \
-        else MergedMember(merged)
+                  member: MergedMember) -> MatchSet:
+    """Anchor pattern in a merged member."""
     ctx = pattern.context
     # pattern-side profiles of this search only: a memo that outlived the
     # call would keep every pattern context alive
@@ -144,8 +129,8 @@ def match_context(pattern: TransformationPattern,
     def score(p: SyntaxNode, m: SyntaxNode) -> float:
         p_prof = p_profiles.get(p)
         if p_prof is None:
-            p_prof = p_profiles[p] = _header_profile(p)
-        return _profiled_score(p, m, p_prof, member.profile(m))
+            p_prof = p_profiles[p] = profile(statement_header_text(p))
+        return _score(p, m, p_prof, member.profiles[m])
 
     crit = [ctx.node(i) for i in sorted(pattern.critical_ids)
             if ctx.has_node(i)]
@@ -240,7 +225,7 @@ def _map_pair(p: SyntaxNode, w: SyntaxNode,
 def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
                   conflict: Conflict,
                   am_file: SourceFile) -> Optional[Resolution]:
-    work = SyntaxTree(clone_node(am_file.tree.root))
+    work = am_file.tree.clone()
     mapping: dict[int, SyntaxNode] = {}
     for p_stmt, m_stmt, _sc in sorted(
             match_set.pairs,

@@ -65,6 +65,12 @@ def _edits(base: list[str], changed: list[str]) -> list[_Edit]:
 
 
 def _overlap(a: _Edit, b: _Edit) -> bool:
+    """Whether two hunks over base lines [lo, hi) clash: they cover the
+    same range (two insertions at one point included), or they share a
+    base line.  Touching hunks, where one ends at the line the other
+    starts, do not clash and merge side by side: edits to adjacent lines,
+    and an insertion just before or just after a replaced range.  diff3
+    and ``git merge-file`` report a conflict for touching hunks."""
     if a.lo == b.lo and a.hi == b.hi:
         return True
     return a.lo < b.hi and b.lo < a.hi

@@ -6,69 +6,49 @@ example: its base version, its branch version, and the edit script between
 them show how a use of the changed definition gets fixed up.
 
 Many conflicts share a definition-side branch and so the same adapted
-hosts.  Each (branch, base host, branch host) is therefore diffed once and
-kept in ``FourWayGraph.mined`` for as long as that graph lives, as a
-MinedHost: the before and after trees, the script between them, and the
-ScriptFacts that refinement reads of the before tree and the script (op
-targets, governing and edited statements, each edited statement's used
-and defined names and control owner, and a by-name index of the before
-tree), which fill themselves on the first refinement against the host.
-Each conflict still gets its own EditExample and its own adaptation
-check, and no record holds a conflict or a pattern.
+hosts.  Each (branch, base host, branch host) is therefore diffed once,
+into one EditExample kept in ``FourWayGraph.mined`` for as long as that
+graph lives: the before and after trees, the script between them, and
+what refinement reads of the before tree and the script whatever the
+conflict (the script's ScriptEdits and the tree's name_index).  A host
+whose script is empty is kept as None.  Every conflict that mines the host
+gets that same record, and no record holds a conflict or a pattern.
 
 Sharing is sound because everything in the record is a function of the
-before tree and the script alone, and nothing downstream edits either:
-``refine_context`` clones the part of the before tree it keeps and
-``apply_pattern`` rewrites a clone of the merged file.  What depends on
-the conflict (its use nodes, the closure, the pattern) is computed per
-refinement and never stored in the record.
+host alone, and nothing downstream edits it: ``refine_context`` clones the
+part of the before tree it keeps and ``apply_pattern`` rewrites a clone of
+the merged file.  What depends on the conflict (its use nodes, the
+closure, the pattern) is computed per refinement and never stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .conflicts import Conflict, mentions_name
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
-from .inference import ScriptFacts
+from .inference import ScriptEdits, name_index, script_edits
 from .peg import RELATION_KINDS, Entity, Relation, lookup_uses
-from .syntax import SyntaxTree, clone_node
+from .syntax import SyntaxNode, SyntaxTree, clone_node
 from .tree_diff import EditScript, diff_trees
 
 _HOST_KINDS = ("method", "constructor", "field")
 
 
-class MinedHost:
-    """One adapted host's diff, kept in ``FourWayGraph.mined``: the base
-    and branch bodies with fresh pre-order ids, the script between them,
-    and what refinement reads of the base body and the script."""
-
-    __slots__ = ("before", "after", "script", "facts")
-
-    def __init__(self, before: SyntaxTree, after: SyntaxTree,
-                 script: EditScript):
-        self.before = before
-        self.after = after
-        self.script = script
-        self.facts = ScriptFacts(before, script)
-
-
 @dataclass
 class EditExample:
-    subject: str                # base fqn of the changed definition
+    """One adapted host, diffed once per merge and shared by every
+    conflict that mines it."""
+
     host: str                   # base fqn of the adapted member
     host_kind: str
     branch: str
     before: SyntaxTree          # base body, fresh pre-order ids
     after: SyntaxTree           # branch body, fresh pre-order ids
     script: EditScript
-    # the mined host's facts, or facts of this example's own
-    facts: Optional[ScriptFacts] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.facts is None:
-            self.facts = ScriptFacts(self.before, self.script)
+    edits: ScriptEdits          # what the closure reads of the script
+    named: dict[str, list[SyntaxNode]]  # the before tree's name_index
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<example {self.host} ({len(self.script)} ops)>"
@@ -129,22 +109,14 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
             if not adapted:
                 continue
         key = (branch, host_base.id, target_id)
-        mined = fw.mined.get(key)
-        if mined is None:
+        if key not in fw.mined:
             before = SyntaxTree(clone_node(host_base.decl), assign_ids=True)
             after = SyntaxTree(clone_node(host_branch.decl), assign_ids=True)
-            mined = fw.mined[key] = MinedHost(before, after,
-                                              diff_trees(before, after))
-        if not mined.script:
-            continue
-        examples.append(EditExample(
-            subject=subject_base.fqn,
-            host=host_base.fqn,
-            host_kind=host_base.kind,
-            branch=branch,
-            before=mined.before,
-            after=mined.after,
-            script=mined.script,
-            facts=mined.facts,
-        ))
+            script = diff_trees(before, after)
+            fw.mined[key] = EditExample(
+                host_base.fqn, host_base.kind, branch, before, after, script,
+                script_edits(before, script), name_index(before)
+            ) if script else None
+        if fw.mined[key] is not None:
+            examples.append(fw.mined[key])
     return examples

@@ -266,20 +266,6 @@ class EntityGraph(_Lookups):
                 fqns.add(self.entities[rel.src].fqn)
         return " ".join(sorted(fqns))
 
-    def validate(self) -> None:
-        """Raises if a structural invariant is broken; used by tests."""
-        for rel in self.relations:
-            src = self.by_id(rel.src)
-            dst = self.by_id(rel.dst)
-            _check_endpoints(src, dst, rel.kind)
-            if rel.kind in ("contains", "declares") and rel.src == rel.dst:
-                raise ValueError(f"self-loop {rel}")
-        for eid, ent in self.entities.items():
-            if ent.kind not in ENTITY_KINDS:
-                raise ValueError(f"bad entity kind {ent.kind}")
-            if eid != ent.id:
-                raise ValueError("entity index out of sync")
-
 
 def lookup_uses(graph: EntityGraph, target: Entity) -> list[tuple[Entity, Relation]]:
     """All (source entity, relation) pairs pointing at target, by source fqn."""

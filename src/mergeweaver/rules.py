@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .conflicts import (IDENT_RE, Conflict, declared_type_text,
+from .conflicts import (Conflict, _apply_renames, declared_type_text,
                         interface_return_for)
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
 from .matching import Resolution
@@ -26,11 +26,6 @@ class NotCovered(Exception):
 
 class TargetMissing(Exception):
     """A site or declaration the transform needs is not in the tree."""
-
-
-def _subst_word(text: str, old: str, new: str) -> str:
-    return IDENT_RE.sub(lambda m: new if m.group(0) == old else m.group(0),
-                        text)
 
 
 def _site_nodes(work: SyntaxTree,
@@ -69,7 +64,7 @@ def _update_added_type_use(work: SyntaxTree, conflict: Conflict,
     old_s, new_s = d.old.simple_name, d.new.simple_name
     for _site, node in _site_nodes(work, conflict):
         if node.kind == "TypeRef":
-            node.value = _subst_word(node.value, old_s, new_s)
+            node.value = _apply_renames(node.value, {old_s: new_s})
         elif node.kind == "Name":
             if node.value == old_s:
                 node.value = new_s
@@ -94,22 +89,18 @@ def _update_added_package_use(work: SyntaxTree, conflict: Conflict,
             node.value = new_pkg + node.value[len(old_pkg):]
 
 
-def _update_added_field_use(work: SyntaxTree, conflict: Conflict,
-                            fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, EntityEdit) and d.new is not None
-    for _site, node in _site_nodes(work, conflict):
-        node.value = d.new.simple_name
-
-
-def _update_added_call(work: SyntaxTree, conflict: Conflict,
-                       fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, EntityEdit) and d.new is not None
-    for _site, node in _site_nodes(work, conflict):
-        if node.kind != "MethodInvocation":
-            raise TargetMissing(f"unexpected site kind {node.kind}")
-        node.value = d.new.simple_name
+def _rename_sites(*kinds: str) -> _Handler:
+    """A handler writing the new simple name into each site, which must
+    be of one of kinds."""
+    def handler(work: SyntaxTree, conflict: Conflict,
+                fw: FourWayGraph) -> None:
+        d = conflict.def_change
+        assert isinstance(d, EntityEdit) and d.new is not None
+        for _site, node in _site_nodes(work, conflict):
+            if node.kind not in kinds:
+                raise TargetMissing(f"unexpected site kind {node.kind}")
+            node.value = d.new.simple_name
+    return handler
 
 
 def _match_super_return(work: SyntaxTree, conflict: Conflict,
@@ -211,16 +202,6 @@ def _remove_clashing_method(work: SyntaxTree, conflict: Conflict,
         _remove_node(work, node)
 
 
-def _rename_to_super_method(work: SyntaxTree, conflict: Conflict,
-                            fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, EntityEdit) and d.new is not None
-    for _site, node in _site_nodes(work, conflict):
-        if node.kind != "MethodDecl":
-            raise TargetMissing(f"unexpected site kind {node.kind}")
-        node.value = d.new.simple_name
-
-
 def _match_interface_return(work: SyntaxTree, conflict: Conflict,
                             fw: FourWayGraph) -> None:
     d = conflict.def_change
@@ -279,12 +260,12 @@ RULES: dict[str, tuple[str, _Handler]] = {
     "C10": ("remove the method definition to match the interface",
             _remove_clashing_method),
     "C11": ("rename the method definition to match the interface",
-            _rename_to_super_method),
+            _rename_sites("MethodDecl")),
     "C12": ("update the return type to match the interface",
             _match_interface_return),
-    "C13": ("update the added use", _update_added_field_use),
+    "C13": ("update the added use", _rename_sites("Name", "FieldAccess")),
     "C14": ("remove the redundant field definition", _remove_redundant_def),
-    "C15": ("update the added use", _update_added_call),
+    "C15": ("update the added use", _rename_sites("MethodInvocation")),
     "C16": ("remove the redundant method definition",
             _remove_redundant_def),
 }
@@ -300,7 +281,7 @@ def resolve_by_rule(fw: FourWayGraph, conflict: Conflict,
     am_file: Optional[SourceFile] = scenario.am.get(path)
     if am_file is None:
         raise TargetMissing(f"no merged file at {path}")
-    work = SyntaxTree(clone_node(am_file.tree.root))
+    work = am_file.tree.clone()
     handler(work, conflict, fw)
     return Resolution(
         strategy="rule",

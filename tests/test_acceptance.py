@@ -241,7 +241,7 @@ def test_c07_refinement_closure_matches_brute_force():
                     _, closure, _ = refine_edits(ex, conflict)
                 except NoRelevantEdit:
                     continue
-                uses = use_node_ids(ex.before, conflict)
+                uses = use_node_ids(ex.named, conflict)
                 assert closure == brute_force_closure(
                     ex.before, list(ex.script), uses), (entry, ex.host)
                 checked += 1

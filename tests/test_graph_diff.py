@@ -189,12 +189,3 @@ def test_fourway_caps_cover_merged_entities():
 
     left_ent = merged_entity_for(fw, "l", fw.left.by_id(am_cls.id))
     assert left_ent is not None and left_ent.id == am_cls.id
-
-
-def test_inverse_matches_roundtrip():
-    base = graph_of("base", **{"T.java": BIG_CLASS.format(name="Tally")})
-    target = graph_of("l", **{"T.java": BIG_CLASS.format(name="Scorer")})
-    delta = diff_graphs(base, target, "l")
-    inv = delta.inverse_matches()
-    for src, dst in delta.matches.items():
-        assert inv[dst] == src

@@ -8,8 +8,8 @@ from conftest import (CORPUS, FANOUT, brute_force_closure, parse_snippet,
                       random_program, run_corpus)
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.inference import (NoRelevantEdit, _lca, infer_pattern,
-                                   op_target_id, refine_context,
-                                   refine_edits, use_node_ids)
+                                   name_index, op_target_id, refine_context,
+                                   refine_edits, script_edits, use_node_ids)
 from mergeweaver.mining import EditExample, mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
@@ -28,7 +28,7 @@ def mined(name: str, host_suffix: str = ""):
 
 def test_use_nodes_for_class_subject():
     conflict, ex = mined("serializer-rename", "handleSerializers(Node)")
-    uses = use_node_ids(ex.before, conflict)
+    uses = use_node_ids(ex.named, conflict)
     shapes = sorted((ex.before.node(i).kind, ex.before.node(i).value)
                     for i in uses)
     assert shapes == [
@@ -43,7 +43,7 @@ def test_use_nodes_for_class_subject():
 
 def test_use_nodes_for_field_subject():
     conflict, ex = mined("cluster-field-removed")
-    uses = use_node_ids(ex.before, conflict)
+    uses = use_node_ids(ex.named, conflict)
     assert uses
     for i in uses:
         node = ex.before.node(i)
@@ -53,7 +53,7 @@ def test_use_nodes_for_field_subject():
 
 def test_use_nodes_for_constructor_subject():
     conflict, ex = mined("client-ctor-params")
-    uses = use_node_ids(ex.before, conflict)
+    uses = use_node_ids(ex.named, conflict)
     kinds = {ex.before.node(i).kind for i in uses}
     assert "ObjectCreation" in kinds
     # the argument list and type name of the creation count as uses too,
@@ -63,7 +63,7 @@ def test_use_nodes_for_constructor_subject():
 
 def test_use_nodes_for_method_subject():
     conflict, ex = mined("serialization-service-moved")
-    uses = use_node_ids(ex.before, conflict)
+    uses = use_node_ids(ex.named, conflict)
     kinds = {ex.before.node(i).kind for i in uses}
     assert "MethodInvocation" in kinds
     named = {ex.before.node(i).value
@@ -87,7 +87,7 @@ def test_motivating_closure_is_the_five_statements():
     for sid in closure:
         assert "typeClassName = getAttribute" \
             not in statement_header_text(ex.before.node(sid))
-    assert critical <= use_node_ids(ex.before, conflict)
+    assert critical <= use_node_ids(ex.named, conflict)
     assert len(kept) == 8
 
 
@@ -132,7 +132,7 @@ def test_closure_matches_brute_force_on_all_mined_examples():
     for name, run in runs:
         for conflict in run.report.conflicts:
             for ex in mine_examples(run.fourway, conflict):
-                uses = use_node_ids(ex.before, conflict)
+                uses = use_node_ids(ex.named, conflict)
                 try:
                     _, closure, _ = refine_edits(ex, conflict)
                 except NoRelevantEdit:
@@ -189,7 +189,7 @@ def test_real_dependence_pulls_its_statement_in(tmp_path):
     assert sorted(statement_header_text(ex.before.node(s))
                   for s in closure) == ["int t = 0;", "s = s + h.m(k);"]
     assert closure == brute_force_closure(
-        ex.before, list(ex.script), use_node_ids(ex.before, conflict))
+        ex.before, list(ex.script), use_node_ids(ex.named, conflict))
     context = pretty_print(infer_pattern(ex, conflict).context)
     assert "int t = 0;" in context and "s = s + h.m(k);" in context
 
@@ -290,7 +290,7 @@ def test_one_pass_pruning_matches_clone_then_prune():
                 # the id-order closure equals the position-order one
                 assert closure == brute_force_closure(
                     ex.before, list(ex.script),
-                    use_node_ids(ex.before, conflict)), (sdir.name, ex.host)
+                    use_node_ids(ex.named, conflict)), (sdir.name, ex.host)
                 checked += 1
     assert checked >= 76            # 12 corpus examples, 64 fanout ones
 
@@ -310,9 +310,10 @@ def test_one_pass_pruning_matches_on_random_keep_sets():
                      if n.kind in STATEMENT_KINDS]
             if not stmts:
                 continue
-            example = EditExample(subject="", host="", host_kind="method",
-                                  branch="l", before=before, after=before,
-                                  script=[])
+            example = EditExample(host="", host_kind="method", branch="l",
+                                  before=before, after=before, script=[],
+                                  edits=script_edits(before, []),
+                                  named=name_index(before))
             ids = [n.id for n in before.nodes()]
             for _ in range(4):
                 critical = set(rng.sample(ids, rng.randint(1, 3)))

@@ -10,12 +10,13 @@ from conftest import CORPUS, FANOUT, parse_snippet, run_corpus
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.inference import NoRelevantEdit, infer_pattern
 from mergeweaver.matching import (ANCHOR_THRESHOLD, SIM_THRESHOLD, MatchSet,
-                                  MergedMember, NoAnchor, match_context,
-                                  rank_candidates, resolve_by_example,
-                                  score_statement_match)
+                                  MergedMember, NoAnchor, _score,
+                                  match_context, rank_candidates,
+                                  resolve_by_example)
 from mergeweaver.mining import mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import statement_header_text
+from mergeweaver.similarity import profile
 from mergeweaver.syntax import SyntaxTree
 
 
@@ -34,35 +35,41 @@ def stmt_from(text: str):
                               "ReturnStmt"))
 
 
+def fresh_score(p, m) -> float:
+    """The anchor score of two statements, each profiled afresh."""
+    return _score(p, m, profile(statement_header_text(p)),
+                  profile(statement_header_text(m)))
+
+
 def test_score_identical_statement_is_two():
     a = stmt_from("emit(total);")
     b = stmt_from("emit(total);")
-    assert score_statement_match(a, b) == 2.0
+    assert fresh_score(a, b) == 2.0
 
 
 def test_score_same_kind_dissimilar_text_is_one():
     a = stmt_from("emit(total);")
     b = stmt_from("refresh(cursor, label, 99);")
-    assert score_statement_match(a, b) == 1.0
+    assert fresh_score(a, b) == 1.0
 
 
 def test_score_near_miss_adds_similarity():
     a = stmt_from('if ("type-serializer".equals(name)) { emit(1); }')
     b = stmt_from('if ("type-serializer".equals(name2)) { emit(1); }')
-    score = score_statement_match(a, b)
+    score = fresh_score(a, b)
     assert 1.0 + SIM_THRESHOLD < score < 2.0
 
 
 def test_score_kind_mismatch_gets_no_kind_point():
     a = stmt_from("emit(total);")
     b = stmt_from("int left = emit(total);")
-    assert score_statement_match(a, b) < 2.0
+    assert fresh_score(a, b) < 2.0
 
 
 def test_motivating_match_set():
     run, conflict, pattern = motivating_pattern()
     am = run.scenario.am["XmlClientConfigBuilder.java"]
-    ms = match_context(pattern, am.tree)
+    ms = match_context(pattern, MergedMember(am.tree))
     assert ms.exact == 4
     assert len(ms.pairs) == 5
     assert ms.sigma == pytest.approx(9.947368421052632)
@@ -73,8 +80,8 @@ def test_motivating_match_set():
         == "addTypeSerializer(serializerConfig);"
     scores = sorted(sc for _, _, sc in ms.pairs)
     assert scores[-4:] == [2.0, 2.0, 2.0, 2.0]
-    # the search's once-per-header profiles score as the plain function does
-    assert all(sc == score_statement_match(p, m) for p, m, sc in ms.pairs)
+    # the search's once-per-header profiles score as fresh profiles do
+    assert all(sc == fresh_score(p, m) for p, m, sc in ms.pairs)
 
 
 def test_no_anchor_when_nothing_clears_threshold():
@@ -88,7 +95,7 @@ class Other {
 }
 """).tree
     with pytest.raises(NoAnchor):
-        match_context(pattern, stranger)
+        match_context(pattern, MergedMember(stranger))
     assert ANCHOR_THRESHOLD == pytest.approx(1.618)
 
 
@@ -190,16 +197,16 @@ def test_memo_holds_merged_members_only():
             # keyed by a merged entity, whose decl the member indexes
             assert key in fw.merged.entities, name
             assert member.tree.root is fw.merged.by_id(key).decl, name
-            # every statement and profile belongs to that merged tree, so
-            # no pattern context outlives its search
-            for node in member.statements + list(member.profiles):
+            # every statement, and so every profile key, belongs to that
+            # merged tree, so no pattern context outlives its search
+            for node in member.statements:
                 assert member.tree.node(node.id) is node, name
-            assert set(member.profiles) <= set(member.statements), name
+            assert list(member.profiles) == member.statements, name
             members += 1
     assert members >= 12             # 11 corpus hosts, 1 fanout host
 
 
-def test_shared_member_anchors_as_a_bare_tree_does():
+def test_shared_member_anchors_as_a_fresh_member_does():
     searched = 0
     for name, run in _runs_with_examples():
         fw = run.fourway
@@ -214,8 +221,8 @@ def test_shared_member_anchors_as_a_bare_tree_does():
                 except NoRelevantEdit:
                     continue
                 try:
-                    want = match_context(pattern,
-                                         SyntaxTree(conflict.using_am.decl))
+                    want = match_context(pattern, MergedMember(
+                        SyntaxTree(conflict.using_am.decl)))
                 except NoAnchor as exc:
                     with pytest.raises(NoAnchor, match=str(exc)):
                         match_context(pattern, member)
@@ -239,11 +246,10 @@ def test_second_resolution_on_one_graph_is_identical():
     assert resolved >= 20           # 16 of them on the fanout fixture
 
 
-def test_merged_member_profiles_lazily():
+def test_merged_member_profiles_every_statement():
     run, _, _ = motivating_pattern()
     member = MergedMember(run.scenario.am["XmlClientConfigBuilder.java"].tree)
-    assert member.statements and not member.profiles
-    stmt = member.statements[0]
-    prof = member.profile(stmt)
-    assert prof[0] == statement_header_text(stmt)
-    assert member.profile(stmt) is prof and list(member.profiles) == [stmt]
+    assert member.statements
+    assert list(member.profiles) == member.statements
+    for stmt, prof in member.profiles.items():
+        assert prof == profile(statement_header_text(stmt))

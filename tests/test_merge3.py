@@ -1,6 +1,8 @@
 """Three-way text merge: laws on disjoint edits, conflicts, file sets."""
 
 import random
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +38,34 @@ def test_identical_competing_change_is_clean():
 def test_overlap_raises():
     with pytest.raises(TextualConflict):
         merge_file(BASE, "a\nB1\nc\nd\ne\n", "a\nB2\nc\nd\ne\n")
+
+
+TOUCHING = {
+    "adjacent-lines": ("a\nb\nc\nd\n", "a\nB\nc\nd\n",
+                       "a\nb\nC\nd\n", "a\nB\nC\nd\n"),
+    "insert-before-replaced": ("a\nb\nc\n", "a\nX\nb\nc\n",
+                               "a\nB\nc\n", "a\nX\nB\nc\n"),
+    "insert-after-replaced": ("a\nb\nc\n", "a\nb\nX\nc\n",
+                              "a\nB\nc\n", "a\nB\nX\nc\n"),
+}
+
+
+@pytest.mark.parametrize("base,left,right,want", TOUCHING.values(),
+                         ids=TOUCHING.keys())
+def test_touching_hunks_merge_where_git_conflicts(base, left, right, want,
+                                                  tmp_path):
+    # _overlap lets hunks that only touch merge side by side, in both
+    # branch orders; git merge-file (diff3) reports a conflict instead
+    assert merge_file(base, left, right) == want
+    assert merge_file(base, right, left) == want
+    if shutil.which("git") is None:
+        return                  # the git cross-check needs git on PATH
+    for name, text in (("left", left), ("base", base), ("right", right)):
+        (tmp_path / name).write_text(text)
+    git = subprocess.run(["git", "merge-file", "-p", "left", "base",
+                          "right"], cwd=tmp_path, capture_output=True,
+                         text=True)
+    assert git.returncode == 1 and "<<<<<<<" in git.stdout
 
 
 def test_delete_vs_edit_same_line_raises():

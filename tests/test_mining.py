@@ -22,7 +22,8 @@ def test_motivating_scenario_yields_adapted_hosts():
                if ex.host.endswith("handleSerializers(Node)"))
     assert big.host_kind == "method"
     assert big.branch == "l"
-    assert big.subject == conflict.subject
+    # the example is the four-way graph's own record of the host
+    assert any(m is big for m in run.fourway.mined.values())
     assert len(big.script) > 0
     # before is the base body, after the adapted one
     assert big.before.root.kind == big.after.root.kind

@@ -6,13 +6,26 @@ from conftest import merge_inputs
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
-from mergeweaver.peg import (DuplicateEntity, arity_of, build_peg, lookup_uses,
-                             type_base_name)
+from mergeweaver.peg import (ENTITY_KINDS, DuplicateEntity, _check_endpoints,
+                             arity_of, build_peg, lookup_uses, type_base_name)
 
 
 def graph_of(**files: str):
     parsed = {path: parse_unit(path, text) for path, text in files.items()}
     return build_peg(parsed, "test")
+
+
+def assert_well_formed(g) -> None:
+    """Every edge joins entity kinds its relation kind allows, no contains
+    or declares edge is a self-loop, and every entity has a known kind and
+    sits in the index under its own id."""
+    for rel in g.relations:
+        _check_endpoints(g.by_id(rel.src), g.by_id(rel.dst), rel.kind)
+        assert not (rel.kind in ("contains", "declares")
+                    and rel.src == rel.dst), rel
+    for eid, ent in g.entities.items():
+        assert ent.kind in ENTITY_KINDS, ent
+        assert eid == ent.id, ent
 
 
 FIXTURE = {
@@ -183,8 +196,7 @@ def test_var_typed_receiver_resolves_calls():
 
 
 def test_graph_validates_cleanly():
-    g = graph_of(**FIXTURE)
-    g.validate()
+    assert_well_formed(graph_of(**FIXTURE))
 
 
 @pytest.mark.parametrize("text,fqn", [
@@ -209,6 +221,7 @@ def test_superclass_index_matches_relation_scan():
     for d in merge_inputs():
         fw = build_fourway(merge_scenario(d / "base", d / "left", d / "right"))
         for graph in (fw.base, fw.left, fw.right, fw.merged):
+            assert_well_formed(graph)
             for ent in graph.entities.values():
                 if ent.kind in ("class", "interface", "enum"):
                     sup = graph.superclass_of(ent)

@@ -6,14 +6,14 @@ strategies must therefore edit clones only: after running them on every
 corpus scenario, every tree of all four versions prints, and is laid out,
 exactly as before.
 
-mine_examples keeps each adapted host's before and after trees, script
-and refinement facts (a MinedHost) for the lifetime of the four-way graph.
-After whole pipeline runs, every memoized record must still equal a fresh
-mining of its host, its facts must equal facts recomputed from a fresh
-before tree and its script, its indexed use lookup must equal the old
-whole-tree walk for every conflict refined against it, it must hold no
-pattern or conflict, and conflicts that share a host must share its
-script and facts.
+mine_examples keeps each adapted host as one EditExample (its before and
+after trees, script and refinement facts) for the lifetime of the
+four-way graph, or None when the host's script is empty.  After whole
+pipeline runs, every memoized record must still equal a fresh mining of
+its host, its facts must equal facts recomputed from a fresh before tree
+and its script, its indexed use lookup must equal the old whole-tree walk
+for every conflict refined against it, it must hold no pattern or
+conflict, and conflicts that share a host must get the same record.
 
 resolve_by_example keeps each merged member it anchors in (its tree,
 statements and header profiles) for the lifetime of the four-way graph
@@ -30,8 +30,8 @@ import pytest
 import reference_inference as ref
 from conftest import CORPUS, FANOUT, ROOT, bench_gen, merge_inputs
 from mergeweaver.conflicts import Conflict
-from mergeweaver.inference import (ScriptFacts, TransformationPattern,
-                                   use_node_ids)
+from mergeweaver.inference import (TransformationPattern, name_index,
+                                   script_edits, use_node_ids)
 from mergeweaver.conflicts import detect_conflicts
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.graph_diff import build_fourway
@@ -140,13 +140,16 @@ def test_memoized_examples_stay_equal_to_a_fresh_mining():
         fw = run_scenario(sdir / "base", sdir / "left",
                           sdir / "right").fourway
         for (branch, base_id, target_id), mined in fw.mined.items():
-            before, after, script = mined.before, mined.after, mined.script
             delta = fw.delta_left if branch == "l" else fw.delta_right
             fresh_before = SyntaxTree(clone_node(fw.base.by_id(base_id).decl),
                                       assign_ids=True)
             fresh_after = SyntaxTree(
                 clone_node(delta.target.by_id(target_id).decl),
                 assign_ids=True)
+            if mined is None:       # kept as None: the bodies do not differ
+                assert not diff_trees(fresh_before, fresh_after)
+                continue
+            before, after, script = mined.before, mined.after, mined.script
             assert structurally_equal(before.root, fresh_before.root)
             assert structurally_equal(after.root, fresh_after.root)
             assert _layout(before) == _layout(fresh_before), sdir.name
@@ -166,11 +169,9 @@ def test_conflicts_sharing_a_host_share_its_script():
     ex2 = mine_examples(fw, second)
     assert len(fw.mined) == 4
     assert [e.host for e in ex1] == [e.host for e in ex2]
+    assert first.subject != second.subject
     for a, b in zip(ex1, ex2):
-        assert a is not b and a.subject != b.subject
-        assert a.script is b.script
-        assert a.before is b.before and a.after is b.after
-        assert a.facts is b.facts
+        assert a is b
 
 
 GENERATED = [(w, s) for w in ("method-rename", "package-rename",
@@ -194,30 +195,27 @@ def resolved(tmp_path_factory):
     return out
 
 
-def _facts_view(facts: ScriptFacts) -> tuple:
-    edits = facts.edits
+def _facts_view(edits, named) -> tuple:
     return (edits.targets,
             [None if s is None else s.id for s in edits.statements],
             [(sid, stmt.id) for sid, stmt in edits.edited.items()],
             edits.used, edits.defined, edits.owner,
-            {name: [n.id for n in nodes]
-             for name, nodes in facts.named.items()})
+            {name: [n.id for n in nodes] for name, nodes in named.items()})
 
 
 def test_mined_facts_equal_a_fresh_recomputation(resolved):
-    checked = computed = 0
+    checked = 0
     for fw, _conflicts in resolved:
-        for (_branch, base_id, _target_id), mined in fw.mined.items():
-            assert mined.facts.before is mined.before
-            assert mined.facts.script is mined.script
-            # filled by the pipeline run, not by this test
-            computed += mined.facts._edits is not None
+        for (_branch, base_id, _target_id), ex in fw.mined.items():
+            if ex is None:
+                continue
             fresh_before = SyntaxTree(
                 clone_node(fw.base.by_id(base_id).decl), assign_ids=True)
-            fresh = ScriptFacts(fresh_before, list(mined.script))
-            assert _facts_view(mined.facts) == _facts_view(fresh)
+            fresh = _facts_view(script_edits(fresh_before, list(ex.script)),
+                                name_index(fresh_before))
+            assert _facts_view(ex.edits, ex.named) == fresh
             checked += 1
-    assert checked >= 26 and computed >= 26
+    assert checked >= 26
 
 
 def test_indexed_use_lookup_equals_the_whole_tree_walk(resolved):
@@ -226,9 +224,7 @@ def test_indexed_use_lookup_equals_the_whole_tree_walk(resolved):
         for conflict in conflicts:
             for ex in mine_examples(fw, conflict):
                 want = ref.use_node_ids(ex.before, conflict)
-                assert use_node_ids(ex.before, conflict,
-                                    ex.facts.named) == want
-                assert use_node_ids(ex.before, conflict) == want
+                assert use_node_ids(ex.named, conflict) == want
                 pairs += 1
     assert pairs >= 206         # 12 corpus, 64 fanout, 130 generated
 
@@ -253,8 +249,10 @@ def _reachable_types(root) -> set[type]:
 def test_mined_records_hold_no_pattern_or_conflict(resolved):
     records = 0
     for fw, _conflicts in resolved:
-        for mined in fw.mined.values():
-            held = _reachable_types(mined)
-            assert not held & {TransformationPattern, Conflict, EditExample}
+        for ex in fw.mined.values():
+            if ex is None:
+                continue
+            assert type(ex) is EditExample
+            assert not _reachable_types(ex) & {TransformationPattern, Conflict}
             records += 1
     assert records >= 26
