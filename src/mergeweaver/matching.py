@@ -15,11 +15,12 @@ all its statements when it is made, because the first search that gets
 past the pattern-side checks scores every one of them.  Pattern-side
 profiles live for one search only, so no pattern context outlives it.  The
 memo is sound because nothing edits a merged tree: application below and
-the rules rewrite clones.
+the rules write copy-on-write clones, which never write a node they share.
 
-Application rewrites a clone of the whole merged file: a kind-aligned walk
-maps each matched pattern statement onto its merged partner, and the ops
-whose governing pattern statement was matched are replayed through
+Application rewrites a copy-on-write clone of the merged file, so it
+copies only the nodes on the path from an edit to the root: a kind-aligned
+walk maps each matched pattern statement onto its merged partner, and the
+ops whose governing pattern statement was matched are replayed through
 tree_diff.apply_op with that mapping (fresh ids for adds, clamped indices).
 An op the mapping cannot place is skipped and makes the result partial.
 """

@@ -176,7 +176,8 @@ def parse_versions(base: dict[str, str], left: dict[str, str],
     """Parse four path->text maps into a scenario; raises ParseError."""
     scenario = MergeScenario()
     # a file with the same text in several versions is parsed once and its
-    # SourceFile shared; resolvers edit clones, never these trees
+    # SourceFile shared; resolvers edit copy-on-write clones, which never
+    # write a node of these trees
     parsed: dict[tuple[str, str], SourceFile] = {}
     for bucket, files in (("base", base), ("left", left),
                           ("right", right), ("am", am)):

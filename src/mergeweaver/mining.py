@@ -16,9 +16,12 @@ gets that same record, and no record holds a conflict or a pattern.
 
 Sharing is sound because everything in the record is a function of the
 host alone, and nothing downstream edits it: ``refine_context`` clones the
-part of the before tree it keeps and ``apply_pattern`` rewrites a clone of
-the merged file.  What depends on the conflict (its use nodes, the
-closure, the pattern) is computed per refinement and never stored.
+part of the before tree it keeps, ``diff_trees`` replays the script on a
+copy-on-write clone of the before tree, and ``apply_pattern`` edits the
+merged file, not the example.  The host trees are deep copies, not
+copy-on-write clones, because they are renumbered.  What depends on the
+conflict (its use nodes, the closure, the pattern) is computed per
+refinement and never stored.
 """
 
 from __future__ import annotations

@@ -93,6 +93,10 @@ class Entity:
     path: Optional[str] = None
     stub: bool = False
 
+    def __post_init__(self) -> None:
+        if self.kind not in ENTITY_KINDS:
+            raise ValueError(f"unknown entity kind: {self.kind!r}")
+
     # computed once per entity; frozen fields keep them right
     @cached_property
     def id(self) -> str:

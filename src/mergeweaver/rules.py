@@ -1,7 +1,9 @@
 """Fixed resolution transforms, one per covered conflict type.
 
-Each handler rewrites a clone of the merged file in place, addressing the
-conflict's recorded site nodes by id.  Types C17 through C23 have no safe
+Each handler rewrites a copy-on-write clone of the merged file, addressing
+the conflict's recorded site nodes by id and writing only through the
+clone's insert, remove and set_value, so the copy shares every member the
+transform leaves alone.  Types C17 through C23 have no safe
 fixed transform and raise NotCovered; the example-based strategy is the
 only automated option for those.
 """
@@ -64,15 +66,15 @@ def _update_added_type_use(work: SyntaxTree, conflict: Conflict,
     old_s, new_s = d.old.simple_name, d.new.simple_name
     for _site, node in _site_nodes(work, conflict):
         if node.kind == "TypeRef":
-            node.value = _apply_renames(node.value, {old_s: new_s})
+            work.set_value(node, _apply_renames(node.value, {old_s: new_s}))
         elif node.kind == "Name":
             if node.value == old_s:
-                node.value = new_s
+                work.set_value(node, new_s)
         elif node.kind == "ImportDecl":
             if node.value == d.old_fqn:
-                node.value = d.new_fqn or node.value
+                work.set_value(node, d.new_fqn or node.value)
             elif node.value.endswith("." + old_s):
-                node.value = node.value[:-len(old_s)] + new_s
+                work.set_value(node, node.value[:-len(old_s)] + new_s)
         else:
             raise TargetMissing(f"unexpected site kind {node.kind}")
 
@@ -86,7 +88,7 @@ def _update_added_package_use(work: SyntaxTree, conflict: Conflict,
         if node.kind != "ImportDecl":
             raise TargetMissing(f"unexpected site kind {node.kind}")
         if node.value.startswith(old_pkg + "."):
-            node.value = new_pkg + node.value[len(old_pkg):]
+            work.set_value(node, new_pkg + node.value[len(old_pkg):])
 
 
 def _rename_sites(*kinds: str) -> _Handler:
@@ -99,7 +101,7 @@ def _rename_sites(*kinds: str) -> _Handler:
         for _site, node in _site_nodes(work, conflict):
             if node.kind not in kinds:
                 raise TargetMissing(f"unexpected site kind {node.kind}")
-            node.value = d.new.simple_name
+            work.set_value(node, d.new.simple_name)
     return handler
 
 
@@ -115,7 +117,7 @@ def _match_super_return(work: SyntaxTree, conflict: Conflict,
         ret = declared_type(node)
         if ret is None:
             raise TargetMissing("site method has no return type")
-        ret.value = want
+        work.set_value(ret, want)
 
 
 def _match_super_params(work: SyntaxTree, conflict: Conflict,
@@ -191,7 +193,8 @@ def _override_new_super_method(work: SyntaxTree, conflict: Conflict,
                                   id=work.fresh_id())
                 body.children.append(stmt)
             method.children.append(body)
-        work.insert(node, len(node.children), method)
+        # by id: an earlier site may have replaced node with a copy
+        work.insert(node, len(work.node(node.id).children), method)
 
 
 def _remove_clashing_method(work: SyntaxTree, conflict: Conflict,
@@ -213,12 +216,12 @@ def _match_interface_return(work: SyntaxTree, conflict: Conflict,
         raise TargetMissing("interface method return type unknown")
     for _site, node in _site_nodes(work, conflict):
         if node.kind == "TypeRef":
-            node.value = want
+            work.set_value(node, want)
         else:
             ret = declared_type(node)
             if ret is None:
                 raise TargetMissing("site method has no return type")
-            ret.value = want
+            work.set_value(ret, want)
 
 
 def _remove_redundant_def(work: SyntaxTree, conflict: Conflict,

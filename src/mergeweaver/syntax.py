@@ -158,10 +158,20 @@ def clone_node(node: SyntaxNode) -> SyntaxNode:
 class SyntaxTree:
     """A rooted tree plus the id and parent indexes over it.
 
-    Structural edits go through insert() and remove(), which update both
-    indexes for the affected subtree only; editing a value in place needs
-    no index work.  max_id only grows, so fresh_id() never hands out the
-    id of a removed node.  Ids stay stable across clones.
+    ``clone()`` is copy-on-write.  The copy starts as the same root and two
+    empty overlay indexes that fall back to the tree it was taken from,
+    plus a set of the ids it removed, so it shares every subtree it does
+    not edit.  A node has no parent pointer, so one node can sit in both
+    trees.  The tree a clone was taken from is read-only from then on.
+
+    insert(), remove() and set_value() are the only writers.  Each looks
+    its node up by id and, in a clone, first copies the node with every
+    ancestor that the clone still shares (path copying), then writes the
+    copy and updates the indexes of the edited subtree only.  A reference
+    taken before an ancestor was copied therefore still names the right
+    node, and no write reaches a shared node.  max_id only grows, so
+    fresh_id() never hands out the id of a removed node; a clone's ids
+    continue from its source's max_id.
     """
 
     def __init__(self, root: SyntaxNode, assign_ids: bool = False):
@@ -171,6 +181,13 @@ class SyntaxTree:
         self._by_id: dict[int, SyntaxNode] = {}
         self._parents: dict[int, Optional[SyntaxNode]] = {}
         self._max_id = -1
+        # copy-on-write state: the tree this one is a clone of, the ids
+        # removed from it, this clone's own copies, and whether a clone
+        # shares this tree's nodes
+        self._base: Optional[SyntaxTree] = None
+        self._removed: set[int] = set()
+        self._copies: dict[int, SyntaxNode] = {}
+        self._shared = False
         if assign_ids:
             self._number(root)
         else:
@@ -194,38 +211,84 @@ class SyntaxTree:
         stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(top, parent)]
         while stack:
             node, parent = stack.pop()
-            if node.id in self._by_id:
+            if self.has_node(node.id):
                 raise ValueError(f"duplicate node id {node.id}")
+            self._removed.discard(node.id)
             self._by_id[node.id] = node
             self._parents[node.id] = parent
             self._max_id = max(self._max_id, node.id)
             for child in node.children:
                 stack.append((child, node))
 
+    def _lookup(self, node_id: int) -> Optional[SyntaxNode]:
+        node = self._by_id.get(node_id)
+        if node is None and self._base is not None \
+                and node_id not in self._removed:
+            return self._base._lookup(node_id)
+        return node
+
+    def _writable(self, node_id: int) -> SyntaxNode:
+        """The node under node_id, ready to write: in a clone, a shared
+        node is first replaced by a copy, and so is each shared ancestor."""
+        if self._shared:
+            raise ValueError("a tree shared with a clone is read-only")
+        node = self.node(node_id)
+        if self._base is None or self._copies.get(node_id) is node:
+            return node
+        parent = self.parent(node)
+        copy = SyntaxNode(node.kind, node.value, list(node.children),
+                          node.span, node_id)
+        self._copies[node_id] = self._by_id[node_id] = copy
+        for child in copy.children:
+            self._parents[child.id] = copy
+        if parent is None:
+            self.root = copy
+        else:
+            siblings = self._writable(parent.id).children
+            siblings[siblings.index(node)] = copy
+        return copy
+
     def insert(self, parent: SyntaxNode, index: int,
                subtree: SyntaxNode) -> None:
         """Attach a detached subtree as parent's index-th child."""
+        parent = self._writable(parent.id)
         self._index(subtree, parent)
         parent.children.insert(index, subtree)
 
     def remove(self, node: SyntaxNode) -> None:
         """Detach node and its subtree; their ids leave the index."""
-        parent = self._parents[node.id]
+        parent = self.parent(node)
         if parent is None:
             raise ValueError("cannot remove the root")
-        parent.children.remove(node)
+        node = self.node(node.id)
+        self._writable(parent.id).children.remove(node)
         for gone in node.walk():
-            del self._by_id[gone.id]
-            del self._parents[gone.id]
+            self._by_id.pop(gone.id, None)
+            self._parents.pop(gone.id, None)
+            self._removed.add(gone.id)
+
+    def set_value(self, node: SyntaxNode, value: str) -> SyntaxNode:
+        """Write node's value; returns the node now in the tree."""
+        node = self._writable(node.id)
+        node.value = value
+        return node
 
     def node(self, node_id: int) -> SyntaxNode:
-        return self._by_id[node_id]
+        node = self._lookup(node_id)
+        if node is None:
+            raise KeyError(node_id)
+        return node
 
     def has_node(self, node_id: int) -> bool:
-        return node_id in self._by_id
+        return self._lookup(node_id) is not None
 
     def parent(self, node: SyntaxNode) -> Optional[SyntaxNode]:
-        return self._parents[node.id]
+        tree = self
+        while node.id not in tree._parents:
+            if tree._base is None or node.id in tree._removed:
+                raise KeyError(node.id)
+            tree = tree._base
+        return tree._parents[node.id]
 
     @property
     def max_id(self) -> int:
@@ -239,7 +302,14 @@ class SyntaxTree:
         return self.root.walk()
 
     def clone(self) -> "SyntaxTree":
-        return SyntaxTree(clone_node(self.root))
+        """A copy-on-write copy (see the class docstring); this tree
+        becomes read-only."""
+        self._shared = True
+        copy = SyntaxTree.__new__(SyntaxTree)
+        copy.__dict__.update(self.__dict__, _by_id={}, _parents={},
+                             _base=self, _removed=set(), _copies={},
+                             _shared=False)
+        return copy
 
     def enclosing_statement(self, node: SyntaxNode) -> Optional[SyntaxNode]:
         """Innermost statement containing node (node itself counts)."""

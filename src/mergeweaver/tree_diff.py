@@ -19,7 +19,8 @@ candidate), is then O(1).  The first candidate whose score beats the best so
 far by more than 1e-12 wins, and it is paired when its score exceeds one
 half.
 
-The script is produced by running it on a working copy: deletes first, then
+The script is produced by running it on a copy-on-write clone of the
+before tree, which copies only what the script edits: deletes first, then
 a pre-order placement walk over the after tree emitting move, add and update
 ops with indices valid at application time.  Each op is applied through
 apply_op as soon as it is emitted, and the working copy must end up
@@ -259,7 +260,7 @@ def diff_trees(before: SyntaxTree, after: SyntaxTree) -> EditScript:
     if work.root.value != after.root.value:
         _emit(work, ops, EditOp("update", work.root.id,
                                 value=after.root.value))
-    _place(m, work, ops, after.root, work.root,
+    _place(m, work, ops, after.root, work.root.id,
            max(before.max_id, after.max_id) + 1)
 
     assert structurally_equal(work.root, after.root), \
@@ -273,11 +274,14 @@ def _emit(work: SyntaxTree, ops: EditScript, op: EditOp) -> SyntaxNode:
 
 
 def _place(m: _Matching, work: SyntaxTree, ops: EditScript,
-           a_node: SyntaxNode, w_node: SyntaxNode, next_id: int) -> int:
-    """Makes w_node's subtree equal a_node's, emitting and applying ops
-    in pre-order; returns the next add id.  Not a closure: a recursive
-    closure is a cycle that keeps work alive until the cyclic collector."""
+           a_node: SyntaxNode, w_id: int, next_id: int) -> int:
+    """Makes the subtree of work's node w_id equal a_node's, emitting and
+    applying ops in pre-order; returns the next add id.  Not a closure: a
+    recursive closure is a cycle that keeps work alive until the cyclic
+    collector."""
     for i, a_child in enumerate(a_node.children):
+        # a write below may have replaced the node with a copy
+        w_node = work.node(w_id)
         if m.matched_a(a_child):
             w_child = work.node(m.a2b[a_child.id].id)
             in_place = work.parent(w_child) is w_node and \
@@ -290,30 +294,31 @@ def _place(m: _Matching, work: SyntaxTree, ops: EditScript,
                                         value=a_child.value))
         else:
             w_child = _emit(work, ops, EditOp(
-                "add", next_id, parent_id=w_node.id, index=i,
+                "add", next_id, parent_id=w_id, index=i,
                 node_kind=a_child.kind, value=a_child.value))
             next_id += 1
-        next_id = _place(m, work, ops, a_child, w_child, next_id)
+        next_id = _place(m, work, ops, a_child, w_child.id, next_id)
     return next_id
 
 
 def apply_op(tree: SyntaxTree, op: EditOp,
              mapping: Optional[dict[int, SyntaxNode]] = None) -> SyntaxNode:
     """Applies one op in place under the policy the mapping selects (see
-    the module docstring) and returns the node it touched.  Raises
+    the module docstring) and returns the node it touched.  Nodes are
+    looked up by id, and writes go through the tree's writers, so a
+    mapped node that a clone has since copied still names its copy.  Raises
     DanglingOp, leaving the tree unchanged, for a missing or detached
     node, a move under itself or of the root, a delete of the root, or an
     unmapped index outside the children."""
     def lookup(node_id: Optional[int]) -> SyntaxNode:
+        tree_id = node_id
         if mapping is not None:
-            node = mapping.get(node_id)  # type: ignore[arg-type]
-        else:
-            node = tree.node(node_id) if tree.has_node(node_id) else None
+            mapped = mapping.get(node_id)  # type: ignore[arg-type]
+            tree_id = None if mapped is None else mapped.id
         # a mapped node is detached once an earlier op removed its subtree
-        if node is None or not tree.has_node(node.id) \
-                or tree.node(node.id) is not node:
+        if tree_id is None or not tree.has_node(tree_id):
             raise DanglingOp(f"{op.op}: no node {node_id}")
-        return node
+        return tree.node(tree_id)
 
     def position(size: int) -> int:
         if mapping is not None:
@@ -325,9 +330,7 @@ def apply_op(tree: SyntaxTree, op: EditOp,
         return op.index
 
     if op.op == "update":
-        node = lookup(op.node_id)
-        node.value = op.value or ""
-        return node
+        return tree.set_value(lookup(op.node_id), op.value or "")
     if op.op == "delete":
         node = lookup(op.node_id)
         if tree.parent(node) is None:

@@ -14,7 +14,7 @@ import pytest
 
 from mergeweaver.parser import parse_unit
 from mergeweaver.pipeline import ScenarioRun, run_scenario
-from mergeweaver.syntax import SyntaxNode, SyntaxTree
+from mergeweaver.syntax import SyntaxNode, SyntaxTree, clone_node
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -333,8 +333,10 @@ def _stamp_fresh(tree: SyntaxTree, node: SyntaxNode) -> None:
 
 def mutate_tree(tree: SyntaxTree, rng: random.Random,
                 edits: int) -> SyntaxTree:
-    """Return a structurally mutated clone with `edits` random changes."""
-    out = tree.clone()
+    """Return a structurally mutated deep copy with `edits` random
+    changes.  A deep copy, not a copy-on-write clone: the leaf values are
+    written directly and the result is renumbered in place."""
+    out = SyntaxTree(clone_node(tree.root))
     for _ in range(edits):
         op = rng.random()
         blocks = _blocks(out)

@@ -6,8 +6,9 @@ from conftest import merge_inputs
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
-from mergeweaver.peg import (ENTITY_KINDS, DuplicateEntity, _check_endpoints,
-                             arity_of, build_peg, lookup_uses, type_base_name)
+from mergeweaver.peg import (ENTITY_KINDS, DuplicateEntity, Entity,
+                             _check_endpoints, arity_of, build_peg,
+                             lookup_uses, type_base_name)
 
 
 def graph_of(**files: str):
@@ -197,6 +198,12 @@ def test_var_typed_receiver_resolves_calls():
 
 def test_graph_validates_cleanly():
     assert_well_formed(graph_of(**FIXTURE))
+
+
+def test_entity_of_an_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown entity kind"):
+        Entity("module", "x")
+    assert all(Entity(kind, "x").kind == kind for kind in ENTITY_KINDS)
 
 
 @pytest.mark.parametrize("text,fqn", [

@@ -2,9 +2,12 @@
 
 merge_scenario parses a file whose text is the same in several versions
 once and hands every version the same SourceFile.  Both resolution
-strategies must therefore edit clones only: after running them on every
-corpus scenario, every tree of all four versions prints, and is laid out,
-exactly as before.
+strategies edit copy-on-write clones, which share every subtree they do
+not edit with the parsed tree: after running them on every corpus
+scenario, control, the fanout fixture and the generated workloads, every
+tree of all four versions prints, and is laid out, exactly as before.  A
+rule's copy is O(edit): each top-level member that holds no conflict site
+is still the parsed member itself.
 
 mine_examples keeps each adapted host as one EditExample (its before and
 after trees, script and refinement facts) for the lifetime of the
@@ -40,7 +43,8 @@ from mergeweaver.merge3 import merge_scenario
 from mergeweaver.mining import EditExample, mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
-from mergeweaver.rules import NotCovered, TargetMissing, resolve_by_rule
+from mergeweaver.rules import (RULES, NotCovered, TargetMissing,
+                              resolve_by_rule)
 from mergeweaver.similarity import profile
 from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxTree, clone_node,
                                 structurally_equal)
@@ -63,10 +67,25 @@ def _all_scenarios():
     return scenario_dirs(CORPUS) + scenario_dirs(CORPUS / "controls")
 
 
-def test_resolution_leaves_every_parsed_tree_unchanged():
+GENERATED = [(w, s) for w in ("method-rename", "package-rename",
+                              "rename-fanout") for s in (1, 4242)]
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory) -> list:
+    """The three bench/gen.py workloads at seeds 1 and 4242, written once."""
+    dirs = []
+    for workload, seed in GENERATED:
+        out = tmp_path_factory.mktemp(f"{workload}-{seed}")
+        bench_gen.write_workload(bench_gen.generate(workload, seed), out)
+        dirs.append(out)
+    return dirs
+
+
+def test_resolution_leaves_every_parsed_tree_unchanged(generated):
     resolved = 0
     members = 0
-    for sdir in _all_scenarios() + [FANOUT]:
+    for sdir in _all_scenarios() + [FANOUT] + generated:
         scenario = merge_scenario(sdir / "base", sdir / "left",
                                   sdir / "right")
         before = _fingerprint(scenario)
@@ -81,8 +100,30 @@ def test_resolution_leaves_every_parsed_tree_unchanged():
                 pass
         assert _fingerprint(scenario) == before, sdir.name
         members += len(fw.members)
-    assert resolved > 70            # the strategies really ran
-    assert members >= 12            # with the merged-member memo in place
+    assert resolved >= 146          # 76 corpus and fanout, 70 generated
+    assert members >= 16            # with the merged-member memo in place
+
+
+def test_rule_copy_shares_every_member_without_a_site():
+    scenario = merge_scenario(FANOUT / "base", FANOUT / "left",
+                              FANOUT / "right")
+    fw = build_fourway(scenario)
+    shared = copied = 0
+    for conflict in detect_conflicts(fw):
+        am = scenario.am[conflict.sites[0].file].tree
+        work = am.clone()
+        RULES[conflict.type][1](work, conflict, fw)
+        sites = {site.node_id for site in conflict.sites}
+        for decl in work.root.children:
+            for member in decl.children:
+                if sites.isdisjoint(n.id for n in member.walk()):
+                    assert member is am.node(member.id), member
+                    shared += 1
+                else:           # on the path from an edit to the root
+                    assert member is not am.node(member.id), member
+                    copied += 1
+    # 16 conflicts in one three-member file, one edited member each
+    assert (shared, copied) == (32, 16)
 
 
 def test_memoized_merged_members_stay_equal_to_a_fresh_parse():
@@ -174,22 +215,13 @@ def test_conflicts_sharing_a_host_share_its_script():
         assert a is b
 
 
-GENERATED = [(w, s) for w in ("method-rename", "package-rename",
-                              "rename-fanout") for s in (1, 4242)]
-
-
 @pytest.fixture(scope="module")
-def resolved(tmp_path_factory):
+def resolved(generated):
     """(four-way graph, conflicts) of a whole pipeline run on every corpus
     scenario and control, the fanout fixture and the generated
     workloads."""
-    dirs = merge_inputs()
-    for workload, seed in GENERATED:
-        out = tmp_path_factory.mktemp(f"{workload}-{seed}")
-        bench_gen.write_workload(bench_gen.generate(workload, seed), out)
-        dirs.append(out)
     out = []
-    for d in dirs:
+    for d in merge_inputs() + generated:
         run = run_scenario(d / "base", d / "left", d / "right")
         out.append((run.fourway, run.report.conflicts))
     return out

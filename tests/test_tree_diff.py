@@ -329,15 +329,23 @@ def _assert_index_matches_fresh(tree: SyntaxTree) -> None:
         assert (mine.id if mine else None) == (theirs.id if theirs else None)
         if mine is not None:
             assert any(c is node for c in mine.children)
+    assert [i for i in range(tree.max_id + 1) if tree.has_node(i)] \
+        == sorted(ids)
 
 
-def test_index_agrees_with_a_fresh_tree_after_random_edits():
+def _random_edits(through_clone: bool) -> None:
+    """Random removes, inserts and moves on corpus trees, each followed by
+    a comparison with a fresh index; through_clone edits a copy-on-write
+    clone, whose source must print and lay out as before every edit."""
     files = [p for p in corpus_java_files() if p.parent.name == "left"]
     removals = 0
     for case in range(30):
         rng = random.Random(7100 + case)
         src = files[case % len(files)]
-        tree = parse_unit(src.name, src.read_text()).tree
+        tree = base = parse_unit(src.name, src.read_text()).tree
+        if through_clone:
+            printed, layout = pretty_print(base), _full_layout(base)
+            tree = base.clone()
         gone: set[int] = set()
         top = tree.max_id
         for _ in range(rng.randrange(1, 25)):
@@ -372,7 +380,49 @@ def test_index_agrees_with_a_fresh_tree_after_random_edits():
             _assert_index_matches_fresh(tree)
             assert top <= tree.max_id
             assert not any(tree.has_node(i) for i in gone)
+            if through_clone:
+                assert pretty_print(base) == printed, (case, src.name)
+                assert _full_layout(base) == layout, (case, src.name)
+                _assert_index_matches_fresh(base)
     assert removals > 10
+
+
+def _full_layout(tree: SyntaxTree) -> list[tuple]:
+    return [(n.id, n.kind, n.value, n.span, len(n.children))
+            for n in tree.nodes()]
+
+
+def test_index_agrees_with_a_fresh_tree_after_random_edits():
+    _random_edits(through_clone=False)
+
+
+def test_clone_index_agrees_with_a_fresh_tree_after_random_edits():
+    _random_edits(through_clone=True)
+
+
+def test_write_through_a_stale_reference_lands_in_the_copy():
+    base = parse_snippet(TWO_CALLS).tree
+    printed, layout = pretty_print(base), _full_layout(base)
+    work = base.clone()
+    block = _block(work)
+    first, second = block.children
+    call = next(n for n in second.walk() if n.kind == "MethodInvocation")
+    # copies the block and every ancestor; block and call are now
+    # references taken before an ancestor was copied
+    work.remove(first)
+    assert work.node(block.id) is not block and block is _block(base)
+    renamed = work.set_value(call, "c")
+    assert renamed is work.node(call.id) and renamed is not call
+    added = SyntaxNode("ReturnStmt", "", [], None, work.fresh_id())
+    work.insert(block, 1, added)
+    assert work.node(block.id).children[1] is added
+    assert pretty_print(work) == "class A {\n    void m() {\n        c();\n" \
+        "        return;\n    }\n}\n"
+    assert pretty_print(base) == printed and _full_layout(base) == layout
+    _assert_index_matches_fresh(work)
+    _assert_index_matches_fresh(base)
+    with pytest.raises(ValueError):     # the source of a clone is read-only
+        base.set_value(call, "d")
 
 
 def test_remove_of_the_root_is_refused():

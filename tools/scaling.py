@@ -12,7 +12,7 @@ parses:
 
 * method-rename at 120, 240, 480 and 960 files;
 * package-rename at 24, 48, 96 and 192 files;
-* rename-fanout at 16, 32 and 64 hub methods.
+* rename-fanout at 16, 32, 64 and 128 hub methods.
 
 The largest sizes take tens of seconds each; ``--workload`` runs one.
 """
@@ -36,7 +36,7 @@ from mergeweaver.pipeline import run_scenario  # noqa: E402
 SIZES = (
     ("method-rename", "files", (120, 240, 480, 960)),
     ("package-rename", "files", (24, 48, 96, 192)),
-    ("rename-fanout", "methods", (16, 32, 64)),
+    ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
 COLUMNS = STAGES + ("parse", "tokens", "nodes")
