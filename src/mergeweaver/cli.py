@@ -131,6 +131,10 @@ def _run(args: argparse.Namespace) -> ScenarioRun:
     _trace(args.trace,
            f"{len(run.report.conflicts)} conflict(s), "
            f"{len(run.report.resolutions)} resolution(s)")
+    scorer = run.fourway.scorer
+    _trace(args.trace,
+           f"similarity: {scorer.profiled} text(s) profiled, "
+           f"{scorer.scored} pair(s) scored, {scorer.hits} memo hit(s)")
     return run
 
 

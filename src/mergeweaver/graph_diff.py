@@ -4,7 +4,13 @@ Matching runs in two phases: exact (kind, fqn) identity, then a similarity
 sweep that only pairs entities whose parents are already matched, so a member
 moved across types shows up as delete plus add rather than a match.  The
 similarity score averages trigram similarity of the printed declaration and
-of the sorted neighbor fqns; pairs below 0.618 stay unmatched.
+of the sorted neighbor fqns; pairs below 0.618 stay unmatched.  Each round
+of the sweep buckets the other graph's unmatched entities by kind and
+parent id, in that graph's order, so an entity is scored only against the
+candidates of its bucket.  The four matches of a merge score through the
+merge's one Scorer (see ``similarity``): a text scored in one match, or
+in an earlier round, is not scored again, and a delta's body-change check
+reads the bodies the matcher printed.
 
 A delta lists entity edits (add, delete, update with a rename,
 signature-change or body-change detail) and relation edits computed modulo
@@ -21,7 +27,7 @@ from typing import Optional
 from .merge3 import MergeScenario
 from . import peg
 from .peg import Entity, EntityGraph, Relation
-from .similarity import Profile, profile, profile_similarity
+from .similarity import Scorer
 
 MATCH_THRESHOLD = 0.618
 
@@ -72,11 +78,6 @@ class GraphDelta:
     relation_edits: list[RelationEdit] = field(default_factory=list)
 
 
-def _parent_id(graph: EntityGraph, entity: Entity) -> Optional[str]:
-    parent = graph.parent_of(entity)
-    return parent.id if parent is not None else None
-
-
 _PHASE2_ORDER = {
     "project": 0, "package": 1, "compilation-unit": 2,
     "class": 3, "interface": 3, "enum": 3,
@@ -84,7 +85,8 @@ _PHASE2_ORDER = {
 }
 
 
-def match_graphs(ga: EntityGraph, gb: EntityGraph) -> dict[str, str]:
+def match_graphs(ga: EntityGraph, gb: EntityGraph,
+                 scorer: Scorer) -> dict[str, str]:
     """Correspondence between two graphs as a dict of entity ids."""
     matches: dict[str, str] = {}
     taken: set[str] = set()
@@ -92,38 +94,34 @@ def match_graphs(ga: EntityGraph, gb: EntityGraph) -> dict[str, str]:
         if eid in gb.entities:
             matches[eid] = eid
             taken.add(eid)
-
-    # the printed body and the context of each entity scored, profiled once
-    memo: dict[tuple[int, str], tuple[Profile, Profile]] = {}
-
-    def profiles(graph: EntityGraph, ent: Entity) -> tuple[Profile, Profile]:
-        key = (id(graph), ent.id)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = (profile(graph.body_text(ent)),
-                               profile(graph.context_string(ent)))
-        return got
+    open_a = [ent for eid, ent in ga.entities.items() if eid not in matches]
+    open_b = [((other.kind, gb.parent_id(other)), other)
+              for oid, other in gb.entities.items() if oid not in taken]
+    similarity, body_text, context = \
+        scorer.similarity, scorer.body_text, scorer.context
 
     # similarity phase, repeated until stable so a matched parent can unlock
     # the pairing of its renamed children
     while True:
+        # gb's untaken entities by (kind, parent id), in gb's order
+        buckets: dict[tuple[str, Optional[str]], list[Entity]] = {}
+        for key, other in open_b:
+            if other.id not in taken:
+                buckets.setdefault(key, []).append(other)
         candidates = []
-        for eid, ent in ga.entities.items():
-            if eid in matches:
+        for ent in open_a:
+            if ent.id in matches:
                 continue
-            pid = _parent_id(ga, ent)
+            pid = ga.parent_id(ent)
             if pid is not None and pid not in matches:
                 continue
-            want_parent = matches.get(pid) if pid is not None else None
-            for oid, other in gb.entities.items():
-                if oid in taken or other.kind != ent.kind:
-                    continue
-                if _parent_id(gb, other) != want_parent:
-                    continue
-                body_a, context_a = profiles(ga, ent)
-                body_b, context_b = profiles(gb, other)
-                sim = 0.5 * profile_similarity(body_a, body_b) \
-                    + 0.5 * profile_similarity(context_a, context_b)
+            bucket = buckets.get((ent.kind, matches.get(pid)))
+            if not bucket:
+                continue
+            body_a, context_a = body_text(ga, ent), context(ga, ent)
+            for other in bucket:
+                sim = 0.5 * similarity(body_a, body_text(gb, other)) \
+                    + 0.5 * similarity(context_a, context(gb, other))
                 if sim >= MATCH_THRESHOLD:
                     candidates.append((sim, ent, other))
         if not candidates:
@@ -142,7 +140,7 @@ def match_graphs(ga: EntityGraph, gb: EntityGraph) -> dict[str, str]:
 
 
 def _update_detail(old: Entity, new: Entity, base: EntityGraph,
-                   target: EntityGraph) -> Optional[str]:
+                   target: EntityGraph, scorer: Scorer) -> Optional[str]:
     if old.fqn != new.fqn:
         if old.simple_name != new.simple_name:
             return "rename"
@@ -151,7 +149,7 @@ def _update_detail(old: Entity, new: Entity, base: EntityGraph,
         return "rename"
     if old.decl is not None and old.decl is new.decl:
         return None             # one shared parse of identical text
-    if base.body_text(old) != target.body_text(new):
+    if scorer.body_text(base, old) != scorer.body_text(target, new):
         return "body-change"
     return None
 
@@ -160,9 +158,9 @@ def _relation_order(rel: Relation) -> tuple[str, str, str]:
     return rel.src, rel.kind, rel.dst
 
 
-def diff_graphs(base: EntityGraph, target: EntityGraph,
-                branch: str) -> GraphDelta:
-    matches = match_graphs(base, target)
+def diff_graphs(base: EntityGraph, target: EntityGraph, branch: str,
+                scorer: Scorer) -> GraphDelta:
+    matches = match_graphs(base, target, scorer)
     inverse = {v: k for k, v in matches.items()}
     delta = GraphDelta(branch=branch, base=base, target=target, matches=matches)
 
@@ -176,7 +174,7 @@ def diff_graphs(base: EntityGraph, target: EntityGraph,
                 "delete", branch, ent.kind, ent.fqn, None, old=ent))
             continue
         other = target.entities[matches[eid]]
-        detail = _update_detail(ent, other, base, target)
+        detail = _update_detail(ent, other, base, target, scorer)
         if detail is not None:
             delta.entity_edits.append(EntityEdit(
                 "update", branch, ent.kind, ent.fqn, other.fqn,
@@ -219,13 +217,16 @@ class FourWayGraph:
     delta_right: GraphDelta
     cap_left: dict[str, str]    # merged entity id -> left entity id
     cap_right: dict[str, str]
+    # the trigram scores of both searches of this merge; see the
+    # similarity module docstring
+    scorer: Scorer = field(compare=False, repr=False)
     # mining.mine_examples' memo: (branch, base host id, branch host id)
     # -> the host's EditExample, or None when its script is empty; see the
     # mining module docstring
     mined: dict = field(default_factory=dict, compare=False, repr=False)
     # matching.resolve_by_example's memo: merged entity id -> the member's
-    # tree, statements and header profiles (MergedMember); see the
-    # matching module docstring
+    # tree, statements and header texts (MergedMember); see the matching
+    # module docstring
     members: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -235,12 +236,16 @@ def build_fourway(scenario: MergeScenario) -> FourWayGraph:
     gl = peg.build_peg(scenario.left, "l", memo)
     gr = peg.build_peg(scenario.right, "r", memo)
     gam = peg.build_peg(scenario.am, "am", memo)
+    scorer = Scorer()
+    for ga, gx in ((gb, gl), (gb, gr), (gam, gl), (gam, gr)):
+        scorer.expect_match(ga, gx)
     return FourWayGraph(
         base=gb, left=gl, right=gr, merged=gam,
-        delta_left=diff_graphs(gb, gl, "l"),
-        delta_right=diff_graphs(gb, gr, "r"),
-        cap_left=match_graphs(gam, gl),
-        cap_right=match_graphs(gam, gr),
+        delta_left=diff_graphs(gb, gl, "l", scorer),
+        delta_right=diff_graphs(gb, gr, "r", scorer),
+        cap_left=match_graphs(gam, gl, scorer),
+        cap_right=match_graphs(gam, gr, scorer),
+        scorer=scorer,
     )
 
 

@@ -9,13 +9,15 @@ statement texts when it clears 0.618; 1.618 is the bar a pair must clear.
 
 Every search of one conflict, and of every other conflict anchored in the
 same merged member, scans the same statements.  So each merged member is
-indexed once per merge: its tree, its statements and their header profiles
-(a MergedMember) are kept in ``FourWayGraph.members``.  A member profiles
-all its statements when it is made, because the first search that gets
-past the pattern-side checks scores every one of them.  Pattern-side
-profiles live for one search only, so no pattern context outlives it.  The
-memo is sound because nothing edits a merged tree: application below and
-the rules write copy-on-write clones, which never write a node they share.
+indexed once per merge: its tree, its statements and their header texts
+(a MergedMember) are kept in ``FourWayGraph.members``.  The searches score
+through the merge's Scorer (see ``similarity``), so a header is profiled,
+and a pair of headers scored, once per merge however many patterns ask.
+A pattern statement's header is printed once per search; the memo keeps
+texts and scores only, so no pattern context outlives its search.  The
+member memo is sound because nothing edits a merged tree: application
+below and the rules write copy-on-write clones, which never write a node
+they share.
 
 Application rewrites a copy-on-write clone of the merged file, so it
 copies only the nodes on the path from an edit to the root: a kind-aligned
@@ -39,7 +41,7 @@ from .mining import mine_examples
 from .graph_diff import FourWayGraph
 from .peg import Entity
 from .printer import pretty_print, statement_header_text
-from .similarity import Profile, profile, profile_similarity
+from .similarity import Scorer
 from .syntax import STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree
 from .tree_diff import DanglingOp, apply_op
 
@@ -76,12 +78,10 @@ class Resolution:
     rule: Optional[str] = None
 
 
-def _score(p: SyntaxNode, m: SyntaxNode, p_prof: Profile,
-           m_prof: Profile) -> float:
-    """One point for equal kinds, plus the header similarity of the two
-    profiled statements when it clears SIM_THRESHOLD."""
+def _score(p: SyntaxNode, m: SyntaxNode, sim: float) -> float:
+    """One point for equal kinds, plus ``sim``, the header similarity of
+    the two statements, when it clears SIM_THRESHOLD."""
     score = 1.0 if p.kind == m.kind else 0.0
-    sim = profile_similarity(p_prof, m_prof)
     if sim > SIM_THRESHOLD:
         score += sim
     return score
@@ -89,14 +89,15 @@ def _score(p: SyntaxNode, m: SyntaxNode, p_prof: Profile,
 
 class MergedMember:
     """A merged member indexed for anchor searches: its tree, its
-    statements in pre-order, and their header profiles."""
+    statements in pre-order, their header texts, and the scorer of the
+    merge it belongs to."""
 
-    def __init__(self, tree: SyntaxTree):
+    def __init__(self, tree: SyntaxTree, scorer: Scorer):
         self.tree = tree
+        self.scorer = scorer
         self.statements = [n for n in tree.nodes()
                            if n.kind in STATEMENT_KINDS]
-        self.profiles = {n: profile(statement_header_text(n))
-                         for n in self.statements}
+        self.headers = {n: statement_header_text(n) for n in self.statements}
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +124,12 @@ def match_context(pattern: TransformationPattern,
                   member: MergedMember) -> MatchSet:
     """Anchor pattern in a merged member."""
     ctx = pattern.context
-    # pattern-side profiles of this search only: a memo that outlived the
-    # call would keep every pattern context alive
-    p_profiles: dict[SyntaxNode, Profile] = {}
+    similarity, headers = member.scorer.similarity, member.headers
 
-    def score(p: SyntaxNode, m: SyntaxNode) -> float:
-        p_prof = p_profiles.get(p)
-        if p_prof is None:
-            p_prof = p_profiles[p] = profile(statement_header_text(p))
-        return _score(p, m, p_prof, member.profiles[m])
+    # each pattern statement below is scored in one place, so its header
+    # is printed once per search
+    def score(p: SyntaxNode, p_text: str, m: SyntaxNode) -> float:
+        return _score(p, m, similarity(p_text, headers[m]))
 
     crit = [ctx.node(i) for i in sorted(pattern.critical_ids)
             if ctx.has_node(i)]
@@ -145,7 +143,9 @@ def match_context(pattern: TransformationPattern,
     m_stmts = member.statements
     if not m_stmts:
         raise NoAnchor("merged member has no statements")
-    scored = sorted(((score(s_p, m), pos) for pos, m in enumerate(m_stmts)),
+    text = statement_header_text(s_p)
+    scored = sorted(((score(s_p, text, m), pos)
+                     for pos, m in enumerate(m_stmts)),
                     key=lambda t: (-t[0], t[1]))
     best_score, best_pos = scored[0]
     if best_score <= ANCHOR_THRESHOLD:
@@ -160,9 +160,13 @@ def match_context(pattern: TransformationPattern,
 
     bound = m_idx
     for p_sib in reversed(p_sibs[:p_idx]):
-        cands = sorted(((score(p_sib, m_sibs[j]), j) for j in range(bound)),
+        if bound == 0:
+            break
+        text = statement_header_text(p_sib)
+        cands = sorted(((score(p_sib, text, m_sibs[j]), j)
+                        for j in range(bound)),
                        key=lambda t: (-t[0], -t[1]))
-        if not cands or cands[0][0] <= ANCHOR_THRESHOLD:
+        if cands[0][0] <= ANCHOR_THRESHOLD:
             break
         sc, j = cands[0]
         pairs.append((p_sib, m_sibs[j], sc))
@@ -170,10 +174,13 @@ def match_context(pattern: TransformationPattern,
 
     bound = m_idx
     for p_sib in p_sibs[p_idx + 1:]:
-        cands = sorted(((score(p_sib, m_sibs[j]), j)
+        if bound + 1 == len(m_sibs):
+            break
+        text = statement_header_text(p_sib)
+        cands = sorted(((score(p_sib, text, m_sibs[j]), j)
                         for j in range(bound + 1, len(m_sibs))),
                        key=lambda t: (-t[0], t[1]))
-        if not cands or cands[0][0] <= ANCHOR_THRESHOLD:
+        if cands[0][0] <= ANCHOR_THRESHOLD:
             break
         sc, j = cands[0]
         pairs.append((p_sib, m_sibs[j], sc))
@@ -185,7 +192,7 @@ def match_context(pattern: TransformationPattern,
         mm = _parent_statement(member.tree, m_cur)
         if pp is None or mm is None:
             break
-        sc = score(pp, mm)
+        sc = score(pp, statement_header_text(pp), mm)
         if sc <= ANCHOR_THRESHOLD:
             break
         pairs.append((pp, mm, sc))
@@ -286,7 +293,8 @@ def _merged_member(fw: FourWayGraph, entity: Entity) -> MergedMember:
     use."""
     member = fw.members.get(entity.id)
     if member is None:
-        member = fw.members[entity.id] = MergedMember(SyntaxTree(entity.decl))
+        member = fw.members[entity.id] = MergedMember(SyntaxTree(entity.decl),
+                                                      fw.scorer)
     return member
 
 

@@ -241,9 +241,8 @@ class EntityGraph(_Lookups):
                 return ent
         return None
 
-    def parent_of(self, entity: Entity) -> Optional[Entity]:
-        pid = self._parent.get(entity.id)
-        return self.entities[pid] if pid else None
+    def parent_id(self, entity: Entity) -> Optional[str]:
+        return self._parent.get(entity.id)
 
     def members_of(self, entity: Entity) -> list[Entity]:
         return [self.entities[cid] for cid in self._children.get(entity.id, [])]
@@ -261,14 +260,18 @@ class EntityGraph(_Lookups):
             return ""
         return pretty_print(entity.decl)
 
-    def context_string(self, entity: Entity) -> str:
-        fqns = set()
-        for rel in self.relations:
-            if rel.src == entity.id:
-                fqns.add(self.entities[rel.dst].fqn)
-            elif rel.dst == entity.id:
-                fqns.add(self.entities[rel.src].fqn)
-        return " ".join(sorted(fqns))
+    def context_strings(self, ids: set[str]) -> dict[str, str]:
+        """The context string of each entity in ``ids``: the sorted fqns
+        of the entities it shares a relation with, its own fqn when it
+        relates to itself.  One scan of the relations serves them all."""
+        fqns: dict[str, set[str]] = {eid: set() for eid in ids}
+        entities = self.entities
+        for src, dst, _kind in self.relations:
+            if src in fqns:
+                fqns[src].add(entities[dst].fqn)
+            if dst in fqns:
+                fqns[dst].add(entities[src].fqn)
+        return {eid: " ".join(sorted(names)) for eid, names in fqns.items()}
 
 
 def lookup_uses(graph: EntityGraph, target: Entity) -> list[tuple[Entity, Relation]]:

@@ -77,6 +77,21 @@ def merge_inputs() -> list[Path]:
             + [FANOUT])
 
 
+GENERATED = [(w, s) for w in ("method-rename", "package-rename",
+                              "rename-fanout") for s in (1, 4242)]
+
+
+@pytest.fixture(scope="session")
+def generated(tmp_path_factory) -> list[Path]:
+    """The three bench/gen.py workloads at seeds 1 and 4242, written once."""
+    dirs = []
+    for workload, seed in GENERATED:
+        out = tmp_path_factory.mktemp(f"{workload}-{seed}")
+        bench_gen.write_workload(bench_gen.generate(workload, seed), out)
+        dirs.append(out)
+    return dirs
+
+
 # ---------------------------------------------------------------------------
 # Random program generation.  Deliberately restricted to constructs the
 # corpus itself exercises; identifiers come from fixed pools so repeated

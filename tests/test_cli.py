@@ -9,6 +9,7 @@ import pytest
 
 from conftest import CORPUS, FANOUT, ROOT
 from mergeweaver.cli import main
+from mergeweaver.pipeline import run_scenario
 
 MOT = CORPUS / "serializer-rename"
 
@@ -125,6 +126,23 @@ def test_dump_flags_go_to_stderr(capsys):
     assert "[peg:base]" in captured.err
     assert "[delta:left]" in captured.err
     json.loads(captured.out)        # stdout stays machine-readable
+
+
+def test_resolve_trace_prints_the_similarity_counts(capsys):
+    assert main(args_for("resolve", scenario=FANOUT, trace=True,
+                         no_timing=True)) == 0
+    traced = capsys.readouterr()
+    lines = [line for line in traced.err.splitlines()
+             if line.startswith("similarity:")]
+    scorer = run_scenario(FANOUT / "base", FANOUT / "left",
+                          FANOUT / "right").fourway.scorer
+    assert scorer.profiled and scorer.scored and scorer.hits
+    assert lines == [f"similarity: {scorer.profiled} text(s) profiled, "
+                     f"{scorer.scored} pair(s) scored, "
+                     f"{scorer.hits} memo hit(s)"]
+    # the report does not change with the trace
+    assert main(args_for("resolve", scenario=FANOUT, no_timing=True)) == 0
+    assert capsys.readouterr().out == traced.out
 
 
 def test_missing_tree_dir_is_rejected(tmp_path, capsys):

@@ -7,6 +7,7 @@ from mergeweaver.graph_diff import (MATCH_THRESHOLD, build_fourway,
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
 from mergeweaver.peg import build_peg
+from mergeweaver.similarity import Scorer
 
 
 def graph_of(version: str, **files: str):
@@ -37,7 +38,7 @@ def test_identical_graphs_have_no_edits():
     files = {"T.java": BIG_CLASS.format(name="Tally")}
     base = graph_of("base", **files)
     target = graph_of("l", **files)
-    delta = diff_graphs(base, target, "l")
+    delta = diff_graphs(base, target, "l", Scorer())
     assert delta.entity_edits == [] and delta.relation_edits == []
     assert set(delta.matches) == set(base.entities)
     assert all(a == b for a, b in delta.matches.items())
@@ -46,7 +47,7 @@ def test_identical_graphs_have_no_edits():
 def test_rename_pairs_when_body_mass_dominates():
     base = graph_of("base", **{"T.java": BIG_CLASS.format(name="Tally")})
     target = graph_of("l", **{"T.java": BIG_CLASS.format(name="Scorer")})
-    delta = diff_graphs(base, target, "l")
+    delta = diff_graphs(base, target, "l", Scorer())
     renames = [e for e in delta.entity_edits
                if e.op == "update" and e.detail == "rename"
                and e.kind == "class"]
@@ -71,7 +72,7 @@ def test_distant_rename_of_empty_class_is_delete_plus_add():
                     **{"Ax.java": "package m;\n\npublic class Ax {\n}\n"})
     target = graph_of(
         "l", **{"Zyxwvut.java": "package m;\n\npublic class Zyxwvut {\n}\n"})
-    delta = diff_graphs(base, target, "l")
+    delta = diff_graphs(base, target, "l", Scorer())
     ops = sorted((e.op, e.kind) for e in delta.entity_edits
                  if e.kind == "class")
     assert ops == [("add", "class"), ("delete", "class")]
@@ -99,7 +100,7 @@ public class Conv {
     }
 }
 """})
-    delta = diff_graphs(base, target, "l")
+    delta = diff_graphs(base, target, "l", Scorer())
     sigs = [e for e in delta.entity_edits if e.detail == "signature-change"]
     assert [e.subject for e in sigs] == ["m.Conv.scale(int)"]
     assert sigs[0].new_fqn == "m.Conv.scale(int,int)"
@@ -124,7 +125,7 @@ public class Conv {
     }
 }
 """})
-    delta = diff_graphs(base, target, "l")
+    delta = diff_graphs(base, target, "l", Scorer())
     bodies = [e for e in delta.entity_edits if e.detail == "body-change"]
     methods = [e for e in bodies if e.kind == "method"]
     assert [e.subject for e in methods] == ["m.Conv.scale(int)"]
@@ -159,7 +160,7 @@ public class A {
     }
 }
 """)
-    delta = diff_graphs(base, target, "l")
+    delta = diff_graphs(base, target, "l", Scorer())
     added = [(e.op, e.kind, e.src_fqn, e.dst_fqn)
              for e in delta.relation_edits]
     assert ("add", "calls", "m.A.go()", "m.A.helper()") in added
@@ -169,7 +170,7 @@ def test_match_graphs_is_id_based_first():
     files = {"T.java": BIG_CLASS.format(name="Tally")}
     a = graph_of("x", **files)
     b = graph_of("y", **files)
-    m = match_graphs(a, b)
+    m = match_graphs(a, b, Scorer())
     assert m["class:m.Tally"] == "class:m.Tally"
     assert len(m) == len(a.entities)
 

@@ -16,7 +16,7 @@ from mergeweaver.matching import (ANCHOR_THRESHOLD, SIM_THRESHOLD, MatchSet,
 from mergeweaver.mining import mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import statement_header_text
-from mergeweaver.similarity import profile
+from mergeweaver.similarity import Scorer, profile, profile_similarity
 from mergeweaver.syntax import SyntaxTree
 
 
@@ -37,8 +37,8 @@ def stmt_from(text: str):
 
 def fresh_score(p, m) -> float:
     """The anchor score of two statements, each profiled afresh."""
-    return _score(p, m, profile(statement_header_text(p)),
-                  profile(statement_header_text(m)))
+    return _score(p, m, profile_similarity(profile(statement_header_text(p)),
+                                           profile(statement_header_text(m))))
 
 
 def test_score_identical_statement_is_two():
@@ -69,7 +69,7 @@ def test_score_kind_mismatch_gets_no_kind_point():
 def test_motivating_match_set():
     run, conflict, pattern = motivating_pattern()
     am = run.scenario.am["XmlClientConfigBuilder.java"]
-    ms = match_context(pattern, MergedMember(am.tree))
+    ms = match_context(pattern, MergedMember(am.tree, Scorer()))
     assert ms.exact == 4
     assert len(ms.pairs) == 5
     assert ms.sigma == pytest.approx(9.947368421052632)
@@ -80,7 +80,7 @@ def test_motivating_match_set():
         == "addTypeSerializer(serializerConfig);"
     scores = sorted(sc for _, _, sc in ms.pairs)
     assert scores[-4:] == [2.0, 2.0, 2.0, 2.0]
-    # the search's once-per-header profiles score as fresh profiles do
+    # the search's memoized scores equal fresh profiles' scores
     assert all(sc == fresh_score(p, m) for p, m, sc in ms.pairs)
 
 
@@ -95,7 +95,7 @@ class Other {
 }
 """).tree
     with pytest.raises(NoAnchor):
-        match_context(pattern, MergedMember(stranger))
+        match_context(pattern, MergedMember(stranger, Scorer()))
     assert ANCHOR_THRESHOLD == pytest.approx(1.618)
 
 
@@ -197,11 +197,12 @@ def test_memo_holds_merged_members_only():
             # keyed by a merged entity, whose decl the member indexes
             assert key in fw.merged.entities, name
             assert member.tree.root is fw.merged.by_id(key).decl, name
-            # every statement, and so every profile key, belongs to that
+            # every statement, and so every header key, belongs to that
             # merged tree, so no pattern context outlives its search
             for node in member.statements:
                 assert member.tree.node(node.id) is node, name
-            assert list(member.profiles) == member.statements, name
+            assert list(member.headers) == member.statements, name
+            assert member.scorer is fw.scorer, name
             members += 1
     assert members >= 12             # 11 corpus hosts, 1 fanout host
 
@@ -222,7 +223,7 @@ def test_shared_member_anchors_as_a_fresh_member_does():
                     continue
                 try:
                     want = match_context(pattern, MergedMember(
-                        SyntaxTree(conflict.using_am.decl)))
+                        SyntaxTree(conflict.using_am.decl), Scorer()))
                 except NoAnchor as exc:
                     with pytest.raises(NoAnchor, match=str(exc)):
                         match_context(pattern, member)
@@ -248,8 +249,13 @@ def test_second_resolution_on_one_graph_is_identical():
 
 def test_merged_member_profiles_every_statement():
     run, _, _ = motivating_pattern()
-    member = MergedMember(run.scenario.am["XmlClientConfigBuilder.java"].tree)
+    scorer = Scorer()
+    member = MergedMember(run.scenario.am["XmlClientConfigBuilder.java"].tree,
+                          scorer)
     assert member.statements
-    assert list(member.profiles) == member.statements
-    for stmt, prof in member.profiles.items():
-        assert prof == profile(statement_header_text(stmt))
+    assert list(member.headers) == member.statements
+    for stmt, text in member.headers.items():
+        assert text == statement_header_text(stmt)
+        # profiled through the scorer, each header is a fresh profile
+        assert scorer._profile(text) == profile(text)
+    assert scorer.profiled == len(set(member.headers.values()))

@@ -79,7 +79,7 @@ def test_entities_and_fqns():
     # compilation units hang off the package
     cu = next(e for e in g.entities.values()
               if e.kind == "compilation-unit" and "Color" in e.fqn)
-    assert g.parent_of(cu).kind == "package"
+    assert g.entities[g.parent_id(cu)].kind == "package"
 
 
 def test_heritage_relations():
@@ -178,7 +178,7 @@ def test_package_body_text_is_member_listing():
 def test_context_string_mentions_related_entities():
     g = graph_of(**FIXTURE)
     color = g.find("class", "paint.Color")
-    ctx = g.context_string(color)
+    ctx = g.context_strings({color.id})[color.id]
     assert "paint" in ctx
 
 

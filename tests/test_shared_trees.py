@@ -19,10 +19,10 @@ for every conflict refined against it, it must hold no pattern or
 conflict, and conflicts that share a host must get the same record.
 
 resolve_by_example keeps each merged member it anchors in (its tree,
-statements and header profiles) for the lifetime of the four-way graph
+statements and header texts) for the lifetime of the four-way graph
 too.  Those trees are the merged decls themselves, so after resolution
 they must still print and lay out as a fresh parse does, and their
-profiles must equal fresh ones.
+headers and the merge's profiles of them must equal fresh ones.
 """
 
 import gc
@@ -31,7 +31,7 @@ import types
 import pytest
 
 import reference_inference as ref
-from conftest import CORPUS, FANOUT, ROOT, bench_gen, merge_inputs
+from conftest import CORPUS, FANOUT, merge_inputs
 from mergeweaver.conflicts import Conflict
 from mergeweaver.inference import (TransformationPattern, name_index,
                                    script_edits, use_node_ids)
@@ -65,21 +65,6 @@ def _fingerprint(scenario) -> dict:
 
 def _all_scenarios():
     return scenario_dirs(CORPUS) + scenario_dirs(CORPUS / "controls")
-
-
-GENERATED = [(w, s) for w in ("method-rename", "package-rename",
-                              "rename-fanout") for s in (1, 4242)]
-
-
-@pytest.fixture(scope="module")
-def generated(tmp_path_factory) -> list:
-    """The three bench/gen.py workloads at seeds 1 and 4242, written once."""
-    dirs = []
-    for workload, seed in GENERATED:
-        out = tmp_path_factory.mktemp(f"{workload}-{seed}")
-        bench_gen.write_workload(bench_gen.generate(workload, seed), out)
-        dirs.append(out)
-    return dirs
 
 
 def test_resolution_leaves_every_parsed_tree_unchanged(generated):
@@ -145,9 +130,10 @@ def test_memoized_merged_members_stay_equal_to_a_fresh_parse():
             assert [n.id for n in member.statements] == [
                 n.id for n in fresh_decl.walk()
                 if n.kind in STATEMENT_KINDS], key
-            for node, prof in member.profiles.items():
-                assert prof == profile(statement_header_text(
-                    fresh_tree.node(node.id))), key
+            for node, text in member.headers.items():
+                assert text == statement_header_text(
+                    fresh_tree.node(node.id)), key
+                assert member.scorer._profile(text) == profile(text), key
             checked += 1
     assert checked >= 12            # 11 corpus members, 1 fanout member
 

@@ -27,6 +27,7 @@ from mergeweaver.graph_diff import build_fourway, diff_graphs
 from mergeweaver.merge3 import (TextualConflict, merge_scenario, merge_texts,
                                 parse_versions)
 from mergeweaver.peg import DuplicateEntity, Entity, build_peg
+from mergeweaver.similarity import Scorer
 
 VERSIONS = (("base", "b"), ("left", "l"), ("right", "r"), ("am", "am"))
 
@@ -79,7 +80,7 @@ def check_against_cold(scenario):
             assert unit_of.setdefault(id(files[unit.path]), unit) is unit
     for delta, branch in ((fw.delta_left, "l"), (fw.delta_right, "r")):
         assert delta_facts(delta) == delta_facts(
-            diff_graphs(cold["b"], cold[branch], branch)), branch
+            diff_graphs(cold["b"], cold[branch], branch, Scorer())), branch
     return fw
 
 

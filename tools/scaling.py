@@ -5,10 +5,11 @@
 Each workload is generated by bench/gen.py (imported, not modified) at a
 range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best of
-the N runs of every stage in ``Report.timings_ms``, in milliseconds, then
-the best of N times to call ``parse_unit`` on each distinct (path, text)
-pair of the three input versions, with the tokens and nodes of those
-parses:
+the N runs of every stage in ``Report.timings_ms``, in milliseconds; the
+pairs of texts the merge's similarity scorer scored (``pairs``, a count
+that host noise cannot move); then the best of N times to call
+``parse_unit`` on each distinct (path, text) pair of the three input
+versions, with the tokens and nodes of those parses:
 
 * method-rename at 120, 240, 480 and 960 files;
 * package-rename at 24, 48, 96 and 192 files;
@@ -39,7 +40,7 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("parse", "tokens", "nodes")
+COLUMNS = STAGES + ("pairs", "parse", "tokens", "nodes")
 
 
 def parse_columns(wl: "gen.Workload", repeat: int) -> dict[str, float]:
@@ -78,11 +79,13 @@ def main(argv: list[str] | None = None) -> int:
                 gen.write_workload(wl, out)
                 best: dict[str, float] = {}
                 for _ in range(args.repeat):
-                    timings = run_scenario(out / "base", out / "left",
-                                           out / "right").report.timings_ms
+                    run = run_scenario(out / "base", out / "left",
+                                       out / "right")
+                    timings = run.report.timings_ms
                     for stage in STAGES:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
+                best["pairs"] = run.fourway.scorer.scored
                 best.update(parse_columns(wl, args.repeat))
                 cells = " | ".join(f"{best[col]:.0f}" for col in COLUMNS)
                 print(f"| {workload} | {size} {param} | {cells} |",
