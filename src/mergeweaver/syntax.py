@@ -137,11 +137,14 @@ class SyntaxNode:
 
 def structurally_equal(a: SyntaxNode, b: SyntaxNode) -> bool:
     """Kind, value and child order; ids and spans are ignored."""
-    if a.kind != b.kind or a.value != b.value:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.kind != y.kind or x.value != y.value \
+                or len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
 
 
 def clone_node(node: SyntaxNode) -> SyntaxNode:
@@ -325,19 +328,6 @@ class SyntaxTree:
         while cur is not None:
             yield cur
             cur = self.parent(cur)
-
-
-def postorder(node: SyntaxNode) -> list[SyntaxNode]:
-    """Post-order list of node's subtree: the reverse of a pre-order walk
-    that takes the children last to first."""
-    out = []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        out.append(cur)
-        stack.extend(cur.children)
-    out.reverse()
-    return out
 
 
 @dataclass

@@ -1,31 +1,46 @@
 """Tree differencing with update/add/delete/move scripts, and the one
 interpreter that replays such ops.
 
-Matching runs three passes: isomorphic subtree matching by structural hash,
-a bottom-up pass that pairs same-kind containers when the dice overlap of
-their matched descendants exceeds one half, and an LCS recovery pass that
-aligns leftover children of matched parents by kind.  Pairs whose before-side
-sits under an unmatched ancestor are dropped, so every delete removes a whole
-unmatched subtree.
+Both trees are numbered once.  An iterative pre-order walk lists each
+tree's nodes, and one sweep from the last index back, children before
+parents, gives every node its parent index, the end of its subtree (its
+descendants are the indexes between it and the end), its height and its
+class: the number interned for (kind, value, child classes) in one table
+both trees share (hash-consing; Filliatre and Conchon, ML 2006).  Two
+subtrees are isomorphic exactly when their classes are equal.  A matching
+is two arrays of partner indexes, -1 where a node is unpaired.
 
-The container pass is counted.  One post-order walk of the before tree
-carries up, for each node, the after-side partners of its matched
-descendants in pre-order, and the subtree sizes of both trees are computed
-once.  For an unmatched container, one upward walk from each partner counts,
-for every after ancestor, the partners below it, and collects the unmatched
-ancestors of the container's kind in order of first reach.  A candidate's
-Dice score, 2 * common / (descendants of the container + descendants of the
-candidate), is then O(1).  The first candidate whose score beats the best so
-far by more than 1e-12 wins, and it is paired when its score exceeds one
-half.
+Matching runs GumTree's passes (Falleri et al., ASE 2014).  The isomorphic
+pass takes before nodes tallest first, in pre-order within a height; an
+unpaired one takes the first unpaired after node of its class in
+pre-order, and the two subtrees pair by offset, b+k with a+k.  The
+container pass visits the before tree children first.  An unpaired
+container's partners are those of the paired indexes in its subtree
+range, and its candidates are the unpaired after ancestors of its kind of
+those partners, in order of first reach.  A candidate's common partners
+are the partners inside its subtree interval, two bisections into the
+sorted partners, so its Dice score, 2 * common / (descendants of the
+container + descendants of the candidate), costs O(log n).  The first
+candidate whose score beats the best so far by more than 1e-12 wins, and
+it is paired when its score exceeds one half.  A pre-order sweep then
+unpairs every node under an unpaired parent, so every delete removes a
+whole unpaired subtree, and an LCS pass aligns the leftover children of
+paired parents by kind.
 
 The script is produced by running it on a copy-on-write clone of the
-before tree, which copies only what the script edits: deletes first, then
-a pre-order placement walk over the after tree emitting move, add and update
-ops with indices valid at application time.  Each op is applied through
-apply_op as soon as it is emitted, and the working copy must end up
-structurally identical to the after tree, so the differ checks the same
-interpreter that apply_script and the example strategy use.
+before tree, which copies only what the script edits: deletes first, left
+to right, then a walk over the after tree in pre-order that places each
+node with move, add and update ops whose indices are valid at application
+time.  The walk does not descend below an after node whose isomorphic
+pair no pass has dropped.  Every pair below it then holds too: the sweep
+drops a pair only under a dropped one, and the root fix only a pair that
+holds a root, which tops any isomorphic subtree it is in.  No other node
+is paired into the two subtrees, so no delete, move or add reaches into
+them, every child sits at its index and every value is equal: the subtree
+emits no op.  Each op is applied through apply_op as soon as it is
+emitted, and the working copy must end up structurally identical to the
+after tree, so the differ checks the same interpreter that apply_script
+and the example strategy use.
 
 apply_op has two policies.  Without a mapping, op ids are ids of the edited
 tree, an add keeps its op id and an index past the end is an error; this
@@ -37,11 +52,12 @@ children present; this replays a pattern's ops inside matched merged code.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Optional
 
-from .syntax import SyntaxNode, SyntaxTree, postorder, structurally_equal
+from .syntax import SyntaxNode, SyntaxTree, structurally_equal
 
 
 class DanglingOp(Exception):
@@ -75,163 +91,158 @@ EditScript = list[EditOp]
 # matching
 
 
-def _hash(node: SyntaxNode, memo: dict[int, tuple]) -> tuple:
-    key = id(node)
-    got = memo.get(key)
-    if got is None:
-        got = (node.kind, node.value,
-               tuple(_hash(c, memo) for c in node.children))
-        memo[key] = got
-    return got
+class _Numbered:
+    """One tree in pre-order: node i, its parent index (-1 at the root),
+    the end of its subtree (its descendants are i+1 .. end-1), its height
+    and its interned class."""
 
+    def __init__(self, tree: SyntaxTree, classes: dict[tuple, int]):
+        nodes = list(tree.nodes())
+        n = len(nodes)
+        parent, end, height, cls = [-1] * n, [0] * n, [0] * n, [0] * n
+        # children before parents, so each node reads its children's rows
+        for i in range(n - 1, -1, -1):
+            node = nodes[i]
+            kids: list[int] = []
+            tall = 0
+            j = i + 1
+            for _ in node.children:
+                parent[j] = i
+                kids.append(cls[j])
+                if height[j] > tall:
+                    tall = height[j]
+                j = end[j]
+            end[i], height[i] = j, tall + 1
+            cls[i] = classes.setdefault((node.kind, node.value, tuple(kids)),
+                                        len(classes))
+        self.nodes, self.parent, self.end = nodes, parent, end
+        self.height, self.cls = height, cls
 
-def _height(node: SyntaxNode, memo: dict[int, int]) -> int:
-    key = id(node)
-    got = memo.get(key)
-    if got is None:
-        got = 1 + max((_height(c, memo) for c in node.children), default=0)
-        memo[key] = got
-    return got
+    def children(self, i: int) -> list[int]:
+        out = []
+        j, end = i + 1, self.end[i]
+        while j < end:
+            out.append(j)
+            j = self.end[j]
+        return out
 
 
 class _Matching:
+    """A partial bijection between the pre-order indexes of two trees (-1
+    where a node is unpaired), and the after roots of the isomorphic pairs
+    that no pass has dropped."""
+
     def __init__(self, before: SyntaxTree, after: SyntaxTree):
-        self.before = before
-        self.after = after
-        self.b2a: dict[int, SyntaxNode] = {}
-        self.a2b: dict[int, SyntaxNode] = {}
+        classes: dict[tuple, int] = {}
+        self.b = _Numbered(before, classes)
+        self.a = _Numbered(after, classes)
+        self.b2a = [-1] * len(self.b.nodes)
+        self.a2b = [-1] * len(self.a.nodes)
+        self.iso: set[int] = set()
 
-    def pair(self, b: SyntaxNode, a: SyntaxNode) -> None:
-        self.b2a[b.id] = a
-        self.a2b[a.id] = b
+    def pair(self, b: int, a: int) -> None:
+        self.b2a[b] = a
+        self.a2b[a] = b
 
-    def unpair(self, b: SyntaxNode) -> None:
-        a = self.b2a.pop(b.id)
-        del self.a2b[a.id]
-
-    def matched_b(self, b: SyntaxNode) -> bool:
-        return b.id in self.b2a
-
-    def matched_a(self, a: SyntaxNode) -> bool:
-        return a.id in self.a2b
+    def unpair(self, b: int) -> None:
+        a = self.b2a[b]
+        self.a2b[a] = self.b2a[b] = -1
+        self.iso.discard(a)
 
 
 def _match_isomorphic(m: _Matching) -> None:
-    hmemo: dict[int, tuple] = {}
-    tall: dict[int, int] = {}
-    buckets: dict[tuple, list[SyntaxNode]] = {}
-    for node in m.after.nodes():
-        buckets.setdefault(_hash(node, hmemo), []).append(node)
-    order = sorted(m.before.nodes(),
-                   key=lambda n: -_height(n, tall))
-    for b in order:
-        if m.matched_b(b):
+    b, b2a, a2b = m.b, m.b2a, m.a2b
+    # each class's after indices, last in pre-order first: a pair only
+    # ever takes nodes, so a bucket's taken front is popped for good
+    buckets: dict[int, list[int]] = {}
+    for j in range(len(a2b) - 1, -1, -1):
+        buckets.setdefault(m.a.cls[j], []).append(j)
+    # tallest first, pre-order within a height (the sort is stable)
+    for i in sorted(range(len(b2a)), key=b.height.__getitem__, reverse=True):
+        bucket = buckets.get(b.cls[i])
+        if b2a[i] >= 0 or bucket is None:
             continue
-        for a in buckets.get(_hash(b, hmemo), []):
-            if m.matched_a(a):
-                continue
-            _pair_subtrees(m, b, a)
-            break
-
-
-def _pair_subtrees(m: _Matching, b: SyntaxNode, a: SyntaxNode) -> None:
-    m.pair(b, a)
-    for bc, ac in zip(b.children, a.children):
-        _pair_subtrees(m, bc, ac)
-
-
-def _subtree_sizes(root: SyntaxNode) -> dict[int, int]:
-    """Node id -> number of nodes in its subtree, itself included."""
-    sizes: dict[int, int] = {}
-    for node in postorder(root):
-        sizes[node.id] = 1 + sum(sizes[c.id] for c in node.children)
-    return sizes
+        while bucket and a2b[bucket[-1]] >= 0:
+            bucket.pop()
+        if bucket:
+            j = bucket.pop()
+            m.iso.add(j)
+            for k in range(b.end[i] - i):
+                b2a[i + k], a2b[j + k] = j + k, i + k
 
 
 def _match_containers(m: _Matching) -> None:
-    b_sizes = _subtree_sizes(m.before.root)
-    a_sizes = _subtree_sizes(m.after.root)
-    a_parent = m.after.parent
-    # per visited node not yet consumed by its parent: the partners of its
-    # matched descendants, in pre-order
-    carried: dict[int, list[SyntaxNode]] = {}
-    for b in postorder(m.before.root):
-        partners: list[SyntaxNode] = []
-        for child in b.children:
-            partner = m.b2a.get(child.id)
-            if partner is not None:
-                partners.append(partner)
-            partners.extend(carried.pop(child.id))
-        carried[b.id] = partners
-        if m.matched_b(b) or not b.children or not partners:
+    b, a, b2a, a2b = m.b, m.a, m.b2a, m.a2b
+    # children first, left to right: by subtree end, the deepest first
+    for i in sorted(range(len(b2a)), key=lambda i: (b.end[i], -i)):
+        if b2a[i] >= 0 or b.end[i] == i + 1:
             continue
-        # every after-ancestor of a partner counts the partners below it;
-        # its unmatched ones of b's kind are the candidates, in order of
-        # first reach
-        common: dict[int, int] = {}
-        candidates: list[SyntaxNode] = []
+        # the partners of i's matched descendants, in pre-order
+        partners = [p for p in b2a[i + 1:b.end[i]] if p >= 0]
+        # the after ancestors of the partners, in order of first reach; an
+        # ancestor seen before has had all of its own ancestors seen too
+        kind = b.nodes[i].kind
+        seen: set[int] = set()
+        candidates: list[int] = []
         for p in partners:
-            cur = a_parent(p)
-            while cur is not None:
-                count = common.get(cur.id)
-                if count is None:
-                    common[cur.id] = 1
-                    if not m.matched_a(cur) and cur.kind == b.kind:
-                        candidates.append(cur)
-                else:
-                    common[cur.id] = count + 1
-                cur = a_parent(cur)
-        best: Optional[SyntaxNode] = None
-        best_dice = 0.0
-        nb = b_sizes[b.id] - 1
+            cur = a.parent[p]
+            while cur >= 0 and cur not in seen:
+                seen.add(cur)
+                if a2b[cur] < 0 and a.nodes[cur].kind == kind:
+                    candidates.append(cur)
+                cur = a.parent[cur]
+        partners.sort()
+        best, best_dice = -1, 0.0
+        nb = b.end[i] - i - 1
         for c in candidates:
-            total = nb + a_sizes[c.id] - 1
-            dice = 2.0 * common[c.id] / total if total else 0.0
+            total = nb + a.end[c] - c - 1
+            common = (bisect_left(partners, a.end[c])
+                      - bisect_left(partners, c))
+            dice = 2.0 * common / total if total else 0.0
             if dice > best_dice + 1e-12:
                 best, best_dice = c, dice
-        if best is not None and best_dice > 0.5:
-            m.pair(b, best)
+        if best >= 0 and best_dice > 0.5:
+            m.pair(i, best)
 
 
 def _sanitize(m: _Matching) -> None:
-    if m.before.root.kind != m.after.root.kind:
+    if m.b.nodes[0].kind != m.a.nodes[0].kind:
         raise ValueError("cannot diff trees with different root kinds")
-    if not m.matched_b(m.before.root) \
-            or m.b2a[m.before.root.id] is not m.after.root:
-        if m.matched_b(m.before.root):
-            m.unpair(m.before.root)
-        if m.matched_a(m.after.root):
-            m.unpair(m.a2b[m.after.root.id])
-        m.pair(m.before.root, m.after.root)
+    if m.b2a[0] != 0:
+        if m.b2a[0] >= 0:
+            m.unpair(0)
+        if m.a2b[0] >= 0:
+            m.unpair(m.a2b[0])
+        m.pair(0, 0)
     # a matched node under an unmatched before-ancestor would be destroyed
-    # by the subtree delete, so the pair degrades to delete plus add
-    stack = [m.before.root]
-    while stack:
-        for child in stack.pop().children:
-            if m.matched_b(child):
-                stack.append(child)
-            else:
-                for d in child.walk():
-                    if m.matched_b(d):
-                        m.unpair(d)
+    # by the subtree delete, so the pair degrades to delete plus add;
+    # pre-order, so an unpaired parent has already been unpaired
+    b2a, parent = m.b2a, m.b.parent
+    for i in range(1, len(b2a)):
+        if b2a[i] >= 0 and b2a[parent[i]] < 0:
+            m.unpair(i)
 
 
 def _recover_children(m: _Matching) -> None:
-    # pre-order, so pairs created at a parent are themselves visited later
-    for b in m.before.nodes():
-        if not m.matched_b(b):
+    b, a, b2a, a2b = m.b, m.a, m.b2a, m.a2b
+    # pre-order, so pairs created at a parent are themselves visited later;
+    # an isomorphic pair never dropped has no free node below it
+    i = 0
+    while i < len(b2a):
+        j = b2a[i]
+        if j in m.iso:
+            i = b.end[i]
             continue
-        a = m.b2a[b.id]
-        free_b = [c for c in b.children if not m.matched_b(c)]
-        free_a = [c for c in a.children if not m.matched_a(c)]
-        if not free_b or not free_a:
-            continue
-        sm = SequenceMatcher(
-            a=[c.kind for c in free_b], b=[c.kind for c in free_a],
-            autojunk=False)
-        for blk in sm.get_matching_blocks():
-            for k in range(blk.size):
-                m.pair(free_b[blk.a + k], free_a[blk.b + k])
+        free_b = [c for c in b.children(i) if b2a[c] < 0] if j >= 0 else []
+        free_a = [c for c in a.children(j) if a2b[c] < 0] if free_b else []
+        if free_a:
+            sm = SequenceMatcher(
+                a=[b.nodes[c].kind for c in free_b],
+                b=[a.nodes[c].kind for c in free_a], autojunk=False)
+            for blk in sm.get_matching_blocks():
+                for k in range(blk.size):
+                    m.pair(free_b[blk.a + k], free_a[blk.b + k])
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +263,15 @@ def diff_trees(before: SyntaxTree, after: SyntaxTree) -> EditScript:
 
     # deletes: maximal unmatched subtrees, left to right (after _sanitize
     # the parent of a matched node is matched, and the root is matched)
-    doomed = [n for n in work.nodes()
-              if not m.matched_b(n) and m.matched_b(work.parent(n))]
-    for node in doomed:
-        _emit(work, ops, EditOp("delete", node.id))
+    b2a, parent = m.b2a, m.b.parent
+    for i in range(1, len(b2a)):
+        if b2a[i] < 0 and b2a[parent[i]] >= 0:
+            _emit(work, ops, EditOp("delete", m.b.nodes[i].id))
 
     if work.root.value != after.root.value:
         _emit(work, ops, EditOp("update", work.root.id,
                                 value=after.root.value))
-    _place(m, work, ops, after.root, work.root.id,
-           max(before.max_id, after.max_id) + 1)
+    _place(m, work, ops, max(before.max_id, after.max_id) + 1)
 
     assert structurally_equal(work.root, after.root), \
         "edit script replay diverged"
@@ -274,31 +284,38 @@ def _emit(work: SyntaxTree, ops: EditScript, op: EditOp) -> SyntaxNode:
 
 
 def _place(m: _Matching, work: SyntaxTree, ops: EditScript,
-           a_node: SyntaxNode, w_id: int, next_id: int) -> int:
-    """Makes the subtree of work's node w_id equal a_node's, emitting and
-    applying ops in pre-order; returns the next add id.  Not a closure: a
-    recursive closure is a cycle that keeps work alive until the cyclic
-    collector."""
-    for i, a_child in enumerate(a_node.children):
+           next_id: int) -> None:
+    """Makes work equal the after tree below the root, emitting and
+    applying ops in pre-order of the after tree."""
+    a, a2b, b_nodes = m.a, m.a2b, m.b.nodes
+    # (after index, id of its working parent, its index there)
+    stack = [(c, work.root.id, k)
+             for k, c in enumerate(a.children(0))][::-1]
+    while stack:
+        j, w_id, i = stack.pop()
+        a_child = a.nodes[j]
         # a write below may have replaced the node with a copy
         w_node = work.node(w_id)
-        if m.matched_a(a_child):
-            w_child = work.node(m.a2b[a_child.id].id)
-            in_place = work.parent(w_child) is w_node and \
-                w_node.children.index(w_child) == i
-            if not in_place:
+        partner = a2b[j]
+        if partner >= 0:
+            w_child = work.node(b_nodes[partner].id)
+            # a node sits in the tree once, so this is its place
+            siblings = w_node.children
+            if not (i < len(siblings) and siblings[i] is w_child):
                 _emit(work, ops, EditOp("move", w_child.id,
                                         parent_id=w_node.id, index=i))
             if w_child.value != a_child.value:
                 _emit(work, ops, EditOp("update", w_child.id,
                                         value=a_child.value))
+            if j in m.iso:
+                continue
         else:
             w_child = _emit(work, ops, EditOp(
                 "add", next_id, parent_id=w_id, index=i,
                 node_kind=a_child.kind, value=a_child.value))
             next_id += 1
-        next_id = _place(m, work, ops, a_child, w_child.id, next_id)
-    return next_id
+        stack += [(c, w_child.id, k)
+                  for k, c in enumerate(a.children(j))][::-1]
 
 
 def apply_op(tree: SyntaxTree, op: EditOp,

@@ -285,10 +285,14 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
 
 @pytest.mark.parametrize("scenario", [FANOUT, MOT], ids=["fanout", "corpus"])
 def test_graph_dumps_do_not_depend_on_the_hash_seed(scenario):
-    argv = args_for("detect", scenario=scenario, no_timing=True,
-                    dump_peg=True, dump_delta=True)
+    # the edit scripts too: the tree differ interns subtree classes in a
+    # dict keyed by tuples of strings
+    argv = args_for("resolve", scenario=scenario, no_timing=True,
+                    dump_peg=True, dump_delta=True, dump_script=True)
     runs = [_run_checkout(argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     assert "[peg:merged]" in runs[0].stderr and "[delta:right]" in runs[0].stderr
+    assert "[script]" in runs[0].stderr
     assert runs[0].stderr == runs[1].stderr
+

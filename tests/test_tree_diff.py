@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import corpus_java_files, mutate_tree, parse_snippet
-from mergeweaver.parser import parse_unit
+from mergeweaver.parser import ParseError, parse_unit
 from mergeweaver.printer import pretty_print
 from mergeweaver.syntax import (SyntaxNode, SyntaxTree, clone_node,
                                 structurally_equal)
@@ -181,6 +181,30 @@ class A {
 }
 """).tree
     oracle(before, after)
+
+
+def _nested_calls(depth: int, arg: str) -> str:
+    return ("class A { int m() { return %s%s%s; } }"
+            % ("g(" * depth, arg, ")" * depth))
+
+
+def test_deepest_nesting_the_parser_accepts_diffs_and_replays():
+    # the parser turns nesting past the recursion limit into a ParseError;
+    # every tree it returns must diff without a recursion per tree level
+    depth = 1
+    while True:
+        try:
+            parse_unit("A.java", _nested_calls(depth + 1, "1"))
+        except ParseError:
+            break
+        depth += 1
+    assert depth > 100
+    before = parse_unit("A.java", _nested_calls(depth, "1")).tree
+    after = parse_unit("A.java", _nested_calls(depth, "2")).tree
+    assert [op.op for op in diff_trees(before, after)] == ["update"]
+    oracle(before, after)
+    # one call fewer: the whole spine differs from the before tree's
+    oracle(before, parse_unit("A.java", _nested_calls(depth - 1, "1")).tree)
 
 
 # ---------------------------------------------------------------------------

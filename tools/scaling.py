@@ -7,7 +7,9 @@ range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best of
 the N runs of every stage in ``Report.timings_ms``, in milliseconds; the
 pairs of texts the merge's similarity scorer scored (``pairs``, a count
-that host noise cannot move); then the best of N times to call
+that host noise cannot move); the best of N times to diff the mined hosts
+of the merge again (``diff``) and the nodes of those hosts' before trees
+(``host_nodes``); then the best of N times to call
 ``parse_unit`` on each distinct (path, text) pair of the three input
 versions, with the tokens and nodes of those parses:
 
@@ -32,7 +34,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402
 from mergeweaver.parser import parse_unit, tokenize  # noqa: E402
-from mergeweaver.pipeline import run_scenario  # noqa: E402
+from mergeweaver.pipeline import ScenarioRun, run_scenario  # noqa: E402
+from mergeweaver.tree_diff import diff_trees  # noqa: E402
 
 SIZES = (
     ("method-rename", "files", (120, 240, 480, 960)),
@@ -40,7 +43,23 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "parse", "tokens", "nodes")
+COLUMNS = STAGES + ("pairs", "diff", "host_nodes", "parse", "tokens",
+                    "nodes")
+
+
+def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
+    """Best-of-``repeat`` ms to diff every host the merge mined, and the
+    nodes of those hosts' before trees."""
+    hosts = [(ex.before, ex.after) for ex in run.fourway.mined.values()
+             if ex is not None]
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for before, after in hosts:
+            diff_trees(before, after)
+        best = min(best, time.perf_counter() - start)
+    return {"diff": best * 1000,
+            "host_nodes": sum(sum(1 for _ in b.nodes()) for b, _a in hosts)}
 
 
 def parse_columns(wl: "gen.Workload", repeat: int) -> dict[str, float]:
@@ -86,8 +105,10 @@ def main(argv: list[str] | None = None) -> int:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
                 best["pairs"] = run.fourway.scorer.scored
+                best.update(diff_columns(run, args.repeat))
                 best.update(parse_columns(wl, args.repeat))
-                cells = " | ".join(f"{best[col]:.0f}" for col in COLUMNS)
+                cells = " | ".join(format(best[col], ".1f" if col == "diff"
+                                          else ".0f") for col in COLUMNS)
                 print(f"| {workload} | {size} {param} | {cells} |",
                       flush=True)
     return 0
