@@ -6,7 +6,8 @@ Exit codes, each failure with a one-line message on stderr:
 * 1 when an evaluation corpus has no golden key, when the key is not
   UTF-8 JSON of the documented shape (an object of scenario entries, each
   with a "conflicts" list), or when it lacks an entry;
-* 2 when a source file fails to parse or is not valid UTF-8, and for
+* 2 when a source file fails to parse, cannot be read (a directory or a
+  dangling symlink named ``B.java``, say) or is not valid UTF-8, and for
   bad command line arguments (argparse also prints the usage);
 * 3 when the textual merge itself conflicts;
 * 4 when one version declares the same entity twice, for example when

@@ -6,10 +6,17 @@ identically on both sides are taken once; overlapping differing regions raise
 TextualConflict -- this merger never emits conflict markers, callers are
 expected to stop instead (exit code 3 at the CLI).
 
-Files are read as UTF-8; one that is not raises UnreadableSource (exit
-code 2 at the CLI).  A text that does not parse raises ParseError naming
-the first version that holds it, as in ``left/A.java:4:6: ...`` (merged
-text is ``merged/``); exit code 2 as well.
+A tree's source files are the entries below its root whose names end in
+``.java``, case-sensitively, hidden ones included: the files ``rglob``
+selects.  The walk enters subdirectories but no symlinked directory; a
+symlinked file is read through its link.  Files are read as UTF-8 in
+sorted path order, compared by path component.  The first that cannot be
+read raises UnreadableSource: any OSError (a directory or a dangling
+symlink named ``B.java``, say) as ``<path>: <cause>``, and a file that is
+not UTF-8 as ``<path>: not valid UTF-8 (...)``; exit code 2 at the CLI.
+A text that does not parse raises ParseError naming the first version
+that holds it, as in ``left/A.java:4:6: ...`` (merged text is
+``merged/``); exit code 2 as well.
 
 File-level rules: a file absent from the base is taken verbatim from the
 branch that adds it; a file deleted by one branch and untouched by the other
@@ -19,6 +26,7 @@ is deleted; deletion against modification is a textual conflict too.
 from __future__ import annotations
 
 import difflib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,12 +35,15 @@ from .syntax import SourceFile
 
 
 class UnreadableSource(Exception):
-    """A source file is not valid UTF-8."""
+    """A source file cannot be read, or is not valid UTF-8."""
 
-    def __init__(self, path: Path, exc: UnicodeDecodeError):
-        super().__init__(f"{path}: not valid UTF-8 "
-                         f"(byte 0x{exc.object[exc.start]:02x} "
-                         f"at offset {exc.start})")
+    def __init__(self, path: Path, exc: OSError | UnicodeDecodeError):
+        if isinstance(exc, UnicodeDecodeError):
+            cause = (f"not valid UTF-8 (byte 0x{exc.object[exc.start]:02x} "
+                     f"at offset {exc.start})")
+        else:
+            cause = exc.strerror or str(exc)
+        super().__init__(f"{path}: {cause}")
         self.path = path
 
 
@@ -123,13 +134,25 @@ class MergeScenario:
 
 
 def _read_tree(root: Path) -> dict[str, str]:
+    """The source files below ``root`` by path relative to it, in sorted
+    path order; raises UnreadableSource at the first that fails."""
+    top = os.fspath(root)
+    cut = len(os.path.join(top, ""))   # the length of "top/"
+    found = []
+    # rglob's selection: every entry named *.java, a directory too (its
+    # open fails below), of every directory walked; os.walk, as rglob,
+    # lists a symlinked directory but does not enter it
+    for dirpath, dirnames, filenames in os.walk(top):
+        prefix = dirpath[cut:] + "/" if len(dirpath) > len(top) else ""
+        found += [prefix + name for names in (dirnames, filenames)
+                  for name in names if name.endswith(".java")]
     files = {}
-    if root.is_dir():
-        for p in sorted(root.rglob("*.java")):
-            try:
-                files[str(p.relative_to(root))] = p.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise UnreadableSource(p, exc) from None
+    for rel in sorted(found, key=lambda rel: rel.split("/")):
+        try:
+            with open(os.path.join(top, rel), encoding="utf-8") as f:
+                files[rel] = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UnreadableSource(root / rel, exc) from None
     return files
 
 

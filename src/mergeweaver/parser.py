@@ -47,10 +47,14 @@ Nesting deeper than the interpreter's recursion limit allows (an
 expression of a few hundred nested calls, say) raises a ParseError at the
 token reached, not a RecursionError.
 
-The scanner writes each file's tokens into four parallel lists (kinds,
-texts, lines, cols) that end in ``_EOF_PAD`` eof entries, so the parser
-reads one token ahead by index without a bound check, and a node's span
-start is just a token index.
+The scanner reads each file with one ``findall`` of ``_TOKEN_RE``, whose
+matches tile the text as (skip run, token) pairs, and one Python loop
+that writes the tokens into four parallel lists (kinds, texts, lines,
+cols).  A token's kind comes from its first character; its line and
+column from the newlines of the skip runs and literals before it.  The
+lists end in ``_EOF_PAD`` eof entries, so the parser reads one token
+ahead by index without a bound check, and a node's span start is just a
+token index.
 """
 
 from __future__ import annotations
@@ -79,29 +83,38 @@ _TIER = {op: tier for tier, ops in enumerate([
     ["*", "/", "%"],
 ]) for op in ops}
 
-# One match per token: an atomic run of whitespace and comments, then one
-# alternative per token class.  The run is atomic so that a token that
-# fails to match never makes the engine re-read "/* a */ # /* b */" as one
-# longer comment.  A lookahead never backtracks, so the run is read in a
+# One findall per text, one (skip, token) pair per match.  The skip run
+# of whitespace and comments is atomic, so that a token that fails to
+# match never makes the engine re-read "/* a */ # /* b */" as one longer
+# comment: a lookahead never backtracks, so the run is read in a
 # lookahead and then consumed by a backreference (``(?>...)`` would do the
-# same, but needs Python 3.11).  The token group closes after the "skip"
-# group, so a match's ``lastgroup`` names the token.  "open" catches a
-# "/*" with no closing "*/" and must come before "punct", which would take
-# its "/".  \w and str.isalnum agree on every character, so the classes
-# below follow the isalpha/isdigit/isalnum rules of the language subset
-# except for characters that are \w but neither letters nor decimal digits
-# (such as "²"), which scan() sorts out by hand.
-_SKIP = r"(?=(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*))(?P=skip)"
+# same, but needs Python 3.11).  The token alternation ends in "/*" (a
+# comment with no closing "*/", before the "/" of punctuation), "." and
+# \Z, so a match starts wherever the previous one ended: the matches tile
+# the text, findall never jumps over a character, and the first empty
+# token is the end of the text.  Besides "/*", "." takes the other texts
+# that are no token (a lone quote of an unterminated literal, a lone "|"
+# or "&", a character of no token class), and scan() raises at the first.
+# \w and str.isalnum agree on every character, so the classes below
+# follow the isalpha/isdigit/isalnum rules of the language subset except
+# for characters that are \w but neither letters nor decimal digits (such
+# as "²"), which scan() sorts out by hand.
 _TOKEN_RE = re.compile(
-    _SKIP +
-    r"(?:(?P<ident>(?:[^\W\d]|\$)[\w$]*)"
-    r"|(?P<number>\d(?:[^\W_]|\.)*)"
-    r'|(?P<string>"(?:[^"\\]|\\.)*")'
-    r"|(?P<char>'(?:[^'\\]|\\.)*')"
-    r"|(?P<open>/\*)"
-    r"|(?P<punct>\|\||&&|==|!=|<=|>=|[{}()\[\];,.@:=<>+\-*/%!?]))",
+    r"(?=((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*))\1"
+    r"((?:[^\W\d]|\$)[\w$]*"
+    r"|\d(?:[^\W_]|\.)*"
+    r'|"(?:[^"\\]|\\.)*"'
+    r"|'(?:[^'\\]|\\.)*'"
+    r"|\|\||&&|==|!=|<=|>=|/\*|[{}()\[\];,.@:=<>+\-*/%!?]"
+    r"|.|\Z)",
     re.DOTALL)
-_SKIP_RE = re.compile(_SKIP, re.DOTALL)
+# The kind of a token whose first character decides it; scan() sorts out
+# the rest: "/" and "/*", "||" and "|", "&&" and "&", literals and lone
+# quotes, the end of the text, and non-ASCII characters.
+_KIND_OF = {c: "ident" if c.isalpha() or c in "_$" else
+            "number" if c.isdigit() else "punct"
+            for c in map(chr, range(128))
+            if c.isalnum() or c in "_${}()[];,.@:=<>+-*%!?"}
 _NUMBER_TAIL = re.compile(r"(?:[^\W_]|\.)*")
 _UNTERMINATED = {'"': "unterminated string literal",
                  "'": "unterminated char literal"}
@@ -142,55 +155,68 @@ def scan(path: str, text: str) -> Scan:
     texts: list[str] = []
     lines: list[int] = []
     cols: list[int] = []
-    match = _TOKEN_RE.match
-    rfind = text.rfind
-    pos = 0
+    kind_of = _KIND_OF.get
+    pos = 0             # index of the next character to read
     line = 1
     line_start = 0      # index of the first character of ``line``
-    last = 0            # start of the previous token; no newline before it
+    pairs = _TOKEN_RE.findall(text)
     while True:
-        m = match(text, pos)
-        if m is None:
-            start = _SKIP_RE.match(text, pos).end()
-            kind = "eof"
-        else:
-            kind = m.lastgroup
-            start = m.start(kind)
-            pos = m.end()
-        # only skipped text and string or char tokens hold newlines
-        nl = rfind("\n", last, start)
-        if nl != -1:
-            line += text.count("\n", last, nl + 1)
-            line_start = nl + 1
-        last = start
-        if kind == "ident":
-            if text[start] >= "\x80" and not text[start].isalpha():
-                # a \w character that is no letter: a digit such as
-                # "²" starts a number, anything else is not a token
-                if not text[start].isdigit():
-                    raise ParseError(path, line, start - line_start + 1,
-                                     f"unexpected character {text[start]!r}")
-                kind = "number"
-                pos = _NUMBER_TAIL.match(text, start + 1).end()
-        elif kind == "eof":
-            if start < len(text):
-                ch = text[start]
-                raise ParseError(path, line, start - line_start + 1,
-                                 _UNTERMINATED.get(
-                                     ch, f"unexpected character {ch!r}"))
-            for _ in range(_EOF_PAD):
-                kinds.append("eof")
-                texts.append("")
+        for skip, tok in pairs:
+            # only skip runs and string or char tokens hold newlines
+            if skip:
+                nl = skip.count("\n")
+                if nl:
+                    line += nl
+                    line_start = pos + skip.rfind("\n") + 1
+                pos += len(skip)
+            kind = kind_of(tok[:1])
+            if kind is not None:
+                kinds.append(kind)
+                texts.append(tok)
                 lines.append(line)
-                cols.append(start - line_start + 1)
-            return kinds, texts, lines, cols
-        elif kind == "open":
-            raise ParseError(path, line, start - line_start + 1,
-                             "unterminated block comment")
-        kinds.append(kind)
-        texts.append(text[start:pos])
-        lines.append(line)
-        cols.append(start - line_start + 1)
+                cols.append(pos - line_start + 1)
+                pos += len(tok)
+                continue
+            col = pos - line_start + 1
+            if not tok:
+                kinds += ["eof"] * _EOF_PAD
+                texts += [""] * _EOF_PAD
+                lines += [line] * _EOF_PAD
+                cols += [col] * _EOF_PAD
+                return kinds, texts, lines, cols
+            head = tok[0]
+            stop = pos + len(tok)       # where the match ended
+            if tok in ("/", "||", "&&"):
+                kind = "punct"
+            elif head in "\"'" and len(tok) > 1:
+                kind = "string" if head == '"' else "char"
+            elif head.isalpha():        # a non-ASCII letter
+                kind = "ident"
+            elif head.isdigit():
+                # a non-ASCII digit such as "٣" or "²"; "²" is \w but no
+                # decimal digit, so its match took an identifier's tail
+                kind = "number"
+                tok = text[pos:_NUMBER_TAIL.match(text, pos + 1).end()]
+            elif tok == "/*":
+                raise ParseError(path, line, col, "unterminated block comment")
+            else:
+                raise ParseError(path, line, col, _UNTERMINATED.get(
+                    tok, f"unexpected character {head!r}"))
+            kinds.append(kind)
+            texts.append(tok)
+            lines.append(line)
+            cols.append(col)
+            nl = tok.count("\n")
+            if nl:
+                line += nl
+                line_start = pos + tok.rfind("\n") + 1
+            pos += len(tok)
+            if pos != stop:
+                # the number ends elsewhere than its match: match again
+                # from its end, lazily, so that a restart costs only the
+                # tokens it reads
+                pairs = map(re.Match.groups, _TOKEN_RE.finditer(text, pos))
+                break
 
 
 def token_texts(text: str) -> list[str]:

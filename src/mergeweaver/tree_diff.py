@@ -25,7 +25,8 @@ candidate whose score beats the best so far by more than 1e-12 wins, and
 it is paired when its score exceeds one half.  A pre-order sweep then
 unpairs every node under an unpaired parent, so every delete removes a
 whole unpaired subtree, and an LCS pass aligns the leftover children of
-paired parents by kind.
+paired parents by kind; one leftover child on each side is paired when
+the kinds are equal, without a matcher.
 
 The script is produced by running it on a copy-on-write clone of the
 before tree, which copies only what the script edits: deletes first, left
@@ -235,7 +236,11 @@ def _recover_children(m: _Matching) -> None:
             continue
         free_b = [c for c in b.children(i) if b2a[c] < 0] if j >= 0 else []
         free_a = [c for c in a.children(j) if a2b[c] < 0] if free_b else []
-        if free_a:
+        if len(free_b) == 1 == len(free_a):
+            # the matcher's one possible block: both children, if equal
+            if b.nodes[free_b[0]].kind == a.nodes[free_a[0]].kind:
+                m.pair(free_b[0], free_a[0])
+        elif free_a:
             sm = SequenceMatcher(
                 a=[b.nodes[c].kind for c in free_b],
                 b=[a.nodes[c].kind for c in free_a], autojunk=False)

@@ -180,6 +180,26 @@ def test_non_utf8_source_exits_2_naming_the_file(tmp_path, capsys):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd", ["merge", "detect", "resolve"])
+@pytest.mark.parametrize("shape", ["directory", "dangling-symlink"])
+def test_unreadable_source_exits_2_naming_the_file(tmp_path, capsys, shape,
+                                                   cmd):
+    good = b"package p;\n\npublic class A {\n}\n"
+    _write_legs(tmp_path, {"base": {"A.java": good},
+                           "left": {"A.java": good},
+                           "right": {"A.java": good}})
+    bad = tmp_path / "left" / "B.java"
+    if shape == "directory":
+        bad.mkdir()
+        cause = "Is a directory"
+    else:
+        bad.symlink_to(tmp_path / "left" / "Z.java")
+        cause = "No such file or directory"
+    assert main(args_for(cmd, scenario=tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"read error: {bad}: {cause}\n"
+
+
 def test_parse_error_names_the_first_version_that_fails(tmp_path, capsys):
     good = b"package p;\n\npublic class A {\n    int x;\n}\n"
     bad = b"package p;\n\npublic class A {\n    int[] x;\n}\n"

@@ -1,4 +1,6 @@
-"""Three-way text merge: laws on disjoint edits, conflicts, file sets."""
+"""Three-way text merge: laws on disjoint edits, conflicts, file sets, and
+the tree reader against ``reference_frontend._read_tree``, the reader it
+replaced."""
 
 import random
 import shutil
@@ -7,9 +9,10 @@ import subprocess
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_frontend
 from conftest import CORPUS, random_disjoint_triple
-from mergeweaver.merge3 import (TextualConflict, merge_file, merge_scenario,
-                                merge_texts)
+from mergeweaver.merge3 import (TextualConflict, UnreadableSource, _read_tree,
+                                merge_file, merge_scenario, merge_texts)
 
 BASE = "a\nb\nc\nd\ne\n"
 
@@ -142,3 +145,57 @@ def test_merge_scenario_reads_and_parses_trees():
     # base/left/right trees are kept for graph building
     assert set(scn.base) == {"TypeSerializerConfig.java",
                              "XmlConfigBuilder.java"}
+
+
+def _read_outcome(read, root):
+    try:
+        return list(read(root).items())
+    except UnreadableSource as exc:
+        return f"UnreadableSource: {exc}"
+
+
+def test_reader_matches_reference(tmp_path):
+    bad = b"class B {\n    // caf\xe9\n}\n"
+    for rel, body in {"p/q/A.java": b"class A {}\n",
+                      ".hidden/H.java": b"class H {}\r\n",
+                      ".H2.java": b"class H2 {}\n",
+                      ".java": b"class J {}\n",
+                      "X.JAVA": b"class X {}\n",
+                      "Bad.java": bad,
+                      "a/Bad.java": bad,
+                      "a-b/Bad.java": bad}.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(body)
+    (tmp_path / "L.java").symlink_to(tmp_path / "p" / "q" / "A.java")
+    (tmp_path / "link").symlink_to(tmp_path / "p")
+    failed = []
+    while True:
+        got = _read_outcome(_read_tree, tmp_path)
+        assert got == _read_outcome(reference_frontend._read_tree, tmp_path)
+        if not isinstance(got, str):
+            break
+        # the first unreadable file in path order, by components: "a/"
+        # sorts before "a-b/", though "a-b/..." < "a/..." as strings
+        path = got.split(": ")[1]
+        failed.append(path[len(str(tmp_path)) + 1:])
+        (tmp_path / failed[-1]).unlink()
+    assert failed == ["Bad.java", "a/Bad.java", "a-b/Bad.java"]
+    assert [rel for rel, _text in got] == [
+        ".H2.java", ".hidden/H.java", ".java", "L.java", "p/q/A.java"]
+    assert dict(got)[".hidden/H.java"] == "class H {}\n"
+
+
+@pytest.mark.parametrize("shape", ["directory", "dangling-symlink"])
+def test_reader_raises_unreadable_source_for_what_it_cannot_read(tmp_path,
+                                                                 shape):
+    (tmp_path / "A.java").write_text("class A {}\n")
+    if shape == "directory":
+        (tmp_path / "B.java").mkdir()
+        (tmp_path / "B.java" / "C.java").write_text("class C {}\n")
+        cause = "Is a directory"
+    else:
+        (tmp_path / "B.java").symlink_to(tmp_path / "missing.java")
+        cause = "No such file or directory"
+    with pytest.raises(UnreadableSource) as info:
+        _read_tree(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'B.java'}: {cause}"

@@ -1,9 +1,14 @@
-"""Differential test: the regex tokenizer against a per-character reference.
+"""Differential test: the scanner against two references.
 
 ``reference_tokenize`` is the original character-at-a-time lexer, kept
-here as an oracle.  Both must agree on every token (kind, text, line,
-column) or raise the same ParseError message, on every corpus file and on
-seeded mutations that add CRLF line ends, tabs, escapes, unterminated
+here as an oracle, and ``reference_frontend.scan`` the scanner that
+matched one token per regex call before ``scan`` took one ``findall`` per
+text.  On every input ``tokenize`` must agree with the first on every
+token (kind, text, line, column), and ``scan`` with the second on all four
+lists, eof entries included, or each must raise the same ParseError
+message as its reference.  The inputs: every corpus and fixture file, the
+generated workloads at two seeds, edge cases, and seeded mutations and
+character soup that add CRLF line ends, tabs, escapes, unterminated
 comments, strings and chars, and non-ASCII text.
 """
 
@@ -11,8 +16,9 @@ import random
 
 import pytest
 
-from conftest import corpus_java_files, random_program
-from mergeweaver.parser import ParseError, Token, tokenize
+import reference_frontend
+from conftest import FANOUT, bench_gen, corpus_java_files, random_program
+from mergeweaver.parser import ParseError, Token, scan, tokenize
 
 _REFERENCE_PUNCT = [
     "||", "&&", "==", "!=", "<=", ">=",
@@ -103,9 +109,18 @@ def outcome(fn, text: str):
         return f"ParseError: {exc}"
 
 
+def scan_outcome(fn, text: str):
+    try:
+        return fn("T.java", text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
 def assert_same(text: str) -> None:
     assert outcome(tokenize, text) == outcome(reference_tokenize, text), \
         repr(text)
+    assert scan_outcome(scan, text) \
+        == scan_outcome(reference_frontend.scan, text), repr(text)
 
 
 # Fragments a mutation splices in: line ends, tabs, escapes, openers with
@@ -140,14 +155,25 @@ def mutate(rng: random.Random, text: str) -> str:
 
 
 def test_reference_agrees_on_every_corpus_file():
-    for path in corpus_java_files():
+    for path in corpus_java_files() + sorted(FANOUT.rglob("*.java")):
         assert_same(path.read_text())
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("workload", sorted(bench_gen.GENERATORS))
+def test_generated_workloads(workload, seed):
+    wl = bench_gen.generate(workload, seed)
+    for version in (wl.base, wl.left, wl.right):
+        for text in version.values():
+            assert_same(text)
 
 
 @pytest.mark.parametrize("text", [
     "", " ", "\n", "a", "1", "@", "/*", "/* x", "//", '"', "'", '"\\',
     "'\\", "a\r\nb", "\tx", "x\n/*\n\n", '"a\nb"', "²", "½", "x²", "é1",
     "a /* b */ c // d\ne", "1_000", "..", "a.b.c",
+    "a // d", "a /* b */", "a\n", "a;\n\n", "²_a ².5 ².a_b ²$", "a | b & c",
+    '"a\nb" c\n\'\n\' d', "a\r\n/* x\n */ b",
 ])
 def test_edge_cases(text):
     assert_same(text)

@@ -8,9 +8,11 @@ reference, and ``diff_trees`` must emit the same script, op for op: on
 every mined host of the corpus, the controls and the fanout fixture, on
 the mined hosts of the three ``bench/gen.py`` workloads at two seeds and
 of rename-fanout at 128 hub methods, on seeded ``mutate_tree`` edits of
-corpus trees, and on hand-written ties, which none of those inputs has:
-two container candidates of equal score, two equal after subtrees for one
-before subtree, and two equal before subtrees of one height for one after
+corpus trees, on a call nested 120 deep against one nested 119 deep,
+whose recovery pass pairs one free child against one at every level, and
+on hand-written ties, which none of those inputs has: two container
+candidates of equal score, two equal after subtrees for one before
+subtree, and two equal before subtrees of one height for one after
 subtree.
 """
 
@@ -109,6 +111,20 @@ def test_container_pass_matches_reference_on_mutations():
         _check(before, after)
         by_containers += len(pairings[1][0]) - len(pairings[0][0])
     assert by_containers > 100      # the pass really pairs containers
+
+
+def test_recovery_pass_matches_reference_on_nested_calls():
+    def nested(depth: int) -> str:
+        return ("class A { int m() { return %s1%s; } }"
+                % ("g(" * depth, ")" * depth))
+    # 120 deep: below the deepest nesting the parser accepts under
+    # pytest, whose own frames take part of the recursion limit
+    before = parse_snippet(nested(120)).tree
+    after = parse_snippet(nested(119)).tree
+    pairings = _pairings(before, after)
+    _check(before, after)
+    # the recovery pass pairs one free child against one, level by level
+    assert len(pairings[3][0]) - len(pairings[2][0]) > 200
 
 
 def test_container_pass_matches_reference_on_a_tie():

@@ -1,23 +1,29 @@
-"""Per-stage wall time of the synthetic workloads as they grow.
+"""Per-stage CPU time of the synthetic workloads as they grow.
 
     python3 tools/scaling.py [--repeat N] [--seed S] [--workload NAME]
 
 Each workload is generated by bench/gen.py (imported, not modified) at a
 range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best of
-the N runs of every stage in ``Report.timings_ms``, in milliseconds; the
-pairs of texts the merge's similarity scorer scored (``pairs``, a count
-that host noise cannot move); the best of N times to diff the mined hosts
-of the merge again (``diff``) and the nodes of those hosts' before trees
-(``host_nodes``); then the best of N times to call
-``parse_unit`` on each distinct (path, text) pair of the three input
-versions, with the tokens and nodes of those parses:
+the N runs of every stage in ``Report.timings_ms``; the pairs of texts the
+merge's similarity scorer scored (``pairs``, a count that host noise
+cannot move); the best of N times to diff the mined hosts of the merge
+again (``diff``) and the nodes of those hosts' before trees
+(``host_nodes``); the best of N times to read the three input trees
+(``read``), and to ``scan`` and to ``parse_unit`` each distinct (path,
+text) pair of the three versions, with the tokens and nodes of those
+parses; and last ``ref_ms``, the reference job of bench/calib.py
+(imported, not modified), timed before and after the row and averaged:
 
 * method-rename at 120, 240, 480 and 960 files;
 * package-rename at 24, 48, 96 and 192 files;
 * rename-fanout at 16, 32, 64 and 128 hub methods.
 
-The largest sizes take tens of seconds each; ``--workload`` runs one.
+Every time is CPU time of this process (``time.process_time``) in
+milliseconds.  The host's speed drifts, and the reference job drifts with
+it, so compare a cell divided by its row's ``ref_ms``, as bench/run.py's
+``run_rel`` does, not the cell across runs.  The largest sizes take tens
+of seconds each; ``--workload`` runs one.
 """
 
 from __future__ import annotations
@@ -27,13 +33,18 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
+import calib  # noqa: E402
 import gen  # noqa: E402
-from mergeweaver.parser import parse_unit, tokenize  # noqa: E402
+from mergeweaver import pipeline  # noqa: E402
+from mergeweaver.merge3 import _read_tree  # noqa: E402
+from mergeweaver.parser import parse_unit, scan, tokenize  # noqa: E402
 from mergeweaver.pipeline import ScenarioRun, run_scenario  # noqa: E402
 from mergeweaver.tree_diff import diff_trees  # noqa: E402
 
@@ -43,8 +54,18 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "diff", "host_nodes", "parse", "tokens",
-                    "nodes")
+COLUMNS = STAGES + ("pairs", "diff", "host_nodes", "read", "scan", "parse",
+                    "tokens", "nodes", "ref_ms")
+
+
+def best_ms(repeat: int, job) -> float:
+    """The least CPU milliseconds of ``repeat`` calls of ``job``."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.process_time()
+        job()
+        best = min(best, time.process_time() - start)
+    return best * 1000
 
 
 def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
@@ -52,29 +73,32 @@ def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
     nodes of those hosts' before trees."""
     hosts = [(ex.before, ex.after) for ex in run.fourway.mined.values()
              if ex is not None]
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
+
+    def diff_all():
         for before, after in hosts:
             diff_trees(before, after)
-        best = min(best, time.perf_counter() - start)
-    return {"diff": best * 1000,
+    return {"diff": best_ms(repeat, diff_all),
             "host_nodes": sum(sum(1 for _ in b.nodes()) for b, _a in hosts)}
 
 
-def parse_columns(wl: "gen.Workload", repeat: int) -> dict[str, float]:
-    """Best-of-``repeat`` ms to parse every distinct (path, text) pair of
-    ``wl``'s three versions, and the tokens and nodes of those parses."""
-    pairs = sorted({pair for version in (wl.base, wl.left, wl.right)
-                    for pair in version.items()})
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        files = [parse_unit(path, text) for path, text in pairs]
-        best = min(best, time.perf_counter() - start)
-    return {"parse": best * 1000,
-            "tokens": sum(len(tokenize(p, t)) - 1 for p, t in pairs),
-            "nodes": sum(f.tree.max_id + 1 for f in files)}
+def front_end_columns(out: Path, repeat: int) -> dict[str, float]:
+    """Best-of-``repeat`` ms to read the three trees under ``out``, and to
+    scan and to parse every distinct (path, text) pair of them, with the
+    tokens and nodes of those parses."""
+    dirs = [out / version for version in ("base", "left", "right")]
+    pairs = sorted({pair for d in dirs for pair in _read_tree(d).items()})
+    files = [parse_unit(path, text) for path, text in pairs]
+    return {
+        "read": best_ms(repeat, lambda: [_read_tree(d) for d in dirs]),
+        "scan": best_ms(repeat, lambda: [scan(*pair) for pair in pairs]),
+        "parse": best_ms(repeat,
+                         lambda: [parse_unit(*pair) for pair in pairs]),
+        "tokens": sum(len(tokenize(*pair)) - 1 for pair in pairs),
+        "nodes": sum(f.tree.max_id + 1 for f in files)}
+
+
+# columns of a few milliseconds, printed to a tenth
+FINE = ("diff", "read", "scan")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -88,11 +112,16 @@ def main(argv: list[str] | None = None) -> int:
 
     print("| workload | size | " + " | ".join(COLUMNS) + " |")
     print("| --- | --- |" + " --- |" * len(COLUMNS))
-    with tempfile.TemporaryDirectory() as tmp:
+    calib.warm_up()
+    # run_scenario's stage timings, read from the CPU clock
+    cpu_clock = SimpleNamespace(perf_counter=time.process_time)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(pipeline, "time", cpu_clock):
         for workload, param, sizes in SIZES:
             if args.workload and workload != args.workload:
                 continue
             for size in sizes:
+                ref_before = calib.reference_cpu_s()
                 out = Path(tmp) / f"{workload}-{size}"
                 wl = gen.generate(workload, args.seed, **{param: size})
                 gen.write_workload(wl, out)
@@ -106,9 +135,12 @@ def main(argv: list[str] | None = None) -> int:
                                           timings[stage])
                 best["pairs"] = run.fourway.scorer.scored
                 best.update(diff_columns(run, args.repeat))
-                best.update(parse_columns(wl, args.repeat))
-                cells = " | ".join(format(best[col], ".1f" if col == "diff"
-                                          else ".0f") for col in COLUMNS)
+                best.update(front_end_columns(out, args.repeat))
+                best["ref_ms"] = (ref_before
+                                  + calib.reference_cpu_s()) / 2 * 1000
+                cells = " | ".join(
+                    format(best[col], ".1f" if col in FINE else ".0f")
+                    for col in COLUMNS)
                 print(f"| {workload} | {size} {param} | {cells} |",
                       flush=True)
     return 0
