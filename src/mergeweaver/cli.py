@@ -67,6 +67,7 @@ def _dump_peg(run: ScenarioRun) -> None:
                          ("left", run.fourway.left),
                          ("right", run.fourway.right),
                          ("merged", run.fourway.merged)):
+        graph.resolve_deferred()
         print(f"[peg:{label}] {len(graph.entities)} entities, "
               f"{len(graph.relations)} relations", file=sys.stderr)
         for ent in sorted(graph.entities.values(), key=lambda e: e.id):

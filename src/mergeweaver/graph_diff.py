@@ -16,7 +16,9 @@ A delta lists entity edits (add, delete, update with a rename,
 signature-change or body-change detail) and relation edits computed modulo
 the entity match.  The entities of a unit both graphs share (see ``peg``)
 and the relations both graphs hold cannot make an edit, so a delta looks
-only at the rest.
+only at the rest.  The bodies ``build_fourway`` defers (see peg's "Deferred
+bodies") would add the same relations to both graphs of a delta, so the
+delta of the incomplete graphs is that of the full ones.
 """
 
 from __future__ import annotations
@@ -232,10 +234,12 @@ class FourWayGraph:
 
 def build_fourway(scenario: MergeScenario) -> FourWayGraph:
     memo: dict = {}     # unit facts shared by the four builds
-    gb = peg.build_peg(scenario.base, "b", memo)
-    gl = peg.build_peg(scenario.left, "l", memo)
-    gr = peg.build_peg(scenario.right, "r", memo)
-    gam = peg.build_peg(scenario.am, "am", memo)
+    deferred = peg.defer_bodies(
+        (scenario.base, scenario.left, scenario.right, scenario.am), memo)
+    gb = peg.build_peg(scenario.base, "b", memo, deferred)
+    gl = peg.build_peg(scenario.left, "l", memo, deferred)
+    gr = peg.build_peg(scenario.right, "r", memo, deferred)
+    gam = peg.build_peg(scenario.am, "am", memo, deferred)
     scorer = Scorer()
     for ga, gx in ((gb, gl), (gb, gr), (gam, gl), (gam, gr)):
         scorer.expect_match(ga, gx)

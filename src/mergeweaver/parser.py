@@ -43,9 +43,9 @@ printer enough to reproduce the clause.  ``syntax.clauses`` is the one
 decoder of these leaves; the other ``syntax`` readers decode the rest of a
 declaration's layout.
 
-Nesting deeper than the interpreter's recursion limit allows (an
-expression of a few hundred nested calls, say) raises a ParseError at the
-token reached, not a RecursionError.
+Nesting deeper than ``MAX_NESTING`` levels raises "nested too deeply" at
+the token that opens the level past the limit.  The limit is a property of
+the text: it does not depend on how deep the caller's stack is.
 
 The scanner reads each file with one ``findall`` of ``_TOKEN_RE``, whose
 matches tile the text as (skip run, token) pairs, and one Python loop
@@ -60,6 +60,7 @@ token index.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .syntax import TYPE_KEYWORDS, SourceFile, SyntaxNode, SyntaxTree
@@ -118,6 +119,18 @@ _KIND_OF = {c: "ident" if c.isalpha() or c in "_$" else
 _NUMBER_TAIL = re.compile(r"(?:[^\W_]|\.)*")
 _UNTERMINATED = {'"': "unterminated string literal",
                  "'": "unterminated char literal"}
+
+# The deepest nesting a text may have, counted in open type declarations,
+# blocks, if statements (an else-if opens one more), expressions (each
+# argument and initializer one more) and cast operands.  A call nested
+# MAX_NESTING - 3 deep in a method's return statement is the deepest that
+# parses.  The parser spends at most 7 frames per level (an argument of a
+# ``new``: parse_expression, _binary, _postfix, _primary,
+# _object_creation, _argument_list, _comma_list), and parse_unit makes
+# room for _FRAMES_PER_LEVEL per level above the caller's frames, the
+# spare one per level covering the frames outside the levels.
+MAX_NESTING = 128
+_FRAMES_PER_LEVEL = 8
 
 # eof entries at the end of the scanned lists: the real eof token plus
 # one more, so that a one-token lookahead from eof stays in range
@@ -243,6 +256,7 @@ class _Parser:
         self.kinds, self.texts, self.lines, self.cols = tokens
         self.pos = 0
         self.eof = len(self.kinds) - _EOF_PAD   # index of the real eof
+        self.depth = 0      # nesting levels open; see MAX_NESTING
 
     # -- token plumbing ----------------------------------------------------
 
@@ -262,6 +276,12 @@ class _Parser:
     def fail(self, message: str):
         p = self.pos
         raise ParseError(self.path, self.lines[p], self.cols[p], message)
+
+    def _descend(self) -> None:
+        """Opens one more nesting level at the next token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail("nested too deeply")
 
     # -- nodes -------------------------------------------------------------
 
@@ -330,6 +350,7 @@ class _Parser:
                 return out
 
     def parse_type_decl(self) -> SyntaxNode:
+        self._descend()
         texts = self.texts
         start = self.pos
         children = self._annotations_and_modifiers()
@@ -354,6 +375,7 @@ class _Parser:
         while texts[self.pos] != "}":
             children.append(self._member(name))
         self.pos += 1
+        self.depth -= 1
         return self._node(kind, name, children, start)
 
     def _enum_constants(self) -> list[SyntaxNode]:
@@ -489,11 +511,13 @@ class _Parser:
     def _block(self) -> SyntaxNode:
         texts = self.texts
         start = self.pos
+        self._descend()
         self.expect("{")
         stmts: list[SyntaxNode] = []
         while texts[self.pos] != "}":
             stmts.append(self.parse_statement())
         self.pos += 1
+        self.depth -= 1
         return self._node("Block", "", stmts, start)
 
     def parse_statement(self) -> SyntaxNode:
@@ -539,6 +563,7 @@ class _Parser:
         return cond
 
     def _if_stmt(self) -> SyntaxNode:
+        self._descend()
         start = self.pos
         self.expect("if")
         cond = self._condition()
@@ -549,6 +574,7 @@ class _Parser:
                 children.append(self._if_stmt())
             else:
                 children.append(self._block())
+        self.depth -= 1
         return self._node("IfStmt", "", children, start)
 
     def _for_stmt(self) -> SyntaxNode:
@@ -618,15 +644,17 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expression(self) -> SyntaxNode:
+        self._descend()
         start = self.pos
-        left = self._binary()
+        expr = self._binary()
         if self.texts[self.pos] == "=":
             self.pos += 1
             right = self.parse_expression()
-            if left.kind not in ("Name", "FieldAccess"):
+            if expr.kind not in ("Name", "FieldAccess"):
                 self.fail("assignment target must be a name or field access")
-            return self._node("Assignment", "=", [left, right], start)
-        return left
+            expr = self._node("Assignment", "=", [expr, right], start)
+        self.depth -= 1
+        return expr
 
     def _binary(self) -> SyntaxNode:
         """Operands joined by binary operators, by precedence climbing over
@@ -695,7 +723,9 @@ class _Parser:
             self.pos += 1
             tref = self._type_ref()
             self.expect(")")
+            self._descend()
             expr = self._postfix()
+            self.depth -= 1
             return self._node("CastExpr", "", [tref, expr], start)
         self.fail(f"unexpected token {text!r} in expression")
         raise AssertionError  # unreachable
@@ -719,11 +749,14 @@ class _Parser:
 def parse_unit(path: str, text: str) -> SourceFile:
     """Parse one file; raises ParseError with position info on bad input."""
     parser = _Parser(path, scan(path, text))
+    # room for the deepest text the limit admits, however deep the caller;
+    # the recursion limit is the interpreter's, and mergeweaver parses in
+    # one thread
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING)
     try:
         root = parser.parse_unit()
-    except RecursionError:
-        p = parser.pos
-        raise ParseError(path, parser.lines[p], parser.cols[p],
-                         "nested too deeply") from None
+    finally:
+        sys.setrecursionlimit(limit)
     return SourceFile(path=path, text=text,
                       tree=SyntaxTree(root, assign_ids=True))

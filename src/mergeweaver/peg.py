@@ -37,14 +37,45 @@ This is the verifying-trace rule of Mokhov, Mitchell and Peyton Jones,
 "Build Systems a la Carte" (ICFP 2018).  Packages, the project and stubs are
 assembled per version, entities keep the insertion order of a build from
 scratch, and an empty memo is that build.
+
+Deferred bodies.  A file every version shares can only make a body edit
+if a name its bodies use means something else in another version.  Before
+its four builds, ``build_fourway`` asks ``defer_bodies`` for the units
+whose bodies no build needs.  ``build_peg`` skips those bodies, keeping
+each unit with its head in ``EntityGraph.deferred``; declarations and
+heads stay eager.  ``EntityGraph.resolve_deferred`` completes a graph
+(``--dump-peg`` and the unit-facts oracle call it), and a build given no
+deferred units is the full build.  A unit is deferred when all four
+versions hold its SourceFile, they agree on every fact not keyed by a
+member name (the type ids, stubs included; the packages; each type's
+extends clause with its file's package, imports and types), and no
+identifier of the unit's text ends in a dirty name.  A name is dirty when,
+for some type, the ids of its members of that simple name, in order, or
+the declared type of its field of that name differ between versions.  Each
+read a body makes then answers the same in every version:
+
+* a type fqn and a package: the type ids, stubs and packages are equal;
+* a type's superclass: each extends clause resolves in an equal scope
+  against equal types;
+* a type's member list: the resolver reads it only through
+  ``methods_named`` and ``field_named``, with a name from the text (a
+  created type's name, or its own class's for ``this(...)``), and a name
+  that is not dirty has the same members in every type;
+* a field's declared type: asked only of a field found that way.
+
+So a deferred body's relations are equal in all four graphs: they cancel
+in a delta, they join entities every graph holds by id, and the hosts they
+would add to mining are the same in every version and mine an empty
+script.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import (Callable, Collection, Iterable, NamedTuple, Optional,
+                    Sequence)
 
 from .printer import pretty_print
 from .syntax import (TYPE_DECL_KINDS, TYPE_KEYWORDS, SourceFile, SyntaxNode,
@@ -93,20 +124,17 @@ class Entity:
     path: Optional[str] = None
     stub: bool = False
 
+    # computed once per entity; frozen fields keep them right
+    id: str = field(init=False, repr=False)
+    simple_name: str = field(init=False, repr=False)
+
     def __post_init__(self) -> None:
         if self.kind not in ENTITY_KINDS:
             raise ValueError(f"unknown entity kind: {self.kind!r}")
-
-    # computed once per entity; frozen fields keep them right
-    @cached_property
-    def id(self) -> str:
-        return f"{self.kind}:{self.fqn}"
-
-    @cached_property
-    def simple_name(self) -> str:
+        object.__setattr__(self, "id", f"{self.kind}:{self.fqn}")
         head = self.fqn.split("(", 1)[0]
-        name = head.rsplit(".", 1)[-1]
-        return name.split("#", 1)[0]
+        object.__setattr__(self, "simple_name",
+                           head.rsplit(".", 1)[-1].split("#", 1)[0])
 
     @property
     def param_sig(self) -> Optional[str]:
@@ -176,6 +204,8 @@ class EntityGraph(_Lookups):
         self.diagnostics: list[str] = []
         # the units whose facts this graph holds, in path order
         self.units: list[_Unit] = []
+        # the units whose bodies build_peg skipped, each with its head
+        self.deferred: list[tuple[_Unit, _Resolution]] = []
 
     # -- construction --------------------------------------------------------
 
@@ -217,6 +247,13 @@ class EntityGraph(_Lookups):
         self._children.setdefault(package.id, []).append(unit.cu.id)
         self.diagnostics.extend(unit.diagnostics)
         self.units.append(unit)
+
+    def resolve_deferred(self) -> None:
+        """Resolves the bodies ``build_peg`` deferred, which makes this
+        graph the full build."""
+        for unit, head in self.deferred:
+            self.relations.update(unit.body(head, self).relations)
+        self.deferred = []
 
     # -- lookup ----------------------------------------------------------------
 
@@ -342,11 +379,14 @@ def _relation(src: Entity, dst: Entity, kind: str) -> Relation:
 
 
 def build_peg(files: dict[str, SourceFile], version: str,
-              memo: Optional[dict] = None) -> EntityGraph:
+              memo: Optional[dict] = None,
+              deferred: Collection[_Unit] = frozenset()) -> EntityGraph:
     """The entity graph of one version.
 
     ``memo`` maps (path, id of the SourceFile) to that file's unit facts;
-    the builds of one merge may share it (see the module docstring).
+    the builds of one merge may share it (see the module docstring).  The
+    bodies of the units in ``deferred``, which ``defer_bodies`` picks from
+    the same memo, are left for ``EntityGraph.resolve_deferred``.
     """
     memo = {} if memo is None else memo
     graph = EntityGraph(version)
@@ -354,10 +394,7 @@ def build_peg(files: dict[str, SourceFile], version: str,
 
     units: list[_Unit] = []
     for path in sorted(files):
-        src = files[path]
-        unit = memo.get((path, id(src)))
-        if unit is None:    # the unit keeps src alive, so its id stays unique
-            unit = memo[path, id(src)] = _Unit(path, src)
+        unit = _unit_of(memo, path, files[path])
         pkg = graph.find("package", unit.package) or \
             graph.add_entity(Entity("package", unit.package), project)
         graph._add_unit(unit, pkg)
@@ -373,8 +410,90 @@ def build_peg(files: dict[str, SourceFile], version: str,
         graph.relations.update(head.relations)
         graph._super.update(head.extends)
     for unit, head in zip(units, heads):
-        graph.relations.update(unit.body(head, graph).relations)
+        if unit in deferred:
+            graph.deferred.append((unit, head))
+        else:
+            graph.relations.update(unit.body(head, graph).relations)
     return graph
+
+
+def _unit_of(memo: dict, path: str, src: SourceFile) -> _Unit:
+    unit = memo.get((path, id(src)))
+    if unit is None:    # the unit keeps src alive, so its id stays unique
+        unit = memo[path, id(src)] = _Unit(path, src)
+    return unit
+
+
+def defer_bodies(versions: Sequence[dict[str, SourceFile]],
+                 memo: dict) -> frozenset[_Unit]:
+    """The units of ``memo`` whose bodies resolve the same in every one of
+    ``versions``: see "Deferred bodies" in the module docstring."""
+    units = [[_unit_of(memo, path, src) for path, src in files.items()]
+             for files in versions]
+    shared = set(units[0]).intersection(*units[1:])
+    if not shared:
+        return frozenset()
+    # the shared units put the same facts in every version's symbol table,
+    # so only the others can tell the versions apart
+    common = ({ent.fqn for unit in shared for ent, _node in unit.types},
+              set().union(*(unit.imports for unit in shared)),
+              {unit.package for unit in shared})
+    frames = [_symbol_frame([unit for unit in version if unit not in shared],
+                            common) for version in units]
+    if any(frame[0] != frames[0][0] for frame in frames[1:]):
+        return frozenset()
+    dirty: set[str] = set()
+    for frame in frames[1:]:
+        dirty.update(name for (_tid, name), _ids in
+                     frame[1].items() ^ frames[0][1].items())
+    if not dirty:
+        return frozenset(shared)
+    # an identifier token ends where a run of [\w$] does; one that only
+    # ends in a dirty name counts as a mention too, which defers less
+    mention = re.compile(r"(?:%s)(?![\w$])"
+                         % "|".join(map(re.escape, sorted(dirty))))
+    return frozenset(unit for unit in shared
+                     if mention.search(unit.source.text) is None)
+
+
+def _symbol_frame(units: list[_Unit],
+                  common: tuple[set, set, set]) -> tuple[tuple, dict]:
+    """What a version's symbol table holds beyond the ``common`` part of
+    the shared units (their type fqns, imports and packages), given its
+    other ``units``: (the heads of their types, the version's packages, its
+    stubs), and the members of their types by name."""
+    fqns, imports, packages = common
+    heads: dict[str, tuple] = {}
+    named: dict[tuple[str, str], tuple] = {}
+    imports, packages = set(imports), set(packages)
+    for unit in units:
+        unit_heads, unit_named = _symbol_facts(unit)
+        heads.update(unit_heads)
+        named.update(unit_named)
+        imports.update(unit.imports)
+        packages.add(unit.package)
+    declared = fqns.union(tid.split(":", 1)[1] for tid in heads)
+    stubs = {name for name in imports - declared if not name.endswith(".*")}
+    return (heads, packages, stubs), named
+
+
+def _symbol_facts(unit: _Unit) -> tuple[dict, dict]:
+    """What ``unit`` puts in a version's symbol table beyond its ids: type
+    id -> the inputs of its superclass lookup, and (type id, simple name)
+    -> the ids of the type's members of that name, in order, each with a
+    field's declared type."""
+    scope = (unit.package, tuple(unit.imports),
+             tuple(ent.id for ent, _node in unit.types))
+    heads = {ent.id: (scope, tuple(t.value for t in clauses(node)["extends"]))
+             for ent, node in unit.types}
+    named: dict[tuple[str, str], list] = {}
+    for ent, _node in unit.types:
+        for member in unit.members_of(ent):
+            tref = declared_type(member.decl) \
+                if member.kind in ("field", "enum-constant") else None
+            named.setdefault((ent.id, member.simple_name), []).append(
+                (member.id, None if tref is None else tref.value))
+    return heads, {key: tuple(ids) for key, ids in named.items()}
 
 
 @dataclass(eq=False)

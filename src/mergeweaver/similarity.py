@@ -17,8 +17,10 @@ and the anchor search (matching), score through one Scorer, which
 once, scores each pair of texts once and prints each declaration once, and
 it builds each graph's context strings with one relation scan, made on
 the first request and covering only the entities a match of the merge
-leaves unmatched by id.  The memo lives as long as the merge and no
-longer; the module holds none.
+leaves unmatched by id.  No context string needs a deferred body's
+relation (see peg's "Deferred bodies"): those join entities every graph
+holds, which each match pairs by id.  The memo lives as long as the merge
+and no longer; the module holds none.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, FANOUT, ROOT
+from conftest import CORPUS, FANOUT, ROOT, bench_gen
 from mergeweaver.cli import main
+from mergeweaver.parser import ParseError, parse_unit
+from mergeweaver.peg import build_peg
 from mergeweaver.pipeline import run_scenario
 
 MOT = CORPUS / "serializer-rename"
@@ -128,6 +130,30 @@ def test_dump_flags_go_to_stderr(capsys):
     json.loads(captured.out)        # stdout stays machine-readable
 
 
+def test_dump_peg_prints_the_full_graphs(tmp_path, capsys):
+    # method-rename defers the bodies of most files; the dump resolves them
+    bench_gen.write_workload(bench_gen.generate("method-rename", 1), tmp_path)
+    assert main(args_for("detect", scenario=tmp_path, dump_peg=True,
+                         no_timing=True)) == 0
+    dumped = capsys.readouterr().err
+    run = run_scenario(tmp_path / "base", tmp_path / "left",
+                       tmp_path / "right")
+    assert run.fourway.base.deferred
+    lines = []
+    for label, bucket, version in (("base", "base", "b"),
+                                   ("left", "left", "l"),
+                                   ("right", "right", "r"),
+                                   ("merged", "am", "am")):
+        graph = build_peg(getattr(run.scenario, bucket), version)
+        lines.append(f"[peg:{label}] {len(graph.entities)} entities, "
+                     f"{len(graph.relations)} relations")
+        lines += [f"  {ent.kind} {ent.fqn}" for ent in
+                  sorted(graph.entities.values(), key=lambda e: e.id)]
+        lines += [f"  {src} -{kind}-> {dst}" for src, kind, dst in
+                  sorted((r.src, r.kind, r.dst) for r in graph.relations)]
+    assert dumped == "\n".join(lines) + "\n"
+
+
 def test_resolve_trace_prints_the_similarity_counts(capsys):
     assert main(args_for("resolve", scenario=FANOUT, trace=True,
                          no_timing=True)) == 0
@@ -219,7 +245,7 @@ def test_parse_error_names_the_first_version_that_fails(tmp_path, capsys):
 
 
 def test_deep_nesting_exits_2_without_a_traceback(tmp_path, capsys):
-    # deeper than the recursion limit lets the parser descend
+    # deeper than parser.MAX_NESTING
     text = "class A { int x = " + "g(" * 300 + "1" + ")" * 300 + "; }\n"
     _write_legs(tmp_path, {v: {"A.java": text.encode()}
                            for v in ("base", "left", "right")})
@@ -227,6 +253,49 @@ def test_deep_nesting_exits_2_without_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("parse error: base/A.java:1:")
     assert err.endswith(": nested too deeply\n") and err.count("\n") == 1
+
+
+def _deep_member(nest: str, k: int, name: str) -> str:
+    """A field nested k deep whose innermost call is of ``name``."""
+    if nest == "new":
+        return "    Object f = %sBox.make(%s(1))%s;\n" % (
+            "new Box(" * k, name, ")" * k)
+    return "    Object f = %s%s(1)%s;\n" % (
+        "new Box() { int f = " * k, name, "; }" * k)
+
+
+# the k of each nest at parser.MAX_NESTING: the class and the field's
+# initializer are two levels, each argument and initializer one more
+_DEEPEST = {"new": 124, "anonymous": 125}
+
+
+@pytest.mark.parametrize("nest", sorted(_DEEPEST))
+def test_the_deepest_text_the_parser_accepts_resolves(tmp_path, capsys, nest):
+    # the left branch renames Lib.g and adapts the deep call, the right one
+    # adds a call of g, so the deep member is the mined example
+    k = _DEEPEST[nest]
+
+    def legs(name: str, use: str) -> dict:
+        return {
+            "Lib.java": ("public class Lib {\n    public static int %s(int x)"
+                         " {\n        return x;\n    }\n}\n" % name).encode(),
+            "Box.java": b"public class Box {\n    public Box(int x) {\n    }"
+                        b"\n    public Box() {\n    }\n    public static int"
+                        b" make(int x) {\n        return x;\n    }\n}\n",
+            "Deep.java": ("public class Deep extends Lib {\n%s}\n"
+                          % _deep_member(nest, k, name)).encode(),
+            "Use.java": ("public class Use extends Lib {\n%s}\n"
+                         % use).encode()}
+    call = "    int v() {\n        return g(2);\n    }\n"
+    _write_legs(tmp_path, {"base": legs("g", ""), "left": legs("h", ""),
+                           "right": legs("g", call)})
+    assert main(args_for("resolve", scenario=tmp_path, no_timing=True)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["conflicts"]) == 1
+    assert "rule" in {r["strategy"] for r in doc["resolutions"]}
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_unit("Deep.java", "class Deep {\n%s}\n"
+                   % _deep_member(nest, k + 1, "g"))
 
 
 @pytest.mark.parametrize("member, message", [

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import corpus_java_files, parse_snippet, random_program
-from mergeweaver.parser import ParseError, parse_unit, tokenize
+from mergeweaver.parser import MAX_NESTING, ParseError, parse_unit, tokenize
 from mergeweaver.printer import (pretty_print, statement_header_text,
                                  token_stream)
 from mergeweaver.syntax import structurally_equal
@@ -173,3 +173,67 @@ class A {
     printed = pretty_print(sf.tree)
     assert "Iterable<Node>" in printed
     assert "for (Node child : kids(n))" in printed
+
+
+# One text per recursive production of the parser, nested k deep.
+NESTINGS = {
+    "calls": lambda k: "class A { int m() { return %s1%s; } }"
+                       % ("g(" * k, ")" * k),
+    "new": lambda k: "class A { Object m() { return %s%s; } }"
+                     % ("new A(" * k, ")" * k),
+    "anonymous": lambda k: "class A { Object f = %s1%s; }"
+                           % ("new A() { int f = " * k, "; }" * k),
+    "casts": lambda k: "class A { int m() { return %sx; } }" % ("(T) " * k),
+    "blocks": lambda k: "class A { void m() { %s%s } }" % ("{ " * k, "}" * k),
+    "ifs": lambda k: "class A { void m() { %s%s } }"
+                     % ("if (a) { " * k, "}" * k),
+    "else-ifs": lambda k: "class A { void m() { if (a) { }%s } }"
+                          % (" else if (a) { }" * k),
+    "types": lambda k: "class A { %s%s }" % ("class B { " * k, "}" * k),
+    "assignments": lambda k: "class A { void m() { %s1; } }" % ("a = " * k),
+}
+
+
+def _verdict(text: str, extra_frames: int = 0) -> str:
+    """parse_unit's verdict on ``text``, called from ``extra_frames`` more
+    frames down the stack."""
+    if extra_frames:
+        return _verdict(text, extra_frames - 1)
+    try:
+        parse_unit("A.java", text)
+    except ParseError as exc:
+        return str(exc)
+    return "parsed"
+
+
+def _deepest(nest) -> int:
+    """The largest k at which ``nest(k)`` parses from a shallow stack."""
+    low, high = 1, 2 * MAX_NESTING       # parses at low, not at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _verdict(nest(mid)) == "parsed":
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+@pytest.mark.parametrize("name", sorted(NESTINGS))
+def test_the_nesting_limit_does_not_depend_on_the_callers_stack(name):
+    nest = NESTINGS[name]
+    k = _deepest(nest)
+    at, past = _verdict(nest(k)), _verdict(nest(k + 1))
+    assert at == "parsed"
+    assert past.startswith("A.java:1:") and past.endswith(
+        ": nested too deeply")
+    for extra in (200, 600):
+        assert (_verdict(nest(k), extra), _verdict(nest(k + 1), extra)) \
+            == (at, past)
+
+
+def test_the_nesting_limit_counts_productions():
+    # the class, the method body and the returned expression are three
+    # levels, and each call's argument one more
+    assert _deepest(NESTINGS["calls"]) == MAX_NESTING - 3
+    # each if opens itself and its block
+    assert _deepest(NESTINGS["ifs"]) == (MAX_NESTING - 2) // 2

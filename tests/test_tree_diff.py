@@ -189,8 +189,8 @@ def _nested_calls(depth: int, arg: str) -> str:
 
 
 def test_deepest_nesting_the_parser_accepts_diffs_and_replays():
-    # the parser turns nesting past the recursion limit into a ParseError;
-    # every tree it returns must diff without a recursion per tree level
+    # the parser turns nesting past MAX_NESTING into a ParseError; every
+    # tree it returns must diff without a recursion per tree level
     depth = 1
     while True:
         try:

@@ -117,8 +117,8 @@ def test_recovery_pass_matches_reference_on_nested_calls():
     def nested(depth: int) -> str:
         return ("class A { int m() { return %s1%s; } }"
                 % ("g(" * depth, ")" * depth))
-    # 120 deep: below the deepest nesting the parser accepts under
-    # pytest, whose own frames take part of the recursion limit
+    # 120 deep: below the deepest nesting the parser accepts
+    # (parser.MAX_NESTING)
     before = parse_snippet(nested(120)).tree
     after = parse_snippet(nested(119)).tree
     pairings = _pairings(before, after)

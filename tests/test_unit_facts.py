@@ -12,6 +12,13 @@ parent and child maps.  Both deltas must equal the deltas of the cold
 graphs, which share no unit and so take the full path through
 ``diff_graphs``.  A version that declares an entity twice must fail with
 the same message either way.
+
+``build_fourway`` defers the bodies of some units that every version shares
+(see "Deferred bodies" in the peg module docstring), and its deltas come
+from those incomplete graphs.  So before the oracle completes a graph with
+``resolve_deferred``, the graph's relations must be the cold relations less
+exactly the body relations of its deferred units; after, the graph must
+equal its cold build.
 """
 
 import copy
@@ -30,6 +37,7 @@ from mergeweaver.peg import DuplicateEntity, Entity, build_peg
 from mergeweaver.similarity import Scorer
 
 VERSIONS = (("base", "b"), ("left", "l"), ("right", "r"), ("am", "am"))
+BODY_KINDS = frozenset({"reads", "writes", "calls", "initializes"})
 
 
 def graph_facts(graph) -> dict:
@@ -55,7 +63,8 @@ def delta_facts(delta) -> tuple:
 
 def check_against_cold(scenario):
     """Asserts the memo build equals the cold one; returns the
-    FourWayGraph, or None when a version declares an entity twice."""
+    FourWayGraph, completed, and the paths of the units whose bodies it
+    deferred, or (None, None) when a version declares an entity twice."""
     try:
         fw = build_fourway(scenario)
         warm_error = None
@@ -67,10 +76,17 @@ def check_against_cold(scenario):
             cold[version] = build_peg(getattr(scenario, bucket), version)
         except DuplicateEntity as exc:
             assert str(exc) == warm_error
-            return None
+            return None, None
     assert warm_error is None
     graphs = (fw.base, fw.left, fw.right, fw.merged)
+    deferred = [unit for unit, _head in fw.base.deferred]
+    skipped = set().union(*(unit.by_id for unit in deferred))
     for (_bucket, version), graph in zip(VERSIONS, graphs):
+        assert [unit for unit, _head in graph.deferred] == deferred
+        assert graph.relations == {
+            rel for rel in cold[version].relations
+            if rel.src not in skipped or rel.kind not in BODY_KINDS}, version
+        graph.resolve_deferred()
         assert graph_facts(graph) == graph_facts(cold[version]), version
     # a file that is one SourceFile in several versions is one unit there
     unit_of = {}
@@ -81,7 +97,7 @@ def check_against_cold(scenario):
     for delta, branch in ((fw.delta_left, "l"), (fw.delta_right, "r")):
         assert delta_facts(delta) == delta_facts(
             diff_graphs(cold["b"], cold[branch], branch, Scorer())), branch
-    return fw
+    return fw, {unit.path for unit in deferred}
 
 
 @pytest.mark.parametrize("scenario_dir", merge_inputs(),
@@ -91,13 +107,23 @@ def test_corpus_graphs_equal_cold_builds(scenario_dir):
     check_against_cold(merge_scenario(d / "base", d / "left", d / "right"))
 
 
-@pytest.mark.parametrize("workload", ["method-rename", "rename-fanout"])
+@pytest.mark.parametrize("workload, deferred",
+                         [("method-rename", 117), ("rename-fanout", 0)])
 @pytest.mark.parametrize("seed", [1, 4242])
-def test_workload_graphs_equal_cold_builds(workload, seed):
+def test_workload_graphs_equal_cold_builds(workload, deferred, seed):
     wl = bench_gen.generate(workload, seed)
     scenario = parse_versions(wl.base, wl.left, wl.right,
                               merge_texts(wl.base, wl.left, wl.right))
-    check_against_cold(scenario)
+    fw, paths = check_against_cold(scenario)
+    assert (len(paths), len(fw.base.units)) == (deferred, len(wl.base))
+    # the matches scored, printed and took context from changed units only
+    scorer = fw.scorer
+    for graph in (fw.base, fw.left, fw.right, fw.merged):
+        for unit in graph.units:
+            if unit.path in paths:
+                assert not any(ent in scorer._bodies for ent in unit.entities)
+                assert unit.by_id.keys().isdisjoint(
+                    scorer._contexts.get(graph, {}))
 
 
 def test_adding_to_one_graph_leaves_the_others_alone():
@@ -150,7 +176,8 @@ def test_each_read_kind_invalidates_an_unchanged_file(read):
     path, old, new = _LEFT_EDITS[read]
     left = dict(_BASE)
     left[path] = left[path].replace(old, new)
-    fw = check_against_cold(parse_versions(_BASE, left, _BASE, left))
+    fw, deferred = check_against_cold(parse_versions(_BASE, left, _BASE, left))
+    assert "p/Use.java" not in deferred
     use = next(u for u in fw.base.units if u.path == "p/Use.java")
     assert any(kind == read for kind, _arg in use.heads[0].reads) \
         or any(kind == read for kind, _arg in use.heads[0].bodies[0].reads)
@@ -158,6 +185,15 @@ def test_each_read_kind_invalidates_an_unchanged_file(read):
                   or r.src == "compilation-unit:p.Use"}
                  for g in (fw.base, fw.left)]
     assert relations[0] != relations[1]
+
+
+def test_an_edit_of_a_name_use_never_mentions_defers_it():
+    left = dict(_BASE)
+    left["p/Tool.java"] = left["p/Tool.java"].replace(
+        "public class Tool {\n", "public class Tool {\n    int spare;\n")
+    _fw, deferred = check_against_cold(parse_versions(_BASE, left, _BASE,
+                                                      left))
+    assert deferred == set(_BASE) - {"p/Tool.java"}
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +420,7 @@ def _texts(decls) -> dict:
 
 def test_seeded_mutations_equal_cold_builds():
     used: set = set()
-    duplicates = re_resolved = 0
+    duplicates = re_resolved = deferring = 0
     for seed in range(240):
         rng = random.Random(seed)
         base = base_project(rng)
@@ -395,10 +431,11 @@ def test_seeded_mutations_equal_cold_builds():
             am = merge_texts(b, l, r)
         except TextualConflict:
             am = l
-        fw = check_against_cold(parse_versions(b, l, r, am))
+        fw, deferred = check_against_cold(parse_versions(b, l, r, am))
         if fw is None:
             duplicates += 1
             continue
+        deferring += bool(deferred)
         # a unit shared by two versions whose reads answered differently
         units = set(fw.base.units + fw.left.units + fw.right.units
                     + fw.merged.units)
@@ -408,3 +445,4 @@ def test_seeded_mutations_equal_cold_builds():
     assert used == {op.__name__ for op in MUTATIONS}
     assert duplicates >= 10
     assert re_resolved >= 40
+    assert deferring >= 30      # merges that defer some unit's bodies

@@ -7,13 +7,15 @@ range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best of
 the N runs of every stage in ``Report.timings_ms``; the pairs of texts the
 merge's similarity scorer scored (``pairs``, a count that host noise
-cannot move); the best of N times to diff the mined hosts of the merge
-again (``diff``) and the nodes of those hosts' before trees
-(``host_nodes``); the best of N times to read the three input trees
-(``read``), and to ``scan`` and to ``parse_unit`` each distinct (path,
-text) pair of the three versions, with the tokens and nodes of those
-parses; and last ``ref_ms``, the reference job of bench/calib.py
-(imported, not modified), timed before and after the row and averaged:
+cannot move); the files whose bodies the merge never resolved
+(``deferred``, see peg's "Deferred bodies", also a count); the best of N
+times to diff the mined hosts of the merge again (``diff``) and the nodes
+of those hosts' before trees (``host_nodes``); the best of N times to
+read the three input trees (``read``), and to ``scan`` and to
+``parse_unit`` each distinct (path, text) pair of the three versions, with
+the tokens and nodes of those parses; and last ``ref_ms``, the reference
+job of bench/calib.py (imported, not modified), timed before and after the
+row and averaged:
 
 * method-rename at 120, 240, 480 and 960 files;
 * package-rename at 24, 48, 96 and 192 files;
@@ -54,8 +56,8 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "diff", "host_nodes", "read", "scan", "parse",
-                    "tokens", "nodes", "ref_ms")
+COLUMNS = STAGES + ("pairs", "deferred", "diff", "host_nodes", "read",
+                    "scan", "parse", "tokens", "nodes", "ref_ms")
 
 
 def best_ms(repeat: int, job) -> float:
@@ -134,6 +136,8 @@ def main(argv: list[str] | None = None) -> int:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
                 best["pairs"] = run.fourway.scorer.scored
+                # every version holds the units whose bodies it deferred
+                best["deferred"] = len(run.fourway.base.deferred)
                 best.update(diff_columns(run, args.repeat))
                 best.update(front_end_columns(out, args.repeat))
                 best["ref_ms"] = (ref_before
