@@ -108,7 +108,8 @@ def test_corpus_graphs_equal_cold_builds(scenario_dir):
 
 
 @pytest.mark.parametrize("workload, deferred",
-                         [("method-rename", 117), ("rename-fanout", 0)])
+                         [pytest.param("method-rename", 117, id="method-rename"),
+                          pytest.param("rename-fanout", 0, id="rename-fanout")])
 @pytest.mark.parametrize("seed", [1, 4242])
 def test_workload_graphs_equal_cold_builds(workload, deferred, seed):
     wl = bench_gen.generate(workload, seed)
