@@ -234,12 +234,11 @@ class FourWayGraph:
 
 def build_fourway(scenario: MergeScenario) -> FourWayGraph:
     memo: dict = {}     # unit facts shared by the four builds
-    deferred = peg.defer_bodies(
-        (scenario.base, scenario.left, scenario.right, scenario.am), memo)
-    gb = peg.build_peg(scenario.base, "b", memo, deferred)
-    gl = peg.build_peg(scenario.left, "l", memo, deferred)
-    gr = peg.build_peg(scenario.right, "r", memo, deferred)
-    gam = peg.build_peg(scenario.am, "am", memo, deferred)
+    versions = (scenario.base, scenario.left, scenario.right, scenario.am)
+    gb = peg.build_peg(scenario.base, "b", memo, versions)
+    gl = peg.build_peg(scenario.left, "l", memo, versions)
+    gr = peg.build_peg(scenario.right, "r", memo, versions)
+    gam = peg.build_peg(scenario.am, "am", memo, versions)
     scorer = Scorer()
     for ga, gx in ((gb, gl), (gb, gr), (gam, gl), (gam, gr)):
         scorer.expect_match(ga, gx)

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import re
 import sys
+import threading
 from dataclasses import dataclass
 
 from .syntax import TYPE_KEYWORDS, SourceFile, SyntaxNode, SyntaxTree
@@ -121,8 +122,9 @@ _UNTERMINATED = {'"': "unterminated string literal",
                  "'": "unterminated char literal"}
 
 # The deepest nesting a text may have, counted in open type declarations,
-# blocks, if statements (an else-if opens one more), expressions (each
-# argument and initializer one more) and cast operands.  A call nested
+# blocks, expressions (each argument and initializer one more) and cast
+# operands.  An if statement opens no level of its own, its block does, and
+# its else-if arms, read in a loop, open none.  A call nested
 # MAX_NESTING - 3 deep in a method's return statement is the deepest that
 # parses.  The parser spends at most 7 frames per level (an argument of a
 # ``new``: parse_expression, _binary, _postfix, _primary,
@@ -131,6 +133,10 @@ _UNTERMINATED = {'"': "unterminated string literal",
 # spare one per level covering the frames outside the levels.
 MAX_NESTING = 128
 _FRAMES_PER_LEVEL = 8
+
+# held while parse_unit has the interpreter's recursion limit raised, so
+# that no thread restores the limit under another one's parse
+_RECURSION_LIMIT_LOCK = threading.Lock()
 
 # eof entries at the end of the scanned lists: the real eof token plus
 # one more, so that a one-token lookahead from eof stays in range
@@ -563,19 +569,27 @@ class _Parser:
         return cond
 
     def _if_stmt(self) -> SyntaxNode:
-        self._descend()
-        start = self.pos
-        self.expect("if")
-        cond = self._condition()
-        children = [cond, self._block()]
-        if self.texts[self.pos] == "else":
+        """An if and its else-if arms, read in a loop: the arms nest in the
+        tree (each else-if is the last child of the arm before it) but not
+        in the text, so they open no nesting level and take no frames."""
+        texts = self.texts
+        arms: list[tuple[int, list[SyntaxNode]]] = []
+        tail: list[SyntaxNode] = []
+        while True:
+            start = self.pos
+            self.expect("if")
+            cond = self._condition()
+            arms.append((start, [cond, self._block()]))
+            if texts[self.pos] != "else":
+                break
             self.pos += 1
-            if self.texts[self.pos] == "if":
-                children.append(self._if_stmt())
-            else:
-                children.append(self._block())
-        self.depth -= 1
-        return self._node("IfStmt", "", children, start)
+            if texts[self.pos] != "if":
+                tail = [self._block()]
+                break
+        for start, children in reversed(arms):
+            node = self._node("IfStmt", "", children + tail, start)
+            tail = [node]
+        return node
 
     def _for_stmt(self) -> SyntaxNode:
         texts = self.texts
@@ -750,13 +764,14 @@ def parse_unit(path: str, text: str) -> SourceFile:
     """Parse one file; raises ParseError with position info on bad input."""
     parser = _Parser(path, scan(path, text))
     # room for the deepest text the limit admits, however deep the caller;
-    # the recursion limit is the interpreter's, and mergeweaver parses in
-    # one thread
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING)
-    try:
-        root = parser.parse_unit()
-    finally:
-        sys.setrecursionlimit(limit)
+    # the recursion limit is the interpreter's, so one parse at a time
+    # raises it, which costs nothing while the GIL runs one thread anyway
+    with _RECURSION_LIMIT_LOCK:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING)
+        try:
+            root = parser.parse_unit()
+        finally:
+            sys.setrecursionlimit(limit)
     return SourceFile(path=path, text=text,
                       tree=SyntaxTree(root, assign_ids=True))

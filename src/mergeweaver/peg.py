@@ -38,20 +38,21 @@ This is the verifying-trace rule of Mokhov, Mitchell and Peyton Jones,
 assembled per version, entities keep the insertion order of a build from
 scratch, and an empty memo is that build.
 
-Deferred bodies.  A file every version shares can only make a body edit
-if a name its bodies use means something else in another version.  Before
-its four builds, ``build_fourway`` asks ``defer_bodies`` for the units
-whose bodies no build needs.  ``build_peg`` skips those bodies, keeping
-each unit with its head in ``EntityGraph.deferred``; declarations and
-heads stay eager.  ``EntityGraph.resolve_deferred`` completes a graph
-(``--dump-peg`` and the unit-facts oracle call it), and a build given no
-deferred units is the full build.  A unit is deferred when all four
-versions hold its SourceFile, they agree on every fact not keyed by a
+Deferred bodies.  A file every version shares can only make a body edit if
+a name its bodies use means something else in another version.
+``build_fourway`` passes all four versions to each of its builds; the first
+asks ``defer_bodies`` for the units whose bodies no build needs, and the
+memo keeps the answer for the other three.  ``build_peg`` skips those
+bodies, keeping each unit with its head in ``EntityGraph.deferred``;
+declarations and heads stay eager.  ``EntityGraph.resolve_deferred``
+completes a graph (``--dump-peg`` and the unit-facts oracle call it), and a
+build given no versions is the full build.  A unit is deferred when all
+four versions hold its SourceFile, they agree on every fact not keyed by a
 member name (the type ids, stubs included; the packages; each type's
 extends clause with its file's package, imports and types), and no
 identifier of the unit's text ends in a dirty name.  A name is dirty when,
-for some type, the ids of its members of that simple name, in order, or
-the declared type of its field of that name differ between versions.  Each
+for some type, the ids of its members of that simple name, in order, or the
+declared type of its field of that name differ between versions.  Each
 read a body makes then answers the same in every version:
 
 * a type fqn and a package: the type ids, stubs and packages are equal;
@@ -74,7 +75,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (Callable, Collection, Iterable, NamedTuple, Optional,
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .printer import pretty_print
@@ -380,15 +381,23 @@ def _relation(src: Entity, dst: Entity, kind: str) -> Relation:
 
 def build_peg(files: dict[str, SourceFile], version: str,
               memo: Optional[dict] = None,
-              deferred: Collection[_Unit] = frozenset()) -> EntityGraph:
+              versions: Sequence[dict[str, SourceFile]] = ()) -> EntityGraph:
     """The entity graph of one version.
 
     ``memo`` maps (path, id of the SourceFile) to that file's unit facts;
     the builds of one merge may share it (see the module docstring).  The
-    bodies of the units in ``deferred``, which ``defer_bodies`` picks from
-    the same memo, are left for ``EntityGraph.resolve_deferred``.
+    builds that also pass ``versions``, the files of every version of the
+    merge, leave the bodies ``defer_bodies`` picks for
+    ``EntityGraph.resolve_deferred``; the first of them picks the units and
+    keeps them in the memo under ``"deferred"``.  Without ``versions`` the
+    build is full.
     """
     memo = {} if memo is None else memo
+    deferred: frozenset[_Unit] = frozenset()
+    if versions:
+        deferred = memo.get("deferred")
+        if deferred is None:
+            deferred = memo["deferred"] = defer_bodies(versions, memo)
     graph = EntityGraph(version)
     project = graph.add_entity(Entity("project", "<project>"))
 
@@ -401,9 +410,8 @@ def build_peg(files: dict[str, SourceFile], version: str,
         units.append(unit)
 
     for unit in units:
-        for name in unit.imports:
-            if not name.endswith(".*") and graph.find_type(name) is None:
-                graph.add_entity(Entity("class", name, stub=True))
+        for name in _stubbed(unit.imports, graph.find_type):
+            graph.add_entity(Entity("class", name, stub=True))
 
     heads = [unit.head(graph) for unit in units]
     for head in heads:
@@ -415,6 +423,15 @@ def build_peg(files: dict[str, SourceFile], version: str,
         else:
             graph.relations.update(unit.body(head, graph).relations)
     return graph
+
+
+def _stubbed(imports: Iterable[str],
+             declares: Callable[[str], object]) -> Iterator[str]:
+    """The imports a version stubs: each single-type import of a name that
+    ``declares`` finds no type for, asked as the import is reached."""
+    for name in imports:
+        if not name.endswith(".*") and not declares(name):
+            yield name
 
 
 def _unit_of(memo: dict, path: str, src: SourceFile) -> _Unit:
@@ -473,7 +490,7 @@ def _symbol_frame(units: list[_Unit],
         imports.update(unit.imports)
         packages.add(unit.package)
     declared = fqns.union(tid.split(":", 1)[1] for tid in heads)
-    stubs = {name for name in imports - declared if not name.endswith(".*")}
+    stubs = set(_stubbed(imports, declared.__contains__))
     return (heads, packages, stubs), named
 
 

@@ -148,14 +148,17 @@ def structurally_equal(a: SyntaxNode, b: SyntaxNode) -> bool:
 
 
 def clone_node(node: SyntaxNode) -> SyntaxNode:
-    """Deep copy preserving ids and spans."""
-    return SyntaxNode(
-        kind=node.kind,
-        value=node.value,
-        children=[clone_node(c) for c in node.children],
-        span=node.span,
-        id=node.id,
-    )
+    """Deep copy preserving ids and spans; an explicit stack, so the copy
+    takes no frames however deep the tree."""
+    root = SyntaxNode(node.kind, node.value, [], node.span, node.id)
+    stack = [(node, root)]
+    while stack:
+        src, dst = stack.pop()
+        for c in src.children:
+            copy = SyntaxNode(c.kind, c.value, [], c.span, c.id)
+            dst.children.append(copy)
+            stack.append((c, copy))
+    return root
 
 
 class SyntaxTree:

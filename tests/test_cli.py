@@ -298,6 +298,31 @@ def test_the_deepest_text_the_parser_accepts_resolves(tmp_path, capsys, nest):
                    % _deep_member(nest, k + 1, "g"))
 
 
+def test_a_long_else_if_chain_parses_and_resolves(tmp_path, capsys):
+    # an else-if chain opens no nesting level, so a generated dispatch of
+    # 400 arms, with Lib.g called in its last one, merges like any method
+    def legs(name: str, use: str) -> dict:
+        arms = "".join(" else if (x == %d) {\n            x = %d;\n        }"
+                       % (i, i) for i in range(1, 400))
+        return {
+            "Lib.java": ("public class Lib {\n    public int %s(int x) {\n"
+                         "        return x;\n    }\n}\n" % name).encode(),
+            "Deep.java": ("public class Deep extends Lib {\n    public int "
+                          "m(int x) {\n        if (x == 0) {\n            "
+                          "x = 1;\n        }%s else {\n            x = "
+                          "%s(1);\n        }\n        return x;\n    }\n}\n"
+                          % (arms, name)).encode(),
+            "Use.java": ("public class Use extends Lib {\n%s}\n"
+                         % use).encode()}
+    call = "    int v() {\n        return g(2);\n    }\n"
+    _write_legs(tmp_path, {"base": legs("g", ""), "left": legs("h", ""),
+                           "right": legs("g", call)})
+    assert main(args_for("resolve", scenario=tmp_path, no_timing=True)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["conflicts"]) == 1
+    assert "rule" in {r["strategy"] for r in doc["resolutions"]}
+
+
 @pytest.mark.parametrize("member, message", [
     ("void f(int a int b) { }", "4:18: expected ',' or ')' but found 'int'"),
     ("void f() { g(a b); }", "4:20: expected ',' or ')' but found 'b'"),

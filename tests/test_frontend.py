@@ -1,6 +1,8 @@
 """Parser and printer: round-trips, node shapes, spans, error paths."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -187,8 +189,6 @@ NESTINGS = {
     "blocks": lambda k: "class A { void m() { %s%s } }" % ("{ " * k, "}" * k),
     "ifs": lambda k: "class A { void m() { %s%s } }"
                      % ("if (a) { " * k, "}" * k),
-    "else-ifs": lambda k: "class A { void m() { if (a) { }%s } }"
-                          % (" else if (a) { }" * k),
     "types": lambda k: "class A { %s%s }" % ("class B { " * k, "}" * k),
     "assignments": lambda k: "class A { void m() { %s1; } }" % ("a = " * k),
 }
@@ -235,5 +235,60 @@ def test_the_nesting_limit_counts_productions():
     # the class, the method body and the returned expression are three
     # levels, and each call's argument one more
     assert _deepest(NESTINGS["calls"]) == MAX_NESTING - 3
-    # each if opens itself and its block
-    assert _deepest(NESTINGS["ifs"]) == (MAX_NESTING - 2) // 2
+    # an if opens only its block, so it nests as deep as a bare block
+    assert _deepest(NESTINGS["ifs"]) == _deepest(NESTINGS["blocks"]) \
+        == MAX_NESTING - 2
+
+
+def test_threads_parsing_at_the_limit_keep_their_verdicts():
+    # parse_unit raises the interpreter-wide recursion limit for a parse;
+    # no thread may restore it under another thread's parse
+    at = NESTINGS["calls"](MAX_NESTING - 3)
+    past = NESTINGS["calls"](MAX_NESTING - 2)
+    expected = (_verdict(at), _verdict(past))
+    limit = sys.getrecursionlimit()
+    verdicts = []
+
+    def work(extra: int) -> None:
+        for _ in range(5):
+            verdicts.append((_verdict(at, extra), _verdict(past, extra)))
+
+    threads = [threading.Thread(target=work, args=(extra,))
+               for extra in (0, 200, 400, 600)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert verdicts == [expected] * 20
+    assert sys.getrecursionlimit() == limit
+
+
+def test_an_else_if_chain_opens_no_nesting_level():
+    # the arms of a chain follow one another in the text, so a chain far
+    # longer than MAX_NESTING parses from any stack, into the same nested
+    # IfStmt nodes, each the last child of the arm before it
+    k = 8 * MAX_NESTING
+    text = "class A { void m() { if (a) { }%s else { b(); } } }" % "".join(
+        " else if (a%d) { }" % i for i in range(k))
+    for extra in (0, 600):
+        assert _verdict(text, extra) == "parsed"
+    tree = parse_unit("A.java", text).tree
+    node = tree.root
+    while node.kind != "IfStmt":
+        node = node.children[-1]
+    arms = 0
+    while node.kind == "IfStmt":
+        arms += 1
+        assert len(node.children) == 3
+        node = node.children[-1]
+    assert arms == k + 1 and node.kind == "Block"
+    printed = pretty_print(tree)
+    assert printed.count("} else if (a") == k
+    assert structurally_equal(parse_unit("A.java", printed).tree.root,
+                              tree.root)

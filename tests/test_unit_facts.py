@@ -30,6 +30,7 @@ from typing import Optional
 import pytest
 
 from conftest import FANOUT, bench_gen, merge_inputs
+from mergeweaver import peg
 from mergeweaver.graph_diff import build_fourway, diff_graphs
 from mergeweaver.merge3 import (TextualConflict, merge_scenario, merge_texts,
                                 parse_versions)
@@ -195,6 +196,21 @@ def test_an_edit_of_a_name_use_never_mentions_defers_it():
     _fw, deferred = check_against_cold(parse_versions(_BASE, left, _BASE,
                                                       left))
     assert deferred == set(_BASE) - {"p/Tool.java"}
+
+
+def test_the_first_build_picks_the_deferred_units(monkeypatch):
+    # so the pick is part of graph building, inside build_peg
+    picks = []
+    pick = peg.defer_bodies
+    monkeypatch.setattr(peg, "defer_bodies", lambda versions, memo: (
+        picks.append(len(versions)) or pick(versions, memo)))
+    fw = build_fourway(parse_versions(_BASE, _BASE, _BASE, _BASE))
+    assert picks == [4]
+    for graph in (fw.base, fw.left, fw.right, fw.merged):
+        assert {unit.path for unit, _head in graph.deferred} == set(_BASE)
+    # a build given no versions is the full build
+    assert not build_peg(parse_versions(_BASE, _BASE, _BASE, _BASE).base,
+                         "b").deferred
 
 
 # ---------------------------------------------------------------------------
