@@ -136,7 +136,8 @@ def _run(args: argparse.Namespace) -> ScenarioRun:
     scorer = run.fourway.scorer
     _trace(args.trace,
            f"similarity: {scorer.profiled} text(s) profiled, "
-           f"{scorer.scored} pair(s) scored, {scorer.hits} memo hit(s)")
+           f"{scorer.grams} gram(s), {scorer.scored} pair(s) scored, "
+           f"{scorer.hits} memo hit(s)")
     return run
 
 

@@ -349,15 +349,20 @@ def _lca(tree: SyntaxTree, nodes: list[SyntaxNode]) -> SyntaxNode:
 
 def _clone_live(node: SyntaxNode, live: set[int]) -> SyntaxNode:
     """Clone node, leaving out each statement and else branch below it
-    that holds no live node."""
-    children = []
-    for i, child in enumerate(node.children):
-        droppable = child.kind in STATEMENT_KINDS \
-            or (node.kind == "IfStmt" and i == 2)
-        if child.id in live or not droppable:
-            children.append(_clone_live(child, live))
-    return SyntaxNode(kind=node.kind, value=node.value, children=children,
-                      span=node.span, id=node.id)
+    that holds no live node; an explicit stack, so no frame per level."""
+    root = SyntaxNode(node.kind, node.value, [], node.span, node.id)
+    stack = [(node, root)]
+    while stack:
+        src, dst = stack.pop()
+        for i, child in enumerate(src.children):
+            droppable = child.kind in STATEMENT_KINDS \
+                or (src.kind == "IfStmt" and i == 2)
+            if child.id in live or not droppable:
+                copy = SyntaxNode(child.kind, child.value, [], child.span,
+                                  child.id)
+                dst.children.append(copy)
+                stack.append((child, copy))
+    return root
 
 
 def infer_pattern(example: "EditExample",

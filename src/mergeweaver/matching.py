@@ -221,13 +221,18 @@ def _depth(tree: SyntaxTree, node: SyntaxNode) -> int:
 
 def _map_pair(p: SyntaxNode, w: SyntaxNode,
               mapping: dict[int, SyntaxNode]) -> None:
-    mapping[p.id] = w
-    sm = SequenceMatcher(a=[c.kind for c in p.children],
-                         b=[c.kind for c in w.children], autojunk=False)
-    for block in sm.get_matching_blocks():
-        for k in range(block.size):
-            _map_pair(p.children[block.a + k], w.children[block.b + k],
-                      mapping)
+    """Maps p's subtree onto w's, children aligned by kind; an explicit
+    stack, so no frame per tree level."""
+    stack = [(p, w)]
+    while stack:
+        p, w = stack.pop()
+        mapping[p.id] = w
+        sm = SequenceMatcher(a=[c.kind for c in p.children],
+                             b=[c.kind for c in w.children], autojunk=False)
+        for block in sm.get_matching_blocks():
+            for k in range(block.size):
+                stack.append((p.children[block.a + k],
+                              w.children[block.b + k]))
 
 
 def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,

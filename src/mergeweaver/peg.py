@@ -811,14 +811,16 @@ class _Resolver:
             for expr in stmt.children:
                 self._walk_expr(expr, member, type_ent, scopes)
         elif k == "IfStmt":
-            self._walk_expr(stmt.children[0], member, type_ent, scopes)
-            self._walk_block(stmt.children[1], member, type_ent, scopes)
-            if len(stmt.children) > 2:
-                tail = stmt.children[2]
-                if tail.kind == "Block":
-                    self._walk_block(tail, member, type_ent, scopes)
-                else:
-                    self._walk_stmt(tail, member, type_ent, scopes)
+            # an else-if chain in a loop, however long
+            while True:
+                self._walk_expr(stmt.children[0], member, type_ent, scopes)
+                self._walk_block(stmt.children[1], member, type_ent, scopes)
+                if len(stmt.children) < 3:
+                    break
+                stmt = stmt.children[2]
+                if stmt.kind != "IfStmt":
+                    self._walk_stmt(stmt, member, type_ent, scopes)
+                    break
         elif k == "WhileStmt":
             self._walk_expr(stmt.children[0], member, type_ent, scopes)
             self._walk_block(stmt.children[1], member, type_ent, scopes)

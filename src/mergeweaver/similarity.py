@@ -4,12 +4,26 @@ Dice coefficient over the multisets of character 3-grams of two texts.
 Strings shorter than three characters contribute themselves as a single
 gram so the metric stays defined (and equal strings always score 1.0).
 
-A profile holds a text's multiset as a set: the k-th repeat (k >= 1) of a
-gram is stored as the gram followed by ``str(k)``.  A plain gram has three
-characters and a tagged one at least four, and a tagged gram splits back
-into its gram and its k, so no two occurrences collide.  The size of the
-intersection of two such sets is then the size of the multiset
-intersection: the same integer over the same total, so the same float.
+A text's multiset is read as a set of occurrence-tagged grams: the k-th
+repeat (k >= 1) of a gram is the gram followed by ``str(k)``.  A plain
+gram has three characters, a tagged one at least four and a short text's
+gram at most two, and a tagged gram splits back into its gram and its k,
+so no two occurrences collide.  Two texts then share min(m, n) tags of a
+gram they hold m and n times, so the size of the intersection of their
+tag sets is the size of the multiset intersection.
+
+The kernel is bit-parallel.  Each Scorer interns every tag it meets to a
+dense bit index, its vocabulary, and keeps a profiled text as ``(mask,
+size)``: an ``int`` with the bits of the text's tags set, and the count
+of its grams.  A pair of texts scores ``2.0 * (ma & mb).bit_count() /
+(na + nb)``.  Within one vocabulary a bit stands for exactly one tag, so
+the popcount is the same integer as the multiset intersection, over the
+same total, and the float is the same as the Counter arithmetic gives.
+Which bit a tag gets depends on the order the texts arrive in; no
+popcount does.  A mask is built by setting the bits of a bytearray, one
+per tag, and reading it as an ``int`` once, so it costs O(grams + V/8)
+for a vocabulary of V tags rather than one V-bit OR per gram; an AND
+reads at most V/30 of CPython's 30-bit digits.
 
 Both trigram searches of a merge, the entity graph matcher (graph_diff)
 and the anchor search (matching), score through one Scorer, which
@@ -19,44 +33,21 @@ it builds each graph's context strings with one relation scan, made on
 the first request and covering only the entities a match of the merge
 leaves unmatched by id.  No context string needs a deferred body's
 relation (see peg's "Deferred bodies"): those join entities every graph
-holds, which each match pairs by id.  The memo lives as long as the merge
-and no longer; the module holds none.
+holds, which each match pairs by id.  The vocabulary, the masks and the
+memo live as long as the merge and no longer; the module holds none, and
+masks of two Scorers are never compared.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .peg import Entity, EntityGraph
-
-# (text, its occurrence-tagged trigram set, the multiset's size)
-Profile = tuple[str, frozenset, int]
-
-
-def profile(text: str) -> Profile:
-    if len(text) < 3:
-        return text, frozenset((text,)), 1
-    grams = [text[i:i + 3] for i in range(len(text) - 2)]
-    tagged = set(grams)
-    if len(tagged) < len(grams):
-        repeats: dict[str, int] = {}
-        tagged = set()
-        for gram in grams:
-            k = repeats.get(gram, 0)
-            repeats[gram] = k + 1
-            tagged.add(gram + str(k) if k else gram)
-    return text, frozenset(tagged), len(grams)
-
-
-def profile_similarity(a: Profile, b: Profile) -> float:
-    """trigram_similarity of two profiled texts."""
-    if a[0] == b[0]:
-        return 1.0
-    return 2.0 * len(a[1] & b[1]) / (a[2] + b[2])
 
 
 def trigram_similarity(a: str, b: str) -> float:
-    if a == b:
-        return 1.0
-    return profile_similarity(profile(a), profile(b))
+    """The similarity of two texts, scored by a Scorer of their own."""
+    return Scorer().similarity(a, b)
 
 
 class Scorer:
@@ -64,11 +55,14 @@ class Scorer:
 
     ``profiled`` counts the texts profiled, ``scored`` the pairs of unequal
     texts scored, and ``hits`` the calls of ``similarity`` that the memo
-    answered.
+    answered; ``grams`` is the size of the vocabulary.
     """
 
     def __init__(self) -> None:
-        self._profiles: dict[str, Profile] = {}
+        # the vocabulary: each occurrence-tagged gram's bit
+        self._vocab: dict[str, int] = {}
+        # each profiled text's (mask, size)
+        self._masks: dict[str, tuple[int, int]] = {}
         self._scores: dict[tuple[str, str], float] = {}
         # keyed by the entity, which holds its declaration, so no id() in
         # a key can be reused; a package is its own graph's entity
@@ -79,6 +73,11 @@ class Scorer:
         self.scored = 0
         self.hits = 0
 
+    @property
+    def grams(self) -> int:
+        """The tags the vocabulary holds: the width of a mask in bits."""
+        return len(self._vocab)
+
     def similarity(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
@@ -88,15 +87,32 @@ class Scorer:
             self.hits += 1
             return sim
         self.scored += 1
-        sim = self._scores[key] = profile_similarity(self._profile(a),
-                                                     self._profile(b))
+        masks = self._masks
+        ma, na = masks.get(a) or self._profile(a)
+        mb, nb = masks.get(b) or self._profile(b)
+        sim = self._scores[key] = 2.0 * (ma & mb).bit_count() / (na + nb)
         return sim
 
-    def _profile(self, text: str) -> Profile:
-        got = self._profiles.get(text)
-        if got is None:
-            self.profiled += 1
-            got = self._profiles[text] = profile(text)
+    def _profile(self, text: str) -> tuple[int, int]:
+        """text's (mask, size), kept for the merge."""
+        self.profiled += 1
+        grams = [text[i:i + 3] for i in range(len(text) - 2)] \
+            if len(text) >= 3 else [text]
+        counts = Counter(grams)
+        vocab = self._vocab
+        intern = vocab.setdefault
+        # each gram adds at most one tag to the vocabulary
+        buf = bytearray((len(vocab) + len(grams) + 7) >> 3)
+        for gram in counts:
+            bit = intern(gram, len(vocab))
+            buf[bit >> 3] |= 1 << (bit & 7)
+        if len(counts) < len(grams):
+            for gram, n in counts.items():
+                if n > 1:
+                    for k in range(1, n):
+                        bit = intern(gram + str(k), len(vocab))
+                        buf[bit >> 3] |= 1 << (bit & 7)
+        got = self._masks[text] = (int.from_bytes(buf, "little"), len(grams))
         return got
 
     def body_text(self, graph: EntityGraph, entity: Entity) -> str:
@@ -117,7 +133,9 @@ class Scorer:
         """``entity``'s context string.  The first request in a graph
         scans its relations once for every entity an expected match may
         ask for."""
-        table = self._contexts.setdefault(graph, {})
+        table = self._contexts.get(graph)
+        if table is None:
+            table = self._contexts[graph] = {}
         text = table.get(entity.id)
         if text is None:
             wanted = self._unmatched.get(graph, set()) - table.keys()

@@ -239,20 +239,27 @@ class SyntaxTree:
         if self._shared:
             raise ValueError("a tree shared with a clone is read-only")
         node = self.node(node_id)
-        if self._base is None or self._copies.get(node_id) is node:
+        if self._base is None:
             return node
-        parent = self.parent(node)
-        copy = SyntaxNode(node.kind, node.value, list(node.children),
-                          node.span, node_id)
-        self._copies[node_id] = self._by_id[node_id] = copy
-        for child in copy.children:
-            self._parents[child.id] = copy
-        if parent is None:
-            self.root = copy
-        else:
-            siblings = self._writable(parent.id).children
-            siblings[siblings.index(node)] = copy
-        return copy
+        # the shared path up to the first written ancestor, copied from
+        # the top down; an explicit stack, so no frame per tree level
+        path = []
+        while node is not None and self._copies.get(node.id) is not node:
+            path.append(node)
+            node = self.parent(node)
+        for shared in reversed(path):
+            copy = SyntaxNode(shared.kind, shared.value,
+                              list(shared.children), shared.span, shared.id)
+            self._copies[shared.id] = self._by_id[shared.id] = copy
+            for child in copy.children:
+                self._parents[child.id] = copy
+            if node is None:
+                self.root = copy
+            else:
+                siblings = node.children
+                siblings[siblings.index(shared)] = copy
+            node = copy
+        return node
 
     def insert(self, parent: SyntaxNode, index: int,
                subtree: SyntaxNode) -> None:

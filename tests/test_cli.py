@@ -162,8 +162,9 @@ def test_resolve_trace_prints_the_similarity_counts(capsys):
              if line.startswith("similarity:")]
     scorer = run_scenario(FANOUT / "base", FANOUT / "left",
                           FANOUT / "right").fourway.scorer
-    assert scorer.profiled and scorer.scored and scorer.hits
+    assert scorer.profiled and scorer.grams and scorer.scored and scorer.hits
     assert lines == [f"similarity: {scorer.profiled} text(s) profiled, "
+                     f"{scorer.grams} gram(s), "
                      f"{scorer.scored} pair(s) scored, "
                      f"{scorer.hits} memo hit(s)"]
     # the report does not change with the trace
@@ -299,28 +300,34 @@ def test_the_deepest_text_the_parser_accepts_resolves(tmp_path, capsys, nest):
 
 
 def test_a_long_else_if_chain_parses_and_resolves(tmp_path, capsys):
-    # an else-if chain opens no nesting level, so a generated dispatch of
-    # 400 arms, with Lib.g called in its last one, merges like any method
-    def legs(name: str, use: str) -> dict:
-        arms = "".join(" else if (x == %d) {\n            x = %d;\n        }"
-                       % (i, i) for i in range(1, 400))
+    # an else-if chain opens no nesting level, and no walk past the parser
+    # takes a frame per arm, so a generated dispatch of thousands of arms,
+    # with Lib.g called in its first and last ones, merges like any method
+    def legs(arms: int, name: str, use: str) -> dict:
+        chain = "".join(" else if (x == %d) {\n            x = %d;\n        }"
+                        % (i, i) for i in range(1, arms))
         return {
             "Lib.java": ("public class Lib {\n    public int %s(int x) {\n"
                          "        return x;\n    }\n}\n" % name).encode(),
             "Deep.java": ("public class Deep extends Lib {\n    public int "
                           "m(int x) {\n        if (x == 0) {\n            "
-                          "x = 1;\n        }%s else {\n            x = "
+                          "x = %s(0);\n        }%s else {\n            x = "
                           "%s(1);\n        }\n        return x;\n    }\n}\n"
-                          % (arms, name)).encode(),
+                          % (name, chain, name)).encode(),
             "Use.java": ("public class Use extends Lib {\n%s}\n"
                          % use).encode()}
     call = "    int v() {\n        return g(2);\n    }\n"
-    _write_legs(tmp_path, {"base": legs("g", ""), "left": legs("h", ""),
-                           "right": legs("g", call)})
-    assert main(args_for("resolve", scenario=tmp_path, no_timing=True)) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["conflicts"]) == 1
-    assert "rule" in {r["strategy"] for r in doc["resolutions"]}
+    for arms in (1000, 3000):
+        scenario = tmp_path / str(arms)
+        scenario.mkdir()
+        _write_legs(scenario, {"base": legs(arms, "g", ""),
+                               "left": legs(arms, "h", ""),
+                               "right": legs(arms, "g", call)})
+        assert main(args_for("resolve", scenario=scenario,
+                             no_timing=True)) == 0, arms
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["conflicts"]) == 1, arms
+        assert "rule" in {r["strategy"] for r in doc["resolutions"]}, arms
 
 
 @pytest.mark.parametrize("member, message", [

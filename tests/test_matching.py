@@ -6,17 +6,18 @@ import random
 
 import pytest
 
+import reference_similarity_search as ref
 from conftest import CORPUS, FANOUT, parse_snippet, run_corpus
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.inference import NoRelevantEdit, infer_pattern
 from mergeweaver.matching import (ANCHOR_THRESHOLD, SIM_THRESHOLD, MatchSet,
-                                  MergedMember, NoAnchor, _score,
+                                  MergedMember, NoAnchor, _map_pair, _score,
                                   match_context, rank_candidates,
                                   resolve_by_example)
 from mergeweaver.mining import mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import statement_header_text
-from mergeweaver.similarity import Scorer, profile, profile_similarity
+from mergeweaver.similarity import Scorer, trigram_similarity
 from mergeweaver.syntax import SyntaxTree
 
 
@@ -37,8 +38,8 @@ def stmt_from(text: str):
 
 def fresh_score(p, m) -> float:
     """The anchor score of two statements, each profiled afresh."""
-    return _score(p, m, profile_similarity(profile(statement_header_text(p)),
-                                           profile(statement_header_text(m))))
+    return _score(p, m, trigram_similarity(statement_header_text(p),
+                                           statement_header_text(m)))
 
 
 def test_score_identical_statement_is_two():
@@ -256,6 +257,27 @@ def test_merged_member_profiles_every_statement():
     assert list(member.headers) == member.statements
     for stmt, text in member.headers.items():
         assert text == statement_header_text(stmt)
-        # profiled through the scorer, each header is a fresh profile
-        assert scorer._profile(text) == profile(text)
-    assert scorer.profiled == len(set(member.headers.values()))
+    # scored through the scorer, every header pair scores as afresh and as
+    # the Counter reference does, and each header is profiled once
+    texts = sorted(set(member.headers.values()))
+    for a in texts:
+        for b in texts:
+            sim = scorer.similarity(a, b)
+            assert sim == Scorer().similarity(a, b)
+            assert sim == ref.profile_similarity(ref.profile(a),
+                                                 ref.profile(b))
+    assert scorer.profiled == len(texts)
+
+
+def test_the_statement_mapping_walks_a_long_else_if_chain():
+    # the chain nests one IfStmt per arm; the mapping takes no frame per
+    # level, so 3 000 arms map as a short chain does
+    arms = "".join(" else if (x == %d) { x = %d; }" % (i, i)
+                   for i in range(1, 3000))
+    tree = parse_snippet("class T { void m(int x) { if (x == 0) { x = 1; }"
+                         "%s } }" % arms).tree
+    top = next(n for n in tree.nodes() if n.kind == "IfStmt")
+    mapping = {}
+    _map_pair(top, top, mapping)
+    assert len(mapping) == sum(1 for _ in top.walk())
+    assert all(mapping[n.id] is n for n in top.walk())

@@ -31,6 +31,7 @@ import types
 import pytest
 
 import reference_inference as ref
+import reference_similarity_search as ref_sim
 from conftest import CORPUS, FANOUT, merge_inputs
 from mergeweaver.conflicts import Conflict
 from mergeweaver.inference import (TransformationPattern, name_index,
@@ -45,7 +46,7 @@ from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
 from mergeweaver.rules import (RULES, NotCovered, TargetMissing,
                               resolve_by_rule)
-from mergeweaver.similarity import profile
+from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxTree, clone_node,
                                 structurally_equal)
 from mergeweaver.tree_diff import diff_trees
@@ -133,7 +134,15 @@ def test_memoized_merged_members_stay_equal_to_a_fresh_parse():
             for node, text in member.headers.items():
                 assert text == statement_header_text(
                     fresh_tree.node(node.id)), key
-                assert member.scorer._profile(text) == profile(text), key
+            # the merge's memoized scores of these headers equal a fresh
+            # Scorer's and the Counter reference's
+            texts = sorted(set(member.headers.values()))
+            for a in texts:
+                for b in texts:
+                    sim = member.scorer.similarity(a, b)
+                    assert sim == Scorer().similarity(a, b), key
+                    assert sim == ref_sim.profile_similarity(
+                        ref_sim.profile(a), ref_sim.profile(b)), key
             checked += 1
     assert checked >= 12            # 11 corpus members, 1 fanout member
 

@@ -1,12 +1,16 @@
-"""The set kernel against the Counter arithmetic it replaced.
+"""The mask kernel against the Counter arithmetic it replaced.
 
-A profile stores the k-th repeat of a gram as the gram followed by k, and
-profile_similarity takes the size of a set intersection; the reference
-below builds the Counter ``a & b`` as the earlier code did.  The floats
-must be equal, not close: the anchor bar and the graph matcher's threshold
-compare them exactly.  Besides random and edge-case strings, every pair of
-texts that either search scores on the merge inputs and the generated
-workloads is checked, with the score the merge's Scorer kept for it.
+A Scorer reads a text's multiset of grams as a set of occurrence-tagged
+grams (the k-th repeat of a gram is the gram followed by k), interns each
+tag to a bit, and takes the popcount of the AND of two masks; the
+reference below builds the Counter ``a & b`` as the earlier code did.  The
+floats must be equal, not close: the anchor bar and the graph matcher's
+threshold compare them exactly.  Besides random and edge-case strings,
+texts profiled while the vocabulary was narrow are scored against texts
+profiled after it grew past one and past sixteen 64-bit words, and every
+pair of texts that either search scores on the merge inputs and the
+generated workloads is checked, with the score the merge's Scorer kept for
+it.
 """
 
 import itertools
@@ -16,8 +20,7 @@ from conftest import FANOUT, merge_inputs
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import statement_header_text
-from mergeweaver.similarity import (Scorer, profile, profile_similarity,
-                                    trigram_similarity)
+from mergeweaver.similarity import Scorer, trigram_similarity
 from mergeweaver.syntax import STATEMENT_KINDS
 from reference_similarity_search import trigrams
 
@@ -33,14 +36,17 @@ def reference_similarity(a: str, b: str) -> float:
 
 
 def assert_same_on_all_pairs(texts: list[str]) -> int:
-    profiles = {t: profile(t) for t in texts}
-    scorer = Scorer()
+    # two vocabularies that meet the texts in opposite orders, so the
+    # same tag gets different bits in each
+    forward, backward = Scorer(), Scorer()
+    for text in reversed(texts):
+        backward.similarity(text, "")
     pairs = 0
     for a, b in itertools.product(texts, repeat=2):
         want = reference_similarity(a, b)
-        assert profile_similarity(profiles[a], profiles[b]) == want, (a, b)
         assert trigram_similarity(a, b) == want, (a, b)
-        assert scorer.similarity(a, b) == want, (a, b)
+        assert forward.similarity(a, b) == want, (a, b)
+        assert backward.similarity(a, b) == want, (a, b)
         pairs += 1
     return pairs
 
@@ -59,21 +65,62 @@ def test_short_equal_and_empty_strings():
     texts = ["", "a", "b", "ab", "ba", "aa", "abc", "aaa", "aaaa", "abab",
              "x.run(1)", "x.run(1)", "aaaaa", "aa1", "aaa1", "aaaaaa1"]
     assert_same_on_all_pairs(texts)
-    assert profile_similarity(profile(""), profile("")) == 1.0
-    assert profile_similarity(profile("ab"), profile("ab")) == 1.0
-    assert profile_similarity(profile("ab"), profile("abc")) == 0.0
+    assert trigram_similarity("", "") == 1.0
+    assert trigram_similarity("ab", "ab") == 1.0
+    assert trigram_similarity("ab", "abc") == 0.0
+    scorer = Scorer()
     # "aaaa" has the gram "aaa" twice; "aaa" once: overlap is min(2, 1)
-    assert profile_similarity(profile("aaaa"), profile("aaa")) == 2.0 / 3
-    # the second "aaa" is tagged "aaa1", which no plain gram can equal
-    assert profile("aaaa")[1] == {"aaa", "aaa1"}
-    assert profile("aaa1")[1] == {"aaa", "aa1"}
+    assert scorer.similarity("aaaa", "aaa") == 2.0 / 3
+    # the second "aaa" is tagged "aaa1", a tag of its own
+    assert scorer.grams == 2
+    # which no plain gram can equal: "aaa1" brings "aa1" only
+    assert scorer.similarity("aaa1", "aaaa") == 2.0 / 4
+    assert scorer.grams == 3
 
 
 def test_profile_size_counts_every_occurrence():
     for text in ("", "a", "abc", "aaaa", "abcabcabc", "x.run(x.run(1))"):
-        grams = trigrams(text)
-        _text, tagged, size = profile(text)
-        assert size == sum(grams.values()) == len(tagged), text
+        scorer = Scorer()
+        # a one-character gram no trigram of text can equal
+        scorer.similarity(text, "#")
+        assert scorer.profiled == 2, text
+        assert scorer.grams == sum(trigrams(text).values()) + 1, text
+
+
+def _grown_texts(rnd: random.Random, count: int) -> list[str]:
+    """Texts sharing a few common grams, each also bringing new ones."""
+    common = ["foo.bar(", "x = x + 1;", "aaaaaa", "return "]
+    wide = "".join(chr(c) for c in range(0x100, 0x180))
+    return [rnd.choice(common)
+            + "".join(rnd.choice(wide) for _ in range(rnd.randint(3, 40)))
+            + rnd.choice(common) for _ in range(count)]
+
+
+def test_masks_of_different_widths_score_as_the_reference():
+    rnd = random.Random(17)
+    scorer = Scorer()
+    texts: list[str] = []
+    widths: list[int] = []          # the vocabulary after each text
+    for text in _grown_texts(rnd, 160):
+        for old in texts:
+            want = reference_similarity(old, text)
+            assert scorer.similarity(old, text) == want, (old, text)
+            assert scorer.similarity(text, old) == want, (old, text)
+        scorer.similarity(text, text + "#")
+        texts.append(text)
+        widths.append(scorer.grams)
+    # the first texts fit one word, the last need more than sixteen
+    assert widths[0] < 64 and widths[-1] > 1024
+    early = [t for t, w in zip(texts, widths) if w <= 64]
+    late = [t for t, w in zip(texts, widths) if w > 1024]
+    assert early and late
+    # a narrow mask held against a wide one shares some of its bits
+    assert any(scorer.similarity(a, b) > 0 for a in early for b in late)
+    # scores kept before the vocabulary grew equal a fresh Scorer's
+    fresh = Scorer()
+    for a, b in itertools.product(early, late):
+        assert scorer.similarity(a, b) == fresh.similarity(a, b)
+        assert scorer.similarity(b, a) == fresh.similarity(b, a)
 
 
 def test_every_header_pair_of_the_fanout_fixture():
@@ -95,7 +142,6 @@ def test_every_pair_either_search_scores_matches_the_reference(generated):
         assert scorer.scored == len(scorer._scores), d
         for (a, b), sim in scorer._scores.items():
             assert sim == reference_similarity(a, b), (d, a, b)
-        for text, prof in scorer._profiles.items():
-            assert prof == profile(text), (d, text)
+        assert (scorer.grams > 0) == (scorer.scored > 0), d
         pairs += scorer.scored
     assert pairs > 5000

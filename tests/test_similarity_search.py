@@ -8,7 +8,10 @@ and the three ``bench/gen.py`` workloads at seeds 1 and 4242, the four
 graph matches of each merge must give the same match dicts, in the same
 order, and every anchor search of the example strategy must pair the same
 statements with the same scores, sigma and exact count, or raise the same
-NoAnchor message, which names the best score below the bar.
+NoAnchor message, which names the best score below the bar.  The graph
+matches of package-rename at 48 files, whose vocabulary of thousands of
+tags makes each mask many machine words wide, must match too, and each
+score the merge kept must equal the Counter kernel's.
 
 The context strings of a merge come from one relation scan per graph;
 they must equal the per-entity scan for every entity they cover, including
@@ -27,8 +30,8 @@ from collections import Counter
 import pytest
 
 import reference_similarity_search as ref
-from conftest import (GENERATED, ROOT, merge_inputs, parse_snippet,
-                      run_corpus)
+from conftest import (GENERATED, ROOT, bench_gen, merge_inputs,
+                      parse_snippet, run_corpus)
 from mergeweaver import graph_diff, matching, similarity
 from mergeweaver.conflicts import detect_conflicts
 from mergeweaver.graph_diff import build_fourway
@@ -69,6 +72,20 @@ def test_graph_matches_equal_the_reference(merges):
                 == list(ref.match_graphs(ga, gb).items()), name
             by_similarity += sum(1 for a, b in got.items() if a != b)
     assert by_similarity >= 100
+
+
+def test_a_wide_vocabulary_matches_as_the_reference(tmp_path):
+    bench_gen.write_workload(
+        bench_gen.generate("package-rename", 1, files=48), tmp_path)
+    fw = build_fourway(merge_scenario(tmp_path / "base", tmp_path / "left",
+                                      tmp_path / "right"))
+    # more than sixty-four 64-bit words per full-width mask
+    assert fw.scorer.grams > 64 * 64
+    for got, ga, gb in _graph_matches(fw):
+        assert list(got.items()) == list(ref.match_graphs(ga, gb).items())
+    for (a, b), sim in fw.scorer._scores.items():
+        assert sim == ref.profile_similarity(ref.profile(a), ref.profile(b))
+    assert fw.scorer.scored > 9000
 
 
 def _outcome(search) -> tuple:

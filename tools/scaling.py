@@ -7,11 +7,12 @@ range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best of
 the N runs of every stage in ``Report.timings_ms``; the pairs of texts the
 merge's similarity scorer scored (``pairs``, a count that host noise
-cannot move); the files whose bodies the merge never resolved
-(``deferred``, see peg's "Deferred bodies", also a count); the best of N
-times to diff the mined hosts of the merge again (``diff``) and the nodes
-of those hosts' before trees (``host_nodes``); the best of N times to
-read the three input trees (``read``), and to ``scan`` and to
+cannot move) and the tags its vocabulary holds (``grams``, the width of a
+mask in bits, also a count); the files whose bodies the merge never
+resolved (``deferred``, see peg's "Deferred bodies", also a count); the
+best of N times to diff the mined hosts of the merge again (``diff``) and
+the nodes of those hosts' before trees (``host_nodes``); the best of N
+times to read the three input trees (``read``), and to ``scan`` and to
 ``parse_unit`` each distinct (path, text) pair of the three versions, with
 the tokens and nodes of those parses; and last ``ref_ms``, the reference
 job of bench/calib.py (imported, not modified), timed before and after the
@@ -56,8 +57,8 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "deferred", "diff", "host_nodes", "read",
-                    "scan", "parse", "tokens", "nodes", "ref_ms")
+COLUMNS = STAGES + ("pairs", "grams", "deferred", "diff", "host_nodes",
+                    "read", "scan", "parse", "tokens", "nodes", "ref_ms")
 
 
 def best_ms(repeat: int, job) -> float:
@@ -136,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
                 best["pairs"] = run.fourway.scorer.scored
+                best["grams"] = run.fourway.scorer.grams
                 # every version holds the units whose bodies it deferred
                 best["deferred"] = len(run.fourway.base.deferred)
                 best.update(diff_columns(run, args.repeat))
