@@ -222,6 +222,9 @@ class FourWayGraph:
     # the trigram scores of both searches of this merge; see the
     # similarity module docstring
     scorer: Scorer = field(compare=False, repr=False)
+    # cap_left and cap_right inverted: branch entity id -> merged entity id
+    uncap_left: dict[str, str] = field(compare=False, repr=False)
+    uncap_right: dict[str, str] = field(compare=False, repr=False)
     # mining.mine_examples' memo: (branch, base host id, branch host id)
     # -> the host's EditExample, or None when its script is empty; see the
     # mining module docstring
@@ -242,21 +245,28 @@ def build_fourway(scenario: MergeScenario) -> FourWayGraph:
     scorer = Scorer()
     for ga, gx in ((gb, gl), (gb, gr), (gam, gl), (gam, gr)):
         scorer.expect_match(ga, gx)
+    delta_left = diff_graphs(gb, gl, "l", scorer)
+    delta_right = diff_graphs(gb, gr, "r", scorer)
+    cap_left = match_graphs(gam, gl, scorer)
+    cap_right = match_graphs(gam, gr, scorer)
     return FourWayGraph(
         base=gb, left=gl, right=gr, merged=gam,
-        delta_left=diff_graphs(gb, gl, "l", scorer),
-        delta_right=diff_graphs(gb, gr, "r", scorer),
-        cap_left=match_graphs(gam, gl, scorer),
-        cap_right=match_graphs(gam, gr, scorer),
-        scorer=scorer,
+        delta_left=delta_left, delta_right=delta_right,
+        cap_left=cap_left, cap_right=cap_right, scorer=scorer,
+        uncap_left=_inverse(cap_left), uncap_right=_inverse(cap_right),
     )
+
+
+def _inverse(cap: dict[str, str]) -> dict[str, str]:
+    """A cap map from its values back to its keys.  A match is one to
+    one, so each value has one key; were it not, the first would win, as
+    a scan of the map in order would find it."""
+    return {branch_id: am_id for am_id, branch_id in reversed(cap.items())}
 
 
 def merged_entity_for(fw: FourWayGraph, branch: str,
                       branch_entity: Entity) -> Optional[Entity]:
     """The merged-graph entity matched with an l or r entity, if any."""
-    cap = fw.cap_left if branch == "l" else fw.cap_right
-    for am_id, branch_id in cap.items():
-        if branch_id == branch_entity.id:
-            return fw.merged.by_id(am_id)
-    return None
+    uncap = fw.uncap_left if branch == "l" else fw.uncap_right
+    am_id = uncap.get(branch_entity.id)
+    return None if am_id is None else fw.merged.by_id(am_id)

@@ -350,7 +350,7 @@ def _lca(tree: SyntaxTree, nodes: list[SyntaxNode]) -> SyntaxNode:
 def _clone_live(node: SyntaxNode, live: set[int]) -> SyntaxNode:
     """Clone node, leaving out each statement and else branch below it
     that holds no live node; an explicit stack, so no frame per level."""
-    root = SyntaxNode(node.kind, node.value, [], node.span, node.id)
+    root = node.copy([])
     stack = [(node, root)]
     while stack:
         src, dst = stack.pop()
@@ -358,8 +358,7 @@ def _clone_live(node: SyntaxNode, live: set[int]) -> SyntaxNode:
             droppable = child.kind in STATEMENT_KINDS \
                 or (src.kind == "IfStmt" and i == 2)
             if child.id in live or not droppable:
-                copy = SyntaxNode(child.kind, child.value, [], child.span,
-                                  child.id)
+                copy = child.copy([])
                 dst.children.append(copy)
                 stack.append((child, copy))
     return root

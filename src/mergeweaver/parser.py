@@ -49,12 +49,25 @@ the text: it does not depend on how deep the caller's stack is.
 
 The scanner reads each file with one ``findall`` of ``_TOKEN_RE``, whose
 matches tile the text as (skip run, token) pairs, and one Python loop
-that writes the tokens into four parallel lists (kinds, texts, lines,
-cols).  A token's kind comes from its first character; its line and
-column from the newlines of the skip runs and literals before it.  The
-lists end in ``_EOF_PAD`` eof entries, so the parser reads one token
-ahead by index without a bound check, and a node's span start is just a
-token index.
+that keeps each token's kind and text in two parallel lists.  A token's
+kind comes from its first character.  The lists end in ``_EOF_PAD`` eof
+entries, so the parser reads one token ahead by index without a bound
+check.
+
+No position is computed while a file parses.  A node keeps the range of
+tokens it covers and the file's ``TokenPositions``; its ``span`` is
+resolved on first read (see ``syntax.SyntaxNode``) from a position table
+that ``scan_positions`` builds once per file from the same pairs: the
+line and column of every token, from the newlines of the skip runs and
+literals before it.  The errors compute positions the same way: a
+ParseError of the parser builds its file's table to name the line and
+column of the offending token, and a text that ``scan`` cannot read on
+its own (a character of no token class, an unterminated comment or
+literal, or a number led by a non-ASCII digit such as "²", which needs
+its offset to be split) is read again by ``scan_positions``, which
+raises the error at its position or splits the number.  A file whose
+nodes nobody asks a span of therefore costs its scan and its grammar
+only.
 """
 
 from __future__ import annotations
@@ -63,8 +76,9 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
+from typing import Optional
 
-from .syntax import TYPE_KEYWORDS, SourceFile, SyntaxNode, SyntaxTree
+from .syntax import TYPE_KEYWORDS, SourceFile, Span, SyntaxNode, SyntaxTree
 
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
 STMT_KEYWORDS = {"if", "for", "while", "return", "throw"}
@@ -160,10 +174,43 @@ class Token:
     col: int
 
 
+Tokens = tuple[list[str], list[str]]
 Scan = tuple[list[str], list[str], list[int], list[int]]
 
 
-def scan(path: str, text: str) -> Scan:
+def scan(path: str, text: str) -> Tokens:
+    """Kinds and texts of the tokens of ``text``, each list ending in
+    ``_EOF_PAD`` copies of an eof token; no positions.
+
+    A text with a token the loop cannot sort out without its offset (see
+    the module docstring) is scanned again by ``scan_positions``, which
+    raises the same ParseError it would or returns the same tokens.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    kind_of = _KIND_OF.get
+    for _skip, tok in _TOKEN_RE.findall(text):
+        kind = kind_of(tok[:1])
+        if kind is None:
+            head = tok[:1]
+            if not tok:
+                kinds += ["eof"] * _EOF_PAD
+                texts += [""] * _EOF_PAD
+                break
+            if tok in ("/", "||", "&&"):
+                kind = "punct"
+            elif head in "\"'" and len(tok) > 1:
+                kind = "string" if head == '"' else "char"
+            elif head.isalpha():        # a non-ASCII letter
+                kind = "ident"
+            else:
+                return scan_positions(path, text)[:2]
+        kinds.append(kind)
+        texts.append(tok)
+    return kinds, texts
+
+
+def scan_positions(path: str, text: str) -> Scan:
     """Kinds, texts, lines and cols of the tokens of ``text``.
 
     Each list ends in ``_EOF_PAD`` copies of an eof token.  Lines and
@@ -238,6 +285,47 @@ def scan(path: str, text: str) -> Scan:
                 break
 
 
+class TokenPositions:
+    """The positions of the tokens of one text, for the spans of the
+    nodes parsed from it: a table of every token's text, line and column,
+    built by ``scan_positions`` on the first question and then kept.  The
+    table is built whole and published in one store."""
+
+    __slots__ = ("text", "_table")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._table: Optional[tuple[list[str], list[int], list[int]]] = None
+
+    @property
+    def built(self) -> bool:
+        """Whether the table has been built."""
+        return self._table is not None
+
+    def _lines(self) -> tuple[list[str], list[int], list[int]]:
+        table = self._table
+        if table is None:
+            # the text scanned once already, so it scans again
+            table = self._table = scan_positions("", self.text)[1:]
+        return table
+
+    def at(self, index: int) -> tuple[int, int]:
+        """The line and column of token ``index``."""
+        _texts, lines, cols = self._lines()
+        return lines[index], cols[index]
+
+    def span(self, packed: int) -> Span:
+        """The span of the tokens ``first .. stop - 1``, packed as
+        ``first << 32 | stop``: from the first one's start to the last
+        one's last character.  With none (stop 0) the last is an eof
+        entry, so an empty file's unit spans its eof position."""
+        texts, lines, cols = self._lines()
+        first, end = packed >> 32, (packed & 0xFFFFFFFF) - 1
+        last = texts[end]
+        return (lines[first], cols[first], lines[end],
+                cols[end] + len(last) - 1 if last else cols[end])
+
+
 def token_texts(text: str) -> list[str]:
     """Texts of the tokens of ``text``, without the eof token."""
     texts = scan("<tokens>", text)[1]
@@ -251,15 +339,16 @@ def tokenize(path: str, text: str) -> list[Token]:
     Lines and columns are 1-based; every character, tabs and carriage
     returns included, advances the column by one.
     """
-    kinds, texts, lines, cols = scan(path, text)
+    kinds, texts, lines, cols = scan_positions(path, text)
     n = len(kinds) - _EOF_PAD + 1
     return list(map(Token, kinds[:n], texts[:n], lines[:n], cols[:n]))
 
 
 class _Parser:
-    def __init__(self, path: str, tokens: Scan):
+    def __init__(self, path: str, tokens: Tokens, positions: TokenPositions):
         self.path = path
-        self.kinds, self.texts, self.lines, self.cols = tokens
+        self.kinds, self.texts = tokens
+        self.positions = positions
         self.pos = 0
         self.eof = len(self.kinds) - _EOF_PAD   # index of the real eof
         self.depth = 0      # nesting levels open; see MAX_NESTING
@@ -280,8 +369,8 @@ class _Parser:
         return self.texts[self.pos - 1]
 
     def fail(self, message: str):
-        p = self.pos
-        raise ParseError(self.path, self.lines[p], self.cols[p], message)
+        line, col = self.positions.at(self.pos)
+        raise ParseError(self.path, line, col, message)
 
     def _descend(self) -> None:
         """Opens one more nesting level at the next token."""
@@ -293,15 +382,10 @@ class _Parser:
 
     def _node(self, kind: str, value: str, children: list[SyntaxNode],
               start: int) -> SyntaxNode:
-        """A node spanning the tokens from index ``start`` to the last one
-        taken.  With none taken that is index -1, an eof entry, so an empty
-        file's unit spans its eof position."""
-        end = self.pos - 1
-        lines, cols = self.lines, self.cols
-        last = self.texts[end]
-        return SyntaxNode(kind, value, children, (
-            lines[start], cols[start], lines[end],
-            cols[end] + len(last) - 1 if last else cols[end]))
+        """A node over the tokens from index ``start`` to the last one
+        taken, kept as a token range (see ``TokenPositions.span``)."""
+        return SyntaxNode(kind, value, children, start << 32 | self.pos, -1,
+                          self.positions)
 
     def _leaf(self, kind: str) -> SyntaxNode:
         """A childless node of the next token, valued by its text."""
@@ -762,7 +846,7 @@ class _Parser:
 
 def parse_unit(path: str, text: str) -> SourceFile:
     """Parse one file; raises ParseError with position info on bad input."""
-    parser = _Parser(path, scan(path, text))
+    parser = _Parser(path, scan(path, text), TokenPositions(text))
     # room for the deepest text the limit admits, however deep the caller;
     # the recursion limit is the interpreter's, so one parse at a time
     # raises it, which costs nothing while the GIL runs one thread anyway

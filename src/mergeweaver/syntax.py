@@ -14,7 +14,7 @@ Invariants maintained here and relied on elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 NODE_KINDS = frozenset({
@@ -110,17 +110,54 @@ def clauses(decl: SyntaxNode) -> dict[str, list[SyntaxNode]]:
 Span = tuple[int, int, int, int]
 
 
-@dataclass(eq=False, slots=True)
 class SyntaxNode:
-    kind: str
-    value: str = ""
-    children: list["SyntaxNode"] = field(default_factory=list)
-    span: Optional[Span] = None
-    id: int = -1
+    """One node: kind, value, ordered children, source span and id.
 
-    def __post_init__(self) -> None:
-        if self.kind not in NODE_KINDS:
-            raise ValueError(f"unknown node kind: {self.kind!r}")
+    A node the parser made does not hold its span as a tuple.  It holds
+    the range of tokens it covers, packed into one int as ``first << 32 |
+    stop`` (the tokens first .. stop - 1; an empty file's unit has stop 0,
+    which reads the eof entry at index -1), and the token positions of its
+    file (``parser.TokenPositions``).  The first read of ``span`` turns the
+    range into the tuple, from that file's position table, which is built
+    on that read, once per file, and keeps the tuple.  So a file nobody
+    asks a position of never gets a table.  A copy made with ``copy`` takes
+    the range as it is; a node made by hand takes a tuple or None.
+    """
+
+    __slots__ = ("kind", "value", "children", "_span", "_tokens", "id")
+
+    def __init__(self, kind: str, value: str = "",
+                 children: Optional[list["SyntaxNode"]] = None,
+                 span=None, id: int = -1, tokens=None):
+        """``span`` is a Span or None, or a packed token range when
+        ``tokens`` gives the positions of the tokens it counts."""
+        if kind not in NODE_KINDS:
+            raise ValueError(f"unknown node kind: {kind!r}")
+        self.kind = kind
+        self.value = value
+        self.children = [] if children is None else children
+        self._span = span
+        self._tokens = tokens
+        self.id = id
+
+    @property
+    def span(self) -> Optional[Span]:
+        span = self._span
+        if span.__class__ is int:
+            # one store: a thread that reads the range at the same time
+            # resolves it to the same tuple
+            span = self._span = self._tokens.span(span)
+        return span
+
+    @span.setter
+    def span(self, span: Optional[Span]) -> None:
+        self._span = span
+
+    def copy(self, children: list["SyntaxNode"]) -> "SyntaxNode":
+        """This node's kind, value, span and id over ``children``; an
+        unresolved span stays an unresolved token range."""
+        return SyntaxNode(self.kind, self.value, children, self._span,
+                          self.id, self._tokens)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         v = f" {self.value!r}" if self.value else ""
@@ -148,24 +185,35 @@ def structurally_equal(a: SyntaxNode, b: SyntaxNode) -> bool:
 
 
 def clone_node(node: SyntaxNode) -> SyntaxNode:
-    """Deep copy preserving ids and spans; an explicit stack, so the copy
-    takes no frames however deep the tree."""
-    root = SyntaxNode(node.kind, node.value, [], node.span, node.id)
+    """Deep copy preserving ids and spans, resolved or not; an explicit
+    stack, so the copy takes no frames however deep the tree."""
+    root = node.copy([])
     stack = [(node, root)]
     while stack:
         src, dst = stack.pop()
         for c in src.children:
-            copy = SyntaxNode(c.kind, c.value, [], c.span, c.id)
+            copy = c.copy([])
             dst.children.append(copy)
             stack.append((c, copy))
     return root
 
 
 class SyntaxTree:
-    """A rooted tree plus the id and parent indexes over it.
+    """A rooted tree plus the id and parent maps over it.
+
+    ``SyntaxTree(root, assign_ids=True)``, the parser's call, numbers the
+    nodes 0, 1, ... in pre-order at once, so ``max_id`` and every ``id``
+    hold from the start, but builds the two maps only on the first call
+    that looks a node up: ``node``, ``has_node``, ``parent`` (so also
+    ``ancestors`` and ``enclosing_statement``), ``clone`` and the writers.
+    A tree that is only walked, as most of the trees of files no branch
+    touched are, never builds them.  The maps are built whole and then
+    published in one store, so a thread reads either no maps or both
+    complete.  Without ``assign_ids`` the tree keeps the ids it is given
+    and indexes them at once, refusing a duplicate.
 
     ``clone()`` is copy-on-write.  The copy starts as the same root and two
-    empty overlay indexes that fall back to the tree it was taken from,
+    empty overlay maps that fall back to the tree it was taken from,
     plus a set of the ids it removed, so it shares every subtree it does
     not edit.  A node has no parent pointer, so one node can sit in both
     trees.  The tree a clone was taken from is read-only from then on.
@@ -173,7 +221,7 @@ class SyntaxTree:
     insert(), remove() and set_value() are the only writers.  Each looks
     its node up by id and, in a clone, first copies the node with every
     ancestor that the clone still shares (path copying), then writes the
-    copy and updates the indexes of the edited subtree only.  A reference
+    copy and updates the maps of the edited subtree only.  A reference
     taken before an ancestor was copied therefore still names the right
     node, and no write reaches a shared node.  max_id only grows, so
     fresh_id() never hands out the id of a removed node; a clone's ids
@@ -181,11 +229,12 @@ class SyntaxTree:
     """
 
     def __init__(self, root: SyntaxNode, assign_ids: bool = False):
-        """Index the tree under ``root``.  With ``assign_ids``, the same
-        walk numbers its nodes 0, 1, ... in pre-order."""
+        """Number the tree under ``root`` (see the class docstring), or
+        index the ids it has."""
         self.root = root
-        self._by_id: dict[int, SyntaxNode] = {}
-        self._parents: dict[int, Optional[SyntaxNode]] = {}
+        # (id -> node, id -> parent), or None until the first lookup
+        self._maps: Optional[tuple[dict[int, SyntaxNode],
+                                   dict[int, Optional[SyntaxNode]]]] = None
         self._max_id = -1
         # copy-on-write state: the tree this one is a clone of, the ids
         # removed from it, this clone's own copies, and whether a clone
@@ -197,37 +246,58 @@ class SyntaxTree:
         if assign_ids:
             self._number(root)
         else:
+            self._maps = ({}, {})
             self._index(root, None)
 
     def _number(self, root: SyntaxNode) -> None:
-        by_id, parents = self._by_id, self._parents
         counter = 0
-        stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(root, None)]
+        stack = [root]
         while stack:
-            node, parent = stack.pop()
+            node = stack.pop()
             node.id = counter
-            by_id[counter] = node
-            parents[counter] = parent
             counter += 1
-            for child in reversed(node.children):
-                stack.append((child, node))
+            stack.extend(reversed(node.children))
         self._max_id = counter - 1
 
+    def _indexes(self) -> tuple[dict[int, SyntaxNode],
+                                dict[int, Optional[SyntaxNode]]]:
+        """The id and parent maps, built on the first call."""
+        maps = self._maps
+        if maps is None:
+            by_id: dict[int, SyntaxNode] = {}
+            parents: dict[int, Optional[SyntaxNode]] = {}
+            stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = \
+                [(self.root, None)]
+            while stack:
+                node, parent = stack.pop()
+                by_id[node.id] = node
+                parents[node.id] = parent
+                for child in node.children:
+                    stack.append((child, node))
+            maps = self._maps = (by_id, parents)
+        return maps
+
+    @property
+    def indexed(self) -> bool:
+        """Whether the id and parent maps have been built."""
+        return self._maps is not None
+
     def _index(self, top: SyntaxNode, parent: Optional[SyntaxNode]) -> None:
+        by_id, parents = self._indexes()
         stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(top, parent)]
         while stack:
             node, parent = stack.pop()
             if self.has_node(node.id):
                 raise ValueError(f"duplicate node id {node.id}")
             self._removed.discard(node.id)
-            self._by_id[node.id] = node
-            self._parents[node.id] = parent
+            by_id[node.id] = node
+            parents[node.id] = parent
             self._max_id = max(self._max_id, node.id)
             for child in node.children:
                 stack.append((child, node))
 
     def _lookup(self, node_id: int) -> Optional[SyntaxNode]:
-        node = self._by_id.get(node_id)
+        node = self._indexes()[0].get(node_id)
         if node is None and self._base is not None \
                 and node_id not in self._removed:
             return self._base._lookup(node_id)
@@ -241,6 +311,7 @@ class SyntaxTree:
         node = self.node(node_id)
         if self._base is None:
             return node
+        by_id, parents = self._indexes()
         # the shared path up to the first written ancestor, copied from
         # the top down; an explicit stack, so no frame per tree level
         path = []
@@ -248,11 +319,10 @@ class SyntaxTree:
             path.append(node)
             node = self.parent(node)
         for shared in reversed(path):
-            copy = SyntaxNode(shared.kind, shared.value,
-                              list(shared.children), shared.span, shared.id)
-            self._copies[shared.id] = self._by_id[shared.id] = copy
+            copy = shared.copy(list(shared.children))
+            self._copies[shared.id] = by_id[shared.id] = copy
             for child in copy.children:
-                self._parents[child.id] = copy
+                parents[child.id] = copy
             if node is None:
                 self.root = copy
             else:
@@ -269,15 +339,16 @@ class SyntaxTree:
         parent.children.insert(index, subtree)
 
     def remove(self, node: SyntaxNode) -> None:
-        """Detach node and its subtree; their ids leave the index."""
+        """Detach node and its subtree; their ids leave the maps."""
         parent = self.parent(node)
         if parent is None:
             raise ValueError("cannot remove the root")
         node = self.node(node.id)
         self._writable(parent.id).children.remove(node)
+        by_id, parents = self._indexes()
         for gone in node.walk():
-            self._by_id.pop(gone.id, None)
-            self._parents.pop(gone.id, None)
+            by_id.pop(gone.id, None)
+            parents.pop(gone.id, None)
             self._removed.add(gone.id)
 
     def set_value(self, node: SyntaxNode, value: str) -> SyntaxNode:
@@ -297,11 +368,13 @@ class SyntaxTree:
 
     def parent(self, node: SyntaxNode) -> Optional[SyntaxNode]:
         tree = self
-        while node.id not in tree._parents:
+        while True:
+            parents = tree._indexes()[1]
+            if node.id in parents:
+                return parents[node.id]
             if tree._base is None or node.id in tree._removed:
                 raise KeyError(node.id)
             tree = tree._base
-        return tree._parents[node.id]
 
     @property
     def max_id(self) -> int:
@@ -317,11 +390,11 @@ class SyntaxTree:
     def clone(self) -> "SyntaxTree":
         """A copy-on-write copy (see the class docstring); this tree
         becomes read-only."""
+        self._indexes()
         self._shared = True
         copy = SyntaxTree.__new__(SyntaxTree)
-        copy.__dict__.update(self.__dict__, _by_id={}, _parents={},
-                             _base=self, _removed=set(), _copies={},
-                             _shared=False)
+        copy.__dict__.update(self.__dict__, _maps=({}, {}), _base=self,
+                             _removed=set(), _copies={}, _shared=False)
         return copy
 
     def enclosing_statement(self, node: SyntaxNode) -> Optional[SyntaxNode]:
@@ -345,3 +418,10 @@ class SourceFile:
     path: str
     text: str
     tree: SyntaxTree
+
+    @property
+    def positioned(self) -> bool:
+        """Whether the position table of this file's tokens was built
+        (see SyntaxNode): some span of the file was read."""
+        tokens = self.tree.root._tokens
+        return tokens is not None and tokens.built

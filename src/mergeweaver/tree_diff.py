@@ -22,7 +22,10 @@ are the partners inside its subtree interval, two bisections into the
 sorted partners, so its Dice score, 2 * common / (descendants of the
 container + descendants of the candidate), costs O(log n).  The first
 candidate whose score beats the best so far by more than 1e-12 wins, and
-it is paired when its score exceeds one half.  A pre-order sweep then
+it is paired when its score exceeds one half.  A bound on the score from
+subtree sizes ends each walk up from a partner at the first ancestor
+that can no longer win, and a subtree paired whole is walked from its
+top only (see ``_match_containers``).  A pre-order sweep then
 unpairs every node under an unpaired parent, so every delete removes a
 whole unpaired subtree, and an LCS pass aligns the leftover children of
 paired parents by kind; one leftover child on each side is paired when
@@ -173,35 +176,73 @@ def _match_isomorphic(m: _Matching) -> None:
 
 
 def _match_containers(m: _Matching) -> None:
+    """Pairs each unpaired before container with the after candidate of
+    best Dice score, if that score exceeds one half (see the module
+    docstring), without walking or scoring what cannot change the winner.
+
+    Candidates are scored as the walk first reaches them, which is the
+    order of first reach.  A container i with nb descendants, np of them
+    paired, shares at most min(np, size) partners with a candidate of
+    ``size`` descendants, so the candidate scores at most
+    2 * min(np, size) / (nb + size).  Up a chain of ancestors the size
+    only grows, and once size >= np the bound falls as it grows.  So the
+    walk stops at the first ancestor with size >= np whose bound is at
+    most one half (4 * np <= nb + size, in integers) or at most the best
+    score so far plus 1e-12 (in floats: the bound and a score divide by
+    the same total, and rounding keeps the order), and neither that
+    ancestor nor any above it is scored.  The winner does not change:
+
+    * A skipped candidate scores no more than the best so far plus
+      1e-12, and the best only grows, so it never beats the best.
+    * A skipped candidate scores at most 0.5.  Any candidate that scores
+      more, 2c / t > 1/2 with t = nb + size, scores at least 1 / (2t)
+      more than 0.5, which is more than 1e-12 for any tree of fewer than
+      5 * 10**11 nodes.  So the first such candidate in order wins over
+      every skipped one before it, and none after it can win.  When no
+      candidate scores more than 0.5, i stays unpaired either way.
+    * Every kept candidate is reached from the same partner, so in the
+      same order, as without the stops: a node below it on that walk is
+      smaller, and were it a stop, so would the kept candidate be.
+
+    A partner whose after parent is an earlier partner of i takes no walk:
+    that parent's own walk has seen its ancestors, and the parent, being
+    paired, is no candidate.  So the walks of a subtree paired whole start
+    at its top only.
+    """
     b, a, b2a, a2b = m.b, m.a, m.b2a, m.a2b
+    a_end, a_parent = a.end, a.parent
     # children first, left to right: by subtree end, the deepest first
     for i in sorted(range(len(b2a)), key=lambda i: (b.end[i], -i)):
         if b2a[i] >= 0 or b.end[i] == i + 1:
             continue
         # the partners of i's matched descendants, in pre-order
         partners = [p for p in b2a[i + 1:b.end[i]] if p >= 0]
-        # the after ancestors of the partners, in order of first reach; an
-        # ancestor seen before has had all of its own ancestors seen too
+        ordered = sorted(partners)
+        np = len(partners)
+        nb = b.end[i] - i - 1
         kind = b.nodes[i].kind
         seen: set[int] = set()
-        candidates: list[int] = []
+        best, best_dice = -1, 0.0
         for p in partners:
-            cur = a.parent[p]
+            cur = a_parent[p]
+            if i < a2b[cur] < a2b[p]:
+                continue        # a parent of -1 would walk nothing either
+            # up to the first node seen before, whose own ancestors were
+            # all seen or stopped at too
             while cur >= 0 and cur not in seen:
                 seen.add(cur)
+                size = a_end[cur] - cur - 1
+                if size >= np and (4 * np <= nb + size or 2.0 * np / (
+                        nb + size) <= best_dice + 1e-12):
+                    break
                 if a2b[cur] < 0 and a.nodes[cur].kind == kind:
-                    candidates.append(cur)
-                cur = a.parent[cur]
-        partners.sort()
-        best, best_dice = -1, 0.0
-        nb = b.end[i] - i - 1
-        for c in candidates:
-            total = nb + a.end[c] - c - 1
-            common = (bisect_left(partners, a.end[c])
-                      - bisect_left(partners, c))
-            dice = 2.0 * common / total if total else 0.0
-            if dice > best_dice + 1e-12:
-                best, best_dice = c, dice
+                    total = nb + size
+                    common = (bisect_left(ordered, a_end[cur])
+                              - bisect_left(ordered, cur))
+                    dice = 2.0 * common / total if total else 0.0
+                    if dice > best_dice + 1e-12:
+                        best, best_dice = cur, dice
+                cur = a_parent[cur]
         if best >= 0 and best_dice > 0.5:
             m.pair(i, best)
 

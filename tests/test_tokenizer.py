@@ -4,9 +4,10 @@
 here as an oracle, and ``reference_frontend.scan`` the scanner that
 matched one token per regex call before ``scan`` took one ``findall`` per
 text.  On every input ``tokenize`` must agree with the first on every
-token (kind, text, line, column), and ``scan`` with the second on all four
-lists, eof entries included, or each must raise the same ParseError
-message as its reference.  The inputs: every corpus and fixture file, the
+token (kind, text, line, column), ``scan_positions`` with the second on
+all four lists, eof entries included, and ``scan``, which keeps no
+positions, with the second's kinds and texts; or each must raise the same
+ParseError message as its reference.  The inputs: every corpus and fixture file, the
 generated workloads at two seeds, edge cases, and seeded mutations and
 character soup that add CRLF line ends, tabs, escapes, unterminated
 comments, strings and chars, and non-ASCII text.
@@ -18,7 +19,7 @@ import pytest
 
 import reference_frontend
 from conftest import FANOUT, bench_gen, corpus_java_files, random_program
-from mergeweaver.parser import ParseError, Token, scan, tokenize
+from mergeweaver.parser import ParseError, Token, scan, scan_positions, tokenize
 
 _REFERENCE_PUNCT = [
     "||", "&&", "==", "!=", "<=", ">=",
@@ -119,8 +120,11 @@ def scan_outcome(fn, text: str):
 def assert_same(text: str) -> None:
     assert outcome(tokenize, text) == outcome(reference_tokenize, text), \
         repr(text)
-    assert scan_outcome(scan, text) \
-        == scan_outcome(reference_frontend.scan, text), repr(text)
+    reference = scan_outcome(reference_frontend.scan, text)
+    assert scan_outcome(scan_positions, text) == reference, repr(text)
+    kinds_and_texts = reference if isinstance(reference, str) \
+        else reference[:2]
+    assert scan_outcome(scan, text) == kinds_and_texts, repr(text)
 
 
 # Fragments a mutation splices in: line ends, tabs, escapes, openers with

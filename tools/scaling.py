@@ -9,8 +9,11 @@ the N runs of every stage in ``Report.timings_ms``; the pairs of texts the
 merge's similarity scorer scored (``pairs``, a count that host noise
 cannot move) and the tags its vocabulary holds (``grams``, the width of a
 mask in bits, also a count); the files whose bodies the merge never
-resolved (``deferred``, see peg's "Deferred bodies", also a count); the
-best of N times to diff the mined hosts of the merge again (``diff``) and
+resolved (``deferred``, see peg's "Deferred bodies", also a count); of
+the distinct parsed files of the four versions, those whose tree built
+its id and parent maps (``indexed``) and those whose token position table
+was built (``positioned``; see ``syntax.SyntaxTree`` and
+``syntax.SyntaxNode``), both counts; the best of N times to diff the mined hosts of the merge again (``diff``) and
 the nodes of those hosts' before trees (``host_nodes``); the best of N
 times to read the three input trees (``read``), and to ``scan`` and to
 ``parse_unit`` each distinct (path, text) pair of the three versions, with
@@ -57,8 +60,9 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "grams", "deferred", "diff", "host_nodes",
-                    "read", "scan", "parse", "tokens", "nodes", "ref_ms")
+COLUMNS = STAGES + ("pairs", "grams", "deferred", "indexed", "positioned",
+                    "diff", "host_nodes", "read", "scan", "parse", "tokens",
+                    "nodes", "ref_ms")
 
 
 def best_ms(repeat: int, job) -> float:
@@ -69,6 +73,17 @@ def best_ms(repeat: int, job) -> float:
         job()
         best = min(best, time.process_time() - start)
     return best * 1000
+
+
+def lazy_columns(run: ScenarioRun) -> dict[str, float]:
+    """How many distinct parsed files of the merge built their tree's maps
+    and their position table."""
+    scenario = run.scenario
+    files = {id(sf): sf for version in (scenario.base, scenario.left,
+                                        scenario.right, scenario.am)
+             for sf in version.values()}.values()
+    return {"indexed": sum(sf.tree.indexed for sf in files),
+            "positioned": sum(sf.positioned for sf in files)}
 
 
 def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
@@ -140,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
                 best["grams"] = run.fourway.scorer.grams
                 # every version holds the units whose bodies it deferred
                 best["deferred"] = len(run.fourway.base.deferred)
+                best.update(lazy_columns(run))
                 best.update(diff_columns(run, args.repeat))
                 best.update(front_end_columns(out, args.repeat))
                 best["ref_ms"] = (ref_before
