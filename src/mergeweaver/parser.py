@@ -302,7 +302,7 @@ class TokenPositions:
         """Whether the table has been built."""
         return self._table is not None
 
-    def _lines(self) -> tuple[list[str], list[int], list[int]]:
+    def _positions(self) -> tuple[list[str], list[int], list[int]]:
         table = self._table
         if table is None:
             # the text scanned once already, so it scans again
@@ -311,7 +311,7 @@ class TokenPositions:
 
     def at(self, index: int) -> tuple[int, int]:
         """The line and column of token ``index``."""
-        _texts, lines, cols = self._lines()
+        _texts, lines, cols = self._positions()
         return lines[index], cols[index]
 
     def span(self, packed: int) -> Span:
@@ -319,7 +319,7 @@ class TokenPositions:
         ``first << 32 | stop``: from the first one's start to the last
         one's last character.  With none (stop 0) the last is an eof
         entry, so an empty file's unit spans its eof position."""
-        texts, lines, cols = self._lines()
+        texts, lines, cols = self._positions()
         first, end = packed >> 32, (packed & 0xFFFFFFFF) - 1
         last = texts[end]
         return (lines[first], cols[first], lines[end],

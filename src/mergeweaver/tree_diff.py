@@ -204,10 +204,11 @@ def _match_containers(m: _Matching) -> None:
       same order, as without the stops: a node below it on that walk is
       smaller, and were it a stop, so would the kept candidate be.
 
-    A partner whose after parent is an earlier partner of i takes no walk:
-    that parent's own walk has seen its ancestors, and the parent, being
-    paired, is no candidate.  So the walks of a subtree paired whole start
-    at its top only.
+    A partner whose after parent is an earlier partner of i takes no walk.
+    That parent is paired, so it is no candidate, and the walk above it
+    was taken before, by the parent or by the top of its chain of such
+    partners: a later walk that passes it ends where it ended before.  So
+    the walks of a subtree paired whole start at its top only.
     """
     b, a, b2a, a2b = m.b, m.a, m.b2a, m.a2b
     a_end, a_parent = a.end, a.parent

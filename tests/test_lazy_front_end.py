@@ -10,6 +10,8 @@ every file all four versions share.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -113,6 +115,46 @@ def test_copies_take_the_token_range_and_resolve_it_later():
         assert sf.positioned
         assert [n.span for n in work.nodes()] == want, path
         assert written.span == want[-1]
+
+
+def test_threads_building_the_maps_and_the_table_see_them_whole():
+    # the first lookups and span reads of one tree race in four threads,
+    # switching every 10 us; each thread must read every answer a fresh
+    # eager tree gives
+    path = max(corpus_java_files(), key=lambda p: p.stat().st_size)
+    text = path.read_text()
+    fresh = parse_unit(path.name, text).tree
+    eager = SyntaxTree(fresh.root)
+    want = [(n.id, n.span, eager.parent(n) and eager.parent(n).id)
+            for n in fresh.nodes()]
+    for _ in range(5):
+        tree = parse_unit(path.name, text).tree
+        nodes = list(tree.nodes())
+        seen = []
+        start = threading.Barrier(4)
+
+        def work(order: list) -> None:
+            start.wait(timeout=60)
+            got = {}
+            for n in order:
+                parent = tree.parent(tree.node(n.id))
+                got[n.id] = (n.id, n.span, parent and parent.id)
+            seen.append([got[n.id] for n in nodes])
+
+        threads = [threading.Thread(target=work, args=(order,))
+                   for order in (nodes, nodes[::-1], nodes[1::2] + nodes[::2],
+                                 nodes[::-2] + nodes[-2::-2])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [want] * 4
 
 
 @pytest.mark.parametrize("body", [
