@@ -128,7 +128,8 @@ class SyntaxNode:
 
     def __init__(self, kind: str, value: str = "",
                  children: Optional[list["SyntaxNode"]] = None,
-                 span=None, id: int = -1, tokens=None):
+                 span: Optional[Span] | int = None, id: int = -1,
+                 tokens=None):
         """``span`` is a Span or None, or a packed token range when
         ``tokens`` gives the positions of the tokens it counts."""
         if kind not in NODE_KINDS:

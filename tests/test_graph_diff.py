@@ -1,6 +1,6 @@
 """Graph matching and deltas: identity, renames, signatures, caps."""
 
-from conftest import CORPUS
+from conftest import CORPUS, merge_inputs
 from mergeweaver.graph_diff import (MATCH_THRESHOLD, build_fourway,
                                     diff_graphs, match_graphs,
                                     merged_entity_for)
@@ -190,3 +190,19 @@ def test_fourway_caps_cover_merged_entities():
 
     left_ent = merged_entity_for(fw, "l", fw.left.by_id(am_cls.id))
     assert left_ent is not None and left_ent.id == am_cls.id
+
+
+def test_merged_entity_for_answers_as_a_scan_of_the_cap():
+    # the inverted caps give the first merged entity a scan of the cap
+    # map finds, for every entity of either branch, on every merge input
+    for d in merge_inputs():
+        fw = build_fourway(merge_scenario(d / "base", d / "left",
+                                          d / "right"))
+        for branch, graph, cap in (("l", fw.left, fw.cap_left),
+                                   ("r", fw.right, fw.cap_right)):
+            assert len(set(cap.values())) == len(cap), d
+            for ent in graph.entities.values():
+                scan = next((am for am, b in cap.items() if b == ent.id),
+                            None)
+                found = merged_entity_for(fw, branch, ent)
+                assert (found and found.id) == scan, (d, ent.id)
