@@ -32,6 +32,13 @@ tax-c03, rule-c10 and tax-c10.  The rows report the clash either way.
 A site finder returns (entity fqn, file, node) triples that
 ``detect_conflicts`` turns into sorted ``ConflictSite``s; finding none
 means the clash does not survive in the merge, and the pair is dropped.
+No finder walks a declaration.  A use of a name is read from the user's
+``syntax.name_index``, which ``FourWayGraph.name_index`` builds once per
+declaration and merge, filtered by ``uses`` to the kinds of use (and the
+arity) the row asks for; C5's same-file mention test is index membership
+too.  So a user with many conflicts is indexed once, not walked once per
+conflict.  The parser puts every import among the children of a unit's
+root, so the import scans read only those.
 
 graph_diff sets ``old`` on every delete and update, ``new`` on every add
 and update, and both ends of every relation edit; the rows rely on that.
@@ -41,12 +48,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .graph_diff import (EntityEdit, FourWayGraph, RelationEdit,
                          merged_entity_for)
-from .peg import (MEMBER_ENTITY_KINDS, Entity, Relation, arity_of,
-                  type_base_name)
+from .peg import MEMBER_ENTITY_KINDS, Entity, Relation, arity_of
 from .syntax import Span, SyntaxNode, declared_type, param_types
 
 Edit = Union[EntityEdit, RelationEdit]
@@ -111,16 +117,6 @@ def find_decl_method(type_decl: SyntaxNode, name: str,
     return None
 
 
-def mentions_name(decl: SyntaxNode, name: str) -> bool:
-    for n in decl.walk():
-        if n.kind in ("Name", "FieldAccess", "MethodInvocation") \
-                and n.value == name:
-            return True
-        if n.kind == "TypeRef" and type_base_name(n.value) == name:
-            return True
-    return False
-
-
 def arg_count(call: SyntaxNode) -> int:
     """Number of arguments of an invocation or object creation."""
     for child in call.children:
@@ -138,49 +134,23 @@ def interface_return_for(iface: Optional[Entity],
     return declared_type_text(m) if m is not None else None
 
 
-def _type_use_nodes(decl: SyntaxNode, simple: str) -> list[SyntaxNode]:
-    out = []
-    for n in decl.walk():
-        if n.kind == "TypeRef" and type_base_name(n.value) == simple:
-            out.append(n)
-        elif n.kind == "Name" and n.value == simple:
-            out.append(n)
-    return out
+# the node kinds of each kind of use, for ``uses``: a type reference (the
+# type child of `new X()` is a TypeRef too), a field or variable, a call,
+# a creation
+TYPE_USES = ("TypeRef", "Name")
+NAME_USES = ("Name", "FieldAccess")
+CALLS = ("MethodInvocation",)
+CREATIONS = ("ObjectCreation",)
 
 
-# The use finders filter the nodes they are given: every node of a
-# declaration (decl.walk()), or the nodes an index holds under the name.
-
-
-def field_use_nodes(nodes: Iterable[SyntaxNode],
-                    name: str) -> list[SyntaxNode]:
-    """Names and field accesses of ``name`` among nodes."""
-    return [n for n in nodes
-            if n.kind in ("Name", "FieldAccess") and n.value == name]
-
-
-def call_nodes(nodes: Iterable[SyntaxNode], name: str,
-               arity: Optional[int]) -> list[SyntaxNode]:
-    """Invocations of ``name`` among nodes, with ``arity`` arguments if
-    set."""
-    return [n for n in nodes
-            if n.kind == "MethodInvocation" and n.value == name
+def uses(named: dict[str, list[SyntaxNode]], name: str,
+         kinds: tuple[str, ...], arity: Optional[int] = None
+         ) -> list[SyntaxNode]:
+    """The nodes of ``kinds`` that a name index holds under ``name``, in
+    pre-order; with ``arity`` set, only calls and creations of that many
+    arguments."""
+    return [n for n in named.get(name, ()) if n.kind in kinds
             and (arity is None or arg_count(n) == arity)]
-
-
-def creation_nodes(nodes: Iterable[SyntaxNode], simple: str,
-                   arity: Optional[int]) -> list[SyntaxNode]:
-    """``new simple(...)`` among nodes, with ``arity`` arguments if set."""
-    out = []
-    for n in nodes:
-        if n.kind != "ObjectCreation":
-            continue
-        tref = next((c for c in n.children if c.kind == "TypeRef"), None)
-        if tref is None or type_base_name(tref.value) != simple:
-            continue
-        if arity is None or arg_count(n) == arity:
-            out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +247,11 @@ def _needs_dropped_import(d: RelationEdit, u: Edit, fw: FourWayGraph) -> bool:
         return False
     name = d.dst.simple_name
     if u.op == "add":
-        return mentions_name(u.new.decl, name)
+        return name in fw.name_index(u.new.decl)
     return u.op == "update" and u.detail == "body-change" \
-        and mentions_name(u.new.decl, name) \
-        and not (u.old.decl is not None and mentions_name(u.old.decl, name))
+        and name in fw.name_index(u.new.decl) \
+        and not (u.old.decl is not None
+                 and name in fw.name_index(u.old.decl))
 
 
 def _breaks_contract(d: RelationEdit, u: Edit, fw: FourWayGraph) -> bool:
@@ -342,53 +313,53 @@ def _type_uses(d: Edit, u: Edit, user: Entity,
                fw: FourWayGraph) -> list[SyntaxNode]:
     simple = simple_of(d.subject)
     if user.kind == "compilation-unit":
-        return [n for n in user.decl.walk() if n.kind == "ImportDecl"
+        return [n for n in user.decl.children if n.kind == "ImportDecl"
                 and (n.value == d.subject or n.value.endswith("." + simple))]
-    # creations are covered too: the type child of `new X()` is a TypeRef
-    # like any declared type
-    return _type_use_nodes(user.decl, simple)
+    return uses(fw.name_index(user.decl), simple, TYPE_USES)
 
 
 @_in_user
 def _package_imports(d: Edit, u: Edit, user: Entity,
                      fw: FourWayGraph) -> list[SyntaxNode]:
-    return [n for n in user.decl.walk() if n.kind == "ImportDecl"
+    return [n for n in user.decl.children if n.kind == "ImportDecl"
             and n.value.startswith(d.old_fqn + ".")]
 
 
 @_in_user
 def _dangling_type_uses(d: Edit, u: Edit, user: Entity,
                         fw: FourWayGraph) -> list[SyntaxNode]:
-    cu = next((e for e in fw.merged.entities.values()
-               if e.kind == "compilation-unit" and e.path == user.path), None)
+    cu: Optional[Entity] = user
+    while cu is not None and cu.kind != "compilation-unit":
+        pid = fw.merged.parent_id(cu)
+        cu = None if pid is None else fw.merged.by_id(pid)
     if cu is not None and cu.decl is not None:
         pkg = owner_fqn(d.dst_fqn)
         if any(n.kind == "ImportDecl" and (
                 n.value == d.dst_fqn or (pkg and n.value == pkg + ".*"))
                for n in cu.decl.children):
             return []           # the import is present, nothing dangles
-    return _type_use_nodes(user.decl, simple_of(d.dst_fqn))
+    return uses(fw.name_index(user.decl), simple_of(d.dst_fqn), TYPE_USES)
 
 
 @_in_user
 def _field_uses(d: Edit, u: Edit, user: Entity,
                 fw: FourWayGraph) -> list[SyntaxNode]:
-    return field_use_nodes(user.decl.walk(), simple_of(d.subject))
+    return uses(fw.name_index(user.decl), simple_of(d.subject), NAME_USES)
 
 
 @_in_user
 def _calls(d: Edit, u: Edit, user: Entity,
            fw: FourWayGraph) -> list[SyntaxNode]:
-    return call_nodes(user.decl.walk(), d.old.simple_name,
-                      arity_of(d.old))
+    return uses(fw.name_index(user.decl), d.old.simple_name, CALLS,
+                arity_of(d.old))
 
 
 @_in_user
 def _creations(d: Edit, u: Edit, user: Entity,
                fw: FourWayGraph) -> list[SyntaxNode]:
-    arity = arity_of(d.old)
-    return creation_nodes(user.decl.walk(), d.old.simple_name, arity) \
-        + call_nodes(user.decl.walk(), "this", arity)
+    named, arity = fw.name_index(user.decl), arity_of(d.old)
+    return uses(named, d.old.simple_name, CREATIONS, arity) \
+        + uses(named, "this", CALLS, arity)
 
 
 @_in_user

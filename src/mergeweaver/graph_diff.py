@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .merge3 import MergeScenario
-from . import peg
+from . import peg, syntax
 from .peg import Entity, EntityGraph, Relation
 from .similarity import Scorer
+from .syntax import SyntaxNode
 
 MATCH_THRESHOLD = 0.618
 
@@ -233,6 +234,18 @@ class FourWayGraph:
     # tree, statements and header texts (MergedMember); see the matching
     # module docstring
     members: dict = field(default_factory=dict, compare=False, repr=False)
+    # name_index's memo: declaration node -> its syntax.name_index.  Keyed
+    # by node, so versions that share a parse share its index; sound, as
+    # members is, because nothing writes a parsed tree (a resolution
+    # writes a copy-on-write clone)
+    named: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def name_index(self, decl: SyntaxNode) -> dict[str, list[SyntaxNode]]:
+        """``syntax.name_index(decl)``, built once per merge."""
+        index = self.named.get(decl)
+        if index is None:
+            index = self.named[decl] = syntax.name_index(decl)
+        return index
 
 
 def build_fourway(scenario: MergeScenario) -> FourWayGraph:

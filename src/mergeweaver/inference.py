@@ -21,10 +21,11 @@ in the edited statement that defines it.
 
 What refinement reads of a mined host whatever the conflict (each op's
 target and governing statement, the edited statements with their used and
-defined names and control owners, and a by-name index of the before tree
-that use_node_ids answers from) is made once, when the host is mined, and
-kept on its EditExample (see mining), which every conflict refined against
-the host shares.  So a refinement costs work in proportion to the
+defined names and control owners, and the before tree's
+``syntax.name_index``, which use_node_ids filters with ``conflicts.uses``
+as the site finders do) is made once, when the host is mined, and kept on
+its EditExample (see mining), which every conflict refined against the
+host shares.  So a refinement costs work in proportion to the
 conflict's own edits, not to the host.
 
 The context is built in one pass: the kept nodes and their ancestors are
@@ -38,15 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .conflicts import (Conflict, call_nodes, creation_nodes,
-                        field_use_nodes)
+from .conflicts import CALLS, CREATIONS, NAME_USES, Conflict, uses
 from .graph_diff import EntityEdit, RelationEdit
-from .peg import arity_of, type_base_name
-from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree, declared_type
+from .peg import arity_of
+from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree
 from .tree_diff import EditOp
 
 _LOOP_OR_BRANCH = ("IfStmt", "ForStmt", "ForEachStmt", "WhileStmt")
-_NAME_KINDS = ("Name", "FieldAccess")
 
 
 class NoRelevantEdit(Exception):
@@ -91,25 +90,25 @@ def _subject_facts(conflict: Conflict) -> Optional[tuple[str, str, Optional[int]
 def use_node_ids(named: dict[str, list[SyntaxNode]],
                  conflict: Conflict) -> set[int]:
     """Ids of the before-tree nodes that use the changed definition,
-    answered from the tree's ``name_index``."""
+    answered from the tree's ``syntax.name_index``: only the lists of the
+    subject's name and of the variables declared with its type."""
     subject = _subject_facts(conflict)
     if subject is None:
         return set()
     kind, name, arity = subject
-    candidates = named.get(name, ())
 
     if kind == "field":
-        return {n.id for n in field_use_nodes(candidates, name)}
+        return {n.id for n in uses(named, name, NAME_USES)}
 
     ids: set[int] = set()
     if kind == "method":
-        for n in call_nodes(candidates, name, arity):
+        for n in uses(named, name, CALLS, arity):
             ids.add(n.id)
             ids.update(c.id for c in n.children if c.kind == "ArgumentList")
         return ids
 
     if kind == "constructor":
-        for n in creation_nodes(candidates, name, arity):
+        for n in uses(named, name, CREATIONS, arity):
             ids.add(n.id)
             ids.update(c.id for c in n.children
                        if c.kind in ("TypeRef", "ArgumentList"))
@@ -118,46 +117,15 @@ def use_node_ids(named: dict[str, list[SyntaxNode]],
     # class subject: type references, plus every mention of a variable
     # declared with that type
     typed_vars: set[str] = set()
-    for n in candidates:
+    for n in named.get(name, ()):
         if n.kind in ("LocalVarDecl", "Parameter"):
             typed_vars.add(n.value)
             ids.add(n.id)
         elif n.kind in ("TypeRef", "Name"):
             ids.add(n.id)
     for var in typed_vars:
-        ids.update(n.id for n in named.get(var, ())
-                   if n.kind in _NAME_KINDS)
+        ids.update(n.id for n in uses(named, var, NAME_USES))
     return ids
-
-
-def _mentioned_name(node: SyntaxNode) -> Optional[str]:
-    """The name a node can use a definition by: the value of a name,
-    field access or call, the base name of a type reference, and the base
-    name of the type a creation makes or a variable is declared with."""
-    kind = node.kind
-    if kind in ("Name", "FieldAccess", "MethodInvocation"):
-        return node.value
-    if kind == "TypeRef":
-        return type_base_name(node.value)
-    if kind == "ObjectCreation":
-        tref = next((c for c in node.children if c.kind == "TypeRef"), None)
-    elif kind in ("LocalVarDecl", "Parameter"):
-        tref = declared_type(node)
-    else:
-        return None
-    return None if tref is None else type_base_name(tref.value)
-
-
-def name_index(before: SyntaxTree) -> dict[str, list[SyntaxNode]]:
-    """The before tree's nodes by the name they mention, each list in
-    pre-order; use_node_ids reads only the lists of the subject's name and
-    of the variables declared with its type."""
-    out: dict[str, list[SyntaxNode]] = {}
-    for node in before.nodes():
-        name = _mentioned_name(node)
-        if name is not None:
-            out.setdefault(name, []).append(node)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +169,9 @@ def _op_names(before: SyntaxTree, op: EditOp, target_id: int) -> set[str]:
     its target's before-side subtree, plus the name an add or update
     writes."""
     target = before.node(target_id)
-    out = {n.value for n in target.walk() if n.kind in _NAME_KINDS}
-    if (op.op == "add" and op.node_kind in _NAME_KINDS) \
-            or (op.op == "update" and target.kind in _NAME_KINDS):
+    out = {n.value for n in target.walk() if n.kind in NAME_USES}
+    if (op.op == "add" and op.node_kind in NAME_USES) \
+            or (op.op == "update" and target.kind in NAME_USES):
         out.add(op.value or "")
     return out
 

@@ -10,9 +10,16 @@ hosts.  Each (branch, base host, branch host) is therefore diffed once,
 into one EditExample kept in ``FourWayGraph.mined`` for as long as that
 graph lives: the before and after trees, the script between them, and
 what refinement reads of the before tree and the script whatever the
-conflict (the script's ScriptEdits and the tree's name_index).  A host
-whose script is empty is kept as None.  Every conflict that mines the host
-gets that same record, and no record holds a conflict or a pattern.
+conflict (the script's ScriptEdits and the tree's ``syntax.name_index``).
+A host whose script is empty is kept as None.  Every conflict that mines
+the host gets that same record, and no record holds a conflict or a
+pattern.
+
+Which hosts mention a type subject is asked of the merge's own indexes,
+``FourWayGraph.name_index``, which detection reads too: a name is
+mentioned when it is a key.  A record's index is built by the same
+function, but over the renumbered copy of the before tree, so it is not
+the merge's.
 
 Sharing is sound because everything in the record is a function of the
 host alone, and nothing downstream edits it: ``refine_context`` clones the
@@ -29,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conflicts import Conflict, mentions_name
+from .conflicts import Conflict
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
-from .inference import ScriptEdits, name_index, script_edits
+from .inference import ScriptEdits, script_edits
 from .peg import RELATION_KINDS, Entity, Relation, lookup_uses
-from .syntax import SyntaxNode, SyntaxTree, clone_node
+from .syntax import SyntaxNode, SyntaxTree, clone_node, name_index
 from .tree_diff import EditScript, diff_trees
 
 _HOST_KINDS = ("method", "constructor", "field")
@@ -92,7 +99,7 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
         simple = subject_base.simple_name
         for ent in fw.base.entities.values():
             if ent.kind in _HOST_KINDS and ent.decl is not None \
-                    and mentions_name(ent.decl, simple):
+                    and simple in fw.name_index(ent.decl):
                 hosts.setdefault(ent.id, ent)
 
     examples: list[EditExample] = []
@@ -107,8 +114,8 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
             adapted = _references(delta.target, host_branch, subject_branch)
             if not adapted and subject_branch.kind in ("class", "interface",
                                                        "enum"):
-                adapted = mentions_name(host_branch.decl,
-                                         subject_branch.simple_name)
+                adapted = subject_branch.simple_name \
+                    in fw.name_index(host_branch.decl)
             if not adapted:
                 continue
         key = (branch, host_base.id, target_id)
@@ -118,7 +125,7 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
             script = diff_trees(before, after)
             fw.mined[key] = EditExample(
                 host_base.fqn, host_base.kind, branch, before, after, script,
-                script_edits(before, script), name_index(before)
+                script_edits(before, script), name_index(before.root)
             ) if script else None
         if fw.mined[key] is not None:
             examples.append(fw.mined[key])

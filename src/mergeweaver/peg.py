@@ -364,12 +364,6 @@ def arity_of(entity: Entity) -> int:
     return count
 
 
-def type_base_name(type_text: str) -> str:
-    """Strip generics and qualifiers from a TypeRef value: a.b.Foo<T> -> Foo."""
-    base = type_text.split("<", 1)[0]
-    return base.rsplit(".", 1)[-1]
-
-
 def _relation(src: Entity, dst: Entity, kind: str) -> Relation:
     _check_endpoints(src, dst, kind)
     return Relation(src.id, dst.id, kind)

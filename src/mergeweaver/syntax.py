@@ -68,6 +68,12 @@ def declared_type(decl: SyntaxNode) -> Optional[SyntaxNode]:
     return None
 
 
+def type_base_name(type_text: str) -> str:
+    """Strip generics and qualifiers from a TypeRef value: a.b.Foo<T> -> Foo."""
+    base = type_text.split("<", 1)[0]
+    return base.rsplit(".", 1)[-1]
+
+
 def initializer(decl: SyntaxNode) -> Optional[SyntaxNode]:
     """The initializer of a field or local variable: its first child that
     is not a modifier, annotation or type."""
@@ -197,6 +203,42 @@ def clone_node(node: SyntaxNode) -> SyntaxNode:
             dst.children.append(copy)
             stack.append((c, copy))
     return root
+
+
+# -- name uses --------------------------------------------------------------
+# name_index is the one decoder of which nodes can use a definition by name;
+# the use finders of conflicts and inference filter its lists by kind.
+
+
+def _mentioned_name(node: SyntaxNode) -> Optional[str]:
+    """The name a node can use a definition by: the value of a name,
+    field access or call, the base name of a type reference, and the base
+    name of the type a creation makes or a variable is declared with."""
+    kind = node.kind
+    if kind in ("Name", "FieldAccess", "MethodInvocation"):
+        return node.value
+    if kind == "TypeRef":
+        return type_base_name(node.value)
+    if kind == "ObjectCreation":
+        tref = next((c for c in node.children if c.kind == "TypeRef"), None)
+    elif kind in ("LocalVarDecl", "Parameter"):
+        tref = declared_type(node)
+    else:
+        return None
+    return None if tref is None else type_base_name(tref.value)
+
+
+def name_index(root: SyntaxNode) -> dict[str, list[SyntaxNode]]:
+    """The nodes under ``root`` (itself included) by the name they
+    mention, each list in pre-order.  A node is under exactly one name, so
+    a name is a key exactly when some Name, FieldAccess or MethodInvocation
+    has it as value or some TypeRef as base name."""
+    out: dict[str, list[SyntaxNode]] = {}
+    for node in root.walk():
+        name = _mentioned_name(node)
+        if name is not None:
+            out.setdefault(name, []).append(node)
+    return out
 
 
 class SyntaxTree:

@@ -7,7 +7,11 @@ conflict exactly as this module does.  Only the ``fw=None`` fallback of
 
 The declaration helpers it reads declarations through are verbatim copies
 of the ones ``mergeweaver.conflicts`` had before the ``syntax`` readers
-replaced them, so the oracle never reads through the code it checks.
+replaced them, so the oracle never reads through the code it checks.  So
+are ``mentions_name``, ``arg_count``, ``type_base_name`` and the use
+finders that walk a whole declaration, from before ``syntax.name_index``
+and ``conflicts.uses`` replaced them; ``tests/test_conflicts.py`` checks
+the index against them.
 """
 
 from __future__ import annotations
@@ -16,18 +20,40 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from mergeweaver.conflicts import (IDENT_RE, Conflict, ConflictSite,
-                                   arg_count, mentions_name, owner_fqn,
-                                   simple_of)
+                                   owner_fqn, simple_of)
 from mergeweaver.graph_diff import (EntityEdit, FourWayGraph, RelationEdit,
                                     merged_entity_for)
-from mergeweaver.peg import (MEMBER_ENTITY_KINDS, Entity, Relation, arity_of,
-                             type_base_name)
+from mergeweaver.peg import MEMBER_ENTITY_KINDS, Entity, Relation, arity_of
 from mergeweaver.syntax import SyntaxNode
 
 Edit = Union[EntityEdit, RelationEdit]
 
 # ---------------------------------------------------------------------------
 # declaration helpers
+
+
+def type_base_name(type_text: str) -> str:
+    """Strip generics and qualifiers from a TypeRef value: a.b.Foo<T> -> Foo."""
+    base = type_text.split("<", 1)[0]
+    return base.rsplit(".", 1)[-1]
+
+
+def mentions_name(decl: SyntaxNode, name: str) -> bool:
+    for n in decl.walk():
+        if n.kind in ("Name", "FieldAccess", "MethodInvocation") \
+                and n.value == name:
+            return True
+        if n.kind == "TypeRef" and type_base_name(n.value) == name:
+            return True
+    return False
+
+
+def arg_count(call: SyntaxNode) -> int:
+    """Number of arguments of an invocation or object creation."""
+    for child in call.children:
+        if child.kind == "ArgumentList":
+            return len(child.children)
+    return 0
 
 
 def declared_type_node(decl: SyntaxNode) -> Optional[SyntaxNode]:

@@ -13,8 +13,8 @@ from typing import Optional
 
 from mergeweaver.conflicts import Conflict, arg_count
 from mergeweaver.inference import _subject_facts
-from mergeweaver.peg import type_base_name
-from mergeweaver.syntax import SyntaxNode, SyntaxTree, declared_type
+from mergeweaver.syntax import (SyntaxNode, SyntaxTree, declared_type,
+                                type_base_name)
 
 
 def field_use_nodes(decl: SyntaxNode, name: str) -> list[SyntaxNode]:

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from conftest import CORPUS, merge_inputs, run_corpus
-from mergeweaver.conflicts import classify, detect_conflicts
+import reference_conflicts as ref
+from conftest import CORPUS, FANOUT, merge_inputs, run_corpus
+from mergeweaver import syntax
+from mergeweaver.conflicts import (CALLS, CREATIONS, NAME_USES, TYPE_USES,
+                                   classify, detect_conflicts, uses)
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
@@ -133,3 +136,74 @@ def test_swapping_branches_keeps_the_conflict_set(path):
         return sorted((c.type, c.subject)
                       for c in detect_conflicts(build_fourway(scenario)))
     assert conflict_set("left", "right") == conflict_set("right", "left")
+
+
+# ---------------------------------------------------------------------------
+# the name index against the walks it replaced
+
+
+def _declarations(path):
+    """Every distinct entity declaration of the four graphs of a merge."""
+    fw = build_fourway(merge_scenario(path / "base", path / "left",
+                                      path / "right"))
+    decls = {id(e.decl): e.decl
+             for g in (fw.base, fw.left, fw.right, fw.merged)
+             for e in g.entities.values() if e.decl is not None}
+    return list(decls.values())
+
+
+def _arities(nodes):
+    counts = {ref.arg_count(n) for n in nodes}
+    return [None, *sorted(counts), max(counts, default=0) + 1]
+
+
+@pytest.mark.parametrize("path", merge_inputs(), ids=lambda p: p.name)
+def test_name_index_answers_as_the_walks(path):
+    """Index membership is ``mentions_name``, and ``uses`` returns the
+    nodes, in order, that each walk-based finder returns, for every word
+    of every declaration, each kind of use and each arity."""
+    checked = 0
+    for decl in _declarations(path):
+        named = syntax.name_index(decl)
+        words = {n.value for n in decl.walk()}
+        words |= {ref.type_base_name(w) for w in words} | {"\0absent"}
+        assert set(named) <= words
+        for word in sorted(words):
+            assert (word in named) == ref.mentions_name(decl, word), word
+            assert uses(named, word, TYPE_USES) \
+                == ref._type_use_nodes(decl, word)
+            assert uses(named, word, NAME_USES) \
+                == ref._field_use_nodes(decl, word)
+            listed = named.get(word, [])
+            for arity in _arities(uses(named, word, CALLS)):
+                assert uses(named, word, CALLS, arity) \
+                    == ref._call_nodes(decl, word, arity)
+            for arity in _arities(uses(named, word, CREATIONS)):
+                assert uses(named, word, CREATIONS, arity) \
+                    == ref._creation_nodes(decl, word, arity)
+            checked += bool(listed)
+    assert checked > 0
+
+
+def test_detect_builds_one_name_index_per_using_declaration(monkeypatch):
+    """On the fanout fixture every conflict reads the index of its merged
+    user: detection builds one per distinct user and, run again on the
+    same merge, none."""
+    fw = build_fourway(merge_scenario(FANOUT / "base", FANOUT / "left",
+                                      FANOUT / "right"))
+    built = []
+    real = syntax.name_index
+
+    def counting(root):
+        built.append(root)
+        return real(root)
+
+    monkeypatch.setattr(syntax, "name_index", counting)
+    conflicts = detect_conflicts(fw)
+    users = {id(c.using_am.decl) for c in conflicts}
+    assert len(conflicts) > len(users) >= 1
+    assert sorted(map(id, built)) == sorted(users)
+    built.clear()
+    assert [(c.type, c.subject) for c in detect_conflicts(fw)] \
+        == [(c.type, c.subject) for c in conflicts]
+    assert built == []

@@ -8,12 +8,13 @@ from conftest import (CORPUS, FANOUT, brute_force_closure, parse_snippet,
                       random_program, run_corpus)
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.inference import (NoRelevantEdit, _lca, infer_pattern,
-                                   name_index, op_target_id, refine_context,
+                                   op_target_id, refine_context,
                                    refine_edits, script_edits, use_node_ids)
 from mergeweaver.mining import EditExample, mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
-from mergeweaver.syntax import STATEMENT_KINDS, SyntaxTree, clone_node
+from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxTree, clone_node,
+                                name_index)
 
 
 def mined(name: str, host_suffix: str = ""):
@@ -313,7 +314,7 @@ def test_one_pass_pruning_matches_on_random_keep_sets():
             example = EditExample(host="", host_kind="method", branch="l",
                                   before=before, after=before, script=[],
                                   edits=script_edits(before, []),
-                                  named=name_index(before))
+                                  named=name_index(before.root))
             ids = [n.id for n in before.nodes()]
             for _ in range(4):
                 critical = set(rng.sample(ids, rng.randint(1, 3)))

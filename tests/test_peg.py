@@ -8,7 +8,7 @@ from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
 from mergeweaver.peg import (ENTITY_KINDS, DuplicateEntity, Entity,
                              _check_endpoints, arity_of, build_peg,
-                             lookup_uses, type_base_name)
+                             lookup_uses)
 
 
 def graph_of(**files: str):
@@ -180,12 +180,6 @@ def test_context_string_mentions_related_entities():
     color = g.find("class", "paint.Color")
     ctx = g.context_strings({color.id})[color.id]
     assert "paint" in ctx
-
-
-def test_type_base_name_strips_generics_and_qualifiers():
-    assert type_base_name("List<String>") == "List"
-    assert type_base_name("java.util.Map<K, V>") == "Map"
-    assert type_base_name("int") == "int"
 
 
 def test_var_typed_receiver_resolves_calls():

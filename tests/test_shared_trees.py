@@ -34,8 +34,8 @@ import reference_inference as ref
 import reference_similarity_search as ref_sim
 from conftest import CORPUS, FANOUT, merge_inputs
 from mergeweaver.conflicts import Conflict
-from mergeweaver.inference import (TransformationPattern, name_index,
-                                   script_edits, use_node_ids)
+from mergeweaver.inference import (TransformationPattern, script_edits,
+                                   use_node_ids)
 from mergeweaver.conflicts import detect_conflicts
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.graph_diff import build_fourway
@@ -48,7 +48,7 @@ from mergeweaver.rules import (RULES, NotCovered, TargetMissing,
                               resolve_by_rule)
 from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxTree, clone_node,
-                                structurally_equal)
+                                name_index, structurally_equal)
 from mergeweaver.tree_diff import diff_trees
 
 VERSIONS = ("base", "left", "right", "am")
@@ -239,7 +239,7 @@ def test_mined_facts_equal_a_fresh_recomputation(resolved):
             fresh_before = SyntaxTree(
                 clone_node(fw.base.by_id(base_id).decl), assign_ids=True)
             fresh = _facts_view(script_edits(fresh_before, list(ex.script)),
-                                name_index(fresh_before))
+                                name_index(fresh_before.root))
             assert _facts_view(ex.edits, ex.named) == fresh
             checked += 1
     assert checked >= 26

@@ -23,7 +23,8 @@ from mergeweaver.printer import (MalformedTree, _expr, _print_node,
                                  statement_header_text)
 from mergeweaver.syntax import (STATEMENT_KINDS, TYPE_DECL_KINDS, SyntaxNode,
                                 SyntaxTree, body_of, clauses, declared_type,
-                                initializer, param_types, parameters)
+                                initializer, param_types, parameters,
+                                type_base_name)
 
 DECL_KINDS = TYPE_DECL_KINDS | {"FieldDecl", "MethodDecl", "ConstructorDecl",
                                 "EnumConstant", "Parameter", "LocalVarDecl"}
@@ -288,3 +289,9 @@ def test_statement_headers_match():
     assert {n.kind for n in stmts} == STATEMENT_KINDS
     for n in stmts:
         assert statement_header_text(n) == old_statement_header_text(n), n
+
+
+def test_type_base_name_strips_generics_and_qualifiers():
+    assert type_base_name("List<String>") == "List"
+    assert type_base_name("java.util.Map<K, V>") == "Map"
+    assert type_base_name("int") == "int"

@@ -4,22 +4,24 @@
 
 Each workload is generated by bench/gen.py (imported, not modified) at a
 range of sizes, written to a temporary directory and run through
-``run_scenario`` N times.  The output is a Markdown table with the best of
-the N runs of every stage in ``Report.timings_ms``; the pairs of texts the
-merge's similarity scorer scored (``pairs``, a count that host noise
-cannot move) and the tags its vocabulary holds (``grams``, the width of a
-mask in bits, also a count); the files whose bodies the merge never
-resolved (``deferred``, see peg's "Deferred bodies", also a count); of
-the distinct parsed files of the four versions, those whose tree built
-its id and parent maps (``indexed``) and those whose token position table
-was built (``positioned``; see ``syntax.SyntaxTree`` and
-``syntax.SyntaxNode``), both counts; the best of N times to diff the mined hosts of the merge again (``diff``) and
-the nodes of those hosts' before trees (``host_nodes``); the best of N
-times to read the three input trees (``read``), and to ``scan`` and to
-``parse_unit`` each distinct (path, text) pair of the three versions, with
-the tokens and nodes of those parses; and last ``ref_ms``, the reference
-job of bench/calib.py (imported, not modified), timed before and after the
-row and averaged:
+``run_scenario`` N times.  The output is a Markdown table with the best
+of the N runs of every stage in ``Report.timings_ms``; the pairs of
+texts the merge's similarity scorer scored (``pairs``, a count that host
+noise cannot move); the declarations whose name index the merge built
+(``named``, see ``FourWayGraph.name_index``, also a count); the tags the
+scorer's vocabulary holds (``grams``, the width of a mask in bits, also
+a count); the files whose bodies the merge never resolved (``deferred``,
+see peg's "Deferred bodies", also a count); of the distinct parsed files
+of the four versions, those whose tree built its id and parent maps
+(``indexed``) and those whose token position table was built
+(``positioned``; see ``syntax.SyntaxTree`` and ``syntax.SyntaxNode``),
+both counts; the best of N times to diff the mined hosts of the merge
+again (``diff``) and the nodes of those hosts' before trees
+(``host_nodes``); the best of N times to read the three input trees
+(``read``), and to ``scan`` and to ``parse_unit`` each distinct (path,
+text) pair of the three versions, with the tokens and nodes of those
+parses; and last ``ref_ms``, the reference job of bench/calib.py
+(imported, not modified), timed before and after the row and averaged:
 
 * method-rename at 120, 240, 480 and 960 files;
 * package-rename at 24, 48, 96 and 192 files;
@@ -60,7 +62,7 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "grams", "deferred", "indexed", "positioned",
+COLUMNS = STAGES + ("pairs", "named", "grams", "deferred", "indexed", "positioned",
                     "diff", "host_nodes", "read", "scan", "parse", "tokens",
                     "nodes", "ref_ms")
 
@@ -152,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
                 best["pairs"] = run.fourway.scorer.scored
+                best["named"] = len(run.fourway.named)
                 best["grams"] = run.fourway.scorer.grams
                 # every version holds the units whose bodies it deferred
                 best["deferred"] = len(run.fourway.base.deferred)
