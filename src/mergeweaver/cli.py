@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_resolve)
     p_resolve.add_argument("--out", help="write resolved files here")
     p_resolve.add_argument("--dump-script", action="store_true",
-                           help="dump inferred edit scripts to stderr")
+                           help="dump inferred edit scripts to stderr; "
+                           "their ids are node ids of the host's own parse")
     p_resolve.set_defaults(func=_cmd_resolve)
 
     p_eval = subs.add_parser("eval", help="evaluate a scenario corpus")

@@ -52,7 +52,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .graph_diff import (EntityEdit, FourWayGraph, RelationEdit,
                          merged_entity_for)
-from .peg import MEMBER_ENTITY_KINDS, Entity, Relation, arity_of
+from .peg import (MEMBER_ENTITY_KINDS, TYPE_ENTITY_KINDS, Entity, Relation,
+                  arity_of, simple_of)
 from .syntax import Span, SyntaxNode, declared_type, param_types
 
 Edit = Union[EntityEdit, RelationEdit]
@@ -95,11 +96,6 @@ class Conflict:
 def owner_fqn(fqn: str) -> str:
     head = fqn.split("(", 1)[0]
     return head.rsplit(".", 1)[0] if "." in head else ""
-
-
-def simple_of(fqn: str) -> str:
-    head = fqn.split("(", 1)[0]
-    return head.rsplit(".", 1)[-1].split("#", 1)[0]
 
 
 def declared_type_text(decl: Optional[SyntaxNode]) -> Optional[str]:
@@ -511,11 +507,11 @@ def _def_candidates(delta) -> list[Edit]:
     """Def edits of one branch, less those another def edit of it explains."""
     deleted_types = {e.old_fqn for e in delta.entity_edits
                      if e.op == "delete"
-                     and e.kind in ("class", "interface", "enum")}
+                     and e.kind in TYPE_ENTITY_KINDS}
     renames = {e.old.simple_name: e.new.simple_name
                for e in delta.entity_edits
                if e.op == "update" and e.detail == "rename"
-               and e.kind in ("class", "interface", "enum") and _renamed(e)}
+               and e.kind in TYPE_ENTITY_KINDS and _renamed(e)}
 
     out: list[Edit] = []
     for e in delta.entity_edits:

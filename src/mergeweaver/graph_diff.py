@@ -234,10 +234,11 @@ class FourWayGraph:
     # tree, statements and header texts (MergedMember); see the matching
     # module docstring
     members: dict = field(default_factory=dict, compare=False, repr=False)
-    # name_index's memo: declaration node -> its syntax.name_index.  Keyed
-    # by node, so versions that share a parse share its index; sound, as
-    # members is, because nothing writes a parsed tree (a resolution
-    # writes a copy-on-write clone)
+    # name_index's memo: declaration node -> its syntax.name_index, which
+    # detection reads and each mined host keeps.  Keyed by node, so
+    # versions that share a parse share its index; sound, as members is,
+    # because nothing writes a parsed tree (a resolution writes a
+    # copy-on-write clone, and mining diffs read-only views)
     named: dict = field(default_factory=dict, compare=False, repr=False)
 
     def name_index(self, decl: SyntaxNode) -> dict[str, list[SyntaxNode]]:

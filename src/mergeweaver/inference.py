@@ -21,12 +21,12 @@ in the edited statement that defines it.
 
 What refinement reads of a mined host whatever the conflict (each op's
 target and governing statement, the edited statements with their used and
-defined names and control owners, and the before tree's
-``syntax.name_index``, which use_node_ids filters with ``conflicts.uses``
-as the site finders do) is made once, when the host is mined, and kept on
-its EditExample (see mining), which every conflict refined against the
-host shares.  So a refinement costs work in proportion to the
-conflict's own edits, not to the host.
+defined names and control owners, and the merge's ``syntax.name_index``
+of the before declaration, which use_node_ids filters with
+``conflicts.uses`` as the site finders do) is made once, when the host is
+mined, and kept on its EditExample (see mining), which every conflict
+refined against the host shares.  So a refinement costs work in
+proportion to the conflict's own edits, not to the host.
 
 The context is built in one pass: the kept nodes and their ancestors are
 marked once, then only the marked nodes and what may not be dropped are
@@ -41,11 +41,9 @@ from typing import NamedTuple, Optional
 
 from .conflicts import CALLS, CREATIONS, NAME_USES, Conflict, uses
 from .graph_diff import EntityEdit, RelationEdit
-from .peg import arity_of
-from .syntax import STATEMENT_KINDS, SyntaxNode, SyntaxTree
+from .peg import TYPE_ENTITY_KINDS, arity_of
+from .syntax import HEADED_KINDS, STATEMENT_KINDS, SyntaxNode, SyntaxTree
 from .tree_diff import EditOp
-
-_LOOP_OR_BRANCH = ("IfStmt", "ForStmt", "ForEachStmt", "WhileStmt")
 
 
 class NoRelevantEdit(Exception):
@@ -79,7 +77,7 @@ def _subject_facts(conflict: Conflict) -> Optional[tuple[str, str, Optional[int]
     ent = d.old if d.old is not None else d.new
     if ent is None:
         return None
-    if d.kind in ("class", "interface", "enum"):
+    if d.kind in TYPE_ENTITY_KINDS:
         return "class", ent.simple_name, None
     if d.kind in ("method", "constructor", "field"):
         arity = arity_of(ent) if d.kind != "field" else None
@@ -179,7 +177,7 @@ def _op_names(before: SyntaxTree, op: EditOp, target_id: int) -> set[str]:
 def _control_owner(before: SyntaxTree,
                    stmt: SyntaxNode) -> Optional[SyntaxNode]:
     for anc in before.ancestors(stmt):
-        if anc.kind in _LOOP_OR_BRANCH:
+        if anc.kind in HEADED_KINDS:
             return anc
     return None
 
@@ -217,9 +215,10 @@ def refine_edits(example: "EditExample", conflict: Conflict
                  ) -> tuple[list[EditOp], set[int], set[int]]:
     """(kept ops, closure statement ids, critical node ids).
 
-    A mined before tree carries fresh pre-order ids (see EditExample), so
-    comparing two ids compares the positions of their nodes: a definition
-    in statement oid reaches a use in statement sid only if oid < sid.
+    A mined before tree is a view of a parsed declaration (see mining),
+    and a parse numbers its nodes in pre-order, so comparing two ids
+    compares the positions of their nodes: a definition in statement oid
+    reaches a use in statement sid only if oid < sid.
 
     Raises NoRelevantEdit when no op touches a use of the definition.
     """

@@ -10,25 +10,27 @@ hosts.  Each (branch, base host, branch host) is therefore diffed once,
 into one EditExample kept in ``FourWayGraph.mined`` for as long as that
 graph lives: the before and after trees, the script between them, and
 what refinement reads of the before tree and the script whatever the
-conflict (the script's ScriptEdits and the tree's ``syntax.name_index``).
-A host whose script is empty is kept as None.  Every conflict that mines
-the host gets that same record, and no record holds a conflict or a
-pattern.
+conflict (the script's ScriptEdits and the tree's name index).  A host
+whose script is empty is kept as None.  Every conflict that mines the
+host gets that same record, and no record holds a conflict or a pattern.
 
-Which hosts mention a type subject is asked of the merge's own indexes,
-``FourWayGraph.name_index``, which detection reads too: a name is
-mentioned when it is a key.  A record's index is built by the same
-function, but over the renumbered copy of the before tree, so it is not
-the merge's.
+The before and after trees are views of the two host declarations, as a
+``matching.MergedMember`` is of a merged one: the parsed nodes under the
+ids their parse gave them, not copies.  A parse numbers a file in
+pre-order, so the ids of one declaration still increase in pre-order,
+which is all refinement asks of them (see ``inference.refine_edits``).
+The record's index is the merge's own ``FourWayGraph.name_index`` of the
+base declaration, the one detection reads, and which hosts mention a
+type subject is asked of the same indexes: a name is mentioned when it
+is a key.
 
 Sharing is sound because everything in the record is a function of the
 host alone, and nothing downstream edits it: ``refine_context`` clones the
 part of the before tree it keeps, ``diff_trees`` replays the script on a
 copy-on-write clone of the before tree, and ``apply_pattern`` edits the
-merged file, not the example.  The host trees are deep copies, not
-copy-on-write clones, because they are renumbered.  What depends on the
-conflict (its use nodes, the closure, the pattern) is computed per
-refinement and never stored.
+merged file, not the example.  What depends on the conflict (its use
+nodes, the closure, the pattern) is computed per refinement and never
+stored.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from typing import Optional
 from .conflicts import Conflict
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
 from .inference import ScriptEdits, script_edits
-from .peg import RELATION_KINDS, Entity, Relation, lookup_uses
-from .syntax import SyntaxNode, SyntaxTree, clone_node, name_index
+from .peg import (RELATION_KINDS, TYPE_ENTITY_KINDS, Entity, Relation,
+                  lookup_uses)
+from .syntax import SyntaxNode, SyntaxTree
 from .tree_diff import EditScript, diff_trees
 
 _HOST_KINDS = ("method", "constructor", "field")
@@ -54,11 +57,11 @@ class EditExample:
     host: str                   # base fqn of the adapted member
     host_kind: str
     branch: str
-    before: SyntaxTree          # base body, fresh pre-order ids
-    after: SyntaxTree           # branch body, fresh pre-order ids
+    before: SyntaxTree          # view of the base declaration
+    after: SyntaxTree           # view of the branch declaration
     script: EditScript
     edits: ScriptEdits          # what the closure reads of the script
-    named: dict[str, list[SyntaxNode]]  # the before tree's name_index
+    named: dict[str, list[SyntaxNode]]  # the merge's index of before
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<example {self.host} ({len(self.script)} ops)>"
@@ -94,7 +97,7 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
     for src, _rel in lookup_uses(fw.base, subject_base):
         if src.kind in _HOST_KINDS:
             hosts[src.id] = src
-    if subject_base.kind in ("class", "interface", "enum"):
+    if subject_base.kind in TYPE_ENTITY_KINDS:
         # declared-only uses (parameter and local types) leave no relation
         simple = subject_base.simple_name
         for ent in fw.base.entities.values():
@@ -112,20 +115,19 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
             continue
         if subject_branch is not None:
             adapted = _references(delta.target, host_branch, subject_branch)
-            if not adapted and subject_branch.kind in ("class", "interface",
-                                                       "enum"):
+            if not adapted and subject_branch.kind in TYPE_ENTITY_KINDS:
                 adapted = subject_branch.simple_name \
                     in fw.name_index(host_branch.decl)
             if not adapted:
                 continue
         key = (branch, host_base.id, target_id)
         if key not in fw.mined:
-            before = SyntaxTree(clone_node(host_base.decl), assign_ids=True)
-            after = SyntaxTree(clone_node(host_branch.decl), assign_ids=True)
+            before = SyntaxTree(host_base.decl)
+            after = SyntaxTree(host_branch.decl)
             script = diff_trees(before, after)
             fw.mined[key] = EditExample(
                 host_base.fqn, host_base.kind, branch, before, after, script,
-                script_edits(before, script), name_index(before.root)
+                script_edits(before, script), fw.name_index(host_base.decl)
             ) if script else None
         if fw.mined[key] is not None:
             examples.append(fw.mined[key])

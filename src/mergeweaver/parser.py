@@ -75,7 +75,6 @@ from __future__ import annotations
 import re
 import sys
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import TYPE_KEYWORDS, SourceFile, Span, SyntaxNode, SyntaxTree
@@ -164,14 +163,6 @@ class ParseError(Exception):
         self.line = line
         self.col = col
         self.message = message
-
-
-@dataclass
-class Token:
-    kind: str  # ident | number | string | char | punct | eof
-    text: str
-    line: int
-    col: int
 
 
 Tokens = tuple[list[str], list[str]]
@@ -331,17 +322,6 @@ def token_texts(text: str) -> list[str]:
     texts = scan("<tokens>", text)[1]
     del texts[-_EOF_PAD:]
     return texts
-
-
-def tokenize(path: str, text: str) -> list[Token]:
-    """Tokens of ``text``, ending with an eof token.
-
-    Lines and columns are 1-based; every character, tabs and carriage
-    returns included, advances the column by one.
-    """
-    kinds, texts, lines, cols = scan_positions(path, text)
-    n = len(kinds) - _EOF_PAD + 1
-    return list(map(Token, kinds[:n], texts[:n], lines[:n], cols[:n]))
 
 
 class _Parser:

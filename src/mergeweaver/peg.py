@@ -83,19 +83,17 @@ from .syntax import (TYPE_DECL_KINDS, TYPE_KEYWORDS, SourceFile, SyntaxNode,
                      body_of, clauses, declared_type, initializer, param_types,
                      parameters)
 
-ENTITY_KINDS = frozenset({
-    "project", "package", "compilation-unit",
-    "class", "interface", "enum",
-    "field", "method", "constructor", "enum-constant",
-})
+# the type entity kinds, in the order find_type tries them: the keywords
+# of the type declarations
+TYPE_ENTITY_KINDS = tuple(TYPE_KEYWORDS.values())
+MEMBER_ENTITY_KINDS = frozenset({"field", "method", "constructor", "enum-constant"})
+ENTITY_KINDS = frozenset({"project", "package", "compilation-unit",
+                          *TYPE_ENTITY_KINDS, *MEMBER_ENTITY_KINDS})
 
 RELATION_KINDS = frozenset({
     "contains", "imports", "declares", "extends", "implements",
     "reads", "writes", "calls", "initializes",
 })
-
-_TYPE_ENTITY_KINDS = frozenset({"class", "interface", "enum"})
-MEMBER_ENTITY_KINDS = frozenset({"field", "method", "constructor", "enum-constant"})
 
 # legal (src kind, relation, dst kind) families
 _CALL_SRC = MEMBER_ENTITY_KINDS - {"enum-constant"}
@@ -117,6 +115,13 @@ class UnknownEntity(KeyError):
     pass
 
 
+def simple_of(fqn: str) -> str:
+    """The simple name of an entity's fqn: no owner, parameters or
+    ``#`` suffix."""
+    head = fqn.split("(", 1)[0]
+    return head.rsplit(".", 1)[-1].split("#", 1)[0]
+
+
 @dataclass(eq=False, frozen=True)
 class Entity:
     kind: str
@@ -133,9 +138,7 @@ class Entity:
         if self.kind not in ENTITY_KINDS:
             raise ValueError(f"unknown entity kind: {self.kind!r}")
         object.__setattr__(self, "id", f"{self.kind}:{self.fqn}")
-        head = self.fqn.split("(", 1)[0]
-        object.__setattr__(self, "simple_name",
-                           head.rsplit(".", 1)[-1].split("#", 1)[0])
+        object.__setattr__(self, "simple_name", simple_of(self.fqn))
 
     @property
     def param_sig(self) -> Optional[str]:
@@ -273,7 +276,7 @@ class EntityGraph(_Lookups):
         return self.entities.get(f"{kind}:{fqn}")
 
     def find_type(self, fqn: str) -> Optional[Entity]:
-        for kind in ("class", "interface", "enum"):
+        for kind in TYPE_ENTITY_KINDS:
             ent = self.find(kind, fqn)
             if ent is not None:
                 return ent
@@ -326,12 +329,13 @@ def _check_endpoints(src: Entity, dst: Entity, kind: str) -> None:
         ok = (src.kind, dst.kind) in (("project", "package"),
                                       ("package", "compilation-unit"))
     elif kind == "declares":
-        ok = (src.kind == "compilation-unit" and dst.kind in _TYPE_ENTITY_KINDS) \
-            or (src.kind in _TYPE_ENTITY_KINDS
-                and dst.kind in MEMBER_ENTITY_KINDS | _TYPE_ENTITY_KINDS)
+        ok = (src.kind == "compilation-unit" and dst.kind in TYPE_ENTITY_KINDS) \
+            or (src.kind in TYPE_ENTITY_KINDS
+                and (dst.kind in MEMBER_ENTITY_KINDS
+                     or dst.kind in TYPE_ENTITY_KINDS))
     elif kind == "imports":
         ok = src.kind == "compilation-unit" and \
-            dst.kind in _TYPE_ENTITY_KINDS | {"package"}
+            (dst.kind in TYPE_ENTITY_KINDS or dst.kind == "package")
     elif kind == "extends":
         ok = (src.kind, dst.kind) in (("class", "class"),
                                       ("interface", "interface"))
@@ -866,7 +870,7 @@ class _Resolver:
                 return hit
             parent = self.unit.parent_of(cur)
             cur = parent if parent is not None and \
-                parent.kind in _TYPE_ENTITY_KINDS else None
+                parent.kind in TYPE_ENTITY_KINDS else None
         return None
 
     def _fields(self, name: str) -> Callable:

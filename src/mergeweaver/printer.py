@@ -9,16 +9,14 @@ bytes; printing then re-parsing yields a structurally identical tree.
 
 from __future__ import annotations
 
-from .syntax import (TYPE_DECL_KINDS, TYPE_KEYWORDS, SyntaxNode, SyntaxTree,
-                     body_of, clauses, declared_type, initializer, parameters)
+from .syntax import (HEADED_KINDS, TYPE_DECL_KINDS, TYPE_KEYWORDS, SyntaxNode,
+                     SyntaxTree, body_of, clauses, declared_type, initializer,
+                     parameters)
 
 INDENT = "    "
 
 _MEMBER_KINDS = TYPE_DECL_KINDS | {"FieldDecl", "MethodDecl",
                                    "ConstructorDecl"}
-# the keyword of each statement printed as ``keyword (header) { ... }``
-_HEADED = {"IfStmt": "if", "WhileStmt": "while", "ForStmt": "for",
-           "ForEachStmt": "for"}
 
 
 class MalformedTree(Exception):
@@ -85,6 +83,8 @@ def _print_node(node: SyntaxNode, depth: int, lines: list[str]) -> None:
         lines.append(f"{pad}{{")
         _print_stmts(node, depth + 1, lines)
         lines.append(f"{pad}}}")
+    elif k == "EnumConstant":
+        lines.append(f"{pad}{node.value}")
     elif k == "LocalVarDecl":
         lines.append(f"{pad}{_variable(node, depth)};")
     elif k == "ExprStmt":
@@ -96,8 +96,8 @@ def _print_node(node: SyntaxNode, depth: int, lines: list[str]) -> None:
             lines.append(f"{pad}return;")
     elif k == "ThrowStmt":
         lines.append(f"{pad}throw {_expr(node.children[0], depth)};")
-    elif k in _HEADED:
-        lines.append(f"{pad}{_HEADED[k]} ({_header(node, depth)}) {{")
+    elif k in HEADED_KINDS:
+        lines.append(f"{pad}{HEADED_KINDS[k]} ({_header(node, depth)}) {{")
         body = node.children[1 if k == "IfStmt" or k == "WhileStmt" else -1]
         _print_stmts(body, depth + 1, lines)
         # an if's else branch: an else-if chain, then an optional else block
@@ -198,7 +198,7 @@ def statement_header_text(node: SyntaxNode) -> str:
     compare on the whole statement.  Whitespace is collapsed so layout never
     influences the score.
     """
-    if node.kind in _HEADED:
+    if node.kind in HEADED_KINDS:
         text = _header(node, 0)
     else:
         lines: list[str] = []

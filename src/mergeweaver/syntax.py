@@ -37,6 +37,11 @@ STATEMENT_KINDS = frozenset({
     "ReturnStmt", "ThrowStmt", "ExprStmt", "LocalVarDecl",
 })
 
+# The loops and branches: the statements with a parenthesised header and
+# a body, each by its keyword.
+HEADED_KINDS = {"IfStmt": "if", "WhileStmt": "while", "ForStmt": "for",
+                "ForEachStmt": "for"}
+
 # -- declaration layout -----------------------------------------------------
 # The parser lays out a declaration's children in this order: annotations
 # and modifiers; the declared type (of a field, parameter or local
@@ -244,16 +249,19 @@ def name_index(root: SyntaxNode) -> dict[str, list[SyntaxNode]]:
 class SyntaxTree:
     """A rooted tree plus the id and parent maps over it.
 
-    ``SyntaxTree(root, assign_ids=True)``, the parser's call, numbers the
+    With ``assign_ids``, as the parser calls it, the tree numbers the
     nodes 0, 1, ... in pre-order at once, so ``max_id`` and every ``id``
-    hold from the start, but builds the two maps only on the first call
-    that looks a node up: ``node``, ``has_node``, ``parent`` (so also
-    ``ancestors`` and ``enclosing_statement``), ``clone`` and the writers.
-    A tree that is only walked, as most of the trees of files no branch
-    touched are, never builds them.  The maps are built whole and then
-    published in one store, so a thread reads either no maps or both
-    complete.  Without ``assign_ids`` the tree keeps the ids it is given
-    and indexes them at once, refusing a duplicate.
+    hold from the start.  Without ``assign_ids`` the tree is a view of
+    nodes that already have their ids: a parsed declaration, a pattern
+    context, a mined host.  Either way the two maps are built only on
+    the first call that looks a node up: ``node``, ``has_node``,
+    ``parent`` (so also ``ancestors`` and ``enclosing_statement``),
+    ``clone`` and the writers, and for a view also ``max_id`` and
+    ``fresh_id``.  That one walk refuses a duplicate id and finds a
+    view's largest.  A tree that is only walked, as most of the trees of
+    files no branch touched are, never builds them.  The maps are built
+    whole and then published in one store, so a thread reads either no
+    maps or both complete.
 
     ``clone()`` is copy-on-write.  The copy starts as the same root and two
     empty overlay maps that fall back to the tree it was taken from,
@@ -272,13 +280,14 @@ class SyntaxTree:
     """
 
     def __init__(self, root: SyntaxNode, assign_ids: bool = False):
-        """Number the tree under ``root`` (see the class docstring), or
-        index the ids it has."""
+        """Number the tree under ``root``, or keep the ids it has (see the
+        class docstring)."""
         self.root = root
         # (id -> node, id -> parent), or None until the first lookup
         self._maps: Optional[tuple[dict[int, SyntaxNode],
                                    dict[int, Optional[SyntaxNode]]]] = None
-        self._max_id = -1
+        # a view's largest id is found with its maps
+        self._max_id: Optional[int] = None
         # copy-on-write state: the tree this one is a clone of, the ids
         # removed from it, this clone's own copies, and whether a clone
         # shares this tree's nodes
@@ -288,9 +297,6 @@ class SyntaxTree:
         self._shared = False
         if assign_ids:
             self._number(root)
-        else:
-            self._maps = ({}, {})
-            self._index(root, None)
 
     def _number(self, root: SyntaxNode) -> None:
         counter = 0
@@ -304,7 +310,8 @@ class SyntaxTree:
 
     def _indexes(self) -> tuple[dict[int, SyntaxNode],
                                 dict[int, Optional[SyntaxNode]]]:
-        """The id and parent maps, built on the first call."""
+        """The id and parent maps, built on the first call, which also
+        refuses a duplicate id and sets a view's ``max_id``."""
         maps = self._maps
         if maps is None:
             by_id: dict[int, SyntaxNode] = {}
@@ -313,10 +320,13 @@ class SyntaxTree:
                 [(self.root, None)]
             while stack:
                 node, parent = stack.pop()
-                by_id[node.id] = node
+                if by_id.setdefault(node.id, node) is not node:
+                    raise ValueError(f"duplicate node id {node.id}")
                 parents[node.id] = parent
                 for child in node.children:
                     stack.append((child, node))
+            if self._max_id is None:
+                self._max_id = max(by_id)
             maps = self._maps = (by_id, parents)
         return maps
 
@@ -326,6 +336,8 @@ class SyntaxTree:
         return self._maps is not None
 
     def _index(self, top: SyntaxNode, parent: Optional[SyntaxNode]) -> None:
+        """Index a subtree ``insert`` attaches, refusing an id the tree
+        already has."""
         by_id, parents = self._indexes()
         stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(top, parent)]
         while stack:
@@ -421,10 +433,12 @@ class SyntaxTree:
 
     @property
     def max_id(self) -> int:
+        if self._max_id is None:
+            self._indexes()
         return self._max_id
 
     def fresh_id(self) -> int:
-        self._max_id += 1
+        self._max_id = self.max_id + 1
         return self._max_id
 
     def nodes(self) -> Iterator[SyntaxNode]:

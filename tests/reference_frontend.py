@@ -8,15 +8,22 @@ the token regex and took each line from an ``rfind`` since the previous
 token, and ``_read_tree``, which read ``sorted(root.rglob("*.java"))``
 with ``Path.read_text``.  Keep them as they are; they are the oracle, not
 a second implementation to maintain.
+
+``EagerIndex`` is the oracle of ``SyntaxTree``'s lazy maps: the id and
+parent maps of a tree built whole at construction, as a tree given its
+ids once built them, with the lookups ``test_lazy_front_end`` asks of
+both.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import Iterator, Optional
 
 from mergeweaver.merge3 import UnreadableSource
 from mergeweaver.parser import ParseError, Scan
+from mergeweaver.syntax import SyntaxNode
 
 _SKIP = r"(?=(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*))(?P=skip)"
 _TOKEN_RE = re.compile(
@@ -109,3 +116,33 @@ def _read_tree(root: Path) -> dict[str, str]:
             except UnicodeDecodeError as exc:
                 raise UnreadableSource(p, exc) from None
     return files
+
+
+class EagerIndex:
+    def __init__(self, root: SyntaxNode):
+        self.by_id: dict[int, SyntaxNode] = {}
+        self.parents: dict[int, Optional[SyntaxNode]] = {}
+        stack: list[tuple[SyntaxNode, Optional[SyntaxNode]]] = [(root, None)]
+        while stack:
+            node, parent = stack.pop()
+            if node.id in self.by_id:
+                raise ValueError(f"duplicate node id {node.id}")
+            self.by_id[node.id] = node
+            self.parents[node.id] = parent
+            stack.extend((child, node) for child in node.children)
+        self.max_id = max(self.by_id)
+
+    def has_node(self, node_id: int) -> bool:
+        return node_id in self.by_id
+
+    def node(self, node_id: int) -> SyntaxNode:
+        return self.by_id[node_id]
+
+    def parent(self, node: SyntaxNode) -> Optional[SyntaxNode]:
+        return self.parents[node.id]
+
+    def ancestors(self, node: SyntaxNode) -> Iterator[SyntaxNode]:
+        cur = self.parent(node)
+        while cur is not None:
+            yield cur
+            cur = self.parent(cur)

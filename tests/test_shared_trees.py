@@ -11,12 +11,14 @@ is still the parsed member itself.
 
 mine_examples keeps each adapted host as one EditExample (its before and
 after trees, script and refinement facts) for the lifetime of the
-four-way graph, or None when the host's script is empty.  After whole
-pipeline runs, every memoized record must still equal a fresh mining of
-its host, its facts must equal facts recomputed from a fresh before tree
-and its script, its indexed use lookup must equal the old whole-tree walk
-for every conflict refined against it, it must hold no pattern or
-conflict, and conflicts that share a host must get the same record.
+four-way graph, or None when the host's script is empty.  Its trees are
+views of the host declarations themselves, so after whole pipeline runs
+every memoized record must still equal a mining of a fresh parse of its
+host, its facts must equal facts recomputed from a copy of its before
+tree and its script, its indexed use lookup must equal the old
+whole-tree walk for every conflict refined against it, it must hold no
+pattern or conflict, and conflicts that share a host must get the same
+record.
 
 resolve_by_example keeps each merged member it anchors in (its tree,
 statements and header texts) for the lifetime of the four-way graph
@@ -70,7 +72,7 @@ def _all_scenarios():
 
 def test_resolution_leaves_every_parsed_tree_unchanged(generated):
     resolved = 0
-    members = 0
+    members = hosts = 0
     for sdir in _all_scenarios() + [FANOUT] + generated:
         scenario = merge_scenario(sdir / "base", sdir / "left",
                                   sdir / "right")
@@ -86,8 +88,10 @@ def test_resolution_leaves_every_parsed_tree_unchanged(generated):
                 pass
         assert _fingerprint(scenario) == before, sdir.name
         members += len(fw.members)
+        hosts += sum(ex is not None for ex in fw.mined.values())
     assert resolved >= 146          # 76 corpus and fanout, 70 generated
     assert members >= 16            # with the merged-member memo in place
+    assert hosts >= 26              # 16 corpus and fanout, 10 generated
 
 
 def test_rule_copy_shares_every_member_without_a_site():
@@ -175,17 +179,20 @@ def test_memoized_examples_stay_equal_to_a_fresh_mining():
     for sdir in _all_scenarios() + [FANOUT]:
         fw = run_scenario(sdir / "base", sdir / "left",
                           sdir / "right").fourway
+        fresh = build_fourway(merge_scenario(sdir / "base", sdir / "left",
+                                             sdir / "right"))
         for (branch, base_id, target_id), mined in fw.mined.items():
-            delta = fw.delta_left if branch == "l" else fw.delta_right
-            fresh_before = SyntaxTree(clone_node(fw.base.by_id(base_id).decl),
-                                      assign_ids=True)
-            fresh_after = SyntaxTree(
-                clone_node(delta.target.by_id(target_id).decl),
-                assign_ids=True)
+            delta, fresh_delta = (fw.delta_left, fresh.delta_left) \
+                if branch == "l" else (fw.delta_right, fresh.delta_right)
+            fresh_before = SyntaxTree(fresh.base.by_id(base_id).decl)
+            fresh_after = SyntaxTree(fresh_delta.target.by_id(target_id).decl)
             if mined is None:       # kept as None: the bodies do not differ
                 assert not diff_trees(fresh_before, fresh_after)
                 continue
             before, after, script = mined.before, mined.after, mined.script
+            assert before.root is fw.base.by_id(base_id).decl
+            assert after.root is delta.target.by_id(target_id).decl
+            assert before.root is not fresh_before.root
             assert structurally_equal(before.root, fresh_before.root)
             assert structurally_equal(after.root, fresh_after.root)
             assert _layout(before) == _layout(fresh_before), sdir.name
@@ -237,7 +244,7 @@ def test_mined_facts_equal_a_fresh_recomputation(resolved):
             if ex is None:
                 continue
             fresh_before = SyntaxTree(
-                clone_node(fw.base.by_id(base_id).decl), assign_ids=True)
+                clone_node(fw.base.by_id(base_id).decl))
             fresh = _facts_view(script_edits(fresh_before, list(ex.script)),
                                 name_index(fresh_before.root))
             assert _facts_view(ex.edits, ex.named) == fresh

@@ -3,7 +3,8 @@
 ``reference_tokenize`` is the original character-at-a-time lexer, kept
 here as an oracle, and ``reference_frontend.scan`` the scanner that
 matched one token per regex call before ``scan`` took one ``findall`` per
-text.  On every input ``tokenize`` must agree with the first on every
+text.  On every input ``reference_parser.tokenize``, the token-object
+view of ``scan_positions``, must agree with the first on every
 token (kind, text, line, column), ``scan_positions`` with the second on
 all four lists, eof entries included, and ``scan``, which keeps no
 positions, with the second's kinds and texts; or each must raise the same
@@ -19,7 +20,8 @@ import pytest
 
 import reference_frontend
 from conftest import FANOUT, bench_gen, corpus_java_files, random_program
-from mergeweaver.parser import ParseError, Token, scan, scan_positions, tokenize
+from mergeweaver.parser import ParseError, scan, scan_positions
+from reference_parser import Token, tokenize
 
 _REFERENCE_PUNCT = [
     "||", "&&", "==", "!=", "<=", ">=",
