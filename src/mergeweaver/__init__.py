@@ -11,7 +11,7 @@ from .inference import (NoRelevantEdit, TransformationPattern, infer_pattern)
 from .parser import ParseError, parse_unit
 from .peg import DuplicateEntity, Entity, EntityGraph, Relation, build_peg
 from .pipeline import Report, ScenarioRun, run_scenario
-from .printer import pretty_print, token_stream
+from .printer import pretty_print
 from .rules import NotCovered, TargetMissing, resolve_by_rule
 from .tree_diff import (DanglingOp, EditOp, EditScript, apply_op,
                         apply_script, diff_trees)
@@ -29,7 +29,7 @@ __all__ = [
     "ParseError", "parse_unit",
     "DuplicateEntity", "Entity", "EntityGraph", "Relation", "build_peg",
     "Report", "ScenarioRun", "run_scenario",
-    "pretty_print", "token_stream",
+    "pretty_print",
     "NotCovered", "TargetMissing", "resolve_by_rule",
     "DanglingOp", "EditOp", "EditScript", "apply_op", "apply_script",
     "diff_trees",

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from .parser import token_texts
 from .pipeline import ScenarioRun, run_scenario
-from .printer import token_stream
 
 STRATEGIES = ("example", "rule")
 
@@ -59,7 +59,7 @@ def _verdict(run: ScenarioRun, strategy: str,
         want = expected_dir / res.path
         if not want.is_file():
             return "incorrect"
-        if token_stream(res.text) != token_stream(want.read_text()):
+        if token_texts(res.text) != token_texts(want.read_text()):
             return "incorrect"
     if len(produced) < len(run.report.conflicts):
         return "incorrect"

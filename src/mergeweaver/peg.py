@@ -23,13 +23,15 @@ SourceFile the memo keeps a ``_Unit``: the entities the file declares
 and its diagnostics, all of which depend on the text alone.  A unit is
 resolved in two steps, its head (imports, extends, implements) and then its
 bodies (reads, writes, calls, initializes), because bodies follow the
-superclasses that every unit's head links.  A resolution records each
-symbol-table read it made with the answer, in ids and texts: a type fqn
+superclasses that every unit's head links.  A resolution reads the version
+only through a ``_Reads``, the one reader of a version's symbol table,
+which records each read with its answer, in ids and texts: a type fqn
 looked up (hit or miss, stubs included), a package looked up, a type's
-member list, a type's superclass, a field's declared type.  A later version
-reuses a resolution only if it holds the same SourceFile and every recorded
-read gives the same answer there; otherwise the unit is resolved afresh and
-the new resolution kept beside the old ones.
+member list, a type's superclass, a field's declared type.  Its member and
+supertype queries are made of those reads.  A later version reuses a
+resolution only if it holds the same SourceFile and every recorded read
+gives the same answer there; otherwise the unit is resolved afresh and the
+new resolution kept beside the old ones.
 
 The reuse is exact: a resolution sees the version only through those reads,
 and the relations it emits hold ids, so equal answers give equal relations.
@@ -111,10 +113,6 @@ class DuplicateEntity(Exception):
         self.version = version
 
 
-class UnknownEntity(KeyError):
-    pass
-
-
 def simple_of(fqn: str) -> str:
     """The simple name of an entity's fqn: no owner, parameters or
     ``#`` suffix."""
@@ -156,48 +154,7 @@ class Relation(NamedTuple):
     kind: str
 
 
-class _Lookups:
-    """Member and supertype queries over ``members_of`` and
-    ``superclass_of``, shared by a graph and by the recorded view that
-    resolution reads a graph through."""
-
-    def members_of(self, entity: Entity) -> list[Entity]:
-        raise NotImplementedError
-
-    def superclass_of(self, type_entity: Entity) -> Optional[Entity]:
-        raise NotImplementedError
-
-    def methods_named(self, type_entity: Entity, name: str,
-                      arity: Optional[int] = None) -> list[Entity]:
-        out = []
-        for member in self.members_of(type_entity):
-            if member.kind not in ("method", "constructor"):
-                continue
-            if member.simple_name != name:
-                continue
-            if arity is not None and arity_of(member) != arity:
-                continue
-            out.append(member)
-        return out
-
-    def field_named(self, type_entity: Entity, name: str) -> Optional[Entity]:
-        for member in self.members_of(type_entity):
-            if member.kind in ("field", "enum-constant") and member.simple_name == name:
-                return member
-        return None
-
-    def supertype_chain(self, type_entity: Entity) -> Iterable[Entity]:
-        seen = {type_entity.id}
-        cur = type_entity
-        while True:
-            cur = self.superclass_of(cur)  # type: ignore[assignment]
-            if cur is None or cur.id in seen:
-                return
-            seen.add(cur.id)
-            yield cur
-
-
-class EntityGraph(_Lookups):
+class EntityGraph:
     def __init__(self, version: str):
         self.version = version
         self.entities: dict[str, Entity] = {}
@@ -213,25 +170,22 @@ class EntityGraph(_Lookups):
 
     # -- construction --------------------------------------------------------
 
-    def add_entity(self, entity: Entity, parent: Optional[Entity] = None,
-                   link: Optional[str] = None) -> Entity:
+    def add_entity(self, entity: Entity,
+                   parent: Optional[Entity] = None) -> Entity:
+        """Adds ``entity`` under ``parent``, which contains it when a
+        project or package and declares it otherwise."""
         if entity.id in self.entities:
             raise DuplicateEntity(entity.fqn, self.version)
         self.entities[entity.id] = entity
         if parent is not None:
-            self.add_relation(parent, entity, link or "contains")
+            link = "contains" if parent.kind in ("project", "package") \
+                else "declares"
+            self.relations.add(_relation(parent, entity, link))
             self._parent[entity.id] = parent.id
             # a new list: a unit's child lists are shared with other graphs
             self._children[parent.id] = \
                 self._children.get(parent.id, []) + [entity.id]
         return entity
-
-    def add_relation(self, src: Entity, dst: Entity, kind: str) -> None:
-        if kind not in RELATION_KINDS:
-            raise ValueError(f"unknown relation kind {kind}")
-        self.relations.add(_relation(src, dst, kind))
-        if kind == "extends":
-            self._super[src.id] = dst.id
 
     def _add_unit(self, unit: _Unit, package: Entity) -> None:
         """Adds a unit's declarations under its package; the first entity
@@ -267,10 +221,7 @@ class EntityGraph(_Lookups):
         return [ent for eid, ent in self.entities.items() if eid not in skip]
 
     def by_id(self, entity_id: str) -> Entity:
-        try:
-            return self.entities[entity_id]
-        except KeyError:
-            raise UnknownEntity(entity_id) from None
+        return self.entities[entity_id]
 
     def find(self, kind: str, fqn: str) -> Optional[Entity]:
         return self.entities.get(f"{kind}:{fqn}")
@@ -284,13 +235,6 @@ class EntityGraph(_Lookups):
 
     def parent_id(self, entity: Entity) -> Optional[str]:
         return self._parent.get(entity.id)
-
-    def members_of(self, entity: Entity) -> list[Entity]:
-        return [self.entities[cid] for cid in self._children.get(entity.id, [])]
-
-    def superclass_of(self, type_entity: Entity) -> Optional[Entity]:
-        sid = self._super.get(type_entity.id)
-        return None if sid is None else self.entities.get(sid)
 
     def body_text(self, entity: Entity) -> str:
         if entity.kind == "package":
@@ -352,20 +296,8 @@ def _check_endpoints(src: Entity, dst: Entity, kind: str) -> None:
 
 
 def arity_of(entity: Entity) -> int:
-    sig = entity.param_sig
-    if not sig or sig == "()":
-        return 0
-    # commas inside generic arguments do not separate parameters
-    depth = 0
-    count = 1
-    for ch in sig[1:-1]:
-        if ch == "<":
-            depth += 1
-        elif ch == ">":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            count += 1
-    return count
+    """The parameter count of a member's declaration: 0 for a field."""
+    return len(parameters(entity.decl))
 
 
 def _relation(src: Entity, dst: Entity, kind: str) -> Relation:
@@ -612,20 +544,13 @@ class _Unit:
 
     def head(self, graph: EntityGraph) -> _Resolution:
         """Imports and heritage; needs the version's types and stubs."""
-        found = _reusable(self.heads, graph)
-        if found is None:
-            found = self._resolve_head(_Reads(graph))
-            self.heads.append(found)
-        return found
+        return _reuse_or_resolve(self.heads, graph, self._resolve_head)
 
     def body(self, head: _Resolution, graph: EntityGraph) -> _Resolution:
         """Member bodies; needs every unit's head in the version."""
-        found = _reusable(head.bodies, graph)
-        if found is None:
-            reads = _Reads(graph)
-            found = _Resolution(reads.log, _Resolver(self, reads).run())
-            head.bodies.append(found)
-        return found
+        return _reuse_or_resolve(
+            head.bodies, graph,
+            lambda reads: _Resolution(reads.log, _Resolver(self, reads).run()))
 
     def _resolve_head(self, reads: _Reads) -> _Resolution:
         relations: set[Relation] = set()
@@ -674,19 +599,24 @@ def _answer(graph: EntityGraph, kind: str, arg: str):
     return None if tref is None else tref.value
 
 
-def _reusable(resolutions: list[_Resolution],
-              graph: EntityGraph) -> Optional[_Resolution]:
-    """The first resolution whose every read answers the same in graph."""
+def _reuse_or_resolve(resolutions: list[_Resolution], graph: EntityGraph,
+                      resolve: Callable[[_Reads], _Resolution]) -> _Resolution:
+    """The first of ``resolutions`` whose every read answers the same in
+    graph; else ``resolve``'s resolution through a fresh ``_Reads``, kept
+    with them."""
     for res in resolutions:
         if all(_answer(graph, kind, arg) == got
                for (kind, arg), got in res.reads.items()):
             return res
-    return None
+    found = resolve(_Reads(graph))
+    resolutions.append(found)
+    return found
 
 
-class _Reads(_Lookups):
-    """A version's symbol table as one resolution reads it; every answer
-    given is logged as (read kind, argument) -> answer."""
+class _Reads:
+    """A version's symbol table as one resolution reads it: the one reader
+    of the table.  Every answer given is logged as (read kind, argument)
+    -> answer; the member and supertype queries are made of those reads."""
 
     def __init__(self, graph: EntityGraph):
         self.graph = graph
@@ -713,6 +643,35 @@ class _Reads(_Lookups):
 
     def field_type(self, fld: Entity) -> Optional[str]:
         return self._ask("field-type", fld.id)
+
+    def methods_named(self, type_entity: Entity, name: str,
+                      arity: int) -> list[Entity]:
+        out = []
+        for member in self.members_of(type_entity):
+            if member.kind not in ("method", "constructor"):
+                continue
+            if member.simple_name != name:
+                continue
+            if arity_of(member) != arity:
+                continue
+            out.append(member)
+        return out
+
+    def field_named(self, type_entity: Entity, name: str) -> Optional[Entity]:
+        for member in self.members_of(type_entity):
+            if member.kind in ("field", "enum-constant") and member.simple_name == name:
+                return member
+        return None
+
+    def supertype_chain(self, type_entity: Entity) -> Iterable[Entity]:
+        seen = {type_entity.id}
+        cur = type_entity
+        while True:
+            cur = self.superclass_of(cur)  # type: ignore[assignment]
+            if cur is None or cur.id in seen:
+                return
+            seen.add(cur.id)
+            yield cur
 
 
 class _TypeScope:

@@ -206,13 +206,3 @@ def statement_header_text(node: SyntaxNode) -> str:
         text = " ".join(lines)
     return " ".join(text.split())
 
-
-def token_stream(text_or_tree: str | SyntaxTree) -> list[str]:
-    """Token texts of a source string or a printed tree, for equality checks."""
-    from .parser import token_texts
-
-    if isinstance(text_or_tree, SyntaxTree):
-        text = pretty_print(text_or_tree)
-    else:
-        text = text_or_tree
-    return token_texts(text)

@@ -45,11 +45,6 @@ from collections import Counter
 from .peg import Entity, EntityGraph
 
 
-def trigram_similarity(a: str, b: str) -> float:
-    """The similarity of two texts, scored by a Scorer of their own."""
-    return Scorer().similarity(a, b)
-
-
 class Scorer:
     """One merge's trigram scores and the texts they compare.
 

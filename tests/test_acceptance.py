@@ -32,10 +32,9 @@ from mergeweaver.inference import (NoRelevantEdit, refine_edits,
                                    use_node_ids)
 from mergeweaver.matching import MatchSet, rank_candidates
 from mergeweaver.mining import mine_examples
-from mergeweaver.parser import parse_unit
+from mergeweaver.parser import parse_unit, token_texts as token_stream
 from mergeweaver.merge3 import TextualConflict, merge_file
 from mergeweaver.pipeline import run_scenario
-from mergeweaver.printer import token_stream
 from mergeweaver.rules import NotCovered, TargetMissing, resolve_by_rule
 from mergeweaver.syntax import STATEMENT_KINDS, structurally_equal
 from mergeweaver.tree_diff import apply_script, diff_trees

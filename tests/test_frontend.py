@@ -7,9 +7,9 @@ import threading
 import pytest
 
 from conftest import corpus_java_files, parse_snippet, random_program
-from mergeweaver.parser import MAX_NESTING, ParseError, parse_unit
-from mergeweaver.printer import (pretty_print, statement_header_text,
-                                 token_stream)
+from mergeweaver.parser import (MAX_NESTING, ParseError, parse_unit,
+                                token_texts as token_stream)
+from mergeweaver.printer import pretty_print, statement_header_text
 from mergeweaver.syntax import structurally_equal
 from reference_parser import tokenize
 

@@ -17,7 +17,7 @@ from mergeweaver.matching import (ANCHOR_THRESHOLD, SIM_THRESHOLD, MatchSet,
 from mergeweaver.mining import mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import statement_header_text
-from mergeweaver.similarity import Scorer, trigram_similarity
+from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import SyntaxTree
 
 
@@ -38,8 +38,8 @@ def stmt_from(text: str):
 
 def fresh_score(p, m) -> float:
     """The anchor score of two statements, each profiled afresh."""
-    return _score(p, m, trigram_similarity(statement_header_text(p),
-                                           statement_header_text(m)))
+    return _score(p, m, Scorer().similarity(statement_header_text(p),
+                                            statement_header_text(m)))
 
 
 def test_score_identical_statement_is_two():

@@ -6,7 +6,7 @@ from conftest import merge_inputs
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
-from mergeweaver.peg import (ENTITY_KINDS, DuplicateEntity, Entity,
+from mergeweaver.peg import (ENTITY_KINDS, DuplicateEntity, Entity, _Reads,
                              _check_endpoints, arity_of, build_peg,
                              lookup_uses)
 
@@ -89,7 +89,7 @@ def test_heritage_relations():
     assert ("class:paint.Canvas", "implements",
             "interface:paint.Drawable") in rels
     canvas = g.find("class", "paint.Canvas")
-    chain = [e.fqn for e in g.supertype_chain(canvas)]
+    chain = [e.fqn for e in _Reads(g).supertype_chain(canvas)]
     assert "paint.Surface" in chain
 
 
@@ -156,12 +156,24 @@ def test_lookup_uses_and_arity():
     assert arity_of(field) == 0
 
 
+def test_arity_of_a_duplicate_member_is_its_declared_parameter_count():
+    # the second m() is declared as m()#2; its fqn's "#2" is no parameter
+    g = graph_of(**{"A.java": "class A { void m() {} void m() {} "
+                              "void a(int x) { m(x); } void b() { m(); } }"})
+    assert arity_of(g.find("method", "A.m()#2")) == 0
+    calls = {(r.src, r.dst) for r in g.relations if r.kind == "calls"}
+    assert not any(src == "method:A.a(int)" for src, _dst in calls)
+    assert {dst for src, dst in calls if src == "method:A.b()"} \
+        == {"method:A.m()", "method:A.m()#2"}
+
+
 def test_methods_named_filters_by_arity():
     g = graph_of(**FIXTURE)
     canvas = g.find("class", "paint.Canvas")
-    assert [m.fqn for m in g.methods_named(canvas, "fill", 1)] \
+    reads = _Reads(g)
+    assert [m.fqn for m in reads.methods_named(canvas, "fill", 1)] \
         == ["paint.Canvas.fill(int)"]
-    assert g.methods_named(canvas, "fill", 3) == []
+    assert reads.methods_named(canvas, "fill", 3) == []
 
 
 def test_package_body_text_is_member_listing():
@@ -225,7 +237,7 @@ def test_superclass_index_matches_relation_scan():
             assert_well_formed(graph)
             for ent in graph.entities.values():
                 if ent.kind in ("class", "interface", "enum"):
-                    sup = graph.superclass_of(ent)
+                    sup = _Reads(graph).superclass_of(ent)
                     assert sup is scanned(graph, ent)
                     checked += 1
                     with_super += sup is not None

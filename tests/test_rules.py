@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from conftest import CORPUS, run_corpus
-from mergeweaver.printer import token_stream
+from mergeweaver.parser import token_texts as token_stream
 from mergeweaver.rules import RULES, NotCovered, TargetMissing, resolve_by_rule
 
 

@@ -20,7 +20,7 @@ from conftest import FANOUT, merge_inputs
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import statement_header_text
-from mergeweaver.similarity import Scorer, trigram_similarity
+from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import STATEMENT_KINDS
 from reference_similarity_search import trigrams
 
@@ -44,7 +44,7 @@ def assert_same_on_all_pairs(texts: list[str]) -> int:
     pairs = 0
     for a, b in itertools.product(texts, repeat=2):
         want = reference_similarity(a, b)
-        assert trigram_similarity(a, b) == want, (a, b)
+        assert Scorer().similarity(a, b) == want, (a, b)
         assert forward.similarity(a, b) == want, (a, b)
         assert backward.similarity(a, b) == want, (a, b)
         pairs += 1
@@ -65,9 +65,9 @@ def test_short_equal_and_empty_strings():
     texts = ["", "a", "b", "ab", "ba", "aa", "abc", "aaa", "aaaa", "abab",
              "x.run(1)", "x.run(1)", "aaaaa", "aa1", "aaa1", "aaaaaa1"]
     assert_same_on_all_pairs(texts)
-    assert trigram_similarity("", "") == 1.0
-    assert trigram_similarity("ab", "ab") == 1.0
-    assert trigram_similarity("ab", "abc") == 0.0
+    assert Scorer().similarity("", "") == 1.0
+    assert Scorer().similarity("ab", "ab") == 1.0
+    assert Scorer().similarity("ab", "abc") == 0.0
     scorer = Scorer()
     # "aaaa" has the gram "aaa" twice; "aaa" once: overlap is min(2, 1)
     assert scorer.similarity("aaaa", "aaa") == 2.0 / 3

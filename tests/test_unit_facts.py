@@ -133,11 +133,10 @@ def test_adding_to_one_graph_leaves_the_others_alone():
                                       FANOUT / "right"))
     shared = next(iter(set(fw.base.units) & set(fw.right.units)))
     owner = shared.types[0][0]
-    before = [m.id for m in fw.right.members_of(owner)]
-    fw.base.add_entity(Entity("field", owner.fqn + ".extra"), owner,
-                       link="declares")
-    assert len(fw.base.members_of(owner)) == len(before) + 1
-    assert [m.id for m in fw.right.members_of(owner)] == before
+    before = [m.id for m in peg._Reads(fw.right).members_of(owner)]
+    fw.base.add_entity(Entity("field", owner.fqn + ".extra"), owner)
+    assert len(peg._Reads(fw.base).members_of(owner)) == len(before) + 1
+    assert [m.id for m in peg._Reads(fw.right).members_of(owner)] == before
 
 
 # Each case changes one file in the left branch so that an unchanged file,
