@@ -144,10 +144,9 @@ def match_context(pattern: TransformationPattern,
     if not m_stmts:
         raise NoAnchor("merged member has no statements")
     text = statement_header_text(s_p)
-    scored = sorted(((score(s_p, text, m), pos)
-                     for pos, m in enumerate(m_stmts)),
-                    key=lambda t: (-t[0], t[1]))
-    best_score, best_pos = scored[0]
+    best_score, best_pos = min(((score(s_p, text, m), pos)
+                                for pos, m in enumerate(m_stmts)),
+                               key=lambda t: (-t[0], t[1]))
     if best_score <= ANCHOR_THRESHOLD:
         raise NoAnchor(f"best anchor score {best_score:.3f}")
     s_m = m_stmts[best_pos]
@@ -163,12 +162,11 @@ def match_context(pattern: TransformationPattern,
         if bound == 0:
             break
         text = statement_header_text(p_sib)
-        cands = sorted(((score(p_sib, text, m_sibs[j]), j)
-                        for j in range(bound)),
-                       key=lambda t: (-t[0], -t[1]))
-        if cands[0][0] <= ANCHOR_THRESHOLD:
+        sc, j = min(((score(p_sib, text, m_sibs[j]), j)
+                     for j in range(bound)),
+                    key=lambda t: (-t[0], -t[1]))
+        if sc <= ANCHOR_THRESHOLD:
             break
-        sc, j = cands[0]
         pairs.append((p_sib, m_sibs[j], sc))
         bound = j
 
@@ -177,12 +175,11 @@ def match_context(pattern: TransformationPattern,
         if bound + 1 == len(m_sibs):
             break
         text = statement_header_text(p_sib)
-        cands = sorted(((score(p_sib, text, m_sibs[j]), j)
-                        for j in range(bound + 1, len(m_sibs))),
-                       key=lambda t: (-t[0], t[1]))
-        if cands[0][0] <= ANCHOR_THRESHOLD:
+        sc, j = min(((score(p_sib, text, m_sibs[j]), j)
+                     for j in range(bound + 1, len(m_sibs))),
+                    key=lambda t: (-t[0], t[1]))
+        if sc <= ANCHOR_THRESHOLD:
             break
-        sc, j = cands[0]
         pairs.append((p_sib, m_sibs[j], sc))
         bound = j
 

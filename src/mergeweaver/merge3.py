@@ -223,12 +223,20 @@ def merge_scenario(base_dir: str | Path, left_dir: str | Path,
 
 def parse_versions(base: dict[str, str], left: dict[str, str],
                    right: dict[str, str], am: dict[str, str]) -> MergeScenario:
-    """Parse four path->text maps into a scenario; raises ParseError."""
+    """Parse four path->text maps into a scenario; raises ParseError.
+
+    A file with the same text in base, left and right has its method and
+    constructor bodies recognized, not built (see ``parser``): nearly every
+    file of a merge is one, and its bodies are seldom read.  A body that is
+    read builds its nodes then, with the ids an eager parse gives.
+    """
     scenario = MergeScenario()
     # a file with the same text in several versions is parsed once and its
     # SourceFile shared; resolvers edit copy-on-write clones, which never
     # write a node of these trees
     parsed: dict[tuple[str, str], SourceFile] = {}
+    shared = {path for path, text in base.items()
+              if left.get(path) == text == right.get(path)}
     for bucket, files in (("base", base), ("left", left),
                           ("right", right), ("am", am)):
         version = "merged" if bucket == "am" else bucket
@@ -237,7 +245,8 @@ def parse_versions(base: dict[str, str], left: dict[str, str],
             sf = parsed.get((path, text))
             if sf is None:
                 try:
-                    sf = parsed[path, text] = parse_unit(path, text)
+                    sf = parsed[path, text] = parse_unit(
+                        path, text, recognize_bodies=path in shared)
                 except ParseError as exc:
                     raise ParseError(f"{version}/{path}", exc.line, exc.col,
                                      exc.message) from None

@@ -68,6 +68,25 @@ its offset to be split) is read again by ``scan_positions``, which
 raises the error at its position or splits the number.  A file whose
 nodes nobody asks a span of therefore costs its scan and its grammar
 only.
+
+A local variable declaration is told from an expression statement by a
+probe that reads a type and a name; a probe whose type arguments run to
+the end of the text gives up without an error, so it builds no position
+table either.
+
+With ``recognize_bodies`` (``merge3.parse_versions`` sets it for a file
+whose text base, left and right share) the parser checks each method and
+constructor body with the full grammar but builds none of its nodes:
+``_node`` then only counts them and returns its kind's mark, since the
+grammar reads no more of a node than its kind, and a probe that backs off
+takes back the count of the nodes it made.  The body becomes a
+``syntax.RecognizedBlock`` of its token range and that count, whose
+children are parsed again from the file's text on their first read
+(``_build_block``).  The body ran through the grammar once, so the file
+raises the same ParseError, at the same position, as an eager parse; and
+the tree numbers the block's nodes as if they were there, so every id is
+the one an eager parse gives.  This is the preparser of Verwaest and
+Hölttä, "Blazingly fast parsing, part 2: lazy parsing" (v8.dev, 2019).
 """
 
 from __future__ import annotations
@@ -77,7 +96,8 @@ import sys
 import threading
 from typing import Optional
 
-from .syntax import TYPE_KEYWORDS, SourceFile, Span, SyntaxNode, SyntaxTree
+from .syntax import (NODE_KINDS, TYPE_KEYWORDS, RecognizedBlock, SourceFile,
+                     Span, SyntaxNode, SyntaxTree)
 
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
 STMT_KEYWORDS = {"if", "for", "while", "return", "throw"}
@@ -150,6 +170,11 @@ _FRAMES_PER_LEVEL = 8
 # held while parse_unit has the interpreter's recursion limit raised, so
 # that no thread restores the limit under another one's parse
 _RECURSION_LIMIT_LOCK = threading.Lock()
+
+# what a recognized body's grammar returns in place of a node: one
+# childless node per kind, since the grammar reads no more of a node than
+# its kind (an assignment's target)
+_MARKS = {kind: SyntaxNode(kind) for kind in NODE_KINDS}
 
 # eof entries at the end of the scanned lists: the real eof token plus
 # one more, so that a one-token lookahead from eof stays in range
@@ -280,13 +305,23 @@ class TokenPositions:
     """The positions of the tokens of one text, for the spans of the
     nodes parsed from it: a table of every token's text, line and column,
     built by ``scan_positions`` on the first question and then kept.  The
-    table is built whole and published in one store."""
+    table is built whole and published in one store.  So are the tokens
+    themselves, which the first build of a recognized body scans again
+    and the file's other bodies then share."""
 
-    __slots__ = ("text", "_table")
+    __slots__ = ("text", "_table", "_tokens")
 
     def __init__(self, text: str):
         self.text = text
         self._table: Optional[tuple[list[str], list[int], list[int]]] = None
+        self._tokens: Optional[Tokens] = None
+
+    def tokens(self) -> Tokens:
+        """The kinds and texts of the tokens, as ``scan`` gives them."""
+        tokens = self._tokens
+        if tokens is None:
+            tokens = self._tokens = scan("", self.text)
+        return tokens
 
     @property
     def built(self) -> bool:
@@ -325,13 +360,18 @@ def token_texts(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, path: str, tokens: Tokens, positions: TokenPositions):
+    def __init__(self, path: str, tokens: Tokens, positions: TokenPositions,
+                 recognize: bool = False):
         self.path = path
         self.kinds, self.texts = tokens
         self.positions = positions
         self.pos = 0
         self.eof = len(self.kinds) - _EOF_PAD   # index of the real eof
         self.depth = 0      # nesting levels open; see MAX_NESTING
+        # whether the next member body is recognized rather than built,
+        # and the nodes a body being recognized has made so far
+        self.recognize = recognize
+        self.made = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -366,6 +406,13 @@ class _Parser:
         taken, kept as a token range (see ``TokenPositions.span``)."""
         return SyntaxNode(kind, value, children, start << 32 | self.pos, -1,
                           self.positions)
+
+    def _mark(self, kind: str, value: str, children: list[SyntaxNode],
+              start: int) -> SyntaxNode:
+        """``_node`` while a body is recognized: counts the node and
+        returns its kind's mark."""
+        self.made += 1
+        return _MARKS[kind]
 
     def _leaf(self, kind: str) -> SyntaxNode:
         """A childless node of the next token, valued by its text."""
@@ -469,10 +516,11 @@ class _Parser:
 
     def _member(self, owner: str) -> SyntaxNode:
         texts = self.texts
-        start = self.pos
+        start, made = self.pos, self.made
         children = self._annotations_and_modifiers()
         if texts[self.pos] in _TYPE_DECL_OF:
-            self.pos = start
+            # the type declaration reads its annotations and modifiers again
+            self.pos, self.made = start, made
             return self.parse_type_decl()
         # constructor: Owner ( ...
         if texts[self.pos] == owner and texts[self.pos + 1] == "(" \
@@ -480,7 +528,7 @@ class _Parser:
             self.pos += 1
             children.extend(self._comma_list(self._parameter, "parameter"))
             children.extend(self._throws())
-            children.append(self._block())
+            children.append(self._body())
             return self._node("ConstructorDecl", owner, children, start)
         children.append(self._type_ref())
         name = self.expect_ident()
@@ -490,7 +538,7 @@ class _Parser:
             if texts[self.pos] == ";":
                 self.pos += 1
             else:
-                children.append(self._block())
+                children.append(self._body())
             return self._node("MethodDecl", name, children, start)
         if texts[self.pos] == "=":
             self.pos += 1
@@ -543,15 +591,20 @@ class _Parser:
     def _type_ref(self) -> SyntaxNode:
         start = self.pos
         text = self._type_text()
+        if text is None:
+            self.fail("unterminated type arguments")
         return self._node("TypeRef", text, [], start)
 
-    def _type_text(self) -> str:
+    def _type_text(self) -> Optional[str]:
+        """A type's text, or None at the eof of unterminated type
+        arguments, which ``_try_local_var_decl`` takes for no type."""
         text = self._qualified_name()
         if self.texts[self.pos] == "<":
-            text += self._generic_args()
+            args = self._generic_args()
+            return None if args is None else text + args
         return text
 
-    def _generic_args(self) -> str:
+    def _generic_args(self) -> Optional[str]:
         # balanced angle-bracket scan kept as canonical opaque text
         kinds, texts = self.kinds, self.texts
         depth = 0
@@ -560,7 +613,7 @@ class _Parser:
         while True:
             kind = kinds[self.pos]
             if kind == "eof":
-                self.fail("unterminated type arguments")
+                return None
             t = texts[self.pos]
             if t == "<":
                 depth += 1
@@ -577,6 +630,23 @@ class _Parser:
                 return "".join(out)
 
     # -- statements ----------------------------------------------------------
+
+    def _body(self) -> SyntaxNode:
+        """A method's or constructor's block; with ``recognize``, checked by
+        the same grammar but with ``_mark`` for ``_node``, and kept as a
+        ``RecognizedBlock`` of the nodes it would have made."""
+        if not self.recognize:
+            return self._block()
+        start = self.pos
+        # the instance attribute shadows the method, and the bodies of
+        # anonymous classes inside are part of this one
+        self.recognize, self.made, self._node = False, 0, self._mark
+        self._block()
+        del self._node
+        self.recognize = True
+        # the count takes in the block itself
+        return RecognizedBlock(start << 32 | self.pos, self.positions,
+                               self.made - 1, _build_block)
 
     def _block(self) -> SyntaxNode:
         texts = self.texts
@@ -695,20 +765,19 @@ class _Parser:
         return self._node("ForStmt", "", [init, cond, update, body], start)
 
     def _try_local_var_decl(self) -> SyntaxNode | None:
+        """A local variable declaration, or None with nothing taken and no
+        node counted when the statement is not one."""
         kinds, texts = self.kinds, self.texts
-        start = self.pos
+        start, made = self.pos, self.made
         children = self._finals()
-        if kinds[self.pos] != "ident" or texts[self.pos] in _NOT_A_LOCAL_TYPE:
-            self.pos = start
-            return None
-        tstart = self.pos
-        try:
+        ttext = None
+        if kinds[self.pos] == "ident" \
+                and texts[self.pos] not in _NOT_A_LOCAL_TYPE:
+            tstart = self.pos
             ttext = self._type_text()
-        except ParseError:
-            self.pos = start
-            return None
-        if kinds[self.pos] != "ident" or texts[self.pos + 1] not in ("=", ";"):
-            self.pos = start
+        if ttext is None or kinds[self.pos] != "ident" \
+                or texts[self.pos + 1] not in ("=", ";"):
+            self.pos, self.made = start, made
             return None
         children.append(self._node("TypeRef", ttext, [], tstart))
         name = texts[self.pos]
@@ -824,18 +893,37 @@ class _Parser:
         return self._node("ObjectCreation", "", children, start)
 
 
-def parse_unit(path: str, text: str) -> SourceFile:
-    """Parse one file; raises ParseError with position info on bad input."""
-    parser = _Parser(path, scan(path, text), TokenPositions(text))
-    # room for the deepest text the limit admits, however deep the caller;
-    # the recursion limit is the interpreter's, so one parse at a time
-    # raises it, which costs nothing while the GIL runs one thread anyway
+def _with_room(grammar):
+    """``grammar()`` with room for the deepest text the limit admits,
+    however deep the caller.  The recursion limit is the interpreter's, so
+    one parse at a time raises it, which costs nothing while the GIL runs
+    one thread anyway."""
     with _RECURSION_LIMIT_LOCK:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING)
         try:
-            root = parser.parse_unit()
+            return grammar()
         finally:
             sys.setrecursionlimit(limit)
+
+
+def parse_unit(path: str, text: str,
+               recognize_bodies: bool = False) -> SourceFile:
+    """Parse one file; raises ParseError with position info on bad input.
+    With ``recognize_bodies``, each method and constructor body is
+    recognized, not built (see the module docstring)."""
+    parser = _Parser(path, scan(path, text), TokenPositions(text),
+                     recognize_bodies)
     return SourceFile(path=path, text=text,
-                      tree=SyntaxTree(root, assign_ids=True))
+                      tree=SyntaxTree(_with_room(parser.parse_unit),
+                                      assign_ids=True))
+
+
+def _build_block(positions: TokenPositions, first: int) -> list[SyntaxNode]:
+    """The statements of the block that starts at token ``first`` of the
+    text of ``positions``, parsed again.  The text parsed once already, so
+    this parse raises nothing; it starts at nesting depth 0, no deeper than
+    the first parse was at the block."""
+    parser = _Parser("", positions.tokens(), positions)
+    parser.pos = first
+    return _with_room(parser._block).children

@@ -1,10 +1,12 @@
 """Syntax trees for the Java subset handled by mergeweaver.
 
-Every parsed source file becomes a tree of SyntaxNode objects.  The node
-vocabulary is fixed (see NODE_KINDS); anything outside it is a bug, not an
-extension point.  Trees are ordered, values are plain strings, and node ids
-are assigned in pre-order so that two parses of the same text produce the
-same ids.
+Every parsed source file becomes a tree of SyntaxNode objects, some of
+whose method bodies may be RecognizedBlocks that build their nodes on
+first read.  The node vocabulary is fixed (see NODE_KINDS); anything
+outside it is a bug, not an extension point.  Trees are ordered, values
+are plain strings, and node ids are assigned in pre-order so that two
+parses of the same text produce the same ids, built on first read or
+not.
 
 Invariants maintained here and relied on elsewhere:
   * a node's kind is always a member of NODE_KINDS
@@ -14,6 +16,7 @@ Invariants maintained here and relied on elsewhere:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -184,6 +187,86 @@ class SyntaxNode:
             stack.extend(reversed(node.children))
 
 
+# held while a recognized block builds its children, so that a block is
+# built once however many threads read it
+_BUILD_LOCK = threading.Lock()
+
+
+class RecognizedBlock(SyntaxNode):
+    """A method or constructor body the parser checked without building
+    its nodes (see the ``parser`` docstring): a Block that keeps its token
+    range, where its first token ``first`` is read from, and ``size``, the
+    number of nodes below it.  A tree's numbering steps over the block by
+    that count, so its nodes' ids are those the parse would have given.
+
+    The first read of ``children`` calls ``build(tokens, first)``, which
+    the parser hands over: it parses the block again from its file's text
+    and returns its statements.  The statements and their subtrees are
+    numbered in pre-order from the block's id + 1 and published in one
+    store, under a lock, so every reader gets the same nodes.
+    """
+
+    __slots__ = ("first", "size", "_build", "_built")
+
+    def __init__(self, span: int, tokens, size: int, build):
+        self.kind = "Block"
+        self.value = ""
+        self._span = span
+        self._tokens = tokens
+        self.id = -1
+        self.first = span >> 32
+        self.size = size
+        self._build = build
+        self._built: Optional[list[SyntaxNode]] = None
+
+    @property
+    def built(self) -> bool:
+        """Whether the block's children have been built."""
+        return self._built is not None
+
+    @property
+    def children(self) -> list[SyntaxNode]:
+        built = self._built
+        if built is None:
+            with _BUILD_LOCK:
+                built = self._built
+                if built is None:
+                    built = self._build(self._tokens, self.first)
+                    _number(built, self.id + 1)
+                    self._built = built
+        return built
+
+
+def recognized_blocks(root: SyntaxNode) -> list[RecognizedBlock]:
+    """The recognized blocks under ``root``, in pre-order, found without
+    building any: the walk does not enter them."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is RecognizedBlock:
+            out.append(node)
+        else:
+            stack.extend(reversed(node.children))
+    return out
+
+
+def _number(roots: list[SyntaxNode], counter: int) -> int:
+    """Number ``roots`` and their subtrees in pre-order from ``counter``,
+    stepping over the nodes of each unbuilt recognized block by its size;
+    returns the next free id."""
+    stack = roots[::-1]
+    while stack:
+        node = stack.pop()
+        node.id = counter
+        counter += 1
+        if node.__class__ is RecognizedBlock and not node.built:
+            counter += node.size
+        else:
+            stack.extend(reversed(node.children))
+    return counter
+
+
 def structurally_equal(a: SyntaxNode, b: SyntaxNode) -> bool:
     """Kind, value and child order; ids and spans are ignored."""
     stack = [(a, b)]
@@ -251,15 +334,17 @@ class SyntaxTree:
 
     With ``assign_ids``, as the parser calls it, the tree numbers the
     nodes 0, 1, ... in pre-order at once, so ``max_id`` and every ``id``
-    hold from the start.  Without ``assign_ids`` the tree is a view of
-    nodes that already have their ids: a parsed declaration, a pattern
-    context, a mined host.  Either way the two maps are built only on
-    the first call that looks a node up: ``node``, ``has_node``,
-    ``parent`` (so also ``ancestors`` and ``enclosing_statement``),
-    ``clone`` and the writers, and for a view also ``max_id`` and
-    ``fresh_id``.  That one walk refuses a duplicate id and finds a
-    view's largest.  A tree that is only walked, as most of the trees of
-    files no branch touched are, never builds them.  The maps are built
+    hold from the start; an unbuilt ``RecognizedBlock`` takes the ids of
+    the nodes below it without building them.  Without ``assign_ids`` the
+    tree is a view of nodes that already have their ids: a parsed
+    declaration, a pattern context, a mined host.  Either way the two maps
+    are built only on the first call that looks a node up: ``node``,
+    ``has_node``, ``parent`` (so also ``ancestors`` and
+    ``enclosing_statement``), ``clone`` and the writers, and for a view
+    also ``max_id`` and ``fresh_id``.  That one walk refuses a duplicate
+    id and finds a view's largest, and builds every recognized block it
+    meets.  A tree that is only walked, as most of the trees of files no
+    branch touched are, never builds the maps.  The maps are built
     whole and then published in one store, so a thread reads either no
     maps or both complete.
 
@@ -296,17 +381,7 @@ class SyntaxTree:
         self._copies: dict[int, SyntaxNode] = {}
         self._shared = False
         if assign_ids:
-            self._number(root)
-
-    def _number(self, root: SyntaxNode) -> None:
-        counter = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            node.id = counter
-            counter += 1
-            stack.extend(reversed(node.children))
-        self._max_id = counter - 1
+            self._max_id = _number([root], 0) - 1
 
     def _indexes(self) -> tuple[dict[int, SyntaxNode],
                                 dict[int, Optional[SyntaxNode]]]:

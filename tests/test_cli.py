@@ -256,6 +256,21 @@ def test_deep_nesting_exits_2_without_a_traceback(tmp_path, capsys):
     assert err.endswith(": nested too deeply\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("package p;\n\npublic class A {\n    int x;\n    void f() { g(a b); }"
+     "\n}\n", "5:20: expected ',' or ')' but found 'b'"),
+    ("class A {\n    void m() {\n        return " + "g(" * 300 + "1"
+     + ")" * 300 + ";\n    }\n}\n", "3:268: nested too deeply"),
+], ids=["malformed", "too-deep"])
+def test_a_bad_body_of_a_file_all_trees_share_exits_2(tmp_path, capsys, text,
+                                                      message):
+    # the body is recognized, not built, and fails where a built one does
+    _write_legs(tmp_path, {v: {"A.java": text.encode()}
+                           for v in ("base", "left", "right")})
+    assert main(args_for("detect", scenario=tmp_path)) == 2
+    assert capsys.readouterr().err == f"parse error: base/A.java:{message}\n"
+
+
 def _deep_member(nest: str, k: int, name: str) -> str:
     """A field nested k deep whose innermost call is of ``name``."""
     if nest == "new":

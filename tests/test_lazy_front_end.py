@@ -6,7 +6,8 @@ read.  These tests check that the lazy answers are the eager ones: the
 maps on every corpus tree and on edited clones, the spans of copies taken
 before any span was read, and the text the byte reader gives against the
 text-mode reader it replaced.  And that a merge leaves both undone for
-every file all four versions share.
+every file all four versions share, and builds none of its recognized
+method bodies.
 """
 
 import random
@@ -21,7 +22,7 @@ from mergeweaver.merge3 import UnreadableSource, _read_tree
 from mergeweaver.parser import parse_unit
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxNode, SyntaxTree,
-                                clone_node)
+                                body_of, clone_node, recognized_blocks)
 
 
 def _answers(tree: SyntaxTree, ids) -> list:
@@ -104,9 +105,24 @@ def test_untouched_files_build_no_index_and_no_positions(tmp_path):
         sf = run.scenario.base[path]
         assert not sf.tree.indexed, path
         assert not sf.positioned, path
+        # every member body was recognized, and none was built
+        bodies = [body_of(n) for n in sf.tree.root.children[-1].children
+                  if n.kind in ("MethodDecl", "ConstructorDecl")]
+        assert bodies and recognized_blocks(sf.tree.root) == bodies, path
+        assert not any(body.built for body in bodies), path
     # the conflict's site reads a span of a touched file
     assert any(v[path].positioned for v in versions for path in touched
                if path in v)
+
+
+def test_a_failed_generic_probe_builds_no_positions():
+    # "a < b" is tried as a type with type arguments, which run to the end
+    # of the text; the statement is an expression, and no position is read
+    sf = parse_unit("A.java",
+                    "class A { boolean m() { a < b; return true; } }")
+    assert not sf.positioned
+    stmt = sf.tree.root.children[0].children[-1].children[-1].children[0]
+    assert (stmt.kind, stmt.children[0].kind) == ("ExprStmt", "BinaryExpr")
 
 
 def test_copies_take_the_token_range_and_resolve_it_later():
@@ -164,6 +180,41 @@ def test_threads_building_the_maps_and_the_table_see_them_whole():
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert seen == [want] * 4
+
+
+def test_threads_building_recognized_bodies_see_the_same_nodes():
+    # four threads walk one tree of recognized bodies, switching every
+    # 10 us, so they race to build each body; every body is built once,
+    # and each walk meets the very nodes of the others
+    path = max(corpus_java_files(), key=lambda p: p.stat().st_size)
+    text = path.read_text()
+    want = [(n.kind, n.value, n.span, n.id)
+            for n in parse_unit(path.name, text).tree.nodes()]
+    for _ in range(5):
+        tree = parse_unit(path.name, text, recognize_bodies=True).tree
+        assert recognized_blocks(tree.root)
+        walks = []
+        start = threading.Barrier(4)
+
+        def work() -> None:
+            start.wait(timeout=60)
+            walks.append(list(tree.nodes()))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(walks) == 4
+        assert all(list(map(id, walk)) == list(map(id, walks[0]))
+                   for walk in walks)
+        assert [(n.kind, n.value, n.span, n.id) for n in walks[0]] == want
 
 
 @pytest.mark.parametrize("body", [

@@ -4,7 +4,8 @@
 kernel (per-token objects, one recursive method per operator tier, ids
 numbered in a separate walk) plus the comma rule.  On every input both
 must give the same (kind, value, span, id) for every node in pre-order
-and the same ``max_id``, or raise the same ParseError message.  Inputs:
+and the same ``max_id``, or raise the same ParseError message.  So must
+the kernel with recognized bodies, once every body is built.  Inputs:
 every corpus file, the fanout fixture, the generated workloads, long
 mixed-precedence operator chains, and seeded token mutations of corpus
 files.
@@ -16,11 +17,14 @@ import pytest
 
 from conftest import FANOUT, bench_gen, corpus_java_files
 from mergeweaver.parser import ParseError, parse_unit
+from mergeweaver.syntax import recognized_blocks
 from reference_parser import parse_tree, tokenize
 
 
 def outcome(text: str, path: str = "T.java"):
-    """Both parsers' results on ``text``, the kernel's first."""
+    """Both parsers' results on ``text``, the kernel's first.  The kernel
+    parses twice, the second time with recognized bodies, and must give
+    the same result both times."""
     try:
         tree = parse_unit(path, text).tree
         nodes = list(tree.nodes())
@@ -33,6 +37,18 @@ def outcome(text: str, path: str = "T.java"):
         new = ([(n.kind, n.value, n.span, n.id) for n in nodes], tree.max_id)
     except ParseError as exc:
         new = f"ParseError: {exc}"
+    try:
+        tree = parse_unit(path, text, recognize_bodies=True).tree
+        # the ids hold before any body is built
+        max_id = tree.max_id
+        blocks = recognized_blocks(tree.root)
+        assert not any(block.built for block in blocks)
+        recognized = ([(n.kind, n.value, n.span, n.id) for n in tree.nodes()],
+                      max_id)
+        assert all(block.built for block in blocks)
+    except ParseError as exc:
+        recognized = f"ParseError: {exc}"
+    assert recognized == new, text
     try:
         root, max_id = parse_tree(path, text)
         ref = ([(n.kind, n.value, n.span, n.id) for n in root.walk()], max_id)
@@ -116,6 +132,23 @@ def test_every_pair_of_tiers_in_both_orders():
         for second in _OPERATORS:
             assert_same(f"class C {{ int f = a {first} b {second} c "
                         f"{first} d; }}")
+
+
+@pytest.mark.parametrize("stmts", [
+    "final; final = 1; final.f = 2; final + 1;",
+    "int v = a < b; a < b; x = a <= b; final.g();",
+    "for (final; i < n; i = i + 1) { final = 2; }",
+    "g(new Object() { @A public static class I { void m() { final; } } "
+    "@B final int f = 1; void n() { new I(); } });",
+])
+def test_what_a_body_takes_back_is_not_counted(stmts):
+    # a local variable's probe and an anonymous class's member give back
+    # the nodes they made, so a recognized body must not count them
+    text = (f"class C {{\n  void m() {{\n    {stmts}\n  }}\n"
+            f"  C() {{ {stmts} }}\n}}\n")
+    new, ref = outcome(text)
+    assert not isinstance(ref, str), ref
+    assert new == ref, text
 
 
 # ---------------------------------------------------------------------------

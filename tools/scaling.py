@@ -17,13 +17,19 @@ bodies", also a count); of the distinct parsed files
 of the four versions, those whose tree built its id and parent maps
 (``indexed``) and those whose token position table was built
 (``positioned``; see ``syntax.SyntaxTree`` and ``syntax.SyntaxNode``),
-both counts; the best of N times to diff the mined hosts of the merge
+both counts; the member bodies the merge's parse recognized without
+building them (``recognized``, see the ``parser`` docstring) and those of
+them built by the end of the run (``built``), both counts; the best of N
+times to diff the mined hosts of the merge
 again (``diff``) and the nodes of those hosts' before trees
 (``host_nodes``); the best of N times to read the three input trees
 (``read``), and to ``scan`` and to ``parse_unit`` each distinct (path,
 text) pair of the three versions, with the tokens and nodes of those
-parses; and last ``ref_ms``, the reference job of bench/calib.py
-(imported, not modified), timed before and after the row and averaged:
+parses; and last ``ref_ms``, the best of N times of the reference job of
+bench/calib.py (imported, not modified), each timed right before one of
+the N runs, so that the host's drift within a row reaches both, and with
+no earlier run's merge held, so that the job's own garbage collections
+scan none of its trees:
 
 * method-rename at 120, 240, 480 and 960 files;
 * package-rename at 24, 48, 96 and 192 files;
@@ -56,6 +62,7 @@ from mergeweaver import pipeline  # noqa: E402
 from mergeweaver.merge3 import _read_tree  # noqa: E402
 from mergeweaver.parser import parse_unit, scan, token_texts  # noqa: E402
 from mergeweaver.pipeline import ScenarioRun, run_scenario  # noqa: E402
+from mergeweaver.syntax import recognized_blocks  # noqa: E402
 from mergeweaver.tree_diff import diff_trees  # noqa: E402
 
 SIZES = (
@@ -64,9 +71,9 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "named", "grams", "deferred", "indexed", "positioned",
-                    "diff", "host_nodes", "read", "scan", "parse", "tokens",
-                    "nodes", "ref_ms")
+COLUMNS = STAGES + ("pairs", "named", "grams", "deferred", "indexed",
+                    "positioned", "recognized", "built", "diff", "host_nodes",
+                    "read", "scan", "parse", "tokens", "nodes", "ref_ms")
 
 
 def best_ms(repeat: int, job) -> float:
@@ -81,13 +88,18 @@ def best_ms(repeat: int, job) -> float:
 
 def lazy_columns(run: ScenarioRun) -> dict[str, float]:
     """How many distinct parsed files of the merge built their tree's maps
-    and their position table."""
+    and their position table, and how many member bodies the parse
+    recognized and how many of those were built."""
     scenario = run.scenario
     files = {id(sf): sf for version in (scenario.base, scenario.left,
                                         scenario.right, scenario.am)
              for sf in version.values()}.values()
+    blocks = [block for sf in files
+              for block in recognized_blocks(sf.tree.root)]
     return {"indexed": sum(sf.tree.indexed for sf in files),
-            "positioned": sum(sf.positioned for sf in files)}
+            "positioned": sum(sf.positioned for sf in files),
+            "recognized": len(blocks),
+            "built": sum(block.built for block in blocks)}
 
 
 def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
@@ -143,12 +155,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.workload and workload != args.workload:
                 continue
             for size in sizes:
-                ref_before = calib.reference_cpu_s()
                 out = Path(tmp) / f"{workload}-{size}"
                 wl = gen.generate(workload, args.seed, **{param: size})
                 gen.write_workload(wl, out)
                 best: dict[str, float] = {}
+                refs = []
                 for _ in range(args.repeat):
+                    run = None
+                    refs.append(calib.reference_cpu_s())
                     run = run_scenario(out / "base", out / "left",
                                        out / "right")
                     timings = run.report.timings_ms
@@ -163,8 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                 best.update(lazy_columns(run))
                 best.update(diff_columns(run, args.repeat))
                 best.update(front_end_columns(out, args.repeat))
-                best["ref_ms"] = (ref_before
-                                  + calib.reference_cpu_s()) / 2 * 1000
+                best["ref_ms"] = min(refs) * 1000
                 cells = " | ".join(
                     format(best[col], ".1f" if col in FINE else ".0f")
                     for col in COLUMNS)
