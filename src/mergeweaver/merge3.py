@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .parser import ParseError, parse_unit
+from .peg import deferred_by_text
 from .syntax import SourceFile
 
 
@@ -226,30 +227,47 @@ def parse_versions(base: dict[str, str], left: dict[str, str],
     """Parse four path->text maps into a scenario; raises ParseError.
 
     A file with the same text in base, left and right has its method and
-    constructor bodies recognized, not built (see ``parser``): nearly every
-    file of a merge is one, and its bodies are seldom read.  A body that is
-    read builds its nodes then, with the ids an eager parse gives.
+    constructor bodies recognized, not built (see ``parser``), when no
+    build of ``graph_diff.build_fourway`` reads them: when
+    ``peg.deferred_by_text`` says so, from the files the versions do not
+    all share, which are parsed first.  Any other shared file is parsed
+    whole, since a body that is read builds its nodes then, at nearly the
+    cost of a parse of its own.
     """
-    scenario = MergeScenario()
+    versions = (("base", base), ("left", left), ("right", right),
+                ("merged", am))
     # a file with the same text in several versions is parsed once and its
     # SourceFile shared; resolvers edit copy-on-write clones, which never
     # write a node of these trees
     parsed: dict[tuple[str, str], SourceFile] = {}
     shared = {path for path, text in base.items()
               if left.get(path) == text == right.get(path)}
-    for bucket, files in (("base", base), ("left", left),
-                          ("right", right), ("am", am)):
-        version = "merged" if bucket == "am" else bucket
-        out = {}
-        for path, text in sorted(files.items()):
-            sf = parsed.get((path, text))
-            if sf is None:
-                try:
-                    sf = parsed[path, text] = parse_unit(
-                        path, text, recognize_bodies=path in shared)
-                except ParseError as exc:
-                    raise ParseError(f"{version}/{path}", exc.line, exc.col,
-                                     exc.message) from None
-            out[path] = sf
-        setattr(scenario, bucket, out)
+    recognized: set[str] = set()
+
+    def parse(version: str, path: str, text: str) -> SourceFile:
+        sf = parsed.get((path, text))
+        if sf is None:
+            try:
+                sf = parsed[path, text] = parse_unit(
+                    path, text, recognize_bodies=path in recognized)
+            except ParseError as exc:
+                raise ParseError(f"{version}/{path}", exc.line, exc.col,
+                                 exc.message) from None
+        return sf
+
+    if shared:
+        try:
+            others = [{path: parse(version, path, text)
+                       for path, text in files.items() if path not in shared}
+                      for version, files in versions]
+        except ParseError:
+            pass    # the parse below raises the first error in order
+        else:
+            quiet = deferred_by_text(others)
+            recognized = {path for path in shared if quiet(base[path])}
+    scenario = MergeScenario()
+    for bucket, (version, files) in zip(("base", "left", "right", "am"),
+                                        versions):
+        setattr(scenario, bucket, {path: parse(version, path, text)
+                                   for path, text in sorted(files.items())})
     return scenario

@@ -75,7 +75,9 @@ the end of the text gives up without an error, so it builds no position
 table either.
 
 With ``recognize_bodies`` (``merge3.parse_versions`` sets it for a file
-whose text base, left and right share) the parser checks each method and
+whose text base, left and right share and whose bodies no build of the
+entity graphs reads; a body that is read pays for this check and then
+for its build) the parser checks each method and
 constructor body with the full grammar but builds none of its nodes:
 ``_node`` then only counts them and returns its kind's mark, since the
 grammar reads no more of a node than its kind, and a probe that backs off
@@ -646,7 +648,7 @@ class _Parser:
         self.recognize = True
         # the count takes in the block itself
         return RecognizedBlock(start << 32 | self.pos, self.positions,
-                               self.made - 1, _build_block)
+                               self.made - 1)
 
     def _block(self) -> SyntaxNode:
         texts = self.texts

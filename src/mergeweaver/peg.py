@@ -69,7 +69,10 @@ read a body makes then answers the same in every version:
 So a deferred body's relations are equal in all four graphs: they cancel
 in a delta, they join entities every graph holds by id, and the hosts they
 would add to mining are the same in every version and mine an empty
-script.
+script.  ``merge3.parse_versions`` asks ``deferred_by_text`` the same
+question before it parses the shared files, from the other files alone,
+and recognizes without building them the bodies of the files it is told
+are deferred.
 """
 
 from __future__ import annotations
@@ -385,22 +388,48 @@ def defer_bodies(versions: Sequence[dict[str, SourceFile]],
     common = ({ent.fqn for unit in shared for ent, _node in unit.types},
               set().union(*(unit.imports for unit in shared)),
               {unit.package for unit in shared})
-    frames = [_symbol_frame([unit for unit in version if unit not in shared],
-                            common) for version in units]
+    quiet = _quiet([[unit for unit in version if unit not in shared]
+                    for version in units], common)
+    return frozenset(unit for unit in shared if quiet(unit.source.text))
+
+
+def deferred_by_text(others: Sequence[dict[str, SourceFile]]
+                     ) -> Callable[[str], bool]:
+    """A test on the text of a file that every version holds, given
+    ``others``, the files of each version that the versions do not all
+    share: true only if ``defer_bodies`` defers the file, so that no build
+    of ``build_fourway`` reads its bodies.
+
+    The test leaves out the facts of the shared files (their types,
+    imports and packages).  Those are the same in every version, so
+    versions whose other files agree without them agree with them too;
+    versions that agree only with them count as differing, which defers
+    less.
+    """
+    memo: dict = {}
+    return _quiet([[_unit_of(memo, path, src) for path, src in files.items()]
+                   for files in others], (set(), set(), set()))
+
+
+def _quiet(others: list[list[_Unit]],
+           common: tuple[set, set, set]) -> Callable[[str], bool]:
+    """Whether a unit every version shares, of the given text, resolves its
+    bodies the same in every version, given the ``others`` units of each
+    version and the ``common`` facts of ``_symbol_frame``."""
+    frames = [_symbol_frame(units, common) for units in others]
     if any(frame[0] != frames[0][0] for frame in frames[1:]):
-        return frozenset()
+        return lambda text: False
     dirty: set[str] = set()
     for frame in frames[1:]:
         dirty.update(name for (_tid, name), _ids in
                      frame[1].items() ^ frames[0][1].items())
     if not dirty:
-        return frozenset(shared)
+        return lambda text: True
     # an identifier token ends where a run of [\w$] does; one that only
     # ends in a dirty name counts as a mention too, which defers less
     mention = re.compile(r"(?:%s)(?![\w$])"
                          % "|".join(map(re.escape, sorted(dirty))))
-    return frozenset(unit for unit in shared
-                     if mention.search(unit.source.text) is None)
+    return lambda text: mention.search(text) is None
 
 
 def _symbol_frame(units: list[_Unit],

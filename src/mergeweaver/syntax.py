@@ -199,16 +199,16 @@ class RecognizedBlock(SyntaxNode):
     number of nodes below it.  A tree's numbering steps over the block by
     that count, so its nodes' ids are those the parse would have given.
 
-    The first read of ``children`` calls ``build(tokens, first)``, which
-    the parser hands over: it parses the block again from its file's text
-    and returns its statements.  The statements and their subtrees are
-    numbered in pre-order from the block's id + 1 and published in one
-    store, under a lock, so every reader gets the same nodes.
+    The first read of ``children`` calls the parser's ``_build_block``,
+    which parses the block again from its file's text and returns its
+    statements.  The statements and their subtrees are numbered in
+    pre-order from the block's id + 1 and published in one store, under a
+    lock, so every reader gets the same nodes.
     """
 
-    __slots__ = ("first", "size", "_build", "_built")
+    __slots__ = ("first", "size", "_built")
 
-    def __init__(self, span: int, tokens, size: int, build):
+    def __init__(self, span: int, tokens, size: int):
         self.kind = "Block"
         self.value = ""
         self._span = span
@@ -216,7 +216,6 @@ class RecognizedBlock(SyntaxNode):
         self.id = -1
         self.first = span >> 32
         self.size = size
-        self._build = build
         self._built: Optional[list[SyntaxNode]] = None
 
     @property
@@ -231,7 +230,9 @@ class RecognizedBlock(SyntaxNode):
             with _BUILD_LOCK:
                 built = self._built
                 if built is None:
-                    built = self._build(self._tokens, self.first)
+                    # parser imports this module, so the import waits
+                    from .parser import _build_block
+                    built = _build_block(self._tokens, self.first)
                     _number(built, self.id + 1)
                     self._built = built
         return built

@@ -7,7 +7,7 @@ maps on every corpus tree and on edited clones, the spans of copies taken
 before any span was read, and the text the byte reader gives against the
 text-mode reader it replaced.  And that a merge leaves both undone for
 every file all four versions share, and builds none of its recognized
-method bodies.
+method bodies; and that it recognizes only the bodies no build reads.
 """
 
 import random
@@ -18,7 +18,8 @@ import pytest
 
 import reference_frontend
 from conftest import bench_gen, corpus_java_files
-from mergeweaver.merge3 import UnreadableSource, _read_tree
+from mergeweaver.graph_diff import build_fourway
+from mergeweaver.merge3 import UnreadableSource, _read_tree, merge_scenario
 from mergeweaver.parser import parse_unit
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxNode, SyntaxTree,
@@ -113,6 +114,39 @@ def test_untouched_files_build_no_index_and_no_positions(tmp_path):
     # the conflict's site reads a span of a touched file
     assert any(v[path].positioned for v in versions for path in touched
                if path in v)
+
+
+@pytest.mark.parametrize("edit", ["none", "unused-member", "used-member",
+                                  "new-class"])
+def test_shared_files_are_recognized_only_where_no_build_reads_them(
+        tmp_path, edit):
+    # the left branch adds a method no file calls, a method under a name
+    # every class declares a field of, or a class; the last two make every
+    # build read the bodies of the shared files, which are then parsed whole
+    wl = bench_gen.generate("method-rename", 1, files=24)
+    host = sorted(wl.base)[0]
+    if edit.endswith("member"):
+        name = "unheardOf" if edit == "unused-member" else "total"
+        wl.left[host] = wl.left[host].replace(
+            "{\n", "{\n    public int %s(int x) { return x; }\n" % name, 1)
+    elif edit == "new-class":
+        wl.left["core/orders/Extra.java"] = \
+            "package core.orders;\n\npublic class Extra {\n}\n"
+    bench_gen.write_workload(wl, tmp_path)
+    scenario = merge_scenario(tmp_path / "base", tmp_path / "left",
+                              tmp_path / "right")
+    fourway = build_fourway(scenario)
+    recognized = {path for path, sf in scenario.base.items()
+                  if recognized_blocks(sf.tree.root)}
+    deferred = {unit.path for unit, _head in fourway.base.deferred}
+    if edit in ("none", "unused-member"):
+        shared = {path for path, text in wl.base.items()
+                  if wl.left.get(path) == text == wl.right.get(path)}
+        assert len(shared) >= 20 and recognized == deferred == shared
+    else:
+        assert recognized == deferred == set()
+    assert not any(block.built for sf in scenario.base.values()
+                   for block in recognized_blocks(sf.tree.root))
 
 
 def test_a_failed_generic_probe_builds_no_positions():

@@ -12,7 +12,9 @@ from hypothesis import given, strategies as st
 import reference_frontend
 from conftest import CORPUS, random_disjoint_triple
 from mergeweaver.merge3 import (TextualConflict, UnreadableSource, _read_tree,
-                                merge_file, merge_scenario, merge_texts)
+                                merge_file, merge_scenario, merge_texts,
+                                parse_versions)
+from mergeweaver.parser import ParseError
 
 BASE = "a\nb\nc\nd\ne\n"
 
@@ -199,3 +201,22 @@ def test_reader_raises_unreadable_source_for_what_it_cannot_read(tmp_path,
     with pytest.raises(UnreadableSource) as info:
         _read_tree(tmp_path)
     assert str(info.value) == f"{tmp_path / 'B.java'}: {cause}"
+
+
+@pytest.mark.parametrize("bad, first", [
+    ({"A": "base", "B": "left"}, "base/A.java:1:26:"),
+    ({"B": "left", "C": "right"}, "left/B.java:1:26:"),
+    ({"C": "right"}, "right/C.java:1:26:"),
+])
+def test_the_first_bad_file_in_version_and_path_order_is_named(bad, first):
+    # A.java is the same in base, left and right; B.java and C.java are
+    # not, and parse before the shared files, so their errors wait
+    def text(name: str, version: str) -> str:
+        body = "g(a b);" if bad.get(name) == version else "g();"
+        return f"class {name} {{ void m() {{ {body} }} }} // {version}\n"
+
+    versions = [{f"{name}.java": text(name, "base" if name == "A" else version)
+                 for name in "ABC"} for version in ("base", "left", "right")]
+    with pytest.raises(ParseError) as exc:
+        parse_versions(*versions, {})
+    assert str(exc.value).startswith(first)
