@@ -16,9 +16,10 @@ A delta lists entity edits (add, delete, update with a rename,
 signature-change or body-change detail) and relation edits computed modulo
 the entity match.  The entities of a unit both graphs share (see ``peg``)
 and the relations both graphs hold cannot make an edit, so a delta looks
-only at the rest.  The bodies ``build_fourway`` defers (see peg's "Deferred
-bodies") would add the same relations to both graphs of a delta, so the
-delta of the incomplete graphs is that of the full ones.
+only at the rest.  ``build_fourway`` defers the bodies of the files at
+``MergeScenario.deferred`` (see peg's "Deferred bodies"), which would add
+the same relations to both graphs of a delta, so the delta of the
+incomplete graphs is that of the full ones.
 """
 
 from __future__ import annotations
@@ -250,12 +251,13 @@ class FourWayGraph:
 
 
 def build_fourway(scenario: MergeScenario) -> FourWayGraph:
-    memo: dict = {}     # unit facts shared by the four builds
-    versions = (scenario.base, scenario.left, scenario.right, scenario.am)
-    gb = peg.build_peg(scenario.base, "b", memo, versions)
-    gl = peg.build_peg(scenario.left, "l", memo, versions)
-    gr = peg.build_peg(scenario.right, "r", memo, versions)
-    gam = peg.build_peg(scenario.am, "am", memo, versions)
+    # unit facts shared by the four builds, begun by parse_versions
+    memo = dict(scenario.unit_facts)
+    deferred = scenario.deferred
+    gb = peg.build_peg(scenario.base, "b", memo, deferred)
+    gl = peg.build_peg(scenario.left, "l", memo, deferred)
+    gr = peg.build_peg(scenario.right, "r", memo, deferred)
+    gam = peg.build_peg(scenario.am, "am", memo, deferred)
     scorer = Scorer()
     for ga, gx in ((gb, gl), (gb, gr), (gam, gl), (gam, gr)):
         scorer.expect_match(ga, gx)

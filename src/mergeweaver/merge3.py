@@ -142,6 +142,13 @@ class MergeScenario:
     left: dict[str, SourceFile] = field(default_factory=dict)
     right: dict[str, SourceFile] = field(default_factory=dict)
     am: dict[str, SourceFile] = field(default_factory=dict)
+    # the paths of the files every version shares whose bodies no graph
+    # build reads: parse_versions recognizes their bodies without building
+    # them, and build_fourway defers them (peg's "Deferred bodies")
+    deferred: frozenset[str] = frozenset()
+    # peg's unit facts of the files parse_versions read to pick deferred,
+    # by (path, id of the SourceFile): the start of build_fourway's memo
+    unit_facts: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _read_tree(root: Path) -> dict[str, str]:
@@ -226,13 +233,16 @@ def parse_versions(base: dict[str, str], left: dict[str, str],
                    right: dict[str, str], am: dict[str, str]) -> MergeScenario:
     """Parse four path->text maps into a scenario; raises ParseError.
 
-    A file with the same text in base, left and right has its method and
-    constructor bodies recognized, not built (see ``parser``), when no
-    build of ``graph_diff.build_fourway`` reads them: when
-    ``peg.deferred_by_text`` says so, from the files the versions do not
-    all share, which are parsed first.  Any other shared file is parsed
-    whole, since a body that is read builds its nodes then, at nearly the
-    cost of a parse of its own.
+    A file with the same text in every version (one that base, left and
+    right share, merged) is one SourceFile in all four.  The files the
+    versions do not all share are parsed first, and from them
+    ``peg.deferred_by_text`` picks the shared files whose bodies no build
+    of ``graph_diff.build_fourway`` reads, once per merge:
+    ``MergeScenario.deferred``.  Those files have their method and
+    constructor bodies recognized, not built (see ``parser``), and the
+    builds defer them; any other shared file is parsed whole, since a body
+    that is read builds its nodes then, at nearly the cost of a parse of
+    its own.
     """
     versions = (("base", base), ("left", left), ("right", right),
                 ("merged", am))
@@ -241,15 +251,15 @@ def parse_versions(base: dict[str, str], left: dict[str, str],
     # write a node of these trees
     parsed: dict[tuple[str, str], SourceFile] = {}
     shared = {path for path, text in base.items()
-              if left.get(path) == text == right.get(path)}
-    recognized: set[str] = set()
+              if left.get(path) == text == right.get(path) == am.get(path)}
+    scenario = MergeScenario()
 
     def parse(version: str, path: str, text: str) -> SourceFile:
         sf = parsed.get((path, text))
         if sf is None:
             try:
                 sf = parsed[path, text] = parse_unit(
-                    path, text, recognize_bodies=path in recognized)
+                    path, text, recognize_bodies=path in scenario.deferred)
             except ParseError as exc:
                 raise ParseError(f"{version}/{path}", exc.line, exc.col,
                                  exc.message) from None
@@ -263,9 +273,9 @@ def parse_versions(base: dict[str, str], left: dict[str, str],
         except ParseError:
             pass    # the parse below raises the first error in order
         else:
-            quiet = deferred_by_text(others)
-            recognized = {path for path in shared if quiet(base[path])}
-    scenario = MergeScenario()
+            quiet = deferred_by_text(others, scenario.unit_facts)
+            scenario.deferred = frozenset(path for path in shared
+                                          if quiet(base[path]))
     for bucket, (version, files) in zip(("base", "left", "right", "am"),
                                         versions):
         setattr(scenario, bucket, {path: parse(version, path, text)

@@ -74,10 +74,10 @@ probe that reads a type and a name; a probe whose type arguments run to
 the end of the text gives up without an error, so it builds no position
 table either.
 
-With ``recognize_bodies`` (``merge3.parse_versions`` sets it for a file
-whose text base, left and right share and whose bodies no build of the
-entity graphs reads; a body that is read pays for this check and then
-for its build) the parser checks each method and
+With ``recognize_bodies`` (``merge3.parse_versions`` sets it for the
+files at ``MergeScenario.deferred``, those every version shares and whose
+bodies the entity-graph builds defer; a body that is read would pay for
+this check and then for its build) the parser checks each method and
 constructor body with the full grammar but builds none of its nodes:
 ``_node`` then only counts them and returns its kind's mark, since the
 grammar reads no more of a node than its kind, and a probe that backs off

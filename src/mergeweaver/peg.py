@@ -40,24 +40,45 @@ This is the verifying-trace rule of Mokhov, Mitchell and Peyton Jones,
 assembled per version, entities keep the insertion order of a build from
 scratch, and an empty memo is that build.
 
-Deferred bodies.  A file every version shares can only make a body edit if
-a name its bodies use means something else in another version.
-``build_fourway`` passes all four versions to each of its builds; the first
-asks ``defer_bodies`` for the units whose bodies no build needs, and the
-memo keeps the answer for the other three.  ``build_peg`` skips those
-bodies, keeping each unit with its head in ``EntityGraph.deferred``;
-declarations and heads stay eager.  ``EntityGraph.resolve_deferred``
-completes a graph (``--dump-peg`` and the unit-facts oracle call it), and a
-build given no versions is the full build.  A unit is deferred when all
-four versions hold its SourceFile, they agree on every fact not keyed by a
-member name (the type ids, stubs included; the packages; each type's
-extends clause with its file's package, imports and types), and no
-identifier of the unit's text ends in a dirty name.  A name is dirty when,
-for some type, the ids of its members of that simple name, in order, or the
-declared type of its field of that name differ between versions.  Each
-read a body makes then answers the same in every version:
+Deferred bodies.  A file every version shares (the same text in base,
+left and right, and so in the merge) is one SourceFile in all four, and
+its bodies can only make an edit if a name they use means something else
+in another version.  Which of these files no build reads the bodies of is
+decided once per merge, in ``merge3.parse_versions``: it parses the other
+files first, asks ``deferred_by_text`` and keeps the answer as
+``MergeScenario.deferred``, a set of paths.  The parser recognizes those
+files' bodies without building them, and ``build_fourway`` passes the set
+to each ``build_peg``, which skips the same bodies, keeping each unit with
+its head in ``EntityGraph.deferred``; declarations and heads stay eager.
+``EntityGraph.resolve_deferred`` completes a graph (``--dump-peg`` and the
+unit-facts oracle call it), and a build given no deferred paths is the
+full build.  The unit facts the test builds start ``build_fourway``'s
+memo, so each file gives one unit per merge.
 
-* a type fqn and a package: the type ids, stubs and packages are equal;
+The test compares one symbol frame per version, built from the files the
+versions do not all share.  A frame holds their facts that are not keyed
+by a member name (the type ids, each with its extends clause and its
+file's package, imports and types; the packages; the stubs those files'
+imports make) and, by (type id, simple name), the ids of a type's members
+of that name, in order, with a field's declared type.  A shared file is
+deferred when the frames agree on the first part and no identifier of its
+text ends in a dirty name: one whose members, for some type, differ
+between frames.  The frames leave out the shared files' own facts, which
+are the same in every version: versions whose other files agree without
+them agree with them too, so leaving them out can only defer less.  It
+does where a file that declares no type, so that no type's head records
+its imports, imports on one branch a class a shared file declares: that
+version's frame stubs the import and the others hold no such stub, so
+nothing is deferred and the bodies are resolved as in a full build.  When
+the importing file declares a type, the frames differ in its head either
+way.
+
+When the test says yes, each read a body makes answers the same in every
+version:
+
+* a type fqn and a package: the type ids, stubs and packages are equal
+  (a stub is an import that no type of the version declares, and the
+  shared files add the same imports and types to every version);
 * a type's superclass: each extends clause resolves in an equal scope
   against equal types;
 * a type's member list: the resolver reads it only through
@@ -69,10 +90,7 @@ read a body makes then answers the same in every version:
 So a deferred body's relations are equal in all four graphs: they cancel
 in a delta, they join entities every graph holds by id, and the hosts they
 would add to mining are the same in every version and mine an empty
-script.  ``merge3.parse_versions`` asks ``deferred_by_text`` the same
-question before it parses the shared files, from the other files alone,
-and recognizes without building them the bodies of the files it is told
-are deferred.
+script.
 """
 
 from __future__ import annotations
@@ -314,23 +332,17 @@ def _relation(src: Entity, dst: Entity, kind: str) -> Relation:
 
 def build_peg(files: dict[str, SourceFile], version: str,
               memo: Optional[dict] = None,
-              versions: Sequence[dict[str, SourceFile]] = ()) -> EntityGraph:
+              deferred: frozenset[str] = frozenset()) -> EntityGraph:
     """The entity graph of one version.
 
     ``memo`` maps (path, id of the SourceFile) to that file's unit facts;
     the builds of one merge may share it (see the module docstring).  The
-    builds that also pass ``versions``, the files of every version of the
-    merge, leave the bodies ``defer_bodies`` picks for
-    ``EntityGraph.resolve_deferred``; the first of them picks the units and
-    keeps them in the memo under ``"deferred"``.  Without ``versions`` the
-    build is full.
+    bodies of the units at the ``deferred`` paths are left for
+    ``EntityGraph.resolve_deferred``: ``build_fourway`` passes the files
+    ``merge3.parse_versions`` picked ("Deferred bodies" in the module
+    docstring).  With no deferred paths the build is full.
     """
     memo = {} if memo is None else memo
-    deferred: frozenset[_Unit] = frozenset()
-    if versions:
-        deferred = memo.get("deferred")
-        if deferred is None:
-            deferred = memo["deferred"] = defer_bodies(versions, memo)
     graph = EntityGraph(version)
     project = graph.add_entity(Entity("project", "<project>"))
 
@@ -351,7 +363,7 @@ def build_peg(files: dict[str, SourceFile], version: str,
         graph.relations.update(head.relations)
         graph._super.update(head.extends)
     for unit, head in zip(units, heads):
-        if unit in deferred:
+        if unit.path in deferred:
             graph.deferred.append((unit, head))
         else:
             graph.relations.update(unit.body(head, graph).relations)
@@ -374,49 +386,16 @@ def _unit_of(memo: dict, path: str, src: SourceFile) -> _Unit:
     return unit
 
 
-def defer_bodies(versions: Sequence[dict[str, SourceFile]],
-                 memo: dict) -> frozenset[_Unit]:
-    """The units of ``memo`` whose bodies resolve the same in every one of
-    ``versions``: see "Deferred bodies" in the module docstring."""
-    units = [[_unit_of(memo, path, src) for path, src in files.items()]
-             for files in versions]
-    shared = set(units[0]).intersection(*units[1:])
-    if not shared:
-        return frozenset()
-    # the shared units put the same facts in every version's symbol table,
-    # so only the others can tell the versions apart
-    common = ({ent.fqn for unit in shared for ent, _node in unit.types},
-              set().union(*(unit.imports for unit in shared)),
-              {unit.package for unit in shared})
-    quiet = _quiet([[unit for unit in version if unit not in shared]
-                    for version in units], common)
-    return frozenset(unit for unit in shared if quiet(unit.source.text))
-
-
-def deferred_by_text(others: Sequence[dict[str, SourceFile]]
-                     ) -> Callable[[str], bool]:
-    """A test on the text of a file that every version holds, given
-    ``others``, the files of each version that the versions do not all
-    share: true only if ``defer_bodies`` defers the file, so that no build
-    of ``build_fourway`` reads its bodies.
-
-    The test leaves out the facts of the shared files (their types,
-    imports and packages).  Those are the same in every version, so
-    versions whose other files agree without them agree with them too;
-    versions that agree only with them count as differing, which defers
-    less.
-    """
-    memo: dict = {}
-    return _quiet([[_unit_of(memo, path, src) for path, src in files.items()]
-                   for files in others], (set(), set(), set()))
-
-
-def _quiet(others: list[list[_Unit]],
-           common: tuple[set, set, set]) -> Callable[[str], bool]:
-    """Whether a unit every version shares, of the given text, resolves its
-    bodies the same in every version, given the ``others`` units of each
-    version and the ``common`` facts of ``_symbol_frame``."""
-    frames = [_symbol_frame(units, common) for units in others]
+def deferred_by_text(others: Sequence[dict[str, SourceFile]],
+                     memo: dict) -> Callable[[str], bool]:
+    """A test on the text of a file that every version shares, given
+    ``others``, the files of each version that they do not all share: true
+    when no build of ``build_fourway`` reads the file's bodies (see
+    "Deferred bodies" in the module docstring).  The unit facts of
+    ``others`` are kept in ``memo``."""
+    frames = [_symbol_frame([_unit_of(memo, path, src)
+                             for path, src in files.items()])
+              for files in others]
     if any(frame[0] != frames[0][0] for frame in frames[1:]):
         return lambda text: False
     dirty: set[str] = set()
@@ -432,23 +411,22 @@ def _quiet(others: list[list[_Unit]],
     return lambda text: mention.search(text) is None
 
 
-def _symbol_frame(units: list[_Unit],
-                  common: tuple[set, set, set]) -> tuple[tuple, dict]:
-    """What a version's symbol table holds beyond the ``common`` part of
-    the shared units (their type fqns, imports and packages), given its
-    other ``units``: (the heads of their types, the version's packages, its
-    stubs), and the members of their types by name."""
-    fqns, imports, packages = common
+def _symbol_frame(units: list[_Unit]) -> tuple[tuple, dict]:
+    """A version's symbol frame, given the ``units`` of its files that the
+    versions do not all share: (the heads of their types, their packages,
+    the stubs their imports make against their types), and the members of
+    their types by name."""
     heads: dict[str, tuple] = {}
     named: dict[tuple[str, str], tuple] = {}
-    imports, packages = set(imports), set(packages)
+    imports: set[str] = set()
+    packages: set[str] = set()
     for unit in units:
         unit_heads, unit_named = _symbol_facts(unit)
         heads.update(unit_heads)
         named.update(unit_named)
         imports.update(unit.imports)
         packages.add(unit.package)
-    declared = fqns.union(tid.split(":", 1)[1] for tid in heads)
+    declared = {tid.split(":", 1)[1] for tid in heads}
     stubs = set(_stubbed(imports, declared.__contains__))
     return (heads, packages, stubs), named
 

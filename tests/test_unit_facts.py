@@ -13,12 +13,14 @@ graphs, which share no unit and so take the full path through
 ``diff_graphs``.  A version that declares an entity twice must fail with
 the same message either way.
 
-``build_fourway`` defers the bodies of some units that every version shares
-(see "Deferred bodies" in the peg module docstring), and its deltas come
-from those incomplete graphs.  So before the oracle completes a graph with
-``resolve_deferred``, the graph's relations must be the cold relations less
-exactly the body relations of its deferred units; after, the graph must
-equal its cold build.
+``build_fourway`` defers the bodies of the files at ``scenario.deferred``,
+which ``parse_versions`` picks once per merge from files every version
+shares (see "Deferred bodies" in the peg module docstring), and its deltas
+come from those incomplete graphs.  So every graph must defer exactly
+those files, the parser must have recognized bodies in no other file, and
+before the oracle completes a graph with ``resolve_deferred``, the graph's
+relations must be the cold relations less exactly the body relations of
+its deferred units; after, the graph must equal its cold build.
 """
 
 import copy
@@ -36,6 +38,7 @@ from mergeweaver.merge3 import (TextualConflict, merge_scenario, merge_texts,
                                 parse_versions)
 from mergeweaver.peg import DuplicateEntity, Entity, build_peg
 from mergeweaver.similarity import Scorer
+from mergeweaver.syntax import recognized_blocks
 
 VERSIONS = (("base", "b"), ("left", "l"), ("right", "r"), ("am", "am"))
 BODY_KINDS = frozenset({"reads", "writes", "calls", "initializes"})
@@ -64,8 +67,12 @@ def delta_facts(delta) -> tuple:
 
 def check_against_cold(scenario):
     """Asserts the memo build equals the cold one; returns the
-    FourWayGraph, completed, and the paths of the units whose bodies it
+    FourWayGraph, completed, and the paths of the files whose bodies it
     deferred, or (None, None) when a version declares an entity twice."""
+    deferred = scenario.deferred
+    for bucket, _version in VERSIONS:
+        for path, sf in getattr(scenario, bucket).items():
+            assert path in deferred or not recognized_blocks(sf.tree.root)
     try:
         fw = build_fourway(scenario)
         warm_error = None
@@ -80,10 +87,9 @@ def check_against_cold(scenario):
             return None, None
     assert warm_error is None
     graphs = (fw.base, fw.left, fw.right, fw.merged)
-    deferred = [unit for unit, _head in fw.base.deferred]
-    skipped = set().union(*(unit.by_id for unit in deferred))
+    skipped = set().union(*(unit.by_id for unit, _head in fw.base.deferred))
     for (_bucket, version), graph in zip(VERSIONS, graphs):
-        assert [unit for unit, _head in graph.deferred] == deferred
+        assert {unit.path for unit, _head in graph.deferred} == deferred
         assert graph.relations == {
             rel for rel in cold[version].relations
             if rel.src not in skipped or rel.kind not in BODY_KINDS}, version
@@ -98,7 +104,7 @@ def check_against_cold(scenario):
     for delta, branch in ((fw.delta_left, "l"), (fw.delta_right, "r")):
         assert delta_facts(delta) == delta_facts(
             diff_graphs(cold["b"], cold[branch], branch, Scorer())), branch
-    return fw, {unit.path for unit in deferred}
+    return fw, deferred
 
 
 @pytest.mark.parametrize("scenario_dir", merge_inputs(),
@@ -197,19 +203,59 @@ def test_an_edit_of_a_name_use_never_mentions_defers_it():
     assert deferred == set(_BASE) - {"p/Tool.java"}
 
 
-def test_the_first_build_picks_the_deferred_units(monkeypatch):
-    # so the pick is part of graph building, inside build_peg
-    picks = []
-    pick = peg.defer_bodies
-    monkeypatch.setattr(peg, "defer_bodies", lambda versions, memo: (
-        picks.append(len(versions)) or pick(versions, memo)))
-    fw = build_fourway(parse_versions(_BASE, _BASE, _BASE, _BASE))
-    assert picks == [4]
+def test_the_graphs_defer_exactly_the_paths_the_scenario_names():
+    scenario = parse_versions(_BASE, _BASE, _BASE, _BASE)
+    assert scenario.deferred == set(_BASE)
+    fw = build_fourway(scenario)
     for graph in (fw.base, fw.left, fw.right, fw.merged):
         assert {unit.path for unit, _head in graph.deferred} == set(_BASE)
-    # a build given no versions is the full build
-    assert not build_peg(parse_versions(_BASE, _BASE, _BASE, _BASE).base,
-                         "b").deferred
+    # build_peg defers the paths it is given, and with none it is the
+    # full build
+    picked = build_peg(scenario.base, "b", deferred=frozenset({"p/Use.java"}))
+    assert [unit.path for unit, _head in picked.deferred] == ["p/Use.java"]
+    assert not build_peg(scenario.base, "b").deferred
+    # a file is shared only if the merge holds it too, so a caller's merge
+    # that renames Beta.run leaves Beta unshared and Use, which calls it,
+    # resolved
+    merged = dict(_BASE)
+    merged["p/Beta.java"] = merged["p/Beta.java"].replace("run(", "walk(")
+    _fw, deferred = check_against_cold(parse_versions(_BASE, _BASE, _BASE,
+                                                      merged))
+    assert deferred == set(_BASE) - {"p/Beta.java", "p/Use.java"}
+
+
+def test_a_typeless_file_importing_a_shared_class_defers_nothing():
+    # no type's head records the imports of a file that declares none, so
+    # the frames, which leave out the shared files, see the left import of
+    # p.S as a stub of the left version only
+    base = {"q/A.java": "package q;\n",
+            "p/S.java": "package p;\n\npublic class S {\n    int total;\n"
+                        "    public int run(int x) {\n"
+                        "        return total + x;\n    }\n}\n"}
+    left = dict(base, **{"q/A.java": "package q;\n\nimport p.S;\n"})
+    scenario = parse_versions(base, left, base, merge_texts(base, left, base))
+    assert scenario.deferred == set()
+    fw, _deferred = check_against_cold(scenario)
+    assert ("method:p.S.run(int)", "field:p.S.total", "reads") \
+        in fw.merged.relations
+
+
+def test_each_file_gives_one_unit_and_each_version_one_frame(monkeypatch):
+    made, frames = [], []
+    unit_class, frame = peg._Unit, peg._symbol_frame
+    monkeypatch.setattr(peg, "_Unit", lambda path, src: (
+        made.append((path, id(src))) or unit_class(path, src)))
+    monkeypatch.setattr(peg, "_symbol_frame", lambda units: (
+        frames.append(len(units)) or frame(units)))
+    wl = bench_gen.generate("method-rename", 1)
+    scenario = parse_versions(wl.base, wl.left, wl.right,
+                              merge_texts(wl.base, wl.left, wl.right))
+    build_fourway(scenario)
+    files = {(path, id(sf))
+             for bucket, _version in VERSIONS
+             for path, sf in getattr(scenario, bucket).items()}
+    assert sorted(made) == sorted(files)
+    assert len(frames) == 4
 
 
 # ---------------------------------------------------------------------------
