@@ -47,25 +47,29 @@ Nesting deeper than ``MAX_NESTING`` levels raises "nested too deeply" at
 the token that opens the level past the limit.  The limit is a property of
 the text: it does not depend on how deep the caller's stack is.
 
-The scanner reads each file with one ``findall`` of ``_TOKEN_RE``, whose
-matches tile the text as (skip run, token) pairs, and one Python loop
-that keeps each token's kind and text in two parallel lists.  A token's
-kind comes from its first character.  The lists end in ``_EOF_PAD`` eof
-entries, so the parser reads one token ahead by index without a bound
-check.
+The scanner reads each file with one ``findall`` of ``_TOKEN_RE``, which
+yields the token texts alone, and maps their first characters to kinds
+through a table, both in C; the few heads that do not decide a kind
+("/", "|", "&", quotes, non-ASCII characters) are found by ``list.index``
+and sorted out in Python.  The scan is linear, on malformed text too: its
+skip runs are possessive, its alternation ends in ``.|\\Z`` and so never
+fails, and a comment or literal left open is one token that runs to the
+end of the text.  The lists end in ``_EOF_PAD`` eof entries, so the
+parser reads one token ahead by index without a bound check.
 
 No position is computed while a file parses.  A node keeps the range of
 tokens it covers and the file's ``TokenPositions``; its ``span`` is
 resolved on first read (see ``syntax.SyntaxNode``) from a position table
-that ``scan_positions`` builds once per file from the same pairs: the
-line and column of every token, from the newlines of the skip runs and
-literals before it.  The errors compute positions the same way: a
-ParseError of the parser builds its file's table to name the line and
-column of the offending token, and a text that ``scan`` cannot read on
-its own (a character of no token class, an unterminated comment or
-literal, or a number led by a non-ASCII digit such as "²", which needs
-its offset to be split) is read again by ``scan_positions``, which
-raises the error at its position or splits the number.  A file whose
+that ``scan_positions`` builds once per file from (skip run, token)
+pairs of the same grammar: the line and column of every token, from the
+newlines of the skip runs and literals before it.  The errors compute
+positions the same way: a ParseError of the parser builds its file's
+table to name the line and column of the offending token, and a text
+that ``scan`` cannot read on its own (a character of no token class, an
+unterminated comment or literal, or a number led by a non-ASCII digit
+such as "²", which needs its offset to be split) is read again by
+``scan_positions``, which raises the error at its position or splits the
+number.  A file whose
 nodes nobody asks a span of therefore costs its scan and its grammar
 only.
 
@@ -96,6 +100,7 @@ from __future__ import annotations
 import re
 import sys
 import threading
+from operator import itemgetter
 from typing import Optional
 
 from .syntax import (NODE_KINDS, TYPE_KEYWORDS, RecognizedBlock, SourceFile,
@@ -120,41 +125,50 @@ _TIER = {op: tier for tier, ops in enumerate([
     ["*", "/", "%"],
 ]) for op in ops}
 
-# One findall per text, one (skip, token) pair per match.  The skip run
-# of whitespace and comments is atomic, so that a token that fails to
-# match never makes the engine re-read "/* a */ # /* b */" as one longer
-# comment: a lookahead never backtracks, so the run is read in a
-# lookahead and then consumed by a backreference (``(?>...)`` would do the
-# same, but needs Python 3.11).  The token alternation ends in "/*" (a
-# comment with no closing "*/", before the "/" of punctuation), "." and
-# \Z, so a match starts wherever the previous one ended: the matches tile
-# the text, findall never jumps over a character, and the first empty
-# token is the end of the text.  Besides "/*", "." takes the other texts
-# that are no token (a lone quote of an unterminated literal, a lone "|"
-# or "&", a character of no token class), and scan() raises at the first.
-# \w and str.isalnum agree on every character, so the classes below
-# follow the isalpha/isdigit/isalnum rules of the language subset except
-# for characters that are \w but neither letters nor decimal digits (such
-# as "²"), which scan() sorts out by hand.
-_TOKEN_RE = re.compile(
-    r"(?=((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*))\1"
-    r"((?:[^\W\d]|\$)[\w$]*"
-    r"|\d(?:[^\W_]|\.)*"
-    r'|"(?:[^"\\]|\\.)*"'
-    r"|'(?:[^'\\]|\\.)*'"
-    r"|\|\||&&|==|!=|<=|>=|/\*|[{}()\[\];,.@:=<>+\-*/%!?]"
-    r"|.|\Z)",
-    re.DOTALL)
-# The kind of a token whose first character decides it; scan() sorts out
-# the rest: "/" and "/*", "||" and "|", "&&" and "&", literals and lone
-# quotes, the end of the text, and non-ASCII characters.
-_KIND_OF = {c: "ident" if c.isalpha() or c in "_$" else
-            "number" if c.isdigit() else "punct"
-            for c in map(chr, range(128))
-            if c.isalnum() or c in "_${}()[];,.@:=<>+-*%!?"}
+# The token grammar, one text compiled twice: _TOKEN_RE yields the token
+# texts alone, _PAIR_RE (skip run, token) pairs for scan_positions.  The
+# skip run is possessive, so a token that fails never makes the engine
+# re-read "/* a */ # /* b */" as one longer comment.  The matches tile the
+# text, so findall never jumps over a character, and the first empty token
+# is the end of the text (one ending in a skip run matches \Z twice).  A
+# closed literal that fails reads its text once before '["'].*' reads it
+# to the end; "." takes the other texts that are no token (a lone "|" or
+# "&", a character of no token class).  An ASCII identifier takes the
+# first branch, which consults no Unicode table, unless a non-ASCII
+# character follows it.  \w and str.isalnum agree on every character, so
+# the classes follow the isalpha/isdigit/isalnum rules of the subset
+# except for characters that are \w but neither letters nor decimal digits
+# (such as "²"), which scan() sorts out by hand.
+_SKIP = r"(?:[ \t\r\n]++|//[^\n]*+|/\*.*?\*/)*+"
+_TOKEN = (r"[A-Za-z_$][A-Za-z0-9_$]*+(?![^\x00-\x7f])"
+          r"|\|\||&&|==|!=|<=|>=|/\*.*|[{}()\[\];,.@:=<>+\-*/%!?]"
+          r"|(?:[^\W\d]|\$)[\w$]*"
+          r"|\d(?:[^\W_]|\.)*"
+          r'|"(?:[^"\\]|\\.)*+"|\'(?:[^\'\\]|\\.)*+\'|["\'].*'
+          r"|.|\Z")
+_TOKEN_RE = re.compile(f"{_SKIP}({_TOKEN})", re.DOTALL)
+_PAIR_RE = re.compile(f"({_SKIP})({_TOKEN})", re.DOTALL)
+
+
+class _Kinds(dict):
+    """Token kinds by first character.  A head that decides no kind maps
+    to ``_RARE``: "/" (or "/*"), "|" ("||"), "&" ("&&"), quotes and
+    non-ASCII characters, which scan() sorts out."""
+
+    def __missing__(self, head: str) -> str:
+        return _RARE
+
+
+_RARE = "rare"
+_KIND_OF = _Kinds({c: "ident" if c.isalpha() or c in "_$" else
+                   "number" if c.isdigit() else "punct"
+                   for c in map(chr, range(128))
+                   if c.isalnum() or c in "_${}()[];,.@:=<>+-*%!?"})
+_FIRST = itemgetter(0)
 _NUMBER_TAIL = re.compile(r"(?:[^\W_]|\.)*")
 _UNTERMINATED = {'"': "unterminated string literal",
-                 "'": "unterminated char literal"}
+                 "'": "unterminated char literal",
+                 "/": "unterminated block comment"}
 
 # The deepest nesting a text may have, counted in open type declarations,
 # blocks, expressions (each argument and initializer one more) and cast
@@ -204,28 +218,35 @@ def scan(path: str, text: str) -> Tokens:
     the module docstring) is scanned again by ``scan_positions``, which
     raises the same ParseError it would or returns the same tokens.
     """
-    kinds: list[str] = []
-    texts: list[str] = []
-    kind_of = _KIND_OF.get
-    for _skip, tok in _TOKEN_RE.findall(text):
-        kind = kind_of(tok[:1])
-        if kind is None:
-            head = tok[:1]
-            if not tok:
-                kinds += ["eof"] * _EOF_PAD
-                texts += [""] * _EOF_PAD
-                break
-            if tok in ("/", "||", "&&"):
-                kind = "punct"
-            elif head in "\"'" and len(tok) > 1:
-                kind = "string" if head == '"' else "char"
-            elif head.isalpha():        # a non-ASCII letter
-                kind = "ident"
-            else:
-                return scan_positions(path, text)[:2]
-        kinds.append(kind)
-        texts.append(tok)
+    texts = _TOKEN_RE.findall(text)
+    # drop the empty tokens: \Z matches once, or twice after a skip run
+    del texts[-1 if len(texts) < 2 or texts[-2] else -2:]
+    kinds = list(map(_KIND_OF.__getitem__, map(_FIRST, texts)))
+    kinds += ["eof"] * _EOF_PAD
+    texts += [""] * _EOF_PAD
+    at = 0
+    for _ in range(kinds.count(_RARE)):
+        at = kinds.index(_RARE, at)
+        tok = texts[at]
+        head = tok[0]
+        if tok in ("/", "||", "&&"):
+            kinds[at] = "punct"
+        # only the last token can be a literal left open
+        elif head in "\"'" and (texts[at + 1] or _closed(tok)):
+            kinds[at] = "string" if head == '"' else "char"
+        elif head.isalpha():            # a non-ASCII letter
+            kinds[at] = "ident"
+        else:
+            return scan_positions(path, text)[:2]
     return kinds, texts
+
+
+def _closed(literal: str) -> bool:
+    """Whether ``literal``, read from its quote to the end of a text, ends
+    in its closing quote: one that no backslash escapes."""
+    inner = literal[:-1]
+    return (len(literal) > 1 and literal[-1] == literal[0]
+            and (len(inner) - len(inner.rstrip("\\"))) % 2 == 0)
 
 
 def scan_positions(path: str, text: str) -> Scan:
@@ -243,7 +264,7 @@ def scan_positions(path: str, text: str) -> Scan:
     pos = 0             # index of the next character to read
     line = 1
     line_start = 0      # index of the first character of ``line``
-    pairs = _TOKEN_RE.findall(text)
+    pairs = _PAIR_RE.findall(text)
     while True:
         for skip, tok in pairs:
             # only skip runs and string or char tokens hold newlines
@@ -272,7 +293,7 @@ def scan_positions(path: str, text: str) -> Scan:
             stop = pos + len(tok)       # where the match ended
             if tok in ("/", "||", "&&"):
                 kind = "punct"
-            elif head in "\"'" and len(tok) > 1:
+            elif head in "\"'" and (stop < len(text) or _closed(tok)):
                 kind = "string" if head == '"' else "char"
             elif head.isalpha():        # a non-ASCII letter
                 kind = "ident"
@@ -281,11 +302,10 @@ def scan_positions(path: str, text: str) -> Scan:
                 # decimal digit, so its match took an identifier's tail
                 kind = "number"
                 tok = text[pos:_NUMBER_TAIL.match(text, pos + 1).end()]
-            elif tok == "/*":
-                raise ParseError(path, line, col, "unterminated block comment")
             else:
+                # unclosed comment or literal, or a character of no class
                 raise ParseError(path, line, col, _UNTERMINATED.get(
-                    tok, f"unexpected character {head!r}"))
+                    head, f"unexpected character {head!r}"))
             kinds.append(kind)
             texts.append(tok)
             lines.append(line)
@@ -299,7 +319,7 @@ def scan_positions(path: str, text: str) -> Scan:
                 # the number ends elsewhere than its match: match again
                 # from its end, lazily, so that a restart costs only the
                 # tokens it reads
-                pairs = map(re.Match.groups, _TOKEN_RE.finditer(text, pos))
+                pairs = map(re.Match.groups, _PAIR_RE.finditer(text, pos))
                 break
 
 

@@ -1,5 +1,6 @@
-"""Reference front end for the differential tests in
-test_frontend_reference.py.
+"""Reference front end for the differential tests in test_tokenizer.py
+(``scan``), test_merge3.py (``_read_tree``) and test_lazy_front_end.py
+(``_read_tree`` and ``EagerIndex``).
 
 Test-only verbatim copies of the two per-file kernels mergeweaver had
 before they were rewritten around one ``findall`` per file and one

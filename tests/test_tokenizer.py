@@ -2,25 +2,37 @@
 
 ``reference_tokenize`` is the original character-at-a-time lexer, kept
 here as an oracle, and ``reference_frontend.scan`` the scanner that
-matched one token per regex call before ``scan`` took one ``findall`` per
-text.  On every input ``reference_parser.tokenize``, the token-object
-view of ``scan_positions``, must agree with the first on every
-token (kind, text, line, column), ``scan_positions`` with the second on
-all four lists, eof entries included, and ``scan``, which keeps no
-positions, with the second's kinds and texts; or each must raise the same
-ParseError message as its reference.  The inputs: every corpus and fixture file, the
-generated workloads at two seeds, edge cases, and seeded mutations and
-character soup that add CRLF line ends, tabs, escapes, unterminated
+matched one token per regex call before the scan took one ``findall`` per
+text.  ``scan`` now takes the token texts alone from one ``findall`` and
+their kinds from a table keyed by first character, leaving the few heads
+the table cannot decide to a rule each; ``scan_positions`` reads
+(skip run, token) pairs of the same grammar.  On every input
+``reference_parser.tokenize``, the token-object view of
+``scan_positions``, must agree with the first on every token (kind,
+text, line, column), ``scan_positions`` with the second on all four
+lists, eof entries included, and ``scan``, which keeps no positions, with
+the second's kinds and texts; or each must raise the same ParseError
+message as its reference.  The inputs: every corpus and fixture file,
+the generated workloads at two seeds, edge cases, and seeded mutations
+and character soup that add CRLF line ends, tabs, escapes, unterminated
 comments, strings and chars, and non-ASCII text.
+
+Two more tests pin the kernel's cost.  Text with a comment or literal
+left open scans in linear time: the first one is a single token that
+runs to the end of the text.  And ``scan`` reads well-formed text
+without handing it to ``scan_positions``, a fallback whose output is the
+same but whose cost is not, so only this test would see it taken.
 """
 
 import random
+import time
 
 import pytest
 
 import reference_frontend
 from conftest import FANOUT, bench_gen, corpus_java_files, random_program
-from mergeweaver.parser import ParseError, scan, scan_positions
+from mergeweaver import parser
+from mergeweaver.parser import ParseError, parse_unit, scan, scan_positions
 from reference_parser import Token, tokenize
 
 _REFERENCE_PUNCT = [
@@ -180,6 +192,7 @@ def test_generated_workloads(workload, seed):
     "a /* b */ c // d\ne", "1_000", "..", "a.b.c",
     "a // d", "a /* b */", "a\n", "a;\n\n", "²_a ².5 ².a_b ²$", "a | b & c",
     '"a\nb" c\n\'\n\' d', "a\r\n/* x\n */ b",
+    '"\\' * 3, "/* " * 3, "'\\" * 3, 'a "b\\\\" "c\\"', "'\\\\'",
 ])
 def test_edge_cases(text):
     assert_same(text)
@@ -204,3 +217,34 @@ def test_random_character_soup():
     for _ in range(2000):
         assert_same("".join(rng.choice(alphabet)
                             for _ in range(rng.randrange(1, 40))))
+
+
+@pytest.mark.parametrize("piece", ['"\\', "/* ", "'\\"])
+def test_open_comments_and_literals_scan_in_linear_time(piece):
+    # quadratic if each later quote or "/*" read on to the end again
+    text = "class A { " + piece * (65536 // len(piece)) + " }"
+    expected = outcome(reference_tokenize, text)
+    for fn in (scan, scan_positions, parse_unit):
+        start = time.process_time()
+        with pytest.raises(ParseError) as caught:
+            fn("T.java", text)
+        assert time.process_time() - start < 0.5, fn.__name__
+        assert f"ParseError: {caught.value}" == expected
+
+
+def test_scan_reads_well_formed_text_on_its_own(monkeypatch):
+    def rescan(path, text):
+        raise AssertionError(f"scan handed {text[:60]!r} to scan_positions")
+    monkeypatch.setattr(parser, "scan_positions", rescan)
+    texts = [path.read_text() for path in
+             corpus_java_files() + sorted(FANOUT.rglob("*.java"))]
+    for workload in sorted(bench_gen.GENERATORS):
+        for seed in (1, 4242):
+            wl = bench_gen.generate(workload, seed)
+            texts += [text for version in (wl.base, wl.left, wl.right)
+                      for text in version.values()]
+    # texts that end in whitespace, in a comment or in a token
+    texts += ["", "a ", "a\n", "a // d", "a //", "a /* b */", "a", "a;",
+              '"s"', "'c'", "a / b", "a || b && c"]
+    for text in texts:
+        scan("T.java", text)

@@ -24,8 +24,10 @@ times to diff the mined hosts of the merge
 again (``diff``) and the nodes of those hosts' before trees
 (``host_nodes``); the best of N times to read the three input trees
 (``read``), and to ``scan`` and to ``parse_unit`` each distinct (path,
-text) pair of the three versions, with the tokens and nodes of those
-parses; and last ``ref_ms``, the best of N times of the reference job of
+text) pair of the three versions, with the texts ``scan`` handed to
+``scan_positions`` (``rescanned``, a count of the fallback that gives
+the same tokens at a higher cost, 0 on all three workloads) and the
+tokens and nodes of those parses; and last ``ref_ms``, the best of N times of the reference job of
 bench/calib.py (imported, not modified), each timed right before one of
 the N runs, so that the host's drift within a row reaches both, and with
 no earlier run's merge held, so that the job's own garbage collections
@@ -58,7 +60,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import calib  # noqa: E402
 import gen  # noqa: E402
-from mergeweaver import pipeline  # noqa: E402
+from mergeweaver import parser, pipeline  # noqa: E402
 from mergeweaver.merge3 import _read_tree  # noqa: E402
 from mergeweaver.parser import parse_unit, scan, token_texts  # noqa: E402
 from mergeweaver.pipeline import ScenarioRun, run_scenario  # noqa: E402
@@ -73,7 +75,7 @@ SIZES = (
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
 COLUMNS = STAGES + ("pairs", "named", "grams", "deferred", "indexed",
                     "positioned", "recognized", "built", "diff", "host_nodes",
-                    "read", "scan", "parse", "tokens", "nodes", "ref_ms")
+                    "read", "scan", "rescanned", "parse", "tokens", "nodes", "ref_ms")
 
 
 def best_ms(repeat: int, job) -> float:
@@ -118,13 +120,19 @@ def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
 def front_end_columns(out: Path, repeat: int) -> dict[str, float]:
     """Best-of-``repeat`` ms to read the three trees under ``out``, and to
     scan and to parse every distinct (path, text) pair of them, with the
-    tokens and nodes of those parses."""
+    texts the scan handed to ``scan_positions`` and the tokens and nodes
+    of those parses."""
     dirs = [out / version for version in ("base", "left", "right")]
     pairs = sorted({pair for d in dirs for pair in _read_tree(d).items()})
     files = [parse_unit(path, text) for path, text in pairs]
+    with mock.patch.object(parser, "scan_positions",
+                           wraps=parser.scan_positions) as rescan:
+        for pair in pairs:
+            scan(*pair)
     return {
         "read": best_ms(repeat, lambda: [_read_tree(d) for d in dirs]),
         "scan": best_ms(repeat, lambda: [scan(*pair) for pair in pairs]),
+        "rescanned": rescan.call_count,
         "parse": best_ms(repeat,
                          lambda: [parse_unit(*pair) for pair in pairs]),
         "tokens": sum(len(token_texts(text)) for _path, text in pairs),
