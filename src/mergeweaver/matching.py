@@ -9,15 +9,22 @@ statement texts when it clears 0.618; 1.618 is the bar a pair must clear.
 
 Every search of one conflict, and of every other conflict anchored in the
 same merged member, scans the same statements.  So each merged member is
-indexed once per merge: its tree, its statements and their header texts
-(a MergedMember) are kept in ``FourWayGraph.members``.  The searches score
+indexed once per merge: its tree, its statements, their header texts
+(printed through the merge's PrintMemo, see ``printer``) and their
+positions by (kind, header text) and by (kind, header length) make a
+MergedMember, kept in ``FourWayGraph.members``.  The searches score
 through the merge's Scorer (see ``similarity``), so a header is profiled,
 and a pair of headers scored, once per merge however many patterns ask.
-A pattern statement's header is printed once per search; the memo keeps
-texts and scores only, so no pattern context outlives its search.  The
-member memo is sound because nothing edits a merged tree: application
+The member memo is sound because nothing edits a merged tree: application
 below and the rules write copy-on-write clones, which never write a node
 they share.
+
+The anchor is looked up before it is scored.  A pair scores at most 2.0,
+and 2.0 only with equal kinds and a Dice of 1, so equal gram multisets
+and header lengths.  If the pattern statement's (kind, header text) first
+sits at position p, p scores 2.0, so only the earlier statements of that
+kind and header length are scored, and the first to score 2.0, or else
+p, is the statement a scan of them all would pick.  Only a miss scans.
 
 Application rewrites a copy-on-write clone of the merged file, so it
 copies only the nodes on the path from an edit to the root: a kind-aligned
@@ -40,9 +47,10 @@ from .merge3 import MergeScenario
 from .mining import mine_examples
 from .graph_diff import FourWayGraph
 from .peg import Entity
-from .printer import pretty_print, statement_header_text
+from .printer import PrintMemo, statement_header_text
 from .similarity import Scorer
-from .syntax import STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree
+from .syntax import (STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree,
+                     last_node)
 from .tree_diff import DanglingOp, apply_op
 
 SIM_THRESHOLD = 0.618
@@ -88,16 +96,21 @@ def _score(p: SyntaxNode, m: SyntaxNode, sim: float) -> float:
 
 
 class MergedMember:
-    """A merged member indexed for anchor searches: its tree, its
-    statements in pre-order, their header texts, and the scorer of the
-    merge it belongs to."""
+    """A merged member indexed for anchor searches (see the module
+    docstring), and the scorer of the merge it belongs to."""
 
     def __init__(self, tree: SyntaxTree, scorer: Scorer):
         self.tree = tree
         self.scorer = scorer
         self.statements = [n for n in tree.nodes()
                            if n.kind in STATEMENT_KINDS]
-        self.headers = {n: statement_header_text(n) for n in self.statements}
+        self.headers = {n: statement_header_text(n, scorer.print_memo)
+                        for n in self.statements}
+        self.first: dict[tuple[str, str], int] = {}
+        self.shapes: dict[tuple[str, int], list[int]] = {}
+        for pos, (n, text) in enumerate(self.headers.items()):
+            self.first.setdefault((n.kind, text), pos)
+            self.shapes.setdefault((n.kind, len(text)), []).append(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +148,7 @@ def match_context(pattern: TransformationPattern,
             if ctx.has_node(i)]
     if not crit:
         raise NoAnchor("pattern has no critical nodes")
-    last = max(crit, key=lambda n: n.span or (0, 0, 0, 0))
-    s_p = ctx.enclosing_statement(last)
+    s_p = ctx.enclosing_statement(last_node(crit))
     if s_p is None:
         raise NoAnchor("last critical use sits outside any statement")
 
@@ -144,9 +156,16 @@ def match_context(pattern: TransformationPattern,
     if not m_stmts:
         raise NoAnchor("merged member has no statements")
     text = statement_header_text(s_p)
-    best_score, best_pos = min(((score(s_p, text, m), pos)
-                                for pos, m in enumerate(m_stmts)),
-                               key=lambda t: (-t[0], t[1]))
+    hit = member.first.get((s_p.kind, text))
+    if hit is None:
+        best_score, best_pos = min(((score(s_p, text, m), pos)
+                                    for pos, m in enumerate(m_stmts)),
+                                   key=lambda t: (-t[0], t[1]))
+    else:
+        # see the module docstring
+        best_score, best_pos = 2.0, next(
+            pos for pos in member.shapes[s_p.kind, len(text)]
+            if pos == hit or score(s_p, text, m_stmts[pos]) == 2.0)
     if best_score <= ANCHOR_THRESHOLD:
         raise NoAnchor(f"best anchor score {best_score:.3f}")
     s_m = m_stmts[best_pos]
@@ -157,31 +176,21 @@ def match_context(pattern: TransformationPattern,
     p_idx = p_sibs.index(s_p)
     m_idx = m_sibs.index(s_m)
 
-    bound = m_idx
-    for p_sib in reversed(p_sibs[:p_idx]):
-        if bound == 0:
-            break
-        text = statement_header_text(p_sib)
-        sc, j = min(((score(p_sib, text, m_sibs[j]), j)
-                     for j in range(bound)),
-                    key=lambda t: (-t[0], -t[1]))
-        if sc <= ANCHOR_THRESHOLD:
-            break
-        pairs.append((p_sib, m_sibs[j], sc))
-        bound = j
-
-    bound = m_idx
-    for p_sib in p_sibs[p_idx + 1:]:
-        if bound + 1 == len(m_sibs):
-            break
-        text = statement_header_text(p_sib)
-        sc, j = min(((score(p_sib, text, m_sibs[j]), j)
-                     for j in range(bound + 1, len(m_sibs))),
-                    key=lambda t: (-t[0], t[1]))
-        if sc <= ANCHOR_THRESHOLD:
-            break
-        pairs.append((p_sib, m_sibs[j], sc))
-        bound = j
+    # the preceding siblings, then the following ones, each paired with
+    # the best merged sibling past the last pair, the nearest on a tie
+    for p_part, step in ((p_sibs[:p_idx][::-1], -1), (p_sibs[p_idx + 1:], 1)):
+        bound = m_idx
+        for p_sib in p_part:
+            near = range(bound + step, -1 if step < 0 else len(m_sibs), step)
+            if not near:
+                break
+            text = statement_header_text(p_sib)
+            sc, j = max(((score(p_sib, text, m_sibs[j]), j) for j in near),
+                        key=lambda t: t[0])
+            if sc <= ANCHOR_THRESHOLD:
+                break
+            pairs.append((p_sib, m_sibs[j], sc))
+            bound = j
 
     p_cur, m_cur = s_p, s_m
     while True:
@@ -233,8 +242,8 @@ def _map_pair(p: SyntaxNode, w: SyntaxNode,
 
 
 def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
-                  conflict: Conflict,
-                  am_file: SourceFile) -> Optional[Resolution]:
+                  conflict: Conflict, am_file: SourceFile,
+                  memo: PrintMemo) -> Optional[Resolution]:
     work = am_file.tree.clone()
     mapping: dict[int, SyntaxNode] = {}
     for p_stmt, m_stmt, _sc in sorted(
@@ -282,7 +291,7 @@ def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
         strategy="example",
         conflict=conflict,
         path=am_file.path,
-        text=pretty_print(work.root),
+        text=memo.print(work.root, am_file.tree.owns),
         partial=partial,
         source_host=pattern.example.host,
         sigma=match_set.sigma,
@@ -323,7 +332,8 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
         cands.append((pattern, match_set))
 
     for rank, (pattern, match_set) in enumerate(rank_candidates(cands), 1):
-        resolution = apply_pattern(pattern, match_set, conflict, am_file)
+        resolution = apply_pattern(pattern, match_set, conflict, am_file,
+                                   fw.scorer.print_memo)
         if resolution is not None:
             resolution.rank = rank
             return resolution

@@ -101,7 +101,7 @@ from itertools import chain
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
-from .printer import pretty_print
+from .printer import PrintMemo, pretty_print
 from .syntax import (TYPE_DECL_KINDS, TYPE_KEYWORDS, SourceFile, SyntaxNode,
                      body_of, clauses, declared_type, initializer, param_types,
                      parameters)
@@ -257,14 +257,16 @@ class EntityGraph:
     def parent_id(self, entity: Entity) -> Optional[str]:
         return self._parent.get(entity.id)
 
-    def body_text(self, entity: Entity) -> str:
+    def body_text(self, entity: Entity,
+                  memo: Optional[PrintMemo] = None) -> str:
         if entity.kind == "package":
             names = sorted(self.entities[c].simple_name
                            for c in self._children.get(entity.id, []))
             return " ".join(names)
         if entity.decl is None:
             return ""
-        return pretty_print(entity.decl)
+        return pretty_print(entity.decl) if memo is None \
+            else memo.print(entity.decl)
 
     def context_strings(self, ids: set[str]) -> dict[str, str]:
         """The context string of each entity in ``ids``: the sorted fqns

@@ -17,7 +17,6 @@ from .conflicts import (Conflict, _apply_renames, declared_type_text,
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
 from .matching import Resolution
 from .merge3 import MergeScenario
-from .printer import pretty_print
 from .syntax import (SourceFile, SyntaxNode, SyntaxTree, body_of, clone_node,
                      declared_type, parameters)
 
@@ -290,7 +289,7 @@ def resolve_by_rule(fw: FourWayGraph, conflict: Conflict,
         strategy="rule",
         conflict=conflict,
         path=path,
-        text=pretty_print(work.root),
+        text=fw.scorer.print_memo.print(work.root, am_file.tree.owns),
         partial=False,
         rule=action,
     )

@@ -28,14 +28,16 @@ reads at most V/30 of CPython's 30-bit digits.
 Both trigram searches of a merge, the entity graph matcher (graph_diff)
 and the anchor search (matching), score through one Scorer, which
 ``build_fourway`` keeps on the merge's FourWayGraph.  It profiles each text
-once, scores each pair of texts once and prints each declaration once, and
-it builds each graph's context strings with one relation scan, made on
-the first request and covering only the entities a match of the merge
-leaves unmatched by id.  No context string needs a deferred body's
-relation (see peg's "Deferred bodies"): those join entities every graph
-holds, which each match pairs by id.  The vocabulary, the masks and the
-memo live as long as the merge and no longer; the module holds none, and
-masks of two Scorers are never compared.
+once, scores each pair of texts once, prints each declaration through
+the merge's PrintMemo (see ``printer``), which renders each parsed member
+and statement once, and builds each graph's context strings with one
+relation scan, made on the first request and covering only the entities
+a match of the merge leaves unmatched by id.  No context string needs a
+deferred body's relation (see peg's "Deferred bodies"): those join
+entities every graph holds, which each match pairs by id.  The
+vocabulary, the masks and the memos live as long as the merge and no
+longer; the module holds none, and masks of two Scorers are never
+compared.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .peg import Entity, EntityGraph
+from .printer import PrintMemo
 
 
 class Scorer:
@@ -60,8 +63,10 @@ class Scorer:
         self._masks: dict[str, tuple[int, int]] = {}
         self._scores: dict[tuple[str, str], float] = {}
         # keyed by the entity, which holds its declaration, so no id() in
-        # a key can be reused; a package is its own graph's entity
+        # a key can be reused; a package is its own graph's entity.  One
+        # string per body, whose hash a pair's key computes once
         self._bodies: dict[Entity, str] = {}
+        self.print_memo = PrintMemo()
         self._contexts: dict[EntityGraph, dict[str, str]] = {}
         self._unmatched: dict[EntityGraph, set[str]] = {}
         self.profiled = 0
@@ -111,10 +116,11 @@ class Scorer:
         return got
 
     def body_text(self, graph: EntityGraph, entity: Entity) -> str:
-        """``graph.body_text(entity)``, each declaration printed once."""
+        """``graph.body_text(entity)``, printed through the print memo."""
         text = self._bodies.get(entity)
         if text is None:
-            text = self._bodies[entity] = graph.body_text(entity)
+            text = self._bodies[entity] = graph.body_text(entity,
+                                                          self.print_memo)
         return text
 
     def expect_match(self, ga: EntityGraph, gb: EntityGraph) -> None:

@@ -268,6 +268,15 @@ def _number(roots: list[SyntaxNode], counter: int) -> int:
     return counter
 
 
+def last_node(nodes: list[SyntaxNode]) -> SyntaxNode:
+    """The first node of greatest span; by token range, which orders the
+    nodes of one file as spans do, and needs no position table, if it can."""
+    tokens = nodes[0]._tokens
+    if all(n._span.__class__ is int and n._tokens is tokens for n in nodes):
+        return max(nodes, key=lambda n: n._span)
+    return max(nodes, key=lambda n: n.span or (0, 0, 0, 0))
+
+
 def structurally_equal(a: SyntaxNode, b: SyntaxNode) -> bool:
     """Kind, value and child order; ids and spans are ignored."""
     stack = [(a, b)]
@@ -496,6 +505,10 @@ class SyntaxTree:
 
     def has_node(self, node_id: int) -> bool:
         return self._lookup(node_id) is not None
+
+    def owns(self, node: SyntaxNode) -> bool:
+        """Whether node itself, not a copy of it, is in this tree."""
+        return self._lookup(node.id) is node
 
     def parent(self, node: SyntaxNode) -> Optional[SyntaxNode]:
         tree = self

@@ -7,7 +7,9 @@ range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best
 of the N runs of every stage in ``Report.timings_ms``; the pairs of
 texts the merge's similarity scorer scored (``pairs``, a count that host
-noise cannot move); the declarations whose name index the merge built
+noise cannot move); the member- and statement-level subtrees the merge's
+print memo rendered (``printed``) and those it read from the memo instead
+(``reused``; see ``printer.PrintMemo``), both counts; the declarations whose name index the merge built
 (``named``, see ``FourWayGraph.name_index``, also a count, which takes
 in the base declaration of every mined host: 5 on rename-fanout and 2 on
 method-rename at seed 1); the tags the scorer's vocabulary holds
@@ -73,9 +75,10 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "named", "grams", "deferred", "indexed",
-                    "positioned", "recognized", "built", "diff", "host_nodes",
-                    "read", "scan", "rescanned", "parse", "tokens", "nodes", "ref_ms")
+COLUMNS = STAGES + ("pairs", "printed", "reused", "named", "grams",
+                    "deferred", "indexed", "positioned", "recognized",
+                    "built", "diff", "host_nodes", "read", "scan",
+                    "rescanned", "parse", "tokens", "nodes", "ref_ms")
 
 
 def best_ms(repeat: int, job) -> float:
@@ -178,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
                 best["pairs"] = run.fourway.scorer.scored
+                best["printed"] = run.fourway.scorer.print_memo.printed
+                best["reused"] = run.fourway.scorer.print_memo.reused
                 best["named"] = len(run.fourway.named)
                 best["grams"] = run.fourway.scorer.grams
                 # every version holds the units whose bodies it deferred
