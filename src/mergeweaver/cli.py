@@ -6,9 +6,9 @@ Exit codes, each failure with a one-line message on stderr:
 * 1 when an evaluation corpus has no golden key, when the key is not
   UTF-8 JSON of the documented shape (an object of scenario entries, each
   with a "conflicts" list), or when it lacks an entry;
-* 2 when a source file fails to parse, cannot be read (a directory or a
-  dangling symlink named ``B.java``, say) or is not valid UTF-8, and for
-  bad command line arguments (argparse also prints the usage);
+* 2 when a source or expected file fails to parse, cannot be read (a
+  directory or a dangling symlink named ``B.java``, say) or is not valid
+  UTF-8, and for bad command line arguments (argparse also prints usage);
 * 3 when the textual merge itself conflicts;
 * 4 when one version declares the same entity twice, for example when
   both branches add a class of the same name;
@@ -136,8 +136,7 @@ def _run(args: argparse.Namespace) -> ScenarioRun:
     scorer = run.fourway.scorer
     _trace(args.trace,
            f"similarity: {scorer.profiled} text(s) profiled, "
-           f"{scorer.grams} gram(s), {scorer.scored} pair(s) scored, "
-           f"{scorer.hits} memo hit(s)")
+           f"{scorer.grams} gram(s), {scorer.scored} pair(s) scored")
     return run
 
 
@@ -151,17 +150,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     else:
         for path in sorted(merged):
             print(path)
-    return 0
-
-
-def _cmd_detect(args: argparse.Namespace) -> int:
-    run = _run(args)
-    if args.dump_peg:
-        _dump_peg(run)
-    if args.dump_delta:
-        _dump_delta(run)
-    _emit_json(report_to_dict(run.report, include_timing=not args.no_timing),
-               args.report)
     return 0
 
 
@@ -229,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = subs.add_parser("detect", help="report build conflicts")
     _add_tree_args(p_detect)
     _add_common_flags(p_detect)
-    p_detect.set_defaults(func=_cmd_detect)
+    p_detect.set_defaults(func=_cmd_resolve, out=None, dump_script=False)
 
     p_resolve = subs.add_parser("resolve",
                                 help="detect and resolve build conflicts")
@@ -249,28 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each failure's message prefix and exit code, matched in this order
+_FAILURES = {
+    ParseError: ("parse error", 2),
+    UnreadableSource: ("read error", 2),
+    TextualConflict: ("textual conflict", 3),
+    MissingGolden: ("eval error", 1),
+    DuplicateEntity: ("duplicate declaration", 4),
+    WriteFailure: ("write error", 5),
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except UnreadableSource as exc:
-        print(f"read error: {exc}", file=sys.stderr)
-        return 2
-    except TextualConflict as exc:
-        print(f"textual conflict: {exc}", file=sys.stderr)
-        return 3
-    except MissingGolden as exc:
-        print(f"eval error: {exc}", file=sys.stderr)
-        return 1
-    except DuplicateEntity as exc:
-        print(f"duplicate declaration: {exc}", file=sys.stderr)
-        return 4
-    except WriteFailure as exc:
-        print(f"write error: {exc}", file=sys.stderr)
-        return 5
+    except tuple(_FAILURES) as exc:
+        prefix, code = next(failure for kind, failure in _FAILURES.items()
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .parser import token_texts
+from .merge3 import _read_text
+from .parser import ParseError, token_texts
 from .pipeline import ScenarioRun, run_scenario
 
 STRATEGIES = ("example", "rule")
@@ -59,7 +60,12 @@ def _verdict(run: ScenarioRun, strategy: str,
         want = expected_dir / res.path
         if not want.is_file():
             return "incorrect"
-        if token_texts(res.text) != token_texts(want.read_text()):
+        try:    # read and scanned as a source is, named in any error
+            expected = token_texts(_read_text(str(want)))
+        except ParseError as exc:
+            raise ParseError(str(want), exc.line, exc.col,
+                             exc.message) from None
+        if token_texts(res.text) != expected:
             return "incorrect"
     if len(produced) < len(run.report.conflicts):
         return "incorrect"

@@ -151,8 +151,6 @@ def _update_detail(old: Entity, new: Entity, base: EntityGraph,
         if old.param_sig != new.param_sig:
             return "signature-change"
         return "rename"
-    if old.decl is not None and old.decl is new.decl:
-        return None             # one shared parse of identical text
     if scorer.body_text(base, old) != scorer.body_text(target, new):
         return "body-change"
     return None

@@ -25,8 +25,9 @@ defined names and control owners, and the merge's ``syntax.name_index``
 of the before declaration, which use_node_ids filters with
 ``conflicts.uses`` as the site finders do) is made once, when the host is
 mined, and kept on its EditExample (see mining), which every conflict
-refined against the host shares.  So a refinement costs work in
-proportion to the conflict's own edits, not to the host.
+refined against the host shares; a pattern keeps each op's statement.
+A refinement still scans every op and, per closure statement, every
+edited statement: O(host edits) per conflict (ROADMAP item 4(b)).
 
 The context is built in one pass: the kept nodes and their ancestors are
 marked once, then only the marked nodes and what may not be dropped are
@@ -54,6 +55,7 @@ class NoRelevantEdit(Exception):
 class TransformationPattern:
     context: SyntaxTree         # pruned before-side subtree, original ids
     ops: list[EditOp]           # refined ops, targets valid in context
+    stmt_ids: list[Optional[int]]   # each op's governing statement
     critical_ids: set[int]      # use-of-definition nodes inside context
     example: "EditExample"      # noqa: F821  (mining imports this module's user)
 
@@ -185,7 +187,7 @@ def _control_owner(before: SyntaxTree,
 class ScriptEdits(NamedTuple):
     """What the closure reads of a mined script, whatever the conflict."""
     targets: list[Optional[int]]            # each op's before-tree target
-    statements: list[Optional[SyntaxNode]]  # the statement governing it
+    stmt_ids: list[Optional[int]]           # the statement governing it
     edited: dict[int, SyntaxNode]           # by id, in script order
     used: dict[int, set[str]]               # names its own ops read or write
     defined: dict[int, set[str]]            # variables it declares or assigns
@@ -208,12 +210,13 @@ def script_edits(before: SyntaxTree, script: list[EditOp]) -> ScriptEdits:
     for sid, stmt in edited.items():
         anc = _control_owner(before, stmt)
         owner[sid] = None if anc is None else anc.id
-    return ScriptEdits(targets, stmts, edited, used, defined, owner)
+    stmt_ids = [None if stmt is None else stmt.id for stmt in stmts]
+    return ScriptEdits(targets, stmt_ids, edited, used, defined, owner)
 
 
 def refine_edits(example: "EditExample", conflict: Conflict
-                 ) -> tuple[list[EditOp], set[int], set[int]]:
-    """(kept ops, closure statement ids, critical node ids).
+                 ) -> tuple[list[int], set[int], set[int]]:
+    """(kept ops' script indexes, closure statement ids, critical ids).
 
     A mined before tree is a view of a parsed declaration (see mining),
     and a parse numbers its nodes in pre-order, so comparing two ids
@@ -224,14 +227,14 @@ def refine_edits(example: "EditExample", conflict: Conflict
     """
     use_ids = use_node_ids(example.named, conflict)
     edits = example.edits
-    targets, stmts = edits.targets, edits.statements
-    core = [i for i, target in enumerate(targets)
-            if target is not None and target in use_ids]
+    targets, stmt_ids = edits.targets, edits.stmt_ids
+    core = {i for i, target in enumerate(targets)
+            if target is not None and target in use_ids}
     if not core:
         raise NoRelevantEdit(example.host)
     critical = {targets[i] for i in core}
 
-    closure: set[int] = {stmts[i].id for i in core if stmts[i] is not None}
+    closure: set[int] = {stmt_ids[i] for i in core if stmt_ids[i] is not None}
     changed = True
     while changed:
         changed = False
@@ -249,9 +252,8 @@ def refine_edits(example: "EditExample", conflict: Conflict
                     closure.add(oid)
                     changed = True
 
-    core_ops = set(core)
-    kept = [op for i, (op, stmt) in enumerate(zip(example.script, stmts))
-            if (stmt.id in closure if stmt is not None else i in core_ops)]
+    # a core op with a statement has it in the closure
+    kept = [i for i, sid in enumerate(stmt_ids) if sid in closure or i in core]
     return kept, closure, critical
 
 
@@ -259,16 +261,15 @@ def refine_edits(example: "EditExample", conflict: Conflict
 # context pruning
 
 
-def refine_context(example: "EditExample", kept: list[EditOp],
+def refine_context(example: "EditExample", kept: list[int],
                    closure: set[int], critical: set[int]
                    ) -> TransformationPattern:
-    before = example.before
-    adds_by_id = {op.node_id: op for op in kept if op.op == "add"}
+    """The pattern of the script ops at ``kept``.  A kept op's pending
+    adds are kept with it, and its target sits in the context with its
+    ancestors, so its host target and statement hold in the pattern."""
+    before, script, edits = example.before, example.script, example.edits
     keep_ids = set(closure) | set(critical)
-    for op in kept:
-        tid = op_target_id(op, adds_by_id)
-        if tid is not None:
-            keep_ids.add(tid)
+    keep_ids.update(edits.targets[i] for i in kept)   # each is an id
 
     anchors = [before.node(i) for i in sorted(keep_ids)
                if before.has_node(i)]
@@ -285,11 +286,12 @@ def refine_context(example: "EditExample", kept: list[EditOp],
             cur = before.parent(cur)
     context = SyntaxTree(_clone_live(root, live))
 
-    ops = [op for op in kept
-           if op.op == "add" or context.has_node(op.node_id)]
+    kept = [i for i in kept
+            if script[i].op == "add" or context.has_node(script[i].node_id)]
     return TransformationPattern(
         context=context,
-        ops=ops,
+        ops=[script[i] for i in kept],
+        stmt_ids=[edits.stmt_ids[i] for i in kept],
         critical_ids={i for i in critical if context.has_node(i)},
         example=example,
     )

@@ -41,8 +41,7 @@ from difflib import SequenceMatcher
 from typing import Optional
 
 from .conflicts import Conflict
-from .inference import (NoRelevantEdit, TransformationPattern, infer_pattern,
-                        op_target_id)
+from .inference import NoRelevantEdit, TransformationPattern, infer_pattern
 from .merge3 import MergeScenario
 from .mining import mine_examples
 from .graph_diff import FourWayGraph
@@ -66,10 +65,6 @@ class MatchSet:
     pairs: list[tuple[SyntaxNode, SyntaxNode, float]]
     sigma: float
     exact: int
-
-    @property
-    def anchor(self) -> tuple[SyntaxNode, SyntaxNode]:
-        return self.pairs[0][0], self.pairs[0][1]
 
 
 @dataclass
@@ -254,16 +249,10 @@ def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
         _map_pair(p_stmt, work.node(m_stmt.id), mapping)
 
     matched_ids = {p.id for p, _, _ in match_set.pairs}
-    adds_by_id = {op.node_id: op for op in pattern.ops if op.op == "add"}
     applied = 0
     skipped = 0
-    for op in pattern.ops:
-        tid = op_target_id(op, adds_by_id)
-        stmt = None
-        if tid is not None and pattern.context.has_node(tid):
-            stmt = pattern.context.enclosing_statement(
-                pattern.context.node(tid))
-        if stmt is None or stmt.id not in matched_ids:
+    for op, stmt_id in zip(pattern.ops, pattern.stmt_ids):
+        if stmt_id not in matched_ids:
             skipped += 1
             continue
         try:

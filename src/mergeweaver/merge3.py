@@ -72,10 +72,6 @@ class _Edit:
     hi: int
     lines: list[str]
 
-    def same(self, other: "_Edit") -> bool:
-        return self.lo == other.lo and self.hi == other.hi \
-            and self.lines == other.lines
-
 
 def _edits(base: list[str], changed: list[str]) -> list[_Edit]:
     matcher = difflib.SequenceMatcher(a=base, b=changed, autojunk=False)
@@ -114,7 +110,7 @@ def merge_file(base: str, left: str, right: str, path: str = "<file>") -> str:
             continue
         le, re = left_e[li], right_e[ri]
         if _overlap(le, re):
-            if le.same(re):
+            if le == re:
                 merged.append(le)
                 li += 1
                 ri += 1
@@ -166,26 +162,27 @@ def _read_tree(root: Path) -> dict[str, str]:
                   for name in names if name.endswith(".java")]
     files = {}
     for rel in sorted(found, key=lambda rel: rel.split("/")):
-        try:
-            files[rel] = _read_text(os.path.join(top, rel))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UnreadableSource(root / rel, exc) from None
+        files[rel] = _read_text(os.path.join(top, rel))
     return files
 
 
 def _read_text(path: str) -> str:
-    """The text of one file, as the module docstring describes."""
-    fd = os.open(path, os.O_RDONLY)
+    """The text of one file, as the module docstring describes; raises
+    UnreadableSource."""
     try:
-        chunks = []
-        # the file's size plus one, so a regular file takes one read and
-        # the empty one after it
-        size = os.fstat(fd).st_size + 1
-        while chunk := os.read(fd, size):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    text = b"".join(chunks).decode("utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            # the file's size plus one, so a regular file takes one read
+            # and the empty one after it
+            size = os.fstat(fd).st_size + 1
+            while chunk := os.read(fd, size):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableSource(Path(path), exc) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -118,8 +118,23 @@ RELATION_KINDS = frozenset({
     "reads", "writes", "calls", "initializes",
 })
 
-# legal (src kind, relation, dst kind) families
+# the legal (src kind, relation, dst kind) triples
 _CALL_SRC = MEMBER_ENTITY_KINDS - {"enum-constant"}
+_EDGES = frozenset({
+    ("project", "contains", "package"),
+    ("package", "contains", "compilation-unit"),
+    ("class", "extends", "class"), ("interface", "extends", "interface"),
+    ("class", "implements", "interface"),
+    *(("compilation-unit", kind, t) for t in TYPE_ENTITY_KINDS
+      for kind in ("declares", "imports")),
+    ("compilation-unit", "imports", "package"),
+    *((t, "declares", d) for t in TYPE_ENTITY_KINDS
+      for d in (*TYPE_ENTITY_KINDS, *MEMBER_ENTITY_KINDS)),
+    *((s, kind, d) for s in _CALL_SRC for kind in ("reads", "writes")
+      for d in ("field", "enum-constant")),
+    *((s, "calls", d) for s in _CALL_SRC for d in ("method", "constructor")),
+    *((s, "initializes", "class") for s in _CALL_SRC),
+})
 
 
 _VERSION_NAMES = {"b": "base", "l": "left", "r": "right", "am": "merged"}
@@ -290,41 +305,14 @@ def lookup_uses(graph: EntityGraph, target: Entity) -> list[tuple[Entity, Relati
     return hits
 
 
-def _check_endpoints(src: Entity, dst: Entity, kind: str) -> None:
-    ok = True
-    if kind == "contains":
-        ok = (src.kind, dst.kind) in (("project", "package"),
-                                      ("package", "compilation-unit"))
-    elif kind == "declares":
-        ok = (src.kind == "compilation-unit" and dst.kind in TYPE_ENTITY_KINDS) \
-            or (src.kind in TYPE_ENTITY_KINDS
-                and (dst.kind in MEMBER_ENTITY_KINDS
-                     or dst.kind in TYPE_ENTITY_KINDS))
-    elif kind == "imports":
-        ok = src.kind == "compilation-unit" and \
-            (dst.kind in TYPE_ENTITY_KINDS or dst.kind == "package")
-    elif kind == "extends":
-        ok = (src.kind, dst.kind) in (("class", "class"),
-                                      ("interface", "interface"))
-    elif kind == "implements":
-        ok = src.kind == "class" and dst.kind == "interface"
-    elif kind in ("reads", "writes"):
-        ok = src.kind in _CALL_SRC and dst.kind in ("field", "enum-constant")
-    elif kind == "calls":
-        ok = src.kind in _CALL_SRC and dst.kind in ("method", "constructor")
-    elif kind == "initializes":
-        ok = src.kind in _CALL_SRC and dst.kind == "class"
-    if not ok:
-        raise ValueError(f"illegal {kind} edge {src.kind}->{dst.kind}")
-
-
 def arity_of(entity: Entity) -> int:
     """The parameter count of a member's declaration: 0 for a field."""
     return len(parameters(entity.decl))
 
 
 def _relation(src: Entity, dst: Entity, kind: str) -> Relation:
-    _check_endpoints(src, dst, kind)
+    if (src.kind, kind, dst.kind) not in _EDGES:
+        raise ValueError(f"illegal {kind} edge {src.kind}->{dst.kind}")
     return Relation(src.id, dst.id, kind)
 
 
@@ -950,10 +938,6 @@ class _Resolver:
             return
         if k == "CastExpr":
             self._walk_expr(expr.children[1], member, type_ent, scopes)
-            return
-        if k == "ArgumentList":
-            for arg in expr.children:
-                self._walk_expr(arg, member, type_ent, scopes)
             return
 
     def _owner_class(self, member: Entity) -> Optional[Entity]:

@@ -27,17 +27,18 @@ reads at most V/30 of CPython's 30-bit digits.
 
 Both trigram searches of a merge, the entity graph matcher (graph_diff)
 and the anchor search (matching), score through one Scorer, which
-``build_fourway`` keeps on the merge's FourWayGraph.  It profiles each text
-once, scores each pair of texts once, prints each declaration through
-the merge's PrintMemo (see ``printer``), which renders each parsed member
-and statement once, and builds each graph's context strings with one
-relation scan, made on the first request and covering only the entities
-a match of the merge leaves unmatched by id.  No context string needs a
-deferred body's relation (see peg's "Deferred bodies"): those join
-entities every graph holds, which each match pairs by id.  The
-vocabulary, the masks and the memos live as long as the merge and no
-longer; the module holds none, and masks of two Scorers are never
-compared.
+``build_fourway`` keeps on the merge's FourWayGraph.  It profiles each
+text once; a pair costs one AND and one popcount, about what a lookup in
+a memo of pair scores would, so none is kept.  It prints each
+declaration through the merge's PrintMemo (see ``printer``), which
+renders each parsed member and statement once, and builds each graph's
+context strings with one relation scan, made on the first request and
+covering only the entities a match of the merge leaves unmatched by id.
+No context string needs a deferred body's relation (see peg's "Deferred
+bodies"): those join entities every graph holds, which each match pairs
+by id.  The vocabulary, the masks and the memos live as long as the
+merge and no longer; the module holds none, and masks of two Scorers are
+never compared.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from .printer import PrintMemo
 class Scorer:
     """One merge's trigram scores and the texts they compare.
 
-    ``profiled`` counts the texts profiled, ``scored`` the pairs of unequal
-    texts scored, and ``hits`` the calls of ``similarity`` that the memo
-    answered; ``grams`` is the size of the vocabulary.
+    ``profiled`` counts the texts profiled and ``scored`` the scores of
+    unequal texts computed, a pair asked again counting again; ``grams``
+    is the size of the vocabulary.
     """
 
     def __init__(self) -> None:
@@ -61,17 +62,15 @@ class Scorer:
         self._vocab: dict[str, int] = {}
         # each profiled text's (mask, size)
         self._masks: dict[str, tuple[int, int]] = {}
-        self._scores: dict[tuple[str, str], float] = {}
         # keyed by the entity, which holds its declaration, so no id() in
         # a key can be reused; a package is its own graph's entity.  One
-        # string per body, whose hash a pair's key computes once
+        # string per body, whose hash a mask lookup computes once
         self._bodies: dict[Entity, str] = {}
         self.print_memo = PrintMemo()
         self._contexts: dict[EntityGraph, dict[str, str]] = {}
         self._unmatched: dict[EntityGraph, set[str]] = {}
         self.profiled = 0
         self.scored = 0
-        self.hits = 0
 
     @property
     def grams(self) -> int:
@@ -81,17 +80,11 @@ class Scorer:
     def similarity(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
-        key = (a, b)
-        sim = self._scores.get(key)
-        if sim is not None:
-            self.hits += 1
-            return sim
         self.scored += 1
         masks = self._masks
         ma, na = masks.get(a) or self._profile(a)
         mb, nb = masks.get(b) or self._profile(b)
-        sim = self._scores[key] = 2.0 * (ma & mb).bit_count() / (na + nb)
-        return sim
+        return 2.0 * (ma & mb).bit_count() / (na + nb)
 
     def _profile(self, text: str) -> tuple[int, int]:
         """text's (mask, size), kept for the merge."""

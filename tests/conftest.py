@@ -14,6 +14,7 @@ import pytest
 
 from mergeweaver.parser import parse_unit
 from mergeweaver.pipeline import ScenarioRun, run_scenario
+from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import SyntaxNode, SyntaxTree, clone_node
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +91,22 @@ def generated(tmp_path_factory) -> list[Path]:
         bench_gen.write_workload(bench_gen.generate(workload, seed), out)
         dirs.append(out)
     return dirs
+
+
+@pytest.fixture
+def scored_pairs(monkeypatch) -> list[tuple[str, str, float]]:
+    """Each (a, b, score) that ``Scorer.similarity`` returns during the
+    test, in call order, recorded by a wrapper of the method."""
+    calls: list[tuple[str, str, float]] = []
+    similarity = Scorer.similarity
+
+    def recorded(self: Scorer, a: str, b: str) -> float:
+        sim = similarity(self, a, b)
+        calls.append((a, b, sim))
+        return sim
+
+    monkeypatch.setattr(Scorer, "similarity", recorded)
+    return calls
 
 
 # ---------------------------------------------------------------------------

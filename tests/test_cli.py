@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -162,11 +163,10 @@ def test_resolve_trace_prints_the_similarity_counts(capsys):
              if line.startswith("similarity:")]
     scorer = run_scenario(FANOUT / "base", FANOUT / "left",
                           FANOUT / "right").fourway.scorer
-    assert scorer.profiled and scorer.grams and scorer.scored and scorer.hits
+    assert scorer.profiled and scorer.grams and scorer.scored
     assert lines == [f"similarity: {scorer.profiled} text(s) profiled, "
                      f"{scorer.grams} gram(s), "
-                     f"{scorer.scored} pair(s) scored, "
-                     f"{scorer.hits} memo hit(s)"]
+                     f"{scorer.scored} pair(s) scored"]
     # the report does not change with the trace
     assert main(args_for("resolve", scenario=FANOUT, no_timing=True)) == 0
     assert capsys.readouterr().out == traced.out
@@ -243,6 +243,38 @@ def test_parse_error_names_the_first_version_that_fails(tmp_path, capsys):
     (tmp_path / "base" / "A.java").write_bytes(bad)
     assert main(args_for("detect", scenario=tmp_path)) == 2
     assert capsys.readouterr().err.startswith("parse error: base/A.java:4:")
+
+
+def test_a_parse_error_in_a_shared_file_is_named_before_a_later_path(
+        tmp_path, capsys):
+    # parse_versions parses the unshared B.java first; its base error must
+    # not be the one reported, since base/A.java comes first in order
+    shared = b"class A {\n    int x = ;\n}\n"
+    broken, fixed = b"class B {\n    int y = ;\n}\n", b"class B {\n}\n"
+    _write_legs(tmp_path, {"base": {"A.java": shared, "B.java": broken},
+                           "left": {"A.java": shared, "B.java": fixed},
+                           "right": {"A.java": shared, "B.java": broken}})
+    assert main(args_for("detect", scenario=tmp_path)) == 2
+    assert capsys.readouterr().err == \
+        "parse error: base/A.java:2:13: unexpected token ';' in expression\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe",
+     "read error: {path}: not valid UTF-8 (byte 0xff at offset 0)"),
+    (b'class X { String s = "abc; }',
+     "parse error: {path}:1:22: unterminated string literal"),
+], ids=["not-utf8", "unterminated-string"])
+def test_a_malformed_expected_file_exits_2_naming_it(tmp_path, capsys, text,
+                                                     message):
+    shutil.copytree(MOT, tmp_path / MOT.name)
+    key = json.loads((CORPUS / "golden_key.json").read_text())
+    (tmp_path / "golden_key.json").write_text(
+        json.dumps({MOT.name: key[MOT.name]}))
+    path = tmp_path / MOT.name / "expected" / "XmlClientConfigBuilder.java"
+    path.write_bytes(text)
+    assert main(["eval", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
 
 
 def test_deep_nesting_exits_2_without_a_traceback(tmp_path, capsys):

@@ -8,8 +8,8 @@ from conftest import (CORPUS, FANOUT, brute_force_closure, parse_snippet,
                       random_program, run_corpus)
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.inference import (NoRelevantEdit, _lca, infer_pattern,
-                                   op_target_id, refine_context,
-                                   refine_edits, script_edits, use_node_ids)
+                                   refine_context, refine_edits,
+                                   script_edits, use_node_ids)
 from mergeweaver.mining import EditExample, mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
@@ -241,14 +241,26 @@ def _reference_prune(node, keep_ids: set[int]) -> None:
         _reference_prune(child, keep_ids)
 
 
+def _lifted_target(op, ops):
+    """op's target, its add lifted through the pending adds among ops."""
+    adds_by_id = {o.node_id: o for o in ops if o.op == "add"}
+    if op.op != "add":
+        return op.node_id
+    pid = op.parent_id
+    while pid is not None and pid in adds_by_id:
+        pid = adds_by_id[pid].parent_id
+    return pid
+
+
 def reference_context(example, kept, closure, critical) -> SyntaxTree:
     """The context as refine_context built it before pruning went one-pass:
-    clone the root, then re-walk each child's subtree at every level."""
+    clone the root, then re-walk each child's subtree at every level; the
+    kept ops' targets are lifted through the kept adds alone."""
     before = example.before
-    adds_by_id = {op.node_id: op for op in kept if op.op == "add"}
+    ops = [example.script[i] for i in kept]
     keep_ids = set(closure) | set(critical)
-    for op in kept:
-        tid = op_target_id(op, adds_by_id)
+    for op in ops:
+        tid = _lifted_target(op, ops)
         if tid is not None:
             keep_ids.add(tid)
     anchors = [before.node(i) for i in sorted(keep_ids)
@@ -260,6 +272,18 @@ def reference_context(example, kept, closure, critical) -> SyntaxTree:
     pruned = clone_node(root)
     _reference_prune(pruned, keep_ids)
     return SyntaxTree(pruned)
+
+
+def _context_stmt_id(pattern, op):
+    """The id of the context statement holding op's target, its add
+    lifted through the pattern's adds: what application derived per op
+    before a pattern carried its ops' statement ids."""
+    ctx = pattern.context
+    tid = _lifted_target(op, pattern.ops)
+    if tid is None or not ctx.has_node(tid):
+        return None
+    stmt = ctx.enclosing_statement(ctx.node(tid))
+    return None if stmt is None else stmt.id
 
 
 def _layout(tree: SyntaxTree) -> list[tuple]:
@@ -284,8 +308,12 @@ def test_one_pass_pruning_matches_clone_then_prune():
                 assert _layout(pattern.context) == _layout(want), \
                     (sdir.name, ex.host)
                 ctx_ids = {n.id for n in want.nodes()}
-                assert pattern.ops == [op for op in kept if op.op == "add"
-                                       or op.node_id in ctx_ids]
+                assert pattern.ops == [ex.script[i] for i in kept
+                                       if ex.script[i].op == "add"
+                                       or ex.script[i].node_id in ctx_ids]
+                assert pattern.stmt_ids == [_context_stmt_id(pattern, op)
+                                            for op in pattern.ops], \
+                    (sdir.name, ex.host)
                 assert pattern.critical_ids == critical & ctx_ids
                 assert _layout(ex.before) == before_layout  # left unedited
                 # the id-order closure equals the position-order one

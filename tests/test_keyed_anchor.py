@@ -56,7 +56,7 @@ def test_keyed_anchor_equals_the_full_scan(member, before, anchor, after):
     s_p = [n for n in context.nodes()
            if n.kind == anchor[0]][sum(1 for k, _h in before
                                        if k == anchor[0])]
-    pattern = TransformationPattern(context=context, ops=[],
+    pattern = TransformationPattern(context=context, ops=[], stmt_ids=[],
                                     critical_ids={s_p.children[0].id},
                                     example=None)
     tree = _method(member)
@@ -70,7 +70,7 @@ def test_keyed_anchor_equals_the_full_scan(member, before, anchor, after):
 def test_a_twin_before_the_key_hit_is_the_anchor():
     context = _method([("IfStmt", "abcab")])
     s_p = next(n for n in context.nodes() if n.kind == "IfStmt")
-    pattern = TransformationPattern(context=context, ops=[],
+    pattern = TransformationPattern(context=context, ops=[], stmt_ids=[],
                                     critical_ids={s_p.children[0].id},
                                     example=None)
     tree = _method([("ExprStmt", "zz"), ("IfStmt", "abcaby"),
@@ -78,6 +78,6 @@ def test_a_twin_before_the_key_hit_is_the_anchor():
     scorer = Scorer()
     ms = match_context(pattern, MergedMember(tree, scorer))
     twin = [n for n in tree.nodes() if n.kind == "IfStmt"][1]
-    assert ms.anchor == (s_p, twin) and ms.pairs[0][2] == 2.0
+    assert ms.pairs[0] == (s_p, twin, 2.0)
     # only the twin was scored: the other If differs in length
     assert scorer.scored == 1

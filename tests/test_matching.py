@@ -74,14 +74,14 @@ def test_motivating_match_set():
     assert ms.exact == 4
     assert len(ms.pairs) == 5
     assert ms.sigma == pytest.approx(9.947368421052632)
-    p_anchor, m_anchor = ms.anchor
+    p_anchor, m_anchor, _sc = ms.pairs[0]
     assert statement_header_text(p_anchor) \
         == "addTypeSerializer(serializerConfig);"
     assert statement_header_text(m_anchor) \
         == "addTypeSerializer(serializerConfig);"
     scores = sorted(sc for _, _, sc in ms.pairs)
     assert scores[-4:] == [2.0, 2.0, 2.0, 2.0]
-    # the search's memoized scores equal fresh profiles' scores
+    # the search's scores equal fresh profiles' scores
     assert all(sc == fresh_score(p, m) for p, m, sc in ms.pairs)
 
 

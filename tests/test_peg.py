@@ -6,9 +6,8 @@ from conftest import merge_inputs
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit
-from mergeweaver.peg import (ENTITY_KINDS, DuplicateEntity, Entity, _Reads,
-                             _check_endpoints, arity_of, build_peg,
-                             lookup_uses)
+from mergeweaver.peg import (_EDGES, ENTITY_KINDS, DuplicateEntity, Entity,
+                             _Reads, arity_of, build_peg, lookup_uses)
 
 
 def graph_of(**files: str):
@@ -21,7 +20,8 @@ def assert_well_formed(g) -> None:
     or declares edge is a self-loop, and every entity has a known kind and
     sits in the index under its own id."""
     for rel in g.relations:
-        _check_endpoints(g.by_id(rel.src), g.by_id(rel.dst), rel.kind)
+        assert (g.by_id(rel.src).kind, rel.kind, g.by_id(rel.dst).kind) \
+            in _EDGES, rel
         assert not (rel.kind in ("contains", "declares")
                     and rel.src == rel.dst), rel
     for eid, ent in g.entities.items():
@@ -141,6 +141,55 @@ public class Board {
     touched = [r for r in g.relations
                if r.src == step and r.dst == "field:paint.Board.red"]
     assert touched == []
+
+
+def test_loops_this_calls_and_qualified_types_resolve():
+    g = graph_of(A="""\
+package p;
+
+public class A {
+    int n;
+    int k;
+
+    A() {
+        this(1);
+    }
+
+    A(int v) {
+    }
+
+    void g(int x) {
+    }
+
+    void loop() {
+        for (int n = 0; n < k; n = n + 1) {
+            g(n);
+        }
+    }
+
+    void drain() {
+        while (k > 0) {
+            k = k - 1;
+        }
+    }
+
+    void make() {
+        q.B b = new q.B();
+    }
+}
+""", B="package q;\n\npublic class B {\n}\n")
+    body = {(r.src, r.kind, r.dst) for r in g.relations
+            if r.kind not in ("contains", "declares")}
+    # the for-init's n shadows the field, so the loop reads only k
+    assert body == {
+        ("method:p.A.loop()", "reads", "field:p.A.k"),
+        ("method:p.A.loop()", "calls", "method:p.A.g(int)"),
+        ("method:p.A.drain()", "reads", "field:p.A.k"),
+        ("method:p.A.drain()", "writes", "field:p.A.k"),
+        ("constructor:p.A.A()", "calls", "constructor:p.A.A(int)"),
+        ("method:p.A.make()", "initializes", "class:q.B"),
+    }
+    assert_well_formed(g)
 
 
 def test_lookup_uses_and_arity():

@@ -231,7 +231,7 @@ def resolved(generated):
 
 def _facts_view(edits, named) -> tuple:
     return (edits.targets,
-            [None if s is None else s.id for s in edits.statements],
+            edits.stmt_ids,
             [(sid, stmt.id) for sid, stmt in edits.edited.items()],
             edits.used, edits.defined, edits.owner,
             {name: [n.id for n in nodes] for name, nodes in named.items()})

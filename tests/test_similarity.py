@@ -9,8 +9,8 @@ threshold compare them exactly.  Besides random and edge-case strings,
 texts profiled while the vocabulary was narrow are scored against texts
 profiled after it grew past one and past sixteen 64-bit words, and every
 pair of texts that either search scores on the merge inputs and the
-generated workloads is checked, with the score the merge's Scorer kept for
-it.
+generated workloads is checked, with each score the merge's Scorer
+returned for it.
 """
 
 import itertools
@@ -134,13 +134,18 @@ def test_every_header_pair_of_the_fanout_fixture():
     assert_same_on_all_pairs(texts)
 
 
-def test_every_pair_either_search_scores_matches_the_reference(generated):
+def test_every_pair_either_search_scores_matches_the_reference(
+        generated, scored_pairs):
     pairs = 0
     for d in merge_inputs() + generated:
+        scored_pairs.clear()
         scorer = run_scenario(d / "base", d / "left", d / "right") \
             .fourway.scorer
-        assert scorer.scored == len(scorer._scores), d
-        for (a, b), sim in scorer._scores.items():
+        assert scorer.scored == sum(1 for a, b, _ in scored_pairs if a != b), d
+        scores: dict[tuple[str, str], float] = {}
+        for a, b, sim in scored_pairs:
+            assert scores.setdefault((a, b), sim) == sim, (d, a, b)
+        for (a, b), sim in scores.items():
             assert sim == reference_similarity(a, b), (d, a, b)
         assert (scorer.grams > 0) == (scorer.scored > 0), d
         pairs += scorer.scored

@@ -5,9 +5,11 @@
 Each workload is generated by bench/gen.py (imported, not modified) at a
 range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best
-of the N runs of every stage in ``Report.timings_ms``; the pairs of
-texts the merge's similarity scorer scored (``pairs``, a count that host
-noise cannot move); the member- and statement-level subtrees the merge's
+of the N runs of every stage in ``Report.timings_ms``; the scores of
+text pairs the merge's similarity scorer computed (``pairs``, a count
+that host noise cannot move; the scorer keeps no scores, so a pair
+scored again, in a later round of a graph match or by another anchor
+search, counts again); the member- and statement-level subtrees the merge's
 print memo rendered (``printed``) and those it read from the memo instead
 (``reused``; see ``printer.PrintMemo``), both counts; the declarations whose name index the merge built
 (``named``, see ``FourWayGraph.name_index``, also a count, which takes
