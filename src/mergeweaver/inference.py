@@ -20,19 +20,23 @@ assigns ``s``; a rewritten argument ``h.m2(t)`` does read ``t`` and pulls
 in the edited statement that defines it.
 
 What refinement reads of a mined host whatever the conflict (each op's
-target and governing statement, the edited statements with their used and
-defined names and control owners, and the merge's ``syntax.name_index``
-of the before declaration, which use_node_ids filters with
-``conflicts.uses`` as the site finders do) is made once, when the host is
-mined, and kept on its EditExample (see mining), which every conflict
-refined against the host shares; a pattern keeps each op's statement.
-A refinement still scans every op and, per closure statement, every
-edited statement: O(host edits) per conflict (ROADMAP item 4(b)).
+target and governing statement, the ops by target and by statement, the
+edited statements with their used names and control owners, the edited
+statements defining each variable, in pre-order, and the merge's
+``syntax.name_index`` of the before declaration, which use_node_ids
+filters with ``conflicts.uses`` as the site finders do) is made once,
+when the host is mined, and kept on its EditExample (see mining), which
+every conflict refined against the host shares; a pattern keeps each
+op's statement.  A refinement reads only through those indexes, never
+the whole script, so it costs O(conflict): the uses of the subject, the
+ops and statements it keeps, the definers it checks and the context.
 
 The context is built in one pass: the kept nodes and their ancestors are
-marked once, then only the marked nodes and what may not be dropped are
-cloned.  Every statement and the else branch of an IfStmt without a marked
-node are left out; the mined before tree itself is never edited.
+marked once, finding their common ancestor on the way, then only the
+marked nodes and what may not be dropped are cloned.  Every statement and
+the else branch of an IfStmt without a marked node are left out; when
+none is, the context is a view of the before subtree itself.  Nothing
+writes a context, and the mined before tree itself is never edited.
 """
 
 from __future__ import annotations
@@ -142,13 +146,6 @@ def op_target_id(op: EditOp, adds_by_id: dict[int, EditOp]) -> Optional[int]:
     return pid
 
 
-def _governing_stmt(before: SyntaxTree, target_id: Optional[int]
-                    ) -> Optional[SyntaxNode]:
-    if target_id is None or not before.has_node(target_id):
-        return None
-    return before.enclosing_statement(before.node(target_id))
-
-
 # ---------------------------------------------------------------------------
 # dependence closure
 
@@ -176,42 +173,46 @@ def _op_names(before: SyntaxTree, op: EditOp, target_id: int) -> set[str]:
     return out
 
 
-def _control_owner(before: SyntaxTree,
-                   stmt: SyntaxNode) -> Optional[SyntaxNode]:
-    for anc in before.ancestors(stmt):
-        if anc.kind in HEADED_KINDS:
-            return anc
-    return None
-
-
 class ScriptEdits(NamedTuple):
     """What the closure reads of a mined script, whatever the conflict."""
     targets: list[Optional[int]]            # each op's before-tree target
     stmt_ids: list[Optional[int]]           # the statement governing it
     edited: dict[int, SyntaxNode]           # by id, in script order
     used: dict[int, set[str]]               # names its own ops read or write
-    defined: dict[int, set[str]]            # variables it declares or assigns
     owner: dict[int, Optional[int]]         # id of its nearest loop or branch
+    by_target: dict[int, list[int]]         # op indexes by target
+    by_stmt: dict[int, list[int]]           # op indexes by statement
+    definers: dict[str, list[int]]          # ascending ids of the edited
+                                            # statements defining a variable
 
 
 def script_edits(before: SyntaxTree, script: list[EditOp]) -> ScriptEdits:
     adds_by_id = {op.node_id: op for op in script if op.op == "add"}
     targets = [op_target_id(op, adds_by_id) for op in script]
-    stmts = [_governing_stmt(before, t) for t in targets]
+    stmts = [None if t is None or not before.has_node(t)
+             else before.enclosing_statement(before.node(t)) for t in targets]
     edited: dict[int, SyntaxNode] = {}
     used: dict[int, set[str]] = {}
-    for op, target, stmt in zip(script, targets, stmts):
+    by_target: dict[int, list[int]] = {}
+    by_stmt: dict[int, list[int]] = {}
+    for i, (op, target, stmt) in enumerate(zip(script, targets, stmts)):
+        if target is not None:
+            by_target.setdefault(target, []).append(i)
         if stmt is not None:
             edited[stmt.id] = stmt
             used.setdefault(stmt.id, set()).update(
                 _op_names(before, op, target))
-    defined = {sid: _defined_vars(stmt) for sid, stmt in edited.items()}
-    owner = {}
-    for sid, stmt in edited.items():
-        anc = _control_owner(before, stmt)
-        owner[sid] = None if anc is None else anc.id
+            by_stmt.setdefault(stmt.id, []).append(i)
+    definers: dict[str, list[int]] = {}
+    for sid in sorted(edited):
+        for name in _defined_vars(edited[sid]):
+            definers.setdefault(name, []).append(sid)
+    owner = {sid: next((anc.id for anc in before.ancestors(stmt)
+                        if anc.kind in HEADED_KINDS), None)
+             for sid, stmt in edited.items()}
     stmt_ids = [None if stmt is None else stmt.id for stmt in stmts]
-    return ScriptEdits(targets, stmt_ids, edited, used, defined, owner)
+    return ScriptEdits(targets, stmt_ids, edited, used, owner, by_target,
+                       by_stmt, definers)
 
 
 def refine_edits(example: "EditExample", conflict: Conflict
@@ -221,39 +222,37 @@ def refine_edits(example: "EditExample", conflict: Conflict
     A mined before tree is a view of a parsed declaration (see mining),
     and a parse numbers its nodes in pre-order, so comparing two ids
     compares the positions of their nodes: a definition in statement oid
-    reaches a use in statement sid only if oid < sid.
+    reaches a use in statement sid only if oid < sid.  Every step reads
+    the script's indexes, never the whole script: the core ops by their
+    targets, each closure statement's definers by its used names up to
+    its own id, and the kept ops by their statements.
 
     Raises NoRelevantEdit when no op touches a use of the definition.
     """
     use_ids = use_node_ids(example.named, conflict)
     edits = example.edits
-    targets, stmt_ids = edits.targets, edits.stmt_ids
-    core = {i for i, target in enumerate(targets)
-            if target is not None and target in use_ids}
+    core = {i for target in use_ids for i in edits.by_target.get(target, ())}
     if not core:
         raise NoRelevantEdit(example.host)
-    critical = {targets[i] for i in core}
+    critical = {edits.targets[i] for i in core}
 
-    closure: set[int] = {stmt_ids[i] for i in core if stmt_ids[i] is not None}
-    changed = True
-    while changed:
-        changed = False
-        for sid in sorted(closure):
-            owner = edits.owner[sid]
-            if owner is not None and owner in edits.edited \
-                    and owner not in closure:
-                closure.add(owner)
-                changed = True
-            used = edits.used[sid]
-            for oid in edits.edited:
-                if oid in closure or oid >= sid:
-                    continue
-                if edits.defined[oid] & used:
-                    closure.add(oid)
-                    changed = True
+    closure = {edits.stmt_ids[i] for i in core} - {None}
+    todo = list(closure)
+    while todo:
+        sid = todo.pop()
+        reached = [edits.owner[sid]]
+        for name in edits.used[sid]:
+            for oid in edits.definers.get(name, ()):
+                if oid >= sid:
+                    break
+                reached.append(oid)
+        for oid in reached:
+            if oid in edits.edited and oid not in closure:
+                closure.add(oid)
+                todo.append(oid)
 
     # a core op with a statement has it in the closure
-    kept = [i for i, sid in enumerate(stmt_ids) if sid in closure or i in core]
+    kept = sorted(core.union(*(edits.by_stmt[sid] for sid in closure)))
     return kept, closure, critical
 
 
@@ -273,17 +272,23 @@ def refine_context(example: "EditExample", kept: list[int],
 
     anchors = [before.node(i) for i in sorted(keep_ids)
                if before.has_node(i)]
-    root = _lca(before, anchors)
+    # the kept nodes and their ancestors, by id, each node of the first
+    # anchor's path with its height on it; another anchor's path first
+    # meets that path, or one that met it, at an ancestor of both, so the
+    # highest meeting point is the lowest common ancestor of them all
+    path = [anchors[0], *before.ancestors(anchors[0])] if anchors \
+        else [before.root]
+    live = {node.id: k for k, node in enumerate(path)}
+    top = 0
+    for node in anchors[1:]:
+        while node.id not in live:
+            live[node.id] = 0
+            node = before.parent(node)
+        top = max(top, live[node.id])
+    root = path[top]
     stmt = before.enclosing_statement(root)
     if stmt is not None:
         root = stmt
-
-    live: set[int] = set()      # kept nodes and their ancestors
-    for node in anchors:
-        cur: Optional[SyntaxNode] = node
-        while cur is not None and cur.id not in live:
-            live.add(cur.id)
-            cur = before.parent(cur)
     context = SyntaxTree(_clone_live(root, live))
 
     kept = [i for i in kept
@@ -297,36 +302,22 @@ def refine_context(example: "EditExample", kept: list[int],
     )
 
 
-def _lca(tree: SyntaxTree, nodes: list[SyntaxNode]) -> SyntaxNode:
-    if not nodes:
-        return tree.root
-    paths = []
-    for n in nodes:
-        path = [n] + list(tree.ancestors(n))
-        path.reverse()
-        paths.append(path)
-    shortest = min(len(p) for p in paths)
-    lca = paths[0][0]
-    for depth in range(shortest):
-        first = paths[0][depth]
-        if all(p[depth] is first for p in paths):
-            lca = first
-        else:
-            break
-    return lca
-
-
-def _clone_live(node: SyntaxNode, live: set[int]) -> SyntaxNode:
+def _clone_live(node: SyntaxNode, live: dict[int, int]) -> SyntaxNode:
     """Clone node, leaving out each statement and else branch below it
-    that holds no live node; an explicit stack, so no frame per level."""
+    that holds no live node; an explicit stack, so no frame per level.
+    When none is left out, node itself: nothing writes a context."""
+    def dropped(src: SyntaxNode, i: int, child: SyntaxNode) -> bool:
+        return child.id not in live and (child.kind in STATEMENT_KINDS or (
+            src.kind == "IfStmt" and i == 2))
+    if not any(dropped(src, i, child) for src in node.walk()
+               for i, child in enumerate(src.children)):
+        return node
     root = node.copy([])
     stack = [(node, root)]
     while stack:
         src, dst = stack.pop()
         for i, child in enumerate(src.children):
-            droppable = child.kind in STATEMENT_KINDS \
-                or (src.kind == "IfStmt" and i == 2)
-            if child.id in live or not droppable:
+            if not dropped(src, i, child):
                 copy = child.copy([])
                 dst.children.append(copy)
                 stack.append((child, copy))

@@ -10,9 +10,9 @@ statement texts when it clears 0.618; 1.618 is the bar a pair must clear.
 Every search of one conflict, and of every other conflict anchored in the
 same merged member, scans the same statements.  So each merged member is
 indexed once per merge: its tree, its statements, their header texts
-(printed through the merge's PrintMemo, see ``printer``) and their
-positions by (kind, header text) and by (kind, header length) make a
-MergedMember, kept in ``FourWayGraph.members``.  The searches score
+(printed through the merge's PrintMemo, see ``printer``) and the first
+position of each (kind, header gram multiset) make a MergedMember, kept
+in ``FourWayGraph.members``.  The searches score
 through the merge's Scorer (see ``similarity``), so a header is profiled,
 and a pair of headers scored, once per merge however many patterns ask.
 The member memo is sound because nothing edits a merged tree: application
@@ -20,24 +20,23 @@ below and the rules write copy-on-write clones, which never write a node
 they share.
 
 The anchor is looked up before it is scored.  A pair scores at most 2.0,
-and 2.0 only with equal kinds and a Dice of 1, so equal gram multisets
-and header lengths.  If the pattern statement's (kind, header text) first
-sits at position p, p scores 2.0, so only the earlier statements of that
-kind and header length are scored, and the first to score 2.0, or else
-p, is the statement a scan of them all would pick.  Only a miss scans.
+and 2.0 exactly when the kinds and the gram multisets are equal (a Dice
+of 1), so the first statement of the pattern statement's kind and
+multiset, indexed with the member, is the statement a scan of them all
+would pick.  Only a miss scans, and then no statement scores 2.0.
 
 Application rewrites a copy-on-write clone of the merged file, so it
 copies only the nodes on the path from an edit to the root: a kind-aligned
-walk maps each matched pattern statement onto its merged partner, and the
-ops whose governing pattern statement was matched are replayed through
-tree_diff.apply_op with that mapping (fresh ids for adds, clamped indices).
-An op the mapping cannot place is skipped and makes the result partial.
+walk (``tree_diff.kind_pairs``) maps each matched pattern statement onto
+its merged partner, and the ops whose governing pattern statement was
+matched are replayed through tree_diff.apply_op with that mapping (fresh
+ids for adds, clamped indices).  An op the mapping cannot place is
+skipped and makes the result partial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from difflib import SequenceMatcher
 from typing import Optional
 
 from .conflicts import Conflict
@@ -47,10 +46,10 @@ from .mining import mine_examples
 from .graph_diff import FourWayGraph
 from .peg import Entity
 from .printer import PrintMemo, statement_header_text
-from .similarity import Scorer
+from .similarity import Scorer, trigrams
 from .syntax import (STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree,
                      last_node)
-from .tree_diff import DanglingOp, apply_op
+from .tree_diff import DanglingOp, apply_op, kind_pairs
 
 SIM_THRESHOLD = 0.618
 ANCHOR_THRESHOLD = 1.618
@@ -90,6 +89,11 @@ def _score(p: SyntaxNode, m: SyntaxNode, sim: float) -> float:
     return score
 
 
+def _multiset(text: str) -> tuple[str, ...]:
+    """text's grams, sorted: equal exactly when the multisets are."""
+    return tuple(sorted(trigrams(text)))
+
+
 class MergedMember:
     """A merged member indexed for anchor searches (see the module
     docstring), and the scorer of the merge it belongs to."""
@@ -101,11 +105,10 @@ class MergedMember:
                            if n.kind in STATEMENT_KINDS]
         self.headers = {n: statement_header_text(n, scorer.print_memo)
                         for n in self.statements}
-        self.first: dict[tuple[str, str], int] = {}
-        self.shapes: dict[tuple[str, int], list[int]] = {}
+        # the first position of each kind and gram multiset
+        self.first: dict[tuple[str, tuple[str, ...]], int] = {}
         for pos, (n, text) in enumerate(self.headers.items()):
-            self.first.setdefault((n.kind, text), pos)
-            self.shapes.setdefault((n.kind, len(text)), []).append(pos)
+            self.first.setdefault((n.kind, _multiset(text)), pos)
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +154,12 @@ def match_context(pattern: TransformationPattern,
     if not m_stmts:
         raise NoAnchor("merged member has no statements")
     text = statement_header_text(s_p)
-    hit = member.first.get((s_p.kind, text))
-    if hit is None:
+    best_score, best_pos = 2.0, member.first.get((s_p.kind,
+                                                  _multiset(text)))
+    if best_pos is None:
         best_score, best_pos = min(((score(s_p, text, m), pos)
                                     for pos, m in enumerate(m_stmts)),
                                    key=lambda t: (-t[0], t[1]))
-    else:
-        # see the module docstring
-        best_score, best_pos = 2.0, next(
-            pos for pos in member.shapes[s_p.kind, len(text)]
-            if pos == hit or score(s_p, text, m_stmts[pos]) == 2.0)
     if best_score <= ANCHOR_THRESHOLD:
         raise NoAnchor(f"best anchor score {best_score:.3f}")
     s_m = m_stmts[best_pos]
@@ -228,12 +227,8 @@ def _map_pair(p: SyntaxNode, w: SyntaxNode,
     while stack:
         p, w = stack.pop()
         mapping[p.id] = w
-        sm = SequenceMatcher(a=[c.kind for c in p.children],
-                             b=[c.kind for c in w.children], autojunk=False)
-        for block in sm.get_matching_blocks():
-            for k in range(block.size):
-                stack.append((p.children[block.a + k],
-                              w.children[block.b + k]))
+        stack += [(p.children[x], w.children[y]) for x, y in kind_pairs(
+            [c.kind for c in p.children], [c.kind for c in w.children])]
 
 
 def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,

@@ -53,6 +53,19 @@ def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
     t3 = time.perf_counter()
     timings["detect"] = (t3 - t2) * 1000.0
 
+    resolutions = resolve_conflicts(fw, conflicts, scenario)
+    t4 = time.perf_counter()
+    timings["resolve"] = (t4 - t3) * 1000.0
+    timings["total"] = (t4 - t0) * 1000.0
+
+    report = Report(scenario=name, conflicts=conflicts,
+                    resolutions=resolutions, timings_ms=timings)
+    return ScenarioRun(report=report, scenario=scenario, fourway=fw)
+
+
+def resolve_conflicts(fw: FourWayGraph, conflicts: list[Conflict],
+                      scenario: MergeScenario) -> list[Resolution]:
+    """The resolve stage: each conflict by example, then by rule."""
     resolutions: list[Resolution] = []
     for conflict in conflicts:
         res = resolve_by_example(fw, conflict, scenario)
@@ -62,13 +75,7 @@ def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
             resolutions.append(resolve_by_rule(fw, conflict, scenario))
         except (NotCovered, TargetMissing):
             pass
-    t4 = time.perf_counter()
-    timings["resolve"] = (t4 - t3) * 1000.0
-    timings["total"] = (t4 - t0) * 1000.0
-
-    report = Report(scenario=name, conflicts=conflicts,
-                    resolutions=resolutions, timings_ms=timings)
-    return ScenarioRun(report=report, scenario=scenario, fourway=fw)
+    return resolutions
 
 
 def report_to_dict(report: Report, include_timing: bool = True) -> dict:

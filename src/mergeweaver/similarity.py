@@ -49,6 +49,12 @@ from .peg import Entity, EntityGraph
 from .printer import PrintMemo
 
 
+def trigrams(text: str) -> list[str]:
+    """text's character 3-grams, or text itself when it is shorter."""
+    return [text[i:i + 3] for i in range(len(text) - 2)] \
+        if len(text) >= 3 else [text]
+
+
 class Scorer:
     """One merge's trigram scores and the texts they compare.
 
@@ -89,8 +95,7 @@ class Scorer:
     def _profile(self, text: str) -> tuple[int, int]:
         """text's (mask, size), kept for the merge."""
         self.profiled += 1
-        grams = [text[i:i + 3] for i in range(len(text) - 2)] \
-            if len(text) >= 3 else [text]
+        grams = trigrams(text)
         counts = Counter(grams)
         vocab = self._vocab
         intern = vocab.setdefault

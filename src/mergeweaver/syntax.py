@@ -369,9 +369,9 @@ class SyntaxTree:
     ancestor that the clone still shares (path copying), then writes the
     copy and updates the maps of the edited subtree only.  A reference
     taken before an ancestor was copied therefore still names the right
-    node, and no write reaches a shared node.  max_id only grows, so
-    fresh_id() never hands out the id of a removed node; a clone's ids
-    continue from its source's max_id.
+    node, or ``current`` gives its copy, and no write reaches a shared
+    node.  max_id only grows, so fresh_id() never hands out the id of a
+    removed node; a clone's ids continue from its source's max_id.
     """
 
     def __init__(self, root: SyntaxNode, assign_ids: bool = False):
@@ -437,11 +437,15 @@ class SyntaxTree:
                 stack.append((child, node))
 
     def _lookup(self, node_id: int) -> Optional[SyntaxNode]:
-        node = self._indexes()[0].get(node_id)
-        if node is None and self._base is not None \
-                and node_id not in self._removed:
-            return self._base._lookup(node_id)
-        return node
+        # down the chain of clones in a loop: a clone and every tree it
+        # was taken from have their maps
+        tree = self
+        while tree._base is not None:
+            node = tree._maps[0].get(node_id)
+            if node is not None or node_id in tree._removed:
+                return node
+            tree = tree._base
+        return (tree._maps or tree._indexes())[0].get(node_id)
 
     def _writable(self, node_id: int) -> SyntaxNode:
         """The node under node_id, ready to write: in a clone, a shared
@@ -451,9 +455,10 @@ class SyntaxTree:
         node = self.node(node_id)
         if self._base is None:
             return node
-        by_id, parents = self._indexes()
+        by_id = self._indexes()[0]
         # the shared path up to the first written ancestor, copied from
-        # the top down; an explicit stack, so no frame per tree level
+        # the top down; an explicit stack, so no frame per tree level; the
+        # children keep their parent entries (see ``parent``)
         path = []
         while node is not None and self._copies.get(node.id) is not node:
             path.append(node)
@@ -461,8 +466,6 @@ class SyntaxTree:
         for shared in reversed(path):
             copy = shared.copy(list(shared.children))
             self._copies[shared.id] = by_id[shared.id] = copy
-            for child in copy.children:
-                parents[child.id] = copy
             if node is None:
                 self.root = copy
             else:
@@ -503,6 +506,10 @@ class SyntaxTree:
             raise KeyError(node_id)
         return node
 
+    def current(self, node: SyntaxNode) -> SyntaxNode:
+        """node, or the copy a write made of it in this clone."""
+        return self._copies.get(node.id, node)
+
     def has_node(self, node_id: int) -> bool:
         return self._lookup(node_id) is not None
 
@@ -511,14 +518,24 @@ class SyntaxTree:
         return self._lookup(node.id) is node
 
     def parent(self, node: SyntaxNode) -> Optional[SyntaxNode]:
-        tree = self
-        while True:
-            parents = tree._indexes()[1]
-            if node.id in parents:
-                return parents[node.id]
-            if tree._base is None or node.id in tree._removed:
-                raise KeyError(node.id)
+        node_id, tree, clones = node.id, self, []
+        while tree._base is not None:
+            clones.append(tree)
+            parents = tree._maps[1]
+            if node_id in parents:
+                parent = parents[node_id]
+                break
+            if node_id in tree._removed:
+                raise KeyError(node_id)
             tree = tree._base
+        else:
+            parent = (tree._maps or tree._indexes())[1][node_id]
+        # a write copies a node, not its children's entries: the copy a
+        # clone made of the parent since, if any, is the parent now
+        for tree in reversed(clones):
+            if parent is not None:
+                parent = tree.current(parent)
+        return parent
 
     @property
     def max_id(self) -> int:

@@ -16,7 +16,10 @@ unpaired one takes the first unpaired after node of its class in
 pre-order, and the two subtrees pair by offset, b+k with a+k.  The
 container pass visits the before tree children first.  An unpaired
 container's partners are those of the paired indexes in its subtree
-range, and its candidates are the unpaired after ancestors of its kind of
+range, listed by merging into the longest list of the containers below
+it the others and the partners the scan between them reads, so a
+partner is listed again only from a shorter list: once along an else-if
+chain.  Its candidates are the unpaired after ancestors of its kind of
 those partners, in order of first reach.  A candidate's common partners
 are the partners inside its subtree interval, two bisections into the
 sorted partners, so its Dice score, 2 * common / (descendants of the
@@ -29,7 +32,8 @@ top only (see ``_match_containers``).  A pre-order sweep then
 unpairs every node under an unpaired parent, so every delete removes a
 whole unpaired subtree, and an LCS pass aligns the leftover children of
 paired parents by kind; one leftover child on each side is paired when
-the kinds are equal, without a matcher.
+the kinds are equal, and equal kind lists pair by position, without a
+matcher.
 
 The script is produced by running it on a copy-on-write clone of the
 before tree, which copies only what the script edits: deletes first, left
@@ -143,6 +147,8 @@ class _Matching:
         self.b2a = [-1] * len(self.b.nodes)
         self.a2b = [-1] * len(self.a.nodes)
         self.iso: set[int] = set()
+        # the partners the container pass listed, a count
+        self.listed = 0
 
     def pair(self, b: int, a: int) -> None:
         self.b2a[b] = a
@@ -208,26 +214,63 @@ def _match_containers(m: _Matching) -> None:
     That parent is paired, so it is no candidate, and the walk above it
     was taken before, by the parent or by the top of its chain of such
     partners: a later walk that passes it ends where it ended before.  So
-    the walks of a subtree paired whole start at its top only.
+    the walks of a subtree paired whole start at its top only.  A partner
+    that takes no walk from a container below takes none from i either:
+    its after parent is an earlier partner of both.  So i's walks start
+    from the partners its own scan reads and those the containers below
+    it walked from, kept with their lists, in pre-order.
     """
     b, a, b2a, a2b = m.b, m.a, m.b2a, m.a2b
-    a_end, a_parent = a.end, a.parent
+    a_end, a_parent, b_end, iso = a.end, a.parent, b.end, m.iso
+    # each container visited: its partners, sorted, and those that took a
+    # walk, in pre-order, until its nearest container above takes them
+    done: dict[int, tuple[list[int], list[int]]] = {}
     # children first, left to right: by subtree end, the deepest first
-    for i in sorted(range(len(b2a)), key=lambda i: (b.end[i], -i)):
-        if b2a[i] >= 0 or b.end[i] == i + 1:
+    for i in sorted(range(len(b2a)), key=lambda i: (b_end[i], -i)):
+        if b2a[i] >= 0 or b_end[i] == i + 1:
             continue
-        # the partners of i's matched descendants, in pre-order
-        partners = [p for p in b2a[i + 1:b.end[i]] if p >= 0]
-        ordered = sorted(partners)
-        np = len(partners)
-        nb = b.end[i] - i - 1
+        # the partners of i's matched descendants, read one by one but
+        # below a container visited before, whose lists hold them; in
+        # pre-order, those that may take a walk
+        lists, own, starts = [], [], []
+        j, stop = i + 1, b_end[i]
+        while j < stop:
+            p = b2a[j]
+            if p >= 0:
+                starts.append(p)
+                if p in iso:
+                    # paired by offset, and each node below has an
+                    # earlier partner as after parent, so takes no walk
+                    own += range(p, p + b_end[j] - j)
+                    j = b_end[j]
+                    continue
+                own.append(p)
+            if j in done:
+                ordered, walks = done.pop(j)
+                lists.append(ordered)
+                starts += walks
+                j = b_end[j]
+            else:
+                j += 1
+        # the longest list takes the rest
+        ordered = max(lists, key=len, default=[])
+        for other in lists:
+            if other is not ordered:
+                own += other
+        m.listed += len(own)
+        ordered += own
+        ordered.sort()
+        np = len(ordered)
+        nb = b_end[i] - i - 1
         kind = b.nodes[i].kind
         seen: set[int] = set()
+        walked: list[int] = []
         best, best_dice = -1, 0.0
-        for p in partners:
+        for p in starts:
             cur = a_parent[p]
             if i < a2b[cur] < a2b[p]:
                 continue        # a parent of -1 would walk nothing either
+            walked.append(p)
             # up to the first node seen before, whose own ancestors were
             # all seen or stopped at too
             while cur >= 0 and cur not in seen:
@@ -244,6 +287,7 @@ def _match_containers(m: _Matching) -> None:
                     if dice > best_dice + 1e-12:
                         best, best_dice = cur, dice
                 cur = a_parent[cur]
+        done[i] = (ordered, walked)
         if best >= 0 and best_dice > 0.5:
             m.pair(i, best)
 
@@ -278,18 +322,21 @@ def _recover_children(m: _Matching) -> None:
             continue
         free_b = [c for c in b.children(i) if b2a[c] < 0] if j >= 0 else []
         free_a = [c for c in a.children(j) if a2b[c] < 0] if free_b else []
-        if len(free_b) == 1 == len(free_a):
-            # the matcher's one possible block: both children, if equal
-            if b.nodes[free_b[0]].kind == a.nodes[free_a[0]].kind:
-                m.pair(free_b[0], free_a[0])
-        elif free_a:
-            sm = SequenceMatcher(
-                a=[b.nodes[c].kind for c in free_b],
-                b=[a.nodes[c].kind for c in free_a], autojunk=False)
-            for blk in sm.get_matching_blocks():
-                for k in range(blk.size):
-                    m.pair(free_b[blk.a + k], free_a[blk.b + k])
+        if free_a:
+            for x, y in kind_pairs([b.nodes[c].kind for c in free_b],
+                                   [a.nodes[c].kind for c in free_a]):
+                m.pair(free_b[x], free_a[y])
         i += 1
+
+
+def kind_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
+    """The index pairs of difflib's matching blocks of two lists of kinds.
+    Equal lists make one block, so they pair by position, unmatched."""
+    if a == b:
+        return [(k, k) for k in range(len(a))]
+    sm = SequenceMatcher(a=a, b=b, autojunk=False)
+    return [(blk.a + k, blk.b + k) for blk in sm.get_matching_blocks()
+            for k in range(blk.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +381,17 @@ def _place(m: _Matching, work: SyntaxTree, ops: EditScript,
            next_id: int) -> None:
     """Makes work equal the after tree below the root, emitting and
     applying ops in pre-order of the after tree."""
-    a, a2b, b_nodes = m.a, m.a2b, m.b.nodes
-    # (after index, id of its working parent, its index there)
-    stack = [(c, work.root.id, k)
-             for k, c in enumerate(a.children(0))][::-1]
+    a, a2b, b_nodes, current = m.a, m.a2b, m.b.nodes, work.current
+    # (after index, its working parent, its index there)
+    stack = [(c, work.root, k) for k, c in enumerate(a.children(0))][::-1]
     while stack:
-        j, w_id, i = stack.pop()
+        j, w_node, i = stack.pop()
         a_child = a.nodes[j]
         # a write below may have replaced the node with a copy
-        w_node = work.node(w_id)
+        w_node = current(w_node)
         partner = a2b[j]
         if partner >= 0:
-            w_child = work.node(b_nodes[partner].id)
+            w_child = current(b_nodes[partner])
             # a node sits in the tree once, so this is its place
             siblings = w_node.children
             if not (i < len(siblings) and siblings[i] is w_child):
@@ -358,11 +404,10 @@ def _place(m: _Matching, work: SyntaxTree, ops: EditScript,
                 continue
         else:
             w_child = _emit(work, ops, EditOp(
-                "add", next_id, parent_id=w_id, index=i,
+                "add", next_id, parent_id=w_node.id, index=i,
                 node_kind=a_child.kind, value=a_child.value))
             next_id += 1
-        stack += [(c, w_child.id, k)
-                  for k, c in enumerate(a.children(j))][::-1]
+        stack += [(c, w_child, k) for k, c in enumerate(a.children(j))][::-1]
 
 
 def apply_op(tree: SyntaxTree, op: EditOp,

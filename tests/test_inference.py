@@ -4,17 +4,23 @@ import random
 
 import pytest
 
+import reference_inference as ref
 from conftest import (CORPUS, FANOUT, brute_force_closure, parse_snippet,
                       random_program, run_corpus)
+from mergeweaver.conflicts import Conflict
 from mergeweaver.evaluate import scenario_dirs
-from mergeweaver.inference import (NoRelevantEdit, _lca, infer_pattern,
+from mergeweaver.inference import (NoRelevantEdit, infer_pattern,
                                    refine_context, refine_edits,
                                    script_edits, use_node_ids)
+from mergeweaver.graph_diff import EntityEdit, build_fourway
+from mergeweaver.merge3 import parse_versions
 from mergeweaver.mining import EditExample, mine_examples
+from mergeweaver.peg import DuplicateEntity
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
 from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxTree, clone_node,
                                 name_index)
+from mergeweaver.tree_diff import diff_trees
 
 
 def mined(name: str, host_suffix: str = ""):
@@ -252,10 +258,32 @@ def _lifted_target(op, ops):
     return pid
 
 
+def _lca(tree: SyntaxTree, nodes: list) -> object:
+    """The deepest common node of the nodes' paths from the root."""
+    if not nodes:
+        return tree.root
+    paths = []
+    for n in nodes:
+        path = [n] + list(tree.ancestors(n))
+        path.reverse()
+        paths.append(path)
+    shortest = min(len(p) for p in paths)
+    lca = paths[0][0]
+    for depth in range(shortest):
+        first = paths[0][depth]
+        if all(p[depth] is first for p in paths):
+            lca = first
+        else:
+            break
+    return lca
+
+
 def reference_context(example, kept, closure, critical) -> SyntaxTree:
     """The context as refine_context built it before pruning went one-pass:
     clone the root, then re-walk each child's subtree at every level; the
-    kept ops' targets are lifted through the kept adds alone."""
+    kept ops' targets are lifted through the kept adds alone, and the root
+    is the statement around the common ancestor of the kept nodes that
+    their whole paths give."""
     before = example.before
     ops = [example.script[i] for i in kept]
     keep_ids = set(closure) | set(critical)
@@ -358,3 +386,62 @@ def test_one_pass_pruning_matches_on_random_keep_sets():
                     and len(pattern.context.node(n.id).children) == 2)
                 checked += 1
     assert checked > 300 and dropped_else > 10
+
+
+def _refinement(refine, example, conflict):
+    try:
+        return refine(example, conflict)
+    except NoRelevantEdit:
+        return None
+
+
+def test_indexed_refinement_equals_the_op_scans():
+    # every method two versions of a seeded mutation of test_unit_facts
+    # both hold, the base and either mutant, each way round, diffed as a
+    # host and refined against every method, field and type of its side
+    from test_unit_facts import _mutant, _texts, base_project
+    pairs = kept = 0
+    for seed in range(160):
+        rng = random.Random(seed)
+        base = base_project(rng)
+        mutants = [_mutant(rng, base, set()), _mutant(rng, base, set())]
+        for old, new in [(base, m) for m in mutants] \
+                + [(m, base) for m in mutants]:
+            try:
+                fw = build_fourway(parse_versions(
+                    _texts(old), _texts(new), _texts(old), _texts(new)))
+            except DuplicateEntity:
+                continue
+            pairs_kept = _refine_every_host(fw)
+            pairs += pairs_kept[0]
+            kept += pairs_kept[1]
+    assert pairs >= 2900 and kept >= 250
+
+
+def _refine_every_host(fw) -> tuple[int, int]:
+    delta, pairs, kept = fw.delta_left, 0, 0
+    subjects = [ent for ent in fw.base.entities.values()
+                if ent.decl is not None
+                and ent.kind in ("method", "field", "class", "interface")]
+    for host in fw.base.entities.values():
+        target = delta.matches.get(host.id)
+        if host.kind != "method" or target is None:
+            continue
+        before = SyntaxTree(host.decl)
+        script = diff_trees(before, SyntaxTree(
+            delta.target.by_id(target).decl))
+        if not script:
+            continue
+        example = EditExample(host.fqn, host.kind, "l", before, None,
+                              script, script_edits(before, script),
+                              name_index(host.decl))
+        for ent in subjects:
+            conflict = Conflict("C15", "l", ent.fqn, ent.kind, EntityEdit(
+                "update", "l", ent.kind, ent.fqn, ent.fqn, old=ent,
+                new=ent), None, "", None, [])
+            got = _refinement(refine_edits, example, conflict)
+            assert got == _refinement(ref.refine_edits, example, conflict), \
+                (host.fqn, ent.fqn)
+            pairs += 1
+            kept += got is not None
+    return pairs, kept

@@ -1,9 +1,9 @@
 """The keyed first anchor picks what a scan of every statement picks.
 
-``match_context`` looks the pattern statement's (kind, header text) up in
-the merged member before it scores anything.  On a hit it scores only the
-earlier statements of the same kind and header length, the only ones that
-can tie at 2.0.  Generated members with repeated headers, mixed kinds and
+``match_context`` looks the pattern statement's kind and header gram
+multiset up in the merged member before it scores anything: the first
+statement holding both is the first to score 2.0, so a hit scores
+nothing.  Generated members with repeated headers, mixed kinds and
 trigram twins (``abcab``, ``bcabc`` and ``cabca`` hold the same gram
 multiset) must anchor, and pair their siblings, as the full-scan
 reference search of ``reference_similarity_search`` does, and the merge's
@@ -79,5 +79,5 @@ def test_a_twin_before_the_key_hit_is_the_anchor():
     ms = match_context(pattern, MergedMember(tree, scorer))
     twin = [n for n in tree.nodes() if n.kind == "IfStmt"][1]
     assert ms.pairs[0] == (s_p, twin, 2.0)
-    # only the twin was scored: the other If differs in length
-    assert scorer.scored == 1
+    # the twin holds the key hit's gram multiset, so nothing was scored
+    assert scorer.scored == 0

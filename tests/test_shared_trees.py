@@ -233,7 +233,8 @@ def _facts_view(edits, named) -> tuple:
     return (edits.targets,
             edits.stmt_ids,
             [(sid, stmt.id) for sid, stmt in edits.edited.items()],
-            edits.used, edits.defined, edits.owner,
+            edits.used, edits.owner, edits.by_target, edits.by_stmt,
+            edits.definers,
             {name: [n.id for n in nodes] for name, nodes in named.items()})
 
 

@@ -1,5 +1,6 @@
 """Tree differ and op interpreter: the apply-equals-target oracle, script
-hygiene, both apply_op policies and the SyntaxTree index under edits."""
+hygiene, the container pass's linear partner lists on an else-if chain,
+both apply_op policies and the SyntaxTree index under edits."""
 
 import random
 
@@ -10,7 +11,8 @@ from mergeweaver.parser import ParseError, parse_unit
 from mergeweaver.printer import pretty_print
 from mergeweaver.syntax import (SyntaxNode, SyntaxTree, clone_node,
                                 structurally_equal)
-from mergeweaver.tree_diff import (DanglingOp, EditOp, apply_op,
+from mergeweaver.tree_diff import (DanglingOp, EditOp, _match_containers,
+                                   _match_isomorphic, _Matching, apply_op,
                                    apply_script, diff_trees)
 
 
@@ -205,6 +207,29 @@ def test_deepest_nesting_the_parser_accepts_diffs_and_replays():
     oracle(before, after)
     # one call fewer: the whole spine differs from the before tree's
     oracle(before, parse_unit("A.java", _nested_calls(depth - 1, "1")).tree)
+
+
+def _else_if_chain(arms: int, name: str) -> SyntaxTree:
+    chain = "".join(" else if (x == %d) { x = %d; }" % (i, i)
+                    for i in range(1, arms))
+    return parse_unit("Deep.java", "class Deep { int m(int x) { if (x == 0)"
+                      " { x = %s(0); }%s else { x = %s(1); } return x; } }"
+                      % (name, chain, name)).tree
+
+
+def test_partners_listed_grow_linearly_with_an_else_if_chain():
+    # renaming the calls of the first and last arms leaves every if of
+    # the chain an unpaired container holding the rest of it; each lists
+    # its own arm's partners and takes its nested if's lists, so the
+    # count, not a time, grows with the arms, not with their square
+    listed = {}
+    for arms in (1000, 3000):
+        m = _Matching(_else_if_chain(arms, "g"), _else_if_chain(arms, "h"))
+        _match_isomorphic(m)
+        _match_containers(m)
+        listed[arms] = m.listed
+        assert m.listed <= len(m.b2a) + 10, arms
+    assert listed[3000] <= 3.01 * listed[1000]
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +479,21 @@ def test_remove_of_the_root_is_refused():
     with pytest.raises(ValueError):
         tree.remove(tree.root)
     _assert_index_matches_fresh(tree)
+
+
+def test_a_clone_of_an_edited_clone_answers_parents_as_a_fresh_index():
+    # a write copies a node but leaves its children's parent entries, so
+    # each clone in the chain must map the parent it finds to its copy
+    tree = parse_snippet("class A { void m() { a(); if (c) { d(); b(); } }"
+                         " }").tree
+    first = tree.clone()
+    named = {n.value: n for n in first.nodes() if n.value}
+    first.set_value(named["d"], "e")
+    second = first.clone()
+    second.set_value(named["b"], "f")
+    second.set_value(named["c"], "g")
+    second.remove(second.parent(second.node(named["a"].id)))
+    for clone in (first, second):
+        _assert_index_matches_fresh(clone)
+    assert "d();" in pretty_print(tree) and "e();" in pretty_print(first)
+    assert "if (g)" in pretty_print(second) and "f();" in pretty_print(second)

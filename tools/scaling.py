@@ -11,7 +11,11 @@ that host noise cannot move; the scorer keeps no scores, so a pair
 scored again, in a later round of a graph match or by another anchor
 search, counts again); the member- and statement-level subtrees the merge's
 print memo rendered (``printed``) and those it read from the memo instead
-(``reused``; see ``printer.PrintMemo``), both counts; the declarations whose name index the merge built
+(``reused``; see ``printer.PrintMemo``), both counts, and of those the
+reads per resolution made while resolving (``reused/res``, counted
+around ``pipeline.resolve_conflicts`` in one more run; a resolution
+re-joins its whole file, so this grows with the file's members); the
+declarations whose name index the merge built
 (``named``, see ``FourWayGraph.name_index``, also a count, which takes
 in the base declaration of every mined host: 5 on rename-fanout and 2 on
 method-rename at seed 1); the tags the scorer's vocabulary holds
@@ -77,7 +81,8 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "printed", "reused", "named", "grams",
+COLUMNS = STAGES + ("pairs", "printed", "reused", "reused/res", "named",
+                    "grams",
                     "deferred", "indexed", "positioned", "recognized",
                     "built", "diff", "host_nodes", "read", "scan",
                     "rescanned", "parse", "tokens", "nodes", "ref_ms")
@@ -107,6 +112,18 @@ def lazy_columns(run: ScenarioRun) -> dict[str, float]:
             "positioned": sum(sf.positioned for sf in files),
             "recognized": len(blocks),
             "built": sum(block.built for block in blocks)}
+
+
+def resolve_reads(out: Path) -> float:
+    """The print-memo reads per resolution of ``pipeline.resolve_conflicts``
+    on the trees under ``out``, after the stages before it."""
+    scenario = pipeline.merge_scenario(out / "base", out / "left",
+                                       out / "right")
+    fw = pipeline.build_fourway(scenario)
+    conflicts = pipeline.detect_conflicts(fw)
+    before = fw.scorer.print_memo.reused
+    resolutions = pipeline.resolve_conflicts(fw, conflicts, scenario)
+    return (fw.scorer.print_memo.reused - before) / max(len(resolutions), 1)
 
 
 def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
@@ -144,8 +161,8 @@ def front_end_columns(out: Path, repeat: int) -> dict[str, float]:
         "nodes": sum(f.tree.max_id + 1 for f in files)}
 
 
-# columns of a few milliseconds, printed to a tenth
-FINE = ("diff", "read", "scan")
+# columns of a few milliseconds, or a ratio, printed to a tenth
+FINE = ("diff", "read", "scan", "reused/res")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -185,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
                 best["pairs"] = run.fourway.scorer.scored
                 best["printed"] = run.fourway.scorer.print_memo.printed
                 best["reused"] = run.fourway.scorer.print_memo.reused
+                best["reused/res"] = resolve_reads(out)
                 best["named"] = len(run.fourway.named)
                 best["grams"] = run.fourway.scorer.grams
                 # every version holds the units whose bodies it deferred
