@@ -7,10 +7,16 @@ similarity score averages trigram similarity of the printed declaration and
 of the sorted neighbor fqns; pairs below 0.618 stay unmatched.  Each round
 of the sweep buckets the other graph's unmatched entities by kind and
 parent id, in that graph's order, so an entity is scored only against the
-candidates of its bucket.  The four matches of a merge score through the
-merge's one Scorer (see ``similarity``): a text scored in one match, or
-in an earlier round, is not scored again, and a delta's body-change check
-reads the bodies the matcher printed.
+candidates of its bucket.  First, as GumTree takes unique subtrees and
+IntelliMerge unchanged signatures, a round takes the pairs of two kinds
+that clear the bar: composed ones (``via``: through the other branch's
+match, back to base by its delta's ``inverse`` and on by this delta;
+``build_fourway`` matches directly the branch lacking fewer merged ids),
+then those of a key held once on each side, a unit's or type's simple
+name or a member's signature and name-masked declaration, whose bodies
+score from the window where they differ.  They join the round's ranking,
+so where the greedy takes the same pairs the match is the same dict in
+the same order.  All score through the merge's Scorer (``similarity``).
 
 A delta lists entity edits (add, delete, update with a rename,
 signature-change or body-change detail) and relation edits computed modulo
@@ -24,12 +30,13 @@ incomplete graphs is that of the full ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .merge3 import MergeScenario
 from . import peg, syntax
-from .peg import Entity, EntityGraph, Relation
+from .peg import MEMBER_ENTITY_KINDS, Entity, EntityGraph, Relation
 from .similarity import Scorer
 from .syntax import SyntaxNode
 
@@ -78,6 +85,7 @@ class GraphDelta:
     base: EntityGraph
     target: EntityGraph
     matches: dict[str, str]             # base entity id -> target entity id
+    inverse: dict[str, str]             # target entity id -> base entity id
     entity_edits: list[EntityEdit] = field(default_factory=list)
     relation_edits: list[RelationEdit] = field(default_factory=list)
 
@@ -89,8 +97,8 @@ _PHASE2_ORDER = {
 }
 
 
-def match_graphs(ga: EntityGraph, gb: EntityGraph,
-                 scorer: Scorer) -> dict[str, str]:
+def match_graphs(ga: EntityGraph, gb: EntityGraph, scorer: Scorer,
+                 via: Optional[Callable] = None) -> dict[str, str]:
     """Correspondence between two graphs as a dict of entity ids."""
     matches: dict[str, str] = {}
     taken: set[str] = set()
@@ -101,8 +109,6 @@ def match_graphs(ga: EntityGraph, gb: EntityGraph,
     open_a = [ent for eid, ent in ga.entities.items() if eid not in matches]
     open_b = [((other.kind, gb.parent_id(other)), other)
               for oid, other in gb.entities.items() if oid not in taken]
-    similarity, body_text, context = \
-        scorer.similarity, scorer.body_text, scorer.context
 
     # similarity phase, repeated until stable so a matched parent can unlock
     # the pairing of its renamed children
@@ -112,22 +118,16 @@ def match_graphs(ga: EntityGraph, gb: EntityGraph,
         for key, other in open_b:
             if other.id not in taken:
                 buckets.setdefault(key, []).append(other)
-        candidates = []
+        asking: dict[tuple[str, Optional[str]], list[Entity]] = {}
         for ent in open_a:
-            if ent.id in matches:
-                continue
             pid = ga.parent_id(ent)
-            if pid is not None and pid not in matches:
-                continue
-            bucket = buckets.get((ent.kind, matches.get(pid)))
-            if not bucket:
-                continue
-            body_a, context_a = body_text(ga, ent), context(ga, ent)
-            for other in bucket:
-                sim = 0.5 * similarity(body_a, body_text(gb, other)) \
-                    + 0.5 * similarity(context_a, context(gb, other))
-                if sim >= MATCH_THRESHOLD:
-                    candidates.append((sim, ent, other))
+            if ent.id not in matches and (pid is None or pid in matches):
+                asking.setdefault((ent.kind, matches.get(pid)), []).append(ent)
+        candidates: list[tuple[float, Entity, Entity]] = []
+        for key, ents in asking.items():
+            if key in buckets:
+                _score_bucket(ga, gb, ents, buckets[key], scorer, via,
+                              candidates)
         if not candidates:
             return matches
         candidates.sort(key=lambda c: (-c[0], _PHASE2_ORDER[c[1].kind],
@@ -141,6 +141,53 @@ def match_graphs(ga: EntityGraph, gb: EntityGraph,
             progressed = True
         if not progressed:
             return matches
+
+
+def _score_bucket(ga: EntityGraph, gb: EntityGraph, ents: list, bucket: list,
+                  scorer: Scorer, via, candidates: list) -> None:
+    """Adds to ``candidates`` the pairs of one bucket that clear the bar:
+    composed and unique-key pairs first, then the rest all against all."""
+    keys_a = {ent: _key(ga, ent, scorer) for ent in ents}
+    keys_b = {other: _key(gb, other, scorer) for other in bucket}
+
+    def clears(ent: Entity, other: Entity) -> bool:
+        a, b = scorer.body_text(ga, ent), scorer.body_text(gb, other)
+        key = keys_a[ent]
+        body = scorer.window_similarity(a, b) if key is not None \
+            and key == keys_b[other] else scorer.similarity(a, b)
+        sim = 0.5 * body + 0.5 * scorer.similarity(
+            scorer.context(ga, ent), scorer.context(gb, other))
+        if sim >= MATCH_THRESHOLD:
+            candidates.append((sim, ent, other))
+        return sim >= MATCH_THRESHOLD
+
+    by_id = {other.id: other for other in bucket} if via else {}
+    pairs = [(e, o) for e in ents if via and (o := by_id.get(via(e.id)))]
+    proposed = {x for pair in pairs for x in pair}
+    unique_b = _unique(keys_b, proposed)
+    pairs += [(e, o) for k, e in _unique(keys_a, proposed).items()
+              if (o := unique_b.get(k))]
+    paired = {x for pair in pairs if clears(*pair) for x in pair}
+    for ent in ents:
+        if ent not in paired:
+            for other in bucket:
+                if other not in paired:
+                    clears(ent, other)
+
+
+def _key(graph: EntityGraph, ent: Entity, scorer: Scorer):
+    if ent.kind not in MEMBER_ENTITY_KINDS:
+        return None if ent.kind in ("project", "package") else ent.simple_name
+    sig, name = ent.param_sig, ent.simple_name
+    return sig, scorer.body_text(graph, ent).replace(
+        name if sig is None else name + "(", "\0", 1)
+
+
+def _unique(keys: dict, skip: set) -> dict:
+    """The entities of ``keys`` not in ``skip``, by the keys one holds."""
+    held = Counter(key for ent, key in keys.items() if ent not in skip)
+    return {key: ent for ent, key in keys.items()
+            if held[key] == 1 and key is not None and ent not in skip}
 
 
 def _update_detail(old: Entity, new: Entity, base: EntityGraph,
@@ -163,8 +210,8 @@ def _relation_order(rel: Relation) -> tuple[str, str, str]:
 def diff_graphs(base: EntityGraph, target: EntityGraph, branch: str,
                 scorer: Scorer) -> GraphDelta:
     matches = match_graphs(base, target, scorer)
-    inverse = {v: k for k, v in matches.items()}
-    delta = GraphDelta(branch=branch, base=base, target=target, matches=matches)
+    delta = GraphDelta(branch, base, target, matches, _inverse(matches))
+    inverse = delta.inverse
 
     # a unit both graphs share holds the same entities in each, matched to
     # themselves with one shared declaration, so it makes no entity edit
@@ -257,17 +304,21 @@ def build_fourway(scenario: MergeScenario) -> FourWayGraph:
     gr = peg.build_peg(scenario.right, "r", memo, deferred)
     gam = peg.build_peg(scenario.am, "am", memo, deferred)
     scorer = Scorer()
-    for ga, gx in ((gb, gl), (gb, gr), (gam, gl), (gam, gr)):
-        scorer.expect_match(ga, gx)
-    delta_left = diff_graphs(gb, gl, "l", scorer)
-    delta_right = diff_graphs(gb, gr, "r", scorer)
-    cap_left = match_graphs(gam, gl, scorer)
-    cap_right = match_graphs(gam, gr, scorer)
+    graphs, lacks = {"l": gl, "r": gr}, {}
+    for x, g in graphs.items():
+        scorer.expect_match(gb, g)
+        lacks[x] = scorer.expect_match(gam, g)
+    deltas = {x: diff_graphs(gb, g, x, scorer) for x, g in graphs.items()}
+    one, two = sorted(graphs, key=lacks.get)
+    cap, back, ahead = match_graphs(gam, graphs[one], scorer), \
+        deltas[one].inverse, deltas[two].matches
+    caps = {one: cap, two: match_graphs(
+        gam, graphs[two], scorer, lambda i: ahead.get(back.get(cap.get(i))))}
     return FourWayGraph(
         base=gb, left=gl, right=gr, merged=gam,
-        delta_left=delta_left, delta_right=delta_right,
-        cap_left=cap_left, cap_right=cap_right, scorer=scorer,
-        uncap_left=_inverse(cap_left), uncap_right=_inverse(cap_right),
+        delta_left=deltas["l"], delta_right=deltas["r"],
+        cap_left=caps["l"], cap_right=caps["r"], scorer=scorer,
+        uncap_left=_inverse(caps["l"]), uncap_right=_inverse(caps["r"]),
     )
 
 

@@ -12,9 +12,11 @@ selects.  The walk enters subdirectories but no symlinked directory; a
 symlinked file is read through its link.  Files are read in sorted path
 order, compared by path component.  The first that cannot be read raises
 UnreadableSource: any OSError (a directory or a dangling symlink named
-``B.java``, say) as ``<path>: <cause>``, and a file that is not UTF-8 as
-``<path>: not valid UTF-8 (byte 0x.. at offset N)``, N counted in bytes
-from the start of the file; exit code 2 at the CLI.
+``B.java``, say) as ``<path>: <cause>``, a FIFO or a device, opened
+without blocking since its read could block or never end, as ``<path>:
+not a regular file``, and a file that is not UTF-8 as ``<path>: not
+valid UTF-8 (byte 0x.. at offset N)``, N counted in bytes from the start
+of the file; exit code 2 at the CLI.
 
 A file is read as bytes, with ``os.open`` and ``os.read`` until the end,
 and then decoded as strict UTF-8 in one call, so a decoding error names
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import difflib
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,12 +173,15 @@ def _read_text(path: str) -> str:
     """The text of one file, as the module docstring describes; raises
     UnreadableSource."""
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         try:
             chunks = []
+            st = os.fstat(fd)
+            if not (stat.S_ISREG(st.st_mode) or stat.S_ISDIR(st.st_mode)):
+                raise OSError("not a regular file")
             # the file's size plus one, so a regular file takes one read
             # and the empty one after it
-            size = os.fstat(fd).st_size + 1
+            size = st.st_size + 1
             while chunk := os.read(fd, size):
                 chunks.append(chunk)
         finally:

@@ -25,6 +25,10 @@ per tag, and reading it as an ``int`` once, so it costs O(grams + V/8)
 for a vocabulary of V tags rather than one V-bit OR per gram; an AND
 reads at most V/30 of CPython's 30-bit digits.
 
+Texts equal but for one window share the n_a - |W_a| + |W_a & W_b|
+grams that do not overlap it, for W those that do; ``window_similarity``
+counts them from the window, profiling neither text.
+
 Both trigram searches of a merge, the entity graph matcher (graph_diff)
 and the anchor search (matching), score through one Scorer, which
 ``build_fourway`` keeps on the merge's FourWayGraph.  It profiles each
@@ -43,6 +47,7 @@ never compared.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 
 from .peg import Entity, EntityGraph
@@ -58,9 +63,9 @@ def trigrams(text: str) -> list[str]:
 class Scorer:
     """One merge's trigram scores and the texts they compare.
 
-    ``profiled`` counts the texts profiled and ``scored`` the scores of
-    unequal texts computed, a pair asked again counting again; ``grams``
-    is the size of the vocabulary.
+    ``profiled`` counts the texts profiled, ``scored`` and ``windowed``
+    the scores of unequal texts computed from masks and from a window, a
+    pair asked again counting again; ``grams`` is the vocabulary's size.
     """
 
     def __init__(self) -> None:
@@ -75,8 +80,7 @@ class Scorer:
         self.print_memo = PrintMemo()
         self._contexts: dict[EntityGraph, dict[str, str]] = {}
         self._unmatched: dict[EntityGraph, set[str]] = {}
-        self.profiled = 0
-        self.scored = 0
+        self.profiled = self.scored = self.windowed = 0
 
     @property
     def grams(self) -> int:
@@ -91,6 +95,23 @@ class Scorer:
         ma, na = masks.get(a) or self._profile(a)
         mb, nb = masks.get(b) or self._profile(b)
         return 2.0 * (ma & mb).bit_count() / (na + nb)
+
+    def window_similarity(self, a: str, b: str) -> float:
+        """``similarity(a, b)`` from the grams where the texts differ."""
+        la, lb = len(a), len(b)
+        if a == b or la < 3 or lb < 3:
+            return self.similarity(a, b)
+        self.windowed += 1
+        most = min(la, lb)
+        head = bisect_left(range(1, most + 1), True,
+                           key=lambda n: a[:n] != b[:n])
+        tail = bisect_left(range(1, most - head + 1), True,
+                           key=lambda n: a[la - n:] != b[lb - n:])
+        lo, hi = max(head - 2, 0), max(tail, 2)
+        wa = Counter([a[i:i + 3] for i in range(lo, la - hi)])
+        wb = Counter([b[i:i + 3] for i in range(lo, lb - hi)])
+        shared = la - 2 - wa.total() + (wa & wb).total()
+        return 2.0 * shared / (la + lb - 4)
 
     def _profile(self, text: str) -> tuple[int, int]:
         """text's (mask, size), kept for the merge."""
@@ -121,12 +142,14 @@ class Scorer:
                                                           self.print_memo)
         return text
 
-    def expect_match(self, ga: EntityGraph, gb: EntityGraph) -> None:
+    def expect_match(self, ga: EntityGraph, gb: EntityGraph) -> int:
         """Declares that ga and gb will be matched: each may then be asked
-        for the context of every entity whose id the other lacks."""
-        for g, other in ((ga, gb), (gb, ga)):
-            self._unmatched.setdefault(g, set()).update(
-                g.entities.keys() - other.entities.keys())
+        for the context of every entity whose id the other lacks.  Returns
+        how many ga ids gb lacks."""
+        for g, other in ((gb, ga), (ga, gb)):
+            lacking = g.entities.keys() - other.entities.keys()
+            self._unmatched.setdefault(g, set()).update(lacking)
+        return len(lacking)
 
     def context(self, graph: EntityGraph, entity: Entity) -> str:
         """``entity``'s context string.  The first request in a graph

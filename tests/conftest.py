@@ -109,6 +109,26 @@ def scored_pairs(monkeypatch) -> list[tuple[str, str, float]]:
     return calls
 
 
+def reference_match_pairs(ga, gb) -> list[tuple[str, str]]:
+    """Each (text, text) pair the reference greedy of
+    ``reference_similarity_search`` scores to match ga with gb: every
+    body and context pair of every candidate it weighs, in call order."""
+    import reference_similarity_search as ref
+    pairs: list[tuple[str, str]] = []
+    score = ref.profile_similarity
+
+    def recorded(a, b) -> float:
+        pairs.append((a[0], b[0]))
+        return score(a, b)
+
+    ref.profile_similarity = recorded
+    try:
+        ref.match_graphs(ga, gb)
+    finally:
+        ref.profile_similarity = score
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Random program generation.  Deliberately restricted to constructs the
 # corpus itself exercises; identifiers come from fixed pools so repeated

@@ -227,6 +227,30 @@ def test_unreadable_source_exits_2_naming_the_file(tmp_path, capsys, shape,
     assert err == f"read error: {bad}: {cause}\n"
 
 
+@pytest.mark.parametrize("shape", ["fifo", "dev-zero", "dev-null"])
+def test_a_source_that_is_not_a_regular_file_exits_2_at_once(tmp_path,
+                                                              shape):
+    # a FIFO would block the open, and /dev/zero never ends; each command
+    # runs in a child process under a timeout, so a hang fails the test
+    good = b"package p;\n\npublic class A {\n}\n"
+    _write_legs(tmp_path, {"base": {"A.java": good},
+                           "left": {"A.java": good},
+                           "right": {"A.java": good}})
+    bad = tmp_path / "left" / "F.java"
+    if shape == "fifo":
+        os.mkfifo(bad)
+    else:
+        bad.symlink_to("/dev/" + shape.split("-")[1])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for cmd in ("merge", "detect", "resolve"):
+        done = subprocess.run(
+            [sys.executable, "-m", "mergeweaver",
+             *args_for(cmd, scenario=tmp_path)],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 2, cmd
+        assert done.stderr == f"read error: {bad}: not a regular file\n"
+
+
 def test_parse_error_names_the_first_version_that_fails(tmp_path, capsys):
     good = b"package p;\n\npublic class A {\n    int x;\n}\n"
     bad = b"package p;\n\npublic class A {\n    int[] x;\n}\n"

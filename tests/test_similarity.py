@@ -10,13 +10,15 @@ texts profiled while the vocabulary was narrow are scored against texts
 profiled after it grew past one and past sixteen 64-bit words, and every
 pair of texts that either search scores on the merge inputs and the
 generated workloads is checked, with each score the merge's Scorer
-returned for it.
+returned for it.  The graph matcher scores only the pairs its keys and
+composition leave open, so each pair the all-against-all reference greedy
+would score is scored through the merge's Scorer as well.
 """
 
 import itertools
 import random
 
-from conftest import FANOUT, merge_inputs
+from conftest import FANOUT, merge_inputs, reference_match_pairs
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import statement_header_text
@@ -139,9 +141,17 @@ def test_every_pair_either_search_scores_matches_the_reference(
     pairs = 0
     for d in merge_inputs() + generated:
         scored_pairs.clear()
-        scorer = run_scenario(d / "base", d / "left", d / "right") \
-            .fourway.scorer
+        fw = run_scenario(d / "base", d / "left", d / "right").fourway
+        scorer = fw.scorer
         assert scorer.scored == sum(1 for a, b, _ in scored_pairs if a != b), d
+        # the graph matcher scores keyed and composed pairs only, mostly
+        # from their window; the pairs the all-against-all greedy would
+        # score go through the merge's masks here, so wide masks of every
+        # input are still checked
+        for ga, gb in ((fw.base, fw.left), (fw.base, fw.right),
+                       (fw.merged, fw.left), (fw.merged, fw.right)):
+            for a, b in reference_match_pairs(ga, gb):
+                scorer.similarity(a, b)
         scores: dict[tuple[str, str], float] = {}
         for a, b, sim in scored_pairs:
             assert scores.setdefault((a, b), sim) == sim, (d, a, b)

@@ -2,16 +2,23 @@
 
 ``reference_similarity_search`` keeps ``match_graphs`` and
 ``match_context`` as they were before one per-merge Scorer served both,
-with the Counter kernel, a per-call profile memo and a relation scan per
-entity context.  On every corpus scenario and control, the fanout fixture
-and the three ``bench/gen.py`` workloads at seeds 1 and 4242, the four
-graph matches of each merge must give the same match dicts, in the same
-order, and every anchor search of the example strategy must pair the same
-statements with the same scores, sigma and exact count, or raise the same
-NoAnchor message, which names the best score below the bar.  The graph
-matches of package-rename at 48 files, whose vocabulary of thousands of
-tags makes each mask many machine words wide, must match too, and each
-score the merge computed must equal the Counter kernel's.
+with the Counter kernel, a per-call profile memo, a relation scan per
+entity context and the greedy scoring every pair of a bucket.  The graph
+matcher now takes composed and unique-key pairs before it scores the
+rest, which could move a pair where another entity of the bucket scores
+higher with one of them, so each match counts the ids the reference pairs
+otherwise (moved) and must be one to one.  On every corpus scenario and
+control, the fanout fixture, the three ``bench/gen.py`` workloads at
+seeds 1 and 4242 and the seeded mutations of the unit-facts test, no pair
+may move, and the four graph matches of each merge must give the same
+match dicts, in the same order; every anchor search of the example
+strategy must pair the same statements with the same scores, sigma and
+exact count, or raise the same NoAnchor message, which names the best
+score below the bar.  The graph matches of package-rename at 48 files,
+whose vocabulary of thousands of tags makes each mask many machine words
+wide, must match too, and each score the merge computed, and each the
+reference greedy would compute, scored through the merge's masks, must
+equal the Counter kernel's.
 
 The context strings of a merge come from one relation scan per graph;
 they must equal the per-entity scan for every entity they cover, including
@@ -23,6 +30,7 @@ in one process give what fresh processes give.
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -30,17 +38,19 @@ from collections import Counter
 import pytest
 
 import reference_similarity_search as ref
+import test_unit_facts as mutations
 from conftest import (GENERATED, ROOT, bench_gen, merge_inputs,
-                      parse_snippet, run_corpus)
+                      parse_snippet, reference_match_pairs, run_corpus)
 from mergeweaver import graph_diff, matching, similarity
 from mergeweaver.conflicts import detect_conflicts
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.inference import NoRelevantEdit, infer_pattern
 from mergeweaver.matching import (MergedMember, NoAnchor, _merged_member,
                                   match_context)
-from mergeweaver.merge3 import merge_scenario
+from mergeweaver.merge3 import (TextualConflict, merge_scenario, merge_texts,
+                                parse_versions)
 from mergeweaver.mining import mine_examples
-from mergeweaver.peg import EntityGraph
+from mergeweaver.peg import DuplicateEntity, EntityGraph
 from mergeweaver.pipeline import report_to_dict, run_scenario
 from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import SyntaxTree
@@ -64,14 +74,52 @@ def _graph_matches(fw):
             (fw.cap_right, fw.merged, fw.right))
 
 
+def _moved(got: dict, ga, gb) -> int:
+    """The ga ids the reference greedy pairs otherwise than ``got`` does,
+    after asserting that ``got`` is one to one and, when none is, that it
+    holds the reference's pairs in the reference's order."""
+    want = ref.match_graphs(ga, gb)
+    assert len(set(got.values())) == len(got)
+    moved = sum(1 for a in got.keys() | want.keys() if got.get(a) != want.get(a))
+    if not moved:
+        assert list(got.items()) == list(want.items())
+    return moved
+
+
 def test_graph_matches_equal_the_reference(merges):
     by_similarity = 0
     for name, fw in merges:
         for got, ga, gb in _graph_matches(fw):
-            assert list(got.items()) \
-                == list(ref.match_graphs(ga, gb).items()), name
+            assert _moved(got, ga, gb) == 0, name
             by_similarity += sum(1 for a, b in got.items() if a != b)
     assert by_similarity >= 100
+
+
+def test_graph_matches_of_seeded_mutations_equal_the_reference():
+    # the seeded mutations of the unit-facts test: renamed, moved,
+    # duplicated and retyped types and members, edited bodies and heads
+    moved = by_similarity = merges = 0
+    for seed in range(240):
+        rng = random.Random(seed)
+        base = mutations.base_project(rng)
+        left = mutations._mutant(rng, base, set())
+        right = mutations._mutant(rng, base, set()) if rng.random() < 0.6 \
+            else base
+        b, l, r = (mutations._texts(v) for v in (base, left, right))
+        try:
+            am = merge_texts(b, l, r)
+        except TextualConflict:
+            am = l
+        try:
+            fw = build_fourway(parse_versions(b, l, r, am))
+        except DuplicateEntity:
+            continue
+        merges += 1
+        for got, ga, gb in _graph_matches(fw):
+            moved += _moved(got, ga, gb)
+            by_similarity += sum(1 for a, b in got.items() if a != b)
+    assert merges >= 150 and by_similarity >= 100
+    assert moved == 0
 
 
 def test_a_wide_vocabulary_matches_as_the_reference(tmp_path, scored_pairs):
@@ -79,10 +127,13 @@ def test_a_wide_vocabulary_matches_as_the_reference(tmp_path, scored_pairs):
         bench_gen.generate("package-rename", 1, files=48), tmp_path)
     fw = build_fourway(merge_scenario(tmp_path / "base", tmp_path / "left",
                                       tmp_path / "right"))
+    for got, ga, gb in _graph_matches(fw):
+        assert _moved(got, ga, gb) == 0
+        # the pairs the reference greedy scores, through the merge's masks
+        for a, b in reference_match_pairs(ga, gb):
+            fw.scorer.similarity(a, b)
     # more than sixty-four 64-bit words per full-width mask
     assert fw.scorer.grams > 64 * 64
-    for got, ga, gb in _graph_matches(fw):
-        assert list(got.items()) == list(ref.match_graphs(ga, gb).items())
     for a, b, sim in set(scored_pairs):
         assert sim == ref.profile_similarity(ref.profile(a), ref.profile(b))
     assert fw.scorer.scored > 9000

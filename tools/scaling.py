@@ -6,10 +6,12 @@ Each workload is generated by bench/gen.py (imported, not modified) at a
 range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best
 of the N runs of every stage in ``Report.timings_ms``; the scores of
-text pairs the merge's similarity scorer computed (``pairs``, a count
-that host noise cannot move; the scorer keeps no scores, so a pair
-scored again, in a later round of a graph match or by another anchor
-search, counts again); the member- and statement-level subtrees the merge's
+text pairs the merge's similarity scorer computed from masks (``pairs``,
+a count that host noise cannot move; the scorer keeps no scores, so a
+pair scored again, in a later round of a graph match or by another anchor
+search, counts again) and those it computed from the window where the
+texts differ (``windowed``, see ``Scorer.window_similarity``: the keyed
+and composed pairs of the graph matcher, also a count); the member- and statement-level subtrees the merge's
 print memo rendered (``printed``) and those it read from the memo instead
 (``reused``; see ``printer.PrintMemo``), both counts, and of those the
 reads per resolution made while resolving (``reused/res``, counted
@@ -81,8 +83,8 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "printed", "reused", "reused/res", "named",
-                    "grams",
+COLUMNS = STAGES + ("pairs", "windowed", "printed", "reused", "reused/res",
+                    "named", "grams",
                     "deferred", "indexed", "positioned", "recognized",
                     "built", "diff", "host_nodes", "read", "scan",
                     "rescanned", "parse", "tokens", "nodes", "ref_ms")
@@ -200,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
                 best["pairs"] = run.fourway.scorer.scored
+                best["windowed"] = run.fourway.scorer.windowed
                 best["printed"] = run.fourway.scorer.print_memo.printed
                 best["reused"] = run.fourway.scorer.print_memo.reused
                 best["reused/res"] = resolve_reads(out)
