@@ -31,7 +31,9 @@ walk (``tree_diff.kind_pairs``) maps each matched pattern statement onto
 its merged partner, and the ops whose governing pattern statement was
 matched are replayed through tree_diff.apply_op with that mapping (fresh
 ids for adds, clamped indices).  An op the mapping cannot place is
-skipped and makes the result partial.
+skipped and makes the result partial.  A clone that no longer prints (a
+skipped op left a node it was to fill short of a child) yields no
+resolution, and the next ranked candidate is tried.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .merge3 import MergeScenario
 from .mining import mine_examples
 from .graph_diff import FourWayGraph
 from .peg import Entity
-from .printer import PrintMemo, statement_header_text
+from .printer import MalformedTree, PrintMemo, statement_header_text
 from .similarity import Scorer, trigrams
 from .syntax import (STATEMENT_KINDS, SourceFile, SyntaxNode, SyntaxTree,
                      last_node)
@@ -271,11 +273,15 @@ def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
         if stmt is None or stmt.id not in covered:
             partial = True
 
+    try:
+        text = memo.print(work.root, am_file.tree.owns)
+    except MalformedTree:
+        return None
     return Resolution(
         strategy="example",
         conflict=conflict,
         path=am_file.path,
-        text=memo.print(work.root, am_file.tree.owns),
+        text=text,
         partial=partial,
         source_host=pattern.example.host,
         sigma=match_set.sigma,

@@ -60,18 +60,16 @@ parser reads one token ahead by index without a bound check.
 No position is computed while a file parses.  A node keeps the range of
 tokens it covers and the file's ``TokenPositions``; its ``span`` is
 resolved on first read (see ``syntax.SyntaxNode``) from a position table
-that ``scan_positions`` builds once per file from (skip run, token)
-pairs of the same grammar: the line and column of every token, from the
-newlines of the skip runs and literals before it.  The errors compute
-positions the same way: a ParseError of the parser builds its file's
-table to name the line and column of the offending token, and a text
-that ``scan`` cannot read on its own (a character of no token class, an
-unterminated comment or literal, or a number led by a non-ASCII digit
-such as "²", which needs its offset to be split) is read again by
-``scan_positions``, which raises the error at its position or splits the
-number.  A file whose
-nodes nobody asks a span of therefore costs its scan and its grammar
-only.
+that ``scan_positions`` builds once per file: it keeps the offset of each
+``_TOKEN_RE`` match and turns the ascending offsets into lines and columns
+in one pass.  ``_rare_kind`` is both scanners' rule for the heads the
+table does not decide.  A text with a token that only its offset decides
+(a character of no token class, an unterminated comment or literal, or a
+number led by a non-ASCII digit such as "²", which needs its offset to be
+split) is read again by ``scan_positions``, which raises the error at its
+position or splits the number.  A ParseError of the parser builds its
+file's table to name the line and column of the offending token, so a
+file whose nodes nobody asks a span of costs its scan and grammar only.
 
 A local variable declaration is told from an expression statement by a
 probe that reads a type and a name; a probe whose type arguments run to
@@ -125,12 +123,11 @@ _TIER = {op: tier for tier, ops in enumerate([
     ["*", "/", "%"],
 ]) for op in ops}
 
-# The token grammar, one text compiled twice: _TOKEN_RE yields the token
-# texts alone, _PAIR_RE (skip run, token) pairs for scan_positions.  The
-# skip run is possessive, so a token that fails never makes the engine
-# re-read "/* a */ # /* b */" as one longer comment.  The matches tile the
-# text, so findall never jumps over a character, and the first empty token
-# is the end of the text (one ending in a skip run matches \Z twice).  A
+# The token grammar: a skip run, then one token in group 1.  The skip run
+# is possessive, so a token that fails never makes the engine re-read
+# "/* a */ # /* b */" as one longer comment.  The matches tile the text,
+# so findall never jumps over a character, and the first empty token is
+# the end of the text (one ending in a skip run matches \Z twice).  A
 # closed literal that fails reads its text once before '["'].*' reads it
 # to the end; "." takes the other texts that are no token (a lone "|" or
 # "&", a character of no token class).  An ASCII identifier takes the
@@ -138,7 +135,7 @@ _TIER = {op: tier for tier, ops in enumerate([
 # character follows it.  \w and str.isalnum agree on every character, so
 # the classes follow the isalpha/isdigit/isalnum rules of the subset
 # except for characters that are \w but neither letters nor decimal digits
-# (such as "²"), which scan() sorts out by hand.
+# (such as "²"), which scan_positions sorts out by hand.
 _SKIP = r"(?:[ \t\r\n]++|//[^\n]*+|/\*.*?\*/)*+"
 _TOKEN = (r"[A-Za-z_$][A-Za-z0-9_$]*+(?![^\x00-\x7f])"
           r"|\|\||&&|==|!=|<=|>=|/\*.*|[{}()\[\];,.@:=<>+\-*/%!?]"
@@ -147,13 +144,12 @@ _TOKEN = (r"[A-Za-z_$][A-Za-z0-9_$]*+(?![^\x00-\x7f])"
           r'|"(?:[^"\\]|\\.)*+"|\'(?:[^\'\\]|\\.)*+\'|["\'].*'
           r"|.|\Z")
 _TOKEN_RE = re.compile(f"{_SKIP}({_TOKEN})", re.DOTALL)
-_PAIR_RE = re.compile(f"({_SKIP})({_TOKEN})", re.DOTALL)
 
 
 class _Kinds(dict):
     """Token kinds by first character.  A head that decides no kind maps
     to ``_RARE``: "/" (or "/*"), "|" ("||"), "&" ("&&"), quotes and
-    non-ASCII characters, which scan() sorts out."""
+    non-ASCII characters, which ``_rare_kind`` sorts out."""
 
     def __missing__(self, head: str) -> str:
         return _RARE
@@ -214,9 +210,9 @@ def scan(path: str, text: str) -> Tokens:
     """Kinds and texts of the tokens of ``text``, each list ending in
     ``_EOF_PAD`` copies of an eof token; no positions.
 
-    A text with a token the loop cannot sort out without its offset (see
-    the module docstring) is scanned again by ``scan_positions``, which
-    raises the same ParseError it would or returns the same tokens.
+    A text with a token whose kind only its offset decides (see
+    ``_rare_kind``) is scanned again by ``scan_positions``, which raises
+    the same ParseError it would or returns the same tokens.
     """
     texts = _TOKEN_RE.findall(text)
     # drop the empty tokens: \Z matches once, or twice after a skip run
@@ -227,18 +223,26 @@ def scan(path: str, text: str) -> Tokens:
     at = 0
     for _ in range(kinds.count(_RARE)):
         at = kinds.index(_RARE, at)
-        tok = texts[at]
-        head = tok[0]
-        if tok in ("/", "||", "&&"):
-            kinds[at] = "punct"
-        # only the last token can be a literal left open
-        elif head in "\"'" and (texts[at + 1] or _closed(tok)):
-            kinds[at] = "string" if head == '"' else "char"
-        elif head.isalpha():            # a non-ASCII letter
-            kinds[at] = "ident"
-        else:
+        kind = _rare_kind(texts[at], not texts[at + 1])
+        if kind is None:
             return scan_positions(path, text)[:2]
+        kinds[at] = kind
     return kinds, texts
+
+
+def _rare_kind(tok: str, last: bool) -> Optional[str]:
+    """The kind of a token whose head decides none, ``last`` false only
+    if text follows it; None if only its offset decides (see the module
+    docstring)."""
+    if tok in ("/", "||", "&&"):
+        return "punct"
+    head = tok[0]
+    # a literal left open runs to the end of the text
+    if head in "\"'" and (not last or _closed(tok)):
+        return "string" if head == '"' else "char"
+    if head.isalpha():              # a non-ASCII letter
+        return "ident"
+    return None
 
 
 def _closed(literal: str) -> bool:
@@ -258,69 +262,50 @@ def scan_positions(path: str, text: str) -> Scan:
     """
     kinds: list[str] = []
     texts: list[str] = []
-    lines: list[int] = []
-    cols: list[int] = []
-    kind_of = _KIND_OF.get
-    pos = 0             # index of the next character to read
-    line = 1
-    line_start = 0      # index of the first character of ``line``
-    pairs = _PAIR_RE.findall(text)
+    starts: list[int] = []
+    match = _TOKEN_RE.match
+    pos = 0
     while True:
-        for skip, tok in pairs:
-            # only skip runs and string or char tokens hold newlines
-            if skip:
-                nl = skip.count("\n")
-                if nl:
-                    line += nl
-                    line_start = pos + skip.rfind("\n") + 1
-                pos += len(skip)
-            kind = kind_of(tok[:1])
-            if kind is not None:
-                kinds.append(kind)
-                texts.append(tok)
-                lines.append(line)
-                cols.append(pos - line_start + 1)
-                pos += len(tok)
-                continue
-            col = pos - line_start + 1
-            if not tok:
-                kinds += ["eof"] * _EOF_PAD
-                texts += [""] * _EOF_PAD
-                lines += [line] * _EOF_PAD
-                cols += [col] * _EOF_PAD
-                return kinds, texts, lines, cols
-            head = tok[0]
-            stop = pos + len(tok)       # where the match ended
-            if tok in ("/", "||", "&&"):
-                kind = "punct"
-            elif head in "\"'" and (stop < len(text) or _closed(tok)):
-                kind = "string" if head == '"' else "char"
-            elif head.isalpha():        # a non-ASCII letter
-                kind = "ident"
-            elif head.isdigit():
+        m = match(text, pos)        # never fails: the grammar ends in \Z
+        tok = m[1]
+        at, pos = m.span(1)
+        if not tok:
+            break
+        kind = _KIND_OF[tok[0]]
+        if kind == _RARE:
+            kind = _rare_kind(tok, pos == len(text))
+            if kind is None:
+                head = tok[0]
+                if not head.isdigit():
+                    (line,), (col,) = _lines_cols(text, [at])
+                    raise ParseError(path, line, col, _UNTERMINATED.get(
+                        head, f"unexpected character {head!r}"))
                 # a non-ASCII digit such as "٣" or "²"; "²" is \w but no
                 # decimal digit, so its match took an identifier's tail
                 kind = "number"
-                tok = text[pos:_NUMBER_TAIL.match(text, pos + 1).end()]
-            else:
-                # unclosed comment or literal, or a character of no class
-                raise ParseError(path, line, col, _UNTERMINATED.get(
-                    head, f"unexpected character {head!r}"))
-            kinds.append(kind)
-            texts.append(tok)
-            lines.append(line)
-            cols.append(col)
-            nl = tok.count("\n")
-            if nl:
-                line += nl
-                line_start = pos + tok.rfind("\n") + 1
-            pos += len(tok)
-            if pos != stop:
-                # the number ends elsewhere than its match: match again
-                # from its end, lazily, so that a restart costs only the
-                # tokens it reads
-                pairs = map(re.Match.groups, _PAIR_RE.finditer(text, pos))
-                break
+                pos = _NUMBER_TAIL.match(text, at + 1).end()
+                tok = text[at:pos]
+        kinds.append(kind)
+        texts.append(tok)
+        starts.append(at)
+    lines, cols = _lines_cols(text, starts + [at] * _EOF_PAD)
+    return kinds + ["eof"] * _EOF_PAD, texts + [""] * _EOF_PAD, lines, cols
+
+
+def _lines_cols(text: str, offsets: list[int]) -> tuple[list[int], list[int]]:
+    """The lines and columns of the ascending ``offsets`` into ``text``."""
+    lines: list[int] = []
+    cols: list[int] = []
+    line, line_start, prev = 1, 0, 0    # line_start: where ``line`` starts
+    for at in offsets:
+        nl = text.count("\n", prev, at)
+        if nl:
+            line += nl
+            line_start = text.rfind("\n", prev, at) + 1
+        lines.append(line)
+        cols.append(at - line_start + 1)
+        prev = at
+    return lines, cols
 
 
 class TokenPositions:

@@ -19,6 +19,7 @@ class Report:
     scenario: str
     conflicts: list[Conflict] = field(default_factory=list)
     resolutions: list[Resolution] = field(default_factory=list)
+    # CPU milliseconds of each stage and of the whole run
     timings_ms: dict[str, float] = field(default_factory=dict)
 
 
@@ -40,21 +41,21 @@ def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
     name = scenario_id or Path(base_dir).resolve().parent.name
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     scenario = merge_scenario(base_dir, left_dir, right_dir)
-    t1 = time.perf_counter()
+    t1 = time.process_time()
     timings["merge"] = (t1 - t0) * 1000.0
 
     fw = build_fourway(scenario)
-    t2 = time.perf_counter()
+    t2 = time.process_time()
     timings["graphs"] = (t2 - t1) * 1000.0
 
     conflicts = detect_conflicts(fw)
-    t3 = time.perf_counter()
+    t3 = time.process_time()
     timings["detect"] = (t3 - t2) * 1000.0
 
     resolutions = resolve_conflicts(fw, conflicts, scenario)
-    t4 = time.perf_counter()
+    t4 = time.process_time()
     timings["resolve"] = (t4 - t3) * 1000.0
     timings["total"] = (t4 - t0) * 1000.0
 

@@ -31,6 +31,9 @@ _MEMBER_KINDS = TYPE_DECL_KINDS | {"FieldDecl", "MethodDecl",
 # the kinds whose depth-0 text a PrintMemo keeps, and its reader of them
 _MEMO_KINDS = _MEMBER_KINDS | STATEMENT_KINDS
 _Reader = Callable[[SyntaxNode], str]
+# the fewest children an expression of each kind prints
+_OPERANDS = {"MethodInvocation": 1, "FieldAccess": 1, "ObjectCreation": 2,
+             "BinaryExpr": 2, "Assignment": 2, "CastExpr": 2}
 
 
 class MalformedTree(Exception):
@@ -222,6 +225,8 @@ def _expr(node: SyntaxNode, depth: int) -> str:
     k = node.kind
     if k == "Name" or k == "Literal" or k == "TypeRef":
         return node.value
+    if len(node.children) < _OPERANDS.get(k, 0):
+        raise MalformedTree(node, f"{k} without an operand")
     if k == "MethodInvocation":
         args = node.children[-1]
         if args.kind != "ArgumentList":

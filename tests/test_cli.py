@@ -401,6 +401,28 @@ def test_a_long_else_if_chain_parses_and_resolves(tmp_path, capsys):
         assert "rule" in {r["strategy"] for r in doc["resolutions"]}, arms
 
 
+def test_a_partly_applied_example_pattern_yields_no_resolution(tmp_path,
+                                                               capsys):
+    # the example adds a cast around read() in store's argument; the merged
+    # argument is already a cast, so the op that moves read() under the new
+    # cast finds no place and leaves a cast of one child, which no longer
+    # prints: the candidate yields nothing instead of a traceback
+    base = ("class Meter {\n    int read() {\n        return 0;\n    }\n\n"
+            "    void sample() {\n        store(read());\n    }\n\n"
+            "    void store(int v) {\n    }\n}\n")
+    left = base.replace("int read()", "long read()") \
+        .replace("store(read());", "store((int) read());")
+    right = base.replace("    }\n}\n", "    }\n\n    void log() {\n"
+                         "        store((int) read());\n    }\n}\n")
+    _write_legs(tmp_path, {leg: {"Meter.java": text.encode()} for leg, text
+                           in (("base", base), ("left", left),
+                               ("right", right))})
+    assert main(args_for("resolve", scenario=tmp_path, no_timing=True)) == 0
+    out, err = capsys.readouterr()
+    assert [c["type"] for c in json.loads(out)["conflicts"]] == ["C22"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("member, message", [
     ("void f(int a int b) { }", "4:18: expected ',' or ')' but found 'int'"),
     ("void f() { g(a b); }", "4:20: expected ',' or ')' but found 'b'"),

@@ -5,8 +5,9 @@ here as an oracle, and ``reference_frontend.scan`` the scanner that
 matched one token per regex call before the scan took one ``findall`` per
 text.  ``scan`` now takes the token texts alone from one ``findall`` and
 their kinds from a table keyed by first character, leaving the few heads
-the table cannot decide to a rule each; ``scan_positions`` reads
-(skip run, token) pairs of the same grammar.  On every input
+the table cannot decide to one rule; ``scan_positions`` matches the same
+grammar one token at a time, reads kinds through the same table and rule,
+and turns the tokens' offsets into lines and columns.  On every input
 ``reference_parser.tokenize``, the token-object view of
 ``scan_positions``, must agree with the first on every token (kind,
 text, line, column), ``scan_positions`` with the second on all four
@@ -193,6 +194,8 @@ def test_generated_workloads(workload, seed):
     "a // d", "a /* b */", "a\n", "a;\n\n", "²_a ².5 ².a_b ²$", "a | b & c",
     '"a\nb" c\n\'\n\' d', "a\r\n/* x\n */ b",
     '"\\' * 3, "/* " * 3, "'\\" * 3, 'a "b\\\\" "c\\"', "'\\\\'",
+    # a split number, then later lines: a literal across lines, an error
+    '²\n x\n"open', 'a\n ²b.c\n\t"s\nt" ²\n  /*', '"a\nb" ²\r\né #',
 ])
 def test_edge_cases(text):
     assert_same(text)

@@ -34,10 +34,8 @@ times to diff the mined hosts of the merge
 again (``diff``) and the nodes of those hosts' before trees
 (``host_nodes``); the best of N times to read the three input trees
 (``read``), and to ``scan`` and to ``parse_unit`` each distinct (path,
-text) pair of the three versions, with the texts ``scan`` handed to
-``scan_positions`` (``rescanned``, a count of the fallback that gives
-the same tokens at a higher cost, 0 on all three workloads) and the
-tokens and nodes of those parses; and last ``ref_ms``, the best of N times of the reference job of
+text) pair of the three versions, with the tokens and nodes of those
+parses; and last ``ref_ms``, the best of N times of the reference job of
 bench/calib.py (imported, not modified), each timed right before one of
 the N runs, so that the host's drift within a row reaches both, and with
 no earlier run's merge held, so that the job's own garbage collections
@@ -47,10 +45,11 @@ scan none of its trees:
 * package-rename at 24, 48, 96 and 192 files;
 * rename-fanout at 16, 32, 64 and 128 hub methods.
 
-Every time is CPU time of this process (``time.process_time``) in
-milliseconds.  The host's speed drifts, and the reference job drifts with
-it, so compare a cell divided by its row's ``ref_ms``, as bench/run.py's
-``run_rel`` does, not the cell across runs.  The largest sizes take tens
+Every time is CPU time of this process (``time.process_time``, the
+clock ``run_scenario`` times its stages with) in milliseconds.  The
+host's speed drifts, and the reference job drifts with it, so compare a
+cell divided by its row's ``ref_ms``, as bench/run.py's ``run_rel``
+does, not the cell across runs.  The largest sizes take tens
 of seconds each; ``--workload`` runs one.
 """
 
@@ -61,8 +60,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from types import SimpleNamespace
-from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -70,7 +67,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import calib  # noqa: E402
 import gen  # noqa: E402
-from mergeweaver import parser, pipeline  # noqa: E402
+from mergeweaver import pipeline  # noqa: E402
 from mergeweaver.merge3 import _read_tree  # noqa: E402
 from mergeweaver.parser import parse_unit, scan, token_texts  # noqa: E402
 from mergeweaver.pipeline import ScenarioRun, run_scenario  # noqa: E402
@@ -87,7 +84,7 @@ COLUMNS = STAGES + ("pairs", "windowed", "printed", "reused", "reused/res",
                     "named", "grams",
                     "deferred", "indexed", "positioned", "recognized",
                     "built", "diff", "host_nodes", "read", "scan",
-                    "rescanned", "parse", "tokens", "nodes", "ref_ms")
+                    "parse", "tokens", "nodes", "ref_ms")
 
 
 def best_ms(repeat: int, job) -> float:
@@ -98,6 +95,17 @@ def best_ms(repeat: int, job) -> float:
         job()
         best = min(best, time.process_time() - start)
     return best * 1000
+
+
+def run_columns(run: ScenarioRun) -> dict[str, float]:
+    """The counts the merge's scorer, print memo and graphs kept."""
+    fw = run.fourway
+    return {"pairs": fw.scorer.scored, "windowed": fw.scorer.windowed,
+            "printed": fw.scorer.print_memo.printed,
+            "reused": fw.scorer.print_memo.reused,
+            "named": len(fw.named), "grams": fw.scorer.grams,
+            # every version holds the units whose bodies it deferred
+            "deferred": len(fw.base.deferred)}
 
 
 def lazy_columns(run: ScenarioRun) -> dict[str, float]:
@@ -144,19 +152,13 @@ def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
 def front_end_columns(out: Path, repeat: int) -> dict[str, float]:
     """Best-of-``repeat`` ms to read the three trees under ``out``, and to
     scan and to parse every distinct (path, text) pair of them, with the
-    texts the scan handed to ``scan_positions`` and the tokens and nodes
-    of those parses."""
+    tokens and nodes of those parses."""
     dirs = [out / version for version in ("base", "left", "right")]
     pairs = sorted({pair for d in dirs for pair in _read_tree(d).items()})
     files = [parse_unit(path, text) for path, text in pairs]
-    with mock.patch.object(parser, "scan_positions",
-                           wraps=parser.scan_positions) as rescan:
-        for pair in pairs:
-            scan(*pair)
     return {
         "read": best_ms(repeat, lambda: [_read_tree(d) for d in dirs]),
         "scan": best_ms(repeat, lambda: [scan(*pair) for pair in pairs]),
-        "rescanned": rescan.call_count,
         "parse": best_ms(repeat,
                          lambda: [parse_unit(*pair) for pair in pairs]),
         "tokens": sum(len(token_texts(text)) for _path, text in pairs),
@@ -179,10 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     print("| workload | size | " + " | ".join(COLUMNS) + " |")
     print("| --- | --- |" + " --- |" * len(COLUMNS))
     calib.warm_up()
-    # run_scenario's stage timings, read from the CPU clock
-    cpu_clock = SimpleNamespace(perf_counter=time.process_time)
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(pipeline, "time", cpu_clock):
+    with tempfile.TemporaryDirectory() as tmp:
         for workload, param, sizes in SIZES:
             if args.workload and workload != args.workload:
                 continue
@@ -201,15 +200,8 @@ def main(argv: list[str] | None = None) -> int:
                     for stage in STAGES:
                         best[stage] = min(best.get(stage, timings[stage]),
                                           timings[stage])
-                best["pairs"] = run.fourway.scorer.scored
-                best["windowed"] = run.fourway.scorer.windowed
-                best["printed"] = run.fourway.scorer.print_memo.printed
-                best["reused"] = run.fourway.scorer.print_memo.reused
+                best.update(run_columns(run))
                 best["reused/res"] = resolve_reads(out)
-                best["named"] = len(run.fourway.named)
-                best["grams"] = run.fourway.scorer.grams
-                # every version holds the units whose bodies it deferred
-                best["deferred"] = len(run.fourway.base.deferred)
                 best.update(lazy_columns(run))
                 best.update(diff_columns(run, args.repeat))
                 best.update(front_end_columns(out, args.repeat))
