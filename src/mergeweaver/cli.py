@@ -8,7 +8,9 @@ Exit codes, each failure with a one-line message on stderr:
   with a "conflicts" list), or when it lacks an entry;
 * 2 when a source or expected file fails to parse, cannot be read (a
   directory or a dangling symlink named ``B.java``, say) or is not valid
-  UTF-8, and for bad command line arguments (argparse also prints usage);
+  UTF-8, when a source tree or a directory below it cannot be listed (an
+  ``eval`` scenario without ``left/``, say), and for bad command line
+  arguments (argparse also prints usage);
 * 3 when the textual merge itself conflicts;
 * 4 when one version declares the same entity twice, for example when
   both branches add a class of the same name;
@@ -133,10 +135,8 @@ def _run(args: argparse.Namespace) -> ScenarioRun:
     _trace(args.trace,
            f"{len(run.report.conflicts)} conflict(s), "
            f"{len(run.report.resolutions)} resolution(s)")
-    scorer = run.fourway.scorer
     _trace(args.trace,
-           f"similarity: {scorer.profiled} text(s) profiled, "
-           f"{scorer.grams} gram(s), {scorer.scored} pair(s) scored")
+           f"similarity: {run.fourway.scorer.scored} pair(s) scored")
     return run
 
 

@@ -13,10 +13,11 @@ that clear the bar: composed ones (``via``: through the other branch's
 match, back to base by its delta's ``inverse`` and on by this delta;
 ``build_fourway`` matches directly the branch lacking fewer merged ids),
 then those of a key held once on each side, a unit's or type's simple
-name or a member's signature and name-masked declaration, whose bodies
-score from the window where they differ.  They join the round's ranking,
-so where the greedy takes the same pairs the match is the same dict in
-the same order.  All score through the merge's Scorer (``similarity``).
+name or a member's signature and name-masked declaration.  They join
+the round's ranking, so where the greedy takes the same pairs the match
+is the same dict in the same order.  All score through the merge's
+Scorer (``similarity``), each pair from the window where its two texts
+differ.
 
 A delta lists entity edits (add, delete, update with a rename,
 signature-change or body-change detail) and relation edits computed modulo
@@ -151,12 +152,10 @@ def _score_bucket(ga: EntityGraph, gb: EntityGraph, ents: list, bucket: list,
     keys_b = {other: _key(gb, other, scorer) for other in bucket}
 
     def clears(ent: Entity, other: Entity) -> bool:
-        a, b = scorer.body_text(ga, ent), scorer.body_text(gb, other)
-        key = keys_a[ent]
-        body = scorer.window_similarity(a, b) if key is not None \
-            and key == keys_b[other] else scorer.similarity(a, b)
-        sim = 0.5 * body + 0.5 * scorer.similarity(
-            scorer.context(ga, ent), scorer.context(gb, other))
+        sim = 0.5 * scorer.similarity(scorer.body_text(ga, ent),
+                                      scorer.body_text(gb, other)) \
+            + 0.5 * scorer.similarity(scorer.context(ga, ent),
+                                      scorer.context(gb, other))
         if sim >= MATCH_THRESHOLD:
             candidates.append((sim, ent, other))
         return sim >= MATCH_THRESHOLD

@@ -12,9 +12,9 @@ same merged member, scans the same statements.  So each merged member is
 indexed once per merge: its tree, its statements, their header texts
 (printed through the merge's PrintMemo, see ``printer``) and the first
 position of each (kind, header gram multiset) make a MergedMember, kept
-in ``FourWayGraph.members``.  The searches score
-through the merge's Scorer (see ``similarity``), so a header is profiled,
-and a pair of headers scored, once per merge however many patterns ask.
+in ``FourWayGraph.members``, so a header is printed once per merge
+however many patterns ask.  The searches score through the merge's
+Scorer (see ``similarity``), a pair asked again scored again.
 The member memo is sound because nothing edits a merged tree: application
 below and the rules write copy-on-write clones, which never write a node
 they share.

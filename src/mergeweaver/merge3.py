@@ -9,14 +9,17 @@ expected to stop instead (exit code 3 at the CLI).
 A tree's source files are the entries below its root whose names end in
 ``.java``, case-sensitively, hidden ones included: the files ``rglob``
 selects.  The walk enters subdirectories but no symlinked directory; a
-symlinked file is read through its link.  Files are read in sorted path
-order, compared by path component.  The first that cannot be read raises
-UnreadableSource: any OSError (a directory or a dangling symlink named
-``B.java``, say) as ``<path>: <cause>``, a FIFO or a device, opened
-without blocking since its read could block or never end, as ``<path>:
-not a regular file``, and a file that is not UTF-8 as ``<path>: not
-valid UTF-8 (byte 0x.. at offset N)``, N counted in bytes from the start
-of the file; exit code 2 at the CLI.
+symlinked file is read through its link.  A tree, or a directory below
+it, that cannot be listed (a scenario without ``left/``, say) raises
+UnreadableSource as ``<path>: <cause>``, so it is never read as empty.
+Files are read in sorted path order, compared by path component.  The
+first that cannot be read raises UnreadableSource: any OSError (a
+directory or a dangling symlink named ``B.java``, say) as ``<path>:
+<cause>``, a FIFO or a device, opened without blocking since its read
+could block or never end, as ``<path>: not a regular file``, and a file
+that is not UTF-8 as ``<path>: not valid UTF-8 (byte 0x.. at offset
+N)``, N counted in bytes from the start of the file; exit code 2 at the
+CLI.
 
 A file is read as bytes, with ``os.open`` and ``os.read`` until the end,
 and then decoded as strict UTF-8 in one call, so a decoding error names
@@ -159,7 +162,7 @@ def _read_tree(root: Path) -> dict[str, str]:
     # rglob's selection: every entry named *.java, a directory too (its
     # open fails below), of every directory walked; os.walk, as rglob,
     # lists a symlinked directory but does not enter it
-    for dirpath, dirnames, filenames in os.walk(top):
+    for dirpath, dirnames, filenames in os.walk(top, onerror=_unlistable):
         prefix = dirpath[cut:] + "/" if len(dirpath) > len(top) else ""
         found += [prefix + name for names in (dirnames, filenames)
                   for name in names if name.endswith(".java")]
@@ -167,6 +170,10 @@ def _read_tree(root: Path) -> dict[str, str]:
     for rel in sorted(found, key=lambda rel: rel.split("/")):
         files[rel] = _read_text(os.path.join(top, rel))
     return files
+
+
+def _unlistable(exc: OSError):
+    raise UnreadableSource(Path(exc.filename), exc) from None
 
 
 def _read_text(path: str) -> str:

@@ -1,48 +1,31 @@
-"""Character trigram similarity, scored once per merge.
+"""Character trigram similarity, counted from the window where texts differ.
 
 Dice coefficient over the multisets of character 3-grams of two texts.
 Strings shorter than three characters contribute themselves as a single
 gram so the metric stays defined (and equal strings always score 1.0).
 
-A text's multiset is read as a set of occurrence-tagged grams: the k-th
-repeat (k >= 1) of a gram is the gram followed by ``str(k)``.  A plain
-gram has three characters, a tagged one at least four and a short text's
-gram at most two, and a tagged gram splits back into its gram and its k,
-so no two occurrences collide.  Two texts then share min(m, n) tags of a
-gram they hold m and n times, so the size of the intersection of their
-tag sets is the size of the multiset intersection.
-
-The kernel is bit-parallel.  Each Scorer interns every tag it meets to a
-dense bit index, its vocabulary, and keeps a profiled text as ``(mask,
-size)``: an ``int`` with the bits of the text's tags set, and the count
-of its grams.  A pair of texts scores ``2.0 * (ma & mb).bit_count() /
-(na + nb)``.  Within one vocabulary a bit stands for exactly one tag, so
-the popcount is the same integer as the multiset intersection, over the
-same total, and the float is the same as the Counter arithmetic gives.
-Which bit a tag gets depends on the order the texts arrive in; no
-popcount does.  A mask is built by setting the bits of a bytearray, one
-per tag, and reading it as an ``int`` once, so it costs O(grams + V/8)
-for a vocabulary of V tags rather than one V-bit OR per gram; an AND
-reads at most V/30 of CPython's 30-bit digits.
-
-Texts equal but for one window share the n_a - |W_a| + |W_a & W_b|
-grams that do not overlap it, for W those that do; ``window_similarity``
-counts them from the window, profiling neither text.
+Two texts equal but for one window share the n_a - |W_a| + |W_a & W_b|
+grams that do not overlap it, for W the grams that do.  So a pair is
+counted from its window alone: the lengths of the equal head and tail
+are found by binary search, and only the grams overlapping what lies
+between them are counted.  Two unrelated texts have the whole text as
+their window.  A text under three characters is one gram of fewer than
+three characters, which no other text holds, so it scores 0.0 against
+any text it does not equal.  These are the integers the multiset
+arithmetic gives, over the same total, so the float is the same.
 
 Both trigram searches of a merge, the entity graph matcher (graph_diff)
 and the anchor search (matching), score through one Scorer, which
-``build_fourway`` keeps on the merge's FourWayGraph.  It profiles each
-text once; a pair costs one AND and one popcount, about what a lookup in
-a memo of pair scores would, so none is kept.  It prints each
-declaration through the merge's PrintMemo (see ``printer``), which
-renders each parsed member and statement once, and builds each graph's
-context strings with one relation scan, made on the first request and
-covering only the entities a match of the merge leaves unmatched by id.
-No context string needs a deferred body's relation (see peg's "Deferred
-bodies"): those join entities every graph holds, which each match pairs
-by id.  The vocabulary, the masks and the memos live as long as the
-merge and no longer; the module holds none, and masks of two Scorers are
-never compared.
+``build_fourway`` keeps on the merge's FourWayGraph.  A score reads only
+its two texts, so nothing is kept per text or per pair.  The Scorer
+prints each declaration through the merge's PrintMemo (see
+``printer``), which renders each parsed member and statement once, and
+builds each graph's context strings with one relation scan, made on the
+first request and covering only the entities a match of the merge
+leaves unmatched by id.  No context string needs a deferred body's
+relation (see peg's "Deferred bodies"): those join entities every graph
+holds, which each match pairs by id.  The memos live as long as the
+merge and no longer; the module holds none.
 """
 
 from __future__ import annotations
@@ -63,76 +46,41 @@ def trigrams(text: str) -> list[str]:
 class Scorer:
     """One merge's trigram scores and the texts they compare.
 
-    ``profiled`` counts the texts profiled, ``scored`` and ``windowed``
-    the scores of unequal texts computed from masks and from a window, a
-    pair asked again counting again; ``grams`` is the vocabulary's size.
+    ``scored`` counts the scores of unequal texts, a pair asked again
+    counting again.
     """
 
     def __init__(self) -> None:
-        # the vocabulary: each occurrence-tagged gram's bit
-        self._vocab: dict[str, int] = {}
-        # each profiled text's (mask, size)
-        self._masks: dict[str, tuple[int, int]] = {}
         # keyed by the entity, which holds its declaration, so no id() in
         # a key can be reused; a package is its own graph's entity.  One
-        # string per body, whose hash a mask lookup computes once
+        # string per body, so the keys and the pairs that read a body join
+        # its printed text once
         self._bodies: dict[Entity, str] = {}
         self.print_memo = PrintMemo()
         self._contexts: dict[EntityGraph, dict[str, str]] = {}
         self._unmatched: dict[EntityGraph, set[str]] = {}
-        self.profiled = self.scored = self.windowed = 0
-
-    @property
-    def grams(self) -> int:
-        """The tags the vocabulary holds: the width of a mask in bits."""
-        return len(self._vocab)
+        self.scored = 0
 
     def similarity(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
         self.scored += 1
-        masks = self._masks
-        ma, na = masks.get(a) or self._profile(a)
-        mb, nb = masks.get(b) or self._profile(b)
-        return 2.0 * (ma & mb).bit_count() / (na + nb)
-
-    def window_similarity(self, a: str, b: str) -> float:
-        """``similarity(a, b)`` from the grams where the texts differ."""
         la, lb = len(a), len(b)
-        if a == b or la < 3 or lb < 3:
-            return self.similarity(a, b)
-        self.windowed += 1
+        if la < 3 or lb < 3:
+            return 0.0
         most = min(la, lb)
         head = bisect_left(range(1, most + 1), True,
                            key=lambda n: a[:n] != b[:n])
         tail = bisect_left(range(1, most - head + 1), True,
                            key=lambda n: a[la - n:] != b[lb - n:])
         lo, hi = max(head - 2, 0), max(tail, 2)
-        wa = Counter([a[i:i + 3] for i in range(lo, la - hi)])
-        wb = Counter([b[i:i + 3] for i in range(lo, lb - hi)])
-        shared = la - 2 - wa.total() + (wa & wb).total()
+        wa, wb = range(lo, la - hi), range(lo, lb - hi)
+        shared = la - 2 - len(wa)
+        # an empty window, as where a context gains a neighbour, shares none
+        if wa and wb:
+            shared += (Counter([a[i:i + 3] for i in wa])
+                       & Counter([b[i:i + 3] for i in wb])).total()
         return 2.0 * shared / (la + lb - 4)
-
-    def _profile(self, text: str) -> tuple[int, int]:
-        """text's (mask, size), kept for the merge."""
-        self.profiled += 1
-        grams = trigrams(text)
-        counts = Counter(grams)
-        vocab = self._vocab
-        intern = vocab.setdefault
-        # each gram adds at most one tag to the vocabulary
-        buf = bytearray((len(vocab) + len(grams) + 7) >> 3)
-        for gram in counts:
-            bit = intern(gram, len(vocab))
-            buf[bit >> 3] |= 1 << (bit & 7)
-        if len(counts) < len(grams):
-            for gram, n in counts.items():
-                if n > 1:
-                    for k in range(1, n):
-                        bit = intern(gram + str(k), len(vocab))
-                        buf[bit >> 3] |= 1 << (bit & 7)
-        got = self._masks[text] = (int.from_bytes(buf, "little"), len(grams))
-        return got
 
     def body_text(self, graph: EntityGraph, entity: Entity) -> str:
         """``graph.body_text(entity)``, printed through the print memo."""

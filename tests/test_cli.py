@@ -163,10 +163,8 @@ def test_resolve_trace_prints_the_similarity_counts(capsys):
              if line.startswith("similarity:")]
     scorer = run_scenario(FANOUT / "base", FANOUT / "left",
                           FANOUT / "right").fourway.scorer
-    assert scorer.profiled and scorer.grams and scorer.scored
-    assert lines == [f"similarity: {scorer.profiled} text(s) profiled, "
-                     f"{scorer.grams} gram(s), "
-                     f"{scorer.scored} pair(s) scored"]
+    assert scorer.scored
+    assert lines == [f"similarity: {scorer.scored} pair(s) scored"]
     # the report does not change with the trace
     assert main(args_for("resolve", scenario=FANOUT, no_timing=True)) == 0
     assert capsys.readouterr().out == traced.out
@@ -300,6 +298,22 @@ def test_a_malformed_expected_file_exits_2_naming_it(tmp_path, capsys, text,
     assert main(["eval", str(tmp_path)]) == 2
     assert capsys.readouterr().err == message.format(path=path) + "\n"
 
+
+
+def test_an_eval_scenario_without_a_branch_tree_exits_2(tmp_path, capsys):
+    # a missing left/ once read as a left deleting every file, and the
+    # scenario reported a spurious C17 with coverage 0.5
+    scenario = CORPUS / "rule-c01"
+    shutil.copytree(scenario, tmp_path / scenario.name)
+    key = json.loads((CORPUS / "golden_key.json").read_text())
+    (tmp_path / "golden_key.json").write_text(
+        json.dumps({scenario.name: key[scenario.name]}))
+    left = tmp_path / scenario.name / "left"
+    shutil.rmtree(left)
+    assert main(["eval", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"read error: {left}: No such file or directory\n"
+    assert captured.out == ""
 
 def test_deep_nesting_exits_2_without_a_traceback(tmp_path, capsys):
     # deeper than parser.MAX_NESTING

@@ -1,23 +1,24 @@
 """Keyed and composed pairs of the graph matcher, and the window score.
 
-``Scorer.window_similarity`` scores two texts from the grams that overlap
-the window outside of which they are equal, and must return exactly the
+``Scorer.similarity`` scores two texts from the grams that overlap the
+window outside of which they are equal, and must return exactly the
 float the Counter arithmetic gives (``==``, not close: the graph matcher
 compares it with its threshold): for texts built from a random prefix,
-suffix and two names, the empty name included, for texts of fewer than
-three characters, for repeated grams that straddle the window and for
-windows at either end of a text, and for every keyed pair the matcher
-scores on the merge inputs and the generated workloads.
+suffix and two names, the empty name included, for texts with no common
+head or tail, for texts of fewer than three characters, for repeated
+grams that straddle the window and for windows at either end of a text,
+and for every pair either search scores on the merge inputs and the
+generated workloads.
 
 The matcher scores only what keys and composition leave open, so the
 pairs it scores grow linearly with rename-fanout's hub methods and with
 package-rename's files, and the match of the merge with the branch it
-reaches through base scores at most one pair per composed pair: the two
-declarations of such a pair differ in one window, and only their
-contexts are scored from masks.  Members renamed and edited on one
-branch, which no key pairs, are paired through base in the match of the
-merge with the other branch, one body and one context scored for each,
-where the greedy would score every pair of their bucket.
+reaches through base scores at most two pairs per composed pair: its
+context, and its body where the two declarations differ.  Members
+renamed and edited on one branch, which no key pairs, are paired through
+base in the match of the merge with the other branch, one body and one
+context scored for each, where the greedy would score every pair of
+their bucket.
 """
 
 import random
@@ -44,19 +45,23 @@ _text = st.text(alphabet="ab(. 1", max_size=12)
 @example(prefix="int ", name_a="run", name_b="stop", suffix="")
 @example(prefix="aaaa", name_a="a", name_b="", suffix="aaaa")
 @example(prefix="abab", name_a="ab", name_b="ba", suffix="abab")
+# no common head or tail
+@example(prefix="", name_a="ab(. 1", name_b="1 .(ba", suffix="")
+@example(prefix="", name_a="abab", name_b="baba", suffix="")
+@example(prefix="", name_a="aab", name_b="baa", suffix="")
+# texts of fewer than three characters
+@example(prefix="", name_a="", name_b="ab", suffix="")
+@example(prefix="", name_a="a", name_b="b", suffix="")
+@example(prefix="", name_a="ab", name_b="ba", suffix="")
+@example(prefix="a", name_a="", name_b="abc", suffix="")
 def test_the_window_score_equals_the_reference(prefix, name_a, name_b,
                                                suffix):
     a, b = prefix + name_a + suffix, prefix + name_b + suffix
     scorer = Scorer()
-    assert scorer.window_similarity(a, b) == reference_similarity(a, b)
-    assert scorer.window_similarity(b, a) == reference_similarity(b, a)
-    if a != b and min(len(a), len(b)) >= 3:
-        # scored from the window alone
-        assert (scorer.windowed, scorer.scored, scorer.profiled) == (2, 0, 0)
-    else:
-        # equal texts score 1.0; shorter ones fall back to the masks
-        assert scorer.windowed == 0
-        assert scorer.scored == (2 if a != b else 0)
+    assert scorer.similarity(a, b) == reference_similarity(a, b)
+    assert scorer.similarity(b, a) == reference_similarity(b, a)
+    # equal texts score 1.0 unscored
+    assert scorer.scored == (2 if a != b else 0)
 
 
 def test_the_window_score_of_unrelated_texts_equals_the_reference():
@@ -65,43 +70,33 @@ def test_the_window_score_of_unrelated_texts_equals_the_reference():
              for _ in range(60)]
     for a in texts:
         for b in texts:
-            assert Scorer().window_similarity(a, b) \
+            assert Scorer().similarity(a, b) \
                 == reference_similarity(a, b), (a, b)
 
 
 def test_every_window_score_of_the_merges_equals_the_reference(
-        generated, monkeypatch):
-    calls = []
-    window = Scorer.window_similarity
-
-    def recorded(self, a, b):
-        sim = window(self, a, b)
-        calls.append((a, b, sim))
-        return sim
-
-    monkeypatch.setattr(Scorer, "window_similarity", recorded)
+        generated, scored_pairs):
     for d in merge_inputs() + generated:
         run_scenario(d / "base", d / "left", d / "right")
-    for a, b, sim in calls:
+    for a, b, sim in scored_pairs:
         assert sim == reference_similarity(a, b), (a, b)
-    assert sum(1 for a, b, _ in calls if a != b) >= 100
+    assert sum(1 for a, b, _ in scored_pairs if a != b) >= 100
 
 
 def _match_counts(tmp_path, monkeypatch, workload: str, **size) -> list:
-    """(composed, scored, windowed, composed pairs) of each graph match
-    that ``build_fourway`` makes on the workload, in call order."""
+    """(composed, scored, composed pairs) of each graph match that
+    ``build_fourway`` makes on the workload, in call order."""
     out = tmp_path / f"{workload}-{size}"
     bench_gen.write_workload(bench_gen.generate(workload, 1, **size), out)
     counts = []
     match = graph_diff.match_graphs
 
     def counted(ga, gb, scorer, via=None):
-        scored, windowed = scorer.scored, scorer.windowed
+        scored = scorer.scored
         got = match(ga, gb, scorer, via)
         composed = sum(1 for a, b in got.items()
                        if via is not None and a != b and via(a) == b)
-        counts.append((via is not None, scorer.scored - scored,
-                       scorer.windowed - windowed, composed))
+        counts.append((via is not None, scorer.scored - scored, composed))
         return got
 
     monkeypatch.setattr(graph_diff, "match_graphs", counted)
@@ -118,15 +113,19 @@ def test_pairs_scored_grow_linearly_and_composing_scores_one_per_pair(
         for n in (small, large):
             counts = _match_counts(tmp_path, monkeypatch, workload,
                                    **{key: n})
-            (_, scored, _, composed), = [c for c in counts if c[0]]
+            (_, scored, composed), = [c for c in counts if c[0]]
             assert composed >= n // 2, (workload, n)
-            assert scored <= composed, (workload, n)
-            totals.append([sum(c[i] for c in counts) for i in (1, 2)])
+            # each composed pair's context, and its body where the two
+            # declarations differ
+            assert scored <= 2 * composed, (workload, n)
+            totals.append(sum(c[1] for c in counts))
         # pairs scored per hub method or per file do not grow
-        for got_small, got_large in zip(*totals):
-            assert got_large * small <= 1.05 * got_small * large, workload
+        got_small, got_large = totals
+        assert got_large * small <= 1.05 * got_small * large, workload
         if workload == "rename-fanout":
-            assert totals[0][0] <= 2 * small
+            # a renamed hub method's body in base against left, and its
+            # body and context in the merge against right
+            assert got_small <= 3 * small
 
 
 HUB = """\
@@ -169,10 +168,10 @@ def test_a_member_renamed_and_edited_is_paired_through_base(
     match = graph_diff.match_graphs
 
     def counted(ga, gb, scorer, via=None):
-        scored = scorer.scored + scorer.windowed
+        scored = scorer.scored
         got = match(ga, gb, scorer, via)
         counts.append((ga.version + gb.version, via is not None,
-                       scorer.scored + scorer.windowed - scored, got))
+                       scorer.scored - scored, got))
         return got
 
     monkeypatch.setattr(graph_diff, "match_graphs", counted)

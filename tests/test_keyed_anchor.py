@@ -6,8 +6,9 @@ statement holding both is the first to score 2.0, so a hit scores
 nothing.  Generated members with repeated headers, mixed kinds and
 trigram twins (``abcab``, ``bcabc`` and ``cabca`` hold the same gram
 multiset) must anchor, and pair their siblings, as the full-scan
-reference search of ``reference_similarity_search`` does, and the merge's
-scorer must profile a text only when it scores a pair.
+reference search of ``reference_similarity_search`` does, and a pattern
+statement alone must score no statement on a key hit and each statement
+of another header on a miss.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +17,7 @@ import reference_similarity_search as ref
 from conftest import parse_snippet
 from mergeweaver.inference import TransformationPattern
 from mergeweaver.matching import MergedMember, NoAnchor, match_context
+from mergeweaver.printer import statement_header_text
 from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import SyntaxTree
 
@@ -64,7 +66,14 @@ def test_keyed_anchor_equals_the_full_scan(member, before, anchor, after):
     got = _outcome(lambda: match_context(pattern,
                                          MergedMember(tree, scorer)))
     assert got == _outcome(lambda: ref.match_context(pattern, tree))
-    assert (scorer.grams > 0) == (scorer.scored > 0)
+    if not before and not after:
+        # the anchor alone: a key hit scores nothing, a miss scores each
+        # statement whose header differs from the pattern statement's
+        text = statement_header_text(s_p)
+        hit = got[0] != "no-anchor" and got[0][0][2] == 2.0
+        assert scorer.scored == (0 if hit else sum(
+            1 for t in MergedMember(tree, Scorer()).headers.values()
+            if t != text))
 
 
 def test_a_twin_before_the_key_hit_is_the_anchor():

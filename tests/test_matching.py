@@ -37,7 +37,7 @@ def stmt_from(text: str):
 
 
 def fresh_score(p, m) -> float:
-    """The anchor score of two statements, each profiled afresh."""
+    """The anchor score of two statements, from a fresh Scorer."""
     return _score(p, m, Scorer().similarity(statement_header_text(p),
                                             statement_header_text(m)))
 
@@ -81,7 +81,7 @@ def test_motivating_match_set():
         == "addTypeSerializer(serializerConfig);"
     scores = sorted(sc for _, _, sc in ms.pairs)
     assert scores[-4:] == [2.0, 2.0, 2.0, 2.0]
-    # the search's scores equal fresh profiles' scores
+    # the search's scores equal a fresh Scorer's
     assert all(sc == fresh_score(p, m) for p, m, sc in ms.pairs)
 
 
@@ -257,8 +257,14 @@ def test_merged_member_profiles_every_statement():
     assert list(member.headers) == member.statements
     for stmt, text in member.headers.items():
         assert text == statement_header_text(stmt)
+    # a second index of the member prints no statement again: each one
+    # printed through the merge's print memo is read back from it
+    printed = scorer.print_memo.printed
+    assert printed
+    assert MergedMember(member.tree, scorer).headers == member.headers
+    assert scorer.print_memo.printed == printed
     # scored through the scorer, every header pair scores as afresh and as
-    # the Counter reference does, and each header is profiled once
+    # the Counter reference does, and every unequal pair counts once
     texts = sorted(set(member.headers.values()))
     for a in texts:
         for b in texts:
@@ -266,7 +272,7 @@ def test_merged_member_profiles_every_statement():
             assert sim == Scorer().similarity(a, b)
             assert sim == ref.profile_similarity(ref.profile(a),
                                                  ref.profile(b))
-    assert scorer.profiled == len(texts)
+    assert scorer.scored == len(texts) * (len(texts) - 1)
 
 
 def test_the_statement_mapping_walks_a_long_else_if_chain():

@@ -24,7 +24,7 @@ resolve_by_example keeps each merged member it anchors in (its tree,
 statements and header texts) for the lifetime of the four-way graph
 too.  Those trees are the merged decls themselves, so after resolution
 they must still print and lay out as a fresh parse does, and their
-headers and the merge's profiles of them must equal fresh ones.
+headers and the merge's scores of them must equal fresh ones.
 """
 
 import gc

@@ -15,10 +15,9 @@ match dicts, in the same order; every anchor search of the example
 strategy must pair the same statements with the same scores, sigma and
 exact count, or raise the same NoAnchor message, which names the best
 score below the bar.  The graph matches of package-rename at 48 files,
-whose vocabulary of thousands of tags makes each mask many machine words
-wide, must match too, and each score the merge computed, and each the
-reference greedy would compute, scored through the merge's masks, must
-equal the Counter kernel's.
+with thousands of distinct grams, must match too, and each score the
+merge computed, and each the reference greedy would compute, scored
+through the merge's Scorer, must equal the Counter kernel's.
 
 The context strings of a merge come from one relation scan per graph;
 they must equal the per-entity scan for every entity they cover, including
@@ -129,11 +128,9 @@ def test_a_wide_vocabulary_matches_as_the_reference(tmp_path, scored_pairs):
                                       tmp_path / "right"))
     for got, ga, gb in _graph_matches(fw):
         assert _moved(got, ga, gb) == 0
-        # the pairs the reference greedy scores, through the merge's masks
+        # the pairs the reference greedy scores, through the merge's Scorer
         for a, b in reference_match_pairs(ga, gb):
             fw.scorer.similarity(a, b)
-    # more than sixty-four 64-bit words per full-width mask
-    assert fw.scorer.grams > 64 * 64
     for a, b, sim in set(scored_pairs):
         assert sim == ref.profile_similarity(ref.profile(a), ref.profile(b))
     assert fw.scorer.scored > 9000

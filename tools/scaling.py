@@ -6,31 +6,27 @@ Each workload is generated by bench/gen.py (imported, not modified) at a
 range of sizes, written to a temporary directory and run through
 ``run_scenario`` N times.  The output is a Markdown table with the best
 of the N runs of every stage in ``Report.timings_ms``; the scores of
-text pairs the merge's similarity scorer computed from masks (``pairs``,
-a count that host noise cannot move; the scorer keeps no scores, so a
-pair scored again, in a later round of a graph match or by another anchor
-search, counts again) and those it computed from the window where the
-texts differ (``windowed``, see ``Scorer.window_similarity``: the keyed
-and composed pairs of the graph matcher, also a count); the member- and statement-level subtrees the merge's
-print memo rendered (``printed``) and those it read from the memo instead
-(``reused``; see ``printer.PrintMemo``), both counts, and of those the
-reads per resolution made while resolving (``reused/res``, counted
-around ``pipeline.resolve_conflicts`` in one more run; a resolution
-re-joins its whole file, so this grows with the file's members); the
-declarations whose name index the merge built
-(``named``, see ``FourWayGraph.name_index``, also a count, which takes
-in the base declaration of every mined host: 5 on rename-fanout and 2 on
-method-rename at seed 1); the tags the scorer's vocabulary holds
-(``grams``, the width of a mask in bits, also a count); the files whose
-bodies the merge never resolved (``deferred``, see peg's "Deferred
-bodies", also a count); of the distinct parsed files
-of the four versions, those whose tree built its id and parent maps
-(``indexed``) and those whose token position table was built
-(``positioned``; see ``syntax.SyntaxTree`` and ``syntax.SyntaxNode``),
-both counts; the member bodies the merge's parse recognized without
-building them (``recognized``, see the ``parser`` docstring) and those of
-them built by the end of the run (``built``), both counts; the best of N
-times to diff the mined hosts of the merge
+unequal text pairs the merge's similarity scorer computed (``pairs``, a
+count that host noise cannot move; the scorer keeps no scores, so a pair
+scored again, in a later round of a graph match or by another anchor
+search, counts again); the member- and statement-level subtrees the
+merge's print memo rendered (``printed``) and those it read from the
+memo instead (``reused``; see ``printer.PrintMemo``), both counts, and
+of those the reads per resolution made while resolving (``reused/res``,
+counted around ``pipeline.resolve_conflicts`` in one more run; a
+resolution re-joins its whole file, so this grows with the file's
+members); the declarations whose name index the merge built (``named``,
+see ``FourWayGraph.name_index``, also a count, which takes in the base
+declaration of every mined host: 5 on rename-fanout and 2 on
+method-rename at seed 1); the files whose bodies the merge never
+resolved (``deferred``, see peg's "Deferred bodies", also a count); of
+the distinct parsed files of the four versions, those whose tree built
+its id and parent maps (``indexed``) and those whose token position
+table was built (``positioned``; see ``syntax.SyntaxTree`` and
+``syntax.SyntaxNode``), both counts; the member bodies the merge's parse
+recognized without building them (``recognized``, see the ``parser``
+docstring) and those of them built by the end of the run (``built``),
+both counts; the best of N times to diff the mined hosts of the merge
 again (``diff``) and the nodes of those hosts' before trees
 (``host_nodes``); the best of N times to read the three input trees
 (``read``), and to ``scan`` and to ``parse_unit`` each distinct (path,
@@ -80,8 +76,7 @@ SIZES = (
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
 STAGES = ("merge", "graphs", "detect", "resolve", "total")
-COLUMNS = STAGES + ("pairs", "windowed", "printed", "reused", "reused/res",
-                    "named", "grams",
+COLUMNS = STAGES + ("pairs", "printed", "reused", "reused/res", "named",
                     "deferred", "indexed", "positioned", "recognized",
                     "built", "diff", "host_nodes", "read", "scan",
                     "parse", "tokens", "nodes", "ref_ms")
@@ -100,10 +95,10 @@ def best_ms(repeat: int, job) -> float:
 def run_columns(run: ScenarioRun) -> dict[str, float]:
     """The counts the merge's scorer, print memo and graphs kept."""
     fw = run.fourway
-    return {"pairs": fw.scorer.scored, "windowed": fw.scorer.windowed,
+    return {"pairs": fw.scorer.scored,
             "printed": fw.scorer.print_memo.printed,
             "reused": fw.scorer.print_memo.reused,
-            "named": len(fw.named), "grams": fw.scorer.grams,
+            "named": len(fw.named),
             # every version holds the units whose bodies it deferred
             "deferred": len(fw.base.deferred)}
 
