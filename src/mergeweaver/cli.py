@@ -29,10 +29,8 @@ from pathlib import Path
 from typing import Optional
 
 from .evaluate import MissingGolden, evaluate_corpus, summary_to_dict
-from .inference import NoRelevantEdit, infer_pattern
 from .merge3 import (TextualConflict, UnreadableSource, _read_tree,
                      merge_texts)
-from .mining import mine_examples
 from .parser import ParseError
 from .peg import DuplicateEntity
 from .pipeline import ScenarioRun, report_to_dict, run_scenario
@@ -57,11 +55,6 @@ def _emit_json(obj: dict, report_path: Optional[str]) -> None:
         _write_text(Path(report_path), text)
     else:
         sys.stdout.write(text)
-
-
-def _trace(enabled: bool, message: str) -> None:
-    if enabled:
-        print(message, file=sys.stderr)
 
 
 def _dump_peg(run: ScenarioRun) -> None:
@@ -95,14 +88,11 @@ def _dump_delta(run: ScenarioRun) -> None:
 
 
 def _dump_scripts(run: ScenarioRun) -> None:
-    for i, conflict in enumerate(run.report.conflicts):
-        for ex in mine_examples(run.fourway, conflict):
-            try:
-                pattern = infer_pattern(ex, conflict)
-            except NoRelevantEdit:
-                continue
-            print(f"[script] conflict {i} example from {ex.host}",
-                  file=sys.stderr)
+    index = {id(c): i for i, c in enumerate(run.report.conflicts)}
+    for outcome in run.report.outcomes:
+        for pattern in outcome.patterns:
+            print(f"[script] conflict {index[id(outcome.conflict)]} "
+                  f"example from {pattern.example.host}", file=sys.stderr)
             for op in pattern.ops:
                 print(f"  {op.op} node={op.node_id} parent={op.parent_id} "
                       f"index={op.index} kind={op.node_kind} "
@@ -130,13 +120,18 @@ def _write_resolutions(run: ScenarioRun, out_dir: str) -> None:
 
 
 def _run(args: argparse.Namespace) -> ScenarioRun:
-    _trace(args.trace, f"merging {args.base} + {args.left} + {args.right}")
+    if args.trace:
+        print(f"merging {args.base} + {args.left} + {args.right}",
+              file=sys.stderr)
     run = run_scenario(args.base, args.left, args.right)
-    _trace(args.trace,
-           f"{len(run.report.conflicts)} conflict(s), "
-           f"{len(run.report.resolutions)} resolution(s)")
-    _trace(args.trace,
-           f"similarity: {run.fourway.scorer.scored} pair(s) scored")
+    if args.trace:
+        index = {id(c): i for i, c in enumerate(run.report.conflicts)}
+        print(f"{len(run.report.conflicts)} conflict(s), "
+              f"{len(run.report.resolutions)} resolution(s)",
+              f"similarity: {run.fourway.scorer.scored} pair(s) scored",
+              *(f"outcome: conflict {index[id(o.conflict)]} {o.strategy} "
+                f"{o.reason}" for o in run.report.outcomes),
+              sep="\n", file=sys.stderr)
     return run
 
 

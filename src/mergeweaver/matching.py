@@ -38,7 +38,7 @@ resolution, and the next ranked candidate is tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .conflicts import Conflict
@@ -58,7 +58,11 @@ ANCHOR_THRESHOLD = 1.618
 
 
 class NoAnchor(Exception):
-    """No statement of the merged member scores above the anchor bar."""
+    """No statement scores above the anchor bar; best is the top score."""
+
+    def __init__(self, message: str, best: float = 0.0):
+        super().__init__(message)
+        self.best = best
 
 
 @dataclass
@@ -80,6 +84,18 @@ class Resolution:
     sigma: Optional[float] = None
     exact: Optional[int] = None
     rule: Optional[str] = None
+
+
+@dataclass
+class Outcome:
+    """One strategy's result on one conflict: "resolved" and the resolution,
+    or the code of why not (see the README), and every pattern inferred."""
+    strategy: str               # example | rule
+    conflict: Conflict
+    reason: str
+    resolution: Optional[Resolution] = None
+    patterns: list[TransformationPattern] = field(default_factory=list,
+                                                  compare=False)
 
 
 def _score(p: SyntaxNode, m: SyntaxNode, sim: float) -> float:
@@ -163,7 +179,7 @@ def match_context(pattern: TransformationPattern,
                                     for pos, m in enumerate(m_stmts)),
                                    key=lambda t: (-t[0], t[1]))
     if best_score <= ANCHOR_THRESHOLD:
-        raise NoAnchor(f"best anchor score {best_score:.3f}")
+        raise NoAnchor(f"best anchor score {best_score:.3f}", best_score)
     s_m = m_stmts[best_pos]
     pairs = [(s_p, s_m, best_score)]
 
@@ -236,6 +252,7 @@ def _map_pair(p: SyntaxNode, w: SyntaxNode,
 def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
                   conflict: Conflict, am_file: SourceFile,
                   memo: PrintMemo) -> Optional[Resolution]:
+    """None if no op applies; raises MalformedTree if the clone won't print."""
     work = am_file.tree.clone()
     mapping: dict[int, SyntaxNode] = {}
     for p_stmt, m_stmt, _sc in sorted(
@@ -273,15 +290,11 @@ def apply_pattern(pattern: TransformationPattern, match_set: MatchSet,
         if stmt is None or stmt.id not in covered:
             partial = True
 
-    try:
-        text = memo.print(work.root, am_file.tree.owns)
-    except MalformedTree:
-        return None
     return Resolution(
         strategy="example",
         conflict=conflict,
         path=am_file.path,
-        text=text,
+        text=memo.print(work.root, am_file.tree.owns),
         partial=partial,
         source_host=pattern.example.host,
         sigma=match_set.sigma,
@@ -300,31 +313,42 @@ def _merged_member(fw: FourWayGraph, entity: Entity) -> MergedMember:
 
 
 def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
-                       scenario: MergeScenario) -> Optional[Resolution]:
+                       scenario: MergeScenario) -> Outcome:
     if conflict.using_am is None or conflict.using_am.decl is None:
-        return None
-    path = conflict.sites[0].file
-    am_file = scenario.am.get(path)
+        return Outcome("example", conflict, "no-using-entity")
+    am_file = scenario.am.get(conflict.sites[0].file)
     if am_file is None:
-        return None
+        return Outcome("example", conflict, "target-missing")
 
+    examples = mine_examples(fw, conflict)
+    patterns: list[TransformationPattern] = []
     cands: list[tuple[TransformationPattern, MatchSet]] = []
-    for example in mine_examples(fw, conflict):
+    best = 0.0
+    for example in examples:
         try:
             pattern = infer_pattern(example, conflict)
         except NoRelevantEdit:
             continue
+        patterns.append(pattern)
         try:
-            match_set = match_context(
-                pattern, _merged_member(fw, conflict.using_am))
-        except NoAnchor:
-            continue
-        cands.append((pattern, match_set))
+            cands.append((pattern, match_context(
+                pattern, _merged_member(fw, conflict.using_am))))
+        except NoAnchor as exc:
+            best = max(best, exc.best)
 
+    reason = ("no-example" if not examples
+              else "no-relevant-edit" if not patterns
+              else f"no-anchor(best={best:.3f})" if not cands
+              else "no-op-applied")
     for rank, (pattern, match_set) in enumerate(rank_candidates(cands), 1):
-        resolution = apply_pattern(pattern, match_set, conflict, am_file,
-                                   fw.scorer.print_memo)
+        try:
+            resolution = apply_pattern(pattern, match_set, conflict, am_file,
+                                       fw.scorer.print_memo)
+        except MalformedTree:
+            reason = "malformed-result"
+            continue
         if resolution is not None:
             resolution.rank = rank
-            return resolution
-    return None
+            return Outcome("example", conflict, "resolved", resolution,
+                           patterns)
+    return Outcome("example", conflict, reason, patterns=patterns)

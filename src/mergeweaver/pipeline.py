@@ -9,18 +9,23 @@ from typing import Optional, Union
 
 from .conflicts import Conflict, detect_conflicts
 from .graph_diff import FourWayGraph, build_fourway
-from .matching import Resolution, resolve_by_example
+from .matching import Outcome, Resolution, resolve_by_example
 from .merge3 import MergeScenario, merge_scenario
-from .rules import NotCovered, TargetMissing, resolve_by_rule
+from .rules import resolve_by_rule
 
 
 @dataclass
 class Report:
     scenario: str
     conflicts: list[Conflict] = field(default_factory=list)
-    resolutions: list[Resolution] = field(default_factory=list)
+    outcomes: list[Outcome] = field(default_factory=list)
     # CPU milliseconds of each stage and of the whole run
     timings_ms: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def resolutions(self) -> list[Resolution]:
+        """The resolutions of the outcomes, in their order."""
+        return [o.resolution for o in self.outcomes if o.resolution]
 
 
 @dataclass
@@ -35,8 +40,9 @@ def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
                  scenario_id: Optional[str] = None) -> ScenarioRun:
     """Run the full pipeline on three source trees.
 
-    Propagates TextualConflict when diff3 cannot produce a merged body
-    and ParseError when a source file does not parse.
+    Propagates TextualConflict when diff3 cannot produce a merged body,
+    ParseError or UnreadableSource when a source does not parse or cannot
+    be read, and DuplicateEntity when a version declares an entity twice.
     """
     name = scenario_id or Path(base_dir).resolve().parent.name
     timings: dict[str, float] = {}
@@ -54,29 +60,23 @@ def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
     t3 = time.process_time()
     timings["detect"] = (t3 - t2) * 1000.0
 
-    resolutions = resolve_conflicts(fw, conflicts, scenario)
+    outcomes = resolve_conflicts(fw, conflicts, scenario)
     t4 = time.process_time()
     timings["resolve"] = (t4 - t3) * 1000.0
     timings["total"] = (t4 - t0) * 1000.0
 
     report = Report(scenario=name, conflicts=conflicts,
-                    resolutions=resolutions, timings_ms=timings)
+                    outcomes=outcomes, timings_ms=timings)
     return ScenarioRun(report=report, scenario=scenario, fourway=fw)
 
 
 def resolve_conflicts(fw: FourWayGraph, conflicts: list[Conflict],
-                      scenario: MergeScenario) -> list[Resolution]:
-    """The resolve stage: each conflict by example, then by rule."""
-    resolutions: list[Resolution] = []
-    for conflict in conflicts:
-        res = resolve_by_example(fw, conflict, scenario)
-        if res is not None:
-            resolutions.append(res)
-        try:
-            resolutions.append(resolve_by_rule(fw, conflict, scenario))
-        except (NotCovered, TargetMissing):
-            pass
-    return resolutions
+                      scenario: MergeScenario) -> list[Outcome]:
+    """The resolve stage: each conflict's outcome by example, then by
+    rule."""
+    return [outcome for conflict in conflicts
+            for outcome in (resolve_by_example(fw, conflict, scenario),
+                            resolve_by_rule(fw, conflict, scenario))]
 
 
 def report_to_dict(report: Report, include_timing: bool = True) -> dict:

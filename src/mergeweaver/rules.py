@@ -4,7 +4,7 @@ Each handler rewrites a copy-on-write clone of the merged file, addressing
 the conflict's recorded site nodes by id and writing only through the
 clone's insert, remove and set_value, so the copy shares every member the
 transform leaves alone.  Types C17 through C23 have no safe
-fixed transform and raise NotCovered; the example-based strategy is the
+fixed transform and are not covered; the example-based strategy is the
 only automated option for those.
 """
 
@@ -15,14 +15,10 @@ from typing import Callable, Optional
 from .conflicts import (Conflict, _apply_renames, declared_type_text,
                         interface_return_for)
 from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
-from .matching import Resolution
+from .matching import Outcome, Resolution
 from .merge3 import MergeScenario
 from .syntax import (SourceFile, SyntaxNode, SyntaxTree, body_of, clone_node,
                      declared_type, parameters)
-
-
-class NotCovered(Exception):
-    """The conflict type has no fixed transform."""
 
 
 class TargetMissing(Exception):
@@ -274,22 +270,20 @@ RULES: dict[str, tuple[str, _Handler]] = {
 
 
 def resolve_by_rule(fw: FourWayGraph, conflict: Conflict,
-                    scenario: MergeScenario) -> Resolution:
+                    scenario: MergeScenario) -> Outcome:
     entry = RULES.get(conflict.type)
     if entry is None:
-        raise NotCovered(conflict.type)
+        return Outcome("rule", conflict, "not-covered")
     action, handler = entry
     path = conflict.sites[0].file
     am_file: Optional[SourceFile] = scenario.am.get(path)
     if am_file is None:
-        raise TargetMissing(f"no merged file at {path}")
+        return Outcome("rule", conflict, "target-missing")
     work = am_file.tree.clone()
-    handler(work, conflict, fw)
-    return Resolution(
-        strategy="rule",
-        conflict=conflict,
-        path=path,
-        text=fw.scorer.print_memo.print(work.root, am_file.tree.owns),
-        partial=False,
-        rule=action,
-    )
+    try:
+        handler(work, conflict, fw)
+    except TargetMissing:
+        return Outcome("rule", conflict, "target-missing")
+    return Outcome("rule", conflict, "resolved", Resolution(
+        strategy="rule", conflict=conflict, path=path, rule=action,
+        text=fw.scorer.print_memo.print(work.root, am_file.tree.owns)))

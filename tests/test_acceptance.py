@@ -35,7 +35,7 @@ from mergeweaver.mining import mine_examples
 from mergeweaver.parser import parse_unit, token_texts as token_stream
 from mergeweaver.merge3 import TextualConflict, merge_file
 from mergeweaver.pipeline import run_scenario
-from mergeweaver.rules import NotCovered, TargetMissing, resolve_by_rule
+from mergeweaver.rules import resolve_by_rule
 from mergeweaver.syntax import STATEMENT_KINDS, structurally_equal
 from mergeweaver.tree_diff import apply_script, diff_trees
 
@@ -125,7 +125,7 @@ def test_c03_rule_fixtures_resolve_and_clear():
     for name in fixtures:
         run = fresh_run(name)
         (conflict,) = run.report.conflicts
-        res = resolve_by_rule(run.fourway, conflict, run.scenario)
+        res = resolve_by_rule(run.fourway, conflict, run.scenario).resolution
         assert token_stream(res.text) \
             == token_stream(expected_text(name, res.path)), name
         # feed the resolved file back in as the merged result: the
@@ -154,8 +154,8 @@ def test_c04_walkthrough_scenarios():
     assert token_stream(strategies["example"].text) \
         == token_stream(expected_text("cluster-field-removed",
                                       strategies["example"].path))
-    with pytest.raises(NotCovered):
-        resolve_by_rule(run.fourway, c, run.scenario)
+    assert resolve_by_rule(run.fourway, c,
+                           run.scenario).reason == "not-covered"
 
     # moved accessor: the example only proves out on the first call
     run = fresh_run("serialization-service-moved")

@@ -10,6 +10,8 @@ import pytest
 
 from conftest import CORPUS, FANOUT, ROOT, bench_gen
 from mergeweaver.cli import main
+from mergeweaver.inference import NoRelevantEdit, infer_pattern
+from mergeweaver.mining import mine_examples
 from mergeweaver.parser import ParseError, parse_unit
 from mergeweaver.peg import build_peg
 from mergeweaver.pipeline import run_scenario
@@ -155,6 +157,29 @@ def test_dump_peg_prints_the_full_graphs(tmp_path, capsys):
     assert dumped == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("scenario", [FANOUT, MOT], ids=["fanout", "corpus"])
+def test_dump_script_prints_the_patterns_of_the_run(scenario, capsys):
+    # the reference mines and infers every conflict again, after the run
+    assert main(args_for("resolve", scenario=scenario, dump_script=True,
+                         no_timing=True)) == 0
+    dumped = capsys.readouterr().err
+    run = run_scenario(scenario / "base", scenario / "left",
+                       scenario / "right")
+    lines = []
+    for i, conflict in enumerate(run.report.conflicts):
+        for ex in mine_examples(run.fourway, conflict):
+            try:
+                pattern = infer_pattern(ex, conflict)
+            except NoRelevantEdit:
+                continue
+            lines.append(f"[script] conflict {i} example from {ex.host}")
+            lines += [f"  {op.op} node={op.node_id} parent={op.parent_id} "
+                      f"index={op.index} kind={op.node_kind} "
+                      f"value={op.value!r}" for op in pattern.ops]
+    assert len(lines) > len(run.report.conflicts)
+    assert dumped == "\n".join(lines) + "\n"
+
+
 def test_resolve_trace_prints_the_similarity_counts(capsys):
     assert main(args_for("resolve", scenario=FANOUT, trace=True,
                          no_timing=True)) == 0
@@ -165,6 +190,11 @@ def test_resolve_trace_prints_the_similarity_counts(capsys):
                           FANOUT / "right").fourway.scorer
     assert scorer.scored
     assert lines == [f"similarity: {scorer.scored} pair(s) scored"]
+    # one line per outcome: every conflict resolves by both strategies
+    assert [line for line in traced.err.splitlines()
+            if line.startswith("outcome:")] \
+        == [f"outcome: conflict {i} {strategy} resolved"
+            for i in range(16) for strategy in ("example", "rule")]
     # the report does not change with the trace
     assert main(args_for("resolve", scenario=FANOUT, no_timing=True)) == 0
     assert capsys.readouterr().out == traced.out
@@ -431,10 +461,14 @@ def test_a_partly_applied_example_pattern_yields_no_resolution(tmp_path,
     _write_legs(tmp_path, {leg: {"Meter.java": text.encode()} for leg, text
                            in (("base", base), ("left", left),
                                ("right", right))})
-    assert main(args_for("resolve", scenario=tmp_path, no_timing=True)) == 0
+    assert main(args_for("resolve", scenario=tmp_path, no_timing=True,
+                         trace=True)) == 0
     out, err = capsys.readouterr()
     assert [c["type"] for c in json.loads(out)["conflicts"]] == ["C22"]
     assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("outcome:")] \
+        == ["outcome: conflict 0 example malformed-result",
+            "outcome: conflict 0 rule not-covered"]
 
 
 @pytest.mark.parametrize("member, message", [

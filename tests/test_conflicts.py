@@ -107,7 +107,7 @@ def test_conflicts_without_manifestation_are_dropped():
     d = CORPUS / "rule-c05"
     run = run_scenario(d / "base", d / "left", d / "right")
     (conflict,) = run.report.conflicts
-    res = resolve_by_rule(run.fourway, conflict, run.scenario)
+    res = resolve_by_rule(run.fourway, conflict, run.scenario).resolution
     run.scenario.am[res.path] = parse_unit(res.path, res.text)
     fw2 = build_fourway(run.scenario)
     assert detect_conflicts(fw2) == []

@@ -144,7 +144,7 @@ def test_rank_argmax_is_permutation_invariant():
 
 def test_resolve_by_example_end_to_end():
     run, conflict, _ = motivating_pattern()
-    res = resolve_by_example(run.fourway, conflict, run.scenario)
+    res = resolve_by_example(run.fourway, conflict, run.scenario).resolution
     assert res is not None
     assert res.strategy == "example"
     assert res.rank == 1
@@ -158,7 +158,7 @@ def test_resolve_by_example_end_to_end():
 def test_partial_application_rewrites_first_use_only():
     run = run_corpus("serialization-service-moved")
     (conflict,) = run.report.conflicts
-    res = resolve_by_example(run.fourway, conflict, run.scenario)
+    res = resolve_by_example(run.fourway, conflict, run.scenario).resolution
     assert res is not None and res.partial is True
     assert res.sigma == pytest.approx(2.0)
     assert res.exact == 1
@@ -171,7 +171,8 @@ def test_partial_application_rewrites_first_use_only():
 def test_no_candidates_returns_none():
     run = run_corpus("callback-ref-rename")
     (conflict,) = run.report.conflicts
-    assert resolve_by_example(run.fourway, conflict, run.scenario) is None
+    assert resolve_by_example(run.fourway, conflict,
+                              run.scenario).resolution is None
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def test_second_resolution_on_one_graph_is_identical():
             second = resolve_by_example(fw, conflict, run.scenario)
             assert second == first, name
             assert fw.members == memo, name     # nothing rebuilt
-            resolved += first is not None
+            resolved += first.resolution is not None
     assert resolved >= 20           # 16 of them on the fanout fixture
 
 

@@ -72,7 +72,7 @@ def _counts(tmp_path, methods: int) -> tuple[set, int]:
         pattern, match_set = matching.rank_candidates(candidates)[0]
         assert matching.apply_pattern(pattern, match_set, conflict, am_file,
                                       fw.scorer.print_memo) is not None
-        resolve_by_rule(fw, conflict, scenario)
+        assert resolve_by_rule(fw, conflict, scenario).reason == "resolved"
         resolved += 1
     assert resolved == len(conflicts) == methods
     return visits, len(candidates)

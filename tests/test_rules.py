@@ -6,13 +6,14 @@ import pytest
 
 from conftest import CORPUS, run_corpus
 from mergeweaver.parser import token_texts as token_stream
-from mergeweaver.rules import RULES, NotCovered, TargetMissing, resolve_by_rule
+from mergeweaver.rules import RULES, resolve_by_rule
 
 
 def rule_output(name: str):
     run = run_corpus(name)
     (conflict,) = run.report.conflicts
-    return run, conflict, resolve_by_rule(run.fourway, conflict, run.scenario)
+    return run, conflict, resolve_by_rule(run.fourway, conflict,
+                                          run.scenario).resolution
 
 
 def expected_text(name: str, path: str) -> str:
@@ -65,8 +66,8 @@ def test_codes_beyond_c16_are_not_covered():
     run = run_corpus("tax-c17")
     (conflict,) = run.report.conflicts
     assert conflict.type == "C17"
-    with pytest.raises(NotCovered):
-        resolve_by_rule(run.fourway, conflict, run.scenario)
+    assert resolve_by_rule(run.fourway, conflict,
+                           run.scenario).reason == "not-covered"
 
 
 def test_stale_site_raises_target_missing():
@@ -75,8 +76,8 @@ def test_stale_site_raises_target_missing():
     bogus_sites = [dataclasses.replace(s, node_id=10_000_000)
                    for s in conflict.sites]
     doctored = dataclasses.replace(conflict, sites=bogus_sites)
-    with pytest.raises(TargetMissing):
-        resolve_by_rule(run.fourway, doctored, run.scenario)
+    assert resolve_by_rule(run.fourway, doctored,
+                           run.scenario).reason == "target-missing"
 
 
 def test_rule_is_deterministic():

@@ -8,7 +8,7 @@ reads, so it patches nothing."""
 import ast
 import importlib.util
 
-from conftest import FANOUT, ROOT
+from conftest import CORPUS, FANOUT, ROOT
 from mergeweaver.pipeline import run_scenario
 
 TOOL = ROOT / "tools" / "scaling.py"
@@ -25,6 +25,11 @@ def test_the_column_functions_fill_every_column():
                "reused/res": scaling.resolve_reads(FANOUT)}
     assert set(scaling.COLUMNS) - set(columns) == {"ref_ms"}
     assert all(value >= 0 for value in columns.values())
+    # 607 print-memo reads over the 32 resolutions of 16 conflicts; and
+    # over resolutions, not outcomes, where a strategy resolves nothing
+    assert columns["reused/res"] == 607 / 32
+    assert scaling.resolve_reads(CORPUS / "serialization-service-moved") \
+        == 2 / 1
 
 
 def test_the_tool_imports_no_mock():

@@ -46,8 +46,7 @@ from mergeweaver.merge3 import merge_scenario
 from mergeweaver.mining import EditExample, mine_examples
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print, statement_header_text
-from mergeweaver.rules import (RULES, NotCovered, TargetMissing,
-                              resolve_by_rule)
+from mergeweaver.rules import RULES, resolve_by_rule
 from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import (STATEMENT_KINDS, SyntaxTree, clone_node,
                                 name_index, structurally_equal)
@@ -79,13 +78,9 @@ def test_resolution_leaves_every_parsed_tree_unchanged(generated):
         before = _fingerprint(scenario)
         fw = build_fourway(scenario)
         for conflict in detect_conflicts(fw):
-            if resolve_by_example(fw, conflict, scenario) is not None:
-                resolved += 1
-            try:
-                resolve_by_rule(fw, conflict, scenario)
-                resolved += 1
-            except (NotCovered, TargetMissing):
-                pass
+            outcomes = (resolve_by_example(fw, conflict, scenario),
+                        resolve_by_rule(fw, conflict, scenario))
+            resolved += sum(o.resolution is not None for o in outcomes)
         assert _fingerprint(scenario) == before, sdir.name
         members += len(fw.members)
         hosts += sum(ex is not None for ex in fw.mined.values())

@@ -127,8 +127,9 @@ def resolve_reads(out: Path) -> float:
     fw = pipeline.build_fourway(scenario)
     conflicts = pipeline.detect_conflicts(fw)
     before = fw.scorer.print_memo.reused
-    resolutions = pipeline.resolve_conflicts(fw, conflicts, scenario)
-    return (fw.scorer.print_memo.reused - before) / max(len(resolutions), 1)
+    resolved = sum(o.resolution is not None for o in
+                   pipeline.resolve_conflicts(fw, conflicts, scenario))
+    return (fw.scorer.print_memo.reused - before) / max(resolved, 1)
 
 
 def diff_columns(run: ScenarioRun, repeat: int) -> dict[str, float]:
