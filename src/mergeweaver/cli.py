@@ -128,7 +128,10 @@ def _run(args: argparse.Namespace) -> ScenarioRun:
         index = {id(c): i for i, c in enumerate(run.report.conflicts)}
         print(f"{len(run.report.conflicts)} conflict(s), "
               f"{len(run.report.resolutions)} resolution(s)",
-              f"similarity: {run.fourway.scorer.scored} pair(s) scored",
+              "counts: " + " ".join(f"{key}={value}" for key, value
+                                    in sorted(run.record.counts.items())),
+              "ms: " + " ".join(f"{layer}={ms:.3f}"
+                                for layer, ms in run.record.ms.items()),
               *(f"outcome: conflict {index[id(o.conflict)]} {o.strategy} "
                 f"{o.reason}" for o in run.report.outcomes),
               sep="\n", file=sys.stderr)

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .merge3 import MergeScenario
+from .merge3 import MergeScenario, Record
 from . import peg, syntax
 from .peg import MEMBER_ENTITY_KINDS, Entity, EntityGraph, Relation
 from .similarity import Scorer
@@ -271,6 +271,8 @@ class FourWayGraph:
     # cap_left and cap_right inverted: branch entity id -> merged entity id
     uncap_left: dict[str, str] = field(compare=False, repr=False)
     uncap_right: dict[str, str] = field(compare=False, repr=False)
+    # the run's layer times and counters: the scenario's record
+    record: Record = field(compare=False, repr=False)
     # mining.mine_examples' memo: (branch, base host id, branch host id)
     # -> the host's EditExample, or None when its script is empty; see the
     # mining module docstring
@@ -297,26 +299,29 @@ class FourWayGraph:
 def build_fourway(scenario: MergeScenario) -> FourWayGraph:
     # unit facts shared by the four builds, begun by parse_versions
     memo = dict(scenario.unit_facts)
-    deferred = scenario.deferred
-    gb = peg.build_peg(scenario.base, "b", memo, deferred)
-    gl = peg.build_peg(scenario.left, "l", memo, deferred)
-    gr = peg.build_peg(scenario.right, "r", memo, deferred)
-    gam = peg.build_peg(scenario.am, "am", memo, deferred)
-    scorer = Scorer()
-    graphs, lacks = {"l": gl, "r": gr}, {}
+    record, graphs, lacks, deltas = scenario.record, {}, {}, {}
+    for label, files in (("b", scenario.base), ("l", scenario.left),
+                         ("r", scenario.right), ("am", scenario.am)):
+        graphs[label] = peg.build_peg(files, label, memo, scenario.deferred)
+        record.lap(f"graph.{peg.VERSION_NAMES[label]}")
+    gb, gam, scorer = graphs.pop("b"), graphs.pop("am"), Scorer()
     for x, g in graphs.items():
         scorer.expect_match(gb, g)
         lacks[x] = scorer.expect_match(gam, g)
-    deltas = {x: diff_graphs(gb, g, x, scorer) for x, g in graphs.items()}
+    for x, g in graphs.items():
+        deltas[x] = diff_graphs(gb, g, x, scorer)
+        record.lap(f"delta.{peg.VERSION_NAMES[x]}")
     one, two = sorted(graphs, key=lacks.get)
-    cap, back, ahead = match_graphs(gam, graphs[one], scorer), \
-        deltas[one].inverse, deltas[two].matches
-    caps = {one: cap, two: match_graphs(
-        gam, graphs[two], scorer, lambda i: ahead.get(back.get(cap.get(i))))}
+    caps = {one: match_graphs(gam, graphs[one], scorer)}
+    record.lap(f"cap.{peg.VERSION_NAMES[one]}")
+    cap, back, ahead = caps[one], deltas[one].inverse, deltas[two].matches
+    caps[two] = match_graphs(gam, graphs[two], scorer,
+                             lambda i: ahead.get(back.get(cap.get(i))))
+    record.lap(f"cap.{peg.VERSION_NAMES[two]}")
     return FourWayGraph(
-        base=gb, left=gl, right=gr, merged=gam,
+        base=gb, left=graphs["l"], right=graphs["r"], merged=gam,
         delta_left=deltas["l"], delta_right=deltas["r"],
-        cap_left=caps["l"], cap_right=caps["r"], scorer=scorer,
+        cap_left=caps["l"], cap_right=caps["r"], scorer=scorer, record=record,
         uncap_left=_inverse(caps["l"]), uncap_right=_inverse(caps["r"]),
     )
 

@@ -321,6 +321,7 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
         return Outcome("example", conflict, "target-missing")
 
     examples = mine_examples(fw, conflict)
+    fw.record.lap("mine")
     patterns: list[TransformationPattern] = []
     cands: list[tuple[TransformationPattern, MatchSet]] = []
     best = 0.0
@@ -329,12 +330,15 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
             pattern = infer_pattern(example, conflict)
         except NoRelevantEdit:
             continue
+        finally:
+            fw.record.lap("infer")
         patterns.append(pattern)
         try:
             cands.append((pattern, match_context(
                 pattern, _merged_member(fw, conflict.using_am))))
         except NoAnchor as exc:
             best = max(best, exc.best)
+        fw.record.lap("anchor")
 
     reason = ("no-example" if not examples
               else "no-relevant-edit" if not patterns
@@ -347,6 +351,8 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
         except MalformedTree:
             reason = "malformed-result"
             continue
+        finally:
+            fw.record.lap("apply")
         if resolution is not None:
             resolution.rank = rank
             return Outcome("example", conflict, "resolved", resolution,

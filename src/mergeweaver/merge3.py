@@ -43,6 +43,7 @@ from __future__ import annotations
 import difflib
 import os
 import stat
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,6 +140,22 @@ def merge_file(base: str, left: str, right: str, path: str = "<file>") -> str:
 
 
 @dataclass
+class Record:
+    """One run's CPU milliseconds by layer and its counters.  A lap charges
+    the CPU time since the previous lap (or the record's start) to its
+    layer, so every millisecond lands in exactly one layer; the layers
+    are ``pipeline.STAGES``."""
+    ms: dict[str, float] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
+    _last: float = field(default_factory=time.process_time, repr=False)
+
+    def lap(self, layer: str) -> None:
+        now = time.process_time()
+        self.ms[layer] = self.ms.get(layer, 0.0) + (now - self._last) * 1e3
+        self._last = now
+
+
+@dataclass
 class MergeScenario:
     base: dict[str, SourceFile] = field(default_factory=dict)
     left: dict[str, SourceFile] = field(default_factory=dict)
@@ -151,6 +168,8 @@ class MergeScenario:
     # peg's unit facts of the files parse_versions read to pick deferred,
     # by (path, id of the SourceFile): the start of build_fourway's memo
     unit_facts: dict = field(default_factory=dict, compare=False, repr=False)
+    # the run's layer times and counters, begun by merge_scenario
+    record: Record = field(default_factory=Record, compare=False, repr=False)
 
 
 def _read_tree(root: Path) -> dict[str, str]:
@@ -233,10 +252,17 @@ def merge_texts(base: dict[str, str], left: dict[str, str],
 
 def merge_scenario(base_dir: str | Path, left_dir: str | Path,
                    right_dir: str | Path) -> MergeScenario:
+    record = Record()
     base = _read_tree(Path(base_dir))
     left = _read_tree(Path(left_dir))
     right = _read_tree(Path(right_dir))
-    return parse_versions(base, left, right, merge_texts(base, left, right))
+    record.lap("read")
+    am = merge_texts(base, left, right)
+    record.lap("merge")
+    scenario = parse_versions(base, left, right, am)
+    scenario.record = record
+    record.lap("parse")
+    return scenario
 
 
 def parse_versions(base: dict[str, str], left: dict[str, str],

@@ -137,12 +137,12 @@ _EDGES = frozenset({
 })
 
 
-_VERSION_NAMES = {"b": "base", "l": "left", "r": "right", "am": "merged"}
+VERSION_NAMES = {"b": "base", "l": "left", "r": "right", "am": "merged"}
 
 
 class DuplicateEntity(Exception):
     def __init__(self, fqn: str, version: Optional[str] = None):
-        where = f" in the {_VERSION_NAMES.get(version, version)} version" \
+        where = f" in the {VERSION_NAMES.get(version, version)} version" \
             if version else ""
         super().__init__(f"duplicate entity {fqn}{where}")
         self.fqn = fqn

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -10,8 +9,17 @@ from typing import Optional, Union
 from .conflicts import Conflict, detect_conflicts
 from .graph_diff import FourWayGraph, build_fourway
 from .matching import Outcome, Resolution, resolve_by_example
-from .merge3 import MergeScenario, merge_scenario
+from .merge3 import MergeScenario, Record, merge_scenario
 from .rules import resolve_by_rule
+
+
+# the layers of a run's Record that make each stage of Report.timings_ms
+STAGES = {"merge": ("read", "merge", "parse"),
+          "graphs": ("graph.base", "graph.left", "graph.right",
+                     "graph.merged", "delta.left", "delta.right",
+                     "cap.left", "cap.right"),
+          "detect": ("detect",),
+          "resolve": ("mine", "infer", "anchor", "apply", "rules")}
 
 
 @dataclass
@@ -19,7 +27,7 @@ class Report:
     scenario: str
     conflicts: list[Conflict] = field(default_factory=list)
     outcomes: list[Outcome] = field(default_factory=list)
-    # CPU milliseconds of each stage and of the whole run
+    # CPU milliseconds of each stage and of the whole run (see STAGES)
     timings_ms: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -33,6 +41,7 @@ class ScenarioRun:
     report: Report
     scenario: MergeScenario
     fourway: FourWayGraph
+    record: Record
 
 
 def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
@@ -45,38 +54,29 @@ def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
     be read, and DuplicateEntity when a version declares an entity twice.
     """
     name = scenario_id or Path(base_dir).resolve().parent.name
-    timings: dict[str, float] = {}
-
-    t0 = time.process_time()
     scenario = merge_scenario(base_dir, left_dir, right_dir)
-    t1 = time.process_time()
-    timings["merge"] = (t1 - t0) * 1000.0
-
     fw = build_fourway(scenario)
-    t2 = time.process_time()
-    timings["graphs"] = (t2 - t1) * 1000.0
-
+    record, memo = scenario.record, fw.scorer.print_memo
     conflicts = detect_conflicts(fw)
-    t3 = time.process_time()
-    timings["detect"] = (t3 - t2) * 1000.0
-
-    outcomes = resolve_conflicts(fw, conflicts, scenario)
-    t4 = time.process_time()
-    timings["resolve"] = (t4 - t3) * 1000.0
-    timings["total"] = (t4 - t0) * 1000.0
-
-    report = Report(scenario=name, conflicts=conflicts,
-                    outcomes=outcomes, timings_ms=timings)
-    return ScenarioRun(report=report, scenario=scenario, fourway=fw)
-
-
-def resolve_conflicts(fw: FourWayGraph, conflicts: list[Conflict],
-                      scenario: MergeScenario) -> list[Outcome]:
-    """The resolve stage: each conflict's outcome by example, then by
-    rule."""
-    return [outcome for conflict in conflicts
-            for outcome in (resolve_by_example(fw, conflict, scenario),
-                            resolve_by_rule(fw, conflict, scenario))]
+    record.lap("detect")
+    record.counts["reused.pre_resolve"] = memo.reused
+    outcomes = []
+    for conflict in conflicts:
+        outcomes.append(resolve_by_example(fw, conflict, scenario))
+        outcomes.append(resolve_by_rule(fw, conflict, scenario))
+        record.lap("rules")
+    report = Report(scenario=name, conflicts=conflicts, outcomes=outcomes)
+    record.counts.update(
+        pairs=fw.scorer.scored, printed=memo.printed, reused=memo.reused,
+        resolutions=len(report.resolutions), named=len(fw.named),
+        # every version holds the units whose bodies it deferred
+        deferred=len(fw.base.deferred))
+    report.timings_ms = {stage: sum(record.ms.get(layer, 0.0)
+                                    for layer in layers)
+                         for stage, layers in STAGES.items()}
+    report.timings_ms["total"] = sum(record.ms.values())
+    return ScenarioRun(report=report, scenario=scenario, fourway=fw,
+                       record=record)
 
 
 def report_to_dict(report: Report, include_timing: bool = True) -> dict:

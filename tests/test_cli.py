@@ -184,12 +184,20 @@ def test_resolve_trace_prints_the_similarity_counts(capsys):
     assert main(args_for("resolve", scenario=FANOUT, trace=True,
                          no_timing=True)) == 0
     traced = capsys.readouterr()
-    lines = [line for line in traced.err.splitlines()
-             if line.startswith("similarity:")]
-    scorer = run_scenario(FANOUT / "base", FANOUT / "left",
-                          FANOUT / "right").fourway.scorer
+    run = run_scenario(FANOUT / "base", FANOUT / "left", FANOUT / "right")
+    scorer = run.fourway.scorer
     assert scorer.scored
-    assert lines == [f"similarity: {scorer.scored} pair(s) scored"]
+    # the run's record: its counters, sorted, then one time per layer
+    (counts,) = [line.split()[1:] for line in traced.err.splitlines()
+                 if line.startswith("counts: ")]
+    assert f"pairs={scorer.scored}" in counts
+    assert counts == [f"{key}={value}" for key, value
+                      in sorted(run.record.counts.items())]
+    (ms,) = [line.split()[1:] for line in traced.err.splitlines()
+             if line.startswith("ms: ")]
+    assert [entry.split("=")[0] for entry in ms] == list(run.record.ms)
+    assert not [line for line in traced.err.splitlines()
+                if line.startswith("similarity:")]
     # one line per outcome: every conflict resolves by both strategies
     assert [line for line in traced.err.splitlines()
             if line.startswith("outcome:")] \

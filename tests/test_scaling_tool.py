@@ -1,9 +1,8 @@
-"""Smoke test of ``tools/scaling.py``, which reaches into the merge's
-``Scorer``, ``PrintMemo`` and recognized blocks: its column functions run
-once on the committed fanout fixture and, with the stage timings of the
-run, fill every column of its table but ``ref_ms``, the reference job's
-time.  The tool times through the CPU clock ``run_scenario`` already
-reads, so it patches nothing."""
+"""``tools/scaling.py`` reads every column from the run's record: one run
+of the committed fanout fixture fills every column of its table but
+``ref_ms``, the reference job's time, with the counters the record kept.
+The tool imports nothing private from mergeweaver, patches nothing, and
+runs no layer of the pipeline but through ``run_scenario``."""
 
 import ast
 import importlib.util
@@ -13,23 +12,43 @@ from mergeweaver.pipeline import run_scenario
 
 TOOL = ROOT / "tools" / "scaling.py"
 
+# the layers of the pipeline, which the tool runs only through run_scenario
+STAGE_FUNCTIONS = {
+    "merge_scenario", "parse_versions", "merge_texts", "merge_file",
+    "parse_unit", "scan", "token_texts", "build_peg", "build_fourway",
+    "diff_graphs", "match_graphs", "detect_conflicts", "mine_examples",
+    "diff_trees", "infer_pattern", "match_context", "apply_pattern",
+    "resolve_by_example", "resolve_by_rule"}
 
-def test_the_column_functions_fill_every_column():
+
+def _load_tool():
     spec = importlib.util.spec_from_file_location("scaling", TOOL)
     scaling = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scaling)
-    run = run_scenario(FANOUT / "base", FANOUT / "left", FANOUT / "right")
-    columns = {**run.report.timings_ms, **scaling.run_columns(run),
-               **scaling.lazy_columns(run), **scaling.diff_columns(run, 1),
-               **scaling.front_end_columns(FANOUT, 1),
-               "reused/res": scaling.resolve_reads(FANOUT)}
+    return scaling
+
+
+def _columns(scaling, scenario):
+    run = run_scenario(scenario / "base", scenario / "left",
+                       scenario / "right")
+    return {**scaling.record_columns(run), **scaling.lazy_columns(run)}
+
+
+def test_the_column_functions_fill_every_column():
+    scaling = _load_tool()
+    columns = _columns(scaling, FANOUT)
     assert set(scaling.COLUMNS) - set(columns) == {"ref_ms"}
     assert all(value >= 0 for value in columns.values())
+    # the parent's cells at seed 1, where a second run counted them
+    assert {col: columns[col] for col in ("pairs", "printed", "reused",
+                                          "named", "deferred")} \
+        == {"pairs": 48, "printed": 456, "reused": 667, "named": 5,
+            "deferred": 0}
     # 607 print-memo reads over the 32 resolutions of 16 conflicts; and
     # over resolutions, not outcomes, where a strategy resolves nothing
     assert columns["reused/res"] == 607 / 32
-    assert scaling.resolve_reads(CORPUS / "serialization-service-moved") \
-        == 2 / 1
+    assert _columns(scaling, CORPUS / "serialization-service-moved")[
+        "reused/res"] == 2 / 1
 
 
 def test_the_tool_imports_no_mock():
@@ -40,3 +59,17 @@ def test_the_tool_imports_no_mock():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
     assert not [name for name in imported if "mock" in name]
+
+
+def test_the_tool_imports_nothing_private_and_runs_no_layer_itself():
+    tree = ast.parse(TOOL.read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("mergeweaver")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+    called = {node.func.id if isinstance(node.func, ast.Name)
+              else getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called & STAGE_FUNCTIONS == set()
+    assert "run_scenario" in called
