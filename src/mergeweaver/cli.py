@@ -3,14 +3,15 @@
 Exit codes, each failure with a one-line message on stderr:
 
 * 0 on success (detected-but-unresolved conflicts are still success);
-* 1 when an evaluation corpus has no golden key, when the key is not
+* 1 when an evaluation corpus has no golden key, when the key cannot be
+  read or is not a regular file (refused at once, as a source is), is not
   UTF-8 JSON of the documented shape (an object of scenario entries, each
   with a "conflicts" list), or when it lacks an entry;
 * 2 when a source or expected file fails to parse, cannot be read (a
   directory or a dangling symlink named ``B.java``, say) or is not valid
-  UTF-8, when a source tree or a directory below it cannot be listed (an
-  ``eval`` scenario without ``left/``, say), and for bad command line
-  arguments (argparse also prints usage);
+  UTF-8, when a source tree is missing or no directory, or it or a
+  directory below it cannot be listed (an ``eval`` scenario without
+  ``left/``, say), and for bad arguments (argparse prints usage);
 * 3 when the textual merge itself conflicts;
 * 4 when one version declares the same entity twice, for example when
   both branches add a class of the same name;
@@ -172,20 +173,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _source_tree(value: str) -> str:
-    # catch path typos; an empty report would read as "no conflicts"
-    if not Path(value).is_dir():
-        raise argparse.ArgumentTypeError(f"not a directory: {value}")
-    return value
-
-
 def _add_tree_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--base", required=True, type=_source_tree,
-                     help="base source tree")
-    sub.add_argument("--left", required=True, type=_source_tree,
-                     help="left source tree")
-    sub.add_argument("--right", required=True, type=_source_tree,
-                     help="right source tree")
+    sub.add_argument("--base", required=True, help="base source tree")
+    sub.add_argument("--left", required=True, help="left source tree")
+    sub.add_argument("--right", required=True, help="right source tree")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:

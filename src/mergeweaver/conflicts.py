@@ -104,11 +104,11 @@ def declared_type_text(decl: Optional[SyntaxNode]) -> Optional[str]:
 
 
 def find_decl_method(type_decl: SyntaxNode, name: str,
-                     sig: Optional[str] = None) -> Optional[SyntaxNode]:
+                     sig: str) -> Optional[SyntaxNode]:
     for child in type_decl.children:
         if child.kind in ("MethodDecl", "ConstructorDecl") \
                 and child.value == name \
-                and (sig is None or f"({param_types(child)})" == sig):
+                and f"({param_types(child)})" == sig:
             return child
     return None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .merge3 import _read_text
+from .merge3 import UnreadableSource, _read_text
 from .parser import ParseError, token_texts
 from .pipeline import ScenarioRun, run_scenario
 
@@ -99,12 +99,11 @@ def evaluate_scenario(scenario_dir: Path,
 
 
 def _load_key(key_path: Path) -> dict:
+    # read as a source is, so a FIFO or a device is refused at once
     try:
-        key = json.loads(key_path.read_bytes().decode("utf-8"))
-    except OSError as exc:
-        raise MissingGolden(f"{key_path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MissingGolden(f"{key_path}: not valid UTF-8 ({exc})") from exc
+        key = json.loads(_read_text(str(key_path)))
+    except UnreadableSource as exc:
+        raise MissingGolden(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise MissingGolden(f"{key_path}: not valid JSON ({exc})") from exc
     if not isinstance(key, dict):
@@ -136,8 +135,6 @@ def _golden_entry(key: dict, key_path: Path, name: str) -> dict:
 def evaluate_corpus(corpus_dir: Union[str, Path]) -> EvalSummary:
     root = Path(corpus_dir)
     key_path = root / "golden_key.json"
-    if not key_path.is_file():
-        raise MissingGolden(f"no golden_key.json under {root}")
     key = _load_key(key_path)
     # check every entry in use before running any scenario
     entries = [(sdir, _golden_entry(key, key_path, sdir.name))

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .merge3 import MergeScenario, Record
+from .merge3 import MergeScenario
 from . import peg, syntax
 from .peg import MEMBER_ENTITY_KINDS, Entity, EntityGraph, Relation
 from .similarity import Scorer
@@ -271,8 +271,6 @@ class FourWayGraph:
     # cap_left and cap_right inverted: branch entity id -> merged entity id
     uncap_left: dict[str, str] = field(compare=False, repr=False)
     uncap_right: dict[str, str] = field(compare=False, repr=False)
-    # the run's layer times and counters: the scenario's record
-    record: Record = field(compare=False, repr=False)
     # mining.mine_examples' memo: (branch, base host id, branch host id)
     # -> the host's EditExample, or None when its script is empty; see the
     # mining module docstring
@@ -321,7 +319,7 @@ def build_fourway(scenario: MergeScenario) -> FourWayGraph:
     return FourWayGraph(
         base=gb, left=graphs["l"], right=graphs["r"], merged=gam,
         delta_left=deltas["l"], delta_right=deltas["r"],
-        cap_left=caps["l"], cap_right=caps["r"], scorer=scorer, record=record,
+        cap_left=caps["l"], cap_right=caps["r"], scorer=scorer,
         uncap_left=_inverse(caps["l"]), uncap_right=_inverse(caps["r"]),
     )
 

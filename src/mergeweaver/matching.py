@@ -320,8 +320,8 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
     if am_file is None:
         return Outcome("example", conflict, "target-missing")
 
-    examples = mine_examples(fw, conflict)
-    fw.record.lap("mine")
+    examples, record = mine_examples(fw, conflict), scenario.record
+    record.lap("mine")
     patterns: list[TransformationPattern] = []
     cands: list[tuple[TransformationPattern, MatchSet]] = []
     best = 0.0
@@ -331,14 +331,14 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
         except NoRelevantEdit:
             continue
         finally:
-            fw.record.lap("infer")
+            record.lap("infer")
         patterns.append(pattern)
         try:
             cands.append((pattern, match_context(
                 pattern, _merged_member(fw, conflict.using_am))))
         except NoAnchor as exc:
             best = max(best, exc.best)
-        fw.record.lap("anchor")
+        record.lap("anchor")
 
     reason = ("no-example" if not examples
               else "no-relevant-edit" if not patterns
@@ -352,7 +352,7 @@ def resolve_by_example(fw: FourWayGraph, conflict: Conflict,
             reason = "malformed-result"
             continue
         finally:
-            fw.record.lap("apply")
+            record.lap("apply")
         if resolution is not None:
             resolution.rank = rank
             return Outcome("example", conflict, "resolved", resolution,

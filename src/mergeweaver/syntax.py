@@ -362,7 +362,9 @@ class SyntaxTree:
     empty overlay maps that fall back to the tree it was taken from,
     plus a set of the ids it removed, so it shares every subtree it does
     not edit.  A node has no parent pointer, so one node can sit in both
-    trees.  The tree a clone was taken from is read-only from then on.
+    trees.  The tree a clone was taken from is read-only from then on,
+    and is never itself a clone: cloning a clone raises ValueError, so a
+    lookup reads one overlay and then one base.
 
     insert(), remove() and set_value() are the only writers.  Each looks
     its node up by id and, in a clone, first copies the node with every
@@ -437,15 +439,13 @@ class SyntaxTree:
                 stack.append((child, node))
 
     def _lookup(self, node_id: int) -> Optional[SyntaxNode]:
-        # down the chain of clones in a loop: a clone and every tree it
-        # was taken from have their maps
-        tree = self
-        while tree._base is not None:
-            node = tree._maps[0].get(node_id)
-            if node is not None or node_id in tree._removed:
-                return node
-            tree = tree._base
-        return (tree._maps or tree._indexes())[0].get(node_id)
+        if self._base is None:
+            return (self._maps or self._indexes())[0].get(node_id)
+        # this clone's overlay, then the base, whose maps clone() built
+        node = self._maps[0].get(node_id)
+        if node is None and node_id not in self._removed:
+            node = self._base._maps[0].get(node_id)
+        return node
 
     def _writable(self, node_id: int) -> SyntaxNode:
         """The node under node_id, ready to write: in a clone, a shared
@@ -518,24 +518,19 @@ class SyntaxTree:
         return self._lookup(node.id) is node
 
     def parent(self, node: SyntaxNode) -> Optional[SyntaxNode]:
-        node_id, tree, clones = node.id, self, []
-        while tree._base is not None:
-            clones.append(tree)
-            parents = tree._maps[1]
-            if node_id in parents:
-                parent = parents[node_id]
-                break
-            if node_id in tree._removed:
-                raise KeyError(node_id)
-            tree = tree._base
+        node_id = node.id
+        if self._base is None:
+            return (self._maps or self._indexes())[1][node_id]
+        parents = self._maps[1]
+        if node_id in parents:
+            parent = parents[node_id]
+        elif node_id in self._removed:
+            raise KeyError(node_id)
         else:
-            parent = (tree._maps or tree._indexes())[1][node_id]
-        # a write copies a node, not its children's entries: the copy a
+            parent = self._base._maps[1][node_id]
+        # a write copies a node, not its children's entries: the copy this
         # clone made of the parent since, if any, is the parent now
-        for tree in reversed(clones):
-            if parent is not None:
-                parent = tree.current(parent)
-        return parent
+        return None if parent is None else self.current(parent)
 
     @property
     def max_id(self) -> int:
@@ -552,7 +547,9 @@ class SyntaxTree:
 
     def clone(self) -> "SyntaxTree":
         """A copy-on-write copy (see the class docstring); this tree
-        becomes read-only."""
+        becomes read-only.  Refused for a clone."""
+        if self._base is not None:
+            raise ValueError("a clone cannot be cloned")
         self._indexes()
         self._shared = True
         copy = SyntaxTree.__new__(SyntaxTree)

@@ -100,8 +100,28 @@ def test_eval_command(tmp_path, capsys):
     assert set(doc["perStrategy"]) == {"example", "rule"}
 
 
-def test_eval_without_key_exits_1(tmp_path):
+def test_eval_without_key_exits_1(tmp_path, capsys):
     assert main(["eval", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"eval error: {tmp_path / 'golden_key.json'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", ["fifo", "dev-zero", "dev-null"])
+def test_a_key_that_is_not_a_regular_file_exits_1_at_once(tmp_path, shape):
+    # as for sources: a FIFO would block the open, and /dev/zero never
+    # ends, so eval runs in a child process under a timeout
+    key_path = tmp_path / "golden_key.json"
+    if shape == "fifo":
+        os.mkfifo(key_path)
+    else:
+        key_path.symlink_to("/dev/" + shape.split("-")[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "mergeweaver", "eval", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=20)
+    assert done.returncode == 1
+    assert done.stderr == f"eval error: {key_path}: not a regular file\n"
 
 
 @pytest.mark.parametrize("key, cause", [
@@ -208,13 +228,31 @@ def test_resolve_trace_prints_the_similarity_counts(capsys):
     assert capsys.readouterr().out == traced.out
 
 
+# a tree that is missing, or a regular file, is a read error like any
+# other unreadable source: one line, no usage dump
+def _run_with_tree(capsys, cmd, leg, path):
+    argv = args_for(cmd)
+    argv[argv.index(f"--{leg}") + 1] = str(path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 def test_missing_tree_dir_is_rejected(tmp_path, capsys):
-    argv = args_for("detect")
-    argv[argv.index("--left") + 1] = str(tmp_path / "nope")
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "not a directory" in capsys.readouterr().err
+    path = tmp_path / "nope"
+    for cmd in ("detect", "resolve", "merge"):
+        assert _run_with_tree(capsys, cmd, "left", path) \
+            == (2, f"read error: {path}: No such file or directory\n"), cmd
+
+
+def test_a_regular_file_as_a_tree_is_a_one_line_read_error(tmp_path,
+                                                           capsys):
+    path = tmp_path / "file.txt"
+    path.write_text("not a tree\n")
+    for cmd in ("detect", "resolve", "merge"):
+        assert _run_with_tree(capsys, cmd, "base", path) \
+            == (2, f"read error: {path}: Not a directory\n"), cmd
 
 
 def test_unknown_command_is_rejected():

@@ -36,7 +36,7 @@ def test_the_layers_sum_to_the_total(scenario):
     for stage, of in STAGES.items():
         assert abs(sum(ms.get(layer, 0.0) for layer in of)
                    - timings[stage]) < 0.001
-    assert run.scenario.record is run.fourway.record is run.record
+    assert run.scenario.record is run.record
 
 
 def test_the_fanout_run_times_every_layer():

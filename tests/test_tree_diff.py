@@ -481,19 +481,15 @@ def test_remove_of_the_root_is_refused():
     _assert_index_matches_fresh(tree)
 
 
-def test_a_clone_of_an_edited_clone_answers_parents_as_a_fresh_index():
-    # a write copies a node but leaves its children's parent entries, so
-    # each clone in the chain must map the parent it finds to its copy
+def test_a_clone_of_a_clone_is_refused():
+    # every clone sits on a tree that is no clone, so a lookup reads one
+    # overlay and one base
     tree = parse_snippet("class A { void m() { a(); if (c) { d(); b(); } }"
                          " }").tree
     first = tree.clone()
     named = {n.value: n for n in first.nodes() if n.value}
     first.set_value(named["d"], "e")
-    second = first.clone()
-    second.set_value(named["b"], "f")
-    second.set_value(named["c"], "g")
-    second.remove(second.parent(second.node(named["a"].id)))
-    for clone in (first, second):
-        _assert_index_matches_fresh(clone)
+    with pytest.raises(ValueError):
+        first.clone()
+    _assert_index_matches_fresh(first)
     assert "d();" in pretty_print(tree) and "e();" in pretty_print(first)
-    assert "if (g)" in pretty_print(second) and "f();" in pretty_print(second)
