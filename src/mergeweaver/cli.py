@@ -9,9 +9,10 @@ Exit codes, each failure with a one-line message on stderr:
   with a "conflicts" list), or when it lacks an entry;
 * 2 when a source or expected file fails to parse, cannot be read (a
   directory or a dangling symlink named ``B.java``, say) or is not valid
-  UTF-8, when a source tree is missing or no directory, or it or a
-  directory below it cannot be listed (an ``eval`` scenario without
-  ``left/``, say), and for bad arguments (argparse prints usage);
+  UTF-8, when a source tree is missing, no directory or an empty path
+  (never read as the current directory), or it or a directory below it
+  cannot be listed (an ``eval`` scenario without ``left/``, say), and for
+  bad arguments (argparse prints usage);
 * 3 when the textual merge itself conflicts;
 * 4 when one version declares the same entity twice, for example when
   both branches add a class of the same name;
@@ -140,9 +141,8 @@ def _run(args: argparse.Namespace) -> ScenarioRun:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    merged = merge_texts(_read_tree(Path(args.base)),
-                         _read_tree(Path(args.left)),
-                         _read_tree(Path(args.right)))
+    merged = merge_texts(_read_tree(args.base), _read_tree(args.left),
+                         _read_tree(args.right))
     if args.out:
         for path, text in sorted(merged.items()):
             _write_text(Path(args.out) / path, text)

@@ -15,12 +15,12 @@ relation of some kinds aimed at the old fqn, and an added class extending
 or implementing the owner of the changed member, tested on its method of
 the member's name and parameter types.
 
-``classify`` answers with the first of the def edit's rows whose gate and
-use predicate hold, yet row order carries no meaning: within one (op,
-detail, kind) the use predicates are disjoint.  They test different edits
-(an added relation, class or member), or an added class's link to one
-owner fqn that Java cannot make both ways: extends needs a class there,
-implements an interface.
+An edit pair of the two branches takes the code of the first of the def
+edit's rows whose gate and use predicate hold, yet row order carries no
+meaning: within one (op, detail, kind) the use predicates are disjoint.
+They test different edits (an added relation, class or member), or an
+added class's link to one owner fqn that Java cannot make both ways:
+extends needs a class there, implements an interface.
 
 C3 (a superclass method's signature changes under an added subclass that
 overrides it) and C10 (an interface method is deleted under an added
@@ -484,15 +484,6 @@ def _first_row(rows: list[Row], d: Edit, u: Edit,
         if row.use(d, u, fw):
             return row
     return None
-
-
-def classify(def_change: Edit, use_intro: Edit,
-             fw: FourWayGraph) -> Optional[str]:
-    """Taxonomy code for a def-side/use-side edit pair, or None."""
-    if def_change.branch == use_intro.branch:
-        return None
-    row = _first_row(_rows_of(def_change), def_change, use_intro, fw)
-    return row.code if row is not None else None
 
 
 # ---------------------------------------------------------------------------

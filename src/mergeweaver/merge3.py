@@ -55,7 +55,7 @@ from .syntax import SourceFile
 class UnreadableSource(Exception):
     """A source file cannot be read, or is not valid UTF-8."""
 
-    def __init__(self, path: Path, exc: OSError | UnicodeDecodeError):
+    def __init__(self, path: str | Path, exc: OSError | UnicodeDecodeError):
         if isinstance(exc, UnicodeDecodeError):
             cause = (f"not valid UTF-8 (byte 0x{exc.object[exc.start]:02x} "
                      f"at offset {exc.start})")
@@ -172,10 +172,13 @@ class MergeScenario:
     record: Record = field(default_factory=Record, compare=False, repr=False)
 
 
-def _read_tree(root: Path) -> dict[str, str]:
+def _read_tree(root: str | Path) -> dict[str, str]:
     """The source files below ``root`` by path relative to it, in sorted
-    path order; raises UnreadableSource at the first that fails."""
+    path order; raises UnreadableSource at the first that fails, and for
+    an empty ``root``, which ``Path`` would read as the current directory."""
     top = os.fspath(root)
+    if not top:
+        raise UnreadableSource("''", OSError("the path is empty"))
     cut = len(os.path.join(top, ""))   # the length of "top/"
     found = []
     # rglob's selection: every entry named *.java, a directory too (its
@@ -253,9 +256,9 @@ def merge_texts(base: dict[str, str], left: dict[str, str],
 def merge_scenario(base_dir: str | Path, left_dir: str | Path,
                    right_dir: str | Path) -> MergeScenario:
     record = Record()
-    base = _read_tree(Path(base_dir))
-    left = _read_tree(Path(left_dir))
-    right = _read_tree(Path(right_dir))
+    base = _read_tree(base_dir)
+    left = _read_tree(left_dir)
+    right = _read_tree(right_dir)
     record.lap("read")
     am = merge_texts(base, left, right)
     record.lap("merge")

@@ -28,10 +28,13 @@ only through a ``_Reads``, the one reader of a version's symbol table,
 which records each read with its answer, in ids and texts: a type fqn
 looked up (hit or miss, stubs included), a package looked up, a type's
 member list, a type's superclass, a field's declared type.  Its member and
-supertype queries are made of those reads.  A later version reuses a
-resolution only if it holds the same SourceFile and every recorded read
-gives the same answer there; otherwise the unit is resolved afresh and the
-new resolution kept beside the old ones.
+supertype queries are made of those reads.  Each head and each body
+resolution is kept on its unit, a body apart from the head it followed: it
+logs every read it makes, the imports its type scope looks up and the
+superclasses it walks included, so its own log verifies it.  A later
+version reuses a resolution only if it holds the same SourceFile and every
+recorded read gives the same answer there; otherwise the unit is resolved
+afresh and the new resolution kept beside the old ones.
 
 The reuse is exact: a resolution sees the version only through those reads,
 and the relations it emits hold ids, so equal answers give equal relations.
@@ -48,8 +51,8 @@ decided once per merge, in ``merge3.parse_versions``: it parses the other
 files first, asks ``deferred_by_text`` and keeps the answer as
 ``MergeScenario.deferred``, a set of paths.  The parser recognizes those
 files' bodies without building them, and ``build_fourway`` passes the set
-to each ``build_peg``, which skips the same bodies, keeping each unit with
-its head in ``EntityGraph.deferred``; declarations and heads stay eager.
+to each ``build_peg``, which skips the same bodies, keeping those units
+in ``EntityGraph.deferred``; declarations and heads stay eager.
 ``EntityGraph.resolve_deferred`` completes a graph (``--dump-peg`` and the
 unit-facts oracle call it), and a build given no deferred paths is the
 full build.  The unit facts the test builds start ``build_fourway``'s
@@ -201,8 +204,8 @@ class EntityGraph:
         self.diagnostics: list[str] = []
         # the units whose facts this graph holds, in path order
         self.units: list[_Unit] = []
-        # the units whose bodies build_peg skipped, each with its head
-        self.deferred: list[tuple[_Unit, _Resolution]] = []
+        # the units whose bodies build_peg skipped
+        self.deferred: list[_Unit] = []
 
     # -- construction --------------------------------------------------------
 
@@ -245,8 +248,8 @@ class EntityGraph:
     def resolve_deferred(self) -> None:
         """Resolves the bodies ``build_peg`` deferred, which makes this
         graph the full build."""
-        for unit, head in self.deferred:
-            self.relations.update(unit.body(head, self).relations)
+        for unit in self.deferred:
+            self.relations.update(unit.body(self).relations)
         self.deferred = []
 
     # -- lookup ----------------------------------------------------------------
@@ -348,15 +351,14 @@ def build_peg(files: dict[str, SourceFile], version: str,
         for name in _stubbed(unit.imports, graph.find_type):
             graph.add_entity(Entity("class", name, stub=True))
 
-    heads = [unit.head(graph) for unit in units]
-    for head in heads:
+    for head in [unit.head(graph) for unit in units]:
         graph.relations.update(head.relations)
         graph._super.update(head.extends)
-    for unit, head in zip(units, heads):
+    for unit in units:
         if unit.path in deferred:
-            graph.deferred.append((unit, head))
+            graph.deferred.append(unit)
         else:
-            graph.relations.update(unit.body(head, graph).relations)
+            graph.relations.update(unit.body(graph).relations)
     return graph
 
 
@@ -447,14 +449,13 @@ class _Resolution:
     reads: dict
     relations: set[Relation]
     extends: dict[str, str] = field(default_factory=dict)   # head only
-    bodies: list[_Resolution] = field(default_factory=list)  # head only
 
 
 class _Unit:
     """What one parsed file contributes to a graph.
 
-    The declarations depend on the file alone; ``heads`` keeps every
-    resolution of the head made so far, each with its body resolutions.
+    The declarations depend on the file alone; ``heads`` and ``bodies``
+    keep every resolution of the head and of the bodies made so far.
     """
 
     def __init__(self, path: str, source: SourceFile):
@@ -477,6 +478,7 @@ class _Unit:
         self.diagnostics: list[str] = []
         self.types: list[tuple[Entity, SyntaxNode]] = []
         self.heads: list[_Resolution] = []
+        self.bodies: list[_Resolution] = []
 
         stem = path.rsplit("/", 1)[-1].removesuffix(".java")
         self.cu = Entity("compilation-unit", self.prefix + stem, decl=root,
@@ -543,10 +545,10 @@ class _Unit:
         """Imports and heritage; needs the version's types and stubs."""
         return _reuse_or_resolve(self.heads, graph, self._resolve_head)
 
-    def body(self, head: _Resolution, graph: EntityGraph) -> _Resolution:
+    def body(self, graph: EntityGraph) -> _Resolution:
         """Member bodies; needs every unit's head in the version."""
         return _reuse_or_resolve(
-            head.bodies, graph,
+            self.bodies, graph,
             lambda reads: _Resolution(reads.log, _Resolver(self, reads).run()))
 
     def _resolve_head(self, reads: _Reads) -> _Resolution:
@@ -709,98 +711,97 @@ class _TypeScope:
 
 
 class _Resolver:
-    """Walks member bodies of one unit emitting reads/writes/calls/initializes."""
+    """Walks member bodies of one unit emitting reads/writes/calls/initializes,
+    seeing the version only through ``reads``, whose log the resolution keeps.
+
+    The walk state is the same for a whole member's walk, anonymous-body
+    code included: ``member``, the declared member the code counts as;
+    ``type_ent``, the type that declares it; and ``scopes``, the local
+    frames, innermost last, each mapping a name to its declared type entity
+    when resolvable (None otherwise; the name still shadows fields)."""
 
     def __init__(self, unit: _Unit, reads: _Reads):
         self.unit = unit
         self.reads = reads
         self.scope = _TypeScope(reads, unit)
         self.relations: set[Relation] = set()
+        self.scopes: list[dict] = []
 
     def run(self) -> set[Relation]:
-        for type_ent, _node in self.unit.types:
-            for member in self.unit.members_of(type_ent):
-                if member.decl is not None:
-                    self._walk_member(member.decl, member, type_ent, [])
+        for self.type_ent, _node in self.unit.types:
+            for self.member in self.unit.members_of(self.type_ent):
+                self._walk_member(self.member.decl)
         return self.relations
 
-    def _walk_member(self, decl: SyntaxNode, member: Entity,
-                     type_ent: Entity, scopes: list[dict]) -> None:
+    def _walk_member(self, decl: SyntaxNode) -> None:
         """A field's initializer, or a method's or constructor's body with
-        its parameters in scope; the code counts as ``member``."""
+        its parameters in scope."""
         if decl.kind == "FieldDecl":
             init = initializer(decl)
             if init is not None:
-                self._walk_expr(init, member, type_ent, scopes)
+                self._walk_expr(init)
         elif decl.kind in ("MethodDecl", "ConstructorDecl"):
             frame = {p.value: self._type_of(p) for p in parameters(decl)}
             body = body_of(decl)
             if body is not None:
-                self._walk_block(body, member, type_ent, scopes + [frame])
+                self._walk_block(body, frame)
 
     def _type_of(self, decl: SyntaxNode) -> Optional[Entity]:
         """The type a parameter or local variable declares, if resolvable."""
         tref = declared_type(decl)
         return self.scope.resolve_type(tref.value) if tref is not None else None
 
-    # scope shape: list of dicts, innermost last; value is the declared type
-    # entity when resolvable (None otherwise, the name still shadows fields)
-
-    def _walk_block(self, block: SyntaxNode, member: Entity,
-                    type_ent: Entity, scopes: list[dict]) -> None:
-        scopes.append({})
+    def _walk_block(self, block: SyntaxNode,
+                    frame: Optional[dict] = None) -> None:
+        """The block's statements in a new frame, ``frame`` when given."""
+        self.scopes.append({} if frame is None else frame)
         for stmt in block.children:
-            self._walk_stmt(stmt, member, type_ent, scopes)
-        scopes.pop()
+            self._walk_stmt(stmt)
+        self.scopes.pop()
 
-    def _walk_stmt(self, stmt: SyntaxNode, member: Entity,
-                   type_ent: Entity, scopes: list[dict]) -> None:
+    def _walk_stmt(self, stmt: SyntaxNode) -> None:
         k = stmt.kind
         if k == "LocalVarDecl":
             init = initializer(stmt)
             if init is not None:
-                self._walk_expr(init, member, type_ent, scopes)
-            scopes[-1][stmt.value] = self._type_of(stmt)
+                self._walk_expr(init)
+            self.scopes[-1][stmt.value] = self._type_of(stmt)
         elif k == "ExprStmt" or k == "ReturnStmt" or k == "ThrowStmt":
             for expr in stmt.children:
-                self._walk_expr(expr, member, type_ent, scopes)
+                self._walk_expr(expr)
         elif k == "IfStmt":
             # an else-if chain in a loop, however long
             while True:
-                self._walk_expr(stmt.children[0], member, type_ent, scopes)
-                self._walk_block(stmt.children[1], member, type_ent, scopes)
+                self._walk_expr(stmt.children[0])
+                self._walk_block(stmt.children[1])
                 if len(stmt.children) < 3:
                     break
                 stmt = stmt.children[2]
                 if stmt.kind != "IfStmt":
-                    self._walk_stmt(stmt, member, type_ent, scopes)
+                    self._walk_stmt(stmt)
                     break
         elif k == "WhileStmt":
-            self._walk_expr(stmt.children[0], member, type_ent, scopes)
-            self._walk_block(stmt.children[1], member, type_ent, scopes)
+            self._walk_expr(stmt.children[0])
+            self._walk_block(stmt.children[1])
         elif k == "ForStmt":
             init, cond, update, body = stmt.children
-            scopes.append({})
-            self._walk_stmt(init, member, type_ent, scopes)
-            self._walk_expr(cond, member, type_ent, scopes)
-            self._walk_expr(update, member, type_ent, scopes)
-            for inner in body.children:
-                self._walk_stmt(inner, member, type_ent, scopes)
-            scopes.pop()
+            self.scopes.append({})
+            self._walk_stmt(init)
+            self._walk_expr(cond)
+            self._walk_expr(update)
+            # the body's statements share the header's frame
+            self._walk_block(body, self.scopes.pop())
         elif k == "ForEachStmt":
             param, iterable, body = stmt.children
-            self._walk_expr(iterable, member, type_ent, scopes)
-            scopes.append({param.value: self._type_of(param)})
-            for inner in body.children:
-                self._walk_stmt(inner, member, type_ent, scopes)
-            scopes.pop()
+            self._walk_expr(iterable)
+            self._walk_block(body, {param.value: self._type_of(param)})
         elif k == "Block":
-            self._walk_block(stmt, member, type_ent, scopes)
+            self._walk_block(stmt)
 
     # -- expressions --------------------------------------------------------
 
-    def _lookup_local(self, name: str, scopes: list[dict]):
-        for frame in reversed(scopes):
+    def _lookup_local(self, name: str):
+        for frame in reversed(self.scopes):
             if name in frame:
                 return True, frame[name]
         return False, None
@@ -808,18 +809,18 @@ class _Resolver:
     # ``find`` is a member query on one type: a field or a list of methods,
     # falsy when there is none
 
-    def _in_chain(self, type_ent: Entity, find: Callable):
-        """The first hit of ``find`` on type_ent, then its supertypes."""
-        for cur in chain((type_ent,), self.reads.supertype_chain(type_ent)):
+    def _in_chain(self, start: Entity, find: Callable):
+        """The first hit of ``find`` on ``start``, then its supertypes."""
+        for cur in chain((start,), self.reads.supertype_chain(start)):
             hit = find(cur)
             if hit:
                 return hit
         return None
 
-    def _enclosing(self, type_ent: Entity, find: Callable):
-        """The first hit of ``find`` in the supertype chain of type_ent,
-        then of each lexically enclosing type."""
-        cur: Optional[Entity] = type_ent
+    def _enclosing(self, find: Callable):
+        """The first hit of ``find`` in the supertype chain of the member's
+        type, then of each lexically enclosing type."""
+        cur: Optional[Entity] = self.type_ent
         while cur is not None:
             hit = self._in_chain(cur, find)
             if hit:
@@ -835,111 +836,85 @@ class _Resolver:
     def _methods(self, name: str, arity: int) -> Callable:
         return lambda t: self.reads.methods_named(t, name, arity)
 
-    def _receiver_type(self, receiver: SyntaxNode, type_ent: Entity,
-                       scopes: list[dict]) -> tuple[Optional[Entity], bool]:
-        """Returns (type entity, is_static_access)."""
+    def _receiver_type(self, receiver: SyntaxNode) -> Optional[Entity]:
         if receiver.kind == "Name":
             if receiver.value == "this":
-                return type_ent, False
-            is_local, declared = self._lookup_local(receiver.value, scopes)
+                return self.type_ent
+            is_local, declared = self._lookup_local(receiver.value)
             if is_local:
-                return declared, False
-            fld = self._enclosing(type_ent, self._fields(receiver.value))
+                return declared
+            fld = self._enclosing(self._fields(receiver.value))
             if fld is not None:
                 text = self.reads.field_type(fld)
-                if text is not None:
-                    return self.scope.resolve_type(text), False
-                return None, False
-            as_type = self.scope.resolve_type(receiver.value)
-            if as_type is not None:
-                return as_type, True
-            return None, False
+                return None if text is None else self.scope.resolve_type(text)
+            return self.scope.resolve_type(receiver.value)
         if receiver.kind == "ObjectCreation":
-            return self.scope.resolve_type(receiver.children[0].value), False
-        return None, False
+            return self.scope.resolve_type(receiver.children[0].value)
+        return None
 
-    def _emit(self, src: Entity, dst: Entity, kind: str) -> None:
-        self.relations.add(_relation(src, dst, kind))
+    def _emit(self, dst: Entity, kind: str) -> None:
+        self.relations.add(_relation(self.member, dst, kind))
 
-    def _walk_expr(self, expr: SyntaxNode, member: Entity, type_ent: Entity,
-                   scopes: list[dict], as_target: bool = False) -> None:
+    def _walk_expr(self, expr: SyntaxNode, as_target: bool = False) -> None:
         k = expr.kind
         if k == "Name":
-            if expr.value == "this":
-                return
-            is_local, _ = self._lookup_local(expr.value, scopes)
-            if is_local:
-                return
-            fld = self._enclosing(type_ent, self._fields(expr.value))
-            if fld is not None:
-                self._emit(member, fld, "writes" if as_target else "reads")
-            return
-        if k == "Literal" or k == "TypeRef":
-            return
-        if k == "FieldAccess":
+            if expr.value != "this" and not self._lookup_local(expr.value)[0]:
+                fld = self._enclosing(self._fields(expr.value))
+                if fld is not None:
+                    self._emit(fld, "writes" if as_target else "reads")
+        elif k == "FieldAccess":
             receiver = expr.children[0]
-            recv_type, _static = self._receiver_type(receiver, type_ent, scopes)
+            recv_type = self._receiver_type(receiver)
             if recv_type is not None:
                 fld = self._in_chain(recv_type, self._fields(expr.value))
                 if fld is not None:
-                    self._emit(member, fld, "writes" if as_target else "reads")
-            self._walk_expr(receiver, member, type_ent, scopes)
-            return
-        if k == "MethodInvocation":
+                    self._emit(fld, "writes" if as_target else "reads")
+            self._walk_expr(receiver)
+        elif k == "MethodInvocation":
             args = expr.children[-1]
             receiver = expr.children[0] if len(expr.children) == 2 else None
             arity = len(args.children)
             targets: Optional[list[Entity]] = None
             if receiver is None:
                 if expr.value == "this":
-                    owner = self._owner_class(member)
-                    if owner is not None:
+                    owner = self.unit.parent_of(self.member)
+                    if owner is not None and owner.kind == "class":
                         targets = self.reads.methods_named(owner, owner.simple_name,
                                                            arity)
                 else:
-                    targets = self._enclosing(
-                        type_ent, self._methods(expr.value, arity))
+                    targets = self._enclosing(self._methods(expr.value, arity))
             else:
-                recv_type, _static = self._receiver_type(receiver, type_ent, scopes)
+                recv_type = self._receiver_type(receiver)
                 if recv_type is not None:
                     targets = self._in_chain(
                         recv_type, self._methods(expr.value, arity))
-                self._walk_expr(receiver, member, type_ent, scopes)
+                self._walk_expr(receiver)
             for target in targets or ():
-                self._emit(member, target, "calls")
+                self._emit(target, "calls")
             for arg in args.children:
-                self._walk_expr(arg, member, type_ent, scopes)
-            return
-        if k == "ObjectCreation":
+                self._walk_expr(arg)
+        elif k == "ObjectCreation":
             tref, args = expr.children[0], expr.children[1]
             created = self.scope.resolve_type(tref.value)
             if created is not None and created.kind == "class":
-                self._emit(member, created, "initializes")
+                self._emit(created, "initializes")
                 for ctor in self.reads.methods_named(created, created.simple_name,
                                                      len(args.children)):
                     if ctor.kind == "constructor":
-                        self._emit(member, ctor, "calls")
+                        self._emit(ctor, "calls")
             for arg in args.children:
-                self._walk_expr(arg, member, type_ent, scopes)
+                self._walk_expr(arg)
             if len(expr.children) > 2 and expr.children[2].kind == "AnonymousBody":
                 # anonymous members have no entities of their own; their
                 # code counts as the enclosing declared member
                 for m in expr.children[2].children:
-                    self._walk_member(m, member, type_ent, scopes)
-            return
-        if k == "Assignment":
+                    self._walk_member(m)
+        elif k == "Assignment":
             target, value = expr.children
-            self._walk_expr(target, member, type_ent, scopes, as_target=True)
-            self._walk_expr(value, member, type_ent, scopes)
-            return
-        if k == "BinaryExpr":
-            self._walk_expr(expr.children[0], member, type_ent, scopes)
-            self._walk_expr(expr.children[1], member, type_ent, scopes)
-            return
-        if k == "CastExpr":
-            self._walk_expr(expr.children[1], member, type_ent, scopes)
-            return
-
-    def _owner_class(self, member: Entity) -> Optional[Entity]:
-        parent = self.unit.parent_of(member)
-        return parent if parent is not None and parent.kind == "class" else None
+            self._walk_expr(target, as_target=True)
+            self._walk_expr(value)
+        elif k == "BinaryExpr":
+            self._walk_expr(expr.children[0])
+            self._walk_expr(expr.children[1])
+        elif k == "CastExpr":
+            self._walk_expr(expr.children[1])

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from mergeweaver.conflicts import _first_row, _rows_of
 from mergeweaver.parser import parse_unit
 from mergeweaver.pipeline import ScenarioRun, run_scenario
 from mergeweaver.similarity import Scorer
@@ -56,6 +57,15 @@ def golden_key(corpus_dir: Path) -> dict:
 
 def parse_snippet(text: str, path: str = "T.java"):
     return parse_unit(path, text)
+
+
+def classify(def_change, use_intro, fw) -> str | None:
+    """The taxonomy code ``detect_conflicts`` gives a def-side/use-side
+    edit pair, or None; a pair within one branch has none."""
+    if def_change.branch == use_intro.branch:
+        return None
+    row = _first_row(_rows_of(def_change), def_change, use_intro, fw)
+    return row.code if row is not None else None
 
 
 @functools.lru_cache(maxsize=None)

@@ -255,6 +255,13 @@ def test_a_regular_file_as_a_tree_is_a_one_line_read_error(tmp_path,
             == (2, f"read error: {path}: Not a directory\n"), cmd
 
 
+def test_an_empty_tree_path_is_a_one_line_read_error(capsys):
+    # Path("") is the current directory, which must not be read as a tree
+    for cmd in ("detect", "resolve", "merge"):
+        assert _run_with_tree(capsys, cmd, "base", "") \
+            == (2, "read error: '': the path is empty\n"), cmd
+
+
 def test_unknown_command_is_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -5,10 +5,10 @@ import json
 import pytest
 
 import reference_conflicts as ref
-from conftest import CORPUS, FANOUT, merge_inputs, run_corpus
+from conftest import CORPUS, FANOUT, classify, merge_inputs, run_corpus
 from mergeweaver import syntax
 from mergeweaver.conflicts import (CALLS, CREATIONS, NAME_USES, TYPE_USES,
-                                   classify, detect_conflicts, uses)
+                                   detect_conflicts, uses)
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.parser import parse_unit

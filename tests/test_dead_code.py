@@ -4,11 +4,14 @@ Each function, class and constant defined at module level in
 src/mergeweaver must appear as a word in src/, tests/, tools/ or bench/
 somewhere outside its own definition.  Each function, class and method
 that the package's ``__all__`` does not export must have a reader in
-src/, tools/ or bench/: a reader in tests/ alone does not keep it.
+src/, tools/ or bench/: a reader in tests/ alone does not keep it.  A word
+counts only in code: a mention in a docstring or a comment reads nothing.
 """
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 
 from conftest import ROOT
@@ -30,12 +33,34 @@ def _definitions(module: ast.Module):
             yield node.target.id, node
 
 
+def _code_words(text: str) -> list[tuple[tuple[int, int], str]]:
+    """Each word of ``text`` outside its comments and docstrings, with the
+    (row, column) where its token starts."""
+    docstrings = {(node.lineno, node.col_offset)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)
+                  and isinstance(node.value.value, str)}
+    return [(tok.start, word)
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type != tokenize.COMMENT
+            and (tok.type != tokenize.STRING or tok.start not in docstrings)
+            for word in WORD.findall(tok.string)]
+
+
 def _words(*tops: str) -> Counter:
     words: Counter = Counter()
     for top in tops:
         for path in (ROOT / top).rglob("*.py"):
-            words.update(WORD.findall(path.read_text()))
+            words.update(word for _at, word in _code_words(path.read_text()))
     return words
+
+
+def _own(words: list, node: ast.AST, name: str) -> int:
+    """How often ``name`` is a word of ``node``'s own code."""
+    start = (node.lineno, node.col_offset)
+    end = (node.end_lineno, node.end_col_offset)
+    return sum(word == name and start <= at < end for at, word in words)
 
 
 def _functions_classes_and_methods(module: ast.Module):
@@ -53,9 +78,10 @@ def test_every_top_level_name_is_referenced():
     unreferenced = []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
+        code = _code_words(text)
         for name, node in _definitions(ast.parse(text)):
-            own = WORD.findall(ast.get_source_segment(text, node) or "")
-            if not name.startswith("__") and words[name] == own.count(name):
+            if not name.startswith("__") \
+                    and words[name] == _own(code, node, name):
                 unreferenced.append(f"{path.name}:{name}")
     assert unreferenced == []
 
@@ -66,9 +92,9 @@ def test_every_unexported_callable_has_a_reader_outside_tests():
     test_only = []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
+        code = _code_words(text)
         for name, node in _functions_classes_and_methods(ast.parse(text)):
-            own = WORD.findall(ast.get_source_segment(text, node) or "")
             if not name.startswith("__") and name not in exported \
-                    and words[name] == own.count(name):
+                    and words[name] == _own(code, node, name):
                 test_only.append(f"{path.name}:{name}")
     assert test_only == []

@@ -138,7 +138,7 @@ def test_shared_files_are_recognized_only_where_no_build_reads_them(
     fourway = build_fourway(scenario)
     recognized = {path for path, sf in scenario.base.items()
                   if recognized_blocks(sf.tree.root)}
-    deferred = {unit.path for unit, _head in fourway.base.deferred}
+    deferred = {unit.path for unit in fourway.base.deferred}
     if edit in ("none", "unused-member"):
         shared = {path for path, text in wl.base.items()
                   if wl.left.get(path) == text == wl.right.get(path)}

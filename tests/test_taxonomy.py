@@ -10,8 +10,8 @@ the same conflicts, down to each site's node id.
 import pytest
 
 import reference_conflicts as ref
-from conftest import bench_gen, merge_inputs
-from mergeweaver.conflicts import TAXONOMY, classify, detect_conflicts
+from conftest import bench_gen, classify, merge_inputs
+from mergeweaver.conflicts import TAXONOMY, detect_conflicts
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.rules import RULES

@@ -37,6 +37,7 @@ from mergeweaver.graph_diff import build_fourway, diff_graphs
 from mergeweaver.merge3 import (TextualConflict, merge_scenario, merge_texts,
                                 parse_versions)
 from mergeweaver.peg import DuplicateEntity, Entity, build_peg
+from mergeweaver.pipeline import run_scenario
 from mergeweaver.similarity import Scorer
 from mergeweaver.syntax import recognized_blocks
 
@@ -87,9 +88,9 @@ def check_against_cold(scenario):
             return None, None
     assert warm_error is None
     graphs = (fw.base, fw.left, fw.right, fw.merged)
-    skipped = set().union(*(unit.by_id for unit, _head in fw.base.deferred))
+    skipped = set().union(*(unit.by_id for unit in fw.base.deferred))
     for (_bucket, version), graph in zip(VERSIONS, graphs):
-        assert {unit.path for unit, _head in graph.deferred} == deferred
+        assert {unit.path for unit in graph.deferred} == deferred
         assert graph.relations == {
             rel for rel in cold[version].relations
             if rel.src not in skipped or rel.kind not in BODY_KINDS}, version
@@ -187,7 +188,7 @@ def test_each_read_kind_invalidates_an_unchanged_file(read):
     assert "p/Use.java" not in deferred
     use = next(u for u in fw.base.units if u.path == "p/Use.java")
     assert any(kind == read for kind, _arg in use.heads[0].reads) \
-        or any(kind == read for kind, _arg in use.heads[0].bodies[0].reads)
+        or any(kind == read for kind, _arg in use.bodies[0].reads)
     relations = [{r for r in g.relations if r.src.endswith("Use.go(int)")
                   or r.src == "compilation-unit:p.Use"}
                  for g in (fw.base, fw.left)]
@@ -208,11 +209,11 @@ def test_the_graphs_defer_exactly_the_paths_the_scenario_names():
     assert scenario.deferred == set(_BASE)
     fw = build_fourway(scenario)
     for graph in (fw.base, fw.left, fw.right, fw.merged):
-        assert {unit.path for unit, _head in graph.deferred} == set(_BASE)
+        assert {unit.path for unit in graph.deferred} == set(_BASE)
     # build_peg defers the paths it is given, and with none it is the
     # full build
     picked = build_peg(scenario.base, "b", deferred=frozenset({"p/Use.java"}))
-    assert [unit.path for unit, _head in picked.deferred] == ["p/Use.java"]
+    assert [unit.path for unit in picked.deferred] == ["p/Use.java"]
     assert not build_peg(scenario.base, "b").deferred
     # a file is shared only if the merge holds it too, so a caller's merge
     # that renames Beta.run leaves Beta unshared and Use, which calls it,
@@ -238,6 +239,28 @@ def test_a_typeless_file_importing_a_shared_class_defers_nothing():
     fw, _deferred = check_against_cold(scenario)
     assert ("method:p.S.run(int)", "field:p.S.total", "reads") \
         in fw.merged.relations
+
+
+def test_a_body_is_reused_wherever_its_own_reads_answer_the_same(tmp_path):
+    # left adds the class U extends, so U's head resolves two ways; U's
+    # body reads nothing, so one resolution of it serves all four versions
+    shared = {"p/U.java": "package p;\n\nclass U extends S {\n"
+                          "    int f() {\n        return 1;\n    }\n}\n"}
+    trees = {"base": shared, "right": shared,
+             "left": dict(shared, **{"p/S.java": "package p;\n\nclass S {\n}\n"})}
+    for leg, files in trees.items():
+        for path, text in files.items():
+            (tmp_path / leg / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / leg / path).write_text(text)
+    run = run_scenario(*(tmp_path / leg for leg in ("base", "left", "right")))
+    fw, scenario = run.fourway, run.scenario
+    graphs = (fw.base, fw.left, fw.right, fw.merged)
+    (unit,) = {u for g in graphs for u in g.units if u.path == "p/U.java"}
+    assert (len(unit.heads), len(unit.bodies)) == (2, 1)
+    for (bucket, version), graph in zip(VERSIONS, graphs):
+        graph.resolve_deferred()
+        assert graph_facts(graph) == graph_facts(
+            build_peg(getattr(scenario, bucket), version)), version
 
 
 def test_each_file_gives_one_unit_and_each_version_one_frame(monkeypatch):
@@ -501,8 +524,7 @@ def test_seeded_mutations_equal_cold_builds():
         # a unit shared by two versions whose reads answered differently
         units = set(fw.base.units + fw.left.units + fw.right.units
                     + fw.merged.units)
-        if any(len(u.heads) > 1 or any(len(h.bodies) > 1 for h in u.heads)
-               for u in units):
+        if any(len(u.heads) > 1 or len(u.bodies) > 1 for u in units):
             re_resolved += 1
     assert used == {op.__name__ for op in MUTATIONS}
     assert duplicates >= 10

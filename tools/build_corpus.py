@@ -3324,34 +3324,36 @@ control(
 # writer
 
 
-def write_corpus() -> None:
-    if CORPUS.exists():
-        shutil.rmtree(CORPUS)
+def write_corpus(out: Path = CORPUS) -> None:
+    """Writes the scenarios, the controls, golden_key.json and
+    manifest.json under ``out``, which is emptied first."""
+    if out.exists():
+        shutil.rmtree(out)
     golden_key = {}
     for name, entry in sorted(SCENARIOS.items()):
         for role in ("base", "left", "right", "expected"):
             for rel, text in entry[role].items():
-                target = CORPUS / name / role / rel
+                target = out / name / role / rel
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(text)
         golden_key[name] = entry["golden"]
     for name, entry in sorted(CONTROLS.items()):
         for role in ("base", "left", "right"):
             for rel, text in entry[role].items():
-                target = CORPUS / "controls" / name / role / rel
+                target = out / "controls" / name / role / rel
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(text)
-    (CORPUS / "golden_key.json").write_text(
+    (out / "golden_key.json").write_text(
         json.dumps(golden_key, indent=2, sort_keys=True) + "\n")
     manifest = {
         "scenarios": sorted(SCENARIOS),
         "controls": sorted(CONTROLS),
         "counts": {"scenarios": len(SCENARIOS), "controls": len(CONTROLS)},
     }
-    (CORPUS / "manifest.json").write_text(
+    (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(SCENARIOS)} scenarios and {len(CONTROLS)} controls "
-          f"to {CORPUS}")
+          f"to {out}")
 
 
 if __name__ == "__main__":
