@@ -275,17 +275,6 @@ _Found = list[tuple[str, Optional[str], SyntaxNode]]
 _Finder = Callable[[Edit, Edit, Optional[Entity], FourWayGraph], _Found]
 
 
-def _merged_member_fqn(fw: FourWayGraph, cls: Entity,
-                       decl: SyntaxNode) -> str:
-    fqn = f"{cls.fqn}.{decl.value}({param_types(decl)})"
-    for suffix in ("", "#2", "#3"):
-        found = fw.merged.find("method", fqn + suffix) \
-            or fw.merged.find("constructor", fqn + suffix)
-        if found is not None:
-            return found.fqn
-    return fqn
-
-
 def _in_user(find: Callable[[Edit, Edit, Entity, FourWayGraph],
                             list[SyntaxNode]]) -> _Finder:
     """Finder over the declaration of the merged entity holding the use.
@@ -298,7 +287,9 @@ def _in_user(find: Callable[[Edit, Edit, Entity, FourWayGraph],
               fw: FourWayGraph) -> _Found:
         if user is None or user.decl is None:
             return []
-        return [(_merged_member_fqn(fw, user, n)
+        # such a node comes from find_decl_method, the first declaration
+        # of its name and signature, whose fqn has no "#n" suffix
+        return [(f"{user.fqn}.{n.value}({param_types(n)})"
                  if n.kind in ("MethodDecl", "ConstructorDecl") else user.fqn,
                  user.path, n) for n in find(d, u, user, fw)]
     return sites

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -85,12 +86,7 @@ def evaluate_scenario(scenario_dir: Path,
                        scenario_id=scenario_dir.name)
     expected = [(c["type"], c["subject"]) for c in golden["conflicts"]]
     detected = [(c.type, c.subject) for c in run.report.conflicts]
-    remaining = list(detected)
-    covered = 0
-    for want in expected:
-        if want in remaining:
-            remaining.remove(want)
-            covered += 1
+    covered = sum((Counter(expected) & Counter(detected)).values())
     verdicts = {s: _verdict(run, s, scenario_dir / "expected")
                 for s in STRATEGIES}
     return ScenarioResult(scenario=scenario_dir.name, expected=expected,
@@ -157,11 +153,9 @@ def evaluate_corpus(corpus_dir: Union[str, Path]) -> EvalSummary:
             row["expected"] += 1
             row["resolved"] += int(resolved_here)
             row["correct"] += int(correct_here)
-        remaining = list(r.expected)
-        for det in r.detected:
-            if det in remaining:
-                remaining.remove(det)
-                per_type[det[0]]["detected"] += 1
+        for (code, _subject), n in (Counter(r.expected)
+                                    & Counter(r.detected)).items():
+            per_type[code]["detected"] += n
         for s in STRATEGIES:
             if r.verdicts[s] is not None:
                 per_strategy[s]["produced"] += 1

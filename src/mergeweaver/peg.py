@@ -20,21 +20,22 @@ Unit facts.  The four versions of a merge mostly hold the same files, and
 ``build_fourway`` passes one memo to its four ``build_peg`` calls.  Per
 SourceFile the memo keeps a ``_Unit``: the entities the file declares
 (immutable, so the graphs share them), its contains and declares relations
-and its diagnostics, all of which depend on the text alone.  A unit is
-resolved in two steps, its head (imports, extends, implements) and then its
-bodies (reads, writes, calls, initializes), because bodies follow the
-superclasses that every unit's head links.  A resolution reads the version
-only through a ``_Reads``, the one reader of a version's symbol table,
-which records each read with its answer, in ids and texts: a type fqn
-looked up (hit or miss, stubs included), a package looked up, a type's
-member list, a type's superclass, a field's declared type.  Its member and
-supertype queries are made of those reads.  Each head and each body
-resolution is kept on its unit, a body apart from the head it followed: it
-logs every read it makes, the imports its type scope looks up and the
-superclasses it walks included, so its own log verifies it.  A later
-version reuses a resolution only if it holds the same SourceFile and every
-recorded read gives the same answer there; otherwise the unit is resolved
-afresh and the new resolution kept beside the old ones.
+and, built on first use, its ``named`` table of each type's members by
+simple name, all of which depend on the text alone.  A unit is resolved in
+two steps, its head (imports, extends, implements) and then its bodies
+(reads, writes, calls, initializes), because bodies follow the superclasses
+that every unit's head links.  A resolution reads the version only through
+a ``_Reads``, the one reader of a version's symbol table, which records
+each read with its answer, in ids and texts: a type fqn looked up (hit or
+miss, stubs included), a package looked up, a type's superclass, a type's
+members of one simple name (its ``named`` entry).  Its member and supertype
+queries are made of those reads.  Each head and each body resolution is
+kept on its unit, a body apart from the head it followed: it logs every
+read it makes, the imports its type scope looks up and the superclasses it
+walks included, so its own log verifies it.  A later version reuses a
+resolution only if it holds the same SourceFile and every recorded read
+gives the same answer there; otherwise the unit is resolved afresh and the
+new resolution kept beside the old ones.
 
 The reuse is exact: a resolution sees the version only through those reads,
 and the relations it emits hold ids, so equal answers give equal relations.
@@ -59,22 +60,22 @@ full build.  The unit facts the test builds start ``build_fourway``'s
 memo, so each file gives one unit per merge.
 
 The test compares one symbol frame per version, built from the files the
-versions do not all share.  A frame holds their facts that are not keyed
-by a member name (the type ids, each with its extends clause and its
-file's package, imports and types; the packages; the stubs those files'
-imports make) and, by (type id, simple name), the ids of a type's members
-of that name, in order, with a field's declared type.  A shared file is
-deferred when the frames agree on the first part and no identifier of its
-text ends in a dirty name: one whose members, for some type, differ
-between frames.  The frames leave out the shared files' own facts, which
-are the same in every version: versions whose other files agree without
-them agree with them too, so leaving them out can only defer less.  It
-does where a file that declares no type, so that no type's head records
-its imports, imports on one branch a class a shared file declares: that
-version's frame stubs the import and the others hold no such stub, so
-nothing is deferred and the bodies are resolved as in a full build.  When
-the importing file declares a type, the frames differ in its head either
-way.
+versions do not all share.  A frame holds their facts that are not keyed by
+a member name (the type ids, each with its extends clause and its file's
+package, imports and types; the packages; the stubs those files' imports
+make) and their units' ``named`` entries: by (type id, simple name), the
+ids of a type's members of that name, in order, each with a field's
+declared type.  A shared file is deferred when the frames agree on the
+first part and no identifier of its text ends in a dirty name: one whose
+members, for some type, differ between frames.  The frames leave out the
+shared files' own facts, which are the same in every version: versions
+whose other files agree without them agree with them too, so leaving them
+out can only defer less.  It does where a file that declares no type, so
+that no type's head records its imports, imports on one branch a class a
+shared file declares: that version's frame stubs the import and the others
+hold no such stub, so nothing is deferred and the bodies are resolved as in
+a full build.  When the importing file declares a type, the frames differ
+in its head either way.
 
 When the test says yes, each read a body makes answers the same in every
 version:
@@ -84,11 +85,11 @@ version:
   shared files add the same imports and types to every version);
 * a type's superclass: each extends clause resolves in an equal scope
   against equal types;
-* a type's member list: the resolver reads it only through
+* a type's members of a name: the resolver asks for them only through
   ``methods_named`` and ``field_named``, with a name from the text (a
-  created type's name, or its own class's for ``this(...)``), and a name
-  that is not dirty has the same members in every type;
-* a field's declared type: asked only of a field found that way.
+  created type's name, or its own class's for ``this(...)``), and the
+  frames compare the very entries these reads return, so a name that is
+  not dirty has the same entry in every version.
 
 So a deferred body's relations are equal in all four graphs: they cancel
 in a delta, they join entities every graph holds by id, and the hosts they
@@ -100,6 +101,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
@@ -201,7 +203,7 @@ class EntityGraph:
         self._children: dict[str, list[str]] = {}
         self._parent: dict[str, str] = {}
         self._super: dict[str, str] = {}    # type id -> superclass id
-        self.diagnostics: list[str] = []
+        self._unit_of: dict[str, _Unit] = {}    # type id -> its unit
         # the units whose facts this graph holds, in path order
         self.units: list[_Unit] = []
         # the units whose bodies build_peg skipped
@@ -241,8 +243,8 @@ class EntityGraph:
         self.relations.update(unit.relations)
         self._parent.update(unit.parent)
         self._children.update(unit.children)
+        self._unit_of.update(unit.unit_of)
         self._children.setdefault(package.id, []).append(unit.cu.id)
-        self.diagnostics.extend(unit.diagnostics)
         self.units.append(unit)
 
     def resolve_deferred(self) -> None:
@@ -405,41 +407,25 @@ def deferred_by_text(others: Sequence[dict[str, SourceFile]],
 
 def _symbol_frame(units: list[_Unit]) -> tuple[tuple, dict]:
     """A version's symbol frame, given the ``units`` of its files that the
-    versions do not all share: (the heads of their types, their packages,
-    the stubs their imports make against their types), and the members of
-    their types by name."""
+    versions do not all share: (type id -> the inputs of its superclass
+    lookup, their packages, the stubs their imports make against their
+    types), and their ``named`` tables."""
     heads: dict[str, tuple] = {}
     named: dict[tuple[str, str], tuple] = {}
     imports: set[str] = set()
     packages: set[str] = set()
     for unit in units:
-        unit_heads, unit_named = _symbol_facts(unit)
-        heads.update(unit_heads)
-        named.update(unit_named)
+        scope = (unit.package, tuple(unit.imports),
+                 tuple(ent.id for ent, _node in unit.types))
+        heads.update((ent.id, (scope, tuple(t.value for t in
+                                            clauses(node)["extends"])))
+                     for ent, node in unit.types)
+        named.update(unit.named)
         imports.update(unit.imports)
         packages.add(unit.package)
     declared = {tid.split(":", 1)[1] for tid in heads}
     stubs = set(_stubbed(imports, declared.__contains__))
     return (heads, packages, stubs), named
-
-
-def _symbol_facts(unit: _Unit) -> tuple[dict, dict]:
-    """What ``unit`` puts in a version's symbol table beyond its ids: type
-    id -> the inputs of its superclass lookup, and (type id, simple name)
-    -> the ids of the type's members of that name, in order, each with a
-    field's declared type."""
-    scope = (unit.package, tuple(unit.imports),
-             tuple(ent.id for ent, _node in unit.types))
-    heads = {ent.id: (scope, tuple(t.value for t in clauses(node)["extends"]))
-             for ent, node in unit.types}
-    named: dict[tuple[str, str], list] = {}
-    for ent, _node in unit.types:
-        for member in unit.members_of(ent):
-            tref = declared_type(member.decl) \
-                if member.kind in ("field", "enum-constant") else None
-            named.setdefault((ent.id, member.simple_name), []).append(
-                (member.id, None if tref is None else tref.value))
-    return heads, {key: tuple(ids) for key, ids in named.items()}
 
 
 @dataclass(eq=False)
@@ -454,8 +440,9 @@ class _Resolution:
 class _Unit:
     """What one parsed file contributes to a graph.
 
-    The declarations depend on the file alone; ``heads`` and ``bodies``
-    keep every resolution of the head and of the bodies made so far.
+    The declarations depend on the file alone, and so does ``named``,
+    built on first use; ``heads`` and ``bodies`` keep every resolution of
+    the head and of the bodies made so far.
     """
 
     def __init__(self, path: str, source: SourceFile):
@@ -475,7 +462,6 @@ class _Unit:
         self.parent: dict[str, str] = {}
         self.children: dict[str, list[str]] = {}
         self.relations: list[Relation] = []  # contains and declares
-        self.diagnostics: list[str] = []
         self.types: list[tuple[Entity, SyntaxNode]] = []
         self.heads: list[_Resolution] = []
         self.bodies: list[_Resolution] = []
@@ -491,6 +477,7 @@ class _Unit:
         for child in root.children:
             if child.kind in TYPE_DECL_KINDS:
                 self._declare_type(self.cu, self.prefix, child)
+        self.unit_of = {ent.id: self for ent, _node in self.types}
 
     def _add(self, entity: Entity, parent: Entity) -> None:
         self.entities.append(entity)
@@ -510,10 +497,7 @@ class _Unit:
         def member_fqn(base: str) -> str:
             n = occupied.get(base, 0)
             occupied[base] = n + 1
-            if n == 0:
-                return base
-            self.diagnostics.append(f"duplicate member {base}")
-            return f"{base}#{n + 1}"
+            return base if n == 0 else f"{base}#{n + 1}"
 
         for child in node.children:
             if child.kind in TYPE_DECL_KINDS:
@@ -533,6 +517,19 @@ class _Unit:
 
     def members_of(self, entity: Entity) -> list[Entity]:
         return [self.by_id[cid] for cid in self.children.get(entity.id, [])]
+
+    @cached_property
+    def named(self) -> dict[tuple[str, str], tuple]:
+        """(type id, simple name) -> the ids of the type's members of that
+        name, in declaration order, each with a field's declared type."""
+        named: dict[tuple[str, str], list] = {}
+        for ent, _node in self.types:
+            for member in self.members_of(ent):
+                tref = declared_type(member.decl) \
+                    if member.kind in ("field", "enum-constant") else None
+                named.setdefault((ent.id, member.simple_name), []).append(
+                    (member.id, None if tref is None else tref.value))
+        return {key: tuple(ids) for key, ids in named.items()}
 
     def parent_of(self, entity: Entity) -> Optional[Entity]:
         """The parent within this unit; None for the compilation unit."""
@@ -581,21 +578,18 @@ class _Unit:
         return _Resolution(reads.log, relations, extends)
 
 
-def _answer(graph: EntityGraph, kind: str, arg: str):
+def _answer(graph: EntityGraph, kind: str, arg):
     """The answer of one symbol-table read, in ids and texts."""
     if kind == "type":
         hit = graph.find_type(arg)
         return None if hit is None else hit.id
-    if kind == "members":
-        return graph._children.get(arg)
     if kind == "super":
         return graph._super.get(arg)
     if kind == "package":
         return f"package:{arg}" in graph.entities
-    # "field-type": the declared type of a field, None once it is gone
-    fld = graph.entities.get(arg)
-    tref = None if fld is None or fld.decl is None else declared_type(fld.decl)
-    return None if tref is None else tref.value
+    # "named": arg is (type id, simple name); None for a type no unit declares
+    unit = graph._unit_of.get(arg[0])
+    return None if unit is None else unit.named.get(arg)
 
 
 def _reuse_or_resolve(resolutions: list[_Resolution], graph: EntityGraph,
@@ -615,7 +609,8 @@ def _reuse_or_resolve(resolutions: list[_Resolution], graph: EntityGraph,
 class _Reads:
     """A version's symbol table as one resolution reads it: the one reader
     of the table.  Every answer given is logged as (read kind, argument)
-    -> answer; the member and supertype queries are made of those reads."""
+    -> answer; the member and supertype queries are made of those reads:
+    one ``named`` read per (type, simple name) asked."""
 
     def __init__(self, graph: EntityGraph):
         self.graph = graph
@@ -632,34 +627,30 @@ class _Reads:
     def has_package(self, name: str) -> bool:
         return self._ask("package", name)
 
-    def members_of(self, entity: Entity) -> list[Entity]:
-        entities = self.graph.entities
-        return [entities[cid] for cid in self._ask("members", entity.id) or ()]
-
     def superclass_of(self, type_entity: Entity) -> Optional[Entity]:
         sid = self._ask("super", type_entity.id)
         return None if sid is None else self.graph.entities.get(sid)
 
-    def field_type(self, fld: Entity) -> Optional[str]:
-        return self._ask("field-type", fld.id)
+    def _named(self, type_entity: Entity, name: str) -> Iterator[tuple]:
+        """The type's members named ``name``, each with a field's declared
+        type."""
+        entities = self.graph.entities
+        for mid, ftype in self._ask("named", (type_entity.id, name)) or ():
+            yield entities[mid], ftype
 
     def methods_named(self, type_entity: Entity, name: str,
                       arity: int) -> list[Entity]:
-        out = []
-        for member in self.members_of(type_entity):
-            if member.kind not in ("method", "constructor"):
-                continue
-            if member.simple_name != name:
-                continue
-            if arity_of(member) != arity:
-                continue
-            out.append(member)
-        return out
+        return [member for member, _ftype in self._named(type_entity, name)
+                if member.kind in ("method", "constructor")
+                and arity_of(member) == arity]
 
-    def field_named(self, type_entity: Entity, name: str) -> Optional[Entity]:
-        for member in self.members_of(type_entity):
-            if member.kind in ("field", "enum-constant") and member.simple_name == name:
-                return member
+    def field_named(self, type_entity: Entity,
+                    name: str) -> Optional[tuple[Entity, Optional[str]]]:
+        """The type's first field or enum constant named ``name``, with its
+        declared type."""
+        for member, ftype in self._named(type_entity, name):
+            if member.kind in ("field", "enum-constant"):
+                return member, ftype
         return None
 
     def supertype_chain(self, type_entity: Entity) -> Iterable[Entity]:
@@ -806,8 +797,8 @@ class _Resolver:
                 return True, frame[name]
         return False, None
 
-    # ``find`` is a member query on one type: a field or a list of methods,
-    # falsy when there is none
+    # ``find`` is a member query on one type: a field with its declared
+    # type or a list of methods, falsy when there is none
 
     def _in_chain(self, start: Entity, find: Callable):
         """The first hit of ``find`` on ``start``, then its supertypes."""
@@ -843,9 +834,9 @@ class _Resolver:
             is_local, declared = self._lookup_local(receiver.value)
             if is_local:
                 return declared
-            fld = self._enclosing(self._fields(receiver.value))
-            if fld is not None:
-                text = self.reads.field_type(fld)
+            found = self._enclosing(self._fields(receiver.value))
+            if found is not None:
+                text = found[1]
                 return None if text is None else self.scope.resolve_type(text)
             return self.scope.resolve_type(receiver.value)
         if receiver.kind == "ObjectCreation":
@@ -859,16 +850,16 @@ class _Resolver:
         k = expr.kind
         if k == "Name":
             if expr.value != "this" and not self._lookup_local(expr.value)[0]:
-                fld = self._enclosing(self._fields(expr.value))
-                if fld is not None:
-                    self._emit(fld, "writes" if as_target else "reads")
+                found = self._enclosing(self._fields(expr.value))
+                if found is not None:
+                    self._emit(found[0], "writes" if as_target else "reads")
         elif k == "FieldAccess":
             receiver = expr.children[0]
             recv_type = self._receiver_type(receiver)
             if recv_type is not None:
-                fld = self._in_chain(recv_type, self._fields(expr.value))
-                if fld is not None:
-                    self._emit(fld, "writes" if as_target else "reads")
+                found = self._in_chain(recv_type, self._fields(expr.value))
+                if found is not None:
+                    self._emit(found[0], "writes" if as_target else "reads")
             self._walk_expr(receiver)
         elif k == "MethodInvocation":
             args = expr.children[-1]

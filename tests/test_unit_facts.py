@@ -7,8 +7,8 @@ read its resolution made answers the same (see the peg module docstring).
 The oracle is ``build_peg`` with no memo.  On every corpus scenario and
 control, both registered workloads and seeded mutations of a small
 project, each of the four graphs must equal its cold build: entity ids in
-insertion order, kinds, fqns, paths, stub flags, relations, diagnostics,
-parent and child maps.  Both deltas must equal the deltas of the cold
+insertion order, kinds, fqns, paths, stub flags, relations, parent and
+child maps.  Both deltas must equal the deltas of the cold
 graphs, which share no unit and so take the full path through
 ``diff_graphs``.  A version that declares an entity twice must fail with
 the same message either way.
@@ -51,7 +51,6 @@ def graph_facts(graph) -> dict:
         "entities": [(eid, e.kind, e.fqn, e.path, e.stub)
                      for eid, e in graph.entities.items()],
         "relations": graph.relations,
-        "diagnostics": graph.diagnostics,
         "parent": graph._parent,
         "children": graph._children,
         "super": graph._super,
@@ -140,14 +139,15 @@ def test_adding_to_one_graph_leaves_the_others_alone():
                                       FANOUT / "right"))
     shared = next(iter(set(fw.base.units) & set(fw.right.units)))
     owner = shared.types[0][0]
-    before = [m.id for m in peg._Reads(fw.right).members_of(owner)]
+    before = list(fw.right._children[owner.id])
     fw.base.add_entity(Entity("field", owner.fqn + ".extra"), owner)
-    assert len(peg._Reads(fw.base).members_of(owner)) == len(before) + 1
-    assert [m.id for m in peg._Reads(fw.right).members_of(owner)] == before
+    assert len(fw.base._children[owner.id]) == len(before) + 1
+    assert fw.right._children[owner.id] == before
 
 
 # Each case changes one file in the left branch so that an unchanged file,
-# Use.java, resolves differently through exactly one kind of read.
+# Use.java, resolves differently through exactly one kind of read: a
+# member's name and a field's declared type both show in a ``named`` read.
 _USE = ("package p;\n\nimport q.*;\n\n"
         "public class Use extends Mid {\n"
         "    public int go(int x) {\n"
@@ -171,17 +171,17 @@ _BASE = {
                    "    public int work(int x) {\n        return x;\n    }\n}\n",
 }
 _LEFT_EDITS = {
-    "type": ("p/Mid.java", "class Mid extends Base", "interface Mid"),
-    "package": ("p/Tool.java", "package p;", "package q;"),
-    "members": ("p/Beta.java", "run(", "walk("),
-    "super": ("p/Mid.java", "extends Base", "extends Other"),
-    "field-type": ("p/Base.java", "Helper helper", "Tool helper"),
+    "type": ("type", "p/Mid.java", "class Mid extends Base", "interface Mid"),
+    "package": ("package", "p/Tool.java", "package p;", "package q;"),
+    "members": ("named", "p/Beta.java", "run(", "walk("),
+    "super": ("super", "p/Mid.java", "extends Base", "extends Other"),
+    "field-type": ("named", "p/Base.java", "Helper helper", "Tool helper"),
 }
 
 
-@pytest.mark.parametrize("read", sorted(_LEFT_EDITS))
-def test_each_read_kind_invalidates_an_unchanged_file(read):
-    path, old, new = _LEFT_EDITS[read]
+@pytest.mark.parametrize("case", sorted(_LEFT_EDITS))
+def test_each_read_kind_invalidates_an_unchanged_file(case):
+    read, path, old, new = _LEFT_EDITS[case]
     left = dict(_BASE)
     left[path] = left[path].replace(old, new)
     fw, deferred = check_against_cold(parse_versions(_BASE, left, _BASE, left))
@@ -223,6 +223,25 @@ def test_the_graphs_defer_exactly_the_paths_the_scenario_names():
     _fw, deferred = check_against_cold(parse_versions(_BASE, _BASE, _BASE,
                                                       merged))
     assert deferred == set(_BASE) - {"p/Beta.java", "p/Use.java"}
+
+
+def test_a_body_is_reused_when_only_other_names_of_a_type_change():
+    # left adds Beta.walk; Use mentions walk, a local, so it is resolved,
+    # but it asks Beta only for its members named Beta and run
+    base = {"p/Use.java": "package p;\n\npublic class Use {\n"
+                          "    public int go(int x) {\n"
+                          "        Beta b = new Beta();\n"
+                          "        int walk = b.run(x);\n"
+                          "        return walk;\n    }\n}\n",
+            "p/Beta.java": _BASE["p/Beta.java"]}
+    left = dict(base, **{"p/Beta.java": base["p/Beta.java"].replace(
+        "}\n}\n", "}\n    public int walk(int x) {\n"
+                    "        return x;\n    }\n}\n")})
+    fw, deferred = check_against_cold(parse_versions(base, left, base, left))
+    assert deferred == set()
+    (use,) = {u for g in (fw.base, fw.left) for u in g.units
+              if u.path == "p/Use.java"}
+    assert len(use.bodies) == 1
 
 
 def test_a_typeless_file_importing_a_shared_class_defers_nothing():
