@@ -42,6 +42,10 @@ root, so the import scans read only those.
 
 graph_diff sets ``old`` on every delete and update, ``new`` on every add
 and update, and both ends of every relation edit; the rows rely on that.
+A conflict reads its def edit once for the resolvers: ``Conflict.old`` is
+the base entity whose uses break (the updated or deleted entity, or the
+type a deleted import named) and ``Conflict.new`` the def branch's entity
+(the updated or added one), each None where the edit has none.
 """
 
 from __future__ import annotations
@@ -84,6 +88,23 @@ class Conflict:
     @property
     def type_num(self) -> int:
         return int(self.type[1:])
+
+    @property
+    def old(self) -> Optional[Entity]:
+        """The base entity whose uses break: the changed or deleted
+        entity, or the type a deleted import named; None for an add."""
+        d = self.def_change
+        if isinstance(d, RelationEdit):
+            return d.dst if d.op == "delete" and d.kind == "imports" \
+                else None
+        return d.old
+
+    @property
+    def new(self) -> Optional[Entity]:
+        """The def branch's entity: the updated or added one; None for a
+        delete or a relation edit."""
+        d = self.def_change
+        return d.new if isinstance(d, EntityEdit) else None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{self.type} {self.subject} vs {self.using_fqn}>"

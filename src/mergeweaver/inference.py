@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .conflicts import CALLS, CREATIONS, NAME_USES, Conflict, uses
-from .graph_diff import EntityEdit, RelationEdit
 from .peg import TYPE_ENTITY_KINDS, arity_of
 from .syntax import HEADED_KINDS, STATEMENT_KINDS, SyntaxNode, SyntaxTree
 from .tree_diff import EditOp
@@ -74,20 +73,14 @@ class TransformationPattern:
 
 def _subject_facts(conflict: Conflict) -> Optional[tuple[str, str, Optional[int]]]:
     """(kind, simple name, arity) of the definition whose uses matter."""
-    d = conflict.def_change
-    if isinstance(d, RelationEdit):
-        if d.kind == "imports" and d.dst is not None:
-            return "class", d.dst.simple_name, None
-        return None
-    assert isinstance(d, EntityEdit)
-    ent = d.old if d.old is not None else d.new
+    ent = conflict.old
     if ent is None:
         return None
-    if d.kind in TYPE_ENTITY_KINDS:
+    if ent.kind in TYPE_ENTITY_KINDS:
         return "class", ent.simple_name, None
-    if d.kind in ("method", "constructor", "field"):
-        arity = arity_of(ent) if d.kind != "field" else None
-        return d.kind, ent.simple_name, arity
+    if ent.kind in ("method", "constructor", "field"):
+        arity = arity_of(ent) if ent.kind != "field" else None
+        return ent.kind, ent.simple_name, arity
     return None
 
 

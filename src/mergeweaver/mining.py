@@ -20,9 +20,16 @@ ids their parse gave them, not copies.  A parse numbers a file in
 pre-order, so the ids of one declaration still increase in pre-order,
 which is all refinement asks of them (see ``inference.refine_edits``).
 The record's index is the merge's own ``FourWayGraph.name_index`` of the
-base declaration, the one detection reads, and which hosts mention a
-type subject is asked of the same indexes: a name is mentioned when it
-is a key.
+base declaration, the one detection reads.
+
+The hosts are the base members that use the conflict's ``old`` entity:
+by a relation, or for a type subject by its simple name being a key of
+the same index (a parameter or local type leaves no relation).  Those
+name users are read from the def branch's updates only: a member that
+branch did not update has an empty script, as it sits in a unit both
+graphs share, whose two declarations are one node, or its printed text
+and so its parse are unchanged.  A host is mined when its branch version
+uses the conflict's ``new`` entity in the same way.
 
 Sharing is sound because everything in the record is a function of the
 host alone, and nothing downstream edits it: ``refine_context`` clones the
@@ -36,10 +43,9 @@ stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .conflicts import Conflict
-from .graph_diff import EntityEdit, FourWayGraph, RelationEdit
+from .graph_diff import FourWayGraph
 from .inference import ScriptEdits, script_edits
 from .peg import (RELATION_KINDS, TYPE_ENTITY_KINDS, Entity, Relation,
                   lookup_uses)
@@ -67,43 +73,30 @@ class EditExample:
         return f"<example {self.host} ({len(self.script)} ops)>"
 
 
-def _subject_entities(d) -> tuple[Optional[Entity], Optional[Entity]]:
-    """(base entity, branch successor) of the definition-side edit."""
-    if isinstance(d, RelationEdit):
-        if d.op == "delete" and d.kind == "imports":
-            return d.dst, None      # removed import: base-side type only
-        return None, None
-    assert isinstance(d, EntityEdit)
-    if d.op == "update":
-        return d.old, d.new
-    if d.op == "delete":
-        return d.old, None
-    return None, None               # pure additions have no base usage
-
-
-def _references(graph, src: Entity, dst: Entity) -> bool:
-    return any(Relation(src.id, dst.id, kind) in graph.relations
-               for kind in RELATION_KINDS)
+def _uses(fw: FourWayGraph, graph, host: Entity, subject: Entity) -> bool:
+    """Whether host uses subject in graph: by a relation, or for a type
+    subject by its simple name in the host's name index."""
+    return any(Relation(host.id, subject.id, kind) in graph.relations
+               for kind in RELATION_KINDS) \
+        or (subject.kind in TYPE_ENTITY_KINDS and host.decl is not None
+            and subject.simple_name in fw.name_index(host.decl))
 
 
 def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
     branch = conflict.branch_of_def
     delta = fw.delta_left if branch == "l" else fw.delta_right
-    subject_base, subject_branch = _subject_entities(conflict.def_change)
-    if subject_base is None:
-        return []
+    old, new = conflict.old, conflict.new
+    if old is None:
+        return []               # pure additions have no base usage
 
-    hosts: dict[str, Entity] = {}
-    for src, _rel in lookup_uses(fw.base, subject_base):
-        if src.kind in _HOST_KINDS:
-            hosts[src.id] = src
-    if subject_base.kind in TYPE_ENTITY_KINDS:
-        # declared-only uses (parameter and local types) leave no relation
-        simple = subject_base.simple_name
-        for ent in fw.base.entities.values():
-            if ent.kind in _HOST_KINDS and ent.decl is not None \
-                    and simple in fw.name_index(ent.decl):
-                hosts.setdefault(ent.id, ent)
+    hosts = {src.id: src for src, _rel in lookup_uses(fw.base, old)
+             if src.kind in _HOST_KINDS}
+    if old.kind in TYPE_ENTITY_KINDS:
+        # a host the def branch did not update has an empty script
+        for e in delta.entity_edits:
+            if e.op == "update" and e.kind in _HOST_KINDS \
+                    and _uses(fw, fw.base, e.old, old):
+                hosts.setdefault(e.old.id, e.old)
 
     examples: list[EditExample] = []
     for host_base in sorted(hosts.values(), key=lambda e: e.fqn):
@@ -113,13 +106,8 @@ def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:
         host_branch = delta.target.by_id(target_id)
         if host_base.decl is None or host_branch.decl is None:
             continue
-        if subject_branch is not None:
-            adapted = _references(delta.target, host_branch, subject_branch)
-            if not adapted and subject_branch.kind in TYPE_ENTITY_KINDS:
-                adapted = subject_branch.simple_name \
-                    in fw.name_index(host_branch.decl)
-            if not adapted:
-                continue
+        if new is not None and not _uses(fw, delta.target, host_branch, new):
+            continue
         key = (branch, host_base.id, target_id)
         if key not in fw.mined:
             before = SyntaxTree(host_base.decl)

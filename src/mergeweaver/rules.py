@@ -55,10 +55,8 @@ def _fresh_clone(work: SyntaxTree, node: SyntaxNode) -> SyntaxNode:
 
 def _update_added_type_use(work: SyntaxTree, conflict: Conflict,
                            fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, EntityEdit) and d.old is not None \
-        and d.new is not None
-    old_s, new_s = d.old.simple_name, d.new.simple_name
+    old, new = conflict.old, conflict.new
+    old_s, new_s = old.simple_name, new.simple_name
     for _site, node in _site_nodes(work, conflict):
         if node.kind == "TypeRef":
             work.set_value(node, _apply_renames(node.value, {old_s: new_s}))
@@ -66,8 +64,8 @@ def _update_added_type_use(work: SyntaxTree, conflict: Conflict,
             if node.value == old_s:
                 work.set_value(node, new_s)
         elif node.kind == "ImportDecl":
-            if node.value == d.old_fqn:
-                work.set_value(node, d.new_fqn or node.value)
+            if node.value == old.fqn:
+                work.set_value(node, new.fqn)
             elif node.value.endswith("." + old_s):
                 work.set_value(node, node.value[:-len(old_s)] + new_s)
         else:
@@ -76,9 +74,7 @@ def _update_added_type_use(work: SyntaxTree, conflict: Conflict,
 
 def _update_added_package_use(work: SyntaxTree, conflict: Conflict,
                               fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, EntityEdit)
-    old_pkg, new_pkg = d.old_fqn or "", d.new_fqn or ""
+    old_pkg, new_pkg = conflict.old.fqn, conflict.new.fqn
     for _site, node in _site_nodes(work, conflict):
         if node.kind != "ImportDecl":
             raise TargetMissing(f"unexpected site kind {node.kind}")
@@ -91,21 +87,16 @@ def _rename_sites(*kinds: str) -> _Handler:
     be of one of kinds."""
     def handler(work: SyntaxTree, conflict: Conflict,
                 fw: FourWayGraph) -> None:
-        d = conflict.def_change
-        assert isinstance(d, EntityEdit) and d.new is not None
         for _site, node in _site_nodes(work, conflict):
             if node.kind not in kinds:
                 raise TargetMissing(f"unexpected site kind {node.kind}")
-            work.set_value(node, d.new.simple_name)
+            work.set_value(node, conflict.new.simple_name)
     return handler
 
 
 def _match_super_return(work: SyntaxTree, conflict: Conflict,
                         fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, EntityEdit) and d.new is not None \
-        and d.new.decl is not None
-    want = declared_type_text(d.new.decl)
+    want = declared_type_text(conflict.new.decl)
     if not want:
         raise TargetMissing("superclass method has no return type")
     for _site, node in _site_nodes(work, conflict):
@@ -117,10 +108,7 @@ def _match_super_return(work: SyntaxTree, conflict: Conflict,
 
 def _match_super_params(work: SyntaxTree, conflict: Conflict,
                         fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, EntityEdit) and d.new is not None \
-        and d.new.decl is not None
-    new_params = parameters(d.new.decl)
+    new_params = parameters(conflict.new.decl)
     for _site, node in _site_nodes(work, conflict):
         if node.kind not in ("MethodDecl", "ConstructorDecl"):
             raise TargetMissing(f"unexpected site kind {node.kind}")
@@ -139,8 +127,6 @@ def _match_super_params(work: SyntaxTree, conflict: Conflict,
 
 def _readd_import(work: SyntaxTree, conflict: Conflict,
                   fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, RelationEdit)
     root = work.root
     if root.kind != "CompilationUnit":
         raise TargetMissing("file root is not a compilation unit")
@@ -148,7 +134,7 @@ def _readd_import(work: SyntaxTree, conflict: Conflict,
     for i, child in enumerate(root.children):
         if child.kind in ("PackageDecl", "ImportDecl"):
             insert_at = i + 1
-    imp = SyntaxNode(kind="ImportDecl", value=d.dst_fqn, children=[],
+    imp = SyntaxNode(kind="ImportDecl", value=conflict.old.fqn, children=[],
                      span=None, id=work.fresh_id())
     work.insert(root, insert_at, imp)
 
@@ -162,13 +148,10 @@ _STUB_RETURNS = {
 
 def _override_new_super_method(work: SyntaxTree, conflict: Conflict,
                                fw: FourWayGraph) -> None:
-    d = conflict.def_change
-    assert isinstance(d, EntityEdit) and d.new is not None \
-        and d.new.decl is not None
     for _site, node in _site_nodes(work, conflict):
         if node.kind not in ("ClassDecl", "EnumDecl"):
             raise TargetMissing(f"unexpected site kind {node.kind}")
-        method = _fresh_clone(work, d.new.decl)
+        method = _fresh_clone(work, conflict.new.decl)
         if not any(c.kind == "Modifier" and c.value == "public"
                    for c in method.children):
             method.children.insert(0, SyntaxNode(

@@ -29,6 +29,16 @@ bench_gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_gen)
 
 
+@functools.lru_cache(maxsize=None)
+def scaling_tool():
+    """tools/scaling.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "scaling", ROOT / "tools" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    return scaling
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One visible PASS/FAIL line per acceptance criterion."""
     rows = []
@@ -53,6 +63,15 @@ def corpus_dir() -> Path:
 @pytest.fixture(scope="session")
 def golden_key(corpus_dir: Path) -> dict:
     return json.loads((corpus_dir / "golden_key.json").read_text())
+
+
+def write_versions(root: Path, files: dict[str, dict[str, str]]) -> None:
+    """Write each version's files under root: version -> path -> text."""
+    for version, texts in files.items():
+        for path, text in texts.items():
+            target = root / version / path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
 
 
 def parse_snippet(text: str, path: str = "T.java"):

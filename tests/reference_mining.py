@@ -5,20 +5,43 @@ before a mined host became a view of its declarations: it deep-copies
 both host declarations, renumbers each copy from 0 in pre-order, diffs
 the copies and indexes the before copy by name a second time.  It shares
 the unchanged helpers of ``mergeweaver.mining`` and memoizes in
-``fw.mined`` as that did, so hand it a four-way graph of its own.  Keep it
-as it is; it is the oracle, not a second implementation to maintain.
+``fw.mined`` as that did, so hand it a four-way graph of its own.  Its
+``_subject_entities`` and ``_references`` are verbatim copies of the
+helpers mergeweaver's mining had then, so the oracle decodes the def edit
+and scans every base member for a type subject as that mining did.  Keep
+it as it is; it is the oracle, not a second implementation to maintain.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from mergeweaver.conflicts import Conflict
-from mergeweaver.graph_diff import FourWayGraph
+from mergeweaver.graph_diff import EntityEdit, FourWayGraph, RelationEdit
 from mergeweaver.inference import script_edits
-from mergeweaver.mining import (_HOST_KINDS, EditExample, _references,
-                                _subject_entities)
-from mergeweaver.peg import Entity, lookup_uses
+from mergeweaver.mining import _HOST_KINDS, EditExample
+from mergeweaver.peg import RELATION_KINDS, Entity, Relation, lookup_uses
 from mergeweaver.syntax import SyntaxTree, clone_node, name_index
 from mergeweaver.tree_diff import diff_trees
+
+
+def _subject_entities(d) -> tuple[Optional[Entity], Optional[Entity]]:
+    """(base entity, branch successor) of the definition-side edit."""
+    if isinstance(d, RelationEdit):
+        if d.op == "delete" and d.kind == "imports":
+            return d.dst, None      # removed import: base-side type only
+        return None, None
+    assert isinstance(d, EntityEdit)
+    if d.op == "update":
+        return d.old, d.new
+    if d.op == "delete":
+        return d.old, None
+    return None, None               # pure additions have no base usage
+
+
+def _references(graph, src: Entity, dst: Entity) -> bool:
+    return any(Relation(src.id, dst.id, kind) in graph.relations
+               for kind in RELATION_KINDS)
 
 
 def mine_examples(fw: FourWayGraph, conflict: Conflict) -> list[EditExample]:

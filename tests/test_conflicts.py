@@ -5,7 +5,8 @@ import json
 import pytest
 
 import reference_conflicts as ref
-from conftest import CORPUS, FANOUT, classify, merge_inputs, run_corpus
+from conftest import (CORPUS, FANOUT, classify, merge_inputs, run_corpus,
+                      write_versions)
 from mergeweaver import syntax
 from mergeweaver.conflicts import (CALLS, CREATIONS, NAME_USES, TYPE_USES,
                                    detect_conflicts, uses)
@@ -111,6 +112,31 @@ def test_conflicts_without_manifestation_are_dropped():
     run.scenario.am[res.path] = parse_unit(res.path, res.text)
     fw2 = build_fourway(run.scenario)
     assert detect_conflicts(fw2) == []
+
+
+@pytest.mark.parametrize("member,use", [
+    ("public int m(%s a) {\n        return 0;\n    }", "b.m(new A())"),
+    ("public %s f;", "b.f"),
+    ("public %s g() {\n        return null;\n    }", "b.g()"),
+], ids=["signature", "field-type", "return-type"])
+def test_a_member_that_only_respells_a_renamed_type_is_no_def_edit(
+        tmp_path, member, use):
+    # left renames A to AA and so respells B's member; right's added use
+    # of that member beside a new A() pairs only with the class rename
+    a = "package p;\n\npublic class %s {\n}\n"
+    b = "package p;\n\npublic class B {\n    %s\n}\n" % member
+    u = ("package p;\n\npublic class U {\n    public Object run() {\n"
+         "        B b = new B();\n        Object o = new A();\n"
+         f"        return {use};\n    }}\n}}\n")
+    write_versions(tmp_path, {
+        "base": {"p/A.java": a % "A", "p/B.java": b % "A"},
+        "left": {"p/AA.java": a % "AA", "p/B.java": b % "AA"},
+        "right": {"p/A.java": a % "A", "p/B.java": b % "A", "p/U.java": u},
+    })
+    run = run_scenario(tmp_path / "base", tmp_path / "left",
+                       tmp_path / "right")
+    assert [(c.type, c.subject) for c in run.report.conflicts] \
+        == [("C1", "p.A")]
 
 
 def test_controls_smoke_no_spurious():

@@ -6,20 +6,12 @@ constants included, so the printer must print a constant on its own.
 
 import json
 
-from conftest import parse_snippet
+from conftest import parse_snippet, write_versions
 from mergeweaver.cli import main
 from mergeweaver.pipeline import run_scenario
 from mergeweaver.printer import pretty_print
 
 ENUM = "enum E { A, B; int x; }\n"
-
-
-def _write(root, files: dict[str, dict[str, str]]) -> None:
-    """files: version -> path -> text."""
-    for version, texts in files.items():
-        (root / version).mkdir()
-        for path, text in texts.items():
-            (root / version / path).write_text(text)
 
 
 def _args(cmd: str, root) -> list[str]:
@@ -34,8 +26,9 @@ def test_a_lone_enum_constant_prints_as_its_name():
 
 
 def test_a_branch_editing_an_enum_merges_without_conflict(tmp_path, capsys):
-    _write(tmp_path, {"base": {"E.java": ENUM}, "right": {"E.java": ENUM},
-                      "left": {"E.java": "enum E { A, B; int x; int y; }\n"}})
+    write_versions(tmp_path, {
+        "base": {"E.java": ENUM}, "right": {"E.java": ENUM},
+        "left": {"E.java": "enum E { A, B; int x; int y; }\n"}})
     assert main(_args("detect", tmp_path)) == 0
     assert json.loads(capsys.readouterr().out)["conflicts"] == []
 
@@ -45,7 +38,7 @@ def test_a_renamed_enum_field_is_c13_and_the_rule_retargets_the_use(
     user = "class U {\n    int get(E c) {\n        return 0;\n    }\n}\n"
     added = user.replace(
         "}\n}\n", "}\n    int read(E c) {\n        return c.v;\n    }\n}\n")
-    _write(tmp_path, {
+    write_versions(tmp_path, {
         "base": {"E.java": "enum E { A, B; int v; }\n", "U.java": user},
         "left": {"E.java": "enum E { A, B; int w; }\n", "U.java": user},
         "right": {"E.java": "enum E { A, B; int v; }\n", "U.java": added},

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, write_versions
 from mergeweaver.evaluate import (STRATEGIES, MissingGolden,
                                   evaluate_corpus, evaluate_scenario,
                                   scenario_dirs, summary_to_dict)
@@ -44,6 +44,36 @@ def test_verdict_correct_for_rule_fixture():
     result = evaluate_scenario(CORPUS / "rule-c09", GOLDEN["rule-c09"])
     assert result.verdicts["rule"] == "correct"
     assert result.verdicts["example"] is None
+
+
+def test_verdict_incorrect_without_an_expected_file(tmp_path):
+    shutil.copytree(CORPUS / "rule-c09", tmp_path / "rule-c09")
+    (tmp_path / "rule-c09" / "expected" / "Rot13.java").unlink()
+    result = evaluate_scenario(tmp_path / "rule-c09", GOLDEN["rule-c09"])
+    assert result.verdicts["rule"] == "incorrect"
+
+
+def test_verdict_incorrect_with_a_conflict_left_unresolved(tmp_path):
+    # left renames class A and deletes K.k(); right's run() uses both.  The
+    # rule resolves the C1 as expected/ holds it, and leaves the C23
+    a = "package p;\n\npublic class %s {\n}\n"
+    k = "package p;\n\npublic class K {\n%s}\n"
+    k_method = "    public int k() {\n        return 1;\n    }\n"
+    u = ("package p;\n\npublic class U {\n    public int run() {\n"
+         "        %s a = new %s();\n        K c = new K();\n"
+         "        return c.k();\n    }\n}\n")
+    write_versions(tmp_path / "s", {
+        "base": {"p/A.java": a % "A", "p/K.java": k % k_method},
+        "left": {"p/AA.java": a % "AA", "p/K.java": k % ""},
+        "right": {"p/A.java": a % "A", "p/K.java": k % k_method,
+                  "p/U.java": u % ("A", "A")},
+        "expected": {"p/U.java": u % ("AA", "AA")},
+    })
+    golden = {"conflicts": [{"type": "C1", "subject": "p.A"},
+                            {"type": "C23", "subject": "p.K.k()"}]}
+    result = evaluate_scenario(tmp_path / "s", golden)
+    assert result.covered == 2
+    assert result.verdicts == {"example": None, "rule": "incorrect"}
 
 
 def test_missing_key_raises(tmp_path):

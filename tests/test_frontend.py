@@ -38,6 +38,16 @@ def test_corpus_files_roundtrip():
         roundtrip(text)
 
 
+def test_throws_clauses_roundtrip():
+    # the corpus declares no throws clause
+    text = ("class A {\n    void m() throws IOException, Err {\n    }\n"
+            "    abstract int n() throws Err;\n}\n")
+    roundtrip(text)
+    printed = pretty_print(parse_unit("T.java", text).tree)
+    assert "void m() throws IOException, Err {" in printed
+    assert "abstract int n() throws Err;" in printed
+
+
 def test_random_programs_roundtrip():
     for seed in range(100):
         roundtrip(random_program(random.Random(seed)))

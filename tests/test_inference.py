@@ -6,7 +6,7 @@ import pytest
 
 import reference_inference as ref
 from conftest import (CORPUS, FANOUT, brute_force_closure, parse_snippet,
-                      random_program, run_corpus)
+                      random_program, run_corpus, write_versions)
 from mergeweaver.conflicts import Conflict
 from mergeweaver.evaluate import scenario_dirs
 from mergeweaver.inference import (NoRelevantEdit, infer_pattern,
@@ -150,13 +150,6 @@ def test_closure_matches_brute_force_on_all_mined_examples():
     assert checked >= 76            # 12 corpus examples, 64 fanout ones
 
 
-def _write(root, files: dict[str, str]) -> None:
-    for version, text_by_path in files.items():
-        for path, text in text_by_path.items():
-            (root / version).mkdir(parents=True, exist_ok=True)
-            (root / version / path).write_text(text)
-
-
 _HUB = "package p;\npublic class H {\n    public int %s(int k) { return k; }\n}\n"
 _HOST = """\
 package p;
@@ -181,7 +174,7 @@ def test_real_dependence_pulls_its_statement_in(tmp_path):
     # the adapted call now reads t, and the edited statement before it
     # defines t: the m pattern must keep that statement, although the
     # call's before-side target (h.m(k)) never mentions t
-    _write(tmp_path, {
+    write_versions(tmp_path, {
         "base": {"H.java": _HUB % "m", "C.java": _HOST % ("0", "m(k)")},
         "left": {"H.java": _HUB % "m2",
                  "C.java": _HOST % ("k * 2", "m2(t)")},

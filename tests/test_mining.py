@@ -11,12 +11,13 @@ of the host's root, and add ids map in the order they are added.
 import dataclasses
 
 import reference_mining as ref
-from conftest import merge_inputs, run_corpus
+from conftest import bench_gen, merge_inputs, run_corpus, scaling_tool
 from mergeweaver.conflicts import detect_conflicts
 from mergeweaver.graph_diff import build_fourway
 from mergeweaver.inference import NoRelevantEdit, infer_pattern
 from mergeweaver.merge3 import merge_scenario
 from mergeweaver.mining import mine_examples
+from mergeweaver.pipeline import run_scenario
 
 
 def examples_for(name: str):
@@ -153,3 +154,28 @@ def test_mined_hosts_are_views_equal_to_the_renumbered_copies(generated):
             assert ex.named is fw.name_index(host_base.decl)
     # 12 corpus, 64 fanout and 130 generated examples, each refining
     assert scripts >= 206 and patterns >= 206
+
+
+def test_a_type_subject_indexes_only_the_members_its_branch_updated(
+        tmp_path):
+    # method-rename whose left also renames the service class: a member
+    # the left did not update has an empty script, so mining the C1 reads
+    # no more declarations as the project grows, and mines what the
+    # reference mines by scanning every base member
+    named = []
+    for files in (40, 160):
+        out = tmp_path / str(files)
+        bench_gen.write_workload(scaling_tool().class_rename(1, files), out)
+        run = run_scenario(out / "base", out / "left", out / "right")
+        (conflict,) = [c for c in run.report.conflicts if c.type == "C1"]
+        examples = mine_examples(run.fourway, conflict)
+        references = ref.mine_examples(
+            dataclasses.replace(run.fourway, mined={}), conflict)
+        assert len(examples) == 2
+        assert [ex.host for ex in examples] \
+            == [ex.host for ex in references]
+        for ex, reference in zip(examples, references):
+            assert _ops(ex.script, _id_map(ex, reference)) \
+                == _ops(reference.script), ex.host
+        named.append(run.record.counts["named"])
+    assert named[0] == named[1]

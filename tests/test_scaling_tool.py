@@ -5,9 +5,8 @@ The tool imports nothing private from mergeweaver, patches nothing, and
 runs no layer of the pipeline but through ``run_scenario``."""
 
 import ast
-import importlib.util
 
-from conftest import CORPUS, FANOUT, ROOT
+from conftest import CORPUS, FANOUT, ROOT, scaling_tool
 from mergeweaver.pipeline import run_scenario
 
 TOOL = ROOT / "tools" / "scaling.py"
@@ -21,13 +20,6 @@ STAGE_FUNCTIONS = {
     "resolve_by_example", "resolve_by_rule"}
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("scaling", TOOL)
-    scaling = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scaling)
-    return scaling
-
-
 def _columns(scaling, scenario):
     run = run_scenario(scenario / "base", scenario / "left",
                        scenario / "right")
@@ -35,7 +27,7 @@ def _columns(scaling, scenario):
 
 
 def test_the_column_functions_fill_every_column():
-    scaling = _load_tool()
+    scaling = scaling_tool()
     columns = _columns(scaling, FANOUT)
     assert set(scaling.COLUMNS) - set(columns) == {"ref_ms"}
     assert all(value >= 0 for value in columns.values())

@@ -14,11 +14,17 @@ right before one of the runs.  The host's speed drifts, so compare a
 cell divided by its row's ``ref_ms``, as bench/run.py's ``run_rel``
 does.  The largest sizes take tens of seconds each; ``--workload`` runs
 one.
+
+``class-rename`` is derived here from method-rename's workload: the left
+branch also renames the service class, the owner of the C15 subject, so
+the table shows how the ``mine`` layer and ``named`` of a type-subject
+conflict (C1) grow.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +41,7 @@ from mergeweaver.syntax import recognized_blocks  # noqa: E402
 
 SIZES = (
     ("method-rename", "files", (120, 240, 480, 960)),
+    ("class-rename", "files", (120, 240, 480, 960)),
     ("package-rename", "files", (24, 48, 96, 192)),
     ("rename-fanout", "methods", (16, 32, 64, 128)),
 )
@@ -42,6 +49,26 @@ LAYERS = tuple(layer for layers in STAGES.values() for layer in layers)
 COLUMNS = LAYERS + ("total", "pairs", "printed", "reused", "reused/res",
                     "named", "deferred", "indexed", "positioned",
                     "recognized", "built", "ref_ms")
+
+
+def class_rename(seed: int, files: int) -> gen.Workload:
+    """method-rename's workload whose left branch also renames the
+    service class and every mention of it.  It carries no reference:
+    the tool reads none."""
+    wl = gen.generate("method-rename", seed, files=files)
+    subject = next(c["subject"] for c in wl.conflicts if c["type"] == "C15")
+    old = subject.split("(", 1)[0].rsplit(".", 2)[1]
+    new, word = old + "Impl", re.compile(rf"\b{old}\b")
+    wl.left = {path.replace(f"/{old}.java", f"/{new}.java"):
+               word.sub(new, text) for path, text in wl.left.items()}
+    wl.name, wl.conflicts = "class-rename", []
+    return wl
+
+
+def generate(workload: str, seed: int, **sizes) -> gen.Workload:
+    if workload == "class-rename":
+        return class_rename(seed, **sizes)
+    return gen.generate(workload, seed, **sizes)
 
 
 def record_columns(run: ScenarioRun) -> dict[str, float]:
@@ -91,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             for size in sizes:
                 out = Path(tmp) / f"{workload}-{size}"
-                wl = gen.generate(workload, args.seed, **{param: size})
+                wl = generate(workload, args.seed, **{param: size})
                 gen.write_workload(wl, out)
                 best: dict[str, float] = {}
                 refs = []
