@@ -128,12 +128,13 @@ def _run(args: argparse.Namespace) -> ScenarioRun:
     run = run_scenario(args.base, args.left, args.right)
     if args.trace:
         index = {id(c): i for i, c in enumerate(run.report.conflicts)}
+        record = run.scenario.record
         print(f"{len(run.report.conflicts)} conflict(s), "
               f"{len(run.report.resolutions)} resolution(s)",
               "counts: " + " ".join(f"{key}={value}" for key, value
-                                    in sorted(run.record.counts.items())),
+                                    in sorted(record.counts.items())),
               "ms: " + " ".join(f"{layer}={ms:.3f}"
-                                for layer, ms in run.record.ms.items()),
+                                for layer, ms in record.ms.items()),
               *(f"outcome: conflict {index[id(o.conflict)]} {o.strategy} "
                 f"{o.reason}" for o in run.report.outcomes),
               sep="\n", file=sys.stderr)

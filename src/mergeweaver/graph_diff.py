@@ -83,7 +83,6 @@ class RelationEdit:
 @dataclass
 class GraphDelta:
     branch: str
-    base: EntityGraph
     target: EntityGraph
     matches: dict[str, str]             # base entity id -> target entity id
     inverse: dict[str, str]             # target entity id -> base entity id
@@ -209,7 +208,7 @@ def _relation_order(rel: Relation) -> tuple[str, str, str]:
 def diff_graphs(base: EntityGraph, target: EntityGraph, branch: str,
                 scorer: Scorer) -> GraphDelta:
     matches = match_graphs(base, target, scorer)
-    delta = GraphDelta(branch, base, target, matches, _inverse(matches))
+    delta = GraphDelta(branch, target, matches, _inverse(matches))
     inverse = delta.inverse
 
     # a unit both graphs share holds the same entities in each, matched to
@@ -302,11 +301,12 @@ def build_fourway(scenario: MergeScenario) -> FourWayGraph:
                          ("r", scenario.right), ("am", scenario.am)):
         graphs[label] = peg.build_peg(files, label, memo, scenario.deferred)
         record.lap(f"graph.{peg.VERSION_NAMES[label]}")
-    gb, gam, scorer = graphs.pop("b"), graphs.pop("am"), Scorer()
+    gb, gam = graphs.pop("b"), graphs.pop("am")
+    # the ids all four graphs hold: no match asks for their contexts
+    scorer = Scorer(set(gb.entities).intersection(
+        gam.entities, graphs["l"].entities, graphs["r"].entities))
     for x, g in graphs.items():
-        scorer.expect_match(gb, g)
-        lacks[x] = scorer.expect_match(gam, g)
-    for x, g in graphs.items():
+        lacks[x] = len(gam.entities.keys() - g.entities.keys())
         deltas[x] = diff_graphs(gb, g, x, scorer)
         record.lap(f"delta.{peg.VERSION_NAMES[x]}")
     one, two = sorted(graphs, key=lacks.get)

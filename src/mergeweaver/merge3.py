@@ -66,8 +66,17 @@ class UnreadableSource(Exception):
 
 
 class TextualConflict(Exception):
+    """Two branches change one region of a file differently.  ``region``
+    is the clash's span of base lines, (lo, hi) as 0-based indices of the
+    lines lo+1 to hi, or None for a whole file; lo == hi is an insertion
+    point after line lo, where both branches insert."""
+
     def __init__(self, path: str, region: tuple[int, int] | None = None):
-        where = f" lines {region[0]}-{region[1]}" if region else ""
+        where = ""
+        if region:
+            lo, hi = region
+            where = f" lines {lo + 1}-{hi}" if lo < hi \
+                else f" after line {lo}" if lo else " at the start"
         super().__init__(f"textual conflict in {path}{where}")
         self.path = path
         self.region = region
@@ -122,7 +131,7 @@ def merge_file(base: str, left: str, right: str, path: str = "<file>") -> str:
                 li += 1
                 ri += 1
                 continue
-            raise TextualConflict(path, (min(le.lo, re.lo) + 1,
+            raise TextualConflict(path, (min(le.lo, re.lo),
                                          max(le.hi, re.hi)))
         if (le.lo, le.hi) <= (re.lo, re.hi):
             merged.append(le); li += 1

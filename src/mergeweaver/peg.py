@@ -62,12 +62,12 @@ memo, so each file gives one unit per merge.
 The test compares one symbol frame per version, built from the files the
 versions do not all share.  A frame holds their facts that are not keyed by
 a member name (the type ids, each with its extends clause and its file's
-package, imports and types; the packages; the stubs those files' imports
-make) and their units' ``named`` entries: by (type id, simple name), the
-ids of a type's members of that name, in order, each with a field's
-declared type.  A shared file is deferred when the frames agree on the
-first part and no identifier of its text ends in a dirty name: one whose
-members, for some type, differ between frames.  The frames leave out the
+package, imports and types; the stubs those files' imports make) and
+their units' ``named`` entries: by (type id, simple name), the ids of a
+type's members of that name, in order, each with a field's declared
+type.  A shared file is deferred when the frames agree on the first part
+and no identifier of its text ends in a dirty name: one whose members,
+for some type, differ between frames.  The frames leave out the
 shared files' own facts, which are the same in every version: versions
 whose other files agree without them agree with them too, so leaving them
 out can only defer less.  It does where a file that declares no type, so
@@ -80,9 +80,12 @@ in its head either way.
 When the test says yes, each read a body makes answers the same in every
 version:
 
-* a type fqn and a package: the type ids, stubs and packages are equal
-  (a stub is an import that no type of the version declares, and the
-  shared files add the same imports and types to every version);
+* a type fqn: the type ids and stubs are equal (a stub is an import
+  that no type of the version declares, and the shared files add the
+  same imports and types to every version).  A package is looked up
+  only by a head, for a wildcard import, and heads are never deferred,
+  so a file that declares no type in a package of its own, as a
+  ``package-info.java`` does, leaves the frames equal;
 * a type's superclass: each extends clause resolves in an equal scope
   against equal types;
 * a type's members of a name: the resolver asks for them only through
@@ -200,7 +203,6 @@ class EntityGraph:
         self.version = version
         self.entities: dict[str, Entity] = {}
         self.relations: set[Relation] = set()
-        self._children: dict[str, list[str]] = {}
         self._parent: dict[str, str] = {}
         self._super: dict[str, str] = {}    # type id -> superclass id
         self._unit_of: dict[str, _Unit] = {}    # type id -> its unit
@@ -223,14 +225,12 @@ class EntityGraph:
                 else "declares"
             self.relations.add(_relation(parent, entity, link))
             self._parent[entity.id] = parent.id
-            # a new list: a unit's child lists are shared with other graphs
-            self._children[parent.id] = \
-                self._children.get(parent.id, []) + [entity.id]
         return entity
 
-    def _add_unit(self, unit: _Unit, package: Entity) -> None:
-        """Adds a unit's declarations under its package; the first entity
-        whose id is taken, in declaration order, raises DuplicateEntity."""
+    def _add_unit(self, unit: _Unit) -> None:
+        """Adds a unit's declarations under its package, which the graph
+        holds already; the first entity whose id is taken, in declaration
+        order, raises DuplicateEntity."""
         entities = self.entities
         if len(unit.by_id) < len(unit.entities) \
                 or not entities.keys().isdisjoint(unit.by_id):
@@ -242,9 +242,7 @@ class EntityGraph:
         entities.update(unit.by_id)
         self.relations.update(unit.relations)
         self._parent.update(unit.parent)
-        self._children.update(unit.children)
         self._unit_of.update(unit.unit_of)
-        self._children.setdefault(package.id, []).append(unit.cu.id)
         self.units.append(unit)
 
     def resolve_deferred(self) -> None:
@@ -280,9 +278,8 @@ class EntityGraph:
     def body_text(self, entity: Entity,
                   memo: Optional[PrintMemo] = None) -> str:
         if entity.kind == "package":
-            names = sorted(self.entities[c].simple_name
-                           for c in self._children.get(entity.id, []))
-            return " ".join(names)
+            return " ".join(sorted(unit.cu.simple_name for unit in self.units
+                                   if unit.package == entity.fqn))
         if entity.decl is None:
             return ""
         return pretty_print(entity.decl) if memo is None \
@@ -344,9 +341,9 @@ def build_peg(files: dict[str, SourceFile], version: str,
     units: list[_Unit] = []
     for path in sorted(files):
         unit = _unit_of(memo, path, files[path])
-        pkg = graph.find("package", unit.package) or \
+        if graph.find("package", unit.package) is None:
             graph.add_entity(Entity("package", unit.package), project)
-        graph._add_unit(unit, pkg)
+        graph._add_unit(unit)
         units.append(unit)
 
     for unit in units:
@@ -408,12 +405,11 @@ def deferred_by_text(others: Sequence[dict[str, SourceFile]],
 def _symbol_frame(units: list[_Unit]) -> tuple[tuple, dict]:
     """A version's symbol frame, given the ``units`` of its files that the
     versions do not all share: (type id -> the inputs of its superclass
-    lookup, their packages, the stubs their imports make against their
-    types), and their ``named`` tables."""
+    lookup, the stubs their imports make against their types), and their
+    ``named`` tables."""
     heads: dict[str, tuple] = {}
     named: dict[tuple[str, str], tuple] = {}
     imports: set[str] = set()
-    packages: set[str] = set()
     for unit in units:
         scope = (unit.package, tuple(unit.imports),
                  tuple(ent.id for ent, _node in unit.types))
@@ -422,10 +418,9 @@ def _symbol_frame(units: list[_Unit]) -> tuple[tuple, dict]:
                      for ent, node in unit.types)
         named.update(unit.named)
         imports.update(unit.imports)
-        packages.add(unit.package)
     declared = {tid.split(":", 1)[1] for tid in heads}
     stubs = set(_stubbed(imports, declared.__contains__))
-    return (heads, packages, stubs), named
+    return (heads, stubs), named
 
 
 @dataclass(eq=False)

@@ -9,7 +9,7 @@ from typing import Optional, Union
 from .conflicts import Conflict, detect_conflicts
 from .graph_diff import FourWayGraph, build_fourway
 from .matching import Outcome, Resolution, resolve_by_example
-from .merge3 import MergeScenario, Record, merge_scenario
+from .merge3 import MergeScenario, merge_scenario
 from .rules import resolve_by_rule
 
 
@@ -41,7 +41,6 @@ class ScenarioRun:
     report: Report
     scenario: MergeScenario
     fourway: FourWayGraph
-    record: Record
 
 
 def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
@@ -75,8 +74,7 @@ def run_scenario(base_dir: Union[str, Path], left_dir: Union[str, Path],
                                     for layer in layers)
                          for stage, layers in STAGES.items()}
     report.timings_ms["total"] = sum(record.ms.values())
-    return ScenarioRun(report=report, scenario=scenario, fourway=fw,
-                       record=record)
+    return ScenarioRun(report=report, scenario=scenario, fourway=fw)
 
 
 def report_to_dict(report: Report, include_timing: bool = True) -> dict:

@@ -19,10 +19,12 @@ and the anchor search (matching), score through one Scorer, which
 ``build_fourway`` keeps on the merge's FourWayGraph.  A score reads only
 its two texts, so nothing is kept per text or per pair.  The Scorer
 prints each declaration through the merge's PrintMemo (see
-``printer``), which renders each parsed member and statement once, and
-builds each graph's context strings with one relation scan, made on the
-first request and covering only the entities a match of the merge
-leaves unmatched by id.  No context string needs a deferred body's
+``printer``), which renders each parsed member and statement once.  A
+match asks for the context of an entity only when the other graph lacks
+its id, so the Scorer is given the ids all four graphs of the merge
+hold, and builds a graph's context strings for its other ids, the ones
+some graph of the merge lacks, with one relation scan on the first
+request in that graph.  No context string needs a deferred body's
 relation (see peg's "Deferred bodies"): those join entities every graph
 holds, which each match pairs by id.  The memos live as long as the
 merge and no longer; the module holds none.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from typing import AbstractSet
 
 from .peg import Entity, EntityGraph
 from .printer import PrintMemo
@@ -47,10 +50,12 @@ class Scorer:
     """One merge's trigram scores and the texts they compare.
 
     ``scored`` counts the scores of unequal texts, a pair asked again
-    counting again.
+    counting again.  ``shared`` holds the ids every graph of the merge
+    holds, whose contexts are never asked for; a Scorer given none scans
+    a whole graph for its contexts.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, shared: AbstractSet[str] = frozenset()) -> None:
         # keyed by the entity, which holds its declaration, so no id() in
         # a key can be reused; a package is its own graph's entity.  One
         # string per body, so the keys and the pairs that read a body join
@@ -58,7 +63,7 @@ class Scorer:
         self._bodies: dict[Entity, str] = {}
         self.print_memo = PrintMemo()
         self._contexts: dict[EntityGraph, dict[str, str]] = {}
-        self._unmatched: dict[EntityGraph, set[str]] = {}
+        self._shared = shared
         self.scored = 0
 
     def similarity(self, a: str, b: str) -> float:
@@ -90,26 +95,12 @@ class Scorer:
                                                           self.print_memo)
         return text
 
-    def expect_match(self, ga: EntityGraph, gb: EntityGraph) -> int:
-        """Declares that ga and gb will be matched: each may then be asked
-        for the context of every entity whose id the other lacks.  Returns
-        how many ga ids gb lacks."""
-        for g, other in ((gb, ga), (ga, gb)):
-            lacking = g.entities.keys() - other.entities.keys()
-            self._unmatched.setdefault(g, set()).update(lacking)
-        return len(lacking)
-
     def context(self, graph: EntityGraph, entity: Entity) -> str:
-        """``entity``'s context string.  The first request in a graph
-        scans its relations once for every entity an expected match may
-        ask for."""
+        """``entity``'s context string, for an id outside ``shared``.  The
+        first request in a graph scans its relations once for all of
+        them."""
         table = self._contexts.get(graph)
         if table is None:
-            table = self._contexts[graph] = {}
-        text = table.get(entity.id)
-        if text is None:
-            wanted = self._unmatched.get(graph, set()) - table.keys()
-            wanted.add(entity.id)
-            table.update(graph.context_strings(wanted))
-            text = table[entity.id]
-        return text
+            table = self._contexts[graph] = graph.context_strings(
+                graph.entities.keys() - self._shared)
+        return table[entity.id]

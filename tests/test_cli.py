@@ -212,10 +212,11 @@ def test_resolve_trace_prints_the_similarity_counts(capsys):
                  if line.startswith("counts: ")]
     assert f"pairs={scorer.scored}" in counts
     assert counts == [f"{key}={value}" for key, value
-                      in sorted(run.record.counts.items())]
+                      in sorted(run.scenario.record.counts.items())]
     (ms,) = [line.split()[1:] for line in traced.err.splitlines()
              if line.startswith("ms: ")]
-    assert [entry.split("=")[0] for entry in ms] == list(run.record.ms)
+    assert [entry.split("=")[0] for entry in ms] \
+        == list(run.scenario.record.ms)
     assert not [line for line in traced.err.splitlines()
                 if line.startswith("similarity:")]
     # one line per outcome: every conflict resolves by both strategies

@@ -6,6 +6,9 @@ somewhere outside its own definition.  Each function, class and method
 that the package's ``__all__`` does not export must have a reader in
 src/, tools/ or bench/: a reader in tests/ alone does not keep it.  A word
 counts only in code: a mention in a docstring or a comment reads nothing.
+Each attribute a class of the package stores, by ``self.x = ...`` or as a
+dataclass or NamedTuple field, must be read as an attribute (``obj.x``)
+somewhere in src/, tests/, tools/ or bench/.
 """
 
 import ast
@@ -98,3 +101,47 @@ def test_every_unexported_callable_has_a_reader_outside_tests():
                     and words[name] == _own(code, node, name):
                 test_only.append(f"{path.name}:{name}")
     assert test_only == []
+
+
+# held but never read by design: a unit keeps its SourceFile alive so that
+# the id() in its unit-facts memo key (peg._unit_of) is never reused
+HELD_ONLY = {"peg.py:_Unit.source"}
+
+
+def _stored_attributes(module: ast.Module):
+    """(class name, attribute) for each attribute a class of ``module``
+    stores: ``self.x = ...`` in its methods, and the fields of a dataclass
+    or NamedTuple."""
+    for node in ast.walk(module):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        fields = any("dataclass" in ast.unparse(d)
+                     for d in node.decorator_list) \
+            or any(ast.unparse(b) == "NamedTuple" for b in node.bases)
+        for item in node.body:
+            if fields and isinstance(item, ast.AnnAssign) \
+                    and isinstance(item.target, ast.Name) \
+                    and "ClassVar" not in ast.unparse(item.annotation):
+                yield node.name, item.target.id
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) \
+                    and isinstance(sub.ctx, ast.Store) \
+                    and isinstance(sub.value, ast.Name) \
+                    and sub.value.id == "self":
+                yield node.name, sub.attr
+
+
+def test_every_stored_attribute_is_read():
+    read = set()
+    for top in ("src", "tests", "tools", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            read.update(node.attr for node in ast.walk(ast.parse(
+                path.read_text())) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load))
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, attr in _stored_attributes(ast.parse(path.read_text())):
+            if attr not in read:
+                unread.add(f"{path.name}:{owner}.{attr}")
+    assert sorted(unread - HELD_ONLY) == []
+    assert HELD_ONLY <= unread

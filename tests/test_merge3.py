@@ -45,6 +45,27 @@ def test_overlap_raises():
         merge_file(BASE, "a\nB1\nc\nd\ne\n", "a\nB2\nc\nd\ne\n")
 
 
+CLASHES = {
+    "insert-after-line": ("a\nb\nX\nc\n", "a\nb\nY\nc\n", (2, 2),
+                          "after line 2"),
+    "insert-at-start": ("X\na\nb\nc\n", "Y\na\nb\nc\n", (0, 0),
+                        "at the start"),
+    "insert-at-end": ("a\nb\nc\nX\n", "a\nb\nc\nY\n", (3, 3),
+                      "after line 3"),
+    "replaced-line": ("a\nB1\nc\n", "a\nB2\nc\n", (1, 2), "lines 2-2"),
+}
+
+
+@pytest.mark.parametrize("left,right,region,where", CLASHES.values(),
+                         ids=CLASHES.keys())
+def test_a_clash_names_its_base_lines_or_insertion_point(left, right,
+                                                         region, where):
+    with pytest.raises(TextualConflict) as caught:
+        merge_file("a\nb\nc\n", left, right, "F.java")
+    assert caught.value.region == region
+    assert str(caught.value) == f"textual conflict in F.java {where}"
+
+
 TOUCHING = {
     "adjacent-lines": ("a\nb\nc\nd\n", "a\nB\nc\nd\n",
                        "a\nb\nC\nd\n", "a\nB\nC\nd\n"),

@@ -177,5 +177,5 @@ def test_a_type_subject_indexes_only_the_members_its_branch_updated(
         for ex, reference in zip(examples, references):
             assert _ops(ex.script, _id_map(ex, reference)) \
                 == _ops(reference.script), ex.host
-        named.append(run.record.counts["named"])
+        named.append(run.scenario.record.counts["named"])
     assert named[0] == named[1]

@@ -19,7 +19,8 @@ with thousands of distinct grams, must match too, and each score the
 merge computed, and each the reference greedy would compute, scored
 through the merge's Scorer, must equal the Counter kernel's.
 
-The context strings of a merge come from one relation scan per graph;
+The context strings of a merge come from one relation scan per graph,
+which covers exactly the graph's ids that some graph of the merge lacks;
 they must equal the per-entity scan for every entity they cover, including
 an entity that relates to itself.  The memo lives on the merge: the
 search modules hold no memo of their own, and merges run one after another
@@ -209,7 +210,13 @@ def test_tied_anchor_and_sibling_scores_break_as_the_reference_does():
 def test_batched_context_strings_equal_the_per_entity_scan(merges):
     covered = 0
     for name, fw in merges:
+        graphs = (fw.base, fw.left, fw.right, fw.merged)
+        shared = set(fw.base.entities).intersection(
+            *(g.entities for g in graphs[1:]))
         for graph, table in fw.scorer._contexts.items():
+            # one scan covers exactly the ids some graph of the merge lacks
+            assert graph in graphs, name
+            assert table.keys() == graph.entities.keys() - shared, name
             for eid, text in table.items():
                 assert text == ref.context_string(
                     graph, graph.entities[eid]), (name, eid)

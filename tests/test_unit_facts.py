@@ -52,7 +52,6 @@ def graph_facts(graph) -> dict:
                      for eid, e in graph.entities.items()],
         "relations": graph.relations,
         "parent": graph._parent,
-        "children": graph._children,
         "super": graph._super,
     }
 
@@ -139,10 +138,11 @@ def test_adding_to_one_graph_leaves_the_others_alone():
                                       FANOUT / "right"))
     shared = next(iter(set(fw.base.units) & set(fw.right.units)))
     owner = shared.types[0][0]
-    before = list(fw.right._children[owner.id])
-    fw.base.add_entity(Entity("field", owner.fqn + ".extra"), owner)
-    assert len(fw.base._children[owner.id]) == len(before) + 1
-    assert fw.right._children[owner.id] == before
+    right = fw.right
+    before = (dict(right.entities), set(right.relations), dict(right._parent))
+    extra = fw.base.add_entity(Entity("field", owner.fqn + ".extra"), owner)
+    assert fw.base.parent_id(extra) == owner.id
+    assert (right.entities, right.relations, right._parent) == before
 
 
 # Each case changes one file in the left branch so that an unchanged file,
@@ -549,3 +549,28 @@ def test_seeded_mutations_equal_cold_builds():
     assert duplicates >= 10
     assert re_resolved >= 40
     assert deferring >= 30      # merges that defer some unit's bodies
+
+
+def test_a_typeless_file_in_a_new_package_defers_the_shared_files():
+    # only a head looks a package up, for a wildcard import, and heads are
+    # never deferred: left's package-only q/Note.java leaves B's body, which
+    # imports q.*, reading the same answers in every version
+    base = {"p/A.java": "package p;\n\npublic class A {\n"
+                        "    public int m(int x) {\n        return x;\n"
+                        "    }\n}\n",
+            "p/B.java": "package p;\n\nimport q.*;\n\npublic class B {\n"
+                        "    public int go(A a) {\n"
+                        "        return a.m(1);\n    }\n}\n",
+            "p/C.java": "package p;\n\npublic class C {\n"
+                        "    public int k() {\n        return 1;\n    }\n}\n"}
+    left = dict(base, **{"q/Note.java": "package q;\n"})
+    right = dict(base, **{"p/C.java": base["p/C.java"].replace(
+        "return 1;", "return 2;")})
+    scenario = parse_versions(base, left, right,
+                              merge_texts(base, left, right))
+    assert scenario.deferred == {"p/A.java", "p/B.java"}
+    fw, _deferred = check_against_cold(scenario)
+    assert ("compilation-unit:p.B", "package:q", "imports") \
+        in fw.left.relations - fw.base.relations
+    assert ("method:p.B.go(A)", "method:p.A.m(int)", "calls") \
+        in fw.merged.relations

@@ -73,7 +73,8 @@ def generate(workload: str, seed: int, **sizes) -> gen.Workload:
 
 def record_columns(run: ScenarioRun) -> dict[str, float]:
     """The run's layer times, total and counters, as columns."""
-    ms, counts = run.record.ms, run.record.counts
+    record = run.scenario.record
+    ms, counts = record.ms, record.counts
     resolving = counts["reused"] - counts["reused.pre_resolve"]
     return {**counts, **{layer: ms.get(layer, 0.0) for layer in LAYERS},
             "total": run.report.timings_ms["total"],
